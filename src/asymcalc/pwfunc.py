@@ -19,6 +19,7 @@ unless a finer grid was requested.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -38,9 +39,12 @@ class TailComponent:
         if self.r < 0:
             raise NotModerate(f"depth increment {self.r} < 0")
 
+    def exponent(self, k: int) -> int:
+        """The exponent e of the block-k weight sigma^e."""
+        return self.s * k + self.r * (k * (k - 1) // 2)
+
     def weight(self, sigma: Q, k: int) -> Q:
-        e = self.s * k + self.r * (k * (k - 1) // 2)
-        return Q(sigma) ** e
+        return Q(sigma) ** self.exponent(k)
 
 
 class PwFunction:
@@ -141,14 +145,26 @@ class PwFunction:
 
     def block_of(self, u) -> int:
         """Index k with u in (sigma^(k+1) c0, sigma^k c0]; u <= c0."""
+        return self.block_coord(u)[0]
+
+    def block_coord(self, u):
+        """Block index k and window coordinate w = u / (sigma^k c0) in
+        (sigma, 1] of a point u <= c0."""
         u = Q(u)
         assert 0 < u <= self.c0
-        k = 0
-        edge = self.c0 * self.sigma
-        while u <= edge:
-            edge *= self.sigma
+        sg = self.sigma
+        # estimate k = floor(log(u / c0) / log(sigma)) from the logs of
+        # numerators and denominators (u may lie below the smallest
+        # double), then settle the block edges exactly
+        k = max(0, math.floor((_log(u) - _log(self.c0)) / _log(sg)))
+        top = sg ** k * self.c0
+        while u > top:
+            k -= 1
+            top /= sg
+        while u <= top * sg:
             k += 1
-        return k
+            top *= sg
+        return k, u / top
 
     def eval(self, u) -> Q:
         u = Q(u)
@@ -156,8 +172,7 @@ class PwFunction:
             raise ValueError("argument must lie in (0, 1]")
         if u > self.c0:
             return self.head.eval(u)
-        k = self.block_of(u)
-        w = u / (self.sigma ** k * self.c0)
+        k, w = self.block_coord(u)
         return sum((c.weight(self.sigma, k) * c.g.eval(w)
                     for c in self.comps), Q(0))
 
@@ -380,6 +395,11 @@ def dominance_data(x: PwFunction):
         out.append((c.r, c.s, True, zeros))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
+
+
+def _log(q: Q) -> float:
+    """Natural log of a positive rational of any size."""
+    return math.log(q.numerator) - math.log(q.denominator)
 
 
 def _monomial(p: int):

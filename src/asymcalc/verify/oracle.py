@@ -1,11 +1,21 @@
 """Numeric cross-checks for the exact engine.
 
-Two shadows of exact answers, both built from pointwise rational
-evaluation (x.eval) and nothing else of the exact machinery:
+Two shadows of exact answers.  Both read an element only through its
+representation (tail components, head, exact pointwise values), never
+through the exact decision machinery of signs, genconst, ideal or
+afilter:
 
-- oracle_valuation samples x on the geometric grid u_j = 2^(-j/8) and
-  estimates the scale order from the slope of log|x(u)| against log u,
-  fitted at high precision.
+- oracle_valuation samples x on the geometric grid
+  u_j = 2^-(j // 8) * b_(j % 8), where b_i is the double 0.5 ** (i / 8)
+  taken as an exact rational, and estimates the scale order from the
+  slope of log|x(u)| against log u, fitted at high precision.  On a
+  grid of ratio 1/2 all samples of one residue class j % 8 share their
+  window coordinate, so each tail profile is evaluated exactly once per
+  distinct coordinate.  The block weights sigma^e stay in the log
+  domain: components with equal exponent e are summed exactly, and
+  distinct exponents are combined in mpmath at the working precision,
+  so no sample builds the exact value of x(u) below the anchor.  Above
+  the anchor samples use the exact head.
 - oracle_vanishes_on samples x on the set S itself: on the two deepest
   blocks of S above the grid depth it takes each point, each closed
   endpoint and evenly spaced interior points of the shape, so point
@@ -28,9 +38,7 @@ __all__ = [
     "OracleConfig",
     "ValuationEstimate",
     "oracle_valuation",
-    "oracle_sign_on",
     "oracle_vanishes_on",
-    "sample_points",
 ]
 
 
@@ -38,10 +46,14 @@ __all__ = [
 class OracleConfig:
     """Grid and precision parameters for the numeric oracle.
 
-    depth:      deepest grid index J; samples use u = 2^(-j/8), j <= J.
-                Set samples stay at or above 2^-(J // 8).
+    depth:      deepest grid index J.  Valuation samples are
+                u_j = 2^-(j // 8) * b_(j % 8) on the full blocks
+                8 <= j < 8 (J // 8), with b_i the double
+                0.5 ** (i / 8).  Set samples stay at or above 2^-(J // 8).
     window:     number of deepest usable samples entering the slope fit.
-    precision:  mpmath working precision in decimal digits.
+    precision:  mpmath working precision in decimal digits.  A sample
+                whose terms cancel to within 10^(8 - precision) of the
+                largest term counts as zero.
     tolerance:  half-width accepted around an exact valuation.
     quantifier_bound:  existential scale quantifiers are probed up to
                 this exponent only (the oracle shadows "exists n" by
@@ -58,8 +70,9 @@ class OracleConfig:
     quantifier_bound: int = 8
     min_scale: Q = Q(1, 2 ** 120)
 
-    def grid(self):
-        return [Q(1, 2) ** Q(j, 8) for j in range(8, self.depth + 1)]
+
+# b_i of the valuation grid: the double 0.5 ** (i / 8) as an exact rational
+_RESIDUES = tuple(Q(0.5 ** (i / 8)) for i in range(8))
 
 
 @dataclass(frozen=True)
@@ -90,58 +103,111 @@ def _slope(points):
     return (n * sxy - sx * sy) / den
 
 
+def _grid(cfg: OracleConfig):
+    """The valuation samples (k, u), u = 2^-k * b_i for each residue b_i,
+    on the full blocks k = 1 .. depth // 8 - 1 of the ratio 1/2."""
+    for k in range(1, cfg.depth // 8):
+        for b in _RESIDUES:
+            yield k, Q(b.numerator, b.denominator << k)
+
+
+def _log_sampler(x, cfg: OracleConfig):
+    """The function u -> log|x(u)| on (0, 1], or None where x(u) counts
+    as zero, at the current mpmath precision.
+
+    Below the anchor the value on block k at window coordinate w is
+    sum_c sigma^(e_c(k)) g_c(w).  The profile values g_c(w) are exact
+    and memoized per w for the life of the returned function.
+    Components of equal exponent are summed exactly.  The nonzero sums
+    t_e give log|x(u)| = e0 log(sigma) + log|sum_e sigma^(e - e0) t_e|,
+    with e0 the smallest exponent and the sum taken in mpmath.  A sum of
+    several terms within 10^(8 - precision) of the largest term counts
+    as zero.
+    """
+    comps = x.comps
+    log_sigma = _logabs(x.sigma)
+    sigma = _mpf(x.sigma)
+    cutoff = mpmath.mpf(10) ** (8 - cfg.precision)
+    profiles = {}
+
+    def log_abs(u):
+        if u > x.c0:
+            val = x.head.eval(u)
+            return _logabs(val) if val else None
+        k, w = x.block_coord(u)
+        if w not in profiles:
+            profiles[w] = [(c, g, _mpf(g)) for c in comps
+                           for g in (c.g.eval(w),) if g]
+        groups = {}
+        for c, g, m in profiles[w]:
+            e = c.exponent(k)
+            if e in groups:
+                t = groups[e][0] + g
+                groups[e] = (t, _mpf(t))
+            else:
+                groups[e] = (g, m)
+        terms = [(e, m) for e, (t, m) in groups.items() if t]
+        if not terms:
+            return None
+        e0 = min(e for e, _ in terms)
+        vals = [sigma ** (e - e0) * m for e, m in terms]
+        total = mpmath.fsum(vals)
+        if len(vals) > 1 and abs(total) <= cutoff * max(map(abs, vals)):
+            return None
+        return e0 * log_sigma + mpmath.log(abs(total))
+
+    return log_abs
+
+
+def _mpf(q: Q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _block_maxima(log_abs, cfg: OracleConfig):
+    """The largest log|x(u)| over the grid samples of each block k, from
+    the sampler log_abs; blocks where every sample is zero are left out."""
+    best = {}
+    for k, u in _grid(cfg):
+        la = log_abs(u)
+        if la is not None and (k not in best or la > best[k]):
+            best[k] = la
+    if not best:
+        raise AllSamplesZero("element vanished at every grid point")
+    return best
+
+
+def _fit(best, cfg: OracleConfig) -> ValuationEstimate:
+    """Slope estimate from the per-block maxima of log|x|."""
+    log2 = mpmath.log(2)
+    logs = [(-log2 * k, best[k]) for k in sorted(best)]
+    wn = max(2, min(cfg.window // 8, len(logs) // 2))
+    win = logs[-wn:]
+    prev = logs[-2 * wn:-wn] or win
+    s_deep = _slope(win)
+    s_prev = _slope(prev)
+    drift = float(s_deep - s_prev)
+    if drift > 0.5 and float(s_deep) > float(s_prev) * 1.1 + 0.5:
+        return ValuationEstimate(float(s_deep), mpmath.inf, True)
+    tol = float(cfg.tolerance)
+    spread = abs(drift)
+    half = max(tol, spread)
+    mid = float(s_deep)
+    return ValuationEstimate(mid - half, mid + half, False)
+
+
 def oracle_valuation(x, cfg: OracleConfig = OracleConfig()) -> ValuationEstimate:
     """Estimate the scale order of x by log-log regression.
 
-    Returns an interval [lo, hi] expected to contain the exact
-    valuation, or a diverging flag when the local slope keeps growing
-    with depth (the numeric signature of a negligible element).
+    x is sampled on the grid of cfg (see _grid), and log|x(u)| is
+    computed in the log domain (see _log_sampler).  The fit runs against
+    the per-block maximum of |x|: pointwise samples dip arbitrarily low
+    near interior zeros of a window profile, which would bias a raw
+    regression.  Returns an interval [lo, hi] expected to contain the
+    exact valuation, or a diverging flag when the local slope keeps
+    growing with depth (the numeric signature of a negligible element).
     """
     with mpmath.workdps(cfg.precision):
-        # fit against the per-block maximum of |x|: pointwise samples dip
-        # arbitrarily low near interior zeros of a window profile, which
-        # would bias a raw regression
-        best = {}
-        last_full = cfg.depth // 8 - 1
-        for j in range(8, cfg.depth + 1):
-            k = j // 8
-            if k > last_full:
-                break
-            u = Q(1, 2) ** Q(j, 8)
-            val = x.eval(u)
-            if val == 0:
-                continue
-            la = _logabs(val)
-            if k not in best or la > best[k]:
-                best[k] = la
-        if not best:
-            raise AllSamplesZero("element vanished at every grid point")
-        log2 = mpmath.log(2)
-        logs = [(-log2 * k, best[k]) for k in sorted(best)]
-        wn = max(2, min(cfg.window // 8, len(logs) // 2))
-        win = logs[-wn:]
-        prev = logs[-2 * wn:-wn] or win
-        s_deep = _slope(win)
-        s_prev = _slope(prev)
-        drift = float(s_deep - s_prev)
-        if drift > 0.5 and float(s_deep) > float(s_prev) * 1.1 + 0.5:
-            return ValuationEstimate(float(s_deep), mpmath.inf, True)
-        tol = float(cfg.tolerance)
-        spread = abs(drift)
-        half = max(tol, spread)
-        mid = float(s_deep)
-        return ValuationEstimate(mid - half, mid + half, False)
-
-
-def sample_points(S, cfg: OracleConfig, per_block: int = 5):
-    """Grid points of cfg that land inside the asymptotic set S."""
-    out = []
-    for u in cfg.grid():
-        if u >= cfg.min_scale and S.contains(u):
-            out.append(u)
-            if len(out) >= per_block * 64:
-                break
-    return out
+        return _fit(_block_maxima(_log_sampler(x, cfg), cfg), cfg)
 
 
 def _shape_points(shape):
@@ -197,16 +263,3 @@ def oracle_vanishes_on(x, S, cfg: OracleConfig = OracleConfig()):
         else:
             votes.add(None)
     return votes.pop() if len(votes) == 1 else None
-
-
-def oracle_sign_on(x, S, cfg: OracleConfig = OracleConfig()):
-    """Grid shadow of eventual strict positivity of x on S."""
-    pts = [u for u in sample_points(S, cfg) if u <= Q(1, 2 ** 16)]
-    if not pts:
-        return None
-    vals = [x.eval(u) for u in pts]
-    if all(v > 0 for v in vals):
-        return True
-    if any(v < 0 for v in vals):
-        return False
-    return None

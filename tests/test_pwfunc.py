@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymcalc.errors import ContinuityViolation
@@ -116,3 +116,34 @@ def test_valuation_ultrametric(a, b):
         return
     bound = min(v for v in (va, vb) if v is not None)
     assert vs >= bound
+
+
+_RATIOS = (Q(1, 2), Q(2, 3), Q(3, 7), Q(1, 10))
+_fractions_in_0_1 = st.tuples(st.integers(1, 10 ** 6),
+                              st.integers(1, 10 ** 6)).map(
+    lambda t: Q(min(t), max(t)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_RATIOS), st.integers(0, 3), st.integers(0, 420),
+       st.one_of(st.none(), st.just(Q(1)), _fractions_in_0_1),
+       _fractions_in_0_1)
+@example(Q(1, 10), 2, 400, Q(1), Q(1))
+@example(Q(3, 7), 0, 0, Q(1), Q(1))
+@example(Q(2, 3), 1, 301, None, Q(1, 10 ** 200))
+def test_block_of_brackets_u(sg, t, k, f, r):
+    # u is a block edge sigma^k c0 (f = 1), a point inside block k, or a
+    # random rational r c0 below the anchor (f = None)
+    x = PwFunction.zero(sg).lower_anchor(t)
+    c0 = sg ** t
+    assert x.c0 == c0
+    if f is None:
+        u = r * c0
+    else:
+        u = sg ** k * c0 * (sg + (1 - sg) * f)
+    kb, w = x.block_coord(u)
+    assert x.block_of(u) == kb
+    assert sg ** (kb + 1) * c0 < u <= sg ** kb * c0
+    assert w == u / (sg ** kb * c0) and sg < w <= 1
+    if f is not None:
+        assert kb == k

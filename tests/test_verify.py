@@ -1,11 +1,15 @@
 from fractions import Fraction as Q
 
+import mpmath
 import pytest
 
 from asymcalc.errors import AllSamplesZero, PreconditionViolated, UnknownCheck
-from asymcalc.pwfunc import PwFunction
+from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.verify import (OracleConfig, available_checks, corpus_generate,
                              oracle_valuation, oracle_vanishes_on, run_checks)
+from asymcalc.verify.oracle import (_block_maxima, _fit, _grid, _log_sampler,
+                                    _logabs)
+from asymcalc.window import Piecewise
 
 CFG = OracleConfig(depth=1600)
 
@@ -92,3 +96,74 @@ def test_reports_reproducible():
 def test_interior_closure_check_passes():
     r = run_checks("interior-closure", seed=2, size=10)[0]
     assert r.passed and r.instances > 0
+
+
+def _exact_sampler(x):
+    """The reference sampler: log|x(u)| from the exact value x.eval(u)."""
+    def log_abs(u):
+        val = x.eval(u)
+        return _logabs(val) if val else None
+    return log_abs
+
+
+def _assert_matches_exact(x, cfg):
+    """Every grid sample of the log-domain oracle lies within 1e-6 of the
+    exact log|x(u)|, zero exactly where x(u) = 0, and the estimate agrees
+    with the one fitted to the exact samples."""
+    with mpmath.workdps(cfg.precision):
+        fast, exact = _log_sampler(x, cfg), _exact_sampler(x)
+        for _, u in _grid(cfg):
+            got, want = fast(u), exact(u)
+            if want is None:
+                assert got is None, u
+            else:
+                assert got is not None and abs(got - want) <= 1e-6, u
+        ref = _fit(_block_maxima(exact, cfg), cfg)
+    est = oracle_valuation(x, cfg)
+    assert est.diverging == ref.diverging
+    assert est.lo == pytest.approx(ref.lo, abs=1e-6)
+    assert est.hi == pytest.approx(ref.hi, abs=1e-6)
+
+
+SHALLOW = OracleConfig(depth=400, window=40)
+
+
+def test_oracle_matches_exact_on_fixtures(rho, osc, negl):
+    for x in (rho, osc, negl):
+        _assert_matches_exact(x, CFG)
+
+
+def test_oracle_matches_exact_on_corpus():
+    for x in corpus_generate(37, 60).elements[:12]:
+        _assert_matches_exact(x, SHALLOW)
+
+
+def test_oracle_matches_exact_on_head_and_mixed_components(hat):
+    tent = Piecewise.linear_interp(
+        [(Q(1, 2), 0), (Q(5, 8), Q(3, 2)), (Q(7, 8), -1), (Q(1), 0)])
+    mixed = PwFunction(Q(1, 2), [
+        TailComponent(-1, 0, hat.comps[0].g.scale(3)),
+        TailComponent(1, 1, tent),
+        TailComponent(0, 2, tent.neg())])
+    moved = mixed.lower_anchor(3)
+    assert moved.c0 == Q(1, 8)
+    for x in (mixed, moved):
+        _assert_matches_exact(x, SHALLOW)
+
+
+def test_oracle_cancelling_exponents_give_zero_samples():
+    # exponents 2k and k(k-1) coincide on block 3, where the two
+    # components cancel exactly
+    tent = Piecewise.linear_interp(
+        [(Q(1, 2), 0), (Q(3, 4), 1), (Q(1), 0)])
+    a, b = TailComponent(2, 0, tent), TailComponent(0, 2, tent.neg())
+    assert a.exponent(3) == b.exponent(3)
+    x = PwFunction(Q(1, 2), [a, b])
+    with mpmath.workdps(SHALLOW.precision):
+        fast = _log_sampler(x, SHALLOW)
+        on_block_3 = [u for k, u in _grid(SHALLOW) if k == 3]
+        assert on_block_3
+        for u in on_block_3:
+            assert x.eval(u) == 0
+            assert fast(u) is None
+    _assert_matches_exact(x, SHALLOW)

@@ -57,10 +57,6 @@ class ImproperFilter(AsymcalcError):
     """A filter description fails to generate a proper filter."""
 
 
-class DominanceDepthExceeded(AsymcalcError):
-    """The sign-decision procedure hit its recursion budget."""
-
-
 class ModulusViolated(AsymcalcError):
     """A certified Cauchy modulus fails exactly on some scale block."""
 

@@ -17,7 +17,7 @@ from fractions import Fraction as Q
 from .errors import (ModulusViolated, PreconditionViolated, ProductNotZero,
                      RepresentabilityError)
 from .ivset import Iv, IvSet
-from .pwfunc import PwFunction, TailComponent, dominance_data
+from .pwfunc import PwFunction, TailComponent
 from .scaleset import AsymptoticSet, circle_closure, unify_sets
 from .signs import (NONNEG, POS, ZERO, bad_structure, common_window,
                     eventual_sign_on, flat_common_zero,
@@ -32,11 +32,10 @@ class GenConstant:
     """An element of the quotient ring, stored by a canonical
     representative."""
 
-    __slots__ = ("rep", "_dom")
+    __slots__ = ("rep",)
 
     def __init__(self, rep: PwFunction):
         self.rep = rep
-        self._dom = None
 
     # -- constructors ---------------------------------------------------
 
@@ -104,23 +103,12 @@ class GenConstant:
         v = self.rep.valuation()
         return math.inf if v is None else v
 
-    def dominance(self):
-        if self._dom is None:
-            self._dom = dominance_data(self.rep)
-        return self._dom
-
     def eval(self, u) -> Q:
         return self.rep.eval(u)
 
 
 def _rep(x) -> PwFunction:
     return x.rep if isinstance(x, GenConstant) else x
-
-
-def is_moderate(rep: PwFunction) -> bool:
-    """Always true for constructed representatives; the grammar refuses
-    r < 0 at component construction."""
-    return all(c.r >= 0 for c in rep.comps)
 
 
 def is_negligible(x) -> bool:
@@ -150,25 +138,57 @@ def restr_invertible(x, S: AsymptoticSet):
     """Whether |x| is eventually bounded below by a scale power on S.
 
     Returns (False, None, None) or (True, n, delta): |x| >= eps^n holds on
-    S intersected with (0, delta), with n minimal for the element.
+    S intersected with (0, delta), with n the least such exponent.
+
+    z_n = x^2 - eps^(2n) grows with n, since 0 < eps <= 1, and the exact
+    invertibility decision guarantees a witness at n_max, one above the
+    largest component slope.  |x| >= eps^n on a set accumulating at 0
+    forces n >= val(x), so n is searched by testing that floor and then
+    bisecting up to n_max; delta is certified for z at the least n.
     """
     xr = _rep(x)
     if not _inv_bool(xr, S):
         return (False, None, None)
     xw, shape = common_window(xr, S)
-    nmax = max([0] + [max(0, -(-c.s // xw.D)) for c in xw.live_comps()]) + 1
-    for n in range(nmax + 1):
-        z = xw.mul(xw).sub(xw.eps_power(2 * n))
-        if eventual_sign_on(z, AsymptoticSet(xw.sigma, shape, D=xw.D)) in \
-                (POS, NONNEG, ZERO):
-            break
-    else:  # pragma: no cover - the bool decision guarantees a witness
-        raise AssertionError("invertibility witness search failed")
+    Sw = AsymptoticSet(xw.sigma, shape, D=xw.D)
+    live = xw.live_comps()
+    nmax = max([0] + [max(0, -(-c.s // xw.D)) for c in live]) + 1
+    nlo = max(0, -(-min(c.s for c in live) // xw.D))
+    x2 = xw.mul(xw)
+
+    def gap(n):
+        return x2.sub(xw.eps_power(2 * n))
+
+    def holds(n):
+        z = gap(n)
+        return z if eventual_sign_on(z, Sw) in (POS, NONNEG, ZERO) else None
+
+    n, z = nlo, holds(nlo)
+    if z is None:
+        n, z = _bisect(holds, nlo, nmax)
+    if z is None:
+        z = gap(n)
     K = _certified_start(z, shape)
     if K is None:
         K = _scanned_start(z, shape)
     delta = z.sigma ** K * z.c0
     return (True, n, delta)
+
+
+def _bisect(holds, lo: int, hi: int):
+    """(n, w) for the least n in (lo, hi] whose witness w = holds(n) is not
+    None, given a holds that is monotone in n, fails at lo and holds at
+    hi.  hi itself is never decided here: w is None when the least n is
+    hi."""
+    w = None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        t = holds(mid)
+        if t is None:
+            lo = mid
+        else:
+            hi, w = mid, t
+    return hi, w
 
 
 # -- explicit-threshold certification ------------------------------------
@@ -421,8 +441,7 @@ def invert_on(x, S: AsymptoticSet) -> GenConstant:
     """An element y with x*y = 1 on S exactly.  The representative must
     carry its polynomial scale in a single component."""
     xr = _rep(x)
-    ok, n, delta = restr_invertible(x, S)
-    if not ok:
+    if not _inv_bool(xr, S):
         raise PreconditionViolated("element is not invertible on the set")
     live = [c for c in xr.comps if c.r == 0 and not c.g.is_zero()]
     if len(live) != 1:
@@ -484,10 +503,6 @@ def _resplit(f: Piecewise, like: Piecewise) -> Piecewise:
     cuts = sorted(set(f.breakpoints()) | set(like.breakpoints()))
     return Piecewise.concat([f.restrict(a, b)
                              for a, b in zip(cuts, cuts[1:])])
-
-
-def _pw_quotient(num: Piecewise, den: Piecewise) -> Piecewise:
-    return _pl_quotient(num, den)
 
 
 # -- extension sets -------------------------------------------------------

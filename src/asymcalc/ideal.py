@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 
 from .errors import (ImproperIdeal, RepresentabilityError,
                      SearchBoundExceeded)
-from .genconst import GenConstant, _rep, urysohn
+from .genconst import GenConstant, _bisect, _rep, urysohn
 from .ivset import Iv, IvSet
 from .polytools import pt_cmp
 from .pwfunc import PwFunction, unify
@@ -105,22 +105,55 @@ def _slope_bound(x: PwFunction, sos: PwFunction) -> int:
     return max(0, -(-need // x.D)) + 4
 
 
+def _valuation_floor(x: PwFunction, sos: PwFunction) -> int:
+    """Least N that x^2 <= eps^(-N) * sos allows: the valuations force
+    N >= val(sos) - 2 val(x)."""
+    lo = min(c.s for c in x.live_comps())
+    need = min(c.s for c in sos.live_comps()) - 2 * lo
+    return max(0, -(-need // x.D))
+
+
+def _domination_exponent(xr: PwFunction, I: FgIdeal):
+    """The least N of ideal_member, or None; x must not be negligible and
+    must pass the zero-structure test."""
+    sos = I.sos.rep
+    full = I.full_set()
+    xr2 = xr.mul(xr)
+
+    def holds(N):
+        z = sos.mul(sos.eps_power(-N)).sub(xr2)
+        return z if eventual_sign_on(z, full) in (POS, NONNEG, ZERO) \
+            else None
+
+    lo, hi = _valuation_floor(xr, sos), _slope_bound(xr, sos)
+    if holds(lo) is not None:
+        return lo
+    if holds(hi) is None:
+        return None
+    return _bisect(holds, lo, hi)[0]
+
+
 def ideal_member(x, I: FgIdeal):
     """Exact membership with its domination witness: (true, N) when
-    x^2 <= eps^(-N) * sos at all small enough scales, else (false, None)."""
+    x^2 <= eps^(-N) * sos at all small enough scales, with N the least
+    such exponent, else (false, None).
+
+    Two facts bound the search.  z_N = eps^(-N) * sos - x^2 is
+    nondecreasing in N, since sos >= 0 and 0 < eps <= 1; and no N below
+    the valuation floor val(sos) - 2 val(x) can hold.  After the
+    negligibility and zero-structure tests, the floor is decided first,
+    then the slope bound, whose failure settles non-membership, and the
+    least N between them is found by bisection.  The floor goes first
+    because where x^2 cancels against part of sos (x a generator, say)
+    the sign engine classifies z_N at the floor exactly but may report
+    MIXED above it."""
     xr = _rep(x)
-    sos = I.sos.rep
     if xr.is_negligible():
         return (True, 0)
     if not z_subset(I.sos, x):
         return (False, None)
-    full = I.full_set()
-    xr2 = xr.mul(xr)
-    for N in range(_slope_bound(xr, sos) + 1):
-        z = sos.mul(sos.eps_power(-N)).sub(xr2)
-        if eventual_sign_on(z, full) in (POS, NONNEG, ZERO):
-            return (True, N)
-    return (False, None)
+    N = _domination_exponent(xr, I)
+    return (False, None) if N is None else (True, N)
 
 
 def f_of_I_member(S: AsymptoticSet, I: FgIdeal) -> bool:
@@ -138,10 +171,14 @@ def radical_member(x, I: FgIdeal, mmax: int = 16):
     if not z_subset(I.sos, x):
         return (False, None, None)
     xe = x if isinstance(x, GenConstant) else GenConstant(_rep(x))
+    if xe.is_negligible():
+        return (True, 1, 0)
+    # every power of x has the zero structure of x, so the test above
+    # covers them all
     p = xe
     for m in range(1, mmax + 1):
-        ok, N = ideal_member(p, I)
-        if ok:
+        N = _domination_exponent(p.rep, I)
+        if N is not None:
             return (True, m, N)
         p = p * xe
     raise SearchBoundExceeded(

@@ -5,13 +5,17 @@ import pytest
 
 from asymcalc.errors import (ModulusViolated, PreconditionViolated,
                              ProductNotZero)
-from asymcalc.genconst import (GenConstant, cauchy_glue, extend_invertible,
-                               extend_zero, idempotent_class, invert_on,
-                               restr_invertible, restr_zero, sharp_dist,
-                               urysohn, zero_product_split)
+from asymcalc.genconst import (GenConstant, _certified_start, _scanned_start,
+                               cauchy_glue, extend_invertible, extend_zero,
+                               idempotent_class, invert_on, restr_invertible,
+                               restr_zero, sharp_dist, urysohn,
+                               zero_product_split)
 from asymcalc.ivset import Iv, IvSet
 from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import AsymptoticSet
+from asymcalc.signs import (NONNEG, POS, ZERO, common_window,
+                            eventual_sign_on, restr_invertible_bool)
+from asymcalc.verify import corpus_generate
 from asymcalc.window import Piecewise
 
 ONE_ORBIT = AsymptoticSet.orbit_point(1)
@@ -142,3 +146,64 @@ def test_idempotent_class(hat):
     assert idempotent_class(PwFunction.const(1)) == 1
     assert idempotent_class(PwFunction.zero()) == 0
     assert idempotent_class(hat) is None
+
+
+# -- the least witness against the linear scan it replaced ---------------
+
+
+def _gaps(x, S):
+    """(window set, z_0 ... z_nmax) with z_n = x^2 - eps^(2n) on the
+    common window of x and S."""
+    xw, shape = common_window(x, S)
+    nmax = max([0] + [max(0, -(-c.s // xw.D))
+                      for c in xw.live_comps()]) + 1
+    zs = [xw.mul(xw).sub(xw.eps_power(2 * n)) for n in range(nmax + 1)]
+    return AsymptoticSet(xw.sigma, shape, D=xw.D), zs
+
+
+def _scan_invertible(x, S):
+    """Reference: try n = 0, 1, ... and certify delta for the first hit."""
+    if not restr_invertible_bool(x, S):
+        return (False, None, None)
+    Sw, zs = _gaps(x, S)
+    for n, z in enumerate(zs):
+        if eventual_sign_on(z, Sw) in (POS, NONNEG, ZERO):
+            break
+    K = _certified_start(z, Sw.shape)
+    if K is None:
+        K = _scanned_start(z, Sw.shape)
+    return (True, n, z.sigma ** K * z.c0)
+
+
+def _invertible_cases(rho, hat, hat2, osc, negl, P, A, B, full):
+    elems = [rho, hat, hat2, osc, negl, hat.mul(osc), hat.add(rho),
+             hat.add(rho.scale(Q(1, 2))), osc.mul(rho)]
+    for S in (P, A, B, full, ONE_ORBIT):
+        for x in elems:
+            yield x, S
+    for seed in (1, 2, 5):
+        c = corpus_generate(seed, 6)
+        for S in c.sets:
+            for x in c.elements:
+                yield x, S
+
+
+def test_restr_invertible_matches_linear_scan(rho, hat, hat2, osc, negl,
+                                             P, A, B, full):
+    exps = set()
+    for x, S in _invertible_cases(rho, hat, hat2, osc, negl, P, A, B, full):
+        want = _scan_invertible(x, S)
+        assert restr_invertible(x, S) == want
+        exps.add(want[1])
+    # witnesses at the valuation floor, above it, and at n_max
+    assert {None, 0, 1, 2, 3}.issubset(exps)
+
+
+def test_invertibility_gap_is_monotone_in_n(rho, hat, hat2, osc, negl,
+                                            P, A, B, full):
+    for x, S in _invertible_cases(rho, hat, hat2, osc, negl, P, A, B, full):
+        if not restr_invertible_bool(x, S):
+            continue
+        Sw, zs = _gaps(x, S)
+        holds = [eventual_sign_on(z, Sw) in (POS, NONNEG, ZERO) for z in zs]
+        assert holds == sorted(holds) and holds[-1]

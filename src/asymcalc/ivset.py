@@ -149,9 +149,6 @@ class IvSet:
         of dom may be interior)."""
         return self.complement(dom).closure().complement(dom)
 
-    def measure_zero(self) -> bool:
-        return all(iv.is_point() for iv in self.ivs)
-
     def fat_part(self) -> "IvSet":
         return IvSet([iv for iv in self.ivs if not iv.is_point()])
 

@@ -256,14 +256,6 @@ class RootPt:
                 return 1 if v > 0 else -1
             self.refine()
 
-    def multiplicity_of(self, p) -> int:
-        """Vanishing order of p at this point (0 if p does not vanish)."""
-        mult = 0
-        while p and self.sign_of(p) == 0:
-            mult += 1
-            p = pderiv(p)
-        return mult
-
     def approx(self, width=Q(1, 2**40)) -> Q:
         self.refine_below(width)
         return (self.lo + self.hi) / 2
@@ -343,10 +335,12 @@ def isolate_roots(p, lo, hi):
         peel(lo)
     if hi > lo and q and peval(q, hi) == 0:
         peel(hi)
-    # small-denominator candidates catch the common rational roots early
-    for cand in _rational_candidates(q, lo, hi):
-        if lo < cand < hi and q and peval(q, cand) == 0:
-            peel(cand)
+    # small-denominator candidates catch the common rational roots early;
+    # a linear part needs none, its root below is exact
+    if pdeg(q) >= 2:
+        for cand in _rational_candidates(q, lo, hi):
+            if lo < cand < hi and q and peval(q, cand) == 0:
+                peel(cand)
     # a remaining linear factor has an exact rational root
     if q and pdeg(q) == 1:
         root = -Q(q[0]) / Q(q[1])
@@ -443,11 +437,3 @@ def poly_nonneg_on(p, lo, hi) -> bool:
         prev = x
     samples.append((prev + hi) / 2 if prev < hi else hi)
     return all(peval(p, s) >= 0 for s in samples)
-
-
-def poly_zero_on(p, lo, hi) -> bool:
-    """p identically zero on [lo, hi] (an interval with lo < hi forces p = 0;
-    a single point just evaluates)."""
-    if lo == hi:
-        return peval(p, lo) == 0
-    return not p

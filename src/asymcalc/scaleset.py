@@ -17,8 +17,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from .errors import (EmptySet, GridMismatch, IncommensurableRatio,
-                     NotCharacteristic, ParseError, PreconditionViolated,
-                     RepresentabilityError)
+                     NotCharacteristic, ParseError, PreconditionViolated)
 from .ivset import Iv, IvSet
 
 
@@ -222,18 +221,6 @@ class AsymptoticSet:
         """The extension order: closure(self) inside interior(other)."""
         return self.closure().subset_of(other.interior())
 
-    # -- representation helpers ----------------------------------------
-
-    def is_pure_orbit(self) -> bool:
-        """Whether the set equals the full orbit of its own shape."""
-        return self.set_eq(AsymptoticSet(self.sigma, self.shape, D=self.D))
-
-    def as_pure_orbit(self) -> "AsymptoticSet":
-        if not self.is_pure_orbit():
-            raise RepresentabilityError(
-                "operation needs a set that is the full orbit of its shape")
-        return AsymptoticSet(self.sigma, self.shape, D=self.D)
-
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -316,45 +303,83 @@ def _ivs_from_list(lst):
 
 # -- metric machinery (used by the separation constructions) -------------
 
+_ZERO = Q(0)
+
+
+def _marks(cands: IvSet, lo: Q, hi: Q) -> list:
+    """The sorted breakpoints on [lo, hi] of the distance to the closed
+    set `cands`: the ends, the interval endpoints and the gap midpoints (the
+    tent apexes).  The distance is linear between consecutive marks."""
+    ivs = cands.ivs
+    if not ivs:
+        raise EmptySet("distance to the empty set is undefined")
+    pts = [ivs[0].lo, ivs[0].hi]
+    for a, b in zip(ivs, ivs[1:]):
+        pts += [(a.hi + b.lo) / 2, b.lo, b.hi]
+    out = [lo]
+    for e in pts:
+        if lo < e < hi and e != out[-1]:
+            out.append(e)
+    out.append(hi)
+    return out
+
+
+def _distances(cands: IvSet, ws) -> list:
+    """The distances to the closed set `cands` (flags are ignored) at the
+    increasing points `ws`, in one sweep over its intervals."""
+    ivs = cands.ivs
+    n = len(ivs)
+    out = []
+    j = 0
+    for w in ws:
+        while j < n and ivs[j].hi < w:
+            j += 1
+        if j < n and ivs[j].lo <= w:
+            out.append(_ZERO)
+        elif j == n:
+            out.append(w - ivs[-1].hi)
+        elif j == 0:
+            out.append(ivs[0].lo - w)
+        else:
+            out.append(min(ivs[j].lo - w, w - ivs[j - 1].hi))
+    return out
+
+
 def pl_distance(cands: IvSet, lo, hi):
     """Piecewise linear distance on [lo, hi] to a nonempty closed interval
     set (flags are ignored; endpoints count as members)."""
     from .window import Piecewise
-    ivs = cands.ivs
-    if not ivs:
-        raise EmptySet("distance to the empty set is undefined")
-    lo, hi = Q(lo), Q(hi)
-
-    def dist_at(w):
-        best = None
-        for iv in ivs:
-            if iv.lo <= w <= iv.hi:
-                return Q(0)
-            d = iv.lo - w if w < iv.lo else w - iv.hi
-            best = d if best is None else min(best, d)
-        return best
-
-    marks = {lo, hi}
-    for iv in ivs:
-        for e in (iv.lo, iv.hi):
-            if lo <= e <= hi:
-                marks.add(e)
-    # midpoints of gaps create the tent apexes
-    for a, b in zip(ivs, ivs[1:]):
-        mid = (a.hi + b.lo) / 2
-        if lo <= mid <= hi:
-            marks.add(mid)
-    nodes = [(w, dist_at(w)) for w in sorted(marks)]
-    return Piecewise.linear_interp(nodes)
+    ws = _marks(cands, Q(lo), Q(hi))
+    return Piecewise.linear_interp(list(zip(ws, _distances(cands, ws))))
 
 
-def _closed_ivs(s: IvSet) -> IvSet:
-    return IvSet([Iv(iv.lo, iv.hi, True, True) for iv in s.ivs])
+def _closer_region(ca: IvSet, cb: IvSet, lo: Q, hi: Q) -> IvSet:
+    """The closed set {w in [lo, hi] : d(w, ca) <= d(w, cb)} for nonempty
+    closed interval sets ca, cb.
+
+    Both distances are linear between consecutive points of their merged
+    breakpoints, so d_a - d_b changes sign at most once on each such piece,
+    at the exact rational point where the linear interpolant vanishes."""
+    ws = sorted(set(_marks(ca, lo, hi)).union(_marks(cb, lo, hi)))
+    fs = [x - y for x, y in zip(_distances(ca, ws), _distances(cb, ws))]
+    out = []
+    start = ws[0] if fs[0] <= 0 else None
+    for a, fa, b, fb in zip(ws, fs, ws[1:], fs[1:]):
+        if (fa <= 0) == (fb <= 0):
+            continue
+        z = a + fa * (b - a) / (fa - fb)
+        if start is None:
+            start = z
+        else:
+            out.append(Iv(start, z, True, True))
+            start = None
+    if start is not None:
+        out.append(Iv(start, ws[-1], True, True))
+    return IvSet(out)
 
 
-def window_distance_pl(shape: IvSet, sigma: Q):
-    """Piecewise linear distance d(w) on [sigma, 1] to the union of the
-    closed set `shape` and its immediate scaled neighbours.
+def _window_cands(shape: IvSet, sigma: Q) -> IvSet:
+    """The closed shape together with its immediate scaled neighbours.
 
     Because a nonempty shape puts points on every block, the nearest point
     of the orbit is never more than one block away, so the neighbour copies
@@ -362,41 +387,23 @@ def window_distance_pl(shape: IvSet, sigma: Q):
     """
     if shape.is_empty():
         raise NotCharacteristic("distance to an empty shape is undefined")
-    closed = _closed_ivs(circle_closure(shape, sigma))
-    cands = closed.union(closed.scale(sigma)).union(closed.scale(1 / sigma))
-    return pl_distance(cands, sigma, 1)
+    closed = circle_closure(shape, sigma).closure()
+    return closed.union(closed.scale(sigma)).union(closed.scale(1 / sigma))
+
+
+def window_distance_pl(shape: IvSet, sigma: Q):
+    """Piecewise linear distance d(w) on [sigma, 1] to the orbit of the
+    closed set `shape` (see `_window_cands`)."""
+    return pl_distance(_window_cands(shape, sigma), sigma, 1)
 
 
 def _head_cands(s: AsymptoticSet) -> IvSet:
     """Closed candidate set whose u-distance is exact on [sigma*c0, 1]:
     the head plus the top two tail blocks.  Any lower block is farther than
     the nearest candidate for every u in that range."""
-    out = _closed_ivs(s.head.closure())
-    sh = _closed_ivs(s.shape.closure())
-    out = out.union(sh.scale(s.c0)).union(sh.scale(s.sigma * s.c0))
-    return out
-
-
-def pl_nonpos_region(f) -> IvSet:
-    """The closed set {w : f(w) <= 0} of a piecewise linear function as an
-    exact interval set over its domain."""
-    cuts = {Q(f.lo), Q(f.hi)}
-    for b in f.breakpoints():
-        cuts.add(Q(b))
-    for z in f.isolated_zeros():
-        if not isinstance(z, Q):
-            raise RepresentabilityError(
-                "sign region needs rational breakpoints")
-        cuts.add(z)
-    pts = sorted(cuts)
-    out = f.flat_zero()
-    for p in pts:
-        if f.eval(p) <= 0:
-            out = out.union(IvSet.point(p))
-    for a, b in zip(pts, pts[1:]):
-        if f.eval((a + b) / 2) <= 0:
-            out = out.union(IvSet([Iv(a, b, True, True)]))
-    return out
+    sh = s.shape.closure()
+    return s.head.closure().union(sh.scale(s.c0)).union(
+        sh.scale(s.sigma * s.c0))
 
 
 def distance_profile(S: AsymptoticSet):
@@ -425,7 +432,7 @@ def distance_profile(S: AsymptoticSet):
     # no tail: distance below the anchor is (nearest head point) - u
     a = min(iv.lo for iv in S.head.closure().ivs)
     c0 = S.c0
-    head = pl_distance(_closed_ivs(S.head.closure()), c0, Q(1))
+    head = pl_distance(S.head.closure(), c0, Q(1))
     comps = (TailComponent(0, 0, Piecewise.const(sg, Q(1), a)),
              TailComponent(1, 0, Piecewise.linear_interp(
                  [(sg, -c0 * sg), (Q(1), -c0)])))
@@ -433,9 +440,10 @@ def distance_profile(S: AsymptoticSet):
 
 
 def _metric_median(A: AsymptoticSet, B: AsymptoticSet) -> AsymptoticSet:
-    """The closed set {u : d(u, A) <= d(u, B)} for closed A, B, with the
-    convention d(u, empty) = +infinity."""
-    A, B = unify_sets(A.closure(), B.closure())
+    """The closed set {u : d(u, A) <= d(u, B)}, with the convention
+    d(u, empty) = +infinity.  A and B must be closed; they are not closed
+    again here."""
+    A, B = unify_sets(A, B)
     sg, D = A.sigma, A.D
     if B.is_empty():
         return AsymptoticSet.full(sg, D)
@@ -453,9 +461,9 @@ def _metric_median(A: AsymptoticSet, B: AsymptoticSet) -> AsymptoticSet:
     B = B.lower_anchor_to(c0)
     win = IvSet([Iv(sg, 1, False, True)])
     if A.is_characteristic() and B.is_characteristic():
-        f = window_distance_pl(A.shape, sg).sub(
-            window_distance_pl(B.shape, sg))
-        shape = pl_nonpos_region(f).intersect(win)
+        shape = _closer_region(_window_cands(A.shape, sg),
+                               _window_cands(B.shape, sg),
+                               sg, Q(1)).intersect(win)
     elif A.is_characteristic():
         shape = win
     elif B.is_characteristic():
@@ -464,21 +472,25 @@ def _metric_median(A: AsymptoticSet, B: AsymptoticSet) -> AsymptoticSet:
         aA = min(iv.lo for iv in A.head.ivs)
         aB = min(iv.lo for iv in B.head.ivs)
         shape = win if aA <= aB else IvSet.empty()
-    fh = pl_distance(_head_cands(A), c0, Q(1)).sub(
-        pl_distance(_head_cands(B), c0, Q(1)))
-    head = pl_nonpos_region(fh).intersect(IvSet([Iv(c0, 1, False, True)]))
+    head = _closer_region(_head_cands(A), _head_cands(B), c0, Q(1)).intersect(
+        IvSet([Iv(c0, 1, False, True)]))
     return AsymptoticSet(sg, shape, head, c0, D)
 
 
 def insert_between(S: AsymptoticSet, T: AsymptoticSet) -> AsymptoticSet:
     """A set strictly between S and T in the extension order: the points at
-    least as close to cl S as to the complement of int T."""
-    if not S.precedes(T):
+    least as close to cl S as to cl(complement of T).
+
+    The precondition S precedes T, cl S inside int T, is checked as
+    cl S inside the complement of cl(complement of T): int T is exactly that
+    complement.  Each of the two closures is taken once."""
+    a, b = unify_sets(S, T)
+    A = a.closure()
+    B = b.complement().closure()
+    if not A.subset_of(B.complement()):
         raise PreconditionViolated("insert_between needs the first set to "
                                    "precede the second")
-    a, b = unify_sets(S, T)
-    return _metric_median(a.closure(),
-                          b.interior().complement().closure())
+    return _metric_median(A, B)
 
 
 def _unify_many(sets):

@@ -239,7 +239,7 @@ class Piecewise:
                     out.append(z)
                 else:
                     out.append(z)
-        out.sort(key=_pt_key)
+        out.sort(key=functools.cmp_to_key(pt_cmp))
         # adjacent equal RootPts can only arise at shared breakpoints, and
         # breakpoints are rational, so RootPts never collide
         return out
@@ -385,20 +385,3 @@ def _mult_and_sign(p, w0):
         m += 1
         q = pderiv(q)
     raise AssertionError("zero polynomial has no finite order")
-
-
-def _pt_key(p):
-    return _PtKey(p)
-
-
-class _PtKey:
-    __slots__ = ("p",)
-
-    def __init__(self, p):
-        self.p = p
-
-    def __lt__(self, other):
-        return pt_cmp(self.p, other.p) < 0
-
-    def __eq__(self, other):
-        return pt_cmp(self.p, other.p) == 0

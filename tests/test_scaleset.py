@@ -2,14 +2,16 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from asymcalc.errors import PreconditionViolated
 from asymcalc.ivset import Iv, IvSet
-from asymcalc.scaleset import (AsymptoticSet, circle_closure, distance_profile,
-                               insert_between, prec_union)
+from asymcalc.scaleset import (AsymptoticSet, _closer_region, circle_closure,
+                               distance_profile, insert_between, pl_distance,
+                               prec_union, unify_sets)
 from asymcalc.verify.corpus import random_set
+from asymcalc.window import Piecewise
 
 sets = st.integers(min_value=0, max_value=10 ** 6).map(
     lambda n: random_set(random.Random(n)))
@@ -110,3 +112,202 @@ def test_closure_operators(S):
 def test_serialization_roundtrip(A, P):
     for S in (A, P, A.lower_anchor(2)):
         assert AsymptoticSet.from_dict(S.to_dict()).set_eq(S)
+
+
+# -- the metric median against the polynomial-layer construction -------------
+# The references below build the same objects the slow way: each distance
+# value by a scan over all intervals, the difference of two distances with
+# `Piecewise.sub`, and its sign region from root isolation on every segment
+# and a closure of both inputs at every step.
+
+
+def _ref_pl_distance(cands, lo, hi):
+    ivs = cands.ivs
+    lo, hi = Q(lo), Q(hi)
+
+    def dist_at(w):
+        best = None
+        for iv in ivs:
+            if iv.lo <= w <= iv.hi:
+                return Q(0)
+            d = iv.lo - w if w < iv.lo else w - iv.hi
+            best = d if best is None else min(best, d)
+        return best
+
+    marks = {lo, hi}
+    for iv in ivs:
+        for e in (iv.lo, iv.hi):
+            if lo <= e <= hi:
+                marks.add(e)
+    for a, b in zip(ivs, ivs[1:]):
+        mid = (a.hi + b.lo) / 2
+        if lo <= mid <= hi:
+            marks.add(mid)
+    return Piecewise.linear_interp([(w, dist_at(w)) for w in sorted(marks)])
+
+
+def _ref_nonpos_region(f):
+    cuts = {Q(f.lo), Q(f.hi)} | {Q(b) for b in f.breakpoints()}
+    for z in f.isolated_zeros():
+        assert isinstance(z, Q)
+        cuts.add(z)
+    pts = sorted(cuts)
+    out = f.flat_zero()
+    for p in pts:
+        if f.eval(p) <= 0:
+            out = out.union(IvSet.point(p))
+    for a, b in zip(pts, pts[1:]):
+        if f.eval((a + b) / 2) <= 0:
+            out = out.union(IvSet([Iv(a, b, True, True)]))
+    return out
+
+
+def _ref_window_cands(shape, sg):
+    closed = circle_closure(shape, sg).closure()
+    return closed.union(closed.scale(sg)).union(closed.scale(1 / sg))
+
+
+def _ref_head_cands(s):
+    sh = s.shape.closure()
+    return s.head.closure().union(sh.scale(s.c0)).union(
+        sh.scale(s.sigma * s.c0))
+
+
+def _ref_metric_median(A, B):
+    A, B = unify_sets(A.closure(), B.closure())
+    sg, D = A.sigma, A.D
+    if B.is_empty():
+        return AsymptoticSet.full(sg, D)
+    if A.is_empty():
+        return AsymptoticSet.empty(sg, D)
+    mins = [min(iv.lo for iv in X.head.ivs) / 2
+            for X in (A, B) if not X.is_characteristic()]
+    c0 = A.c0 * sg
+    while mins and c0 >= min(mins):
+        c0 *= sg
+    A = A.lower_anchor_to(c0)
+    B = B.lower_anchor_to(c0)
+    win = IvSet([Iv(sg, 1, False, True)])
+    if A.is_characteristic() and B.is_characteristic():
+        f = _ref_pl_distance(_ref_window_cands(A.shape, sg), sg, 1).sub(
+            _ref_pl_distance(_ref_window_cands(B.shape, sg), sg, 1))
+        shape = _ref_nonpos_region(f).intersect(win)
+    elif A.is_characteristic():
+        shape = win
+    elif B.is_characteristic():
+        shape = IvSet.empty()
+    else:
+        aA = min(iv.lo for iv in A.head.ivs)
+        aB = min(iv.lo for iv in B.head.ivs)
+        shape = win if aA <= aB else IvSet.empty()
+    fh = _ref_pl_distance(_ref_head_cands(A), c0, 1).sub(
+        _ref_pl_distance(_ref_head_cands(B), c0, 1))
+    head = _ref_nonpos_region(fh).intersect(IvSet([Iv(c0, 1, False, True)]))
+    return AsymptoticSet(sg, shape, head, c0, D)
+
+
+def _ref_insert_between(S, T):
+    a, b = unify_sets(S, T)
+    return _ref_metric_median(a.closure(),
+                              b.interior().complement().closure())
+
+
+_coords = st.builds(Q, st.integers(-24, 72), st.sampled_from([3, 7, 16, 24]))
+
+
+@st.composite
+def _windows(draw):
+    lo = Q(draw(st.integers(0, 16)), 16)
+    return lo, lo + Q(draw(st.integers(1, 16)), draw(st.sampled_from([3, 16])))
+
+
+@st.composite
+def _closed_sets(draw, lo, hi):
+    """Closed interval sets with points, intervals touching lo or hi, and
+    intervals partly or wholly outside [lo, hi]."""
+    ends = st.one_of(st.sampled_from([lo, hi]), _coords)
+    ivs = []
+    for _ in range(draw(st.integers(1, 6))):
+        a, b = sorted((draw(ends), draw(ends)))
+        if draw(st.booleans()):
+            b = a
+        ivs.append(Iv(a, b, True, True))
+    return IvSet(ivs)
+
+
+@st.composite
+def _metric_cases(draw):
+    lo, hi = draw(_windows())
+    return lo, hi, draw(_closed_sets(lo, hi)), draw(_closed_sets(lo, hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_metric_cases())
+def test_pl_distance_matches_reference(case):
+    lo, hi, ca, _ = case
+    assert pl_distance(ca, lo, hi) == _ref_pl_distance(ca, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_metric_cases())
+def test_closer_region_matches_reference(case):
+    lo, hi, ca, cb = case
+    ref = _ref_nonpos_region(
+        _ref_pl_distance(ca, lo, hi).sub(_ref_pl_distance(cb, lo, hi)))
+    assert _closer_region(ca, cb, lo, hi) == ref
+
+
+@st.composite
+def _nested_pairs(draw):
+    """S a union of closed orbit intervals, T a union of open ones around
+    them, so S precedes T (random pairs of `sets` mostly do not)."""
+    k = draw(st.integers(1, 2))
+    cuts = sorted(draw(st.lists(st.integers(33, 63), min_size=4 * k,
+                                max_size=4 * k, unique=True)))
+    S = T = AsymptoticSet.empty()
+    for c0, c1, c2, c3 in zip(*[iter(Q(c, 64) for c in cuts)] * 4):
+        S = S.union(AsymptoticSet.orbit_interval(c1, c2))
+        T = T.union(AsymptoticSet.orbit_interval(c0, c3, lc=False,
+                                                 hc=False))
+    return S, T
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(sets, sets), _nested_pairs()))
+def test_insert_between_matches_reference(pair):
+    S, T = pair
+    if not S.precedes(T):
+        with pytest.raises(PreconditionViolated):
+            insert_between(S, T)
+        return
+    M = insert_between(S, T)
+    assert M.set_eq(_ref_insert_between(S, T))
+    assert S.precedes(M) and M.precedes(T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nested_pairs(), st.one_of(sets, _nested_pairs().map(lambda p: p[1])))
+def test_prec_union_matches_reference(pair, T2):
+    # U = int S1 has closure S1 inside the open T1, so U is covered
+    S1, T1 = pair
+    T2 = T2.interior()
+    assume(not T2.is_empty())
+    V, W = prec_union(T1, T2, S1.interior())
+    coS = T1.complement().closure()
+    coT = T2.complement().closure()
+    clu = S1.interior().closure()
+    assert V.set_eq(_ref_metric_median(coT, coS).intersect(clu))
+    assert W.set_eq(_ref_metric_median(coS, coT).intersect(clu))
+
+
+def test_insert_between_closes_each_set_once(A, B, monkeypatch):
+    calls = []
+    closure = AsymptoticSet.closure
+
+    def counted(self):
+        calls.append(self)
+        return closure(self)
+
+    monkeypatch.setattr(AsymptoticSet, "closure", counted)
+    insert_between(A, B)
+    assert len(calls) == 2

@@ -16,10 +16,11 @@ from fractions import Fraction as Q
 from .errors import (ChainNotDescending, ImproperFilter, NotMember,
                      PreconditionViolated, RepresentabilityError)
 from .genconst import GenConstant, _rep
+from .grid import unify
 from .ideal import FgIdeal, f_of_I_member, pure_part_member
 from .ivset import Iv, IvSet
 from .pwfunc import PwFunction, TailComponent
-from .scaleset import AsymptoticSet, unify_sets
+from .scaleset import AsymptoticSet
 from .signs import (NONNEG, POS, ZERO, bad_structure, common_window,
                     eventual_sign_on)
 from .signs import restr_zero as _restr_zero_pw
@@ -61,16 +62,17 @@ class FG(FilterExpr):
                     raise ImproperFilter(
                         "generator intersection does not accumulate at 0")
         object.__setattr__(self, "gens", gens)
+        G = gens[0]
+        for g in gens[1:]:
+            G = G.intersect(g)
+        object.__setattr__(self, "_base", G)
 
     def base(self) -> AsymptoticSet:
-        G = self.gens[0]
-        for g in self.gens[1:]:
-            G = G.intersect(g)
-        return G
+        return self._base
 
     def member(self, S):
         _need_closed(S)
-        G, s = unify_sets(self.base(), S)
+        G, s = unify(self.base(), S)
         return G.shape.subset_of(s.shape)
 
 
@@ -96,7 +98,7 @@ class Interior(FilterExpr):
             return base.member(S)
         inner = base.of
         if isinstance(inner, FG):
-            G, s = unify_sets(inner.base(), S.interior())
+            G, s = unify(inner.base(), S.interior())
             return G.shape.subset_of(s.shape)
         raise AssertionError("normalize left an unexpected interior")
 
@@ -124,7 +126,7 @@ class Closure(FilterExpr):
             return base.member(S)
         inner = base.of
         if isinstance(inner, FG):
-            G, s = unify_sets(inner.base(), S)
+            G, s = unify(inner.base(), S)
             return G.shape.subset_of(s.shape)
         if isinstance(inner, OfIdeal):
             return _closure_of_ideal_member(S, inner.ideal)

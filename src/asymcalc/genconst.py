@@ -16,9 +16,10 @@ from fractions import Fraction as Q
 
 from .errors import (ModulusViolated, PreconditionViolated, ProductNotZero,
                      RepresentabilityError)
+from .grid import unify
 from .ivset import Iv, IvSet
 from .pwfunc import PwFunction, TailComponent
-from .scaleset import AsymptoticSet, circle_closure, unify_sets
+from .scaleset import AsymptoticSet, circle_closure, with_neighbours
 from .signs import (NONNEG, POS, ZERO, bad_structure, common_window,
                     eventual_sign_on, flat_common_zero,
                     isolated_common_zeros)
@@ -355,15 +356,15 @@ def urysohn(S: AsymptoticSet, T: AsymptoticSet) -> GenConstant:
     if not S.precedes(T):
         raise PreconditionViolated("urysohn needs the first set to precede "
                                    "the second")
-    s, t = unify_sets(S, T)
+    s, t = unify(S, T)
     sg, D = s.sigma, s.D
     if s.is_empty():
         return GenConstant.const(1, sg, D)
     B = t.interior().complement()
     if B.is_empty():
         return GenConstant.zero(sg, D)
-    zeros = _closed_circle(s.shape, sg)
-    ones = _closed_circle(B.shape, sg)
+    zeros = circle_closure(s.shape, sg).closure()
+    ones = circle_closure(B.shape, sg).closure()
     # the window trace is periodic under the ratio, so interpolate against
     # the neighbour copies; the seam values then agree exactly
     if ones.is_empty():
@@ -385,11 +386,6 @@ def urysohn(S: AsymptoticSet, T: AsymptoticSet) -> GenConstant:
                                   gh, c0, D))
 
 
-def _closed_circle(shape: IvSet, sigma: Q) -> IvSet:
-    cc = circle_closure(shape, sigma)
-    return IvSet([Iv(iv.lo, iv.hi, True, True) for iv in cc.ivs])
-
-
 def _pl_between(zeros: IvSet, ones: IvSet, sigma: Q, lo: Q, hi: Q,
                 wrap: bool, anchor_value=None) -> Piecewise:
     """Piecewise linear interpolation on [lo, hi]: 0 on `zeros`, 1 on
@@ -397,8 +393,8 @@ def _pl_between(zeros: IvSet, ones: IvSet, sigma: Q, lo: Q, hi: Q,
     are extended by their scaled neighbour copies; without it one-sided
     gaps extend flat."""
     if wrap:
-        zeros = zeros.union(zeros.scale(sigma)).union(zeros.scale(1 / sigma))
-        ones = ones.union(ones.scale(sigma)).union(ones.scale(1 / sigma))
+        zeros = with_neighbours(zeros, sigma)
+        ones = with_neighbours(ones, sigma)
     marks = [(iv.lo, iv.hi, Q(0)) for iv in zeros.ivs] + \
             [(iv.lo, iv.hi, Q(1)) for iv in ones.ivs]
     if anchor_value is not None:
@@ -455,7 +451,6 @@ def invert_on(x, S: AsymptoticSet) -> GenConstant:
 def _divide_profile(psi: PwFunction, x: PwFunction, comp: TailComponent):
     """psi / x where psi vanishes outside the region where the single live
     component of x is nonvanishing."""
-    from .pwfunc import unify
     a, b = unify(psi, x)
     live = [c for c in b.comps if c.r == 0 and not c.g.is_zero()]
     comp = live[0]
@@ -466,8 +461,7 @@ def _divide_profile(psi: PwFunction, x: PwFunction, comp: TailComponent):
         # only the tail carries the inversion contract; any continuous
         # head matching the seam works
         head = Piecewise.const(a.c0, Q(1), gy.eval(Q(1)))
-    y = PwFunction(a.sigma, (TailComponent(-comp.s, 0, gy),),
-                   head, a.c0, a.D)
+    y = PwFunction.on(a.grid, (TailComponent(-comp.s, 0, gy),), head)
     return GenConstant(y)
 
 
@@ -540,8 +534,8 @@ def extend_zero(x, S: AsymptoticSet) -> AsymptoticSet:
     xw, shape = common_window(xr, S)
     sg = xw.sigma
     C = circle_closure(shape, sg)
-    Z = _closed_circle(flat_common_zero(xw), sg)
-    zext = Z.union(Z.scale(sg)).union(Z.scale(1 / sg))
+    zext = with_neighbours(
+        circle_closure(flat_common_zero(xw), sg).closure(), sg)
     pieces = []
     for iv in C.ivs:
         host = None
@@ -568,7 +562,7 @@ def extend_zero(x, S: AsymptoticSet) -> AsymptoticSet:
 
 
 def _circle_gap(C: IvSet, O: IvSet, sigma: Q) -> Q:
-    oext = O.union(O.scale(sigma)).union(O.scale(1 / sigma))
+    oext = with_neighbours(O, sigma)
     best = None
     for c in C.ivs:
         for o in oext.ivs:
@@ -634,7 +628,7 @@ def zero_product_split(a, b, S: AsymptoticSet | None = None):
 
 
 def _zero_orbit(xw: PwFunction, sg: Q, S: AsymptoticSet) -> AsymptoticSet:
-    Z = _closed_circle(flat_common_zero(xw), sg)
+    Z = circle_closure(flat_common_zero(xw), sg).closure()
     for p in isolated_common_zeros(xw):
         if isinstance(p, Q):
             Z = Z.union(IvSet.point(p))

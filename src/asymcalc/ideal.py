@@ -15,12 +15,13 @@ from fractions import Fraction as Q
 from .errors import (ImproperIdeal, RepresentabilityError,
                      SearchBoundExceeded)
 from .genconst import GenConstant, _bisect, _rep, urysohn
+from .grid import unify
 from .ivset import Iv, IvSet
 from .polytools import pt_cmp
-from .pwfunc import PwFunction, unify
+from .pwfunc import PwFunction
 from .scaleset import AsymptoticSet, circle_closure
-from .signs import (NONNEG, POS, ZERO, eventual_sign_on, flat_common_zero,
-                    isolated_common_zeros)
+from .signs import (NONNEG, POS, ZERO, _pt_in_ivset, eventual_sign_on,
+                    flat_common_zero, isolated_common_zeros)
 from .signs import restr_invertible_bool as _inv_bool
 
 
@@ -65,13 +66,6 @@ def _zero_structure(x: PwFunction):
     return flat_common_zero(x), isolated_common_zeros(x)
 
 
-def _pt_in_closed(p, ivset: IvSet) -> bool:
-    for iv in ivset.ivs:
-        if pt_cmp(p, iv.lo) >= 0 and pt_cmp(p, iv.hi) <= 0:
-            return True
-    return False
-
-
 def _pt_eq(p, q) -> bool:
     return pt_cmp(p, q) == 0
 
@@ -89,7 +83,7 @@ def z_subset(a, b) -> bool:
     if not fa.subset_of(fb):
         return False
     for p in pa:
-        if not _pt_in_closed(p, fb) and \
+        if not _pt_in_ivset(p, fb) and \
                 not any(_pt_eq(p, q) for q in pb):
             return False
     return True
@@ -194,7 +188,7 @@ def _sos_zero_set(I: FgIdeal) -> AsymptoticSet:
     complement-closure of the sublevel sets L_n stabilizes to it."""
     sos = I.sos.rep
     flat, pts = _zero_structure(sos)
-    Z = IvSet([Iv(iv.lo, iv.hi, True, True) for iv in flat.ivs])
+    Z = flat.closure()
     for p in pts:
         if not isinstance(p, Q):
             raise RepresentabilityError(

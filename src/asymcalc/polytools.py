@@ -387,12 +387,13 @@ def _rational_candidates(q, lo, hi):
     for c in q:
         den = den * c.denominator // _gcd(den, c.denominator)
     ints = [int(c * den) for c in q]
+    # a zero constant term puts a root at 0, which the divisors below miss
+    cands = {Q(0)} if ints[0] == 0 else set()
     while ints and ints[0] == 0:
         ints = ints[1:]
     if not ints:
         return []
     a0, an = abs(ints[0]), abs(ints[-1])
-    cands = set()
     for p_ in _small_divisors(a0):
         for q_ in _small_divisors(an):
             cands.add(Q(p_, q_))

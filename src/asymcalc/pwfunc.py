@@ -1,9 +1,7 @@
 """Self-similar piecewise rational elements on (0, 1].
 
-An element is described on a geometric grid with ratio sigma: below the
-anchor c0 (a power of sigma), the interval (0, c0] splits into blocks
-(sigma^(k+1) c0, sigma^k c0].  With the block coordinate w = u / (sigma^k c0)
-ranging over (sigma, 1], the value on block k is
+An element lives on a `Grid` (ratio sigma, anchor c0, refinement D; see
+`grid`).  With the window coordinate w in (sigma, 1], its value on block k is
 
     sum_j  sigma^(s_j k + r_j k (k-1) / 2) * g_j(w)
 
@@ -12,19 +10,16 @@ a continuous piecewise rational function on [sigma, 1].  Above c0 the element
 is a directly stored piecewise rational "head" in the variable u.  The depth
 increments r_j >= 0 make every element grow at most polynomially in 1/u, and
 a component with r_j > 0 decays faster than any power of u.
-
-Exponents of the base scale are measured against epsilon = u^D; D is 1
-unless a finer grid was requested.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .errors import (ContinuityViolation, GridMismatch, IncommensurableRatio,
-                     NotModerate, ParseError)
+from .errors import (ContinuityViolation, IncommensurableRatio, NotModerate,
+                     ParseError)
+from .grid import Grid, unify
 from .polytools import ppow, poly
 from .window import Piecewise, Seg
 
@@ -50,23 +45,28 @@ class TailComponent:
 class PwFunction:
     """A self-similar piecewise rational function on (0, 1]."""
 
-    __slots__ = ("D", "sigma", "c0", "comps", "head")
+    __slots__ = ("grid", "comps", "head")
 
-    def __init__(self, sigma, comps, head=None, c0=Q(1), D=1, check=True):
-        self.sigma = Q(sigma)
-        self.c0 = Q(c0)
-        self.D = int(D)
-        if not (0 < self.sigma < 1):
-            raise ValueError("ratio must lie in (0,1)")
-        if self.D < 1:
-            raise ValueError("grid refinement must be >= 1")
-        if check and not _is_sigma_power(self.c0, self.sigma):
-            raise IncommensurableRatio(
-                f"anchor {self.c0} is not a power of the ratio {self.sigma}")
+    def __init__(self, sigma, comps, head=None, c0=Q(1), D=1):
+        self._build(Grid.of(sigma, c0, D), comps, head, True)
+
+    @classmethod
+    def on(cls, grid: Grid, comps, head=None, check=True) -> "PwFunction":
+        """The trusted constructor on a grid that is already known."""
+        x = object.__new__(cls)
+        x._build(grid, comps, head, check)
+        return x
+
+    def _build(self, grid, comps, head, check):
+        self.grid = grid
         self.comps = _canonical_comps(comps)
         self.head = head
         if check:
             self._validate()
+
+    sigma = property(lambda self: self.grid.sigma)
+    c0 = property(lambda self: self.grid.c0)
+    D = property(lambda self: self.grid.D)
 
     # -- construction helpers -------------------------------------------
 
@@ -91,15 +91,10 @@ class PwFunction:
             g = Piecewise.from_poly(sigma, 1, poly(1), _monomial(-p))
         return PwFunction(sigma, [TailComponent(p, 0, g)], D=D)
 
-    @staticmethod
-    def scale_param(sigma=Q(1, 2), D=1) -> "PwFunction":
-        """The identity u (the canonical infinitesimal scale)."""
-        return PwFunction.upower(1, sigma, D)
-
     def eps_power(self, n) -> "PwFunction":
         """epsilon^n = u^(n*D) on this element's grid."""
-        x = PwFunction.upower(n * self.D, self.sigma, self.D)
-        return x if self.c0 == 1 else x.lower_anchor_to(self.c0)
+        return PwFunction.upower(n * self.D, self.sigma,
+                                 self.D).lower_anchor(self.grid.j)
 
     # -- validation -----------------------------------------------------
 
@@ -148,23 +143,7 @@ class PwFunction:
         return self.block_coord(u)[0]
 
     def block_coord(self, u):
-        """Block index k and window coordinate w = u / (sigma^k c0) in
-        (sigma, 1] of a point u <= c0."""
-        u = Q(u)
-        assert 0 < u <= self.c0
-        sg = self.sigma
-        # estimate k = floor(log(u / c0) / log(sigma)) from the logs of
-        # numerators and denominators (u may lie below the smallest
-        # double), then settle the block edges exactly
-        k = max(0, math.floor((_log(u) - _log(self.c0)) / _log(sg)))
-        top = sg ** k * self.c0
-        while u > top:
-            k -= 1
-            top /= sg
-        while u <= top * sg:
-            k += 1
-            top *= sg
-        return k, u / top
+        return self.grid.block_coord(u)
 
     def eval(self, u) -> Q:
         u = Q(u)
@@ -179,9 +158,6 @@ class PwFunction:
     def live_comps(self):
         """Components that control polynomial-scale behaviour."""
         return [c for c in self.comps if c.r == 0 and not c.g.is_zero()]
-
-    def deep_comps(self):
-        return [c for c in self.comps if c.r > 0 and not c.g.is_zero()]
 
     def valuation(self):
         """Sharp scale order sup{a : |x| <= eps^a near 0}; None means
@@ -219,36 +195,19 @@ class PwFunction:
         for c in self.comps:
             w = c.weight(sg, t)
             new_comps.append(TailComponent(c.s + c.r * t, c.r, c.g.scale(w)))
-        return PwFunction(sg, new_comps, new_head, c0=sg ** t * self.c0,
-                          D=self.D)
+        return PwFunction.on(self.grid.lower(t), new_comps, new_head)
 
     def lower_anchor_to(self, new_c0) -> "PwFunction":
-        new_c0 = Q(new_c0)
-        t = 0
-        c = self.c0
-        while c > new_c0:
-            c *= self.sigma
-            t += 1
-        if c != new_c0:
-            raise IncommensurableRatio(
-                f"cannot move anchor from {self.c0} to {new_c0}")
-        return self.lower_anchor(t)
+        return self.lower_anchor(self.grid.steps_to(new_c0))
 
     def coarsen(self, m: int) -> "PwFunction":
         """Rewrite on the coarser ratio sigma^m."""
         if m == 1:
             return self
-        sg = self.sigma
-        tau = sg ** m
-        # the anchor can always be lowered until it fits the coarse ratio
-        t = 0
-        while t < m and not _is_sigma_power(self.c0 * sg ** t, tau):
-            t += 1
-        if t < m and t:
+        t, grid = self.grid.coarsen(m)
+        if t:
             return self.lower_anchor(t).coarsen(m)
-        if not _is_sigma_power(self.c0, tau):
-            raise IncommensurableRatio(
-                f"anchor {self.c0} is not a power of the coarse ratio {tau}")
+        sg = self.sigma
         new_comps = []
         for c in self.comps:
             if (c.r * (m - 1)) % 2:
@@ -275,7 +234,7 @@ class PwFunction:
                         pieces.append(Piecewise.zero(sg ** i, 1))
                     new_comps.append(
                         TailComponent(s_i, c.r * m, Piecewise.concat(pieces)))
-        return PwFunction(tau, new_comps, self.head, c0=self.c0, D=self.D)
+        return PwFunction.on(grid, new_comps, self.head)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -284,8 +243,7 @@ class PwFunction:
         head = None
         if a.c0 < 1:
             head = head_fn(a.head, b.head)
-        comps = comp_fn(a, b)
-        return PwFunction(a.sigma, comps, head, c0=a.c0, D=a.D)
+        return PwFunction.on(a.grid, comp_fn(a, b), head)
 
     def add(self, other) -> "PwFunction":
         def comps(a, b):
@@ -301,18 +259,16 @@ class PwFunction:
 
     def neg(self) -> "PwFunction":
         head = self.head.neg() if self.head is not None else None
-        return PwFunction(self.sigma,
-                          [TailComponent(c.s, c.r, c.g.neg())
-                           for c in self.comps],
-                          head, c0=self.c0, D=self.D, check=False)
+        return PwFunction.on(self.grid,
+                             [TailComponent(c.s, c.r, c.g.neg())
+                              for c in self.comps], head, check=False)
 
     def scale(self, q) -> "PwFunction":
         q = Q(q)
         head = self.head.scale(q) if self.head is not None else None
-        return PwFunction(self.sigma,
-                          [TailComponent(c.s, c.r, c.g.scale(q))
-                           for c in self.comps],
-                          head, c0=self.c0, D=self.D, check=False)
+        return PwFunction.on(self.grid,
+                             [TailComponent(c.s, c.r, c.g.scale(q))
+                              for c in self.comps], head, check=False)
 
     def mul(self, other) -> "PwFunction":
         def comps(a, b):
@@ -326,11 +282,16 @@ class PwFunction:
         return self._binary(other, comps, lambda h, k: h.mul(k))
 
     def pow(self, n: int) -> "PwFunction":
+        """x^n by square-and-multiply."""
         assert n >= 0
         out = PwFunction.const(1, self.sigma, self.D)
         base = self
-        for _ in range(n):
-            out = out.mul(base)
+        while n:
+            if n & 1:
+                out = out.mul(base)
+            n >>= 1
+            if n:
+                base = base.mul(base)
         return out
 
     __add__ = add
@@ -354,9 +315,7 @@ class PwFunction:
 
     def to_dict(self) -> dict:
         return {
-            "D": self.D,
-            "sigma": str(self.sigma),
-            "anchor": str(self.c0),
+            **self.grid.to_dict(),
             "comps": [
                 {"s": c.s, "r": c.r, "g": _pw_to_list(c.g)}
                 for c in self.comps
@@ -367,56 +326,18 @@ class PwFunction:
     @staticmethod
     def from_dict(d: dict) -> "PwFunction":
         try:
-            sigma = Q(d["sigma"])
-            c0 = Q(d.get("anchor", 1))
-            D = int(d.get("D", 1))
+            grid = Grid.from_dict(d)
             comps = [TailComponent(int(c["s"]), int(c["r"]),
                                    _pw_from_list(c["g"]))
                      for c in d["comps"]]
             head = _pw_from_list(d["head"]) if d.get("head") else None
         except (KeyError, ValueError, TypeError) as e:
             raise ParseError(f"malformed element record: {e}") from None
-        return PwFunction(sigma, comps, head, c0=c0, D=D)
-
-
-def dominance_data(x: PwFunction):
-    """Per-component scale data, sorted by dominance: a list of
-    (r, s, nonzero, zeros) with zeros the window zero set of the profile
-    (flat parts plus rational isolated zeros)."""
-    from .ivset import IvSet
-    out = []
-    for c in x.comps:
-        if c.g.is_zero():
-            continue
-        zeros = c.g.flat_zero()
-        for p in c.g.isolated_zeros():
-            if isinstance(p, Q):
-                zeros = zeros.union(IvSet.point(p))
-        out.append((c.r, c.s, True, zeros))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out
-
-
-def _log(q: Q) -> float:
-    """Natural log of a positive rational of any size."""
-    return math.log(q.numerator) - math.log(q.denominator)
+        return PwFunction.on(grid, comps, head)
 
 
 def _monomial(p: int):
     return (Q(0),) * p + (Q(1),)
-
-
-def _is_sigma_power(c0: Q, sigma: Q) -> bool:
-    c0 = Q(c0)
-    if c0 == 1:
-        return True
-    while c0 < 1:
-        if c0 == sigma:
-            return True
-        c0 /= sigma
-        if c0 > 1:
-            return False
-    return False
 
 
 def _canonical_comps(comps):
@@ -428,45 +349,6 @@ def _canonical_comps(comps):
            if not g.is_zero()]
     out.sort(key=lambda c: (c.r, c.s))
     return tuple(out)
-
-
-def unify(x: PwFunction, y: PwFunction):
-    """Rewrite two elements onto a common (ratio, anchor) grid."""
-    if x.D != y.D:
-        raise GridMismatch(f"different grid refinements {x.D} and {y.D}")
-    if x.sigma != y.sigma:
-        m1, m2 = _common_power(x.sigma, y.sigma)
-        tau = x.sigma ** m1
-        x = _align_anchor_for(x, m1).coarsen(m1)
-        y = _align_anchor_for(y, m2).coarsen(m2)
-        assert x.sigma == tau == y.sigma
-    if x.c0 != y.c0:
-        if x.c0 > y.c0:
-            x = x.lower_anchor_to(y.c0)
-        else:
-            y = y.lower_anchor_to(x.c0)
-    return x, y
-
-
-def _align_anchor_for(x: PwFunction, m: int) -> PwFunction:
-    """Lower the anchor until it is a power of sigma^m."""
-    t = 0
-    c = x.c0
-    while not _is_sigma_power(c, x.sigma ** m):
-        c *= x.sigma
-        t += 1
-        if t > 64:
-            raise IncommensurableRatio("anchor alignment failed")
-    return x.lower_anchor(t)
-
-
-def _common_power(s1: Q, s2: Q):
-    for total in range(2, 26):
-        for m1 in range(1, total):
-            m2 = total - m1
-            if s1 ** m1 == s2 ** m2:
-                return m1, m2
-    raise IncommensurableRatio(f"no common ratio for {s1} and {s2}")
 
 
 def _pw_to_list(g: Piecewise):

@@ -1,10 +1,9 @@
 """Self-similar subsets of (0, 1] and their asymptotic topology.
 
-A set is stored the same way as an element: a ratio sigma, an anchor c0
-(a power of sigma), a "shape" subset of the block window (sigma, 1]
-replicated on every block (sigma^(k+1) c0, sigma^k c0], and an explicit
-"head" subset of (c0, 1].  A set accumulates at 0 exactly when its shape is
-nonempty.
+A set lives on a `Grid` like an element (see `grid`): a "shape" subset of the
+window (sigma, 1] is replicated on every block, and an explicit "head" subset
+of (c0, 1] lies above the anchor.  A set accumulates at 0 exactly when its
+shape is nonempty.
 
 The window behaves like a circle: w = 1 on block k+1 is glued to w -> sigma+
 on block k.  Closure and interior are computed exactly; the only subtle point
@@ -16,8 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from .errors import (EmptySet, GridMismatch, IncommensurableRatio,
-                     NotCharacteristic, ParseError, PreconditionViolated)
+from .errors import (EmptySet, NotCharacteristic, ParseError,
+                     PreconditionViolated)
+from .grid import Grid, unify
 from .ivset import Iv, IvSet
 
 
@@ -30,26 +30,30 @@ def circle_closure(shape: IvSet, sigma: Q) -> IvSet:
     return res
 
 
-def circle_interior(shape: IvSet, sigma: Q) -> IvSet:
-    dom = Iv(sigma, 1, False, True)
-    return circle_closure(shape.complement(dom), sigma).complement(dom)
+def with_neighbours(s: IvSet, sigma: Q) -> IvSet:
+    """s together with its copies one block down and one block up:
+    s, sigma*s and s/sigma."""
+    return s.union(s.scale(sigma)).union(s.scale(1 / sigma))
 
 
 class AsymptoticSet:
     """A self-similar subset of (0, 1]."""
 
-    __slots__ = ("D", "sigma", "c0", "shape", "head")
+    __slots__ = ("grid", "shape", "head")
 
     def __init__(self, sigma, shape: IvSet, head: IvSet | None = None,
                  c0=Q(1), D=1):
-        self.sigma = Q(sigma)
-        self.c0 = Q(c0)
-        self.D = int(D)
-        if not (0 < self.sigma < 1):
-            raise ValueError("ratio must lie in (0,1)")
-        if not _is_power(self.c0, self.sigma):
-            raise IncommensurableRatio(
-                f"anchor {self.c0} is not a power of {self.sigma}")
+        self._build(Grid.of(sigma, c0, D), shape, head)
+
+    @classmethod
+    def on(cls, grid: Grid, shape: IvSet, head: IvSet | None = None):
+        """The trusted constructor on a grid that is already known."""
+        s = object.__new__(cls)
+        s._build(grid, shape, head)
+        return s
+
+    def _build(self, grid, shape, head):
+        self.grid = grid
         win = IvSet([Iv(self.sigma, 1, False, True)])
         self.shape = shape.intersect(win)
         if self.shape != shape:
@@ -64,6 +68,10 @@ class AsymptoticSet:
             self.head = hd.intersect(dome)
             if self.head != hd:
                 raise ValueError("head must lie inside (anchor, 1]")
+
+    sigma = property(lambda self: self.grid.sigma)
+    c0 = property(lambda self: self.grid.c0)
+    D = property(lambda self: self.grid.D)
 
     # -- constructors ---------------------------------------------------
 
@@ -117,13 +125,7 @@ class AsymptoticSet:
         return self.shape.contains(w)
 
     def block_coord(self, u):
-        u = Q(u)
-        k = 0
-        edge = self.c0 * self.sigma
-        while u <= edge:
-            edge *= self.sigma
-            k += 1
-        return k, u / (self.sigma ** k * self.c0)
+        return self.grid.block_coord(u)
 
     # -- grid rewriting -------------------------------------------------
 
@@ -133,48 +135,33 @@ class AsymptoticSet:
         head = self.head
         for k in range(t):
             head = head.union(self.shape.scale(self.sigma ** k * self.c0))
-        return AsymptoticSet(self.sigma, self.shape, head,
-                             c0=self.sigma ** t * self.c0, D=self.D)
+        return AsymptoticSet.on(self.grid.lower(t), self.shape, head)
 
     def lower_anchor_to(self, new_c0) -> "AsymptoticSet":
-        new_c0 = Q(new_c0)
-        t, c = 0, self.c0
-        while c > new_c0:
-            c *= self.sigma
-            t += 1
-        if c != new_c0:
-            raise IncommensurableRatio(
-                f"cannot move anchor from {self.c0} to {new_c0}")
-        return self.lower_anchor(t)
+        return self.lower_anchor(self.grid.steps_to(new_c0))
 
     def coarsen(self, m: int) -> "AsymptoticSet":
         if m == 1:
             return self
-        sg = self.sigma
-        # the anchor can always be lowered until it fits the coarse ratio
-        t = 0
-        while t < m and not _is_power(self.c0 * sg ** t, sg ** m):
-            t += 1
+        t, grid = self.grid.coarsen(m)
         if t:
             return self.lower_anchor(t).coarsen(m)
-        if not _is_power(self.c0, sg ** m):
-            raise IncommensurableRatio("anchor does not fit the coarse ratio")
         shape = IvSet.empty()
         for i in range(m):
-            shape = shape.union(self.shape.scale(sg ** i))
-        return AsymptoticSet(sg ** m, shape, self.head, c0=self.c0, D=self.D)
+            shape = shape.union(self.shape.scale(self.sigma ** i))
+        return AsymptoticSet.on(grid, shape, self.head)
 
     # -- boolean algebra ------------------------------------------------
 
     def union(self, other) -> "AsymptoticSet":
-        a, b = unify_sets(self, other)
-        return AsymptoticSet(a.sigma, a.shape.union(b.shape),
-                             a.head.union(b.head), c0=a.c0, D=a.D)
+        a, b = unify(self, other)
+        return AsymptoticSet.on(a.grid, a.shape.union(b.shape),
+                                a.head.union(b.head))
 
     def intersect(self, other) -> "AsymptoticSet":
-        a, b = unify_sets(self, other)
-        return AsymptoticSet(a.sigma, a.shape.intersect(b.shape),
-                             a.head.intersect(b.head), c0=a.c0, D=a.D)
+        a, b = unify(self, other)
+        return AsymptoticSet.on(a.grid, a.shape.intersect(b.shape),
+                                a.head.intersect(b.head))
 
     def complement(self) -> "AsymptoticSet":
         win = Iv(self.sigma, 1, False, True)
@@ -182,21 +169,21 @@ class AsymptoticSet:
         hd = IvSet.empty()
         if self.c0 < 1:
             hd = self.head.complement(Iv(self.c0, 1, False, True))
-        return AsymptoticSet(self.sigma, sh, hd, c0=self.c0, D=self.D)
+        return AsymptoticSet.on(self.grid, sh, hd)
 
     def difference(self, other) -> "AsymptoticSet":
         return self.intersect(other.complement_like(self))
 
     def complement_like(self, template) -> "AsymptoticSet":
-        a, _ = unify_sets(self, template)
+        a, _ = unify(self, template)
         return a.complement()
 
     def set_eq(self, other) -> bool:
-        a, b = unify_sets(self, other)
+        a, b = unify(self, other)
         return a.shape == b.shape and a.head == b.head
 
     def subset_of(self, other) -> bool:
-        a, b = unify_sets(self, other)
+        a, b = unify(self, other)
         return a.shape.subset_of(b.shape) and a.head.subset_of(b.head)
 
     # -- topology -------------------------------------------------------
@@ -206,7 +193,7 @@ class AsymptoticSet:
         sh = circle_closure(S.shape, S.sigma)
         dome = Iv(S.c0, 1, False, True)
         hd = S.head.closure().intersect(IvSet([dome]))
-        return AsymptoticSet(S.sigma, sh, hd, c0=S.c0, D=S.D)
+        return AsymptoticSet.on(S.grid, sh, hd)
 
     def interior(self) -> "AsymptoticSet":
         return self.complement().closure().complement()
@@ -225,9 +212,7 @@ class AsymptoticSet:
 
     def to_dict(self) -> dict:
         return {
-            "D": self.D,
-            "sigma": str(self.sigma),
-            "anchor": str(self.c0),
+            **self.grid.to_dict(),
             "shape": _ivs_to_list(self.shape),
             "head": _ivs_to_list(self.head),
         }
@@ -235,60 +220,11 @@ class AsymptoticSet:
     @staticmethod
     def from_dict(d: dict) -> "AsymptoticSet":
         try:
-            return AsymptoticSet(
-                Q(d["sigma"]), _ivs_from_list(d["shape"]),
-                _ivs_from_list(d.get("head", [])),
-                c0=Q(d.get("anchor", 1)), D=int(d.get("D", 1)))
+            return AsymptoticSet.on(
+                Grid.from_dict(d), _ivs_from_list(d["shape"]),
+                _ivs_from_list(d.get("head", [])))
         except (KeyError, ValueError, TypeError) as e:
             raise ParseError(f"malformed set record: {e}") from None
-
-
-def _is_power(c0: Q, sigma: Q) -> bool:
-    c0 = Q(c0)
-    if c0 == 1:
-        return True
-    while c0 < 1:
-        if c0 == sigma:
-            return True
-        c0 /= sigma
-        if c0 > 1:
-            return False
-    return False
-
-
-def unify_sets(a: AsymptoticSet, b: AsymptoticSet):
-    if a.D != b.D:
-        raise GridMismatch(f"different grid refinements {a.D} and {b.D}")
-    if a.sigma != b.sigma:
-        m1, m2 = _common_power(a.sigma, b.sigma)
-        a = _align(a, m1).coarsen(m1)
-        b = _align(b, m2).coarsen(m2)
-    if a.c0 != b.c0:
-        if a.c0 > b.c0:
-            a = a.lower_anchor_to(b.c0)
-        else:
-            b = b.lower_anchor_to(a.c0)
-    return a, b
-
-
-def _align(s: AsymptoticSet, m: int) -> AsymptoticSet:
-    t = 0
-    c = s.c0
-    while not _is_power(c, s.sigma ** m):
-        c *= s.sigma
-        t += 1
-        if t > 64:
-            raise IncommensurableRatio("anchor alignment failed")
-    return s.lower_anchor(t)
-
-
-def _common_power(s1: Q, s2: Q):
-    for total in range(2, 26):
-        for m1 in range(1, total):
-            m2 = total - m1
-            if s1 ** m1 == s2 ** m2:
-                return m1, m2
-    raise IncommensurableRatio(f"no common ratio for {s1} and {s2}")
 
 
 def _ivs_to_list(s: IvSet):
@@ -387,8 +323,7 @@ def _window_cands(shape: IvSet, sigma: Q) -> IvSet:
     """
     if shape.is_empty():
         raise NotCharacteristic("distance to an empty shape is undefined")
-    closed = circle_closure(shape, sigma).closure()
-    return closed.union(closed.scale(sigma)).union(closed.scale(1 / sigma))
+    return with_neighbours(circle_closure(shape, sigma).closure(), sigma)
 
 
 def window_distance_pl(shape: IvSet, sigma: Q):
@@ -419,16 +354,14 @@ def distance_profile(S: AsymptoticSet):
         # anchor two blocks down: the window formula is exact once both
         # neighbour blocks are genuine tail blocks
         S1 = S.lower_anchor(1)
-        c0d = sg * S1.c0
+        grid = S1.grid.lower(1)
         dw = window_distance_pl(S1.shape, sg)
         if dw.is_zero():
             comps = ()
         else:
-            comps = (TailComponent(1, 0, dw.scale(c0d)),)
-        if c0d == 1:
-            return PwFunction(sg, comps, None, Q(1), S.D)
-        head = pl_distance(_head_cands(S1), c0d, Q(1))
-        return PwFunction(sg, comps, head, c0d, S.D)
+            comps = (TailComponent(1, 0, dw.scale(grid.c0)),)
+        head = pl_distance(_head_cands(S1), grid.c0, Q(1))
+        return PwFunction.on(grid, comps, head)
     # no tail: distance below the anchor is (nearest head point) - u
     a = min(iv.lo for iv in S.head.closure().ivs)
     c0 = S.c0
@@ -436,14 +369,14 @@ def distance_profile(S: AsymptoticSet):
     comps = (TailComponent(0, 0, Piecewise.const(sg, Q(1), a)),
              TailComponent(1, 0, Piecewise.linear_interp(
                  [(sg, -c0 * sg), (Q(1), -c0)])))
-    return PwFunction(sg, comps, head, c0, S.D)
+    return PwFunction.on(S.grid, comps, head)
 
 
 def _metric_median(A: AsymptoticSet, B: AsymptoticSet) -> AsymptoticSet:
     """The closed set {u : d(u, A) <= d(u, B)}, with the convention
     d(u, empty) = +infinity.  A and B must be closed; they are not closed
     again here."""
-    A, B = unify_sets(A, B)
+    A, B = unify(A, B)
     sg, D = A.sigma, A.D
     if B.is_empty():
         return AsymptoticSet.full(sg, D)
@@ -454,11 +387,11 @@ def _metric_median(A: AsymptoticSet, B: AsymptoticSet) -> AsymptoticSet:
     # not accumulate at 0.
     mins = [min(iv.lo for iv in X.head.ivs) / 2
             for X in (A, B) if not X.is_characteristic()]
-    c0 = A.c0 * sg
-    while mins and c0 >= min(mins):
-        c0 *= sg
-    A = A.lower_anchor_to(c0)
-    B = B.lower_anchor_to(c0)
+    t = 1
+    while mins and A.c0 * sg ** t >= min(mins):
+        t += 1
+    A, B = A.lower_anchor(t), B.lower_anchor(t)
+    c0 = A.c0
     win = IvSet([Iv(sg, 1, False, True)])
     if A.is_characteristic() and B.is_characteristic():
         shape = _closer_region(_window_cands(A.shape, sg),
@@ -474,7 +407,7 @@ def _metric_median(A: AsymptoticSet, B: AsymptoticSet) -> AsymptoticSet:
         shape = win if aA <= aB else IvSet.empty()
     head = _closer_region(_head_cands(A), _head_cands(B), c0, Q(1)).intersect(
         IvSet([Iv(c0, 1, False, True)]))
-    return AsymptoticSet(sg, shape, head, c0, D)
+    return AsymptoticSet.on(A.grid, shape, head)
 
 
 def insert_between(S: AsymptoticSet, T: AsymptoticSet) -> AsymptoticSet:
@@ -484,7 +417,7 @@ def insert_between(S: AsymptoticSet, T: AsymptoticSet) -> AsymptoticSet:
     The precondition S precedes T, cl S inside int T, is checked as
     cl S inside the complement of cl(complement of T): int T is exactly that
     complement.  Each of the two closures is taken once."""
-    a, b = unify_sets(S, T)
+    a, b = unify(S, T)
     A = a.closure()
     B = b.complement().closure()
     if not A.subset_of(B.complement()):
@@ -496,7 +429,7 @@ def insert_between(S: AsymptoticSet, T: AsymptoticSet) -> AsymptoticSet:
 def _unify_many(sets):
     sets = list(sets)
     for idx in list(range(len(sets) - 1)) + list(range(len(sets) - 2, -1, -1)):
-        sets[idx], sets[idx + 1] = unify_sets(sets[idx], sets[idx + 1])
+        sets[idx], sets[idx + 1] = unify(sets[idx], sets[idx + 1])
     return sets
 
 

@@ -18,23 +18,20 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cmp_to_key
 
-from .errors import IncommensurableRatio, NotCharacteristic
+from .errors import NotCharacteristic
 from .ivset import Iv, IvSet
 from .polytools import RootPt, pt_approx, pt_cmp
 from .pwfunc import PwFunction
-from .scaleset import AsymptoticSet, circle_closure, _common_power
+from .scaleset import AsymptoticSet, circle_closure
 
 ZERO, POS, NEG, NONNEG, NONPOS, MIXED = \
     "ZERO", "POS", "NEG", "NONNEG", "NONPOS", "MIXED"
 
 
 def common_window(x: PwFunction, S: AsymptoticSet):
-    """Rewrite x and S onto a common ratio; returns (x', shape')."""
-    if x.D != S.D:
-        raise IncommensurableRatio("grid refinements differ")
-    if x.sigma == S.sigma:
-        return x, S.shape
-    m1, m2 = _common_power(x.sigma, S.sigma)
+    """Rewrite x and S onto a common ratio; returns (x', shape').  Unlike
+    `unify`, it does not bring the two anchors together."""
+    m1, m2 = x.grid.common_ratio(S.grid)
     return x.coarsen(m1), S.coarsen(m2).shape
 
 

@@ -306,16 +306,6 @@ class Piecewise:
                 return n * d
         raise ValueError("point outside domain")
 
-    def mult_at(self, w0) -> int | None:
-        """Vanishing order at w0 (0 if nonzero); None if flat-zero there."""
-        for s in self.segs:
-            if pt_cmp(w0, s.lo) >= 0 and pt_cmp(w0, s.hi) <= 0:
-                if s.is_zero():
-                    return None
-                m, _ = _mult_and_sign(s.num, w0)
-                return m
-        raise ValueError("point outside domain")
-
     def abs_upper_bound(self) -> Q:
         """A certified upper bound for |f| on the domain."""
         bound = Q(0)

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymcalc.polytools import (RootPt, isolate_roots, padd, pdeg, peval,
@@ -121,6 +121,7 @@ def _q(r):
 
 @settings(max_examples=300, deadline=None)
 @given(_cases())
+@example(((Q(0), Q(-2), Q(1)), Q(-1), Q(1)))    # the root 0 is rational
 def test_isolate_roots_matches_sympy(case):
     p, lo, hi = case
     want = _sympy_roots(p, lo, hi)

@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymcalc.errors import ContinuityViolation
-from asymcalc.pwfunc import PwFunction, TailComponent, unify
+from asymcalc.grid import unify
+from asymcalc.pwfunc import PwFunction, TailComponent
+from asymcalc.scaleset import AsymptoticSet
 from asymcalc.verify.corpus import random_element
 from asymcalc.window import Piecewise
 
@@ -90,13 +92,6 @@ def test_unify_aligns_grids(osc):
     assert a.eval(Q(3, 16)) == osc.eval(Q(3, 16))
 
 
-def test_dominance_data(rho, negl):
-    from asymcalc.pwfunc import dominance_data
-    assert dominance_data(rho)[0][:2] == (0, 1)
-    d = dominance_data(negl)
-    assert d[0][0] == 1
-
-
 @settings(max_examples=120, deadline=None)
 @given(elements, elements, elements)
 def test_ring_laws(a, b, c):
@@ -106,6 +101,15 @@ def test_ring_laws(a, b, c):
     assert lhs.equals(rhs)
     assert a.add(b).equals(b.add(a))
     assert a.mul(b).eval(u) == a.eval(u) * b.eval(u)
+
+
+@settings(max_examples=30, deadline=None)
+@given(elements, st.integers(0, 5))
+def test_pow_is_repeated_mul(x, n):
+    want = PwFunction.const(1, x.sigma, x.D)
+    for _ in range(n):
+        want = want.mul(x)
+    assert x.pow(n).equals(want)
 
 
 @settings(max_examples=80, deadline=None)
@@ -133,17 +137,19 @@ _fractions_in_0_1 = st.tuples(st.integers(1, 10 ** 6),
 @example(Q(2, 3), 1, 301, None, Q(1, 10 ** 200))
 def test_block_of_brackets_u(sg, t, k, f, r):
     # u is a block edge sigma^k c0 (f = 1), a point inside block k, or a
-    # random rational r c0 below the anchor (f = None)
+    # random rational r c0 below the anchor (f = None); elements and sets
+    # share the block coordinates
     x = PwFunction.zero(sg).lower_anchor(t)
     c0 = sg ** t
-    assert x.c0 == c0
     if f is None:
         u = r * c0
     else:
         u = sg ** k * c0 * (sg + (1 - sg) * f)
-    kb, w = x.block_coord(u)
+    for y in (x, AsymptoticSet.full(sg).lower_anchor(t)):
+        assert y.c0 == c0
+        kb, w = y.block_coord(u)
+        assert sg ** (kb + 1) * c0 < u <= sg ** kb * c0
+        assert w == u / (sg ** kb * c0) and sg < w <= 1
+        if f is not None:
+            assert kb == k
     assert x.block_of(u) == kb
-    assert sg ** (kb + 1) * c0 < u <= sg ** kb * c0
-    assert w == u / (sg ** kb * c0) and sg < w <= 1
-    if f is not None:
-        assert kb == k

@@ -6,10 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from asymcalc.errors import PreconditionViolated
+from asymcalc.grid import unify
 from asymcalc.ivset import Iv, IvSet
 from asymcalc.scaleset import (AsymptoticSet, _closer_region, circle_closure,
                                distance_profile, insert_between, pl_distance,
-                               prec_union, unify_sets)
+                               prec_union)
 from asymcalc.verify.corpus import random_set
 from asymcalc.window import Piecewise
 
@@ -174,7 +175,7 @@ def _ref_head_cands(s):
 
 
 def _ref_metric_median(A, B):
-    A, B = unify_sets(A.closure(), B.closure())
+    A, B = unify(A.closure(), B.closure())
     sg, D = A.sigma, A.D
     if B.is_empty():
         return AsymptoticSet.full(sg, D)
@@ -207,7 +208,7 @@ def _ref_metric_median(A, B):
 
 
 def _ref_insert_between(S, T):
-    a, b = unify_sets(S, T)
+    a, b = unify(S, T)
     return _ref_metric_median(a.closure(),
                               b.interior().complement().closure())
 

@@ -256,53 +256,38 @@ def _arc_avoiding(sigma: Q, around: Q, avoid: Q, gap: Q) -> IvSet:
 
 def pseudoprime_check(F: FilterExpr, trials: int, seed: int):
     """Search for a cover int S + int T = FULL with neither part in F."""
-    if trials < 1:
-        raise PreconditionViolated("at least one trial")
-    F = F.normalize()
-    sigma = _filter_sigma(F)
-    full = AsymptoticSet.full(sigma)
-    # structurally relevant cut points: the base shape's own breaks
-    cuts = []
-    base = _some_member(F)
-    for iv in base.shape.ivs:
-        cuts.extend([iv.lo, iv.hi])
-    cuts = sorted(set(c for c in cuts if sigma < c < 1))
-    done = 0
-    for t in range(trials):
-        rng = random.Random(f"pseudoprime-{seed}-{t}")
-        if t % 3 == 2:
-            if cuts and t % 6 == 2:
-                cut = cuts[rng.randrange(len(cuts))]
-            else:
-                cut = _rand_q(rng, sigma, 1)
-            try:
-                S, T = _doubled_pair(sigma, cut)
-            except (ValueError, ZeroDivisionError):
-                continue
-        else:
-            S, T = _arc_pair(rng, sigma)
-        if not full.subset_of(S.interior().union(T.interior())):
-            continue
-        done += 1
-        if not filter_member(F, S) and not filter_member(F, T):
-            return CounterExample(S, T)
-    return Verified(done)
+    def covers(F, sigma, S, T):
+        full = AsymptoticSet.full(sigma)
+        return full.subset_of(S.interior().union(T.interior()))
+    return _refute(F, trials, f"pseudoprime-{seed}",
+                   lambda member, rng, sigma: _arc_pair(rng, sigma), covers)
 
 
 def prime_check(F: FilterExpr, trials: int, seed: int):
     """Search for S, T with the union in F but neither part in F."""
+    def covers(F, sigma, S, T):
+        return filter_member(F, S.union(T).closure())
+    return _refute(F, trials, f"prime-{seed}", _split_member, covers)
+
+
+def _refute(F: FilterExpr, trials: int, stream: str, split, covers):
+    """The trial loop of the prime and pseudoprime checks.  Trial t draws
+    from random.Random(f"{stream}-{t}").  Every third trial tries a
+    period-doubled cover, cut at a break of a member's shape on every
+    other such trial (those cuts are the structurally relevant ones);
+    the rest take split(member, rng, sigma).  A pair (S, T) with
+    covers(F, sigma, S, T) counts as a trial done, and refutes F when
+    neither part is in F."""
     if trials < 1:
         raise PreconditionViolated("at least one trial")
     F = F.normalize()
     sigma = _filter_sigma(F)
-    member_set = _some_member(F)
-    cuts = []
-    for iv in member_set.shape.ivs:
-        cuts.extend([iv.lo, iv.hi])
-    cuts = sorted(set(c for c in cuts if sigma < c < 1))
+    member = _some_member(F)
+    cuts = sorted(set(c for iv in member.shape.ivs for c in (iv.lo, iv.hi)
+                      if sigma < c < 1))
     done = 0
     for t in range(trials):
-        rng = random.Random(f"prime-{seed}-{t}")
+        rng = random.Random(f"{stream}-{t}")
         if t % 3 == 2:
             # period-doubled covers catch filters whose base is a single
             # orbit: neither doubled arc contains both copies of the cut
@@ -315,11 +300,8 @@ def prime_check(F: FilterExpr, trials: int, seed: int):
             except (ValueError, ZeroDivisionError):
                 continue
         else:
-            S, T = _split_member(member_set, rng, sigma)
-        if S is None:
-            continue
-        U = S.union(T)
-        if not filter_member(F, U.closure()):
+            S, T = split(member, rng, sigma)
+        if S is None or not covers(F, sigma, S, T):
             continue
         done += 1
         if not filter_member(F, S) and not filter_member(F, T):

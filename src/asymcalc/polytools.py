@@ -3,13 +3,22 @@
 Polynomials are tuples of Fraction coefficients, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  On top of the ring
 operations this module provides Sturm sequences, certified root isolation on a
-closed rational interval, and `RootPt`, an exactly represented real algebraic
-number given by a squarefree polynomial plus an isolating interval.
+closed rational interval, and `RootPt`, an exactly represented irrational
+algebraic number given by a squarefree polynomial plus an isolating interval.
+
+Rational roots need no search.  If q is squarefree and N is the leading
+coefficient of its primitive integer multiple, a root u/v in lowest terms has
+v | N (rational root theorem), so every rational root of q lies on the lattice
+(1/N)Z.  An isolating interval that holds at most one lattice point k/N is
+therefore decided by the single test q(k/N) = 0: the root is k/N, or it is
+irrational.  `isolate_roots` returns rational roots as Fractions and only
+irrational ones as RootPt.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction as Q
 
 ZERO = ()
@@ -176,63 +185,56 @@ def count_roots_halfopen(chain, a, b) -> int:
 
 
 class RootPt:
-    """A real algebraic number: the unique root of `sf` in (lo, hi).
+    """An irrational real algebraic number: the unique root of `sf` in
+    (lo, hi).
 
-    `sf` is squarefree and monic, sf(lo) != 0 != sf(hi), and the open
-    interval contains exactly one root.  Rational numbers are not wrapped in
-    this class; code that mixes them uses `pt_cmp` and friends below.
+    `sf` is squarefree and monic, and the open interval contains exactly
+    one of its roots.  Invariant: that root is irrational and sf(hi) != 0.
+    Then sf is nonzero at every rational inside (lo, hi), positive on one
+    side of the root and negative on the other, so a rational probe x in
+    (lo, hi) lies above the root exactly when sf(x) has the sign of sf(hi).
+    That sign never changes as the interval shrinks, so it is kept in
+    `hi_pos`.  Rational numbers are never wrapped in this class (see
+    `isolate_roots`); code that mixes them uses `pt_cmp` and friends below.
     """
 
-    __slots__ = ("sf", "lo", "hi", "_chain")
+    __slots__ = ("sf", "lo", "hi", "hi_pos")
 
     def __init__(self, sf, lo, hi):
         self.sf = sf
         self.lo = Q(lo)
         self.hi = Q(hi)
-        self._chain = None
+        self.hi_pos = peval(sf, self.hi) > 0
 
     def __repr__(self):
         return f"RootPt({self.sf}, {self.lo}, {self.hi})"
 
-    def chain(self):
-        if self._chain is None:
-            self._chain = sturm_chain(self.sf)
-        return self._chain
+    def _cut(self, x) -> int:
+        """Shrink the interval at a rational x in (lo, hi); returns the
+        sign of root - x."""
+        if (peval(self.sf, x) > 0) == self.hi_pos:
+            self.hi = x
+            return -1
+        self.lo = x
+        return 1
 
     def refine(self):
         """Halve the isolating interval."""
-        mid = (self.lo + self.hi) / 2
-        v = peval(self.sf, mid)
-        if v == 0:
-            # should not happen for a squarefree poly with irrational root,
-            # but guard anyway: nudge the midpoint
-            mid = self.lo + (self.hi - self.lo) * Q(13, 32)
-            v = peval(self.sf, mid)
-            assert v != 0
-        if count_roots_halfopen(self.chain(), self.lo, mid):
-            self.hi = mid
-        else:
-            self.lo = mid
+        self._cut((self.lo + self.hi) / 2)
 
     def refine_below(self, width):
         while self.hi - self.lo > width:
             self.refine()
 
     def cmp_q(self, r) -> int:
-        """Compare with a rational; returns -1, 0, +1."""
+        """Compare with a rational; returns -1 or +1 (never 0: the root is
+        irrational)."""
         r = Q(r)
         if r >= self.hi:
             return -1
         if r <= self.lo:
             return 1
-        # r strictly inside the isolating interval
-        if peval(self.sf, r) == 0:
-            return 0
-        if count_roots_halfopen(self.chain(), self.lo, r):
-            self.hi = r
-            return -1
-        self.lo = r
-        return 1
+        return self._cut(r)
 
     def sign_of(self, p) -> int:
         """Exact sign of the polynomial p at this algebraic point."""
@@ -241,20 +243,15 @@ class RootPt:
         g = pgcd(self.sf, p)
         if pdeg(g) >= 1 and count_roots_halfopen(sturm_chain(g), self.lo, self.hi):
             return 0
-        # p has no root equal to this point; refine until p is sign-constant
-        # strictly inside the isolating interval (endpoint roots of p are
-        # harmless and must not block termination)
-        while True:
-            roots = [r for r in isolate_roots(p, self.lo, self.hi)
-                     if not (isinstance(r, Q) and (r == self.lo or r == self.hi))]
-            if not roots:
-                mid = (self.lo + self.hi) / 2
-                v = peval(p, mid)
-                if v == 0:
-                    mid = self.lo + (self.hi - self.lo) * Q(13, 32)
-                    v = peval(p, mid)
-                return 1 if v > 0 else -1
+        # p has no root equal to this point; refine until p has no root in
+        # the open interval, where it then keeps one nonzero sign (roots of
+        # p at the endpoints are harmless)
+        ps = squarefree(p)
+        chain = sturm_chain(ps)
+        while count_roots_halfopen(chain, self.lo, self.hi) > \
+                (peval(ps, self.hi) == 0):
             self.refine()
+        return 1 if peval(p, (self.lo + self.hi) / 2) > 0 else -1
 
     def approx(self, width=Q(1, 2**40)) -> Q:
         self.refine_below(width)
@@ -313,6 +310,14 @@ def isolate_roots(p, lo, hi):
     inside [lo, hi]).  p must be a nonzero tuple.  Results are memoized, so
     equal calls share their RootPt objects; refining one only narrows an
     interval that still isolates the same root.
+
+    One Sturm bisection pass over the squarefree part q finds the roots.
+    Let N be the leading coefficient of q's primitive integer multiple; by
+    the rational root theorem every rational root of q lies on the lattice
+    (1/N)Z.  Each interval (a, b] holding one root yields b when q(b) = 0;
+    otherwise it is halved by the sign of q alone until (a, b) holds at most
+    one lattice point k/N, and q(k/N) = 0 decides between the Fraction k/N
+    and a RootPt, whose root is then irrational.
     """
     lo, hi = Q(lo), Q(hi)
     if not p:
@@ -322,105 +327,52 @@ def isolate_roots(p, lo, hi):
     q = squarefree(p)
     if pdeg(q) <= 0:
         return ()
-    found = []
-
-    def peel(x):
-        nonlocal q
-        quo, rem = pdivmod(q, (-x, Q(1)))
-        assert not rem
-        q = quo
-        found.append(x)
-
-    if peval(q, lo) == 0:
-        peel(lo)
-    if hi > lo and q and peval(q, hi) == 0:
-        peel(hi)
-    # small-denominator candidates catch the common rational roots early;
-    # a linear part needs none, its root below is exact
-    if pdeg(q) >= 2:
-        for cand in _rational_candidates(q, lo, hi):
-            if lo < cand < hi and q and peval(q, cand) == 0:
-                peel(cand)
-    # a remaining linear factor has an exact rational root
-    if q and pdeg(q) == 1:
-        root = -Q(q[0]) / Q(q[1])
-        if lo < root < hi:
-            peel(root)
-    out = []
-    while q and pdeg(q) >= 1 and hi > lo:
-        if pdeg(q) == 1:
-            root = -Q(q[0]) / Q(q[1])
-            if lo < root < hi:
-                peel(root)
-            break
-        chain = sturm_chain(q)
-        out = []
-        stack = [(lo, hi)]
-        deflated = False
-        while stack:
-            a, b = stack.pop()
-            n = count_roots_halfopen(chain, a, b)
-            if n == 0:
-                continue
-            if n == 1:
-                out.append(RootPt(q, a, b))
-                continue
+    n_lat = _lattice(q)
+    chain = sturm_chain(q)
+    out = [lo] if peval(q, lo) == 0 else []
+    # entries (a, b, n): n roots of q in (a, b]; the left half is pushed
+    # last so that roots come out in increasing order
+    stack = [(lo, hi, count_roots_halfopen(chain, lo, hi))]
+    while stack:
+        a, b, n = stack.pop()
+        if n == 1:
+            out.append(_one_root(q, n_lat, a, b))
+        elif n > 1:
             m = (a + b) / 2
-            if peval(q, m) == 0:
-                peel(m)
-                deflated = True
-                break
-            stack.append((a, m))
-            stack.append((m, b))
-        if not deflated:
-            break
-    allpts = [Q(f) for f in found if lo <= f <= hi] + out
-    allpts.sort(key=functools.cmp_to_key(pt_cmp))
-    return tuple(allpts)
+            k = count_roots_halfopen(chain, a, m)
+            stack.append((m, b, n - k))
+            stack.append((a, m, k))
+    return tuple(out)
 
 
-def _rational_candidates(q, lo, hi):
-    """Rational root candidates of q by the rational-root theorem, clipped."""
-    if pdeg(q) < 1:
-        return []
-    den = 1
-    for c in q:
-        den = den * c.denominator // _gcd(den, c.denominator)
-    ints = [int(c * den) for c in q]
-    # a zero constant term puts a root at 0, which the divisors below miss
-    cands = {Q(0)} if ints[0] == 0 else set()
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-    if not ints:
-        return []
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for p_ in _small_divisors(a0):
-        for q_ in _small_divisors(an):
-            cands.add(Q(p_, q_))
-            cands.add(Q(-p_, q_))
-    return sorted(c for c in cands if lo <= c <= hi)
+def _lattice(q) -> int:
+    """The leading coefficient N of the primitive integer multiple of the
+    monic q: every rational root of q is a multiple of 1/N."""
+    den = math.lcm(*(c.denominator for c in q))
+    return den // math.gcd(*(c.numerator * (den // c.denominator) for c in q))
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-@functools.lru_cache(maxsize=1024)
-def _small_divisors(n, cap=4096):
-    n = abs(n)
-    if n == 0:
-        return (1,)
-    out = []
-    d = 1
-    while d * d <= n and d <= cap:
-        if n % d == 0:
-            out.append(d)
-            if n // d <= cap:
-                out.append(n // d)
-        d += 1
-    return tuple(sorted(set(out)))
+def _one_root(q, n_lat, a, b):
+    """The single root of q in (a, b], as a Fraction or a RootPt."""
+    sb = peval(q, b)
+    if sb == 0:
+        return b
+    pos = sb > 0
+    # (a, b) holds ceil(bN) - floor(aN) - 1 lattice points k/N; halve it
+    # until at most one is left
+    while math.ceil(b * n_lat) - math.floor(a * n_lat) > 2:
+        m = (a + b) / 2
+        v = peval(q, m)
+        if v == 0:
+            return m
+        if (v > 0) == pos:
+            b = m
+        else:
+            a = m
+    k = math.floor(a * n_lat) + 1
+    if Q(k, n_lat) < b and peval(q, Q(k, n_lat)) == 0:
+        return Q(k, n_lat)
+    return RootPt(q, a, b)
 
 
 def poly_nonneg_on(p, lo, hi) -> bool:

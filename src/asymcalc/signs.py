@@ -85,12 +85,11 @@ def _candidate_points(x: PwFunction):
                 rats.add(z)
             else:
                 pts.append(z)
-    out = [q for q in sorted(rats)]
+    out = sorted(rats)
+    # a RootPt is irrational, so it can only coincide with another RootPt
     for z in pts:
-        if not any(isinstance(q, Q) and pt_cmp(z, q) == 0 for q in out):
-            if not any(isinstance(q, RootPt) and pt_cmp(z, q) == 0
-                       for q in out):
-                out.append(z)
+        if not any(isinstance(q, RootPt) and pt_cmp(z, q) == 0 for q in out):
+            out.append(z)
     # RootPt entries must interleave with the rationals in true order
     out.sort(key=cmp_to_key(pt_cmp))
     return out

@@ -233,11 +233,12 @@ def _deep_blocks(S, cfg: OracleConfig):
     is deep enough or the shape is empty."""
     ws = _shape_points(S.shape)
     floor = max(Q(1, 2 ** (cfg.depth // 8)), cfg.min_scale)
-    # block k spans (c0 sigma^(k+1), c0 sigma^k]
-    k, low = 0, S.c0 * S.sigma
-    while low * S.sigma >= floor:
-        k, low = k + 1, low * S.sigma
-    if not ws or k == 0:
+    if not ws or floor > S.c0:
+        return []
+    # block k spans (c0 sigma^(k+1), c0 sigma^k]; the deepest block wholly
+    # at or above the floor is the one just above the floor's block
+    k = S.grid.block_coord(floor)[0] - 1
+    if k < 1:
         return []
     return [[S.c0 * S.sigma ** j * w for w in ws] for j in (k - 1, k)]
 

@@ -231,17 +231,13 @@ class Piecewise:
                 continue
             for z in isolate_roots(s.num, s.lo, s.hi):
                 if isinstance(z, Q):
-                    if flat.contains(z):
+                    if flat.contains(z) or z in out:
                         continue
-                    if any(pt_cmp(z, prev) == 0 for prev in out
-                           if isinstance(prev, Q)):
-                        continue
-                    out.append(z)
-                else:
-                    out.append(z)
+                out.append(z)
         out.sort(key=functools.cmp_to_key(pt_cmp))
-        # adjacent equal RootPts can only arise at shared breakpoints, and
-        # breakpoints are rational, so RootPts never collide
+        # a rational zero on a shared breakpoint is kept once; RootPts are
+        # irrational, so they never equal a breakpoint, and the segments'
+        # open interiors are disjoint, so no two RootPts coincide
         return out
 
     def vanishes_on(self, ivset: IvSet) -> bool:

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 from asymcalc.afilter import (FG, Closure, CounterExample, Interior, OfIdeal,
-                              Verified, filter_member, i_of_f_member,
+                              Verified, _arc_pair, _doubled_pair,
+                              _filter_sigma, _rand_q, _some_member,
+                              _split_member, filter_member, i_of_f_member,
                               prec_interval_basis, prime_check,
                               pseudoprime_check, rapid_element, rapid_witness)
-from asymcalc.errors import (ChainNotDescending, ImproperFilter, NotMember,
-                             PreconditionViolated)
+from asymcalc.errors import (AsymcalcError, ChainNotDescending, ImproperFilter,
+                             NotMember, PreconditionViolated)
 from asymcalc.ideal import FgIdeal
 from asymcalc.scaleset import AsymptoticSet, insert_between
 
@@ -86,6 +89,105 @@ def test_prime_refuted_for_fg(A):
     assert filter_member(F, res.S.union(res.T))
     assert not filter_member(F, res.S)
     assert not filter_member(F, res.T)
+
+
+# -- reference: the two trial loops that _refute replaced -------------------
+
+
+def _old_pseudoprime_check(F, trials, seed):
+    if trials < 1:
+        raise PreconditionViolated("at least one trial")
+    F = F.normalize()
+    sigma = _filter_sigma(F)
+    full = AsymptoticSet.full(sigma)
+    cuts = []
+    base = _some_member(F)
+    for iv in base.shape.ivs:
+        cuts.extend([iv.lo, iv.hi])
+    cuts = sorted(set(c for c in cuts if sigma < c < 1))
+    done = 0
+    for t in range(trials):
+        rng = random.Random(f"pseudoprime-{seed}-{t}")
+        if t % 3 == 2:
+            if cuts and t % 6 == 2:
+                cut = cuts[rng.randrange(len(cuts))]
+            else:
+                cut = _rand_q(rng, sigma, 1)
+            try:
+                S, T = _doubled_pair(sigma, cut)
+            except (ValueError, ZeroDivisionError):
+                continue
+        else:
+            S, T = _arc_pair(rng, sigma)
+        if not full.subset_of(S.interior().union(T.interior())):
+            continue
+        done += 1
+        if not filter_member(F, S) and not filter_member(F, T):
+            return CounterExample(S, T)
+    return Verified(done)
+
+
+def _old_prime_check(F, trials, seed):
+    if trials < 1:
+        raise PreconditionViolated("at least one trial")
+    F = F.normalize()
+    sigma = _filter_sigma(F)
+    member_set = _some_member(F)
+    cuts = []
+    for iv in member_set.shape.ivs:
+        cuts.extend([iv.lo, iv.hi])
+    cuts = sorted(set(c for c in cuts if sigma < c < 1))
+    done = 0
+    for t in range(trials):
+        rng = random.Random(f"prime-{seed}-{t}")
+        if t % 3 == 2:
+            if cuts and t % 6 == 2:
+                cut = cuts[rng.randrange(len(cuts))]
+            else:
+                cut = _rand_q(rng, sigma, 1)
+            try:
+                S, T = _doubled_pair(sigma, cut)
+            except (ValueError, ZeroDivisionError):
+                continue
+        else:
+            S, T = _split_member(member_set, rng, sigma)
+        if S is None:
+            continue
+        U = S.union(T)
+        if not filter_member(F, U.closure()):
+            continue
+        done += 1
+        if not filter_member(F, S) and not filter_member(F, T):
+            return CounterExample(S, T)
+    return Verified(done)
+
+
+def _outcome(check, F, trials, seed):
+    try:
+        res = check(F, trials, seed)
+    except AsymcalcError as e:
+        return type(e).__name__
+    if isinstance(res, CounterExample):
+        return "cex", res.S.to_dict(), res.T.to_dict()
+    return res
+
+
+def test_trial_loops_match_reference():
+    from asymcalc.verify import corpus_generate
+    filters = corpus_generate(17, 40).filters
+    filters += [FG([AsymptoticSet.orbit_point(Q(k, 64))]) for k in (37, 45)]
+    filters += [FG([AsymptoticSet.orbit_interval(Q(9, 16), Q(13, 16))])]
+    kinds = {}
+    for F in filters:
+        for seed in (7, 1234, 99991):
+            for new, old in ((prime_check, _old_prime_check),
+                             (pseudoprime_check, _old_pseudoprime_check)):
+                got = _outcome(new, F, 24, seed)
+                assert got == _outcome(old, F, 24, seed), (F, seed, new)
+                kind = got[0] if isinstance(got, tuple) else type(got)
+                kinds[kind] = kinds.get(kind, 0) + 1
+    # both outcomes occur, so the comparison covers both exits of the loop
+    assert kinds.get("cex") and kinds.get(Verified)
 
 
 def test_result_truthiness():

@@ -7,8 +7,10 @@ from asymcalc.errors import AllSamplesZero, PreconditionViolated, UnknownCheck
 from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.verify import (OracleConfig, available_checks, corpus_generate,
                              oracle_valuation, oracle_vanishes_on, run_checks)
-from asymcalc.verify.oracle import (_block_maxima, _fit, _grid, _log_sampler,
-                                    _logabs)
+from asymcalc.scaleset import AsymptoticSet
+from asymcalc.ivset import IvSet
+from asymcalc.verify.oracle import (_block_maxima, _deep_blocks, _fit, _grid,
+                                    _log_sampler, _logabs, _shape_points)
 from asymcalc.window import Piecewise
 
 CFG = OracleConfig(depth=1600)
@@ -167,3 +169,34 @@ def test_oracle_cancelling_exponents_give_zero_samples():
             assert x.eval(u) == 0
             assert fast(u) is None
     _assert_matches_exact(x, SHALLOW)
+
+
+def _deep_blocks_walk(S, cfg):
+    """The block-by-block walk that _deep_blocks replaced, as a reference."""
+    ws = _shape_points(S.shape)
+    floor = max(Q(1, 2 ** (cfg.depth // 8)), cfg.min_scale)
+    k, low = 0, S.c0 * S.sigma
+    while low * S.sigma >= floor:
+        k, low = k + 1, low * S.sigma
+    if not ws or k == 0:
+        return []
+    return [[S.c0 * S.sigma ** j * w for w in ws] for j in (k - 1, k)]
+
+
+@pytest.mark.parametrize("sigma", [Q(1, 2), Q(2, 3), Q(1, 3), Q(9, 10),
+                                   Q(1, 1024)])
+@pytest.mark.parametrize("j", [0, 1, 5, 40])
+def test_deep_blocks_matches_walk(sigma, j):
+    S = AsymptoticSet(sigma, IvSet.interval((1 + sigma) / 2, 1), c0=sigma ** j)
+    floors = [Q(1, 2 ** e) for e in range(0, 200, 7)]
+    # floors on block edges, just off them, at and above the anchor
+    floors += [S.c0 * sigma ** m * f for m in (0, 1, 2, 3, 17)
+               for f in (1, Q(1001, 1000), Q(999, 1000))]
+    floors += [S.c0 * 2, Q(1)]
+    # a depth this large leaves the floor to min_scale
+    cfgs = [OracleConfig(depth=8 * 4000, min_scale=f) for f in floors]
+    cfgs += [OracleConfig(depth=d) for d in (8, 64, 800, 1600)]
+    for cfg in cfgs:
+        assert _deep_blocks(S, cfg) == _deep_blocks_walk(S, cfg), cfg
+    empty = AsymptoticSet(sigma, IvSet.empty(), c0=sigma ** j)
+    assert _deep_blocks(empty, OracleConfig()) == []

@@ -21,8 +21,8 @@ from .ideal import FgIdeal, f_of_I_member, pure_part_member
 from .ivset import Iv, IvSet
 from .pwfunc import PwFunction, TailComponent
 from .scaleset import AsymptoticSet
-from .signs import (NONNEG, POS, ZERO, bad_structure, common_window,
-                    eventual_sign_on)
+from .signs import (NONNEG, POS, ZERO, eventual_sign_on,
+                    obstruction_meets)
 from .signs import restr_zero as _restr_zero_pw
 from .window import Piecewise
 
@@ -155,12 +155,8 @@ def _closure_of_ideal_member(S: AsymptoticSet, I: FgIdeal) -> bool:
     O = coS.interior()
     if not O.is_characteristic():
         return True
-    sos, shape = common_window(I.sos.rep, O)
-    flat, badpts = bad_structure(sos)
-    if flat and flat.intersect(shape):
-        return False
-    from .signs import _bad_hits
-    return not any(_bad_hits(b, shape) for b in badpts)
+    _, structure, shape = I.obstruction_on(O)
+    return not obstruction_meets(structure, shape)
 
 
 def filter_member(F: FilterExpr, S: AsymptoticSet) -> bool:

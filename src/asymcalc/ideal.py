@@ -6,30 +6,42 @@ convexity of the ring: x belongs to the ideal exactly when x^2 is
 eventually dominated by a polynomial-scale multiple of sos.  Zero-set
 machinery (z-ideals, closures, pure parts, annihilators) reduces to exact
 window geometry of the representatives.
+
+Membership, z-closure, pure part, radical and the invertibility filter are
+germ questions.  An element of the ring is a class of functions modulo the
+negligible ones, and a function vanishing on some (0, c0] is negligible,
+so each answer depends on x near 0 only, never on the head a
+representative stores on (c0, 1].  The decisions therefore run on
+`PwFunction.germ`, the head-free representative on anchor 1: two germs
+unify by coarsening the ratio alone, and a witness search does tail
+arithmetic only.  An ideal keeps the germ of sos and the structures read
+off it, each computed once, on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import cached_property
 
 from .errors import (ImproperIdeal, RepresentabilityError,
                      SearchBoundExceeded)
-from .genconst import GenConstant, _bisect, _rep, urysohn
+from .genconst import (GenConstant, _bisect, _circle_gap, _grow_circle,
+                       _orbit_with_full_head, _rep, urysohn)
 from .grid import unify
 from .ivset import Iv, IvSet
 from .polytools import pt_cmp
 from .pwfunc import PwFunction
 from .scaleset import AsymptoticSet, circle_closure
-from .signs import (NONNEG, POS, ZERO, _pt_in_ivset, eventual_sign_on,
-                    flat_common_zero, isolated_common_zeros)
-from .signs import restr_invertible_bool as _inv_bool
+from .signs import (NONNEG, POS, ZERO, _pt_in_ivset, bad_structure,
+                    eventual_sign_on, flat_common_zero,
+                    isolated_common_zeros, obstruction_meets)
 
 
 class FgIdeal:
     """A finitely generated ideal, represented by its generators and the
-    cached combined generator sum(g^2)."""
-
-    __slots__ = ("gens", "sos")
+    combined generator sos = sum(g^2).  The germ of sos, properness and the
+    obstruction and zero structures of sos are computed on first use and
+    kept: building an ideal costs the products alone."""
 
     def __init__(self, gens):
         gens = [g if isinstance(g, GenConstant) else GenConstant(g)
@@ -49,10 +61,60 @@ class FgIdeal:
         return AsymptoticSet.full(self.sos.rep.sigma, self.sos.rep.D)
 
     def is_proper(self) -> bool:
-        return not _inv_bool(self.sos.rep, self.full_set())
+        return self._proper
 
     def is_zero(self) -> bool:
         return self.sos.is_negligible()
+
+    @cached_property
+    def sos_germ(self) -> PwFunction:
+        return self.sos.rep.germ()
+
+    @cached_property
+    def _proper(self) -> bool:
+        return not self.sos_invertible_on(self.full_set())
+
+    @cached_property
+    def _obstruction(self):
+        return bad_structure(self.sos_germ)
+
+    @cached_property
+    def _zeros(self):
+        return _zero_structure(self.sos_germ)
+
+    @cached_property
+    def _zero_set(self) -> AsymptoticSet:
+        """The orbit set of the window zeros of sos; the complement-closure
+        of the sublevel sets L_n stabilizes to it."""
+        sos = self.sos_germ
+        flat, pts = self._zeros
+        Z = flat.closure()
+        for p in pts:
+            if not isinstance(p, Q):
+                raise RepresentabilityError(
+                    "generator zeros at algebraic points have no rational "
+                    "orbit set")
+            Z = Z.union(IvSet.point(p))
+        win = IvSet([Iv(sos.sigma, 1, False, True)])
+        return AsymptoticSet(sos.sigma, circle_closure(Z, sos.sigma).
+                             intersect(win), D=sos.D)
+
+    def obstruction_on(self, S: AsymptoticSet):
+        """(sigma, structure, shape): the obstruction structure of sos and
+        the trace of S, rewritten onto their common ratio sigma.  The kept
+        structure serves whenever that ratio is the ratio of sos."""
+        m1, m2 = self.sos_germ.grid.common_ratio(S.grid)
+        if m1 == 1:
+            sos, structure = self.sos_germ, self._obstruction
+        else:
+            sos = self.sos_germ.coarsen(m1)
+            structure = bad_structure(sos)
+        return sos.sigma, structure, S.coarsen(m2).shape
+
+    def sos_invertible_on(self, S: AsymptoticSet) -> bool:
+        """`restr_invertible_bool(sos, S)` for a set S accumulating at 0."""
+        sg, structure, shape = self.obstruction_on(S)
+        return not obstruction_meets(structure, circle_closure(shape, sg))
 
 
 # -- zero structures ------------------------------------------------------
@@ -70,23 +132,35 @@ def _pt_eq(p, q) -> bool:
     return pt_cmp(p, q) == 0
 
 
-def z_subset(a, b) -> bool:
-    """Whether every representable set on which a vanishes also kills b:
-    containment of window zero structures."""
-    ar, br = unify(_rep(a), _rep(b))
-    if br.is_negligible():
-        return True
-    if ar.is_negligible():
+def _zeros_within(za, b: PwFunction) -> bool:
+    """Whether the zero structure za (None for a negligible element) lies
+    inside the zero structure of the non-negligible b, on one window."""
+    if za is None:
         return False
-    fa, pa = _zero_structure(ar)
-    fb, pb = _zero_structure(br)
+    fa, pa = za
+    fb, pb = _zero_structure(b)
     if not fa.subset_of(fb):
         return False
-    for p in pa:
-        if not _pt_in_ivset(p, fb) and \
-                not any(_pt_eq(p, q) for q in pb):
-            return False
-    return True
+    return all(_pt_in_ivset(p, fb) or any(_pt_eq(p, q) for q in pb)
+               for p in pa)
+
+
+def z_subset(a, b) -> bool:
+    """Whether every representable set on which a vanishes also kills b:
+    containment of window zero structures of the germs."""
+    ar, br = unify(_rep(a).germ(), _rep(b).germ())
+    return br.is_negligible() or _zeros_within(_zero_structure(ar), br)
+
+
+def _ideal_z_subset(I: FgIdeal, xg: PwFunction) -> bool:
+    """z_subset(I.sos, x) for the germ xg of x, on the kept zero structure
+    of sos when the common ratio is the ratio of sos."""
+    m1, m2 = I.sos_germ.grid.common_ratio(xg.grid)
+    xg = xg.coarsen(m2)
+    if xg.is_negligible():
+        return True
+    za = I._zeros if m1 == 1 else _zero_structure(I.sos_germ.coarsen(m1))
+    return _zeros_within(za, xg)
 
 
 # -- membership -----------------------------------------------------------
@@ -107,19 +181,20 @@ def _valuation_floor(x: PwFunction, sos: PwFunction) -> int:
     return max(0, -(-need // x.D))
 
 
-def _domination_exponent(xr: PwFunction, I: FgIdeal):
-    """The least N of ideal_member, or None; x must not be negligible and
-    must pass the zero-structure test."""
-    sos = I.sos.rep
+def _domination_exponent(xg: PwFunction, I: FgIdeal):
+    """The least N of ideal_member, or None, for the germ xg of an element
+    that is not negligible and passes the zero-structure test.  sos and
+    x^2 share one grid up front, so building each z_N is tail arithmetic
+    on it."""
+    sos, x2 = unify(I.sos_germ, xg.mul(xg))
     full = I.full_set()
-    xr2 = xr.mul(xr)
 
     def holds(N):
-        z = sos.mul(sos.eps_power(-N)).sub(xr2)
+        z = sos.mul(sos.eps_power(-N)).sub(x2)
         return z if eventual_sign_on(z, full) in (POS, NONNEG, ZERO) \
             else None
 
-    lo, hi = _valuation_floor(xr, sos), _slope_bound(xr, sos)
+    lo, hi = _valuation_floor(xg, sos), _slope_bound(xg, sos)
     if holds(lo) is not None:
         return lo
     if holds(hi) is None:
@@ -144,9 +219,10 @@ def ideal_member(x, I: FgIdeal):
     xr = _rep(x)
     if xr.is_negligible():
         return (True, 0)
-    if not z_subset(I.sos, x):
+    xg = xr.germ()
+    if not _ideal_z_subset(I, xg):
         return (False, None)
-    N = _domination_exponent(xr, I)
+    N = _domination_exponent(xg, I)
     return (False, None) if N is None else (True, N)
 
 
@@ -156,48 +232,31 @@ def f_of_I_member(S: AsymptoticSet, I: FgIdeal) -> bool:
     coS = S.complement().closure()
     if not coS.is_characteristic():
         return True
-    return _inv_bool(I.sos.rep, coS)
+    return I.sos_invertible_on(coS)
 
 
 def radical_member(x, I: FgIdeal, mmax: int = 16):
     """(true, m, N) when x^m lands in I, else (false, None, None); the
     zero-structure test makes the negative answer exact."""
-    if not z_subset(I.sos, x):
+    xg = _rep(x).germ()
+    if not _ideal_z_subset(I, xg):
         return (False, None, None)
-    xe = x if isinstance(x, GenConstant) else GenConstant(_rep(x))
-    if xe.is_negligible():
+    if xg.is_negligible():
         return (True, 1, 0)
     # every power of x has the zero structure of x, so the test above
     # covers them all
-    p = xe
+    p = xg
     for m in range(1, mmax + 1):
-        N = _domination_exponent(p.rep, I)
+        N = _domination_exponent(p, I)
         if N is not None:
             return (True, m, N)
-        p = p * xe
+        p = p.mul(xg)
     raise SearchBoundExceeded(
         f"no power up to {mmax} entered the ideal although the zero "
         "structures are compatible")
 
 
 # -- pure part ------------------------------------------------------------
-
-
-def _sos_zero_set(I: FgIdeal) -> AsymptoticSet:
-    """The orbit set of the combined generator's window zeros; the
-    complement-closure of the sublevel sets L_n stabilizes to it."""
-    sos = I.sos.rep
-    flat, pts = _zero_structure(sos)
-    Z = flat.closure()
-    for p in pts:
-        if not isinstance(p, Q):
-            raise RepresentabilityError(
-                "generator zeros at algebraic points have no rational "
-                "orbit set")
-        Z = Z.union(IvSet.point(p))
-    win = IvSet([Iv(sos.sigma, 1, False, True)])
-    return AsymptoticSet(sos.sigma, circle_closure(Z, sos.sigma).
-                         intersect(win), D=sos.D)
 
 
 def pure_part_member(x, I: FgIdeal):
@@ -212,18 +271,21 @@ def pure_part_member(x, I: FgIdeal):
         return (True, GenConstant.zero(xr.sigma, xr.D))
     if I.is_zero():
         return (False, None)
-    xu, _ = unify(xr, I.sos.rep)
-    Zset = _sos_zero_set(I)
+    xu, _ = unify(xr.germ(), I.sos_germ)
+    Zset = I._zero_set
     sg = xu.sigma
     win = IvSet([Iv(sg, 1, False, True)])
     Xflat = AsymptoticSet(sg, flat_common_zero(xu).intersect(win), D=xu.D)
     if not Zset.subset_of(Xflat.interior()):
         return (False, None)
-    y = _purity_witness(xr, I, Zset)
-    return (True, y)
+    return (True, _purity_witness(xr, I, Zset))
 
 
 def _purity_witness(xr: PwFunction, I: FgIdeal, Zset: AsymptoticSet):
+    """y = 1 - urysohn(S, T) for the closed support S of x and T halfway
+    from S to the zero set of sos.  None when no representable T exists
+    or when ideal_member denies y in I.  x*y = x is exact arithmetic, so
+    a y that fails it is an engine fault and raises."""
     sg = xr.sigma
     win = IvSet([Iv(sg, 1, False, True)])
     supp = IvSet.empty()
@@ -232,8 +294,6 @@ def _purity_witness(xr: PwFunction, I: FgIdeal, Zset: AsymptoticSet):
             supp = supp.union(c.g.flat_zero().complement(
                 Iv(sg, 1, True, True)).closure())
     S = AsymptoticSet(sg, circle_closure(supp, sg).intersect(win), D=xr.D)
-    from .genconst import (_circle_gap, _grow_circle, _orbit_with_full_head,
-                           _wrap_to_window)
     try:
         Zc = circle_closure(Zset.shape, sg)
         if Zc.is_empty():
@@ -245,17 +305,20 @@ def _purity_witness(xr: PwFunction, I: FgIdeal, Zset: AsymptoticSet):
         y = GenConstant.const(1, sg, xr.D) - urysohn(S, T)
     except RepresentabilityError:
         return None
-    if not (GenConstant(xr) * y == GenConstant(xr)):
-        return None
-    if not ideal_member(y, I)[0]:
-        return None
-    return y
+    xg = xr.germ()
+    if not xg.mul(y.rep.germ()).equiv(xg):
+        raise AssertionError("purity witness fails x*y = x")
+    # ideal_member can deny a y that lies in I, where the sign engine
+    # reports MIXED at a perfect-square Newton edge of z_N (ROADMAP item
+    # 3).  Such a y is no witness that ideal_member accepts, so none is
+    # returned.
+    return y if ideal_member(y, I)[0] else None
 
 
 def zclosure_member(x, I: FgIdeal) -> bool:
     """Smallest z-ideal over I: membership is zero-structure domination by
     the combined generator."""
-    return z_subset(I.sos, x)
+    return _ideal_z_subset(I, _rep(x).germ())
 
 
 def closure_member(x, I: FgIdeal) -> bool:

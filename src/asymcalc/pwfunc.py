@@ -200,6 +200,28 @@ class PwFunction:
     def lower_anchor_to(self, new_c0) -> "PwFunction":
         return self.lower_anchor(self.grid.steps_to(new_c0))
 
+    def germ(self) -> "PwFunction":
+        """The same function near 0, stored on anchor 1 with no head.
+
+        Block k below the anchor c0 = sigma^j is block k + j below 1, so
+        the tail component (s, r, g) becomes (s - r*j, r, sigma^e * g) with
+        e = r*j*(j+1)/2 - s*j; the result equals x on (0, c0] and is the
+        inverse of `lower_anchor(j)` on the tail.  An element of the
+        quotient ring is a class modulo negligible functions, and a
+        function vanishing on some (0, c0] is negligible, so the germ is
+        the same ring element; and two germs `unify` by coarsening the
+        ratio alone, never unrolling blocks into a head."""
+        j = self.grid.j
+        if j == 0:
+            return self
+        sg = self.sigma
+        comps = []
+        for c in self.comps:
+            e = c.r * (j * (j + 1) // 2) - c.s * j
+            comps.append(TailComponent(c.s - c.r * j, c.r,
+                                       c.g.scale(sg ** e) if e else c.g))
+        return PwFunction.on(Grid(sg, 0, self.D), comps, check=False)
+
     def coarsen(self, m: int) -> "PwFunction":
         """Rewrite on the coarser ratio sigma^m."""
         if m == 1:

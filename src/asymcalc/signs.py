@@ -20,7 +20,7 @@ from functools import cmp_to_key
 
 from .errors import NotCharacteristic
 from .ivset import Iv, IvSet
-from .polytools import RootPt, pt_approx, pt_cmp
+from .polytools import RootPt, pt_cmp
 from .pwfunc import PwFunction
 from .scaleset import AsymptoticSet, circle_closure
 
@@ -352,14 +352,17 @@ def restr_invertible_bool(x: PwFunction, S: AsymptoticSet) -> bool:
     if not S.is_characteristic():
         raise NotCharacteristic("restriction needs a set accumulating at 0")
     x, shape = common_window(x, S)
-    C = circle_closure(shape, x.sigma)
-    flat, badpts = bad_structure(x)
+    return not obstruction_meets(bad_structure(x),
+                                 circle_closure(shape, x.sigma))
+
+
+def obstruction_meets(structure, C: IvSet) -> bool:
+    """Whether an obstruction structure (flat, badpts) from `bad_structure`
+    obstructs invertibility on the trace C, on the same window."""
+    flat, badpts = structure
     if flat and flat.intersect(C):
-        return False
-    for b in badpts:
-        if _bad_hits(b, C):
-            return False
-    return True
+        return True
+    return any(_bad_hits(b, C) for b in badpts)
 
 
 def _bad_hits(b: BadPt, C: IvSet) -> bool:

@@ -1,18 +1,25 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 import asymcalc.ideal as ideal_mod
+import asymcalc.signs as signs_mod
+from asymcalc.afilter import Closure, OfIdeal, filter_member
 from asymcalc.errors import ImproperIdeal, SearchBoundExceeded
-from asymcalc.genconst import GenConstant
+from asymcalc.genconst import GenConstant, _bisect, _rep, urysohn
+from asymcalc.grid import unify
 from asymcalc.ideal import (FgIdeal, _slope_bound, annihilator_member,
                             closure_member, f_of_I_member, hb_construct,
                             ideal_member, pure_part_member, radical_member,
                             z_subset, zclosure_member, zpart_member)
 from asymcalc.ivset import Iv, IvSet
+from asymcalc.polytools import pt_cmp
 from asymcalc.pwfunc import PwFunction, TailComponent
-from asymcalc.scaleset import AsymptoticSet
-from asymcalc.signs import NONNEG, POS, ZERO, eventual_sign_on
+from asymcalc.scaleset import AsymptoticSet, circle_closure, distance_profile
+from asymcalc.signs import (NONNEG, POS, ZERO, _bad_hits, _pt_in_ivset,
+                            bad_structure, common_window, eventual_sign_on,
+                            flat_common_zero, restr_invertible_bool)
 from asymcalc.verify import corpus_generate
 from asymcalc.window import Piecewise
 
@@ -250,3 +257,254 @@ def test_nonmember_costs_two_sign_decisions(hat, monkeypatch):
     assert ideal_member(hat, I) == (False, None)
     # the valuation floor, then the slope bound; the scan made five
     assert len(calls) == 2
+
+
+# -- the germ path against the parent's full-representative path ---------
+
+
+def _ref_z_subset(a, b):
+    """Reference: zero structures of the full representatives, unified
+    with their heads."""
+    ar, br = unify(_rep(a), _rep(b))
+    if br.is_negligible():
+        return True
+    if ar.is_negligible():
+        return False
+    fa, pa = ideal_mod._zero_structure(ar)
+    fb, pb = ideal_mod._zero_structure(br)
+    if not fa.subset_of(fb):
+        return False
+    return all(_pt_in_ivset(p, fb) or any(pt_cmp(p, q) == 0 for q in pb)
+               for p in pa)
+
+
+def _ref_domination_exponent(xr, I):
+    """Reference: every z_N built from the full representatives of sos and
+    x^2, each step re-unifying anchors and heads."""
+    sos = I.sos.rep
+    full = I.full_set()
+    xr2 = xr.mul(xr)
+
+    def holds(N):
+        z = sos.mul(sos.eps_power(-N)).sub(xr2)
+        return z if eventual_sign_on(z, full) in (POS, NONNEG, ZERO) \
+            else None
+
+    lo = ideal_mod._valuation_floor(xr, sos)
+    hi = _slope_bound(xr, sos)
+    if holds(lo) is not None:
+        return lo
+    if holds(hi) is None:
+        return None
+    return _bisect(holds, lo, hi)[0]
+
+
+def _ref_member(x, I):
+    xr = _rep(x)
+    if xr.is_negligible():
+        return (True, 0)
+    if not _ref_z_subset(I.sos, xr):
+        return (False, None)
+    N = _ref_domination_exponent(xr, I)
+    return (False, None) if N is None else (True, N)
+
+
+def _ref_radical(x, I, mmax):
+    if not _ref_z_subset(I.sos, x):
+        return (False, None, None)
+    xr = _rep(x)
+    if xr.is_negligible():
+        return (True, 1, 0)
+    p = xr
+    for m in range(1, mmax + 1):
+        N = _ref_domination_exponent(p, I)
+        if N is not None:
+            return (True, m, N)
+        p = p.mul(xr)
+    raise SearchBoundExceeded("no power entered the ideal")
+
+
+def _ref_pure(x, I):
+    """Reference verdict of pure_part_member: the window test on the full
+    representatives, unified with the head of sos."""
+    if restr_invertible_bool(I.sos.rep, I.full_set()):
+        raise ImproperIdeal("improper")
+    xr = _rep(x)
+    if xr.is_negligible():
+        return True
+    if I.is_zero():
+        return False
+    xu, sos = unify(xr, I.sos.rep)
+    flat, pts = ideal_mod._zero_structure(I.sos.rep)
+    Z = flat.closure()
+    for p in pts:
+        Z = Z.union(IvSet.point(p))
+    sg = I.sos.rep.sigma
+    Zset = AsymptoticSet(sg, circle_closure(Z, sg).intersect(
+        IvSet([Iv(sg, 1, False, True)])), D=sos.D)
+    win = IvSet([Iv(xu.sigma, 1, False, True)])
+    Xflat = AsymptoticSet(xu.sigma, flat_common_zero(xu).intersect(win),
+                          D=xu.D)
+    return Zset.subset_of(Xflat.interior())
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ImproperIdeal, SearchBoundExceeded) as e:
+        return type(e).__name__
+
+
+_QUARTER = Q(1, 4)
+
+
+def _quarter_element():
+    """An element on the ratio 1/4 that vanishes on the window zeros of
+    the fixture hat but not on their copies one half-block down, so that
+    its zero structure must be compared on the common ratio 1/4."""
+    prof = Piecewise.linear_interp(
+        [(_QUARTER, 0), (Q(3, 8), 1), (Q(1, 2), 0), (Q(5, 8), 0),
+         (Q(3, 4), 1), (Q(7, 8), 0), (Q(1), 0)])
+    return PwFunction(_QUARTER, [TailComponent(0, 0, prof)])
+
+
+def _quarter_sets():
+    """Closed sets on the ratio 1/4 whose complements sit in the lower or
+    the upper half of the window (1/4, 1]."""
+    out = []
+    for a, b in ((Q(9, 32), Q(5, 16)), (Q(11, 16), Q(13, 16))):
+        out.append(AsymptoticSet.orbit_interval(_QUARTER, a, _QUARTER,
+                                                lc=False).union(
+            AsymptoticSet.orbit_interval(b, 1, _QUARTER)).closure())
+    return out
+
+
+def _below_anchor_cases(hat, hat2, osc, negl, rho):
+    """Elements and ideals whose representatives sit on anchors below 1:
+    lowered fixtures and corpus elements, distance profiles and urysohn
+    witnesses, so that every question runs on a germ that differs from
+    the stored representative."""
+    elems, ideals = _fixture_cases(hat, hat2, osc, negl, rho)
+    c = corpus_generate(11, 6)
+    A = AsymptoticSet.orbit_interval(Q(5, 8), Q(7, 8))
+    S = AsymptoticSet.orbit_interval(Q(41, 64), Q(25, 32)).closure()
+    T = AsymptoticSet.orbit_interval(Q(39, 64), Q(51, 64)).closure()
+    xs = [x.lower_anchor(t) for t, x in enumerate(elems[:8], 1)]
+    xs += [x.lower_anchor(2) for x in c.elements[:3]]
+    xs += [distance_profile(A), urysohn(S, T).rep,
+           hat.add(distance_profile(A).scale(Q(1, 3))),
+           _quarter_element().lower_anchor(1)]
+    Is = [ideals[0], ideals[3],
+          FgIdeal([hat.lower_anchor(3)]),
+          FgIdeal([hat2.lower_anchor(1), hat.mul(rho).lower_anchor(2)]),
+          FgIdeal([distance_profile(A)]),
+          FgIdeal([g.rep.lower_anchor(1) for g in c.ideals[0].gens])]
+    return xs + elems[:4], Is
+
+
+def test_germ_path_matches_full_representatives(hat, hat2, osc, negl, rho):
+    xs, Is = _below_anchor_cases(hat, hat2, osc, negl, rho)
+    assert all(x.c0 < 1 for x in xs[:-4])
+    members = 0
+    for i, I in enumerate(Is):
+        for j, x in enumerate(xs):
+            label = (i, j)
+            assert z_subset(I.sos, x) == _ref_z_subset(I.sos, x), label
+            assert z_subset(x, I.sos) == _ref_z_subset(x, I.sos), label
+            assert zclosure_member(x, I) == _ref_z_subset(I.sos, x), label
+            got = ideal_member(x, I)
+            assert got == _ref_member(x, I), label
+            members += got[0]
+            assert _outcome(radical_member, x, I, 2) == \
+                _outcome(_ref_radical, x, I, 2), label
+            want = _outcome(_ref_pure, x, I)
+            pure = _outcome(pure_part_member, x, I)
+            assert (pure if isinstance(pure, str) else pure[0]) == want, \
+                label
+    assert members >= 5
+
+
+def test_f_of_I_matches_full_representatives(hat, hat2, osc, negl, rho,
+                                             A, B, P, full):
+    _, Is = _below_anchor_cases(hat, hat2, osc, negl, rho)
+    sets = [A.closure(), B.closure(), P, full,
+            A.lower_anchor(2).closure(), B.union(P).closure()]
+    sets += _quarter_sets()
+    for I in Is:
+        for S in sets:
+            coS = S.complement().closure()
+            want = True if not coS.is_characteristic() else \
+                restr_invertible_bool(I.sos.rep, coS)
+            assert f_of_I_member(S, I) == want
+            assert filter_member(Closure(OfIdeal(I)), S) == \
+                _ref_closure_of_ideal(S, I)
+        assert I.is_proper() == \
+            (not restr_invertible_bool(I.sos.rep, I.full_set()))
+
+
+def _ref_closure_of_ideal(S, I):
+    """Reference: the obstruction structure of the full representative of
+    sos, recomputed for each set."""
+    O = S.complement().interior()
+    if not O.is_characteristic():
+        return True
+    sos, shape = common_window(I.sos.rep, O)
+    flat, badpts = bad_structure(sos)
+    if flat and flat.intersect(shape):
+        return False
+    return not any(_bad_hits(b, shape) for b in badpts)
+
+
+def test_ratio_quarter_inputs_distinguish_windows(hat):
+    # the kept structures of an ideal on the ratio 1/2 would give the
+    # wrong answer on these inputs if read on the ratio 1/4 window
+    I = FgIdeal([hat])
+    x = _quarter_element()
+    assert not z_subset(I.sos, x) and not zclosure_member(x, I)
+    assert zclosure_member(x.mul(hat), I)
+    low, high = _quarter_sets()
+    assert not f_of_I_member(low, I)
+    assert f_of_I_member(high, I)
+
+
+def test_purity_witnesses_below_anchor(hat):
+    # witnesses for elements stored on anchors below 1 hold exactly
+    I = FgIdeal([hat.lower_anchor(2)])
+    for x in (_tent(Q(21, 32), Q(11, 16), Q(23, 32)).lower_anchor(3),
+              _tent(Q(43, 64), Q(11, 16), Q(45, 64))):
+        ok, y = pure_part_member(x, I)
+        assert ok and y is not None
+        assert (GenConstant(x) * y).rep.equiv(x)
+        assert _ref_member(y, I)[0]
+
+
+# -- each ideal computes its structures once, on first use ---------------
+
+
+def test_structures_computed_once_and_lazily(hat, monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return bad_structure(x)
+
+    monkeypatch.setattr(ideal_mod, "bad_structure", counted)
+    monkeypatch.setattr(signs_mod, "bad_structure", counted)
+    I = FgIdeal([hat, hat.mul(PwFunction.upower(1))])
+    assert calls == []
+    assert I.is_proper()
+    rng = random.Random(5)
+    for _ in range(20):
+        a, b = sorted(rng.sample(range(33, 64), 2))
+        S = AsymptoticSet.orbit_interval(Q(a, 64), Q(b, 64)).closure()
+        f_of_I_member(S, I)
+    # recomputing the structure on every call would make 21
+    assert len(calls) == 1
+
+
+def test_purity_witness_failing_x_equals_xy_raises(hat, monkeypatch):
+    inside = _tent(Q(21, 32), Q(11, 16), Q(23, 32))
+    monkeypatch.setattr(ideal_mod, "urysohn",
+                        lambda S, T: GenConstant.const(Q(1, 2)))
+    with pytest.raises(AssertionError, match="x\\*y = x"):
+        pure_part_member(inside, FgIdeal([hat]))

@@ -153,3 +153,20 @@ def test_block_of_brackets_u(sg, t, k, f, r):
         if f is not None:
             assert kb == k
     assert x.block_of(u) == kb
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements, st.integers(0, 4), st.integers(0, 5), _fractions_in_0_1)
+def test_germ_inverts_lower_anchor(x, t, k, f):
+    y = x.lower_anchor(t)
+    g = y.germ()
+    assert g.c0 == 1 and g.head is None
+    u = y.c0 * x.sigma ** k * f
+    assert g.eval(u) == y.eval(u)
+    assert g.lower_anchor(t).comps == y.comps
+    assert g.comps == x.comps
+    assert g.germ().comps == g.comps and g.germ().grid == g.grid
+    assert g.valuation() == y.valuation()
+    assert g.is_negligible() == y.is_negligible()
+    if t == 0:
+        assert g is y

@@ -22,12 +22,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
-from .errors import (AsymcalcError, ParseError, PreconditionViolated,
-                     TypeMismatch, UndefinedName)
+from .errors import (ParseError, PreconditionViolated, TypeMismatch,
+                     UndefinedName)
 from .pwfunc import PwFunction, TailComponent
 from .scaleset import AsymptoticSet, insert_between
 from .window import Piecewise, Seg
-from .polytools import ONE, ZERO, padd, pmul, pneg, poly, ppow
+from .polytools import ONE, padd, pmul, pneg, poly, ppow
 
 __all__ = ["Session", "parse", "execute", "run_text", "print_object",
            "print_session"]
@@ -653,33 +653,37 @@ def execute(session: Session, statements):
     b = _Builder(session)
     out = []
     for st in statements:
-        if st.kind == "set":
-            session.define("set", st.name, b.build_set(st.expr))
-            out.append({"stmt": "set", "name": st.name})
-        elif st.kind == "elem":
-            session.define("elem", st.name, b.build_elem(st.expr))
-            out.append({"stmt": "elem", "name": st.name})
-        elif st.kind == "ideal":
-            session.define("ideal", st.name, b.build_ideal(st.expr))
-            out.append({"stmt": "ideal", "name": st.name})
-        elif st.kind == "filter":
-            session.define("filter", st.name, b.build_filter(st.expr))
-            out.append({"stmt": "filter", "name": st.name})
-        elif st.kind == "eval":
-            x = session.lookup(st.name, "elem")
-            val = x.eval(st.expr)
-            out.append({"stmt": "eval", "name": st.name,
-                        "at": _fmt_q(st.expr), "value": _fmt_q(val)})
-        elif st.kind == "query":
-            res = _run_query(b, st.expr)
-            out.append({"stmt": "query", "head": st.expr[1], "result": res})
-        elif st.kind == "check":
-            names, opts = st.expr
-            out.append({"stmt": "check", "reports": _run_check(b, names,
-                                                               opts)})
-        else:
-            raise ParseError(f"unknown statement kind {st.kind!r}",
-                             st.line, st.col)
+        try:
+            if st.kind == "set":
+                session.define("set", st.name, b.build_set(st.expr))
+                out.append({"stmt": "set", "name": st.name})
+            elif st.kind == "elem":
+                session.define("elem", st.name, b.build_elem(st.expr))
+                out.append({"stmt": "elem", "name": st.name})
+            elif st.kind == "ideal":
+                session.define("ideal", st.name, b.build_ideal(st.expr))
+                out.append({"stmt": "ideal", "name": st.name})
+            elif st.kind == "filter":
+                session.define("filter", st.name, b.build_filter(st.expr))
+                out.append({"stmt": "filter", "name": st.name})
+            elif st.kind == "eval":
+                x = session.lookup(st.name, "elem")
+                val = x.eval(st.expr)
+                out.append({"stmt": "eval", "name": st.name,
+                            "at": _fmt_q(st.expr), "value": _fmt_q(val)})
+            elif st.kind == "query":
+                res = _run_query(b, st.expr)
+                out.append({"stmt": "query", "head": st.expr[1],
+                            "result": res})
+            elif st.kind == "check":
+                names, opts = st.expr
+                out.append({"stmt": "check",
+                            "reports": _run_check(b, names, opts)})
+            else:
+                raise ParseError(f"unknown statement kind {st.kind!r}",
+                                 st.line, st.col)
+        except ValueError as e:
+            raise ParseError(str(e), st.line, st.col) from None
     return out
 
 

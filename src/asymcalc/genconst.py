@@ -202,10 +202,6 @@ def _bisect(holds, lo: int, hi: int):
 # component at all.
 
 
-def _exponent(c: TailComponent, k: int) -> int:
-    return c.s * k + c.r * k * (k - 1) // 2
-
-
 def _gap_start(c0: TailComponent, c: TailComponent) -> int:
     """First k from which exponent(c) - exponent(c0) is nondecreasing."""
     if c.r == c0.r:
@@ -218,7 +214,7 @@ def _dominance_start(sigma: Q, j0, m: Q, others) -> int:
     components' bounds, stable under increasing k."""
     k = max([0] + [_gap_start(j0, c) for c, _ in others])
     while True:
-        tail = sum(M * sigma ** (_exponent(c, k) - _exponent(j0, k))
+        tail = sum(M * sigma ** (c.exponent(k) - j0.exponent(k))
                    for c, M in others)
         if tail < m:
             return k
@@ -461,7 +457,8 @@ def _divide_profile(psi: PwFunction, x: PwFunction, comp: TailComponent):
         # only the tail carries the inversion contract; any continuous
         # head matching the seam works
         head = Piecewise.const(a.c0, Q(1), gy.eval(Q(1)))
-    y = PwFunction.on(a.grid, (TailComponent(-comp.s, 0, gy),), head)
+    y = PwFunction(a.sigma, (TailComponent(-comp.s, 0, gy),), head, a.c0,
+                   a.D)
     return GenConstant(y)
 
 
@@ -486,10 +483,8 @@ def _pl_quotient(num: Piecewise, den: Piecewise) -> Piecewise:
             continue
         ds = den.restrict(a, b)
         for sn, sd in zip(ns.segs, _resplit(ds, ns).segs):
-            parts.append(Piecewise((Seg(sn.lo, sn.hi,
-                                        pmul(sn.num, sd.den),
-                                        pmul(sn.den, sd.num)),),
-                                   check_continuity=False))
+            parts.append(Piecewise([Seg(sn.lo, sn.hi, pmul(sn.num, sd.den),
+                                        pmul(sn.den, sd.num))]))
     return Piecewise.concat(parts)
 
 

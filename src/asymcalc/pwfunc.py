@@ -20,7 +20,7 @@ from fractions import Fraction as Q
 from .errors import (ContinuityViolation, IncommensurableRatio, NotModerate,
                      ParseError)
 from .grid import Grid, unify
-from .polytools import ppow, poly
+from .polytools import poly
 from .window import Piecewise, Seg
 
 
@@ -48,21 +48,18 @@ class PwFunction:
     __slots__ = ("grid", "comps", "head")
 
     def __init__(self, sigma, comps, head=None, c0=Q(1), D=1):
-        self._build(Grid.of(sigma, c0, D), comps, head, True)
-
-    @classmethod
-    def on(cls, grid: Grid, comps, head=None, check=True) -> "PwFunction":
-        """The trusted constructor on a grid that is already known."""
-        x = object.__new__(cls)
-        x._build(grid, comps, head, check)
-        return x
-
-    def _build(self, grid, comps, head, check):
-        self.grid = grid
+        self.grid = Grid.of(sigma, c0, D)
         self.comps = _canonical_comps(comps)
         self.head = head
-        if check:
-            self._validate()
+        self._validate()
+
+    @classmethod
+    def on(cls, grid: Grid, comps, head=None) -> "PwFunction":
+        """Trusted: profiles on [sigma, 1] matching at the seam, head iff
+        c0 < 1, on [c0, 1] and continuous with the tail."""
+        x = object.__new__(cls)
+        x.grid, x.comps, x.head = grid, _canonical_comps(comps), head
+        return x
 
     sigma = property(lambda self: self.grid.sigma)
     c0 = property(lambda self: self.grid.c0)
@@ -174,7 +171,7 @@ class PwFunction:
 
     def lower_anchor(self, t: int) -> "PwFunction":
         """Unroll the first t tail blocks into the head, moving the anchor
-        down to sigma^t * c0."""
+        down to sigma^t * c0.  Trusted: `concat` checks the unrolled joins."""
         if t == 0:
             return self
         sg = self.sigma
@@ -210,7 +207,7 @@ class PwFunction:
         quotient ring is a class modulo negligible functions, and a
         function vanishing on some (0, c0] is negligible, so the germ is
         the same ring element; and two germs `unify` by coarsening the
-        ratio alone, never unrolling blocks into a head."""
+        ratio alone.  Trusted: scaling keeps the seam rule."""
         j = self.grid.j
         if j == 0:
             return self
@@ -220,10 +217,10 @@ class PwFunction:
             e = c.r * (j * (j + 1) // 2) - c.s * j
             comps.append(TailComponent(c.s - c.r * j, c.r,
                                        c.g.scale(sg ** e) if e else c.g))
-        return PwFunction.on(Grid(sg, 0, self.D), comps, check=False)
+        return PwFunction.on(Grid(sg, 0, self.D), comps)
 
     def coarsen(self, m: int) -> "PwFunction":
-        """Rewrite on the coarser ratio sigma^m."""
+        """Rewrite on the ratio sigma^m; trusted, `concat` checks the joins."""
         if m == 1:
             return self
         t, grid = self.grid.coarsen(m)
@@ -237,10 +234,8 @@ class PwFunction:
                     "deep component weight is not expressible on the "
                     f"coarser grid (r={c.r}, m={m})")
             if c.r == 0:
-                parts = []
-                for i in range(m - 1, -1, -1):
-                    scaled = c.g.affine_image(sg ** (-i), 0).scale(sg ** (c.s * i))
-                    parts.append(scaled)
+                parts = [c.g.affine_image(sg ** -i, 0).scale(sg ** (c.s * i))
+                         for i in range(m - 1, -1, -1)]
                 new_comps.append(TailComponent(c.s, 0, Piecewise.concat(parts)))
             else:
                 half = (c.r * (m - 1)) // 2
@@ -268,40 +263,30 @@ class PwFunction:
         return PwFunction.on(a.grid, comp_fn(a, b), head)
 
     def add(self, other) -> "PwFunction":
-        def comps(a, b):
-            acc = {}
-            for c in list(a.comps) + list(b.comps):
-                key = (c.s, c.r)
-                acc[key] = acc[key].add(c.g) if key in acc else c.g
-            return [TailComponent(s, r, g) for (s, r), g in acc.items()]
-        return self._binary(other, comps, lambda h, k: h.add(k))
+        """Trusted: sums of matching profiles and of heads match."""
+        return self._binary(other, lambda a, b: a.comps + b.comps,
+                            lambda h, k: h.add(k))
 
     def sub(self, other) -> "PwFunction":
         return self.add(other.neg())
 
     def neg(self) -> "PwFunction":
-        head = self.head.neg() if self.head is not None else None
-        return PwFunction.on(self.grid,
-                             [TailComponent(c.s, c.r, c.g.neg())
-                              for c in self.comps], head, check=False)
+        """Trusted: negation keeps every seam and head condition."""
+        return self.scale(-1)
 
     def scale(self, q) -> "PwFunction":
+        """Trusted: a constant factor keeps every seam and head condition."""
         q = Q(q)
         head = self.head.scale(q) if self.head is not None else None
         return PwFunction.on(self.grid,
                              [TailComponent(c.s, c.r, c.g.scale(q))
-                              for c in self.comps], head, check=False)
+                              for c in self.comps], head)
 
     def mul(self, other) -> "PwFunction":
-        def comps(a, b):
-            acc = {}
-            for ca in a.comps:
-                for cb in b.comps:
-                    key = (ca.s + cb.s, ca.r + cb.r)
-                    g = ca.g.mul(cb.g)
-                    acc[key] = acc[key].add(g) if key in acc else g
-            return [TailComponent(s, r, g) for (s, r), g in acc.items()]
-        return self._binary(other, comps, lambda h, k: h.mul(k))
+        """Trusted: the seam and head conditions multiply."""
+        return self._binary(other, lambda a, b: [
+            TailComponent(ca.s + cb.s, ca.r + cb.r, ca.g.mul(cb.g))
+            for ca in a.comps for cb in b.comps], lambda h, k: h.mul(k))
 
     def pow(self, n: int) -> "PwFunction":
         """x^n by square-and-multiply."""
@@ -353,9 +338,9 @@ class PwFunction:
                                    _pw_from_list(c["g"]))
                      for c in d["comps"]]
             head = _pw_from_list(d["head"]) if d.get("head") else None
+            return PwFunction(grid.sigma, comps, head, grid.c0, grid.D)
         except (KeyError, ValueError, TypeError) as e:
             raise ParseError(f"malformed element record: {e}") from None
-        return PwFunction.on(grid, comps, head)
 
 
 def _monomial(p: int):

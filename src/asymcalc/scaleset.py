@@ -24,7 +24,7 @@ from .ivset import Iv, IvSet
 def circle_closure(shape: IvSet, sigma: Q) -> IvSet:
     """Closure of a shape inside the window circle (sigma, 1]."""
     out = list(shape.closure().ivs)
-    res = IvSet(out).intersect(IvSet([Iv(sigma, 1, False, True)]))
+    res = IvSet(out).intersect(_upto1(sigma))
     if shape.limit_from_right(sigma):
         res = res.union(IvSet.point(1))
     return res
@@ -43,31 +43,20 @@ class AsymptoticSet:
 
     def __init__(self, sigma, shape: IvSet, head: IvSet | None = None,
                  c0=Q(1), D=1):
-        self._build(Grid.of(sigma, c0, D), shape, head)
+        grid = Grid.of(sigma, c0, D)
+        if shape.intersect(_upto1(grid.sigma)) != shape:
+            raise ValueError("shape must lie inside the window (sigma, 1]")
+        head = head if head is not None else IvSet.empty()
+        if head and (grid.c0 == 1 or head.intersect(_upto1(grid.c0)) != head):
+            raise ValueError("a head must lie inside (anchor, 1], anchor < 1")
+        self.grid, self.shape, self.head = grid, shape, head
 
     @classmethod
-    def on(cls, grid: Grid, shape: IvSet, head: IvSet | None = None):
-        """The trusted constructor on a grid that is already known."""
+    def on(cls, grid: Grid, shape: IvSet, head: IvSet) -> "AsymptoticSet":
+        """Trusted: shape inside (sigma, 1] and head inside (c0, 1]."""
         s = object.__new__(cls)
-        s._build(grid, shape, head)
+        s.grid, s.shape, s.head = grid, shape, head
         return s
-
-    def _build(self, grid, shape, head):
-        self.grid = grid
-        win = IvSet([Iv(self.sigma, 1, False, True)])
-        self.shape = shape.intersect(win)
-        if self.shape != shape:
-            raise ValueError("shape must lie inside the window (sigma, 1]")
-        if self.c0 == 1:
-            if head is not None and head:
-                raise ValueError("a head needs an anchor < 1")
-            self.head = IvSet.empty()
-        else:
-            hd = head if head is not None else IvSet.empty()
-            dome = IvSet([Iv(self.c0, 1, False, True)])
-            self.head = hd.intersect(dome)
-            if self.head != hd:
-                raise ValueError("head must lie inside (anchor, 1]")
 
     sigma = property(lambda self: self.grid.sigma)
     c0 = property(lambda self: self.grid.c0)
@@ -89,7 +78,7 @@ class AsymptoticSet:
 
     @staticmethod
     def full(sigma=Q(1, 2), D=1) -> "AsymptoticSet":
-        return AsymptoticSet(sigma, IvSet([Iv(Q(sigma), 1, False, True)]), D=D)
+        return AsymptoticSet(sigma, _upto1(Q(sigma)), D=D)
 
     @staticmethod
     def empty(sigma=Q(1, 2), D=1) -> "AsymptoticSet":
@@ -98,9 +87,7 @@ class AsymptoticSet:
     @staticmethod
     def initial(c0, sigma=Q(1, 2), D=1) -> "AsymptoticSet":
         """The initial segment (0, c0]."""
-        sg = Q(sigma)
-        return AsymptoticSet(sg, IvSet([Iv(sg, 1, False, True)]),
-                             IvSet.empty(), c0=Q(c0), D=D)
+        return AsymptoticSet(sigma, _upto1(Q(sigma)), c0=Q(c0), D=D)
 
     # -- basic queries --------------------------------------------------
 
@@ -130,6 +117,7 @@ class AsymptoticSet:
     # -- grid rewriting -------------------------------------------------
 
     def lower_anchor(self, t: int) -> "AsymptoticSet":
+        """Trusted: block k < t of the shape lies in (sigma^t c0, 1]."""
         if t == 0:
             return self
         head = self.head
@@ -141,6 +129,7 @@ class AsymptoticSet:
         return self.lower_anchor(self.grid.steps_to(new_c0))
 
     def coarsen(self, m: int) -> "AsymptoticSet":
+        """Trusted: m scaled shape copies fill the window (sigma^m, 1]."""
         if m == 1:
             return self
         t, grid = self.grid.coarsen(m)
@@ -154,18 +143,20 @@ class AsymptoticSet:
     # -- boolean algebra ------------------------------------------------
 
     def union(self, other) -> "AsymptoticSet":
+        """Trusted: unions of subsets of one window stay in it."""
         a, b = unify(self, other)
         return AsymptoticSet.on(a.grid, a.shape.union(b.shape),
                                 a.head.union(b.head))
 
     def intersect(self, other) -> "AsymptoticSet":
+        """Trusted: intersections of subsets of a window stay in it."""
         a, b = unify(self, other)
         return AsymptoticSet.on(a.grid, a.shape.intersect(b.shape),
                                 a.head.intersect(b.head))
 
     def complement(self) -> "AsymptoticSet":
-        win = Iv(self.sigma, 1, False, True)
-        sh = self.shape.complement(win)
+        """Trusted: complements are taken inside the window and the dome."""
+        sh = self.shape.complement(Iv(self.sigma, 1, False, True))
         hd = IvSet.empty()
         if self.c0 < 1:
             hd = self.head.complement(Iv(self.c0, 1, False, True))
@@ -189,10 +180,10 @@ class AsymptoticSet:
     # -- topology -------------------------------------------------------
 
     def closure(self) -> "AsymptoticSet":
+        """Trusted: both closures are cut back to the window and dome."""
         S = self.lower_anchor(1)
         sh = circle_closure(S.shape, S.sigma)
-        dome = Iv(S.c0, 1, False, True)
-        hd = S.head.closure().intersect(IvSet([dome]))
+        hd = S.head.closure().intersect(_upto1(S.c0))
         return AsymptoticSet.on(S.grid, sh, hd)
 
     def interior(self) -> "AsymptoticSet":
@@ -220,11 +211,16 @@ class AsymptoticSet:
     @staticmethod
     def from_dict(d: dict) -> "AsymptoticSet":
         try:
-            return AsymptoticSet.on(
-                Grid.from_dict(d), _ivs_from_list(d["shape"]),
-                _ivs_from_list(d.get("head", [])))
+            g = Grid.from_dict(d)
+            return AsymptoticSet(g.sigma, _ivs_from_list(d["shape"]),
+                                 _ivs_from_list(d.get("head", [])), g.c0, g.D)
         except (KeyError, ValueError, TypeError) as e:
             raise ParseError(f"malformed set record: {e}") from None
+
+
+def _upto1(lo: Q) -> IvSet:
+    """The interval (lo, 1]: the window for lo = sigma, the dome for c0."""
+    return IvSet([Iv(lo, 1, False, True)])
 
 
 def _ivs_to_list(s: IvSet):
@@ -361,7 +357,7 @@ def distance_profile(S: AsymptoticSet):
         else:
             comps = (TailComponent(1, 0, dw.scale(grid.c0)),)
         head = pl_distance(_head_cands(S1), grid.c0, Q(1))
-        return PwFunction.on(grid, comps, head)
+        return PwFunction(grid.sigma, comps, head, grid.c0, grid.D)
     # no tail: distance below the anchor is (nearest head point) - u
     a = min(iv.lo for iv in S.head.closure().ivs)
     c0 = S.c0
@@ -369,19 +365,18 @@ def distance_profile(S: AsymptoticSet):
     comps = (TailComponent(0, 0, Piecewise.const(sg, Q(1), a)),
              TailComponent(1, 0, Piecewise.linear_interp(
                  [(sg, -c0 * sg), (Q(1), -c0)])))
-    return PwFunction.on(S.grid, comps, head)
+    return PwFunction(sg, comps, head, c0, S.D)
 
 
 def _metric_median(A: AsymptoticSet, B: AsymptoticSet) -> AsymptoticSet:
     """The closed set {u : d(u, A) <= d(u, B)}, with the convention
     d(u, empty) = +infinity.  A and B must be closed; they are not closed
-    again here."""
+    again here.  Trusted: shape and head are cut to the window and dome."""
     A, B = unify(A, B)
     sg, D = A.sigma, A.D
-    if B.is_empty():
-        return AsymptoticSet.full(sg, D)
-    if A.is_empty():
-        return AsymptoticSet.empty(sg, D)
+    if B.is_empty() or A.is_empty():
+        shape = _upto1(sg) if B.is_empty() else IvSet.empty()
+        return AsymptoticSet.on(Grid(sg, 0, D), shape, IvSet.empty())
     # Anchor low enough that the self-similar tail rule is exact: one block
     # down unconditionally, and below half the minimum of any side that does
     # not accumulate at 0.
@@ -392,7 +387,7 @@ def _metric_median(A: AsymptoticSet, B: AsymptoticSet) -> AsymptoticSet:
         t += 1
     A, B = A.lower_anchor(t), B.lower_anchor(t)
     c0 = A.c0
-    win = IvSet([Iv(sg, 1, False, True)])
+    win = _upto1(sg)
     if A.is_characteristic() and B.is_characteristic():
         shape = _closer_region(_window_cands(A.shape, sg),
                                _window_cands(B.shape, sg),
@@ -406,7 +401,7 @@ def _metric_median(A: AsymptoticSet, B: AsymptoticSet) -> AsymptoticSet:
         aB = min(iv.lo for iv in B.head.ivs)
         shape = win if aA <= aB else IvSet.empty()
     head = _closer_region(_head_cands(A), _head_cands(B), c0, Q(1)).intersect(
-        IvSet([Iv(c0, 1, False, True)]))
+        _upto1(c0))
     return AsymptoticSet.on(A.grid, shape, head)
 
 

@@ -41,13 +41,10 @@ def common_window(x: PwFunction, S: AsymptoticSet):
 def flat_common_zero(x: PwFunction) -> IvSet:
     """Fat closed intervals where every r = 0 profile vanishes identically
     (the whole window when there is no r = 0 component)."""
-    win = IvSet([Iv(x.sigma, 1, False, True)])
-    live = [c for c in x.comps if c.r == 0]
-    if not live:
-        return IvSet([Iv(x.sigma, 1, True, True)])
     acc = IvSet([Iv(x.sigma, 1, True, True)])
-    for c in live:
-        acc = acc.intersect(c.g.flat_zero())
+    for c in x.comps:
+        if c.r == 0:
+            acc = acc.intersect(c.g.flat_zero())
     return acc.fat_part()
 
 
@@ -60,7 +57,7 @@ def isolated_common_zeros(x: PwFunction):
     flat = flat_common_zero(x)
     out = []
     for p in _candidate_points(x):
-        if flat.fat_part() and _pt_in_ivset(p, flat):
+        if _pt_in_ivset(p, flat):
             continue
         if all(c.g.value_sign_at(p) == 0 for c in live):
             out.append(p)

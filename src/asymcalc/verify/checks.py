@@ -10,21 +10,20 @@ import random
 import time
 from fractions import Fraction as Q
 
-from .. import genconst
-from ..afilter import (FG, Closure, CounterExample, Interior, OfIdeal,
-                       filter_member, i_of_f_member, prime_check,
-                       pseudoprime_check, rapid_element, rapid_witness)
+from ..afilter import (FG, Closure, CounterExample, Interior, filter_member,
+                       prime_check, pseudoprime_check, rapid_element,
+                       rapid_witness)
 from ..errors import (AsymcalcError, ModulusViolated, PreconditionViolated,
                       ProductNotZero, RepresentabilityError,
                       SearchBoundExceeded, UnknownCheck)
 from ..genconst import (GenConstant, cauchy_glue, extend_invertible,
                         extend_zero, invert_on, restr_invertible, restr_zero,
-                        urysohn, zero_product_split)
+                        zero_product_split)
 from ..ideal import (FgIdeal, closure_member, f_of_I_member, ideal_member,
                      pure_part_member, radical_member, zclosure_member)
 from ..pwfunc import PwFunction
 from ..scaleset import AsymptoticSet, distance_profile, insert_between
-from .corpus import corpus_generate, random_set
+from .corpus import corpus_generate, pair_stream, q64, random_set, tent
 from .oracle import (OracleConfig, oracle_valuation, oracle_vanishes_on)
 from .report import CheckReport
 
@@ -34,11 +33,6 @@ __all__ = ["run_checks", "available_checks", "ideal_of_fg"]
 def ideal_of_fg(F: FG) -> FgIdeal:
     """A finitely generated ideal whose zero set is the filter base."""
     return FgIdeal([distance_profile(F.base())])
-
-
-def _pair_stream(rng, corpus):
-    while True:
-        yield rng.choice(corpus.elements), rng.choice(corpus.sets)
 
 
 # -- individual checks ---------------------------------------------------
@@ -62,7 +56,7 @@ def _check_valuation_oracle(corpus, rng, cfg, rep):
 
 def _check_restr_zero_oracle(corpus, rng, cfg, rep):
     grid = OracleConfig(depth=400, window=40, precision=cfg.precision)
-    pairs = _pair_stream(rng, corpus)
+    pairs = pair_stream(rng, corpus)
     for _ in range(30):
         x, S = next(pairs)
         if not S.is_characteristic():
@@ -77,7 +71,7 @@ def _check_restr_zero_oracle(corpus, rng, cfg, rep):
 
 
 def _check_inv_char(corpus, rng, cfg, rep):
-    pairs = _pair_stream(rng, corpus)
+    pairs = pair_stream(rng, corpus)
     for _ in range(25):
         x, S = next(pairs)
         if not S.is_characteristic():
@@ -117,7 +111,7 @@ def _check_duality(corpus, rng, cfg, rep):
 
 
 def _check_extension(corpus, rng, cfg, rep):
-    pairs = _pair_stream(rng, corpus)
+    pairs = pair_stream(rng, corpus)
     for _ in range(20):
         x, S = next(pairs)
         if not S.is_characteristic():
@@ -142,24 +136,10 @@ def _check_extension(corpus, rng, cfg, rep):
 
 
 def _disjoint_tents(rng):
-    cuts = sorted({_q64(rng) for _ in range(6)})
+    cuts = sorted({q64(rng) for _ in range(6)})
     while len(cuts) < 6:
-        cuts = sorted(set(cuts) | {_q64(rng)})
-    a = _tent(cuts[0], cuts[1], cuts[2])
-    b = _tent(cuts[3], cuts[4], cuts[5])
-    return a, b
-
-
-def _q64(rng):
-    return Q(rng.randint(34, 62), 64)
-
-
-def _tent(lo, mid, hi):
-    from ..window import Piecewise
-    from ..pwfunc import TailComponent
-    prof = Piecewise.linear_interp(
-        [(Q(1, 2), 0), (lo, 0), (mid, 1), (hi, 0), (Q(1), 0)])
-    return PwFunction(Q(1, 2), [TailComponent(0, 0, prof)])
+        cuts = sorted(set(cuts) | {q64(rng)})
+    return tent(*cuts[:3]), tent(*cuts[3:])
 
 
 def _check_zero_product(corpus, rng, cfg, rep):

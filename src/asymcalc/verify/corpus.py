@@ -18,7 +18,8 @@ from ..pwfunc import PwFunction, TailComponent
 from ..scaleset import AsymptoticSet
 from ..window import Piecewise
 
-__all__ = ["Corpus", "corpus_generate", "random_element", "random_set"]
+__all__ = ["Corpus", "corpus_generate", "pair_stream", "q64",
+           "random_element", "random_set", "tent"]
 
 SIGMA = Q(1, 2)
 MAX_SIZE = 500
@@ -32,6 +33,24 @@ class Corpus:
     elements: list = field(default_factory=list)
     ideals: list = field(default_factory=list)
     filters: list = field(default_factory=list)
+
+
+def tent(lo, mid, hi, s=0, r=0) -> PwFunction:
+    """A unit tent on [lo, hi] with apex mid, as component (s, r)."""
+    prof = Piecewise.linear_interp(
+        [(SIGMA, 0), (Q(lo), 0), (Q(mid), 1), (Q(hi), 0), (Q(1), 0)])
+    return PwFunction(SIGMA, [TailComponent(s, r, prof)])
+
+
+def q64(rng, lo=34, hi=62) -> Q:
+    """A random multiple of 1/64 in [lo/64, hi/64]."""
+    return Q(rng.randint(lo, hi), 64)
+
+
+def pair_stream(rng, corpus):
+    """Endless random (element, set) pairs from a corpus."""
+    while True:
+        yield rng.choice(corpus.elements), rng.choice(corpus.sets)
 
 
 def _rational(rng, lo=Q(33, 64), hi=Q(63, 64), den=64):
@@ -104,10 +123,7 @@ def random_element(rng, max_comps: int = 3) -> PwFunction:
 def _tent_factor(rng) -> PwFunction:
     """Element vanishing on a fat window band, for seeding common zeros."""
     a, b = _two_points(rng)
-    m = (a + b) / 2
-    prof = Piecewise.linear_interp(
-        [(SIGMA, 0), (a, 0), (m, 1), (b, 0), (Q(1), 0)])
-    return PwFunction(SIGMA, [TailComponent(0, 0, prof)])
+    return tent(a, (a + b) / 2, b)
 
 
 def _random_ideal(rng, pool) -> FgIdeal:

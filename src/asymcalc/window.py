@@ -3,7 +3,10 @@
 These are the "profiles" out of which self-similar elements are built: a
 contiguous list of segments, each carrying a rational function num/den whose
 denominator is certified root-free on the segment.  Everything is exact over
-Fraction; continuity at interior breakpoints is checked at construction.
+Fraction.  Public constructors validate and `on` trusts: the root-free
+certificate is checked only in `Seg(...)`, contiguity and continuity only
+in `Piecewise(...)` and `concat`, and each operation that builds through
+`on` says why its valid inputs give a valid result.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from .errors import ContinuityViolation, ZeroDenominator
 from .ivset import Iv, IvSet
 from .polytools import (ONE, RootPt, ZERO, count_roots_halfopen, isolate_roots,
                         padd, pcompose_affine, pderiv, pdeg, pdivmod, peval,
-                        pgcd, pmul, pneg, poly, poly_nonneg_on, pscale, psub,
+                        pgcd, pmul, poly, poly_nonneg_on, pscale, psub,
                         pt_cmp, squarefree, sturm_chain)
 
 
@@ -62,6 +65,13 @@ class Seg:
             raise ZeroDenominator(
                 f"denominator vanishes on [{self.lo}, {self.hi}]")
 
+    @classmethod
+    def on(cls, lo: Q, hi: Q, num, den=ONE) -> "Seg":
+        """Trusted: Fractions lo < hi, num/den reduced, den monic, no root."""
+        s = object.__new__(cls)
+        s.__dict__.update(lo=lo, hi=hi, num=num, den=den)
+        return s
+
     def val(self, w) -> Q:
         return peval(self.num, w) / peval(self.den, w)
 
@@ -74,17 +84,24 @@ class Piecewise:
 
     __slots__ = ("segs",)
 
-    def __init__(self, segs, check_continuity=True):
+    def __init__(self, segs):
         segs = list(segs)
         if not segs:
             raise ValueError("need at least one segment")
         for a, b in zip(segs, segs[1:]):
             if a.hi != b.lo:
                 raise ValueError("segments must be contiguous")
-            if check_continuity and a.val(a.hi) != b.val(b.lo):
+            if a.val(a.hi) != b.val(b.lo):
                 raise ContinuityViolation(
                     f"jump at w={a.hi}: {a.val(a.hi)} vs {b.val(b.lo)}")
         self.segs = tuple(_merge(segs))
+
+    @classmethod
+    def on(cls, segs) -> "Piecewise":
+        """Trusted: valid, contiguous segments of a continuous function."""
+        f = object.__new__(cls)
+        f.segs = tuple(_merge(segs))
+        return f
 
     @property
     def lo(self) -> Q:
@@ -96,11 +113,12 @@ class Piecewise:
 
     @staticmethod
     def const(lo, hi, c) -> "Piecewise":
-        return Piecewise([Seg(Q(lo), Q(hi), poly(c) if Q(c) else ZERO)])
+        return Piecewise([Seg(Q(lo), Q(hi), poly(c))])
 
     @staticmethod
     def zero(lo, hi) -> "Piecewise":
-        return Piecewise.const(lo, hi, 0)
+        """Trusted for lo < hi: the pair (0, 1) has no root to certify."""
+        return Piecewise.on([Seg.on(Q(lo), Q(hi), ZERO)])
 
     @staticmethod
     def from_poly(lo, hi, num, den=ONE) -> "Piecewise":
@@ -148,15 +166,15 @@ class Piecewise:
         return [s.lo for s in self.segs] + [self.hi]
 
     def _zip(self, other, fn):
+        """Trusted: products of root-free dens are root-free; the gcd step
+        stays, since a sum or a product can share a factor."""
         assert self.lo == other.lo and self.hi == other.hi
         cuts = sorted(set(self.breakpoints()) | set(other.breakpoints()))
         segs = []
         for a, b in zip(cuts, cuts[1:]):
-            sa = self._seg_at(a, b)
-            sb = other._seg_at(a, b)
-            num, den = fn(sa, sb)
-            segs.append(Seg(a, b, num, den))
-        return Piecewise(segs, check_continuity=False)
+            num, den = fn(self._seg_at(a, b), other._seg_at(a, b))
+            segs.append(Seg.on(a, b, *_reduce(num, den)))
+        return Piecewise.on(segs)
 
     def _seg_at(self, a, b):
         for s in self.segs:
@@ -179,37 +197,45 @@ class Piecewise:
             pmul(s.num, t.num), pmul(s.den, t.den)))
 
     def neg(self) -> "Piecewise":
-        return Piecewise([Seg(s.lo, s.hi, pneg(s.num), s.den)
-                          for s in self.segs], check_continuity=False)
+        return self.scale(-1)
 
     def scale(self, c) -> "Piecewise":
+        """Trusted: c*num/den keeps each segment's invariants (c != 0)."""
         c = Q(c)
-        return Piecewise([Seg(s.lo, s.hi, pscale(s.num, c), s.den)
-                          for s in self.segs], check_continuity=False)
+        if not c:
+            return Piecewise.zero(self.lo, self.hi)
+        return Piecewise.on([Seg.on(s.lo, s.hi, pscale(s.num, c), s.den)
+                             for s in self.segs])
 
     def restrict(self, lo, hi) -> "Piecewise":
+        """Trusted: a den root-free on a segment is so on any part."""
         lo, hi = Q(lo), Q(hi)
         assert self.lo <= lo < hi <= self.hi
         segs = []
         for s in self.segs:
             a, b = max(s.lo, lo), min(s.hi, hi)
             if a < b:
-                segs.append(Seg(a, b, s.num, s.den))
-        return Piecewise(segs, check_continuity=False)
+                segs.append(Seg.on(a, b, s.num, s.den))
+        return Piecewise.on(segs)
 
     def affine_image(self, a, b) -> "Piecewise":
-        """The function w -> f(a*w + b) on the preimage domain; a > 0."""
+        """w -> f(a*w + b) on the preimage domain, a > 0.  Trusted: it keeps
+        num/den reduced and den root-free; den is made monic again."""
         a, b = Q(a), Q(b)
         assert a > 0
         segs = []
         for s in self.segs:
-            segs.append(Seg((s.lo - b) / a, (s.hi - b) / a,
-                            pcompose_affine(s.num, a, b),
-                            pcompose_affine(s.den, a, b)))
-        return Piecewise(segs, check_continuity=False)
+            num = pcompose_affine(s.num, a, b)
+            den = pcompose_affine(s.den, a, b)
+            lead = den[-1]
+            if lead != 1:
+                num, den = pscale(num, 1 / lead), pscale(den, 1 / lead)
+            segs.append(Seg.on((s.lo - b) / a, (s.hi - b) / a, num, den))
+        return Piecewise.on(segs)
 
     @staticmethod
     def concat(parts) -> "Piecewise":
+        """Validating: contiguity and continuity at the joins."""
         segs = []
         for p in parts:
             segs.extend(p.segs)
@@ -343,11 +369,12 @@ def _lower_abs_bound(p, lo, hi) -> Q:
 
 
 def _merge(segs):
+    """Join equal neighbours; trusted: root-free on both, so on the union."""
     out = [segs[0]]
     for s in segs[1:]:
         last = out[-1]
         if last.num == s.num and last.den == s.den:
-            out[-1] = Seg(last.lo, s.hi, s.num, s.den)
+            out[-1] = Seg.on(last.lo, s.hi, s.num, s.den)
         else:
             out.append(s)
     return out

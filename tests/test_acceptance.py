@@ -31,14 +31,14 @@ from asymcalc.ideal import (FgIdeal, annihilator_member, closure_member,
                             zpart_member)
 from asymcalc.ivset import Iv, IvSet
 from asymcalc.polytools import RootPt
-from asymcalc.pwfunc import PwFunction, TailComponent
+from asymcalc.pwfunc import PwFunction
 from asymcalc.scaleset import (AsymptoticSet, circle_closure,
                                distance_profile, insert_between, prec_union)
 from asymcalc.signs import (_candidate_points, common_window,
                             flat_common_zero, isolated_common_zeros)
 from asymcalc.verify import (OracleConfig, corpus_generate, ideal_of_fg,
                              oracle_valuation, oracle_vanishes_on, random_set)
-from asymcalc.window import Piecewise
+from asymcalc.verify.corpus import pair_stream, q64, tent
 
 # -- shared plumbing ------------------------------------------------------
 
@@ -78,26 +78,11 @@ def criterion(num, slug, budget):
     assert dt < budget, f"criterion {num} over budget: {dt:.1f}s >= {budget}s"
 
 
-def tent(lo, mid, hi, s=0, r=0):
-    prof = Piecewise.linear_interp(
-        [(Q(1, 2), 0), (Q(lo), 0), (Q(mid), 1), (Q(hi), 0), (Q(1), 0)])
-    return PwFunction(Q(1, 2), [TailComponent(s, r, prof)])
-
-
-def q64(rng, lo=34, hi=62):
-    return Q(rng.randint(lo, hi), 64)
-
-
 def distinct_cuts(rng, n):
     cuts = set()
     while len(cuts) < n:
         cuts.add(Q(rng.randint(33, 63), 64))
     return sorted(cuts)
-
-
-def pair_stream(rng, cp):
-    while True:
-        yield rng.choice(cp.elements), rng.choice(cp.sets)
 
 
 # -- criterion 2 helper: independent refuting-subset search ---------------

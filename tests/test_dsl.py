@@ -2,7 +2,7 @@ import random
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymcalc.dsl import (Session, execute, parse, print_session, run_text)
@@ -132,8 +132,20 @@ def test_fuzz_no_panic(src):
 @settings(max_examples=80, deadline=None)
 @given(st.text(alphabet="setlmqry aorbit=/[](){};:0123456789\"w^*+-,",
                max_size=80))
+# values the constructors reject: a shape outside the window, a segment of
+# zero length and segments that are not contiguous
+@example("set A = orbit(ratio=1/2, shape=[[1/4,3/4]]);")
+@example('elem f = tail(comps=[{s:0,r:0,g:segs[[1/2,1/2,"1"],[1/2,1,"1"]]}]);')
+@example('elem f = tail(comps=[{s:0,r:0,g:segs[[1/2,3/4,"1"],[7/8,1,"1"]]}]);')
 def test_fuzz_statement_like(src):
     try:
         execute(Session(), parse(src))
     except AsymcalcError:
         pass
+
+
+def test_rejected_values_are_located_parse_errors():
+    with pytest.raises(ParseError) as e:
+        run_text(Session(), "elem x = rho;\n"
+                 "set A = orbit(ratio=1/2, shape=[[1/4,3/4]]);")
+    assert (e.value.line, e.value.col) == (2, 1)

@@ -11,12 +11,12 @@ from asymcalc.genconst import (GenConstant, _certified_start, _scanned_start,
                                restr_zero, sharp_dist, urysohn,
                                zero_product_split)
 from asymcalc.ivset import Iv, IvSet
-from asymcalc.pwfunc import PwFunction, TailComponent
+from asymcalc.pwfunc import PwFunction
 from asymcalc.scaleset import AsymptoticSet
 from asymcalc.signs import (NONNEG, POS, ZERO, common_window,
                             eventual_sign_on, restr_invertible_bool)
 from asymcalc.verify import corpus_generate
-from asymcalc.window import Piecewise
+from asymcalc.verify.corpus import tent
 
 ONE_ORBIT = AsymptoticSet.orbit_point(1)
 
@@ -105,15 +105,9 @@ def test_extend_zero_of_zero_is_full(P, full):
     assert full.subset_of(T)
 
 
-def _tent(lo, mid, hi):
-    prof = Piecewise.linear_interp(
-        [(Q(1, 2), 0), (lo, 0), (mid, 1), (hi, 0), (Q(1), 0)])
-    return PwFunction(Q(1, 2), [TailComponent(0, 0, prof)])
-
-
 def test_zero_product_split(full):
-    a = _tent(Q(17, 32), Q(9, 16), Q(19, 32))
-    b = _tent(Q(3, 4), Q(25, 32), Q(13, 16))
+    a = tent(Q(17, 32), Q(9, 16), Q(19, 32))
+    b = tent(Q(3, 4), Q(25, 32), Q(13, 16))
     T, U = zero_product_split(a, b)
     assert full.subset_of(T.interior().union(U.interior()))
     assert restr_zero(a, T)

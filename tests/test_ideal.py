@@ -21,13 +21,8 @@ from asymcalc.signs import (NONNEG, POS, ZERO, _bad_hits, _pt_in_ivset,
                             bad_structure, common_window, eventual_sign_on,
                             flat_common_zero, restr_invertible_bool)
 from asymcalc.verify import corpus_generate
+from asymcalc.verify.corpus import tent
 from asymcalc.window import Piecewise
-
-
-def _tent(lo, mid, hi):
-    prof = Piecewise.linear_interp(
-        [(Q(1, 2), 0), (lo, 0), (mid, 1), (hi, 0), (Q(1), 0)])
-    return PwFunction(Q(1, 2), [TailComponent(0, 0, prof)])
 
 
 def test_proper_and_improper(hat, rho):
@@ -76,7 +71,7 @@ def test_pure_part_member(hat):
     I = FgIdeal([hat])
     assert pure_part_member(hat, I) == (False, None)
     # supported strictly where hat is invertible, away from its zero set
-    inside = _tent(Q(21, 32), Q(11, 16), Q(23, 32))
+    inside = tent(Q(21, 32), Q(11, 16), Q(23, 32))
     ok, wit = pure_part_member(inside, I)
     assert ok
     if wit is not None:
@@ -100,7 +95,7 @@ def test_zclosure_equals_closure(hat, hat2, osc, negl, rho):
 
 
 def test_annihilator(hat):
-    far = _tent(Q(29, 32), Q(15, 16), Q(31, 32))
+    far = tent(Q(29, 32), Q(15, 16), Q(31, 32))
     I = FgIdeal([hat])
     assert annihilator_member(far, I)
     assert not annihilator_member(hat, I)
@@ -470,8 +465,8 @@ def test_ratio_quarter_inputs_distinguish_windows(hat):
 def test_purity_witnesses_below_anchor(hat):
     # witnesses for elements stored on anchors below 1 hold exactly
     I = FgIdeal([hat.lower_anchor(2)])
-    for x in (_tent(Q(21, 32), Q(11, 16), Q(23, 32)).lower_anchor(3),
-              _tent(Q(43, 64), Q(11, 16), Q(45, 64))):
+    for x in (tent(Q(21, 32), Q(11, 16), Q(23, 32)).lower_anchor(3),
+              tent(Q(43, 64), Q(11, 16), Q(45, 64))):
         ok, y = pure_part_member(x, I)
         assert ok and y is not None
         assert (GenConstant(x) * y).rep.equiv(x)
@@ -503,7 +498,7 @@ def test_structures_computed_once_and_lazily(hat, monkeypatch):
 
 
 def test_purity_witness_failing_x_equals_xy_raises(hat, monkeypatch):
-    inside = _tent(Q(21, 32), Q(11, 16), Q(23, 32))
+    inside = tent(Q(21, 32), Q(11, 16), Q(23, 32))
     monkeypatch.setattr(ideal_mod, "urysohn",
                         lambda S, T: GenConstant.const(Q(1, 2)))
     with pytest.raises(AssertionError, match="x\\*y = x"):

@@ -373,12 +373,20 @@ class Session:
 class _Builder:
     def __init__(self, session: Session):
         self.sn = session
+        self.at = (None, None)
 
     def fail(self, msg, node):
         tok = node[-1] if isinstance(node[-1], Token) else None
         if tok is not None:
             raise ParseError(msg, tok.line, tok.col)
         raise ParseError(msg)
+
+    def make(self, ctor, *args, **kwargs):
+        """Call a validating constructor; its ValueError is a ParseError."""
+        try:
+            return ctor(*args, **kwargs)
+        except ValueError as e:
+            raise ParseError(str(e), *self.at) from None
 
     def rat(self, node) -> Q:
         if node[0] != "rat":
@@ -402,10 +410,7 @@ class _Builder:
             if item[0] != "list":
                 self.fail("each interval is [a,b], [a,b,\"flags\"] "
                           "or [p]", item)
-            parts = item[1]
-            if len(parts) == 1:
-                ivs = ivs.union(IvSet.point(self.rat(parts[0])))
-                continue
+            parts = item[1] * 2 if len(item[1]) == 1 else item[1]
             if len(parts) not in (2, 3):
                 self.fail("each interval is [a,b], [a,b,\"flags\"] "
                           "or [p]", item)
@@ -421,7 +426,7 @@ class _Builder:
             if a == b:
                 ivs = ivs.union(IvSet.point(a))
             else:
-                ivs = ivs.union(IvSet([Iv(a, b, lc, hc)]))
+                ivs = ivs.union(IvSet([self.make(Iv, a, b, lc, hc)]))
         return ivs
 
     # sets ---------------------------------------------------------------
@@ -441,10 +446,11 @@ class _Builder:
             head_ivs = self.interval_list(kwargs["head"]) \
                 if "head" in kwargs else None
             D = self.intval(kwargs["D"]) if "D" in kwargs else self.sn.D
-            return AsymptoticSet(ratio, shape, head_ivs, c0=anchor, D=D)
+            return self.make(AsymptoticSet, ratio, shape, head_ivs,
+                             c0=anchor, D=D)
         if head == "point":
-            return AsymptoticSet.orbit_point(
-                self.rat(args[0]), self.sn.sigma, D=self.sn.D)
+            return self.make(AsymptoticSet.orbit_point, self.rat(args[0]),
+                             self.sn.sigma, D=self.sn.D)
         if head == "full":
             return AsymptoticSet.full(self.sn.sigma, D=self.sn.D)
         if head in ("union", "intersect"):
@@ -455,12 +461,8 @@ class _Builder:
             for s in sets[1:]:
                 out = out.union(s) if head == "union" else out.intersect(s)
             return out
-        if head == "complement":
-            return self.build_set(args[0]).complement()
-        if head == "interior":
-            return self.build_set(args[0]).interior()
-        if head == "closure":
-            return self.build_set(args[0]).closure()
+        if head in ("complement", "interior", "closure"):
+            return getattr(self.build_set(args[0]), head)()
         if head == "insert_between":
             return insert_between(self.build_set(args[0]),
                                   self.build_set(args[1]))
@@ -471,14 +473,14 @@ class _Builder:
     def build_profile(self, node, lo, hi) -> Piecewise:
         if node[0] == "str":
             num, den = _wexpr(node[1], node[2])
-            return Piecewise.from_poly(lo, hi, num, den)
+            return self.make(Piecewise.from_poly, lo, hi, num, den)
         if node[0] == "call" and node[1] == "pl":
             pts = []
             for item in node[2][0][1]:
                 if item[0] != "tuple" or len(item[1]) != 2:
                     self.fail("pl entries are (w, v) pairs", item)
                 pts.append((self.rat(item[1][0]), self.rat(item[1][1])))
-            return Piecewise.linear_interp(pts)
+            return self.make(Piecewise.linear_interp, pts)
         if node[0] == "call" and node[1] == "segs":
             segs = []
             for item in node[2][0][1]:
@@ -488,8 +490,8 @@ class _Builder:
                 if item[1][2][0] != "str":
                     self.fail("segment expression must be quoted", item)
                 num, den = _wexpr(item[1][2][1], item[1][2][2])
-                segs.append(Seg(a, b, num, den))
-            return Piecewise(segs)
+                segs.append(self.make(Seg, a, b, num, den))
+            return self.make(Piecewise, segs)
         self.fail("expected a window profile "
                   "(\"expr\", pl[...] or segs[...])", node)
 
@@ -512,7 +514,7 @@ class _Builder:
         if head == "pl":
             ratio = self.sn.sigma
             prof = self.build_profile(node, ratio, 1)
-            return PwFunction(ratio, [TailComponent(0, 0, prof)])
+            return self.make(PwFunction, ratio, [TailComponent(0, 0, prof)])
         if head == "tail":
             ratio = self.rat(kwargs["ratio"]) if "ratio" in kwargs \
                 else self.sn.sigma
@@ -536,7 +538,8 @@ class _Builder:
             head_prof = None
             if "head" in kwargs:
                 head_prof = self.build_profile(kwargs["head"], anchor, 1)
-            return PwFunction(ratio, comps, head_prof, c0=anchor, D=D)
+            return self.make(PwFunction, ratio, comps, head_prof,
+                             c0=anchor, D=D)
         self.fail(f"unknown element constructor {head!r}", node)
 
     # ideals and filters -------------------------------------------------
@@ -653,37 +656,34 @@ def execute(session: Session, statements):
     b = _Builder(session)
     out = []
     for st in statements:
-        try:
-            if st.kind == "set":
-                session.define("set", st.name, b.build_set(st.expr))
-                out.append({"stmt": "set", "name": st.name})
-            elif st.kind == "elem":
-                session.define("elem", st.name, b.build_elem(st.expr))
-                out.append({"stmt": "elem", "name": st.name})
-            elif st.kind == "ideal":
-                session.define("ideal", st.name, b.build_ideal(st.expr))
-                out.append({"stmt": "ideal", "name": st.name})
-            elif st.kind == "filter":
-                session.define("filter", st.name, b.build_filter(st.expr))
-                out.append({"stmt": "filter", "name": st.name})
-            elif st.kind == "eval":
-                x = session.lookup(st.name, "elem")
-                val = x.eval(st.expr)
-                out.append({"stmt": "eval", "name": st.name,
-                            "at": _fmt_q(st.expr), "value": _fmt_q(val)})
-            elif st.kind == "query":
-                res = _run_query(b, st.expr)
-                out.append({"stmt": "query", "head": st.expr[1],
-                            "result": res})
-            elif st.kind == "check":
-                names, opts = st.expr
-                out.append({"stmt": "check",
-                            "reports": _run_check(b, names, opts)})
-            else:
-                raise ParseError(f"unknown statement kind {st.kind!r}",
-                                 st.line, st.col)
-        except ValueError as e:
-            raise ParseError(str(e), st.line, st.col) from None
+        b.at = (st.line, st.col)
+        if st.kind == "set":
+            session.define("set", st.name, b.build_set(st.expr))
+            out.append({"stmt": "set", "name": st.name})
+        elif st.kind == "elem":
+            session.define("elem", st.name, b.build_elem(st.expr))
+            out.append({"stmt": "elem", "name": st.name})
+        elif st.kind == "ideal":
+            session.define("ideal", st.name, b.build_ideal(st.expr))
+            out.append({"stmt": "ideal", "name": st.name})
+        elif st.kind == "filter":
+            session.define("filter", st.name, b.build_filter(st.expr))
+            out.append({"stmt": "filter", "name": st.name})
+        elif st.kind == "eval":
+            x = session.lookup(st.name, "elem")
+            val = b.make(x.eval, st.expr)
+            out.append({"stmt": "eval", "name": st.name,
+                        "at": _fmt_q(st.expr), "value": _fmt_q(val)})
+        elif st.kind == "query":
+            res = _run_query(b, st.expr)
+            out.append({"stmt": "query", "head": st.expr[1], "result": res})
+        elif st.kind == "check":
+            names, opts = st.expr
+            out.append({"stmt": "check", "reports": _run_check(b, names,
+                                                               opts)})
+        else:
+            raise ParseError(f"unknown statement kind {st.kind!r}",
+                             st.line, st.col)
     return out
 
 

@@ -207,7 +207,8 @@ class PwFunction:
         quotient ring is a class modulo negligible functions, and a
         function vanishing on some (0, c0] is negligible, so the germ is
         the same ring element; and two germs `unify` by coarsening the
-        ratio alone.  Trusted: scaling keeps the seam rule."""
+        ratio alone, never unrolling blocks into a head.
+        Trusted: scaling keeps the seam rule."""
         j = self.grid.j
         if j == 0:
             return self

@@ -42,9 +42,9 @@ def tent(lo, mid, hi, s=0, r=0) -> PwFunction:
     return PwFunction(SIGMA, [TailComponent(s, r, prof)])
 
 
-def q64(rng, lo=34, hi=62) -> Q:
-    """A random multiple of 1/64 in [lo/64, hi/64]."""
-    return Q(rng.randint(lo, hi), 64)
+def q64(rng) -> Q:
+    """A random multiple of 1/64 in [34/64, 62/64]."""
+    return Q(rng.randint(34, 62), 64)
 
 
 def pair_stream(rng, corpus):

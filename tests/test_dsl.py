@@ -149,3 +149,23 @@ def test_rejected_values_are_located_parse_errors():
         run_text(Session(), "elem x = rho;\n"
                  "set A = orbit(ratio=1/2, shape=[[1/4,3/4]]);")
     assert (e.value.line, e.value.col) == (2, 1)
+
+
+@pytest.mark.parametrize("script", [
+    "set A = orbit(ratio=1/2, shape=[[7/10,4/5]]); set B = union(A, A);",
+    "set A = orbit(ratio=1/2, shape=[[7/10,4/5]]); query precedes(A, A);",
+    "elem x = rho; query sharp_dist(x, x);",
+])
+def test_library_value_errors_are_not_parse_errors(monkeypatch, script):
+    # a ValueError raised inside an operation or a query is a library
+    # fault, not malformed input: it must not be reported as a ParseError
+    from asymcalc import genconst
+    from asymcalc.scaleset import AsymptoticSet
+
+    def fault(*args):
+        raise ValueError("library fault")
+    monkeypatch.setattr(AsymptoticSet, "union", fault)
+    monkeypatch.setattr(AsymptoticSet, "precedes", fault)
+    monkeypatch.setattr(genconst, "sharp_dist", fault)
+    with pytest.raises(ValueError, match="library fault"):
+        run_text(Session(), script)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from asymcalc.errors import IncommensurableRatio, ParseError
 from asymcalc.ivset import Iv, IvSet
+from asymcalc.polytools import padd, peval, pmul, poly
 from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import AsymptoticSet, _metric_median
 from asymcalc.window import Piecewise, Seg
@@ -22,10 +23,6 @@ from asymcalc.window import Piecewise, Seg
 # denominators without a root on [1/4, 1]; (2, 3) is not monic
 _DENS = [(1,), (1, 1), (2, 3, 1), (1, 0, 1), (2, 3), (-2, 1)]
 _VALUES = [Q(0), Q(0), Q(1), Q(-1), Q(1, 2), Q(3, 4), Q(-5, 3)]
-
-
-def _peval(p, w):
-    return sum((Q(c) * w ** i for i, c in enumerate(p)), Q(0))
 
 
 @st.composite
@@ -44,31 +41,16 @@ def profiles(draw, lo, hi, v_lo, v_hi):
         if kind == "zero" and va == vb == 0:
             segs.append(Seg(a, b, ()))
             continue
-        num = [Q(c) for c in draw(st.lists(st.sampled_from(_VALUES),
-                                           max_size=3))]
-        den = draw(st.sampled_from(_DENS)) if kind == "rat" else (1,)
+        num = poly(*draw(st.lists(st.sampled_from(_VALUES), max_size=3)))
+        den = poly(*draw(st.sampled_from(_DENS))) if kind == "rat" \
+            else poly(1)
         # add a line through the end values minus those of num/den
-        ra = va - _peval(num, a) / _peval(den, a)
-        rb = vb - _peval(num, b) / _peval(den, b)
+        ra = va - peval(num, a) / peval(den, a)
+        rb = vb - peval(num, b) / peval(den, b)
         slope = (rb - ra) / (b - a)
-        line = (ra - slope * a, slope)
-        num = [x + y for x, y in _zip_longest(num, _pmul(line, den))]
-        segs.append(Seg(a, b, tuple(num), tuple(Q(c) for c in den)))
+        line = poly(ra - slope * a, slope)
+        segs.append(Seg(a, b, padd(num, pmul(line, den)), den))
     return Piecewise(segs)
-
-
-def _pmul(p, q):
-    out = [Q(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _zip_longest(p, q):
-    n = max(len(p), len(q))
-    return zip(list(p) + [Q(0)] * (n - len(p)),
-               list(q) + [Q(0)] * (n - len(q)))
 
 
 def rebuilt(f: Piecewise) -> Piecewise:

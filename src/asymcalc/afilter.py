@@ -20,7 +20,7 @@ from .grid import unify
 from .ideal import FgIdeal, f_of_I_member, pure_part_member
 from .ivset import Iv, IvSet
 from .pwfunc import PwFunction, TailComponent
-from .scaleset import AsymptoticSet
+from .scaleset import AsymptoticSet, circle_closure, grow_circle, upto1
 from .signs import (NONNEG, POS, ZERO, eventual_sign_on,
                     obstruction_meets)
 from .signs import restr_zero as _restr_zero_pw
@@ -215,14 +215,10 @@ def _arc_pair(rng, sigma: Q):
         eps = (b - a) / 8
     S = AsymptoticSet(sigma, IvSet([Iv(a - eps if a - eps > sigma else a,
                                        b + eps if b + eps <= 1 else b,
-                                       True, True)]).intersect(
-        IvSet([Iv(sigma, 1, False, True)])))
+                                       True, True)]).intersect(upto1(sigma)))
     # complementary arc through the seam, fattened to overlap
     Tsh = IvSet([Iv(sigma, a, False, True), Iv(b, Q(1), True, True)])
-    grown = IvSet([Iv(iv.lo - eps, iv.hi + eps, True, True)
-                   for iv in Tsh.ivs])
-    from .genconst import _wrap_to_window
-    T = AsymptoticSet(sigma, _wrap_to_window(grown, sigma))
+    T = AsymptoticSet(sigma, grow_circle(Tsh, eps, sigma))
     return S.closure(), T.closure()
 
 
@@ -245,7 +241,6 @@ def _arc_avoiding(sigma: Q, around: Q, avoid: Q, gap: Q) -> IvSet:
         raise ValueError("gap leaves the window")
     if lo <= around <= hi:
         raise ValueError("gap hits the point to keep")
-    from .scaleset import circle_closure
     return circle_closure(IvSet([Iv(sigma, lo, False, True),
                                  Iv(hi, Q(1), True, True)]), sigma)
 
@@ -339,7 +334,7 @@ def _split_member(G: AsymptoticSet, rng, sigma: Q):
         left = IvSet([Iv(cut, cut, True, True)])
         right = IvSet.empty()
     rest = G.shape.difference(IvSet([iv]) if fats else left,
-                              Iv(sigma, Q(1), False, True))
+                              upto1(sigma).ivs[0])
     S = AsymptoticSet(sigma, left.union(rest), D=G.D).closure()
     T = AsymptoticSet(sigma, right.union(rest), D=G.D).closure()
     return S, T

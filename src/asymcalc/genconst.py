@@ -19,7 +19,9 @@ from .errors import (ModulusViolated, PreconditionViolated, ProductNotZero,
 from .grid import unify
 from .ivset import Iv, IvSet
 from .pwfunc import PwFunction, TailComponent
-from .scaleset import AsymptoticSet, circle_closure, with_neighbours
+from .scaleset import (AsymptoticSet, circle_closure, fold_to_window,
+                       halfway_toward, orbit_with_full_head, upto1,
+                       with_neighbours)
 from .signs import (NONNEG, POS, ZERO, bad_structure, common_window,
                     eventual_sign_on, flat_common_zero,
                     isolated_common_zeros)
@@ -505,17 +507,12 @@ def extend_invertible(x, S: AsymptoticSet) -> AsymptoticSet:
         raise PreconditionViolated("element is not invertible on the set")
     xw, shape = common_window(xr, S)
     sg = xw.sigma
-    C = circle_closure(shape, sg)
     flat, badpts = bad_structure(xw)
     obstacles = flat
     for b in badpts:
         lo, hi = _rational_enclosure(b.pos, sg, Q(1), Q(1, 64))
         obstacles = obstacles.union(IvSet([Iv(lo, hi, True, True)]))
-    if obstacles.is_empty():
-        return AsymptoticSet.full(sg, S.D)
-    eta = _circle_gap(C, obstacles, sg) / 2
-    grown = _grow_circle(C, eta, sg)
-    return _orbit_with_full_head(grown, sg, S)
+    return halfway_toward(circle_closure(shape, sg), obstacles, sg, S)
 
 
 def extend_zero(x, S: AsymptoticSet) -> AsymptoticSet:
@@ -548,55 +545,11 @@ def extend_zero(x, S: AsymptoticSet) -> AsymptoticSet:
             raise RepresentabilityError(
                 "trace touches the boundary of the zero region")
         pieces.append(Iv(lo2, hi2, True, True))
-    grown = _wrap_to_window(IvSet(pieces), sg)
-    T = _orbit_with_full_head(grown, sg, S)
+    T = orbit_with_full_head(fold_to_window(IvSet(pieces), sg), sg, S)
     if not S.precedes(T):
         raise RepresentabilityError(
             "trace touches the boundary of the zero region")
     return T
-
-
-def _circle_gap(C: IvSet, O: IvSet, sigma: Q) -> Q:
-    oext = with_neighbours(O, sigma)
-    best = None
-    for c in C.ivs:
-        for o in oext.ivs:
-            if o.lo > c.hi:
-                d = o.lo - c.hi
-            elif c.lo > o.hi:
-                d = c.lo - o.hi
-            else:
-                d = Q(0)
-            best = d if best is None else min(best, d)
-    if best is None or best == 0:
-        raise RepresentabilityError("no gap between the trace and the "
-                                    "obstruction structure")
-    return best
-
-
-def _grow_circle(C: IvSet, eta: Q, sigma: Q) -> IvSet:
-    grown = IvSet([Iv(iv.lo - eta, iv.hi + eta, True, True)
-                   for iv in C.ivs])
-    return _wrap_to_window(grown, sigma)
-
-
-def _wrap_to_window(s: IvSet, sigma: Q) -> IvSet:
-    """Fold interval parts outside (sigma, 1] back through the seam."""
-    win = IvSet([Iv(sigma, 1, False, True)])
-    out = s.intersect(win)
-    low = s.intersect(IvSet([Iv(sigma * sigma, sigma, True, True)]))
-    if low:
-        out = out.union(low.scale(1 / sigma).intersect(win))
-    high = s.intersect(IvSet([Iv(Q(1), 1 / sigma, False, True)]))
-    if high:
-        out = out.union(high.scale(sigma).intersect(win))
-    return circle_closure(out, sigma)
-
-
-def _orbit_with_full_head(shape: IvSet, sigma: Q, S: AsymptoticSet):
-    c0 = S.c0 * S.sigma
-    return AsymptoticSet(sigma, shape,
-                         IvSet([Iv(c0, 1, False, True)]), c0, S.D)
 
 
 # -- zero-product splitting ----------------------------------------------
@@ -627,7 +580,7 @@ def _zero_orbit(xw: PwFunction, sg: Q, S: AsymptoticSet) -> AsymptoticSet:
     for p in isolated_common_zeros(xw):
         if isinstance(p, Q):
             Z = Z.union(IvSet.point(p))
-    return _orbit_with_full_head(_wrap_to_window(Z, sg), sg, S)
+    return orbit_with_full_head(fold_to_window(Z, sg), sg, S)
 
 
 # -- Cauchy gluing --------------------------------------------------------
@@ -665,7 +618,7 @@ def _check_modulus(d: PwFunction, n: int, eps_n: Q):
     full = AsymptoticSet.full(z.sigma, z.D)
     if eventual_sign_on(z, full) not in (POS, NONNEG, ZERO):
         raise ModulusViolated(f"step {n} breaks its certified bound")
-    win = IvSet([Iv(z.sigma, 1, False, True)])
+    win = upto1(z.sigma)
     K = _certified_start(z, win)
     if K is None:
         K = _scanned_start(z, win)

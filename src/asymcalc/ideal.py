@@ -25,13 +25,12 @@ from functools import cached_property
 
 from .errors import (ImproperIdeal, RepresentabilityError,
                      SearchBoundExceeded)
-from .genconst import (GenConstant, _bisect, _circle_gap, _grow_circle,
-                       _orbit_with_full_head, _rep, urysohn)
+from .genconst import GenConstant, _bisect, _rep, urysohn
 from .grid import unify
 from .ivset import Iv, IvSet
 from .polytools import pt_cmp
 from .pwfunc import PwFunction
-from .scaleset import AsymptoticSet, circle_closure
+from .scaleset import AsymptoticSet, circle_closure, halfway_toward, upto1
 from .signs import (NONNEG, POS, ZERO, _pt_in_ivset, bad_structure,
                     eventual_sign_on, flat_common_zero,
                     isolated_common_zeros, obstruction_meets)
@@ -95,9 +94,7 @@ class FgIdeal:
                     "generator zeros at algebraic points have no rational "
                     "orbit set")
             Z = Z.union(IvSet.point(p))
-        win = IvSet([Iv(sos.sigma, 1, False, True)])
-        return AsymptoticSet(sos.sigma, circle_closure(Z, sos.sigma).
-                             intersect(win), D=sos.D)
+        return AsymptoticSet(sos.sigma, circle_closure(Z, sos.sigma), D=sos.D)
 
     def obstruction_on(self, S: AsymptoticSet):
         """(sigma, structure, shape): the obstruction structure of sos and
@@ -274,8 +271,8 @@ def pure_part_member(x, I: FgIdeal):
     xu, _ = unify(xr.germ(), I.sos_germ)
     Zset = I._zero_set
     sg = xu.sigma
-    win = IvSet([Iv(sg, 1, False, True)])
-    Xflat = AsymptoticSet(sg, flat_common_zero(xu).intersect(win), D=xu.D)
+    Xflat = AsymptoticSet(sg, flat_common_zero(xu).intersect(upto1(sg)),
+                          D=xu.D)
     if not Zset.subset_of(Xflat.interior()):
         return (False, None)
     return (True, _purity_witness(xr, I, Zset))
@@ -287,21 +284,14 @@ def _purity_witness(xr: PwFunction, I: FgIdeal, Zset: AsymptoticSet):
     or when ideal_member denies y in I.  x*y = x is exact arithmetic, so
     a y that fails it is an engine fault and raises."""
     sg = xr.sigma
-    win = IvSet([Iv(sg, 1, False, True)])
     supp = IvSet.empty()
     for c in xr.comps:
         if c.r == 0:
             supp = supp.union(c.g.flat_zero().complement(
                 Iv(sg, 1, True, True)).closure())
-    S = AsymptoticSet(sg, circle_closure(supp, sg).intersect(win), D=xr.D)
+    S = AsymptoticSet(sg, circle_closure(supp, sg), D=xr.D)
     try:
-        Zc = circle_closure(Zset.shape, sg)
-        if Zc.is_empty():
-            T = AsymptoticSet.full(sg, xr.D)
-        else:
-            eta = _circle_gap(circle_closure(S.shape, sg), Zc, sg) / 2
-            T = _orbit_with_full_head(
-                _grow_circle(circle_closure(S.shape, sg), eta, sg), sg, S)
+        T = halfway_toward(S.shape, circle_closure(Zset.shape, sg), sg, S)
         y = GenConstant.const(1, sg, xr.D) - urysohn(S, T)
     except RepresentabilityError:
         return None

@@ -44,10 +44,6 @@ class Iv:
         return f"{l}{self.lo},{self.hi}{r}"
 
 
-def pt(x) -> Iv:
-    return Iv(Q(x), Q(x), True, True)
-
-
 class IvSet:
     """Normalized finite union of flagged intervals."""
 
@@ -57,10 +53,6 @@ class IvSet:
         self.ivs = _normalize(list(ivs))
 
     @staticmethod
-    def of(*ivs):
-        return IvSet([Iv(Q(a), Q(b), lc, hc) for a, b, lc, hc in ivs])
-
-    @staticmethod
     def interval(lo, hi, lc=True, hc=True):
         if Q(lo) > Q(hi):
             return IvSet()
@@ -68,7 +60,7 @@ class IvSet:
 
     @staticmethod
     def point(x):
-        return IvSet([pt(x)])
+        return IvSet([Iv(Q(x), Q(x), True, True)])
 
     @staticmethod
     def empty():
@@ -154,14 +146,6 @@ class IvSet:
 
     def points(self):
         return [iv.lo for iv in self.ivs if iv.is_point()]
-
-    def endpoints(self):
-        out = []
-        for iv in self.ivs:
-            out.append(iv.lo)
-            if iv.hi != iv.lo:
-                out.append(iv.hi)
-        return out
 
     def scale(self, c) -> "IvSet":
         c = Q(c)

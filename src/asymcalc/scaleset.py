@@ -3,12 +3,23 @@
 A set lives on a `Grid` like an element (see `grid`): a "shape" subset of the
 window (sigma, 1] is replicated on every block, and an explicit "head" subset
 of (c0, 1] lies above the anchor.  A set accumulates at 0 exactly when its
-shape is nonempty.
+shape is nonempty.  Closure and interior are computed exactly; the junction
+between the head and the first block is handled by unrolling one block before
+taking closures.
 
-The window behaves like a circle: w = 1 on block k+1 is glued to w -> sigma+
-on block k.  Closure and interior are computed exactly; the only subtle point
-is the junction between the head and the first block, which is handled by
-unrolling one block before taking closures.
+The window circle.  The window (sigma, 1] is a circle: w -> sigma+ on block k
+is glued to w = 1 on block k+1 (both are u = sigma^(k+1) c0), so a shape that
+reaches sigma from the right holds 1 in its closure.  Every circle operation
+lives here:
+
+- `upto1`: the window (sigma, 1] (and the dome (c0, 1] above an anchor)
+- `circle_closure`: closure on the circle
+- `with_neighbours`: a set with its copies one block down and one block up
+- `fold_to_window`: parts in [sigma^2, sigma] and (1, 1/sigma] folded back
+  through the seam
+- `grow_circle`: closed eta-neighbourhood on the circle
+- `circle_gap`: the least distance from a trace to the copies of obstacles
+- `orbit_with_full_head`, `halfway_toward`: the sets built from such shapes
 """
 
 from __future__ import annotations
@@ -16,15 +27,19 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from .errors import (EmptySet, NotCharacteristic, ParseError,
-                     PreconditionViolated)
+                     PreconditionViolated, RepresentabilityError)
 from .grid import Grid, unify
 from .ivset import Iv, IvSet
 
 
+def upto1(lo: Q) -> IvSet:
+    """The interval (lo, 1]: the window for lo = sigma, the dome for c0."""
+    return IvSet([Iv(lo, 1, False, True)])
+
+
 def circle_closure(shape: IvSet, sigma: Q) -> IvSet:
     """Closure of a shape inside the window circle (sigma, 1]."""
-    out = list(shape.closure().ivs)
-    res = IvSet(out).intersect(_upto1(sigma))
+    res = shape.closure().intersect(upto1(sigma))
     if shape.limit_from_right(sigma):
         res = res.union(IvSet.point(1))
     return res
@@ -36,6 +51,46 @@ def with_neighbours(s: IvSet, sigma: Q) -> IvSet:
     return s.union(s.scale(sigma)).union(s.scale(1 / sigma))
 
 
+def fold_to_window(s: IvSet, sigma: Q) -> IvSet:
+    """Fold interval parts outside (sigma, 1] back through the seam."""
+    win = upto1(sigma)
+    out = s.intersect(win)
+    low = s.intersect(IvSet([Iv(sigma * sigma, sigma, True, True)]))
+    if low:
+        out = out.union(low.scale(1 / sigma).intersect(win))
+    high = s.intersect(IvSet([Iv(Q(1), 1 / sigma, False, True)]))
+    if high:
+        out = out.union(high.scale(sigma).intersect(win))
+    return circle_closure(out, sigma)
+
+
+def grow_circle(C: IvSet, eta: Q, sigma: Q) -> IvSet:
+    """The closed eta-neighbourhood of C on the circle."""
+    grown = IvSet([Iv(iv.lo - eta, iv.hi + eta, True, True)
+                   for iv in C.ivs])
+    return fold_to_window(grown, sigma)
+
+
+def circle_gap(C: IvSet, O: IvSet, sigma: Q) -> Q:
+    """The least distance from C to O and its neighbour copies; raises
+    RepresentabilityError when it is 0 or either set is empty."""
+    oext = with_neighbours(O, sigma)
+    best = None
+    for c in C.ivs:
+        for o in oext.ivs:
+            if o.lo > c.hi:
+                d = o.lo - c.hi
+            elif c.lo > o.hi:
+                d = c.lo - o.hi
+            else:
+                d = Q(0)
+            best = d if best is None else min(best, d)
+    if best is None or best == 0:
+        raise RepresentabilityError("no gap between the trace and the "
+                                    "obstruction structure")
+    return best
+
+
 class AsymptoticSet:
     """A self-similar subset of (0, 1]."""
 
@@ -44,10 +99,10 @@ class AsymptoticSet:
     def __init__(self, sigma, shape: IvSet, head: IvSet | None = None,
                  c0=Q(1), D=1):
         grid = Grid.of(sigma, c0, D)
-        if shape.intersect(_upto1(grid.sigma)) != shape:
+        if shape.intersect(upto1(grid.sigma)) != shape:
             raise ValueError("shape must lie inside the window (sigma, 1]")
         head = head if head is not None else IvSet.empty()
-        if head and (grid.c0 == 1 or head.intersect(_upto1(grid.c0)) != head):
+        if head and (grid.c0 == 1 or head.intersect(upto1(grid.c0)) != head):
             raise ValueError("a head must lie inside (anchor, 1], anchor < 1")
         self.grid, self.shape, self.head = grid, shape, head
 
@@ -78,7 +133,7 @@ class AsymptoticSet:
 
     @staticmethod
     def full(sigma=Q(1, 2), D=1) -> "AsymptoticSet":
-        return AsymptoticSet(sigma, _upto1(Q(sigma)), D=D)
+        return AsymptoticSet(sigma, upto1(Q(sigma)), D=D)
 
     @staticmethod
     def empty(sigma=Q(1, 2), D=1) -> "AsymptoticSet":
@@ -87,7 +142,7 @@ class AsymptoticSet:
     @staticmethod
     def initial(c0, sigma=Q(1, 2), D=1) -> "AsymptoticSet":
         """The initial segment (0, c0]."""
-        return AsymptoticSet(sigma, _upto1(Q(sigma)), c0=Q(c0), D=D)
+        return AsymptoticSet(sigma, upto1(Q(sigma)), c0=Q(c0), D=D)
 
     # -- basic queries --------------------------------------------------
 
@@ -183,7 +238,7 @@ class AsymptoticSet:
         """Trusted: both closures are cut back to the window and dome."""
         S = self.lower_anchor(1)
         sh = circle_closure(S.shape, S.sigma)
-        hd = S.head.closure().intersect(_upto1(S.c0))
+        hd = S.head.closure().intersect(upto1(S.c0))
         return AsymptoticSet.on(S.grid, sh, hd)
 
     def interior(self) -> "AsymptoticSet":
@@ -218,9 +273,21 @@ class AsymptoticSet:
             raise ParseError(f"malformed set record: {e}") from None
 
 
-def _upto1(lo: Q) -> IvSet:
-    """The interval (lo, 1]: the window for lo = sigma, the dome for c0."""
-    return IvSet([Iv(lo, 1, False, True)])
+def orbit_with_full_head(shape: IvSet, sigma: Q, S: AsymptoticSet):
+    """The orbit of a window shape below the anchor c0 = sigma_S * c0_S,
+    one block under the anchor of S, and all of (c0, 1] above it."""
+    c0 = S.c0 * S.sigma
+    return AsymptoticSet(sigma, shape, upto1(c0), c0, S.D)
+
+
+def halfway_toward(C: IvSet, O: IvSet, sigma: Q, S: AsymptoticSet):
+    """The set halfway from the closed trace C toward the obstacles O: the
+    full set when there are none, else the orbit of C grown by half the
+    circle gap, headed as in `orbit_with_full_head`."""
+    if O.is_empty():
+        return AsymptoticSet.full(sigma, S.D)
+    return orbit_with_full_head(
+        grow_circle(C, circle_gap(C, O, sigma) / 2, sigma), sigma, S)
 
 
 def _ivs_to_list(s: IvSet):
@@ -375,7 +442,7 @@ def _metric_median(A: AsymptoticSet, B: AsymptoticSet) -> AsymptoticSet:
     A, B = unify(A, B)
     sg, D = A.sigma, A.D
     if B.is_empty() or A.is_empty():
-        shape = _upto1(sg) if B.is_empty() else IvSet.empty()
+        shape = upto1(sg) if B.is_empty() else IvSet.empty()
         return AsymptoticSet.on(Grid(sg, 0, D), shape, IvSet.empty())
     # Anchor low enough that the self-similar tail rule is exact: one block
     # down unconditionally, and below half the minimum of any side that does
@@ -387,7 +454,7 @@ def _metric_median(A: AsymptoticSet, B: AsymptoticSet) -> AsymptoticSet:
         t += 1
     A, B = A.lower_anchor(t), B.lower_anchor(t)
     c0 = A.c0
-    win = _upto1(sg)
+    win = upto1(sg)
     if A.is_characteristic() and B.is_characteristic():
         shape = _closer_region(_window_cands(A.shape, sg),
                                _window_cands(B.shape, sg),
@@ -401,7 +468,7 @@ def _metric_median(A: AsymptoticSet, B: AsymptoticSet) -> AsymptoticSet:
         aB = min(iv.lo for iv in B.head.ivs)
         shape = win if aA <= aB else IvSet.empty()
     head = _closer_region(_head_cands(A), _head_cands(B), c0, Q(1)).intersect(
-        _upto1(c0))
+        upto1(c0))
     return AsymptoticSet.on(A.grid, shape, head)
 
 

@@ -54,7 +54,10 @@ class Seg:
     den: tuple = ONE
 
     def __post_init__(self):
-        num, den = _reduce(self.num, self.den)
+        num, den = poly(*self.num), poly(*self.den)
+        if not den:
+            raise ZeroDenominator("denominator is the zero polynomial")
+        num, den = _reduce(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "lo", Q(self.lo))

@@ -2,15 +2,16 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from asymcalc.errors import PreconditionViolated
+from asymcalc.errors import PreconditionViolated, RepresentabilityError
 from asymcalc.grid import unify
 from asymcalc.ivset import Iv, IvSet
 from asymcalc.scaleset import (AsymptoticSet, _closer_region, circle_closure,
-                               distance_profile, insert_between, pl_distance,
-                               prec_union)
+                               circle_gap, distance_profile, fold_to_window,
+                               grow_circle, insert_between, pl_distance,
+                               prec_union, upto1, with_neighbours)
 from asymcalc.verify.corpus import random_set
 from asymcalc.window import Piecewise
 
@@ -312,3 +313,72 @@ def test_insert_between_closes_each_set_once(A, B, monkeypatch):
     monkeypatch.setattr(AsymptoticSet, "closure", counted)
     insert_between(A, B)
     assert len(calls) == 2
+
+
+# -- the window circle ------------------------------------------------------
+
+_ratios = st.sampled_from([Q(1, 2), Q(3, 4)])
+
+
+@st.composite
+def _grid_shapes(draw, lo, hi, n=32):
+    """Up to three intervals with random flags, points among them, whose
+    ends lie on the 1/n grid of [lo, hi] (lo and hi included)."""
+    ivs = []
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = sorted((draw(st.integers(0, n)), draw(st.integers(0, n))))
+        a, b = lo + (hi - lo) * Q(i, n), lo + (hi - lo) * Q(j, n)
+        if a == b:
+            ivs.append(Iv(a, a, True, True))
+        else:
+            ivs.append(Iv(a, b, draw(st.booleans()), draw(st.booleans())))
+    return IvSet(ivs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_circle_closure_and_fold_stay_in_the_window(data):
+    sg = data.draw(_ratios)
+    shape = data.draw(_grid_shapes(sg, Q(1)))
+    spill = data.draw(_grid_shapes(sg * sg, 1 / sg))
+    for out in (circle_closure(shape, sg), fold_to_window(spill, sg)):
+        assert out.subset_of(upto1(sg))
+        assert circle_closure(out, sg) == out
+
+
+@st.composite
+def _trace_and_obstacles(draw, n=32):
+    """(sigma, C, O): a closed trace and closed obstacles made of disjoint
+    pieces of the 1/n grid of [sigma, 1], seam ends included."""
+    sg = draw(_ratios)
+    ks = sorted(draw(st.sets(st.integers(0, n), min_size=4, max_size=8)))
+    pieces = []
+    for i, j in zip(ks[::2], ks[1::2]):
+        a, b = sg + (1 - sg) * Q(i, n), sg + (1 - sg) * Q(j, n)
+        if draw(st.booleans()):
+            b = a
+        pieces.append((a, b))
+    side = draw(st.lists(st.booleans(), min_size=len(pieces),
+                         max_size=len(pieces)))
+    assume(any(side) and not all(side))
+    C = IvSet([Iv(a, b, a == b or draw(st.booleans()),
+                  a == b or draw(st.booleans()))
+               for (a, b), c in zip(pieces, side) if c])
+    O = IvSet([Iv(a, b, True, True)
+               for (a, b), c in zip(pieces, side) if not c])
+    return sg, circle_closure(C, sg), O
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_and_obstacles())
+def test_half_gap_growth_keeps_clear_of_the_obstacles(case):
+    # extend_invertible and the purity witness grow a trace by half its
+    # circle gap and rely on the result avoiding every obstacle copy
+    sg, C, O = case
+    try:
+        g = circle_gap(C, O, sg)
+    except RepresentabilityError:
+        reject()
+    grown = grow_circle(C, g / 2, sg)
+    assert C.subset_of(grown)
+    assert grown.intersect(with_neighbours(O, sg)).is_empty()

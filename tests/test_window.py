@@ -4,6 +4,7 @@ import pytest
 
 from asymcalc.errors import ContinuityViolation, ZeroDenominator
 from asymcalc.ivset import IvSet
+from asymcalc.pwfunc import PwFunction
 from asymcalc.window import Piecewise, Seg
 
 
@@ -16,6 +17,30 @@ def test_denominator_roots_rejected():
     # den = w - 3/4 vanishes inside the segment
     with pytest.raises(ZeroDenominator):
         Seg(Q(1, 2), 1, (1,), (Q(-3, 4), 1))
+
+
+def test_trailing_zero_coefficients_are_trimmed():
+    assert Seg(Q(1, 2), 1, (0,)).is_zero()
+    assert Seg(Q(1, 2), 1, (0,)) == Seg(Q(1, 2), 1, ())
+
+
+def _element_record(num, den):
+    return {"sigma": "1/2", "comps": [{"s": 0, "r": 0, "g": [
+        {"lo": "1/2", "hi": "1", "num": num, "den": den}]}]}
+
+
+def test_from_dict_trims_zero_coefficients():
+    x = PwFunction.from_dict(_element_record(["0"], ["1"]))
+    assert x.is_zero() and x.valuation() is None
+    y = PwFunction.from_dict(_element_record(["1"], ["2", "0"]))
+    assert y.equals(PwFunction.const(Q(1, 2)))
+
+
+def test_zero_denominator_rejected():
+    with pytest.raises(ZeroDenominator):
+        PwFunction.from_dict(_element_record(["1"], ["0"]))
+    with pytest.raises(ZeroDenominator):
+        Seg(Q(1, 2), 1, (), (0, 0))
 
 
 def test_linear_interp_eval():

@@ -1,0 +1,93 @@
+"""Print the output of every benchmark query, one JSON line each, so that
+two checkouts can be compared for equal answers.
+
+    python3 tools/query_outputs.py --workload ideal --seed 1 > ideal-1.jsonl
+
+The items are the ones ``python3 perfbench/run.py --seconds 15`` builds,
+through that script's own ``setup``, in the same order.  Each query runs
+once, untimed.  A line holds the item index, the query kind, the status
+(decided, undecided or failed, as the benchmark counts them) and the value
+in canonical form: ``to_dict()``, ``rep.to_dict()`` for ring elements,
+lists for tuples, type and message for exceptions, strings for Fractions
+and ``repr`` for anything else.
+
+Standard library only; the engine is the one under this checkout's
+``src``, and ``perfbench/`` is only read.
+"""
+
+import argparse
+import json
+import os
+import sys
+from fractions import Fraction
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SECONDS = 15.0
+
+
+def canonical(value):
+    """A JSON-ready form of one query's value."""
+    if isinstance(value, BaseException):
+        return {"type": type(value).__name__, "message": str(value)}
+    from asymcalc.genconst import GenConstant
+    if isinstance(value, GenConstant):
+        return value.rep.to_dict()
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [canonical(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    return repr(value)
+
+
+def _bench():
+    """perfbench/run.py as a module, with this checkout's engine on the
+    import path."""
+    path = os.path.join(ROOT, "perfbench")
+    if path not in sys.path:
+        sys.path.insert(0, path)
+    import run
+    run.use_engine_sources()
+    return run
+
+
+def query_lines(workload, seed, first=None):
+    """The output lines of the first ``first`` items (all by default)."""
+    run = _bench()
+    import harness
+
+    wl, items, _ = run.setup(argparse.Namespace(
+        workload=workload, seed=seed, seconds=SECONDS))
+    lines = []
+
+    class Log(harness.Recorder):
+        def call(self, kind, fn, *args):
+            out = super().call(kind, fn, *args)
+            lines.append(json.dumps(
+                {"item": self.item, "kind": kind, "status": out.status,
+                 "value": canonical(out.value)}, sort_keys=True))
+            return out
+
+    rec = Log()
+    for i, item in enumerate(items[:first]):
+        rec.begin(i)
+        wl.run(item, rec)
+    return lines
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True,
+                    choices=_bench().WORKLOAD_NAMES)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    for line in query_lines(args.workload, args.seed):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,8 +21,7 @@ from .ideal import FgIdeal, f_of_I_member, pure_part_member
 from .ivset import Iv, IvSet
 from .pwfunc import PwFunction, TailComponent
 from .scaleset import AsymptoticSet, circle_closure, grow_circle, upto1
-from .signs import (NONNEG, POS, ZERO, eventual_sign_on,
-                    obstruction_meets)
+from .signs import eventually_nonneg, obstruction_meets
 from .signs import restr_zero as _restr_zero_pw
 from .window import Piecewise
 
@@ -461,7 +460,7 @@ def _verify_rapid(phi: PwFunction, ivs, sigma: Q, D: int):
         lo = phi.sub(phi.eps_power(n + 1))
         hi = phi.eps_power(n).scale(2).sub(phi)
         for z in (lo, hi):
-            if eventual_sign_on(z, band) not in (POS, NONNEG, ZERO):
+            if not eventually_nonneg(z, band):
                 raise RepresentabilityError(
                     f"rapid sandwich fails on band {n}")
 

@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 
 from .dsl import Session, execute, parse
 from .errors import AsymcalcError
-from .verify import OracleConfig, available_checks, run_checks
+from .verify import available_checks, run_checks
 
 __all__ = ["main"]
 
@@ -67,9 +67,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     names = "all" if args.all or not args.checks else args.checks
-    cfg = OracleConfig()
     try:
-        reports = run_checks(names, seed=args.seed, cfg=cfg, size=args.size)
+        reports = run_checks(names, seed=args.seed, size=args.size)
     except AsymcalcError as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return 2

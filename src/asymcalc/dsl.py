@@ -38,6 +38,7 @@ __all__ = ["Session", "parse", "execute", "run_text", "print_object",
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
+  | (?P<decimal>\d+\.)
   | (?P<num>\d+)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<str>"(?:[^"\\]|\\.)*")
@@ -62,6 +63,9 @@ def _tokenize(src: str):
             raise ParseError(f"unexpected character {src[pos]!r}", line, col)
         kind = m.lastgroup
         text = m.group()
+        if kind == "decimal":
+            raise ParseError("decimal literals are not accepted; write p/q",
+                             line, col)
         if kind not in ("ws", "comment"):
             toks.append(Token(kind, text, line, col))
         nl = text.count("\n")
@@ -134,8 +138,6 @@ class _Parser:
             if d.kind != "num":
                 self.fail("expected a denominator", d)
             den = int(d.text)
-        if self.peek().text == ".":
-            self.fail("decimal literals are not accepted; write p/q")
         q = Q(num, den)
         return -q if neg else q
 
@@ -361,7 +363,7 @@ class Session:
             raise PreconditionViolated(f"name {name!r} is already defined")
         self.symbols[name] = (kind, obj)
 
-    def lookup(self, name, kind, tok=None):
+    def lookup(self, name, kind):
         if name not in self.symbols:
             raise UndefinedName(f"{name!r} is not defined")
         k, obj = self.symbols[name]
@@ -423,17 +425,14 @@ class _Builder:
                               item)
                 lc = parts[2][1][0] == "c"
                 hc = parts[2][1][1] == "c"
-            if a == b:
-                ivs = ivs.union(IvSet.point(a))
-            else:
-                ivs = ivs.union(IvSet([self.make(Iv, a, b, lc, hc)]))
+            ivs = ivs.union(IvSet([self.make(Iv, a, b, lc, hc)]))
         return ivs
 
     # sets ---------------------------------------------------------------
 
     def build_set(self, node) -> AsymptoticSet:
         if node[0] == "name":
-            return self.sn.lookup(node[1], "set", node[2])
+            return self.sn.lookup(node[1], "set")
         if node[0] != "call":
             self.fail("expected a set expression", node)
         _, head, args, kwargs, tok = node
@@ -501,7 +500,7 @@ class _Builder:
         if node[0] == "name":
             if node[1] == "rho":
                 return PwFunction.upower(1, self.sn.sigma, self.sn.D)
-            return self.sn.lookup(node[1], "elem", node[2])
+            return self.sn.lookup(node[1], "elem")
         if node[0] != "call":
             self.fail("expected an element expression", node)
         _, head, args, kwargs, tok = node
@@ -547,7 +546,7 @@ class _Builder:
     def build_ideal(self, node):
         from .ideal import FgIdeal
         if node[0] == "name":
-            return self.sn.lookup(node[1], "ideal", node[2])
+            return self.sn.lookup(node[1], "ideal")
         if node[0] == "call" and node[1] == "gen":
             gens = [self.build_elem(a) for a in node[2]]
             if not gens:
@@ -558,7 +557,7 @@ class _Builder:
     def build_filter(self, node):
         from .afilter import FG, Closure, Interior, OfIdeal
         if node[0] == "name":
-            return self.sn.lookup(node[1], "filter", node[2])
+            return self.sn.lookup(node[1], "filter")
         if node[0] != "call":
             self.fail("expected a filter expression", node)
         _, head, args, kwargs, tok = node
@@ -574,10 +573,6 @@ class _Builder:
 
 
 # -- queries -------------------------------------------------------------
-
-
-def _fmt_q(q: Q) -> str:
-    return str(q)
 
 
 def _run_query(b: _Builder, node):
@@ -604,7 +599,7 @@ def _run_query(b: _Builder, node):
         return S(0).is_characteristic()
     if head == "valuation":
         v = E(0).valuation()
-        return "infinity" if v is None else _fmt_q(v)
+        return "infinity" if v is None else str(v)
     if head == "negligible":
         return E(0).is_negligible()
     if head == "sharp_dist":
@@ -614,7 +609,7 @@ def _run_query(b: _Builder, node):
     if head == "restr_invertible":
         ok, n, delta = genconst.restr_invertible(E(0), S(1))
         return {"invertible": ok, "order": n,
-                "threshold": None if delta is None else _fmt_q(Q(delta))}
+                "threshold": None if delta is None else str(Q(delta))}
     if head == "eventual_sign":
         from .signs import eventual_sign_on
         return eventual_sign_on(E(0), S(1))
@@ -673,7 +668,7 @@ def execute(session: Session, statements):
             x = session.lookup(st.name, "elem")
             val = b.make(x.eval, st.expr)
             out.append({"stmt": "eval", "name": st.name,
-                        "at": _fmt_q(st.expr), "value": _fmt_q(val)})
+                        "at": str(st.expr), "value": str(val)})
         elif st.kind == "query":
             res = _run_query(b, st.expr)
             out.append({"stmt": "query", "head": st.expr[1], "result": res})

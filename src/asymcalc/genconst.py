@@ -22,9 +22,8 @@ from .pwfunc import PwFunction, TailComponent
 from .scaleset import (AsymptoticSet, circle_closure, fold_to_window,
                        halfway_toward, orbit_with_full_head, upto1,
                        with_neighbours)
-from .signs import (NONNEG, POS, ZERO, bad_structure, common_window,
-                    eventual_sign_on, flat_common_zero,
-                    isolated_common_zeros)
+from .signs import (bad_structure, common_window, eventually_nonneg,
+                    flat_common_zero, isolated_common_zeros)
 from .signs import restr_invertible_bool as _inv_bool
 from .signs import restr_zero as _restr_zero_pw
 from .polytools import pmul
@@ -164,17 +163,14 @@ def restr_invertible(x, S: AsymptoticSet):
 
     def holds(n):
         z = gap(n)
-        return z if eventual_sign_on(z, Sw) in (POS, NONNEG, ZERO) else None
+        return z if eventually_nonneg(z, Sw) else None
 
     n, z = nlo, holds(nlo)
     if z is None:
         n, z = _bisect(holds, nlo, nmax)
     if z is None:
         z = gap(n)
-    K = _certified_start(z, shape)
-    if K is None:
-        K = _scanned_start(z, shape)
-    delta = z.sigma ** K * z.c0
+    delta = z.sigma ** _start_block(z, shape) * z.c0
     return (True, n, delta)
 
 
@@ -223,6 +219,13 @@ def _dominance_start(sigma: Q, j0, m: Q, others) -> int:
         k += 1
         if k > 4096:  # pragma: no cover - geometric gaps close fast
             raise AssertionError("dominance threshold runaway")
+
+
+def _start_block(z: PwFunction, shape: IvSet) -> int:
+    """A block K with z >= 0 on the shape trace from K on: certified, or
+    else from the exact scan."""
+    K = _certified_start(z, shape)
+    return _scanned_start(z, shape) if K is None else K
 
 
 def _certified_start(z: PwFunction, shape: IvSet):
@@ -312,8 +315,7 @@ def _rational_enclosure(zp, a, b, width):
     if isinstance(zp, Q):
         pad = width / 2
         return max(a, zp - pad), min(b, zp + pad)
-    while zp.hi - zp.lo > width:
-        zp.refine()
+    zp.refine_below(width)
     return max(a, zp.lo), min(b, zp.hi)
 
 
@@ -616,12 +618,10 @@ def _check_modulus(d: PwFunction, n: int, eps_n: Q):
         return
     z = d.eps_power(2 * n).sub(d.mul(d))
     full = AsymptoticSet.full(z.sigma, z.D)
-    if eventual_sign_on(z, full) not in (POS, NONNEG, ZERO):
+    if not eventually_nonneg(z, full):
         raise ModulusViolated(f"step {n} breaks its certified bound")
     win = upto1(z.sigma)
-    K = _certified_start(z, win)
-    if K is None:
-        K = _scanned_start(z, win)
+    K = _start_block(z, win)
     # every block from the threshold scale to the certified start is
     # checked exactly, as is the stored head part below the threshold
     if eps_n > z.c0 and z.head is not None and \

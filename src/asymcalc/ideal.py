@@ -31,9 +31,9 @@ from .ivset import Iv, IvSet
 from .polytools import pt_cmp
 from .pwfunc import PwFunction
 from .scaleset import AsymptoticSet, circle_closure, halfway_toward, upto1
-from .signs import (NONNEG, POS, ZERO, _pt_in_ivset, bad_structure,
-                    eventual_sign_on, flat_common_zero,
-                    isolated_common_zeros, obstruction_meets)
+from .signs import (_pt_in_ivset, bad_structure, eventually_nonneg,
+                    flat_common_zero, isolated_common_zeros,
+                    obstruction_meets)
 
 
 class FgIdeal:
@@ -188,8 +188,7 @@ def _domination_exponent(xg: PwFunction, I: FgIdeal):
 
     def holds(N):
         z = sos.mul(sos.eps_power(-N)).sub(x2)
-        return z if eventual_sign_on(z, full) in (POS, NONNEG, ZERO) \
-            else None
+        return z if eventually_nonneg(z, full) else None
 
     lo, hi = _valuation_floor(xg, sos), _slope_bound(xg, sos)
     if holds(lo) is not None:

@@ -310,10 +310,7 @@ class PwFunction:
     def equals(self, other) -> bool:
         """Exact equality as functions on (0, 1]."""
         a, b = unify(self, other)
-        return a.diff_is_zero(b)
-
-    def diff_is_zero(self, other) -> bool:
-        return self.sub(other).is_zero()
+        return a.sub(b).is_zero()
 
     def equiv(self, other) -> bool:
         """Equality modulo negligible differences."""

@@ -32,16 +32,21 @@ from .grid import Grid, unify
 from .ivset import Iv, IvSet
 
 
+_ONE = Q(1)
+_SEAM = IvSet.point(1)  # the point w = 1 that sigma+ is glued to
+
+
 def upto1(lo: Q) -> IvSet:
-    """The interval (lo, 1]: the window for lo = sigma, the dome for c0."""
-    return IvSet([Iv(lo, 1, False, True)])
+    """The interval (lo, 1]: the window for lo = sigma, the dome for c0.
+    Trusted: lo is a Fraction below 1."""
+    return IvSet.on((Iv.on(lo, _ONE, False, True),))
 
 
 def circle_closure(shape: IvSet, sigma: Q) -> IvSet:
     """Closure of a shape inside the window circle (sigma, 1]."""
     res = shape.closure().intersect(upto1(sigma))
     if shape.limit_from_right(sigma):
-        res = res.union(IvSet.point(1))
+        res = res.union(_SEAM)
     return res
 
 
@@ -55,10 +60,10 @@ def fold_to_window(s: IvSet, sigma: Q) -> IvSet:
     """Fold interval parts outside (sigma, 1] back through the seam."""
     win = upto1(sigma)
     out = s.intersect(win)
-    low = s.intersect(IvSet([Iv(sigma * sigma, sigma, True, True)]))
+    low = s.intersect(IvSet.on((Iv.on(sigma * sigma, sigma, True, True),)))
     if low:
         out = out.union(low.scale(1 / sigma).intersect(win))
-    high = s.intersect(IvSet([Iv(Q(1), 1 / sigma, False, True)]))
+    high = s.intersect(IvSet.on((Iv.on(_ONE, 1 / sigma, False, True),)))
     if high:
         out = out.union(high.scale(sigma).intersect(win))
     return circle_closure(out, sigma)
@@ -120,10 +125,6 @@ class AsymptoticSet:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def orbit(shape: IvSet, sigma=Q(1, 2), D=1) -> "AsymptoticSet":
-        return AsymptoticSet(sigma, shape, D=D)
-
-    @staticmethod
     def orbit_interval(lo, hi, sigma=Q(1, 2), lc=True, hc=True, D=1):
         return AsymptoticSet(sigma, IvSet.interval(lo, hi, lc, hc), D=D)
 
@@ -138,11 +139,6 @@ class AsymptoticSet:
     @staticmethod
     def empty(sigma=Q(1, 2), D=1) -> "AsymptoticSet":
         return AsymptoticSet(sigma, IvSet.empty(), D=D)
-
-    @staticmethod
-    def initial(c0, sigma=Q(1, 2), D=1) -> "AsymptoticSet":
-        """The initial segment (0, c0]."""
-        return AsymptoticSet(sigma, upto1(Q(sigma)), c0=Q(c0), D=D)
 
     # -- basic queries --------------------------------------------------
 
@@ -211,10 +207,10 @@ class AsymptoticSet:
 
     def complement(self) -> "AsymptoticSet":
         """Trusted: complements are taken inside the window and the dome."""
-        sh = self.shape.complement(Iv(self.sigma, 1, False, True))
+        sh = self.shape.complement(Iv.on(self.sigma, _ONE, False, True))
         hd = IvSet.empty()
         if self.c0 < 1:
-            hd = self.head.complement(Iv(self.c0, 1, False, True))
+            hd = self.head.complement(Iv.on(self.c0, _ONE, False, True))
         return AsymptoticSet.on(self.grid, sh, hd)
 
     def difference(self, other) -> "AsymptoticSet":

@@ -41,7 +41,7 @@ def common_window(x: PwFunction, S: AsymptoticSet):
 def flat_common_zero(x: PwFunction) -> IvSet:
     """Fat closed intervals where every r = 0 profile vanishes identically
     (the whole window when there is no r = 0 component)."""
-    acc = IvSet([Iv(x.sigma, 1, True, True)])
+    acc = IvSet.on((Iv.on(x.sigma, Q(1), True, True),))
     for c in x.comps:
         if c.r == 0:
             acc = acc.intersect(c.g.flat_zero())
@@ -113,15 +113,12 @@ class SideData:
     deep_sign: int     # sign of dominant deep comp on the side (0 if none)
     all_flat: bool     # every r=0 comp is identically zero on this side
 
-    def hull(self):
-        return _hull_vertices(self.entries)
-
     def attainable_signs(self):
         """Signs x attains arbitrarily close to the point on this side, at
         small scales."""
         if self.all_flat:
             return {self.deep_sign}
-        verts = self.hull()
+        verts = _hull_vertices(self.entries)
         signs = {sg for (_, _, sg) in verts}
         for (a, b) in zip(verts, verts[1:]):
             if a[2] != b[2]:
@@ -219,6 +216,11 @@ def eventual_sign_on(x: PwFunction, S: AsymptoticSet) -> str:
     x, shape = common_window(x, S)
     signs = _attained_signs(x, shape)
     return _classify(signs)
+
+
+def eventually_nonneg(x: PwFunction, S: AsymptoticSet) -> bool:
+    """Whether x is eventually >= 0 on S: POS, NONNEG or ZERO."""
+    return eventual_sign_on(x, S) in (POS, NONNEG, ZERO)
 
 
 def _classify(signs) -> str:
@@ -319,10 +321,10 @@ def bad_structure(x: PwFunction):
     value pattern there is 0 or carried only by deep components.
     """
     flat = flat_common_zero(x)
+    inner = flat.interior_rel(Iv.on(x.sigma, Q(1), True, True))
     pts = []
     for p in _candidate_points(x):
-        if flat and _pt_in_ivset(p, flat.interior_rel(
-                Iv(x.sigma, 1, True, True))):
+        if _pt_in_ivset(p, inner):
             continue
         at_sigma = isinstance(p, Q) and p == x.sigma
         at_one = isinstance(p, Q) and p == 1

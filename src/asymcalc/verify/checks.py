@@ -38,9 +38,8 @@ def ideal_of_fg(F: FG) -> FgIdeal:
 # -- individual checks ---------------------------------------------------
 
 
-def _check_valuation_oracle(corpus, rng, cfg, rep):
-    grid = OracleConfig(depth=min(cfg.depth, 800), window=80,
-                        precision=cfg.precision)
+def _check_valuation_oracle(corpus, rng, rep):
+    grid = OracleConfig(depth=800, window=80)
     for x in corpus.elements[:20]:
         rep.instances += 1
         v = x.valuation()
@@ -54,8 +53,8 @@ def _check_valuation_oracle(corpus, rng, cfg, rep):
                                interval=[est.lo, str(est.hi)])
 
 
-def _check_restr_zero_oracle(corpus, rng, cfg, rep):
-    grid = OracleConfig(depth=400, window=40, precision=cfg.precision)
+def _check_restr_zero_oracle(corpus, rng, rep):
+    grid = OracleConfig(depth=400, window=40)
     pairs = pair_stream(rng, corpus)
     for _ in range(30):
         x, S = next(pairs)
@@ -70,7 +69,7 @@ def _check_restr_zero_oracle(corpus, rng, cfg, rep):
             rep.record_failure(element=x, set=S, exact=exact, oracle=shadow)
 
 
-def _check_inv_char(corpus, rng, cfg, rep):
+def _check_inv_char(corpus, rng, rep):
     pairs = pair_stream(rng, corpus)
     for _ in range(25):
         x, S = next(pairs)
@@ -95,7 +94,7 @@ def _check_inv_char(corpus, rng, cfg, rep):
             rep.record_failure(element=x, set=S, reason="bad inverse")
 
 
-def _check_duality(corpus, rng, cfg, rep):
+def _check_duality(corpus, rng, rep):
     for _ in range(60):
         S = random_set(rng)
         T = random_set(rng)
@@ -110,7 +109,7 @@ def _check_duality(corpus, rng, cfg, rep):
                 rep.record_failure(S=S, T=T, mid=M, reason="not between")
 
 
-def _check_extension(corpus, rng, cfg, rep):
+def _check_extension(corpus, rng, rep):
     pairs = pair_stream(rng, corpus)
     for _ in range(20):
         x, S = next(pairs)
@@ -142,7 +141,7 @@ def _disjoint_tents(rng):
     return tent(*cuts[:3]), tent(*cuts[3:])
 
 
-def _check_zero_product(corpus, rng, cfg, rep):
+def _check_zero_product(corpus, rng, rep):
     for _ in range(15):
         a, b = _disjoint_tents(rng)
         rep.instances += 1
@@ -158,7 +157,7 @@ def _check_zero_product(corpus, rng, cfg, rep):
             rep.record_failure(a=a, b=b, reason="restriction not zero")
 
 
-def _check_filter_ideal_galois(corpus, rng, cfg, rep):
+def _check_filter_ideal_galois(corpus, rng, rep):
     fgs = [f for f in corpus.filters if isinstance(f, FG)][:5]
     while len(fgs) < 3:
         fgs.append(FG([random_set(rng).closure()]))
@@ -174,7 +173,7 @@ def _check_filter_ideal_galois(corpus, rng, cfg, rep):
                                    via_ideal=via_ideal, direct=direct)
 
 
-def _check_interior_closure(corpus, rng, cfg, rep):
+def _check_interior_closure(corpus, rng, rep):
     for F in corpus.filters[:8]:
         for _ in range(6):
             S = random_set(rng).closure()
@@ -191,7 +190,7 @@ def _check_interior_closure(corpus, rng, cfg, rep):
                                    law="int cl = int", lhs=c, rhs=d)
 
 
-def _check_prime_ideal_char(corpus, rng, cfg, rep):
+def _check_prime_ideal_char(corpus, rng, rep):
     for F in corpus.filters[:6]:
         rep.instances += 1
         try:
@@ -219,7 +218,7 @@ def _check_prime_ideal_char(corpus, rng, cfg, rep):
                                    reason="unsound prime witness")
 
 
-def _check_rapid(corpus, rng, cfg, rep):
+def _check_rapid(corpus, rng, rep):
     chain = [AsymptoticSet.orbit_interval(Q(40 - k, 64), Q(48 + k, 64))
              for k in range(4, 0, -1)]
     F = FG([c.closure() for c in chain])
@@ -242,7 +241,7 @@ def _check_rapid(corpus, rng, cfg, rep):
             rep.record_failure(filter=repr(F), error=str(e))
 
 
-def _check_purity(corpus, rng, cfg, rep):
+def _check_purity(corpus, rng, rep):
     for I in corpus.ideals[:6]:
         for x in corpus.elements[:6]:
             rep.instances += 1
@@ -271,7 +270,7 @@ def _check_purity(corpus, rng, cfg, rep):
                 rep.record_failure(element=x, reason="zclosure != closure")
 
 
-def _check_cauchy(corpus, rng, cfg, rep):
+def _check_cauchy(corpus, rng, rep):
     for _ in range(6):
         rep.instances += 1
         x0 = rng.choice(corpus.elements)
@@ -336,8 +335,7 @@ def available_checks():
     return sorted(_REGISTRY)
 
 
-def run_checks(names, seed: int = 0, cfg: OracleConfig = OracleConfig(),
-               size: int = 24):
+def run_checks(names, seed: int = 0, size: int = 24):
     """Run named checks (or all of them) and return CheckReport objects."""
     if names in ("all", None):
         names = available_checks()
@@ -354,7 +352,7 @@ def run_checks(names, seed: int = 0, cfg: OracleConfig = OracleConfig(),
         rep = CheckReport(name=n, anchor=anchor, seed=seed)
         rng = random.Random(f"asymcalc-check-{n}-{seed}")
         t0 = time.perf_counter()
-        fn(corpus, rng, cfg, rep)
+        fn(corpus, rng, rep)
         rep.wall_time = time.perf_counter() - t0
         out.append(rep)
     return out

@@ -246,9 +246,10 @@ class Piecewise:
 
     def flat_zero(self) -> IvSet:
         """Maximal closed intervals on which the function vanishes
-        identically."""
-        return IvSet([Iv(s.lo, s.hi, True, True)
-                      for s in self.segs if s.is_zero()])
+        identically.  Trusted: `_merge` leaves no two zero segments
+        adjacent, so the intervals are separated."""
+        return IvSet.on(tuple(Iv.on(s.lo, s.hi, True, True)
+                              for s in self.segs if s.is_zero()))
 
     def isolated_zeros(self):
         """Zeros outside the flat-zero intervals, as Q or RootPt, sorted and
@@ -337,7 +338,8 @@ class Piecewise:
         for s in self.segs:
             m = max(1, abs(s.lo), abs(s.hi))
             num_hi = sum(abs(c) * m ** i for i, c in enumerate(s.num))
-            den_lo = _lower_abs_bound(s.den, s.lo, s.hi)
+            den_lo = _lower_abs_bound(s.den, ONE, s.lo, s.hi) \
+                if pdeg(s.den) >= 1 else abs(s.den[0])
             if num_hi:
                 bound = max(bound, num_hi / den_lo)
         return bound
@@ -352,21 +354,18 @@ class Piecewise:
             if peval(s.num, s.lo) == 0 or peval(s.num, s.hi) == 0 or \
                     isolate_roots(s.num, s.lo, s.hi):
                 return None
-            c = abs(s.val((s.lo + s.hi) / 2)) / 2
-            while not poly_nonneg_on(
-                    psub(pmul(s.num, s.num),
-                         pscale(pmul(s.den, s.den), c * c)), s.lo, s.hi):
-                c /= 2
+            c = _lower_abs_bound(s.num, s.den, s.lo, s.hi)
             worst = c if worst is None else min(worst, c)
         return worst
 
 
-def _lower_abs_bound(p, lo, hi) -> Q:
-    """Certified positive lower bound for |p| on [lo, hi]; p root-free."""
-    if pdeg(p) <= 0:
-        return abs(p[0])
-    c = abs(peval(p, (lo + hi) / 2)) / 2
-    while not poly_nonneg_on(psub(pmul(p, p), poly(c * c)), lo, hi):
+def _lower_abs_bound(num, den, lo, hi) -> Q:
+    """Certified positive lower bound for |num/den| on [lo, hi], both
+    root-free there: halve from half the midpoint value until
+    num^2 - c^2 den^2 >= 0."""
+    c = abs(peval(num, (lo + hi) / 2) / peval(den, (lo + hi) / 2)) / 2
+    while not poly_nonneg_on(psub(pmul(num, num),
+                                  pscale(pmul(den, den), c * c)), lo, hi):
         c /= 2
     return c
 

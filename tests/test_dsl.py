@@ -1,5 +1,6 @@
 import random
 import string
+from fractions import Fraction as Q
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from asymcalc.dsl import (Session, execute, parse, print_session, run_text)
 from asymcalc.errors import (AsymcalcError, ContinuityViolation, ParseError,
                              PreconditionViolated, TypeMismatch,
                              UndefinedName)
+from asymcalc.ivset import Iv
 
 
 def test_parse_set_statement():
@@ -55,8 +57,25 @@ def test_duplicate_name_rejected():
 
 
 def test_decimals_rejected():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="p/q") as e:
         parse("eval x at 0.5;")
+    assert (e.value.line, e.value.col) == (1, 11)
+
+
+@pytest.mark.parametrize("flags", ["oo", "oc", "co"])
+def test_open_point_interval_rejected(flags):
+    # (3/4, 3/4) is empty, as is a point with one open end
+    with pytest.raises(ParseError, match="empty or inverted"):
+        run_text(Session(), 'set A = orbit(shape=[[3/4,3/4,"%s"]]);' % flags)
+
+
+@pytest.mark.parametrize("shape", ["[[3/4]]", '[[3/4,3/4,"cc"]]'])
+def test_closed_point_interval_is_the_point(shape):
+    sn = Session()
+    out = run_text(sn, f"set A = orbit(shape={shape}); "
+                   "query characteristic(A);")
+    assert out[-1]["result"] is True
+    assert sn.symbols["A"][1].shape.ivs == (Iv(Q(3, 4), Q(3, 4), True, True),)
 
 
 def test_queries():

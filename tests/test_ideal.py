@@ -244,9 +244,9 @@ def test_nonmember_costs_two_sign_decisions(hat, monkeypatch):
 
     def counted(z, S):
         calls.append(z)
-        return eventual_sign_on(z, S)
+        return signs_mod.eventually_nonneg(z, S)
 
-    monkeypatch.setattr(ideal_mod, "eventual_sign_on", counted)
+    monkeypatch.setattr(ideal_mod, "eventually_nonneg", counted)
     I = FgIdeal([hat.mul(hat)])
     assert z_subset(I.sos, hat)
     assert ideal_member(hat, I) == (False, None)

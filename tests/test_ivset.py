@@ -1,5 +1,6 @@
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,3 +81,159 @@ def test_closure_idempotent(a):
     assert a.closure().closure() == a.closure()
     inner = a.interior_rel(DOM)
     assert inner.interior_rel(DOM) == inner
+
+
+# -- the single-pass operations against the parent's references ----------
+#
+# The references are the former implementations: a nested loop over both
+# operands and a sort-and-merge of every result through the validating
+# `Iv`.  Canonical form is unique, so the results must be equal.
+
+q8 = st.integers(min_value=0, max_value=8).map(lambda n: Q(n, 8))
+
+
+@st.composite
+def raw_sets(draw):
+    """Up to five intervals on a coarse grid, so that touching, nested,
+    half-open and point intervals are common, through the public `IvSet`."""
+    ivs = []
+    for _ in range(draw(st.integers(0, 5))):
+        a, b = sorted((draw(q8), draw(q8)))
+        if a == b:
+            ivs.append(Iv(a, a, True, True))
+        else:
+            ivs.append(Iv(a, b, draw(st.booleans()), draw(st.booleans())))
+    return IvSet(ivs)
+
+
+def _ref_normalize(ivs):
+    ivs = sorted(ivs, key=lambda iv: (iv.lo, not iv.lc, iv.hi))
+    out = []
+    for iv in ivs:
+        if not out:
+            out.append(iv)
+            continue
+        last = out[-1]
+        touch = iv.lo < last.hi or (
+            iv.lo == last.hi and (iv.lc or last.hc))
+        if touch:
+            if iv.hi > last.hi or (iv.hi == last.hi and iv.hc and not last.hc):
+                hc = iv.hc
+                hi = iv.hi
+            else:
+                hc = last.hc
+                hi = last.hi
+            lc = last.lc or (iv.lo == last.lo and iv.lc)
+            out[-1] = Iv(last.lo, hi, lc, hc)
+        else:
+            out.append(iv)
+    return IvSet.on(tuple(out))
+
+
+def _ref_intersect(a, b):
+    out = []
+    for x in a.ivs:
+        for y in b.ivs:
+            lo = max(x.lo, y.lo)
+            hi = min(x.hi, y.hi)
+            if lo > hi:
+                continue
+            lc = x.contains(lo) and y.contains(lo)
+            hc = x.contains(hi) and y.contains(hi)
+            if lo < hi or (lo == hi and lc and hc):
+                out.append(Iv(lo, hi, lc, hc))
+    return _ref_normalize(out)
+
+
+def _ref_complement(a, dom):
+    clipped = _ref_intersect(a, _ref_normalize([dom]))
+    out = []
+    cur_lo, cur_lc = dom.lo, dom.lc
+    for iv in clipped.ivs:
+        if cur_lo < iv.lo or (cur_lo == iv.lo and cur_lc and not iv.lc):
+            out.append(Iv(cur_lo, iv.lo, cur_lc, not iv.lc))
+        cur_lo, cur_lc = iv.hi, not iv.hc
+    if cur_lo < dom.hi or (cur_lo == dom.hi and cur_lc and dom.hc):
+        out.append(Iv(cur_lo, dom.hi, cur_lc, dom.hc))
+    return _ref_normalize(out)
+
+
+def _ref_subset_of(a, b):
+    for x in a.ivs:
+        ok = False
+        for y in b.ivs:
+            if y.lo < x.lo or (y.lo == x.lo and (y.lc or not x.lc)):
+                if y.hi > x.hi or (y.hi == x.hi and (y.hc or not x.hc)):
+                    ok = True
+                    break
+        if not ok:
+            return False
+    return True
+
+
+def assert_canonical(s):
+    """A trusted result: a tuple of Fraction-ended intervals that the
+    reference sort-and-merge leaves unchanged."""
+    assert type(s.ivs) is tuple
+    for iv in s.ivs:
+        assert type(iv.lo) is Q and type(iv.hi) is Q
+    assert _ref_normalize(s.ivs) == s
+
+
+DOMS = [DOM, Iv(Q(1, 4), Q(3, 4), False, True), Iv(Q(1, 8), Q(7, 8), True,
+                                                     False)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_sets(), raw_sets(), st.sampled_from(DOMS),
+       st.sampled_from([Q(1), Q(1, 2), Q(3)]))
+def test_set_operations_match_references(a, b, dom, c):
+    assert_canonical(a)
+    results = [
+        (a.intersect(b), _ref_intersect(a, b)),
+        (a.complement(dom), _ref_complement(a, dom)),
+        (a.union(b), _ref_normalize(list(a.ivs) + list(b.ivs))),
+        (a.closure(), _ref_normalize([Iv(iv.lo, iv.hi, True, True)
+                                      for iv in a.ivs])),
+        (a.fat_part(), _ref_normalize([iv for iv in a.ivs
+                                       if not iv.is_point()])),
+        (a.scale(c), _ref_normalize([Iv(iv.lo * c, iv.hi * c, iv.lc, iv.hc)
+                                     for iv in a.ivs])),
+    ]
+    for got, want in results:
+        assert got == want
+        assert_canonical(got)
+    assert a.subset_of(b) == _ref_subset_of(a, b)
+    assert a.subset_of(a.union(b)) and a.intersect(b).subset_of(b)
+
+
+def test_touching_and_point_cases():
+    half_open = IvSet([Iv(0, Q(1, 2), True, False)])
+    rest = IvSet([Iv(Q(1, 2), 1, False, True)])
+    mid = IvSet.point(Q(1, 2))
+    assert not half_open.intersect(rest)
+    assert half_open.union(rest).complement(DOM) == mid
+    assert half_open.union(mid).union(rest) == IvSet([DOM])
+    assert mid.subset_of(IvSet([DOM])) and not mid.subset_of(rest)
+    assert half_open.closure().intersect(rest.closure()) == mid
+    assert IvSet.empty().subset_of(mid) and not mid.subset_of(IvSet.empty())
+
+
+@pytest.mark.parametrize("args", [
+    (Q(1, 2), Q(1, 4), True, True),
+    (Q(1, 2), Q(1, 2), False, True),
+    (Q(1, 2), Q(1, 2), True, False),
+    (Q(1, 2), Q(1, 2), False, False),
+])
+def test_public_interval_validates(args):
+    with pytest.raises(ValueError):
+        Iv(*args)
+
+
+def test_public_constructors_convert_and_merge():
+    iv = Iv("1/4", 1, True, True)
+    assert type(iv.lo) is Q and type(iv.hi) is Q
+    s = IvSet([Iv(Q(1, 2), 1, True, True), Iv(0, Q(1, 2), True, False)])
+    assert s.ivs == (Iv(0, 1, True, True),)
+    assert IvSet.interval(1, Q(1, 2)) == IvSet.empty()
+    assert_canonical(IvSet.point(1))

@@ -1,10 +1,10 @@
 """The trusted `on` paths against the validating constructors.
 
 Every operation that builds through `Seg.on`, `Piecewise.on`,
-`PwFunction.on` or `AsymptoticSet.on` must return exactly what the
-validating constructors give for the same parts: rebuilding a result
-through `Seg(...)`, `Piecewise(...)`, `PwFunction(...)` and
-`AsymptoticSet(...)` must neither raise nor change it.
+`PwFunction.on`, `AsymptoticSet.on`, `Iv.on` or `IvSet.on` must return
+exactly what the validating constructors give for the same parts:
+rebuilding a result through `Seg(...)`, `Piecewise(...)`, `PwFunction(...)`,
+`AsymptoticSet(...)` and `IvSet(...)` must neither raise nor change it.
 """
 
 from fractions import Fraction as Q
@@ -17,7 +17,9 @@ from asymcalc.errors import IncommensurableRatio, ParseError
 from asymcalc.ivset import Iv, IvSet
 from asymcalc.polytools import padd, peval, pmul, poly
 from asymcalc.pwfunc import PwFunction, TailComponent
-from asymcalc.scaleset import AsymptoticSet, _metric_median
+from asymcalc.scaleset import (AsymptoticSet, _metric_median,
+                               circle_closure, fold_to_window, upto1)
+from asymcalc.signs import flat_common_zero
 from asymcalc.window import Piecewise, Seg
 
 # denominators without a root on [1/4, 1]; (2, 3) is not monic
@@ -116,9 +118,19 @@ def asets(draw):
     return AsymptoticSet(sg, draw(_ivs(sg)), head, sg ** j)
 
 
+def assert_valid_ivset(s: IvSet):
+    """Fraction ends, and the sort-and-merge of `IvSet(...)` changes
+    nothing."""
+    assert type(s.ivs) is tuple
+    assert all(type(iv.lo) is Q and type(iv.hi) is Q for iv in s.ivs)
+    assert IvSet([Iv(iv.lo, iv.hi, iv.lc, iv.hc) for iv in s.ivs]) == s
+
+
 def assert_valid_set(S: AsymptoticSet):
     T = AsymptoticSet(S.sigma, S.shape, S.head, S.c0, S.D)
     assert (T.grid, T.shape, T.head) == (S.grid, S.shape, S.head)
+    assert_valid_ivset(S.shape)
+    assert_valid_ivset(S.head)
 
 
 # -- profiles -------------------------------------------------------------
@@ -186,6 +198,18 @@ def test_set_operations_match_validating_path(S, T, t, m):
     for R in (S.union(T), S.intersect(T), S.complement(), A, S.interior(),
               S.lower_anchor(t), S.coarsen(m), _metric_median(A, B)):
         assert_valid_set(R)
+    sg = S.sigma
+    for s in (upto1(sg), circle_closure(S.shape, sg),
+              fold_to_window(S.shape.scale(sg), sg)):
+        assert_valid_ivset(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements())
+def test_zero_sets_match_validating_path(x):
+    for c in x.comps:
+        assert_valid_ivset(c.g.flat_zero())
+    assert_valid_ivset(flat_common_zero(x))
 
 
 # -- the trusted operations make no validation ----------------------------
@@ -209,9 +233,18 @@ def test_trusted_operations_do_not_validate(monkeypatch, osc, hat, negl,
         1, 0, Piecewise.linear_interp([(Q(1, 4), Q(1, 4)), (1, 1)]))])
     S = AsymptoticSet.orbit_interval(Q(5, 16), Q(1, 2), sigma=Q(1, 4))
     f = hat.comps[0].g
+    shapes = [X.shape for X in (A, B, P, S)] + [S.closure().shape,
+                                                 IvSet.empty()]
+    dom = Iv(Q(1, 4), 1, False, True)
     counting(Seg, "__post_init__")
     counting(PwFunction, "_validate")
     counting(AsymptoticSet, "__init__")
+    counting(Iv, "__post_init__")
+    counting(IvSet, "__init__")
+    for a in shapes:
+        a.complement(dom), a.fat_part(), a.scale(Q(1, 2)), a.closure()
+        for b in shapes:
+            a.intersect(b), a.subset_of(b), a.union(b)
     f.neg(), f.scale(3), f.scale(0), f.restrict(Q(5, 8), Q(7, 8))
     f.add(f), f.mul(f)
     for a, b in ((x, hat), (w, y), (hat, y)):

@@ -1,7 +1,7 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymcalc.ivset import Iv, IvSet
@@ -184,9 +184,18 @@ DOMS = [DOM, Iv(Q(1, 4), Q(3, 4), False, True), Iv(Q(1, 8), Q(7, 8), True,
                                                      False)]
 
 
+HALF_OPEN = IvSet([Iv(0, Q(1, 2), True, False)])
+REST = IvSet([Iv(Q(1, 2), 1, False, True)])
+MID = IvSet.point(Q(1, 2))
+
+
 @settings(max_examples=400, deadline=None)
 @given(raw_sets(), raw_sets(), st.sampled_from(DOMS),
        st.sampled_from([Q(1), Q(1, 2), Q(3)]))
+@example(HALF_OPEN, REST, DOM, Q(1))  # touching, open at the shared end
+@example(MID, REST, DOM, Q(2))        # a point at an open end
+@example(IvSet.empty(), MID, DOM, Q(1))
+@example(HALF_OPEN.union(REST), MID.union(IvSet.point(1)), DOMS[1], Q(1))
 def test_set_operations_match_references(a, b, dom, c):
     assert_canonical(a)
     results = [
@@ -205,18 +214,6 @@ def test_set_operations_match_references(a, b, dom, c):
         assert_canonical(got)
     assert a.subset_of(b) == _ref_subset_of(a, b)
     assert a.subset_of(a.union(b)) and a.intersect(b).subset_of(b)
-
-
-def test_touching_and_point_cases():
-    half_open = IvSet([Iv(0, Q(1, 2), True, False)])
-    rest = IvSet([Iv(Q(1, 2), 1, False, True)])
-    mid = IvSet.point(Q(1, 2))
-    assert not half_open.intersect(rest)
-    assert half_open.union(rest).complement(DOM) == mid
-    assert half_open.union(mid).union(rest) == IvSet([DOM])
-    assert mid.subset_of(IvSet([DOM])) and not mid.subset_of(rest)
-    assert half_open.closure().intersect(rest.closure()) == mid
-    assert IvSet.empty().subset_of(mid) and not mid.subset_of(IvSet.empty())
 
 
 @pytest.mark.parametrize("args", [

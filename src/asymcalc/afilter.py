@@ -154,7 +154,7 @@ def _closure_of_ideal_member(S: AsymptoticSet, I: FgIdeal) -> bool:
     O = coS.interior()
     if not O.is_characteristic():
         return True
-    _, structure, shape = I.obstruction_on(O)
+    _, shape, structure = I.obstruction_on(O)
     return not obstruction_meets(structure, shape)
 
 
@@ -419,31 +419,13 @@ def rapid_element(chain, D: int = 1) -> GenConstant:
 
 
 def _bump_profile(pts, sigma: Q, n: int, D: int) -> Piecewise:
-    """w^(nD) times the piecewise linear bump given by node values, padded
-    with zero outside, possibly in two pieces around a suppressed middle."""
+    """w^(nD) times the piecewise linear interpolation of the nodes, padded
+    with zero out to the window ends."""
     mono = Piecewise.from_poly(sigma, Q(1),
                                (Q(0),) * (n * D) + (Q(1),))
-    # split into runs at gaps between consecutive zero nodes
-    runs, cur = [], [pts[0]]
-    for prev, nxt in zip(pts, pts[1:]):
-        if prev[1] == 0 and nxt[1] == 0 and prev[0] != nxt[0]:
-            runs.append(cur)
-            cur = [nxt]
-        else:
-            cur.append(nxt)
-    runs.append(cur)
-    out, w = [], sigma
-    for run in runs:
-        if len(run) < 2:
-            continue
-        lo, hi = run[0][0], run[-1][0]
-        if lo > w:
-            out.append(Piecewise.zero(w, lo))
-        out.append(Piecewise.linear_interp(run))
-        w = hi
-    if w < 1:
-        out.append(Piecewise.zero(w, Q(1)))
-    return Piecewise.concat(out).mul(mono)
+    pad_lo = [(sigma, Q(0))] if pts[0][0] > sigma else []
+    pad_hi = [(Q(1), Q(0))] if pts[-1][0] < 1 else []
+    return Piecewise.linear_interp(pad_lo + pts + pad_hi).mul(mono)
 
 
 def _verify_rapid(phi: PwFunction, ivs, sigma: Q, D: int):

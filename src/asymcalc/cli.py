@@ -21,10 +21,6 @@ from .verify import available_checks, run_checks
 __all__ = ["main"]
 
 
-def _q(text: str) -> Q:
-    return Q(text)
-
-
 def _print_outputs(outputs, as_json: bool):
     if as_json:
         print(json.dumps(outputs, indent=2, default=str))
@@ -55,7 +51,12 @@ def _cmd_run(args) -> int:
     except OSError as e:
         print(f"error[IO]: {e}", file=sys.stderr)
         return 2
-    session = Session(sigma=_q(args.base_ratio), D=args.grid_D)
+    try:
+        session = Session(sigma=Q(args.base_ratio), D=args.grid_D)
+    except (ValueError, ZeroDivisionError) as e:
+        print(f"error[{type(e).__name__}]: bad grid option: {e}",
+              file=sys.stderr)
+        return 2
     try:
         outputs = execute(session, parse(source))
     except AsymcalcError as e:

@@ -24,6 +24,7 @@ from fractions import Fraction as Q
 
 from .errors import (ParseError, PreconditionViolated, TypeMismatch,
                      UndefinedName)
+from .grid import Grid
 from .pwfunc import PwFunction, TailComponent
 from .scaleset import AsymptoticSet, insert_between
 from .window import Piecewise, Seg
@@ -353,10 +354,13 @@ def _wexpr(text: str, tok: Token):
 
 @dataclass
 class Session:
-    """Symbol table plus the shared grid parameters."""
+    """Symbol table plus the shared grid parameters, checked by Grid.of."""
     sigma: Q = Q(1, 2)
     D: int = 1
     symbols: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        Grid.of(self.sigma, D=self.D)
 
     def define(self, kind, name, obj):
         if name in self.symbols:
@@ -401,6 +405,15 @@ class _Builder:
             self.fail("expected an integer", node)
         return int(q)
 
+    def grid_args(self, kwargs):
+        """(ratio, anchor, D) of an orbit or a tail; the session grid and
+        anchor 1 by default."""
+        ratio = self.rat(kwargs["ratio"]) if "ratio" in kwargs \
+            else self.sn.sigma
+        anchor = self.rat(kwargs["anchor"]) if "anchor" in kwargs else Q(1)
+        D = self.intval(kwargs["D"]) if "D" in kwargs else self.sn.D
+        return ratio, anchor, D
+
     # intervals and shapes ----------------------------------------------
 
     def interval_list(self, node):
@@ -437,14 +450,11 @@ class _Builder:
             self.fail("expected a set expression", node)
         _, head, args, kwargs, tok = node
         if head == "orbit":
-            ratio = self.rat(kwargs["ratio"]) if "ratio" in kwargs \
-                else self.sn.sigma
+            ratio, anchor, D = self.grid_args(kwargs)
             shape = self.interval_list(kwargs["shape"]) if "shape" in kwargs \
                 else self.interval_list(args[0])
-            anchor = self.rat(kwargs["anchor"]) if "anchor" in kwargs else Q(1)
             head_ivs = self.interval_list(kwargs["head"]) \
                 if "head" in kwargs else None
-            D = self.intval(kwargs["D"]) if "D" in kwargs else self.sn.D
             return self.make(AsymptoticSet, ratio, shape, head_ivs,
                              c0=anchor, D=D)
         if head == "point":
@@ -515,10 +525,7 @@ class _Builder:
             prof = self.build_profile(node, ratio, 1)
             return self.make(PwFunction, ratio, [TailComponent(0, 0, prof)])
         if head == "tail":
-            ratio = self.rat(kwargs["ratio"]) if "ratio" in kwargs \
-                else self.sn.sigma
-            anchor = self.rat(kwargs["anchor"]) if "anchor" in kwargs else Q(1)
-            D = self.intval(kwargs["D"]) if "D" in kwargs else self.sn.D
+            ratio, anchor, D = self.grid_args(kwargs)
             if "comps" not in kwargs or kwargs["comps"][0] != "list":
                 self.fail("tail needs comps=[{s:..., r:..., g:...}, ...]",
                           node)
@@ -652,18 +659,10 @@ def execute(session: Session, statements):
     out = []
     for st in statements:
         b.at = (st.line, st.col)
-        if st.kind == "set":
-            session.define("set", st.name, b.build_set(st.expr))
-            out.append({"stmt": "set", "name": st.name})
-        elif st.kind == "elem":
-            session.define("elem", st.name, b.build_elem(st.expr))
-            out.append({"stmt": "elem", "name": st.name})
-        elif st.kind == "ideal":
-            session.define("ideal", st.name, b.build_ideal(st.expr))
-            out.append({"stmt": "ideal", "name": st.name})
-        elif st.kind == "filter":
-            session.define("filter", st.name, b.build_filter(st.expr))
-            out.append({"stmt": "filter", "name": st.name})
+        if st.kind in ("set", "elem", "ideal", "filter"):
+            build = getattr(b, f"build_{st.kind}")
+            session.define(st.kind, st.name, build(st.expr))
+            out.append({"stmt": st.kind, "name": st.name})
         elif st.kind == "eval":
             x = session.lookup(st.name, "elem")
             val = b.make(x.eval, st.expr)

@@ -7,6 +7,9 @@ invertible on S) are decided exactly through the sign engine, and the
 constructive operations (inversion, separating profiles, extension sets,
 zero-product splitting, Cauchy gluing) return objects whose defining
 properties are verified exactly by the same machinery.
+
+Each invertibility question reads `signs.obstruction_on` once, decides it
+with `signs.unobstructed` and builds its construction from the same triple.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from .pwfunc import PwFunction, TailComponent
 from .scaleset import (AsymptoticSet, circle_closure, fold_to_window,
                        halfway_toward, orbit_with_full_head, upto1,
                        with_neighbours)
-from .signs import (bad_structure, common_window, eventually_nonneg,
-                    flat_common_zero, isolated_common_zeros)
-from .signs import restr_invertible_bool as _inv_bool
+from .signs import (common_window, eventually_nonneg, flat_common_zero,
+                    isolated_common_zeros, obstruction_on, unobstructed)
 from .signs import restr_zero as _restr_zero_pw
 from .polytools import pmul
 from .window import Piecewise, Seg
@@ -148,10 +150,10 @@ def restr_invertible(x, S: AsymptoticSet):
     forces n >= val(x), so n is searched by testing that floor and then
     bisecting up to n_max; delta is certified for z at the least n.
     """
-    xr = _rep(x)
-    if not _inv_bool(xr, S):
+    ob = obstruction_on(_rep(x), S)
+    if not unobstructed(ob):
         return (False, None, None)
-    xw, shape = common_window(xr, S)
+    xw, shape, _ = ob
     Sw = AsymptoticSet(xw.sigma, shape, D=xw.D)
     live = xw.live_comps()
     nmax = max([0] + [max(0, -(-c.s // xw.D)) for c in live]) + 1
@@ -437,18 +439,19 @@ def invert_on(x, S: AsymptoticSet) -> GenConstant:
     """An element y with x*y = 1 on S exactly.  The representative must
     carry its polynomial scale in a single component."""
     xr = _rep(x)
-    if not _inv_bool(xr, S):
+    ob = obstruction_on(xr, S)
+    if not unobstructed(ob):
         raise PreconditionViolated("element is not invertible on the set")
     live = [c for c in xr.comps if c.r == 0 and not c.g.is_zero()]
     if len(live) != 1:
         raise RepresentabilityError(
             "inversion needs a single polynomial-scale component")
-    T = extend_invertible(x, S)
+    T = _extension(ob, S)
     psi = GenConstant.const(1, xr.sigma, xr.D) - urysohn(S, T)
-    return _divide_profile(psi.rep, xr, live[0])
+    return _divide_profile(psi.rep, xr)
 
 
-def _divide_profile(psi: PwFunction, x: PwFunction, comp: TailComponent):
+def _divide_profile(psi: PwFunction, x: PwFunction):
     """psi / x where psi vanishes outside the region where the single live
     component of x is nonvanishing."""
     a, b = unify(psi, x)
@@ -481,21 +484,14 @@ def _pl_quotient(num: Piecewise, den: Piecewise) -> Piecewise:
     cuts = sorted(set(num.breakpoints()) | set(den.breakpoints()))
     parts = []
     for a, b in zip(cuts, cuts[1:]):
-        ns = num.restrict(a, b)
-        if ns.is_zero():
+        # the cuts hold every breakpoint of both, so each is one segment
+        (sn,), (sd,) = num.restrict(a, b).segs, den.restrict(a, b).segs
+        if sn.is_zero():
             parts.append(Piecewise.zero(a, b))
-            continue
-        ds = den.restrict(a, b)
-        for sn, sd in zip(ns.segs, _resplit(ds, ns).segs):
-            parts.append(Piecewise([Seg(sn.lo, sn.hi, pmul(sn.num, sd.den),
+        else:
+            parts.append(Piecewise([Seg(a, b, pmul(sn.num, sd.den),
                                         pmul(sn.den, sd.num))]))
     return Piecewise.concat(parts)
-
-
-def _resplit(f: Piecewise, like: Piecewise) -> Piecewise:
-    cuts = sorted(set(f.breakpoints()) | set(like.breakpoints()))
-    return Piecewise.concat([f.restrict(a, b)
-                             for a, b in zip(cuts, cuts[1:])])
 
 
 # -- extension sets -------------------------------------------------------
@@ -504,12 +500,16 @@ def _resplit(f: Piecewise, like: Piecewise) -> Piecewise:
 def extend_invertible(x, S: AsymptoticSet) -> AsymptoticSet:
     """A set T preceded by S on which x stays invertible: the closed trace
     fattened halfway toward the obstruction structure of x."""
-    xr = _rep(x)
-    if not _inv_bool(xr, S):
+    ob = obstruction_on(_rep(x), S)
+    if not unobstructed(ob):
         raise PreconditionViolated("element is not invertible on the set")
-    xw, shape = common_window(xr, S)
+    return _extension(ob, S)
+
+
+def _extension(ob, S: AsymptoticSet) -> AsymptoticSet:
+    """extend_invertible from the obstruction triple of x on S."""
+    xw, shape, (flat, badpts) = ob
     sg = xw.sigma
-    flat, badpts = bad_structure(xw)
     obstacles = flat
     for b in badpts:
         lo, hi = _rational_enclosure(b.pos, sg, Q(1), Q(1, 64))

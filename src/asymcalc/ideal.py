@@ -32,8 +32,8 @@ from .polytools import pt_cmp
 from .pwfunc import PwFunction
 from .scaleset import AsymptoticSet, circle_closure, halfway_toward, upto1
 from .signs import (_pt_in_ivset, bad_structure, eventually_nonneg,
-                    flat_common_zero, isolated_common_zeros,
-                    obstruction_meets)
+                    flat_common_zero, isolated_common_zeros, obstruction_on,
+                    unobstructed)
 
 
 class FgIdeal:
@@ -97,21 +97,16 @@ class FgIdeal:
         return AsymptoticSet(sos.sigma, circle_closure(Z, sos.sigma), D=sos.D)
 
     def obstruction_on(self, S: AsymptoticSet):
-        """(sigma, structure, shape): the obstruction structure of sos and
-        the trace of S, rewritten onto their common ratio sigma.  The kept
-        structure serves whenever that ratio is the ratio of sos."""
+        """`signs.obstruction_on(sos germ, S)`, with the kept structure
+        whenever the common ratio is the ratio of sos."""
         m1, m2 = self.sos_germ.grid.common_ratio(S.grid)
-        if m1 == 1:
-            sos, structure = self.sos_germ, self._obstruction
-        else:
-            sos = self.sos_germ.coarsen(m1)
-            structure = bad_structure(sos)
-        return sos.sigma, structure, S.coarsen(m2).shape
+        if m1 != 1:
+            return obstruction_on(self.sos_germ, S)
+        return self.sos_germ, S.coarsen(m2).shape, self._obstruction
 
     def sos_invertible_on(self, S: AsymptoticSet) -> bool:
         """`restr_invertible_bool(sos, S)` for a set S accumulating at 0."""
-        sg, structure, shape = self.obstruction_on(S)
-        return not obstruction_meets(structure, circle_closure(shape, sg))
+        return unobstructed(self.obstruction_on(S))
 
 
 # -- zero structures ------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iv:
     lo: Q
     hi: Q
@@ -36,7 +36,10 @@ class Iv:
     def on(cls, lo: Q, hi: Q, lc: bool, hc: bool) -> "Iv":
         """Trusted: Fractions lo <= hi, both ends closed when lo == hi."""
         iv = object.__new__(cls)
-        iv.__dict__.update(lo=lo, hi=hi, lc=lc, hc=hc)
+        object.__setattr__(iv, "lo", lo)
+        object.__setattr__(iv, "hi", hi)
+        object.__setattr__(iv, "lc", lc)
+        object.__setattr__(iv, "hc", hc)
         return iv
 
     def contains(self, x) -> bool:

@@ -10,6 +10,10 @@ zero at rate t ~ sigma^(beta k) the component (s_j, r_j=0, order m_j)
 contributes sigma^(k (s_j + beta m_j)); the achievable dominant behaviours
 are the lower-hull vertices of the points (m_j, s_j), and a sign change
 between hull-adjacent vertices forces an exactly attained zero nearby.
+
+Invertibility on S is decided in one place: `obstruction_on` reads the
+obstruction structure off x once per question and `unobstructed` tests it
+on the closed trace; every invertibility consumer takes that one triple.
 """
 
 from __future__ import annotations
@@ -346,13 +350,24 @@ def _side_bad(sd: SideData) -> bool:
     return 0 in sd.attainable_signs()
 
 
-def restr_invertible_bool(x: PwFunction, S: AsymptoticSet) -> bool:
-    """Exact decision of eventual boundedness below by a scale power on S."""
+def obstruction_on(x: PwFunction, S: AsymptoticSet):
+    """(xw, shape, structure): x and the trace of S rewritten onto their
+    common ratio, and the obstruction structure `bad_structure(xw)`."""
     if not S.is_characteristic():
         raise NotCharacteristic("restriction needs a set accumulating at 0")
-    x, shape = common_window(x, S)
-    return not obstruction_meets(bad_structure(x),
-                                 circle_closure(shape, x.sigma))
+    xw, shape = common_window(x, S)
+    return xw, shape, bad_structure(xw)
+
+
+def unobstructed(ob) -> bool:
+    """Whether x is invertible on S, from `obstruction_on(x, S)`."""
+    xw, shape, structure = ob
+    return not obstruction_meets(structure, circle_closure(shape, xw.sigma))
+
+
+def restr_invertible_bool(x: PwFunction, S: AsymptoticSet) -> bool:
+    """Exact decision of eventual boundedness below by a scale power on S."""
+    return unobstructed(obstruction_on(x, S))
 
 
 def obstruction_meets(structure, C: IvSet) -> bool:

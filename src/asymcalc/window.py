@@ -46,7 +46,7 @@ def _den_vanishes(den, lo, hi) -> bool:
         count_roots_halfopen(sturm_chain(sf), lo, hi) > 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Seg:
     lo: Q
     hi: Q
@@ -72,7 +72,10 @@ class Seg:
     def on(cls, lo: Q, hi: Q, num, den=ONE) -> "Seg":
         """Trusted: Fractions lo < hi, num/den reduced, den monic, no root."""
         s = object.__new__(cls)
-        s.__dict__.update(lo=lo, hi=hi, num=num, den=den)
+        object.__setattr__(s, "lo", lo)
+        object.__setattr__(s, "hi", hi)
+        object.__setattr__(s, "num", num)
+        object.__setattr__(s, "den", den)
         return s
 
     def val(self, w) -> Q:

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import asymcalc.afilter as afilter_mod
 from asymcalc.afilter import (FG, Closure, CounterExample, Interior, OfIdeal,
                               Verified, _arc_pair, _doubled_pair,
                               _filter_sigma, _rand_q, _some_member,
@@ -13,6 +16,7 @@ from asymcalc.errors import (AsymcalcError, ChainNotDescending, ImproperFilter,
                              NotMember, PreconditionViolated)
 from asymcalc.ideal import FgIdeal
 from asymcalc.scaleset import AsymptoticSet, insert_between
+from asymcalc.window import Piecewise
 
 
 def test_fg_membership(A, B, P, full):
@@ -243,6 +247,62 @@ def test_rapid_element_six_term_chain():
     chain = _chain(6)
     phi = rapid_element(chain)
     assert [c.s for c in phi.rep.comps] == [1, 2, 3, 4, 5, 6]
+
+
+def _runs_bump_profile(pts, sigma, n, D):
+    """Reference: the run-splitting bump, zero between consecutive zero
+    nodes and outside the node range."""
+    mono = Piecewise.from_poly(sigma, Q(1), (Q(0),) * (n * D) + (Q(1),))
+    runs, cur = [], [pts[0]]
+    for prev, nxt in zip(pts, pts[1:]):
+        if prev[1] == 0 and nxt[1] == 0 and prev[0] != nxt[0]:
+            runs.append(cur)
+            cur = [nxt]
+        else:
+            cur.append(nxt)
+    runs.append(cur)
+    out, w = [], sigma
+    for run in runs:
+        if len(run) < 2:
+            continue
+        lo, hi = run[0][0], run[-1][0]
+        if lo > w:
+            out.append(Piecewise.zero(w, lo))
+        out.append(Piecewise.linear_interp(run))
+        w = hi
+    if w < 1:
+        out.append(Piecewise.zero(w, Q(1)))
+    return Piecewise.concat(out).mul(mono)
+
+
+@st.composite
+def nested_chains(draw):
+    """Strictly nested single-interval orbits inside (1/2, 1), on 1/64."""
+    L = draw(st.integers(1, 5))
+    ends = sorted(draw(st.sets(st.integers(33, 63), min_size=2 * L,
+                               max_size=2 * L)))
+    return [AsymptoticSet.orbit_interval(Q(ends[k], 64),
+                                         Q(ends[2 * L - 1 - k], 64))
+            for k in range(L)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_chains(), st.sampled_from([1, 2]))
+def test_bump_profile_matches_run_splitting(chain, D):
+    seen = []
+
+    def compare(pts, sigma, n, D):
+        got = bump(pts, sigma, n, D)
+        assert got == _runs_bump_profile(pts, sigma, n, D), (pts, n, D)
+        seen.append(n)
+        return got
+
+    bump = afilter_mod._bump_profile
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(afilter_mod, "_bump_profile", compare)
+        mp.setattr(afilter_mod, "_verify_rapid", lambda *args: None)
+        rapid_element(chain, D)
+    assert seen == list(range(1, len(chain) + 1))
 
 
 def test_prec_interval_basis(A, B, full):

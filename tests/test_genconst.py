@@ -3,6 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
+import asymcalc.genconst as genconst_mod
+import asymcalc.signs as signs_mod
 from asymcalc.errors import (ModulusViolated, PreconditionViolated,
                              ProductNotZero)
 from asymcalc.genconst import (GenConstant, _certified_start, _scanned_start,
@@ -13,7 +15,7 @@ from asymcalc.genconst import (GenConstant, _certified_start, _scanned_start,
 from asymcalc.ivset import Iv, IvSet
 from asymcalc.pwfunc import PwFunction
 from asymcalc.scaleset import AsymptoticSet
-from asymcalc.signs import (NONNEG, POS, ZERO, common_window,
+from asymcalc.signs import (NONNEG, POS, ZERO, bad_structure, common_window,
                             eventual_sign_on, restr_invertible_bool)
 from asymcalc.verify import corpus_generate
 from asymcalc.verify.corpus import tent
@@ -89,6 +91,25 @@ def test_extend_invertible_frozen(hat, P):
     assert P.precedes(T)
     assert restr_invertible(hat, T)[0]
     assert T.shape == IvSet.interval(Q(177, 256), Q(207, 256))
+
+
+@pytest.mark.parametrize("op", [restr_invertible, extend_invertible,
+                                invert_on, restr_invertible_bool])
+def test_obstruction_structure_built_once(hat, osc, P, A, full, op,
+                                          monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return bad_structure(x)
+
+    monkeypatch.setattr(signs_mod, "bad_structure", counted)
+    monkeypatch.setattr(genconst_mod, "bad_structure", counted,
+                        raising=False)
+    for x, S in ((hat, P), (hat, A), (osc, full)):
+        calls.clear()
+        op(x, S)
+        assert len(calls) == 1, (op.__name__, x, S)
 
 
 def test_extend_zero_frozen(hat):

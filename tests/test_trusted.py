@@ -285,3 +285,14 @@ def test_set_from_dict_rejects_malformed_records(rec):
 def test_element_from_dict_rejects_malformed_records(rec):
     with pytest.raises(ParseError):
         PwFunction.from_dict(rec)
+
+
+def test_intervals_and_segments_are_slotted():
+    # intervals and segments are the most numerous values; neither the
+    # validating nor the trusted construction leaves an instance dict
+    a, b = Q(1, 2), Q(3, 4)
+    built = [Iv(a, b, True, False), Iv.on(a, b, True, False),
+             Seg(a, b, (Q(1), Q(2))), Seg.on(a, b, (Q(1), Q(2)), (Q(1),))]
+    for obj in built:
+        assert not hasattr(obj, "__dict__"), obj
+    assert built[0] == built[1] and built[2] == built[3]

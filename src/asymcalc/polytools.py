@@ -6,13 +6,29 @@ operations this module provides Sturm sequences, certified root isolation on a
 closed rational interval, and `RootPt`, an exactly represented irrational
 algebraic number given by a squarefree polynomial plus an isolating interval.
 
+Signs are decided over the integers.  `_zform(p)` is the primitive integer
+multiple of p by a positive rational, and `_zsign(z, x)` the sign of the
+integer polynomial z at a rational x = a/b, read off the homogeneous integer
+Horner sum of z_i a^i b^(n-i) (b > 0, so the factor b^n changes no sign).
+`psign(p, x)` is the sign of p(x) through the two.  `sturm_chain` returns
+integer tuples: the primitive pseudo-remainder sequence over Z (Collins
+1967; Brown & Traub 1971) in which each step multiplies by the absolute
+value of a leading coefficient, so each term is a positive multiple of the
+term of the Euclidean Sturm sequence over Q.  A positive multiple has the
+same sign at every point, so sign variations, root counts and every
+decision built on them are those of the rational sequence.  `pgcd` runs the
+same integer sequence and makes its last term monic once, so `pgcd`,
+`squarefree`, `RootPt.sf` and every other polynomial a caller sees stay
+monic or plain Fraction tuples; `RootPt` keeps the integer form of `sf`
+beside it for its sign tests.
+
 Rational roots need no search.  If q is squarefree and N is the leading
-coefficient of its primitive integer multiple, a root u/v in lowest terms has
-v | N (rational root theorem), so every rational root of q lies on the lattice
-(1/N)Z.  An isolating interval that holds at most one lattice point k/N is
-therefore decided by the single test q(k/N) = 0: the root is k/N, or it is
-irrational.  `isolate_roots` returns rational roots as Fractions and only
-irrational ones as RootPt.
+coefficient of its primitive integer multiple (the first term of its Sturm
+chain), a root u/v in lowest terms has v | N (rational root theorem), so
+every rational root of q lies on the lattice (1/N)Z.  An isolating interval
+that holds at most one lattice point k/N is therefore decided by the single
+test q(k/N) = 0: the root is k/N, or it is irrational.  `isolate_roots`
+returns rational roots as Fractions and only irrational ones as RootPt.
 """
 
 from __future__ import annotations
@@ -111,12 +127,14 @@ def pdivmod(p, q):
 
 
 def pgcd(p, q):
-    """Monic gcd."""
-    while q:
-        p, q = q, pdivmod(p, q)[1]
-    if not p:
+    """Monic gcd, from the primitive remainder sequence of p and q over Z."""
+    a, b = _zform(p), _zform(q)
+    while b:
+        a, b = b, _zprem(a, b)
+    if not a:
         return ZERO
-    return pscale(p, 1 / p[-1])
+    lead = a[-1]
+    return tuple(Q(c, lead) for c in a)
 
 
 def pderiv(p):
@@ -153,28 +171,81 @@ def squarefree(p):
     return pscale(q, 1 / q[-1])
 
 
+def _zform(p) -> tuple:
+    """The primitive integer multiple of p by a positive rational: integer
+    coefficients with gcd 1 (the empty tuple for p = 0)."""
+    if not p:
+        return ()
+    den = math.lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def _zsign(z, x) -> int:
+    """Sign of the integer polynomial z at the rational x = a/b (a Fraction
+    or an int): the sign of the homogeneous sum of z_i a^i b^(n-i),
+    n = deg z, by Horner's rule."""
+    if not z:
+        return 0
+    a, b = x.numerator, x.denominator
+    acc = z[-1]
+    if b == 1:
+        for c in z[-2::-1]:
+            acc = acc * a + c
+    else:
+        bk = 1
+        for c in z[-2::-1]:
+            bk *= b
+            acc = acc * a + c * bk
+    return (acc > 0) - (acc < 0)
+
+
+def psign(p, x) -> int:
+    """Exact sign of the polynomial p at the rational x (a Fraction or an
+    int)."""
+    return _zsign(_zform(p), x)
+
+
+def _zprem(a, b) -> tuple:
+    """The primitive part of a pseudo-remainder of a by b over Z.  Each
+    elimination step multiplies by |lc b|, so the result is a positive
+    multiple of a mod b over Q."""
+    r = list(a)
+    d = len(b) - 1
+    lead = b[-1]
+    mag, sgn = abs(lead), (1 if lead > 0 else -1)
+    while len(r) > d:
+        c = r[-1] * sgn
+        k = len(r) - 1 - d
+        if c:
+            r = [mag * x for x in r]
+            for i, y in enumerate(b):
+                r[k + i] -= c * y
+        r.pop()
+    while r and not r[-1]:
+        r.pop()
+    if not r:
+        return ()
+    g = math.gcd(*r)
+    return tuple(c // g for c in r)
+
+
 def sturm_chain(p):
-    """Sturm sequence of a (preferably squarefree) polynomial."""
-    chain = [p, pderiv(p)]
+    """Sturm sequence of a (preferably squarefree) polynomial, as integer
+    tuples: each term is a positive multiple of the Euclidean term over Q."""
+    chain = [_zform(p), _zform(pderiv(p))]
     while chain[-1]:
-        rem = pdivmod(chain[-2], chain[-1])[1]
+        rem = _zprem(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append(pneg(rem))
+        chain.append(tuple(-c for c in rem))
     return [c for c in chain if c]
 
 
 def _variations(chain, x):
-    signs = []
-    for p in chain:
-        v = peval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    count = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            count += 1
-    return count
+    signs = [s for s in (_zsign(z, x) for z in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def count_roots_halfopen(chain, a, b) -> int:
@@ -189,7 +260,9 @@ class RootPt:
     (lo, hi).
 
     `sf` is squarefree and monic, and the open interval contains exactly
-    one of its roots.  Invariant: that root is irrational and sf(hi) != 0.
+    one of its roots; `zf` is its primitive integer multiple `_zform(sf)`,
+    a positive multiple with the same sign everywhere, on which every sign
+    test runs.  Invariant: that root is irrational and sf(hi) != 0.
     Then sf is nonzero at every rational inside (lo, hi), positive on one
     side of the root and negative on the other, so a rational probe x in
     (lo, hi) lies above the root exactly when sf(x) has the sign of sf(hi).
@@ -198,13 +271,14 @@ class RootPt:
     `isolate_roots`); code that mixes them uses `pt_cmp` and friends below.
     """
 
-    __slots__ = ("sf", "lo", "hi", "hi_pos")
+    __slots__ = ("sf", "zf", "lo", "hi", "hi_pos")
 
     def __init__(self, sf, lo, hi):
         self.sf = sf
+        self.zf = _zform(sf)
         self.lo = Q(lo)
         self.hi = Q(hi)
-        self.hi_pos = peval(sf, self.hi) > 0
+        self.hi_pos = _zsign(self.zf, self.hi) > 0
 
     def __repr__(self):
         return f"RootPt({self.sf}, {self.lo}, {self.hi})"
@@ -212,7 +286,7 @@ class RootPt:
     def _cut(self, x) -> int:
         """Shrink the interval at a rational x in (lo, hi); returns the
         sign of root - x."""
-        if (peval(self.sf, x) > 0) == self.hi_pos:
+        if (_zsign(self.zf, x) > 0) == self.hi_pos:
             self.hi = x
             return -1
         self.lo = x
@@ -246,12 +320,11 @@ class RootPt:
         # p has no root equal to this point; refine until p has no root in
         # the open interval, where it then keeps one nonzero sign (roots of
         # p at the endpoints are harmless)
-        ps = squarefree(p)
-        chain = sturm_chain(ps)
+        chain = sturm_chain(squarefree(p))
         while count_roots_halfopen(chain, self.lo, self.hi) > \
-                (peval(ps, self.hi) == 0):
+                (_zsign(chain[0], self.hi) == 0):
             self.refine()
-        return 1 if peval(p, (self.lo + self.hi) / 2) > 0 else -1
+        return psign(p, (self.lo + self.hi) / 2)
 
     def approx(self, width=Q(1, 2**40)) -> Q:
         self.refine_below(width)
@@ -312,12 +385,13 @@ def isolate_roots(p, lo, hi):
     interval that still isolates the same root.
 
     One Sturm bisection pass over the squarefree part q finds the roots.
-    Let N be the leading coefficient of q's primitive integer multiple; by
-    the rational root theorem every rational root of q lies on the lattice
-    (1/N)Z.  Each interval (a, b] holding one root yields b when q(b) = 0;
-    otherwise it is halved by the sign of q alone until (a, b) holds at most
-    one lattice point k/N, and q(k/N) = 0 decides between the Fraction k/N
-    and a RootPt, whose root is then irrational.
+    Let N be the leading coefficient of q's primitive integer multiple, the
+    first term of its Sturm chain; by the rational root theorem every
+    rational root of q lies on the lattice (1/N)Z.  Each interval (a, b]
+    holding one root yields b when q(b) = 0; otherwise it is halved by the
+    sign of q alone until (a, b) holds at most one lattice point k/N, and
+    q(k/N) = 0 decides between the Fraction k/N and a RootPt, whose root is
+    then irrational.
     """
     lo, hi = Q(lo), Q(hi)
     if not p:
@@ -327,16 +401,16 @@ def isolate_roots(p, lo, hi):
     q = squarefree(p)
     if pdeg(q) <= 0:
         return ()
-    n_lat = _lattice(q)
     chain = sturm_chain(q)
-    out = [lo] if peval(q, lo) == 0 else []
+    zq = chain[0]
+    out = [lo] if _zsign(zq, lo) == 0 else []
     # entries (a, b, n): n roots of q in (a, b]; the left half is pushed
     # last so that roots come out in increasing order
     stack = [(lo, hi, count_roots_halfopen(chain, lo, hi))]
     while stack:
         a, b, n = stack.pop()
         if n == 1:
-            out.append(_one_root(q, n_lat, a, b))
+            out.append(_one_root(q, zq, a, b))
         elif n > 1:
             m = (a + b) / 2
             k = count_roots_halfopen(chain, a, m)
@@ -345,32 +419,27 @@ def isolate_roots(p, lo, hi):
     return tuple(out)
 
 
-def _lattice(q) -> int:
-    """The leading coefficient N of the primitive integer multiple of the
-    monic q: every rational root of q is a multiple of 1/N."""
-    den = math.lcm(*(c.denominator for c in q))
-    return den // math.gcd(*(c.numerator * (den // c.denominator) for c in q))
-
-
-def _one_root(q, n_lat, a, b):
-    """The single root of q in (a, b], as a Fraction or a RootPt."""
-    sb = peval(q, b)
+def _one_root(q, zq, a, b):
+    """The single root of q in (a, b], as a Fraction or a RootPt; zq is
+    q's primitive integer multiple, whose leading coefficient N puts every
+    rational root of q on (1/N)Z."""
+    sb = _zsign(zq, b)
     if sb == 0:
         return b
-    pos = sb > 0
+    n_lat = zq[-1]
     # (a, b) holds ceil(bN) - floor(aN) - 1 lattice points k/N; halve it
     # until at most one is left
     while math.ceil(b * n_lat) - math.floor(a * n_lat) > 2:
         m = (a + b) / 2
-        v = peval(q, m)
+        v = _zsign(zq, m)
         if v == 0:
             return m
-        if (v > 0) == pos:
+        if v == sb:
             b = m
         else:
             a = m
     k = math.floor(a * n_lat) + 1
-    if Q(k, n_lat) < b and peval(q, Q(k, n_lat)) == 0:
+    if Q(k, n_lat) < b and _zsign(zq, Q(k, n_lat)) == 0:
         return Q(k, n_lat)
     return RootPt(q, a, b)
 
@@ -379,7 +448,8 @@ def poly_nonneg_on(p, lo, hi) -> bool:
     """Exact check that p >= 0 everywhere on [lo, hi]."""
     if not p:
         return True
-    if peval(p, lo) < 0 or peval(p, hi) < 0:
+    zp = _zform(p)
+    if _zsign(zp, lo) < 0 or _zsign(zp, hi) < 0:
         return False
     pts = isolate_roots(p, lo, hi)
     samples = [lo, hi]
@@ -389,4 +459,4 @@ def poly_nonneg_on(p, lo, hi) -> bool:
         samples.append((prev + x) / 2 if prev < x else prev)
         prev = x
     samples.append((prev + hi) / 2 if prev < hi else hi)
-    return all(peval(p, s) >= 0 for s in samples)
+    return all(_zsign(zp, s) >= 0 for s in samples)

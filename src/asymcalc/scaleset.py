@@ -58,6 +58,12 @@ def with_neighbours(s: IvSet, sigma: Q) -> IvSet:
 
 def fold_to_window(s: IvSet, sigma: Q) -> IvSet:
     """Fold interval parts outside (sigma, 1] back through the seam."""
+    return circle_closure(_through_seam(s, sigma), sigma)
+
+
+def _through_seam(s: IvSet, sigma: Q) -> IvSet:
+    """The parts of s in [sigma^2, 1/sigma] moved into the window
+    (sigma, 1] through the seam, the result not closed."""
     win = upto1(sigma)
     out = s.intersect(win)
     low = s.intersect(IvSet.on((Iv.on(sigma * sigma, sigma, True, True),)))
@@ -66,7 +72,7 @@ def fold_to_window(s: IvSet, sigma: Q) -> IvSet:
     high = s.intersect(IvSet.on((Iv.on(_ONE, 1 / sigma, False, True),)))
     if high:
         out = out.union(high.scale(sigma).intersect(win))
-    return circle_closure(out, sigma)
+    return out
 
 
 def grow_circle(C: IvSet, eta: Q, sigma: Q) -> IvSet:
@@ -97,18 +103,29 @@ def circle_gap(C: IvSet, O: IvSet, sigma: Q) -> Q:
 
 
 class AsymptoticSet:
-    """A self-similar subset of (0, 1]."""
+    """A self-similar subset of (0, 1].
+
+    The shape may hold the point w = sigma, which is w = 1 on the next
+    block: the constructor folds it through the seam and lowers the anchor
+    by one block, so the set keeps every point it had and gains none (the
+    anchor c0, w = 1 on block 0, stays out)."""
 
     __slots__ = ("grid", "shape", "head")
 
     def __init__(self, sigma, shape: IvSet, head: IvSet | None = None,
                  c0=Q(1), D=1):
         grid = Grid.of(sigma, c0, D)
-        if shape.intersect(upto1(grid.sigma)) != shape:
-            raise ValueError("shape must lie inside the window (sigma, 1]")
         head = head if head is not None else IvSet.empty()
         if head and (grid.c0 == 1 or head.intersect(upto1(grid.c0)) != head):
             raise ValueError("a head must lie inside (anchor, 1], anchor < 1")
+        win = upto1(grid.sigma)
+        inside = shape.intersect(win)
+        if inside != shape:
+            if inside.union(IvSet.point(grid.sigma)) != shape:
+                raise ValueError("shape must lie inside [sigma, 1]")
+            low = AsymptoticSet.on(grid, inside, head).lower_anchor(1)
+            grid, head = low.grid, low.head
+            shape = _through_seam(shape, grid.sigma)
         self.grid, self.shape, self.head = grid, shape, head
 
     @classmethod

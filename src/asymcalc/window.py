@@ -19,7 +19,7 @@ from .errors import ContinuityViolation, ZeroDenominator
 from .ivset import Iv, IvSet
 from .polytools import (ONE, RootPt, ZERO, count_roots_halfopen, isolate_roots,
                         padd, pcompose_affine, pderiv, pdeg, pdivmod, peval,
-                        pgcd, pmul, poly, poly_nonneg_on, pscale, psub,
+                        pgcd, pmul, poly, poly_nonneg_on, pscale, psign, psub,
                         pt_cmp, squarefree, sturm_chain)
 
 
@@ -42,7 +42,7 @@ def _reduce(num, den):
 def _den_vanishes(den, lo, hi) -> bool:
     """Whether den has a root on [lo, hi]."""
     sf = squarefree(den)
-    return peval(sf, lo) == 0 or \
+    return psign(sf, lo) == 0 or \
         count_roots_halfopen(sturm_chain(sf), lo, hi) > 0
 
 
@@ -290,7 +290,7 @@ class Piecewise:
 
     def nonneg_on_all(self) -> bool:
         for s in self.segs:
-            sgn = 1 if peval(s.den, (s.lo + s.hi) / 2) > 0 else -1
+            sgn = psign(s.den, (s.lo + s.hi) / 2)
             if not poly_nonneg_on(pscale(s.num, sgn), s.lo, s.hi):
                 return False
         return True
@@ -354,7 +354,7 @@ class Piecewise:
         for s in self.segs:
             if s.is_zero():
                 return None
-            if peval(s.num, s.lo) == 0 or peval(s.num, s.hi) == 0 or \
+            if psign(s.num, s.lo) == 0 or psign(s.num, s.hi) == 0 or \
                     isolate_roots(s.num, s.lo, s.hi):
                 return None
             c = _lower_abs_bound(s.num, s.den, s.lo, s.hi)
@@ -388,8 +388,7 @@ def _merge(segs):
 def _sign_at(p, w0) -> int:
     if isinstance(w0, RootPt):
         return w0.sign_of(p)
-    v = peval(p, w0)
-    return (v > 0) - (v < 0)
+    return psign(p, w0)
 
 
 def _mult_and_sign(p, w0):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asymcalc.polytools import (RootPt, isolate_roots, padd, pdeg, pdivmod,
-                                peval, pmul, poly, poly_nonneg_on, ppow,
-                                pt_cmp, squarefree, sturm_chain,
-                                count_roots_halfopen)
+from asymcalc.polytools import (RootPt, isolate_roots, padd, pderiv, pdeg,
+                                pdivmod, peval, pgcd, pmul, pneg, poly,
+                                poly_nonneg_on, ppow, pscale, psign, pt_cmp,
+                                squarefree, sturm_chain, count_roots_halfopen)
 
 
 def test_poly_arithmetic():
@@ -325,3 +325,96 @@ def test_isolate_roots_matches_reference(case):
         else:
             # r's interval holds one irrational root of q, and g's is in it
             assert g.cmp_q(r.lo) > 0 and g.cmp_q(r.hi) < 0
+
+
+# -- reference: the Fraction Sturm chain, Euclid gcd and peval signs that the
+# integer kernel replaced ----------------------------------------------------
+
+
+def _ref_sturm_chain(p):
+    chain = [p, pderiv(p)]
+    while chain[-1]:
+        rem = pdivmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(pneg(rem))
+    return [c for c in chain if c]
+
+
+def _ref_pgcd(p, q):
+    while q:
+        p, q = q, pdivmod(p, q)[1]
+    if not p:
+        return ()
+    return pscale(p, 1 / p[-1])
+
+
+def _ref_sign(p, x):
+    v = peval(p, x)
+    return (v > 0) - (v < 0)
+
+
+def _ref_count(chain, a, b):
+    def variations(x):
+        signs = [s for s in (_ref_sign(p, x) for p in chain) if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+    return variations(a) - variations(b) if a < b else 0
+
+
+_coeffs = st.one_of(st.integers(-30, 30),
+                    st.builds(Q, st.integers(-10 ** 6, 10 ** 6),
+                              st.integers(1, 10 ** 6)))
+_dense = st.lists(_coeffs, min_size=0, max_size=7).map(lambda cs: poly(*cs))
+_polys = st.one_of(_dense, _products().map(lambda pl: pl[0]))
+_points = st.one_of(st.integers(-5, 5).map(Q), _ends, _roots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys, _points)
+@example(poly(), Q(1, 3))
+@example(poly(-1, 0, 2), Q(-1))
+def test_psign_matches_peval(p, x):
+    assert psign(p, x) == _ref_sign(p, x)
+    assert psign(p, x.numerator if x.denominator == 1 else x) == \
+        _ref_sign(p, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys)
+def test_sturm_chain_terms_are_positive_multiples(p):
+    got, ref = sturm_chain(p), _ref_sturm_chain(p)
+    assert len(got) == len(ref)
+    for z, r in zip(got, ref):
+        assert all(isinstance(c, int) for c in z)
+        assert math.gcd(*z) == 1
+        ratio = Q(z[-1]) / r[-1]
+        assert ratio > 0 and len(z) == len(r)
+        assert all(c == ratio * d for c, d in zip(z, r))
+
+
+def _sympy_monic_gcd(p, q):
+    def sp(f):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(f)] or [0], _W, domain="QQ")
+    g = sympy.gcd(sp(p), sp(q))
+    if g.is_zero:
+        return ()
+    return poly(*(_q(c) for c in reversed(g.monic().all_coeffs())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _polys, _polys)
+@example(poly(), poly(), poly(1, 1))
+def test_pgcd_matches_reference_and_sympy(a, b, c):
+    p, q = pmul(a, c), pmul(b, c)
+    got = pgcd(p, q)
+    assert got == _ref_pgcd(p, q) == _sympy_monic_gcd(p, q)
+    assert all(isinstance(x, Q) for x in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys, _points, _points)
+def test_count_roots_matches_reference_chain(p, a, b):
+    q = squarefree(p)
+    assert count_roots_halfopen(sturm_chain(q), a, b) == \
+        _ref_count(_ref_sturm_chain(q), a, b)

@@ -10,7 +10,7 @@ _spec.loader.exec_module(query_outputs)
 
 
 def test_query_outputs_repeat_exactly():
-    for workload in ("sets", "ideal"):
+    for workload in ("sets", "ideal", "restrict"):
         first = query_outputs.query_lines(workload, 1, first=4)
         again = query_outputs.query_lines(workload, 1, first=4)
         assert first and first == again

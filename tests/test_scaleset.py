@@ -34,6 +34,42 @@ def test_circle_closure_glues_seam():
     assert not cl.contains(Q(1, 2))
 
 
+def _in_orbit(u, sigma, shape, head, c0):
+    """u in the set by definition: in the head, or u = sigma^k c0 w with
+    k >= 0 and w in the shape (the probes lie above block 40)."""
+    if head.contains(u):
+        return True
+    return any(shape.contains(u / (sigma ** k * c0)) for k in range(40))
+
+
+@pytest.mark.parametrize("sigma, shape, head, c0", [
+    (Q(1, 2), IvSet.interval(Q(1, 2), Q(9, 16)), IvSet.empty(), Q(1)),
+    (Q(1, 2), IvSet.point(Q(1, 2)), IvSet.empty(), Q(1)),
+    (Q(2, 3), IvSet([Iv(Q(2, 3), Q(2, 3), True, True),
+                     Iv(Q(3, 4), Q(5, 6), False, True)]),
+     IvSet.interval(Q(7, 9), Q(8, 9), False, False), Q(2, 3)),
+])
+def test_shape_at_the_seam_is_folded(sigma, shape, head, c0):
+    S = AsymptoticSet(sigma, shape, head, c0)
+    assert S.shape.subset_of(upto1(sigma)) and S.shape.contains(1)
+    assert S.head.subset_of(upto1(S.c0))
+    probes = {Q(n, 96) * sigma ** k for n in range(1, 97) for k in range(4)}
+    for u in probes | {sigma ** k * c0 for k in range(4)}:
+        assert S.contains(u) == _in_orbit(u, sigma, shape, head, c0), u
+    assert not S.contains(c0)
+
+
+def test_orbit_interval_from_the_seam():
+    S = AsymptoticSet.orbit_interval(Q(1, 2), Q(9, 16))
+    assert S.set_eq(AsymptoticSet.orbit_point(Q(1, 2)).union(
+        AsymptoticSet.orbit_interval(Q(1, 2), Q(9, 16), lc=False)))
+    assert S.is_closed() and not S.contains(1)
+    with pytest.raises(ValueError):
+        AsymptoticSet.orbit_interval(Q(1, 4), Q(9, 16))
+    with pytest.raises(ValueError):
+        AsymptoticSet(Q(1, 2), IvSet.point(Q(17, 16)))
+
+
 def test_precedes_examples(A, B, P, full):
     assert A.precedes(B)
     assert not B.precedes(A)

@@ -115,14 +115,13 @@ class AsymptoticSet:
     def __init__(self, sigma, shape: IvSet, head: IvSet | None = None,
                  c0=Q(1), D=1):
         grid = Grid.of(sigma, c0, D)
+        inside = shape.intersect(upto1(grid.sigma))
+        if inside != shape and inside.union(IvSet.point(grid.sigma)) != shape:
+            raise ValueError("shape must lie inside [sigma, 1]")
         head = head if head is not None else IvSet.empty()
         if head and (grid.c0 == 1 or head.intersect(upto1(grid.c0)) != head):
             raise ValueError("a head must lie inside (anchor, 1], anchor < 1")
-        win = upto1(grid.sigma)
-        inside = shape.intersect(win)
         if inside != shape:
-            if inside.union(IvSet.point(grid.sigma)) != shape:
-                raise ValueError("shape must lie inside [sigma, 1]")
             low = AsymptoticSet.on(grid, inside, head).lower_anchor(1)
             grid, head = low.grid, low.head
             shape = _through_seam(shape, grid.sigma)

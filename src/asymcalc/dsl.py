@@ -394,6 +394,12 @@ class _Builder:
         except ValueError as e:
             raise ParseError(str(e), *self.at) from None
 
+    def arg(self, node, i: int):
+        """The i-th positional argument of the call `node`."""
+        if i >= len(node[2]):
+            self.fail(f"{node[1]}() is missing argument {i + 1}", node)
+        return node[2][i]
+
     def rat(self, node) -> Q:
         if node[0] != "rat":
             self.fail("expected a rational", node)
@@ -452,13 +458,14 @@ class _Builder:
         if head == "orbit":
             ratio, anchor, D = self.grid_args(kwargs)
             shape = self.interval_list(kwargs["shape"]) if "shape" in kwargs \
-                else self.interval_list(args[0])
+                else self.interval_list(self.arg(node, 0))
             head_ivs = self.interval_list(kwargs["head"]) \
                 if "head" in kwargs else None
             return self.make(AsymptoticSet, ratio, shape, head_ivs,
                              c0=anchor, D=D)
         if head == "point":
-            return self.make(AsymptoticSet.orbit_point, self.rat(args[0]),
+            return self.make(AsymptoticSet.orbit_point,
+                             self.rat(self.arg(node, 0)),
                              self.sn.sigma, D=self.sn.D)
         if head == "full":
             return AsymptoticSet.full(self.sn.sigma, D=self.sn.D)
@@ -471,10 +478,10 @@ class _Builder:
                 out = out.union(s) if head == "union" else out.intersect(s)
             return out
         if head in ("complement", "interior", "closure"):
-            return getattr(self.build_set(args[0]), head)()
+            return getattr(self.build_set(self.arg(node, 0)), head)()
         if head == "insert_between":
-            return insert_between(self.build_set(args[0]),
-                                  self.build_set(args[1]))
+            return insert_between(self.build_set(self.arg(node, 0)),
+                                  self.build_set(self.arg(node, 1)))
         self.fail(f"unknown set constructor {head!r}", node)
 
     # window profiles ----------------------------------------------------
@@ -483,16 +490,19 @@ class _Builder:
         if node[0] == "str":
             num, den = _wexpr(node[1], node[2])
             return self.make(Piecewise.from_poly, lo, hi, num, den)
-        if node[0] == "call" and node[1] == "pl":
-            pts = []
-            for item in node[2][0][1]:
-                if item[0] != "tuple" or len(item[1]) != 2:
-                    self.fail("pl entries are (w, v) pairs", item)
-                pts.append((self.rat(item[1][0]), self.rat(item[1][1])))
-            return self.make(Piecewise.linear_interp, pts)
-        if node[0] == "call" and node[1] == "segs":
+        if node[0] == "call" and node[1] in ("pl", "segs"):
+            lst = self.arg(node, 0)
+            if lst[0] != "list":
+                self.fail(f"{node[1]} takes a list", node)
+            if node[1] == "pl":
+                pts = []
+                for item in lst[1]:
+                    if item[0] != "tuple" or len(item[1]) != 2:
+                        self.fail("pl entries are (w, v) pairs", item)
+                    pts.append((self.rat(item[1][0]), self.rat(item[1][1])))
+                return self.make(Piecewise.linear_interp, pts)
             segs = []
-            for item in node[2][0][1]:
+            for item in lst[1]:
                 if item[0] != "list" or len(item[1]) != 3:
                     self.fail('segs entries are [lo, hi, "expr"]', item)
                 a, b = self.rat(item[1][0]), self.rat(item[1][1])
@@ -515,8 +525,8 @@ class _Builder:
             self.fail("expected an element expression", node)
         _, head, args, kwargs, tok = node
         if head == "const":
-            return PwFunction.const(self.rat(args[0]), self.sn.sigma,
-                                    self.sn.D)
+            return PwFunction.const(self.rat(self.arg(node, 0)),
+                                    self.sn.sigma, self.sn.D)
         if head == "rho":
             n = self.intval(args[0]) if args else 1
             return PwFunction.upower(n, self.sn.sigma, self.sn.D)
@@ -571,11 +581,11 @@ class _Builder:
         if head == "fg":
             return FG([self.build_set(a) for a in args])
         if head == "ofideal":
-            return OfIdeal(self.build_ideal(args[0]))
+            return OfIdeal(self.build_ideal(self.arg(node, 0)))
         if head == "interior":
-            return Interior(self.build_filter(args[0]))
+            return Interior(self.build_filter(self.arg(node, 0)))
         if head == "closure":
-            return Closure(self.build_filter(args[0]))
+            return Closure(self.build_filter(self.arg(node, 0)))
         self.fail(f"unknown filter constructor {head!r}", node)
 
 
@@ -587,14 +597,16 @@ def _run_query(b: _Builder, node):
     from .afilter import filter_member, i_of_f_member
     from .ideal import (annihilator_member, closure_member, ideal_member,
                         pure_part_member, radical_member, zclosure_member)
-    _, head, args, kwargs, tok = node
-    sn = b.sn
+    _, head, _, _, tok = node
 
     def S(i):
-        return b.build_set(args[i])
+        return b.build_set(b.arg(node, i))
 
     def E(i):
-        return b.build_elem(args[i])
+        return b.build_elem(b.arg(node, i))
+
+    def I(i):
+        return b.build_ideal(b.arg(node, i))
 
     if head == "precedes":
         return S(0).precedes(S(1))
@@ -623,31 +635,31 @@ def _run_query(b: _Builder, node):
     if head == "idempotent":
         return genconst.idempotent_class(E(0))
     if head == "ideal_member":
-        ok, n = ideal_member(E(0), b.build_ideal(args[1]))
+        ok, n = ideal_member(E(0), I(1))
         return {"member": ok, "order": n}
     if head == "radical_member":
-        ok, m, n = radical_member(E(0), b.build_ideal(args[1]))
+        ok, m, n = radical_member(E(0), I(1))
         return {"member": ok, "power": m, "order": n}
     if head == "closure_member":
-        return closure_member(E(0), b.build_ideal(args[1]))
+        return closure_member(E(0), I(1))
     if head == "zclosure_member":
-        return zclosure_member(E(0), b.build_ideal(args[1]))
+        return zclosure_member(E(0), I(1))
     if head == "pure_member":
-        ok, _ = pure_part_member(E(0), b.build_ideal(args[1]))
+        ok, _ = pure_part_member(E(0), I(1))
         return ok
     if head == "annihilator_member":
-        return annihilator_member(E(0), b.build_ideal(args[1]))
+        return annihilator_member(E(0), I(1))
     if head == "filter_member":
-        return filter_member(b.build_filter(args[0]), S(1))
+        return filter_member(b.build_filter(b.arg(node, 0)), S(1))
     if head == "ideal_of_filter_member":
-        return i_of_f_member(E(0), b.build_filter(args[1]))
+        return i_of_f_member(E(0), b.build_filter(b.arg(node, 1)))
     raise ParseError(f"unknown query {head!r}", tok.line, tok.col)
 
 
 def _run_check(b: _Builder, names, opts):
     from .verify import run_checks
-    seed = int(b.rat(opts["seed"])) if "seed" in opts else 0
-    size = int(b.rat(opts["size"])) if "size" in opts else 24
+    seed = b.intval(opts["seed"]) if "seed" in opts else 0
+    size = b.intval(opts["size"]) if "size" in opts else 24
     which = "all" if (not names or names == ["all"]) else names
     reps = run_checks(which, seed=seed, size=size)
     return [r.to_dict() for r in reps]

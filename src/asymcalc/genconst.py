@@ -28,7 +28,7 @@ from .scaleset import (AsymptoticSet, circle_closure, fold_to_window,
 from .signs import (common_window, eventually_nonneg, flat_common_zero,
                     isolated_common_zeros, obstruction_on, unobstructed)
 from .signs import restr_zero as _restr_zero_pw
-from .polytools import pmul
+from .polytools import pmul, pt_enclosure
 from .window import Piecewise, Seg
 
 
@@ -281,9 +281,9 @@ def _cell_start(sigma, comps, a, b, depth=0):
         cuts.add(iv.lo)
         cuts.add(iv.hi)
     for zp in g0.isolated_zeros():
-        lo, hi = _rational_enclosure(zp, a, b, (b - a) / 16)
-        cuts.add(lo)
-        cuts.add(hi)
+        lo, hi = pt_enclosure(zp, (b - a) / 16)
+        cuts.add(max(a, lo))
+        cuts.add(min(b, hi))
     pts = sorted(cuts)
     K = 0
     for lo, hi in zip(pts, pts[1:]):
@@ -313,14 +313,6 @@ def _cell_start(sigma, comps, a, b, depth=0):
     return K
 
 
-def _rational_enclosure(zp, a, b, width):
-    if isinstance(zp, Q):
-        pad = width / 2
-        return max(a, zp - pad), min(b, zp + pad)
-    zp.refine_below(width)
-    return max(a, zp.lo), min(b, zp.hi)
-
-
 def _scanned_start(z: PwFunction, shape: IvSet, span: int = 48) -> int:
     """Fallback threshold: the start of the longest verified suffix of an
     exact block-by-block scan.  The eventual claim is already established
@@ -334,12 +326,7 @@ def _scanned_start(z: PwFunction, shape: IvSet, span: int = 48) -> int:
 
 
 def _block_nonneg(z: PwFunction, k: int, shape: IvSet) -> bool:
-    total = None
-    for c in z.comps:
-        piece = c.g.scale(c.weight(z.sigma, k))
-        total = piece if total is None else total.add(piece)
-    if total is None:
-        return True
+    total = z.block(k)
     for iv in shape.ivs:
         if iv.is_point():
             if total.eval(iv.lo) < 0:
@@ -424,12 +411,17 @@ def _pl_between(zeros: IvSet, ones: IvSet, sigma: Q, lo: Q, hi: Q,
         (wb, vb), (wa, va) = below, above
         return vb + (va - vb) * (w - wb) / (wa - wb)
 
-    nodes = {lo, hi}
-    for (a, b, _) in marks:
-        for e in (a, b):
-            if lo < e < hi:
-                nodes.add(e)
-    return Piecewise.linear_interp([(w, value_at(w)) for w in sorted(nodes)])
+    # the marks are disjoint (the zeros and the ones are disjoint closed
+    # sets, the anchor sits at lo), so a mark endpoint takes the value of
+    # the first mark, in sorted order, that ends there
+    first = {}
+    for (a, b, v) in marks:
+        first.setdefault(a, v)
+        first.setdefault(b, v)
+    inner = sorted(e for e in first if lo < e < hi)
+    return Piecewise.linear_interp([(lo, value_at(lo))] +
+                                   [(e, first[e]) for e in inner] +
+                                   [(hi, value_at(hi))])
 
 
 # -- inversion ------------------------------------------------------------
@@ -512,8 +504,9 @@ def _extension(ob, S: AsymptoticSet) -> AsymptoticSet:
     sg = xw.sigma
     obstacles = flat
     for b in badpts:
-        lo, hi = _rational_enclosure(b.pos, sg, Q(1), Q(1, 64))
-        obstacles = obstacles.union(IvSet([Iv(lo, hi, True, True)]))
+        lo, hi = pt_enclosure(b.pos, Q(1, 64))
+        obstacles = obstacles.union(
+            IvSet([Iv(max(sg, lo), min(Q(1), hi), True, True)]))
     return halfway_toward(circle_closure(shape, sg), obstacles, sg, S)
 
 

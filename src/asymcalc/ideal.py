@@ -28,12 +28,10 @@ from .errors import (ImproperIdeal, RepresentabilityError,
 from .genconst import GenConstant, _bisect, _rep, urysohn
 from .grid import unify
 from .ivset import Iv, IvSet
-from .polytools import pt_cmp
 from .pwfunc import PwFunction
 from .scaleset import AsymptoticSet, circle_closure, halfway_toward, upto1
-from .signs import (_pt_in_ivset, bad_structure, eventually_nonneg,
-                    flat_common_zero, isolated_common_zeros, obstruction_on,
-                    unobstructed)
+from .signs import (bad_structure, eventually_nonneg, flat_common_zero,
+                    isolated_common_zeros, obstruction_on, unobstructed)
 
 
 class FgIdeal:
@@ -120,10 +118,6 @@ def _zero_structure(x: PwFunction):
     return flat_common_zero(x), isolated_common_zeros(x)
 
 
-def _pt_eq(p, q) -> bool:
-    return pt_cmp(p, q) == 0
-
-
 def _zeros_within(za, b: PwFunction) -> bool:
     """Whether the zero structure za (None for a negligible element) lies
     inside the zero structure of the non-negligible b, on one window."""
@@ -133,8 +127,7 @@ def _zeros_within(za, b: PwFunction) -> bool:
     fb, pb = _zero_structure(b)
     if not fa.subset_of(fb):
         return False
-    return all(_pt_in_ivset(p, fb) or any(_pt_eq(p, q) for q in pb)
-               for p in pa)
+    return all(fb.contains(p) or p in pb for p in pa)
 
 
 def z_subset(a, b) -> bool:

@@ -11,6 +11,9 @@ Construction rule.  `Iv(...)` converts its ends to Fraction and checks them;
 `Iv.on` and `IvSet.on` check nothing.  Each operation builds its result
 through `on` and says why canonical inputs give a canonical result; `union`
 and `closure` can join neighbours, so they merge through `_normalize`.
+
+Membership and the one-sided limit tests take any point that orders against
+Fractions: a Fraction, an int or a `polytools.RootPt`.
 """
 
 from __future__ import annotations
@@ -100,7 +103,6 @@ class IvSet:
         return "{" + " ".join(map(repr, self.ivs)) + "}"
 
     def contains(self, x) -> bool:
-        x = Q(x)
         return any(iv.contains(x) for iv in self.ivs)
 
     def union(self, other: "IvSet") -> "IvSet":
@@ -173,11 +175,9 @@ class IvSet:
 
     def limit_from_left(self, x) -> bool:
         """x is a limit of set points strictly below x."""
-        x = Q(x)
         return any(iv.lo < x <= iv.hi for iv in self.ivs)
 
     def limit_from_right(self, x) -> bool:
-        x = Q(x)
         return any(iv.lo <= x < iv.hi for iv in self.ivs)
 
 

@@ -29,6 +29,13 @@ every rational root of q lies on the lattice (1/N)Z.  An isolating interval
 that holds at most one lattice point k/N is therefore decided by the single
 test q(k/N) = 0: the root is k/N, or it is irrational.  `isolate_roots`
 returns rational roots as Fractions and only irrational ones as RootPt.
+
+Points compare like numbers.  A window point is a Fraction or a RootPt, and
+`<`, `<=`, `>`, `>=` and `==` order any two of them, through `pt_cmp`, which
+refines RootPt intervals as far as a comparison needs.  A RootPt never
+equals a rational, so `==` against one is False without refining.  With
+`psign` (which takes either kind), `pt_between` and `pt_enclosure`, no
+caller outside this module reads or refines a RootPt interval.
 """
 
 from __future__ import annotations
@@ -202,8 +209,10 @@ def _zsign(z, x) -> int:
 
 
 def psign(p, x) -> int:
-    """Exact sign of the polynomial p at the rational x (a Fraction or an
-    int)."""
+    """Exact sign of the polynomial p at the point x (a Fraction, an int or
+    a RootPt)."""
+    if isinstance(x, RootPt):
+        return x.sign_of(p)
     return _zsign(_zform(p), x)
 
 
@@ -268,7 +277,9 @@ class RootPt:
     (lo, hi) lies above the root exactly when sf(x) has the sign of sf(hi).
     That sign never changes as the interval shrinks, so it is kept in
     `hi_pos`.  Rational numbers are never wrapped in this class (see
-    `isolate_roots`); code that mixes them uses `pt_cmp` and friends below.
+    `isolate_roots`).  A RootPt orders against Fractions, ints and other
+    RootPts with the comparison operators, through `pt_cmp`; it equals no
+    rational, and it is unhashable, since refining changes its fields.
     """
 
     __slots__ = ("sf", "zf", "lo", "hi", "hi_pos")
@@ -282,6 +293,27 @@ class RootPt:
 
     def __repr__(self):
         return f"RootPt({self.sf}, {self.lo}, {self.hi})"
+
+    def __lt__(self, other):
+        return pt_cmp(self, other) < 0
+
+    def __le__(self, other):
+        return pt_cmp(self, other) <= 0
+
+    def __gt__(self, other):
+        return pt_cmp(self, other) > 0
+
+    def __ge__(self, other):
+        return pt_cmp(self, other) >= 0
+
+    def __eq__(self, other):
+        if isinstance(other, RootPt):
+            return pt_cmp(self, other) == 0
+        if isinstance(other, (int, Q)):
+            return False  # the root is irrational
+        return NotImplemented
+
+    __hash__ = None
 
     def _cut(self, x) -> int:
         """Shrink the interval at a rational x in (lo, hi); returns the
@@ -372,6 +404,31 @@ def _shared_root(a: RootPt, b: RootPt, g) -> bool:
 
 def pt_approx(p) -> Q:
     return p.approx() if isinstance(p, RootPt) else Q(p)
+
+
+def pt_between(a, b) -> Q:
+    """A rational strictly between two points a < b."""
+    if isinstance(a, Q) and isinstance(b, Q):
+        return (a + b) / 2
+    while True:
+        if isinstance(a, RootPt):
+            a.refine()
+        if isinstance(b, RootPt):
+            b.refine()
+        lo = a.hi if isinstance(a, RootPt) else a
+        hi = b.lo if isinstance(b, RootPt) else b
+        if lo < hi:
+            return (lo + hi) / 2
+
+
+def pt_enclosure(p, width):
+    """Rationals (lo, hi) with lo < p < hi and hi - lo <= width: the
+    isolating interval of a RootPt refined that far, or the interval of
+    that width centred on a rational p."""
+    if isinstance(p, RootPt):
+        p.refine_below(width)
+        return p.lo, p.hi
+    return p - width / 2, p + width / 2
 
 
 @functools.lru_cache(maxsize=4096)

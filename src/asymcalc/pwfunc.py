@@ -142,6 +142,15 @@ class PwFunction:
     def block_coord(self, u):
         return self.grid.block_coord(u)
 
+    def block(self, k: int) -> Piecewise:
+        """The tail on block k in the window coordinate: the sum of
+        sigma^e(k) * g over the components, on [sigma, 1]."""
+        total = None
+        for c in self.comps:
+            piece = c.g.scale(c.weight(self.sigma, k))
+            total = piece if total is None else total.add(piece)
+        return Piecewise.zero(self.sigma, Q(1)) if total is None else total
+
     def eval(self, u) -> Q:
         u = Q(u)
         if not (0 < u <= 1):
@@ -178,13 +187,7 @@ class PwFunction:
         parts = []
         for k in range(t - 1, -1, -1):
             a = sg ** k * self.c0
-            block = None
-            for c in self.comps:
-                piece = c.g.affine_image(1 / a, 0).scale(c.weight(sg, k))
-                block = piece if block is None else block.add(piece)
-            if block is None:
-                block = Piecewise.zero(sg * a, a)
-            parts.append(block)
+            parts.append(self.block(k).affine_image(1 / a, 0))
         if self.head is not None:
             parts.append(self.head)
         new_head = Piecewise.concat(parts)

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import cmp_to_key
 
 from .errors import NotCharacteristic
 from .ivset import Iv, IvSet
-from .polytools import RootPt, pt_cmp
+from .polytools import pt_between
 from .pwfunc import PwFunction
 from .scaleset import AsymptoticSet, circle_closure
 
@@ -61,7 +60,7 @@ def isolated_common_zeros(x: PwFunction):
     flat = flat_common_zero(x)
     out = []
     for p in _candidate_points(x):
-        if _pt_in_ivset(p, flat):
+        if flat.contains(p):
             continue
         if all(c.g.value_sign_at(p) == 0 for c in live):
             out.append(p)
@@ -86,25 +85,12 @@ def _candidate_points(x: PwFunction):
                 rats.add(z)
             else:
                 pts.append(z)
-    out = sorted(rats)
-    # a RootPt is irrational, so it can only coincide with another RootPt
+    out = list(rats)
     for z in pts:
-        if not any(isinstance(q, RootPt) and pt_cmp(z, q) == 0 for q in out):
+        if z not in out:
             out.append(z)
-    # RootPt entries must interleave with the rationals in true order
-    out.sort(key=cmp_to_key(pt_cmp))
+    out.sort()
     return out
-
-
-def _pt_in_ivset(p, s: IvSet) -> bool:
-    if isinstance(p, Q):
-        return s.contains(p)
-    for iv in s.ivs:
-        cl = pt_cmp(p, iv.lo)
-        ch = pt_cmp(p, iv.hi)
-        if (cl > 0 or (cl == 0 and iv.lc)) and (ch < 0 or (ch == 0 and iv.hc)):
-            return True
-    return False
 
 
 # -- local analysis at a point -------------------------------------------
@@ -132,44 +118,28 @@ class SideData:
 
 def _hull_vertices(entries):
     """Lower-hull vertices of the points (m, s), minimizing s + beta*m over
-    beta in [0, inf); returned in order of decreasing m."""
+    beta in [0, inf); returned in order of decreasing m.
+
+    The best point per m, then the staircase of strictly falling s (every
+    other point is dominated by one of smaller m and no larger s), then
+    Andrew's monotone chain over the staircase.  The chain pops only on a
+    strict right turn, so a point inside a hull edge stays."""
     best = {}
     for (m, s, sg) in entries:
         if m not in best or s < best[m][0]:
             best[m] = (s, sg)
-    pts = sorted(((m, s, sg) for m, (s, sg) in best.items()))
-    # prune dominated points (both coordinates >=)
-    pruned = []
-    for p in pts:
-        pruned = [q for q in pruned if not (p[0] <= q[0] and p[1] <= q[1])]
-        if not any(q[0] <= p[0] and q[1] <= p[1] for q in pruned):
-            pruned.append(p)
-    pruned.sort()
-    if len(pruned) <= 2:
-        return list(reversed(pruned))
-    crossings = set()
-    for i, a in enumerate(pruned):
-        for b in pruned[i + 1:]:
-            if b[0] != a[0]:
-                beta = Q(a[1] - b[1], b[0] - a[0])
-                if beta > 0:
-                    crossings.add(beta)
-    betas = [Q(0)]
-    cr = sorted(crossings)
-    for u, v in zip(cr, cr[1:]):
-        betas.append((u + v) / 2)
-    if cr:
-        betas.append(cr[-1] + 1)
-        betas.extend(cr)
-    verts = []
-    for beta in betas:
-        vals = [(s + beta * m, m, s, sg) for (m, s, sg) in pruned]
-        mn = min(v[0] for v in vals)
-        for v in vals:
-            if v[0] == mn and (v[1], v[2], v[3]) not in verts:
-                verts.append((v[1], v[2], v[3]))
-    verts.sort(key=lambda t: -t[0])
-    return verts
+    hull = []
+    for m in sorted(best):
+        s, sg = best[m]
+        if hull and hull[-1][1] <= s:
+            continue
+        while len(hull) >= 2:
+            (m1, s1, _), (m2, s2, _) = hull[-2], hull[-1]
+            if (m2 - m1) * (s - s1) - (s2 - s1) * (m - m1) >= 0:
+                break
+            hull.pop()
+        hull.append((m, s, sg))
+    return hull[::-1]
 
 
 def side_data(x: PwFunction, w0, direction: int) -> SideData:
@@ -254,12 +224,11 @@ def _attained_signs(x: PwFunction, shape: IvSet):
 
 def _interval_signs(x: PwFunction, iv: Iv, cands):
     signs = set()
-    inner = [p for p in cands
-             if pt_cmp(p, iv.lo) > 0 and pt_cmp(p, iv.hi) < 0]
+    inner = [p for p in cands if iv.lo < p < iv.hi]
     # cell sample signs
     cuts = [iv.lo] + inner + [iv.hi]
     for a, b in zip(cuts, cuts[1:]):
-        w = _between(a, b)
+        w = pt_between(a, b)
         sg, _ = point_sign(x, w)
         signs.add(sg)
     # point analyses
@@ -276,21 +245,6 @@ def _interval_signs(x: PwFunction, iv: Iv, cands):
             signs.add(sg)
         signs |= side_data(x, p, into).attainable_signs()
     return signs
-
-
-def _between(a, b):
-    """A rational point strictly between two points."""
-    if isinstance(a, Q) and isinstance(b, Q):
-        return (a + b) / 2
-    while True:
-        if isinstance(a, RootPt):
-            a.refine()
-        if isinstance(b, RootPt):
-            b.refine()
-        lo = a.hi if isinstance(a, RootPt) else a
-        hi = b.lo if isinstance(b, RootPt) else b
-        if lo < hi:
-            return (lo + hi) / 2
 
 
 # -- restriction predicates ----------------------------------------------
@@ -328,10 +282,10 @@ def bad_structure(x: PwFunction):
     inner = flat.interior_rel(Iv.on(x.sigma, Q(1), True, True))
     pts = []
     for p in _candidate_points(x):
-        if _pt_in_ivset(p, inner):
+        if inner.contains(p):
             continue
-        at_sigma = isinstance(p, Q) and p == x.sigma
-        at_one = isinstance(p, Q) and p == 1
+        at_sigma = p == x.sigma
+        at_one = p == 1
         # w = sigma is not in the window; only the sigma+ side (the seam
         # approach from above) carries information, the point value lives
         # at w = 1
@@ -384,24 +338,13 @@ def _bad_hits(b: BadPt, C: IvSet) -> bool:
 
     Under the seam gluing, a sigma+ side at pos = sigma matters when C
     accumulates at sigma from above, and the point value of pos = 1 matters
-    when 1 is in C; the generic rules below cover both.
+    when 1 is in C; the generic rules below cover both.  An irrational pos
+    equals no interval end, so either limit test reads "inside a fat
+    interval of C".
     """
     p = b.pos
-    if b.point_bad and _pt_in_ivset(p, C):
+    if b.point_bad and C.contains(p):
         return True
-    if isinstance(p, Q):
-        if b.left_bad and C.limit_from_left(p):
-            return True
-        if b.right_bad and C.limit_from_right(p):
-            return True
-    else:
-        # an irrational bad point is approached within a fat interval of C
-        for iv in C.ivs:
-            if iv.is_point():
-                continue
-            if pt_cmp(p, iv.lo) >= 0 and pt_cmp(p, iv.hi) <= 0:
-                inside_l = pt_cmp(p, iv.lo) > 0
-                inside_r = pt_cmp(p, iv.hi) < 0
-                if (b.left_bad and inside_l) or (b.right_bad and inside_r):
-                    return True
-    return False
+    if b.left_bad and C.limit_from_left(p):
+        return True
+    return b.right_bad and C.limit_from_right(p)

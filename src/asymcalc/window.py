@@ -17,10 +17,10 @@ from fractions import Fraction as Q
 
 from .errors import ContinuityViolation, ZeroDenominator
 from .ivset import Iv, IvSet
-from .polytools import (ONE, RootPt, ZERO, count_roots_halfopen, isolate_roots,
-                        padd, pcompose_affine, pderiv, pdeg, pdivmod, peval,
-                        pgcd, pmul, poly, poly_nonneg_on, pscale, psign, psub,
-                        pt_cmp, squarefree, sturm_chain)
+from .polytools import (ONE, ZERO, count_roots_halfopen, isolate_roots, padd,
+                        pcompose_affine, pderiv, pdeg, pdivmod, peval, pgcd,
+                        pmul, poly, poly_nonneg_on, pscale, psign, psub,
+                        squarefree, sturm_chain)
 
 
 def _reduce(num, den):
@@ -267,7 +267,7 @@ class Piecewise:
                     if flat.contains(z) or z in out:
                         continue
                 out.append(z)
-        out.sort(key=functools.cmp_to_key(pt_cmp))
+        out.sort()
         # a rational zero on a shared breakpoint is kept once; RootPts are
         # irrational, so they never equal a breakpoint, and the segments'
         # open interiors are disjoint, so no two RootPts coincide
@@ -299,24 +299,17 @@ class Piecewise:
         """(order, sign) of the function approaching w0 from `side`
         (+1 right, -1 left).  order None means identically zero on that
         side; sign is the sign of the function just off w0."""
-        w0_ = w0
         seg = None
         for s in self.segs:
-            if side > 0:
-                c = pt_cmp(w0_, s.lo)
-                if (c >= 0) and pt_cmp(w0_, s.hi) < 0:
-                    seg = s
-                    break
-            else:
-                if pt_cmp(w0_, s.lo) > 0 and pt_cmp(w0_, s.hi) <= 0:
-                    seg = s
-                    break
+            if (s.lo <= w0 < s.hi) if side > 0 else (s.lo < w0 <= s.hi):
+                seg = s
+                break
         if seg is None:
             raise ValueError(f"no segment on side {side} of {w0}")
         if seg.is_zero():
             return None, 0
-        m, sgn_deriv = _mult_and_sign(seg.num, w0_)
-        den_sign = _sign_at(seg.den, w0_)
+        m, sgn_deriv = _mult_and_sign(seg.num, w0)
+        den_sign = psign(seg.den, w0)
         assert den_sign != 0  # denominators are root-free on closed segments
         if side > 0:
             sgn = sgn_deriv * den_sign
@@ -327,12 +320,10 @@ class Piecewise:
     def value_sign_at(self, w0) -> int:
         """Exact sign of the function value at the point w0 (Q or RootPt)."""
         for s in self.segs:
-            if pt_cmp(w0, s.lo) >= 0 and pt_cmp(w0, s.hi) <= 0:
+            if s.lo <= w0 <= s.hi:
                 if not s.num:
                     return 0
-                n = _sign_at(s.num, w0)
-                d = _sign_at(s.den, w0)
-                return n * d
+                return psign(s.num, w0) * psign(s.den, w0)
         raise ValueError("point outside domain")
 
     def abs_upper_bound(self) -> Q:
@@ -385,18 +376,12 @@ def _merge(segs):
     return out
 
 
-def _sign_at(p, w0) -> int:
-    if isinstance(w0, RootPt):
-        return w0.sign_of(p)
-    return psign(p, w0)
-
-
 def _mult_and_sign(p, w0):
     """Vanishing order m of p at w0 and the sign of p^(m)(w0)."""
     m = 0
     q = p
     while q:
-        s = _sign_at(q, w0)
+        s = psign(q, w0)
         if s:
             return m, s
         m += 1

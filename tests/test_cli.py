@@ -19,6 +19,18 @@ def test_run_rejects_bad_grid_options(tmp_path, capsys, script, opts):
     assert len(err) == 1 and err[0].startswith("error[")
 
 
+@pytest.mark.parametrize("script", [
+    "set A = point();", "elem x = const();",
+    "set A = full(); query precedes(A);",
+    "check cauchy-glue seed=1/2 size=1;"])
+def test_run_reports_a_malformed_call_in_one_line(tmp_path, capsys, script):
+    path = tmp_path / "s.asym"
+    path.write_text(script, encoding="utf-8")
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error[ParseError]")
+
+
 def test_run_accepts_good_grid_options(tmp_path, capsys):
     path = tmp_path / "s.asym"
     path.write_text("elem x = rho;\nset A = full();", encoding="utf-8")

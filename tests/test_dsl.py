@@ -170,6 +170,21 @@ def test_rejected_values_are_located_parse_errors():
     assert (e.value.line, e.value.col) == (2, 1)
 
 
+@pytest.mark.parametrize("script, at", [
+    ("set A = point();", (1, 9)),
+    ("elem x = const();", (1, 10)),
+    ("set A = full(); query precedes(A);", (1, 23)),
+    ("elem x = pl();", (1, 10)),
+    ("elem x = pl(1);", (1, 10)),
+    ("check cauchy-glue seed=1/2 size=1;", (1, 24)),
+    ("check cauchy-glue seed=1 size=3/2;", (1, 31)),
+])
+def test_missing_and_fractional_arguments_are_parse_errors(script, at):
+    with pytest.raises(ParseError) as e:
+        run_text(Session(), script)
+    assert (e.value.line, e.value.col) == at
+
+
 @pytest.mark.parametrize("script", [
     "set A = orbit(ratio=1/2, shape=[[7/10,4/5]]); set B = union(A, A);",
     "set A = orbit(ratio=1/2, shape=[[7/10,4/5]]); query precedes(A, A);",

@@ -2,23 +2,26 @@ import math
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asymcalc.genconst as genconst_mod
 import asymcalc.signs as signs_mod
 from asymcalc.errors import (ModulusViolated, PreconditionViolated,
-                             ProductNotZero)
-from asymcalc.genconst import (GenConstant, _certified_start, _scanned_start,
-                               cauchy_glue, extend_invertible, extend_zero,
-                               idempotent_class, invert_on, restr_invertible,
-                               restr_zero, sharp_dist, urysohn,
-                               zero_product_split)
+                             ProductNotZero, RepresentabilityError)
+from asymcalc.genconst import (GenConstant, _certified_start, _pl_between,
+                               _scanned_start, cauchy_glue, extend_invertible,
+                               extend_zero, idempotent_class, invert_on,
+                               restr_invertible, restr_zero, sharp_dist,
+                               urysohn, zero_product_split)
 from asymcalc.ivset import Iv, IvSet
 from asymcalc.pwfunc import PwFunction
-from asymcalc.scaleset import AsymptoticSet
+from asymcalc.scaleset import AsymptoticSet, with_neighbours
 from asymcalc.signs import (NONNEG, POS, ZERO, bad_structure, common_window,
                             eventual_sign_on, restr_invertible_bool)
 from asymcalc.verify import corpus_generate
 from asymcalc.verify.corpus import tent
+from asymcalc.window import Piecewise
 
 ONE_ORBIT = AsymptoticSet.orbit_point(1)
 
@@ -222,3 +225,76 @@ def test_invertibility_gap_is_monotone_in_n(rho, hat, hat2, osc, negl,
         Sw, zs = _gaps(x, S)
         holds = [eventual_sign_on(z, Sw) in (POS, NONNEG, ZERO) for z in zs]
         assert holds == sorted(holds) and holds[-1]
+
+
+# -- reference: the node-by-node `_pl_between` that the sweep replaced
+
+
+def _old_pl_between(zeros, ones, sigma, lo, hi, wrap, anchor_value=None):
+    if wrap:
+        zeros = with_neighbours(zeros, sigma)
+        ones = with_neighbours(ones, sigma)
+    marks = [(iv.lo, iv.hi, Q(0)) for iv in zeros.ivs] + \
+            [(iv.lo, iv.hi, Q(1)) for iv in ones.ivs]
+    if anchor_value is not None:
+        marks.append((lo, lo, Q(anchor_value)))
+    marks.sort()
+    if not marks:
+        marks = [(lo, lo, Q(0))]
+
+    def value_at(w):
+        below = above = None
+        for (a, b, v) in marks:
+            if a <= w <= b:
+                return v
+            if b < w and (below is None or b > below[0]):
+                below = (b, v)
+            if a > w and (above is None or a < above[0]):
+                above = (a, v)
+        if below is None and above is None:
+            raise RepresentabilityError("separating profile gap is "
+                                        "unbounded")
+        if below is None:
+            return above[1]
+        if above is None:
+            return below[1]
+        (wb, vb), (wa, va) = below, above
+        return vb + (va - vb) * (w - wb) / (wa - wb)
+
+    nodes = {lo, hi}
+    for (a, b, _) in marks:
+        for e in (a, b):
+            if lo < e < hi:
+                nodes.add(e)
+    return Piecewise.linear_interp([(w, value_at(w)) for w in sorted(nodes)])
+
+
+@st.composite
+def _separated_marks(draw):
+    """(zeros, ones, lo, hi, wrap, anchor): disjoint closed zero and one
+    sets on a 1/16 grid.  With `wrap` they lie inside (1/2, 1), so their
+    neighbour copies stay disjoint too; without it they may touch lo and
+    hi, and the anchor value sits at lo."""
+    wrap = draw(st.booleans())
+    lo = Q(1, 2) if wrap else Q(draw(st.sampled_from([4, 8, 10])), 16)
+    first, last = (9, 15) if wrap else (lo * 16, 16)
+    ends = sorted(draw(st.lists(st.integers(first, last), unique=True,
+                                max_size=8)))
+    zeros, ones = [], []
+    i = 0
+    while i < len(ends):
+        width = draw(st.integers(1, 2)) if i + 1 < len(ends) else 1
+        a, b = Q(ends[i], 16), Q(ends[i + width - 1], 16)
+        (zeros if draw(st.booleans()) else ones).append(Iv(a, b, True, True))
+        i += width
+    anchor = None if wrap else draw(st.sampled_from([None, 0, 1, Q(1, 3)]))
+    return IvSet(zeros), IvSet(ones), lo, Q(1), wrap, anchor
+
+
+@settings(max_examples=300, deadline=None)
+@given(_separated_marks())
+def test_pl_between_matches_node_scan(case):
+    zeros, ones, lo, hi, wrap, anchor = case
+    got = _pl_between(zeros, ones, Q(1, 2), lo, hi, wrap, anchor)
+    assert got == _old_pl_between(zeros, ones, Q(1, 2), lo, hi, wrap,
+                                  anchor)

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as Q
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asymcalc.ideal as ideal_mod
 import asymcalc.signs as signs_mod
@@ -14,10 +17,11 @@ from asymcalc.ideal import (FgIdeal, _slope_bound, annihilator_member,
                             ideal_member, pure_part_member, radical_member,
                             z_subset, zclosure_member, zpart_member)
 from asymcalc.ivset import Iv, IvSet
-from asymcalc.polytools import pt_cmp
+from asymcalc.polytools import (RootPt, isolate_roots, pdeg, poly, pt_cmp,
+                                squarefree)
 from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import AsymptoticSet, circle_closure, distance_profile
-from asymcalc.signs import (NONNEG, POS, ZERO, _bad_hits, _pt_in_ivset,
+from asymcalc.signs import (NONNEG, POS, ZERO, BadPt, _bad_hits,
                             bad_structure, common_window, eventual_sign_on,
                             flat_common_zero, restr_invertible_bool)
 from asymcalc.verify import corpus_generate
@@ -255,6 +259,19 @@ def test_nonmember_costs_two_sign_decisions(hat, monkeypatch):
 
 
 # -- the germ path against the parent's full-representative path ---------
+
+
+def _pt_in_ivset(p, s: IvSet) -> bool:
+    """Reference: membership of a point through `pt_cmp`, as the sign
+    engine read it before points compared like numbers."""
+    if isinstance(p, Q):
+        return s.contains(p)
+    for iv in s.ivs:
+        cl = pt_cmp(p, iv.lo)
+        ch = pt_cmp(p, iv.hi)
+        if (cl > 0 or (cl == 0 and iv.lc)) and (ch < 0 or (ch == 0 and iv.hc)):
+            return True
+    return False
 
 
 def _ref_z_subset(a, b):
@@ -503,3 +520,76 @@ def test_purity_witness_failing_x_equals_xy_raises(hat, monkeypatch):
                         lambda S, T: GenConstant.const(Q(1, 2)))
     with pytest.raises(AssertionError, match="x\\*y = x"):
         pure_part_member(inside, FgIdeal([hat]))
+
+
+# -- the point protocol against the pt_cmp references --------------------
+
+
+def _old_bad_hits(b: BadPt, C: IvSet) -> bool:
+    """Reference: `signs._bad_hits` with its own branch for irrational
+    bad points."""
+    p = b.pos
+    if b.point_bad and _pt_in_ivset(p, C):
+        return True
+    if isinstance(p, Q):
+        if b.left_bad and C.limit_from_left(p):
+            return True
+        if b.right_bad and C.limit_from_right(p):
+            return True
+    else:
+        for iv in C.ivs:
+            if iv.is_point():
+                continue
+            if pt_cmp(p, iv.lo) >= 0 and pt_cmp(p, iv.hi) <= 0:
+                inside_l = pt_cmp(p, iv.lo) > 0
+                inside_r = pt_cmp(p, iv.hi) < 0
+                if (b.left_bad and inside_l) or (b.right_bad and inside_r):
+                    return True
+    return False
+
+
+@st.composite
+def _mixed_points(draw):
+    """Fractions and the roots that `isolate_roots` gives for random
+    squarefree polynomials on [0, 2], with interval ends of the RootPts
+    among the Fractions, and a set whose ends come from the same pool."""
+    pts = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = draw(st.lists(st.integers(-6, 6), min_size=3, max_size=5))
+        p = squarefree(poly(*coeffs))
+        if pdeg(p) >= 1:
+            pts.extend(isolate_roots(p, Q(0), Q(2)))
+    ends = [Q(draw(st.integers(0, 32)), 16) for _ in range(3)]
+    ends += [e for r in pts if isinstance(r, RootPt)
+             for e in (r.lo, r.hi)]
+    pts += ends[:3]
+    cuts = sorted(set(draw(st.lists(st.sampled_from(ends), max_size=6))))
+    ivs = []
+    for a, b in zip(cuts[::2], cuts[1::2]):
+        ivs.append(Iv(a, b, draw(st.booleans()), draw(st.booleans())))
+    ivs += [Iv(c, c, True, True) for c in cuts[len(cuts) // 2 * 2:]]
+    return draw(st.permutations(pts)), IvSet(ivs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_points())
+def test_points_compare_like_numbers(case):
+    pts, C = case
+    assert sorted(pts) == sorted(pts, key=cmp_to_key(pt_cmp))
+    for p in pts:
+        assert C.contains(p) == _pt_in_ivset(p, C)
+        assert C.limit_from_left(p) == \
+            _old_bad_hits(BadPt(p, False, True, False), C)
+        assert C.limit_from_right(p) == \
+            _old_bad_hits(BadPt(p, False, False, True), C)
+        for flags in ((True, False, False), (False, True, True),
+                      (True, True, True)):
+            b = BadPt(p, *flags)
+            assert _bad_hits(b, C) == _old_bad_hits(b, C)
+    for r in pts:
+        if isinstance(r, RootPt):
+            for q in pts:
+                if isinstance(q, Q):
+                    lo, hi = r.lo, r.hi
+                    assert not r == q and not q == r and r != q
+                    assert (r.lo, r.hi) == (lo, hi)

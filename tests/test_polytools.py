@@ -1,11 +1,14 @@
+import ast
 import functools
 import math
+import pathlib
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import asymcalc
 from asymcalc.polytools import (RootPt, isolate_roots, padd, pderiv, pdeg,
                                 pdivmod, peval, pgcd, pmul, pneg, poly,
                                 poly_nonneg_on, ppow, pscale, psign, pt_cmp,
@@ -37,6 +40,40 @@ def test_rootpt_refinement_orders_against_rationals():
     # 181/256 = 0.70703 < sqrt(1/2)
     assert pt_cmp(r, Q(181, 256)) > 0
     assert pt_cmp(r, Q(182, 256)) < 0
+
+
+def test_rootpt_compares_like_a_number():
+    r = isolate_roots((-1, 0, 2), Q(1, 2), 1)[0]     # sqrt(1/2)
+    s = isolate_roots((-2, 0, 1), Q(1), 2)[0]        # sqrt(2)
+    t = isolate_roots((-1, 0, 2), Q(1, 2), 1)[0]
+    assert Q(7, 10) < r < Q(8, 10) and 0 < r <= r < 1 < s and s >= r
+    assert sorted([s, Q(1), r, Q(0)]) == [Q(0), r, Q(1), s]
+    assert r == t and r != s
+    lo, hi = r.lo, r.hi
+    assert r != Q(181, 256) and not Q(181, 256) == r and r != 1
+    assert (r.lo, r.hi) == (lo, hi)
+    with pytest.raises(TypeError):
+        hash(r)
+
+
+def test_only_polytools_reads_rootpt_intervals():
+    """Outside `polytools` points are compared with operators; nothing
+    imports `pt_cmp` or `cmp_to_key` or refines or sign-tests a RootPt."""
+    banned_imports = {"pt_cmp", "cmp_to_key"}
+    banned_calls = {"refine", "refine_below", "sign_of"} | banned_imports
+    root = pathlib.Path(asymcalc.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "polytools.py" and path.parent == root:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                found += [(path.name, a.name) for a in node.names
+                          if a.name in banned_imports]
+            elif isinstance(node, ast.Attribute) and \
+                    node.attr in banned_calls:
+                found.append((path.name, node.attr))
+    assert found == []
 
 
 def test_sturm_count():

@@ -156,6 +156,17 @@ def test_block_of_brackets_u(sg, t, k, f, r):
 
 
 @settings(max_examples=60, deadline=None)
+@given(elements, st.integers(0, 4), _fractions_in_0_1)
+def test_block_is_the_tail_on_one_block(x, k, f):
+    """block(k) at w is x at u = sigma^k c0 w, for w in the window."""
+    b = x.block(k)
+    sg = x.sigma
+    assert (b.lo, b.hi) == (sg, 1)
+    w = sg + (1 - sg) * f
+    assert b.eval(w) == x.eval(sg ** k * x.c0 * w)
+
+
+@settings(max_examples=60, deadline=None)
 @given(elements, st.integers(0, 4), st.integers(0, 5), _fractions_in_0_1)
 def test_germ_inverts_lower_anchor(x, t, k, f):
     y = x.lower_anchor(t)

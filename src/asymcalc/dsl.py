@@ -136,8 +136,8 @@ class _Parser:
         if self.peek().text == "/":
             self.next()
             d = self.next()
-            if d.kind != "num":
-                self.fail("expected a denominator", d)
+            if d.kind != "num" or int(d.text) == 0:
+                self.fail("expected a nonzero denominator", d)
             den = int(d.text)
         q = Q(num, den)
         return -q if neg else q

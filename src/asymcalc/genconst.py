@@ -401,9 +401,7 @@ def _pl_between(zeros: IvSet, ones: IvSet, sigma: Q, lo: Q, hi: Q,
                 below = (b, v)
             if a > w and (above is None or a < above[0]):
                 above = (a, v)
-        if below is None and above is None:
-            raise RepresentabilityError("separating profile gap is "
-                                        "unbounded")
+        # marks is not empty, so a w outside every mark has one beside it
         if below is None:
             return above[1]
         if above is None:

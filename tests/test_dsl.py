@@ -62,6 +62,12 @@ def test_decimals_rejected():
     assert (e.value.line, e.value.col) == (1, 11)
 
 
+def test_zero_denominator_rejected():
+    with pytest.raises(ParseError, match="nonzero denominator") as e:
+        parse("elem x = const(1/0);")
+    assert (e.value.line, e.value.col) == (1, 18)
+
+
 @pytest.mark.parametrize("flags", ["oo", "oc", "co"])
 def test_open_point_interval_rejected(flags):
     # (3/4, 3/4) is empty, as is a point with one open end
@@ -183,6 +189,34 @@ def test_missing_and_fractional_arguments_are_parse_errors(script, at):
     with pytest.raises(ParseError) as e:
         run_text(Session(), script)
     assert (e.value.line, e.value.col) == at
+
+
+def test_every_call_checks_its_argument_count():
+    """Each constructor and query, with too few arguments, raises a
+    library error and never an IndexError."""
+    defs = ("set A = orbit(shape=[[3/4,7/8]]); elem x = rho; "
+            "ideal I = gen(x); filter F = fg(A);")
+    calls = {
+        "set B": ["orbit", "point", "union", "intersect", "complement",
+                  "interior", "closure", "insert_between"],
+        "elem y": ["const", "pl", "segs", "tail"],
+        "filter G": ["ofideal", "interior", "closure"],
+        "query": ["precedes", "subset", "set_eq", "characteristic",
+                  "valuation", "negligible", "sharp_dist", "restr_zero",
+                  "restr_invertible", "eventual_sign", "idempotent",
+                  "ideal_member", "radical_member", "closure_member",
+                  "zclosure_member", "pure_member", "annihilator_member",
+                  "filter_member", "ideal_of_filter_member"],
+    }
+    for lhs, heads in calls.items():
+        for head in heads:
+            for args in ("", "A", "x"):
+                stmt = f"{lhs} = {head}({args});" if lhs != "query" \
+                    else f"query {head}({args});"
+                try:
+                    run_text(Session(), defs + stmt)
+                except AsymcalcError:
+                    pass
 
 
 @pytest.mark.parametrize("script", [

@@ -550,15 +550,16 @@ def _old_bad_hits(b: BadPt, C: IvSet) -> bool:
 
 @st.composite
 def _mixed_points(draw):
-    """Fractions and the roots that `isolate_roots` gives for random
-    squarefree polynomials on [0, 2], with interval ends of the RootPts
-    among the Fractions, and a set whose ends come from the same pool."""
+    """Fractions on the 1/16 grid and the roots that `isolate_roots` gives
+    for random squarefree polynomials on [0, 2], and a set whose ends are
+    those Fractions or interval ends of the RootPts.  The roots are isolated afresh, not taken from the shared cache, so an
+    example does not depend on how far earlier ones refined them."""
     pts = []
     for _ in range(draw(st.integers(1, 3))):
         coeffs = draw(st.lists(st.integers(-6, 6), min_size=3, max_size=5))
         p = squarefree(poly(*coeffs))
         if pdeg(p) >= 1:
-            pts.extend(isolate_roots(p, Q(0), Q(2)))
+            pts.extend(isolate_roots.__wrapped__(p, Q(0), Q(2)))
     ends = [Q(draw(st.integers(0, 32)), 16) for _ in range(3)]
     ends += [e for r in pts if isinstance(r, RootPt)
              for e in (r.lo, r.hi)]
@@ -575,6 +576,13 @@ def _mixed_points(draw):
 @given(_mixed_points())
 def test_points_compare_like_numbers(case):
     pts, C = case
+    for r in pts:
+        if isinstance(r, RootPt):
+            # a rational inside the interval, which pt_cmp would cut at
+            lo, hi = r.lo, r.hi
+            for q in [(lo + hi) / 2] + [q for q in pts if isinstance(q, Q)]:
+                assert not r == q and not q == r and r != q
+            assert (r.lo, r.hi) == (lo, hi)
     assert sorted(pts) == sorted(pts, key=cmp_to_key(pt_cmp))
     for p in pts:
         assert C.contains(p) == _pt_in_ivset(p, C)
@@ -586,10 +594,3 @@ def test_points_compare_like_numbers(case):
                       (True, True, True)):
             b = BadPt(p, *flags)
             assert _bad_hits(b, C) == _old_bad_hits(b, C)
-    for r in pts:
-        if isinstance(r, RootPt):
-            for q in pts:
-                if isinstance(q, Q):
-                    lo, hi = r.lo, r.hi
-                    assert not r == q and not q == r and r != q
-                    assert (r.lo, r.hi) == (lo, hi)

@@ -48,7 +48,7 @@ def test_rootpt_compares_like_a_number():
     t = isolate_roots((-1, 0, 2), Q(1, 2), 1)[0]
     assert Q(7, 10) < r < Q(8, 10) and 0 < r <= r < 1 < s and s >= r
     assert sorted([s, Q(1), r, Q(0)]) == [Q(0), r, Q(1), s]
-    assert r == t and r != s
+    assert r == t and r != s and r <= t <= r and not (r < t or t < r)
     lo, hi = r.lo, r.hi
     assert r != Q(181, 256) and not Q(181, 256) == r and r != 1
     assert (r.lo, r.hi) == (lo, hi)

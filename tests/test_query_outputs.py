@@ -18,3 +18,28 @@ def test_query_outputs_repeat_exactly():
         assert {r["item"] for r in rows} == set(range(4))
         assert all(r["status"] in ("decided", "undecided", "failed")
                    for r in rows)
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "query_outputs_seed1.jsonl")
+WORKLOADS = ("restrict", "ideal", "sets", "oracle")
+
+
+def golden_lines():
+    """The first 12 query outputs of every workload at seed 1, one JSON
+    line each, tagged with the workload."""
+    return [json.dumps(dict(json.loads(line), workload=w), sort_keys=True)
+            for w in WORKLOADS
+            for line in query_outputs.query_lines(w, 1, first=12)]
+
+
+def test_query_outputs_match_the_recorded_answers():
+    """A change that alters an answer on purpose rewrites the file with
+    `python3 tests/test_query_outputs.py` and lists the changed lines."""
+    with open(GOLDEN, encoding="utf-8") as f:
+        want = f.read().splitlines()
+    assert golden_lines() == want
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w", encoding="utf-8") as f:
+        f.write("".join(line + "\n" for line in golden_lines()))

@@ -421,8 +421,7 @@ def rapid_element(chain, D: int = 1) -> GenConstant:
 def _bump_profile(pts, sigma: Q, n: int, D: int) -> Piecewise:
     """w^(nD) times the piecewise linear interpolation of the nodes, padded
     with zero out to the window ends."""
-    mono = Piecewise.from_poly(sigma, Q(1),
-                               (Q(0),) * (n * D) + (Q(1),))
+    mono = Piecewise.from_poly(sigma, Q(1), (0,) * (n * D) + (1,))
     pad_lo = [(sigma, Q(0))] if pts[0][0] > sigma else []
     pad_hi = [(Q(1), Q(0))] if pts[-1][0] < 1 else []
     return Piecewise.linear_interp(pad_lo + pts + pad_hi).mul(mono)

@@ -299,9 +299,9 @@ def _wexpr(text: str, tok: Token):
                 fail("unbalanced parenthesis")
             return v
         if t.text == "w":
-            return (poly(0, 1), ONE)
+            return ((0, 1), ONE)
         if t.kind == "num":
-            return (poly(Q(int(t.text))), ONE)
+            return (poly(int(t.text)), ONE)
         fail(f"unexpected {t.text!r}")
 
     def factor():
@@ -724,7 +724,7 @@ def _poly_str(num, den) -> str:
 def _profile_str(g: Piecewise) -> str:
     parts = []
     for s in g.segs:
-        parts.append(f'[{s.lo},{s.hi},"{_poly_str(s.num, s.den)}"]')
+        parts.append(f'[{s.lo},{s.hi},"{_poly_str(*s.monic())}"]')
     return "segs[" + ",".join(parts) + "]"
 
 

@@ -233,7 +233,7 @@ def _start_block(z: PwFunction, shape: IvSet) -> int:
 def _certified_start(z: PwFunction, shape: IvSet):
     """Explicit K with z >= 0 on the shape trace for every block k >= K,
     or None when the bounded cell strategies do not apply."""
-    comps = sorted(z.comps, key=lambda c: (c.r, c.s))
+    comps = z.comps
     if not comps:
         return 0
     sigma = z.sigma

@@ -287,7 +287,7 @@ def _purity_witness(xr: PwFunction, I: FgIdeal, Zset: AsymptoticSet):
         raise AssertionError("purity witness fails x*y = x")
     # ideal_member can deny a y that lies in I, where the sign engine
     # reports MIXED at a perfect-square Newton edge of z_N (ROADMAP item
-    # 3).  Such a y is no witness that ideal_member accepts, so none is
+    # 1).  Such a y is no witness that ideal_member accepts, so none is
     # returned.
     return y if ideal_member(y, I)[0] else None
 

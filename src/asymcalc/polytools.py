@@ -1,34 +1,31 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomial arithmetic over the integers.
 
-Polynomials are tuples of Fraction coefficients, lowest degree first, with no
-trailing zeros; the zero polynomial is the empty tuple.  On top of the ring
-operations this module provides Sturm sequences, certified root isolation on a
-closed rational interval, and `RootPt`, an exactly represented irrational
-algebraic number given by a squarefree polynomial plus an isolating interval.
+Polynomials are tuples of int coefficients, lowest degree first, with no
+trailing zeros; the zero polynomial is the empty tuple.  Functions that decide
+something also take Fraction coefficients and clear them once (`_zpoly`).  On
+top of the ring operations this module provides Sturm sequences, certified
+root isolation on a closed rational interval, and `RootPt`, an exactly
+represented irrational algebraic number given by a squarefree polynomial plus
+an isolating interval.
 
-Signs are decided over the integers.  `_zform(p)` is the primitive integer
-multiple of p by a positive rational, and `_zsign(z, x)` the sign of the
-integer polynomial z at a rational x = a/b, read off the homogeneous integer
-Horner sum of z_i a^i b^(n-i) (b > 0, so the factor b^n changes no sign).
-`psign(p, x)` is the sign of p(x) through the two.  `sturm_chain` returns
-integer tuples: the primitive pseudo-remainder sequence over Z (Collins
-1967; Brown & Traub 1971) in which each step multiplies by the absolute
-value of a leading coefficient, so each term is a positive multiple of the
-term of the Euclidean Sturm sequence over Q.  A positive multiple has the
-same sign at every point, so sign variations, root counts and every
-decision built on them are those of the rational sequence.  `pgcd` runs the
-same integer sequence and makes its last term monic once, so `pgcd`,
-`squarefree`, `RootPt.sf` and every other polynomial a caller sees stay
-monic or plain Fraction tuples; `RootPt` keeps the integer form of `sf`
-beside it for its sign tests.
+Signs are read off the homogeneous Horner sum of z_i a^i b^(n-i) = b^n z(x)
+at a rational x = a/b, b > 0: `_zsign` takes its sign and `peval` divides it
+by b^n.  A positive multiple of a polynomial has its sign everywhere, and
+every decision below rests on that.  `sturm_chain` is the primitive
+pseudo-remainder sequence over Z (Collins 1967; Brown & Traub 1971): each
+step multiplies by the absolute value of a leading coefficient, so each term
+is a positive multiple of the Euclidean Sturm term over Q.  `pgcd` runs the
+same sequence; it, `squarefree` and `RootPt.sf` are primitive with lc > 0.
+By Gauss's lemma a primitive divisor of an integer polynomial divides it
+over Z, so `pquo` is an exact integer quotient.
 
-Rational roots need no search.  If q is squarefree and N is the leading
-coefficient of its primitive integer multiple (the first term of its Sturm
-chain), a root u/v in lowest terms has v | N (rational root theorem), so
-every rational root of q lies on the lattice (1/N)Z.  An isolating interval
-that holds at most one lattice point k/N is therefore decided by the single
-test q(k/N) = 0: the root is k/N, or it is irrational.  `isolate_roots`
-returns rational roots as Fractions and only irrational ones as RootPt.
+Rational roots need no search.  If q is squarefree and primitive with
+leading coefficient N, a root u/v in lowest terms has v | N (rational root
+theorem), so every rational root of q lies on the lattice (1/N)Z.  An
+isolating interval that holds at most one lattice point k/N is therefore
+decided by the single test q(k/N) = 0: the root is k/N, or it is
+irrational.  `isolate_roots` returns rational roots as Fractions and only
+irrational ones as RootPt.
 
 Points compare like numbers.  A window point is a Fraction or a RootPt, and
 `<`, `<=`, `>`, `>=` and `==` order any two of them, through `pt_cmp`, which
@@ -45,13 +42,12 @@ import math
 from fractions import Fraction as Q
 
 ZERO = ()
-ONE = (Q(1),)
-X = (Q(0), Q(1))
+ONE = (1,)
 
 
 def poly(*coeffs) -> tuple:
-    """Build a normalized polynomial from low-to-high coefficients."""
-    return _trim(tuple(Q(c) for c in coeffs))
+    """Normalized low-to-high coefficients; non-ints become Fractions."""
+    return _trim(tuple(c if type(c) is int else Q(c) for c in coeffs))
 
 
 def _trim(p):
@@ -84,8 +80,7 @@ def psub(p, q):
 
 
 def pscale(p, c):
-    c = Q(c)
-    if c == 0:
+    if not c:
         return ZERO
     return tuple(c * a for a in p)
 
@@ -93,7 +88,7 @@ def pscale(p, c):
 def pmul(p, q):
     if not p or not q:
         return ZERO
-    out = [Q(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -112,36 +107,27 @@ def ppow(p, n: int):
     return out
 
 
-def pdivmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
+def pquo(p, q):
+    """p / q for integer polynomials, q primitive and dividing p."""
     r = list(p)
     d = len(q) - 1
     lead = q[-1]
-    quo = [Q(0)] * max(0, len(p) - d)
-    while len(r) - 1 >= d and any(r):
-        r = _trim(tuple(r))
-        if not r or len(r) - 1 < d:
-            break
-        c = r[-1] / lead
-        k = len(r) - 1 - d
-        quo[k] = c
-        r = list(r)
-        for i, b in enumerate(q):
-            r[k + i] -= c * b
-        r[-1] = Q(0)
-    return _trim(tuple(quo)), _trim(tuple(r))
+    out = [0] * (len(p) - d)
+    for k in range(len(out) - 1, -1, -1):
+        c = r[k + d] // lead
+        out[k] = c
+        if c:
+            for i, b in enumerate(q):
+                r[k + i] -= c * b
+    return tuple(out)
 
 
 def pgcd(p, q):
-    """Monic gcd, from the primitive remainder sequence of p and q over Z."""
-    a, b = _zform(p), _zform(q)
+    """gcd of p and q, primitive with lc > 0, by the primitive PRS over Z."""
+    a, b = _zpoly(p), _zpoly(q)
     while b:
         a, b = b, _zprem(a, b)
-    if not a:
-        return ZERO
-    lead = a[-1]
-    return tuple(Q(c, lead) for c in a)
+    return _normal(a)
 
 
 def pderiv(p):
@@ -151,31 +137,26 @@ def pderiv(p):
 
 
 def peval(p, x) -> Q:
-    x = Q(x)
-    acc = Q(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+    """p(x) at a rational x = a/b: the homogeneous Horner sum over b^n."""
+    return Q(_hsum(p, x), x.denominator ** pdeg(p)) if p else Q(0)
 
 
-def pcompose_affine(p, a, b):
-    """p(a*w + b) as a polynomial in w."""
-    a, b = Q(a), Q(b)
-    acc = ZERO
-    lin = (b, a)
+def pcompose_affine(p, a, b, n):
+    """L^n p(a w + b) as an integer polynomial in w, for an integer p, n >=
+    deg p and rationals a, b, L the lcm of their denominators."""
+    L = math.lcm(a.denominator, b.denominator)
+    lin = (b.numerator * L // b.denominator, a.numerator * L // a.denominator)
+    acc, Lk = ZERO, 1
     for c in reversed(p):
-        acc = padd(pmul(acc, lin), (c,) if c else ZERO)
-    return acc
+        acc = padd(pmul(acc, lin), (c * Lk,))
+        Lk *= L
+    return pscale(acc, L ** (n - pdeg(p)))
 
 
 def squarefree(p):
-    """Squarefree part p / gcd(p, p'), made monic."""
-    if pdeg(p) <= 0:
-        return pscale(p, 1 / p[-1]) if p else ZERO
-    g = pgcd(p, pderiv(p))
-    q, r = pdivmod(p, g)
-    assert not r
-    return pscale(q, 1 / q[-1])
+    """Squarefree part p / gcd(p, p'), primitive with lc > 0."""
+    z = _zpoly(p)
+    return _normal(pquo(z, pgcd(z, pderiv(z))) if pdeg(z) > 0 else z)
 
 
 def _zform(p) -> tuple:
@@ -184,27 +165,40 @@ def _zform(p) -> tuple:
     if not p:
         return ()
     den = math.lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (den // c.denominator) for c in p]
-    g = math.gcd(*ints)
-    return tuple(c // g for c in ints)
+    return _content_free([c.numerator * (den // c.denominator) for c in p])
+
+
+def _zpoly(p) -> tuple:
+    """p when its coefficients are ints, else `_zform(p)`: an integer
+    polynomial that is a positive multiple of p."""
+    return p if all(type(c) is int for c in p) else _zform(p)
+
+
+def _content_free(z) -> tuple:
+    """The integer polynomial z divided by the gcd of its coefficients."""
+    g = math.gcd(*z)
+    return tuple(c // g for c in z) if g > 1 else tuple(z)
+
+
+def _normal(z) -> tuple:
+    """z divided by its content, with a positive leading coefficient."""
+    z = _content_free(z)
+    return pneg(z) if z and z[-1] < 0 else z
+
+
+def _hsum(z, x):
+    """b^n z(x) at x = a/b, n = deg z: the sum of z_i a^i b^(n-i)."""
+    a, b = x.numerator, x.denominator
+    acc, bk = z[-1], 1
+    for c in z[-2::-1]:
+        bk *= b
+        acc = acc * a + c * bk
+    return acc
 
 
 def _zsign(z, x) -> int:
-    """Sign of the integer polynomial z at the rational x = a/b (a Fraction
-    or an int): the sign of the homogeneous sum of z_i a^i b^(n-i),
-    n = deg z, by Horner's rule."""
-    if not z:
-        return 0
-    a, b = x.numerator, x.denominator
-    acc = z[-1]
-    if b == 1:
-        for c in z[-2::-1]:
-            acc = acc * a + c
-    else:
-        bk = 1
-        for c in z[-2::-1]:
-            bk *= b
-            acc = acc * a + c * bk
+    """Sign of the integer polynomial z at the rational x."""
+    acc = _hsum(z, x) if z else 0
     return (acc > 0) - (acc < 0)
 
 
@@ -213,7 +207,7 @@ def psign(p, x) -> int:
     a RootPt)."""
     if isinstance(x, RootPt):
         return x.sign_of(p)
-    return _zsign(_zform(p), x)
+    return _zsign(_zpoly(p), x)
 
 
 def _zprem(a, b) -> tuple:
@@ -234,21 +228,19 @@ def _zprem(a, b) -> tuple:
         r.pop()
     while r and not r[-1]:
         r.pop()
-    if not r:
-        return ()
-    g = math.gcd(*r)
-    return tuple(c // g for c in r)
+    return _content_free(r)
 
 
 def sturm_chain(p):
-    """Sturm sequence of a (preferably squarefree) polynomial, as integer
-    tuples: each term is a positive multiple of the Euclidean term over Q."""
-    chain = [_zform(p), _zform(pderiv(p))]
+    """Sturm sequence of a (preferably squarefree) polynomial, as primitive
+    integer tuples, each a positive multiple of the Euclidean term over Q."""
+    z = _zpoly(p)
+    chain = [_content_free(z), _content_free(pderiv(z))]
     while chain[-1]:
         rem = _zprem(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append(tuple(-c for c in rem))
+        chain.append(pneg(rem))
     return [c for c in chain if c]
 
 
@@ -268,10 +260,9 @@ class RootPt:
     """An irrational real algebraic number: the unique root of `sf` in
     (lo, hi).
 
-    `sf` is squarefree and monic, and the open interval contains exactly
-    one of its roots; `zf` is its primitive integer multiple `_zform(sf)`,
-    a positive multiple with the same sign everywhere, on which every sign
-    test runs.  Invariant: that root is irrational and sf(hi) != 0.
+    `sf` is a squarefree integer polynomial, primitive with a positive
+    leading coefficient, and the open interval contains exactly one of its
+    roots.  Invariant: that root is irrational and sf(hi) != 0.
     Then sf is nonzero at every rational inside (lo, hi), positive on one
     side of the root and negative on the other, so a rational probe x in
     (lo, hi) lies above the root exactly when sf(x) has the sign of sf(hi).
@@ -282,14 +273,13 @@ class RootPt:
     rational, and it is unhashable, since refining changes its fields.
     """
 
-    __slots__ = ("sf", "zf", "lo", "hi", "hi_pos")
+    __slots__ = ("sf", "lo", "hi", "hi_pos")
 
     def __init__(self, sf, lo, hi):
         self.sf = sf
-        self.zf = _zform(sf)
         self.lo = Q(lo)
         self.hi = Q(hi)
-        self.hi_pos = _zsign(self.zf, self.hi) > 0
+        self.hi_pos = _zsign(sf, self.hi) > 0
 
     def __repr__(self):
         return f"RootPt({self.sf}, {self.lo}, {self.hi})"
@@ -318,7 +308,7 @@ class RootPt:
     def _cut(self, x) -> int:
         """Shrink the interval at a rational x in (lo, hi); returns the
         sign of root - x."""
-        if (_zsign(self.zf, x) > 0) == self.hi_pos:
+        if (_zsign(self.sf, x) > 0) == self.hi_pos:
             self.hi = x
             return -1
         self.lo = x
@@ -346,6 +336,7 @@ class RootPt:
         """Exact sign of the polynomial p at this algebraic point."""
         if not p:
             return 0
+        p = _zpoly(p)
         g = pgcd(self.sf, p)
         if pdeg(g) >= 1 and count_roots_halfopen(sturm_chain(g), self.lo, self.hi):
             return 0
@@ -356,7 +347,7 @@ class RootPt:
         while count_roots_halfopen(chain, self.lo, self.hi) > \
                 (_zsign(chain[0], self.hi) == 0):
             self.refine()
-        return psign(p, (self.lo + self.hi) / 2)
+        return _zsign(p, (self.lo + self.hi) / 2)
 
     def approx(self, width=Q(1, 2**40)) -> Q:
         self.refine_below(width)
@@ -402,10 +393,6 @@ def _shared_root(a: RootPt, b: RootPt, g) -> bool:
         b.refine()
 
 
-def pt_approx(p) -> Q:
-    return p.approx() if isinstance(p, RootPt) else Q(p)
-
-
 def pt_between(a, b) -> Q:
     """A rational strictly between two points a < b."""
     if isinstance(a, Q) and isinstance(b, Q):
@@ -422,13 +409,23 @@ def pt_between(a, b) -> Q:
 
 
 def pt_enclosure(p, width):
-    """Rationals (lo, hi) with lo < p < hi and hi - lo <= width: the
-    isolating interval of a RootPt refined that far, or the interval of
-    that width centred on a rational p."""
-    if isinstance(p, RootPt):
-        p.refine_below(width)
-        return p.lo, p.hi
-    return p - width / 2, p + width / 2
+    """Rationals (lo, hi) with lo < p < hi and hi - lo <= width.  For a
+    RootPt, the dyadic cell [k/2^e, (k+1)/2^e] that holds it, e >= 0 least
+    with 2^-e <= width: it depends on the root and the width alone, not on
+    how far earlier queries refined the shared RootPt.  For a rational p,
+    the interval of that width centred on p."""
+    if not isinstance(p, RootPt):
+        return p - width / 2, p + width / 2
+    cell = Q(1)
+    while cell > width:
+        cell /= 2
+    p.refine_below(cell)
+    # (lo, hi) is now at most one cell wide, so it holds at most one cell
+    # end, (k + 1) * cell
+    k = math.floor(p.lo / cell)
+    if p.cmp_q((k + 1) * cell) > 0:
+        k += 1
+    return k * cell, (k + 1) * cell
 
 
 @functools.lru_cache(maxsize=4096)
@@ -442,13 +439,12 @@ def isolate_roots(p, lo, hi):
     interval that still isolates the same root.
 
     One Sturm bisection pass over the squarefree part q finds the roots.
-    Let N be the leading coefficient of q's primitive integer multiple, the
-    first term of its Sturm chain; by the rational root theorem every
-    rational root of q lies on the lattice (1/N)Z.  Each interval (a, b]
-    holding one root yields b when q(b) = 0; otherwise it is halved by the
-    sign of q alone until (a, b) holds at most one lattice point k/N, and
-    q(k/N) = 0 decides between the Fraction k/N and a RootPt, whose root is
-    then irrational.
+    Let N be the leading coefficient of q; by the rational root theorem
+    every rational root of q lies on the lattice (1/N)Z.  Each interval
+    (a, b] holding one root yields b when q(b) = 0; otherwise it is halved
+    by the sign of q alone until (a, b) holds at most one lattice point
+    k/N, and q(k/N) = 0 decides between the Fraction k/N and a RootPt,
+    whose root is then irrational.
     """
     lo, hi = Q(lo), Q(hi)
     if not p:
@@ -459,15 +455,14 @@ def isolate_roots(p, lo, hi):
     if pdeg(q) <= 0:
         return ()
     chain = sturm_chain(q)
-    zq = chain[0]
-    out = [lo] if _zsign(zq, lo) == 0 else []
+    out = [lo] if _zsign(q, lo) == 0 else []
     # entries (a, b, n): n roots of q in (a, b]; the left half is pushed
     # last so that roots come out in increasing order
     stack = [(lo, hi, count_roots_halfopen(chain, lo, hi))]
     while stack:
         a, b, n = stack.pop()
         if n == 1:
-            out.append(_one_root(q, zq, a, b))
+            out.append(_one_root(q, a, b))
         elif n > 1:
             m = (a + b) / 2
             k = count_roots_halfopen(chain, a, m)
@@ -476,19 +471,18 @@ def isolate_roots(p, lo, hi):
     return tuple(out)
 
 
-def _one_root(q, zq, a, b):
-    """The single root of q in (a, b], as a Fraction or a RootPt; zq is
-    q's primitive integer multiple, whose leading coefficient N puts every
-    rational root of q on (1/N)Z."""
-    sb = _zsign(zq, b)
+def _one_root(q, a, b):
+    """The single root of q (squarefree, primitive, lc N > 0) in (a, b],
+    as a Fraction or a RootPt; its rational roots lie on (1/N)Z."""
+    sb = _zsign(q, b)
     if sb == 0:
         return b
-    n_lat = zq[-1]
+    n_lat = q[-1]
     # (a, b) holds ceil(bN) - floor(aN) - 1 lattice points k/N; halve it
     # until at most one is left
     while math.ceil(b * n_lat) - math.floor(a * n_lat) > 2:
         m = (a + b) / 2
-        v = _zsign(zq, m)
+        v = _zsign(q, m)
         if v == 0:
             return m
         if v == sb:
@@ -496,7 +490,7 @@ def _one_root(q, zq, a, b):
         else:
             a = m
     k = math.floor(a * n_lat) + 1
-    if Q(k, n_lat) < b and _zsign(zq, Q(k, n_lat)) == 0:
+    if Q(k, n_lat) < b and _zsign(q, Q(k, n_lat)) == 0:
         return Q(k, n_lat)
     return RootPt(q, a, b)
 
@@ -505,15 +499,15 @@ def poly_nonneg_on(p, lo, hi) -> bool:
     """Exact check that p >= 0 everywhere on [lo, hi]."""
     if not p:
         return True
-    zp = _zform(p)
-    if _zsign(zp, lo) < 0 or _zsign(zp, hi) < 0:
+    z = _zpoly(p)
+    if _zsign(z, lo) < 0 or _zsign(z, hi) < 0:
         return False
-    pts = isolate_roots(p, lo, hi)
+    pts = isolate_roots(z, lo, hi)
     samples = [lo, hi]
     prev = lo
     for pt in pts:
-        x = pt_approx(pt)
+        x = pt.approx() if isinstance(pt, RootPt) else pt
         samples.append((prev + x) / 2 if prev < x else prev)
         prev = x
     samples.append((prev + hi) / 2 if prev < hi else hi)
-    return all(_zsign(zp, s) >= 0 for s in samples)
+    return all(_zsign(z, s) >= 0 for s in samples)

@@ -20,7 +20,7 @@ from fractions import Fraction as Q
 from .errors import (ContinuityViolation, IncommensurableRatio, NotModerate,
                      ParseError)
 from .grid import Grid, unify
-from .polytools import poly
+from .polytools import ONE
 from .window import Piecewise, Seg
 
 
@@ -43,7 +43,9 @@ class TailComponent:
 
 
 class PwFunction:
-    """A self-similar piecewise rational function on (0, 1]."""
+    """A self-similar piecewise rational function on (0, 1].  Its `comps`
+    are nonzero, with distinct (s, r), and sorted by (r, s): both
+    constructors go through `_canonical_comps`."""
 
     __slots__ = ("grid", "comps", "head")
 
@@ -85,7 +87,7 @@ class PwFunction:
         if p >= 0:
             g = Piecewise.from_poly(sigma, 1, _monomial(p))
         else:
-            g = Piecewise.from_poly(sigma, 1, poly(1), _monomial(-p))
+            g = Piecewise.from_poly(sigma, 1, ONE, _monomial(-p))
         return PwFunction(sigma, [TailComponent(p, 0, g)], D=D)
 
     def eps_power(self, n) -> "PwFunction":
@@ -345,7 +347,7 @@ class PwFunction:
 
 
 def _monomial(p: int):
-    return (Q(0),) * p + (Q(1),)
+    return (0,) * p + (1,)
 
 
 def _canonical_comps(comps):
@@ -360,10 +362,9 @@ def _canonical_comps(comps):
 
 
 def _pw_to_list(g: Piecewise):
-    return [{"lo": str(s.lo), "hi": str(s.hi),
-             "num": [str(c) for c in s.num],
-             "den": [str(c) for c in s.den]}
-            for s in g.segs]
+    return [{"lo": str(s.lo), "hi": str(s.hi), "num": [str(c) for c in num],
+             "den": [str(c) for c in den]}
+            for s in g.segs for num, den in [s.monic()]]
 
 
 def _pw_from_list(lst):

@@ -70,17 +70,21 @@ def isolated_common_zeros(x: PwFunction):
 def _candidate_points(x: PwFunction):
     """Window points where some r = 0 profile vanishes or changes its
     polynomial piece; deduplicated, sorted."""
+    return _profile_points([c.g for c in x.comps if c.r == 0])
+
+
+def _profile_points(profiles):
+    """Breakpoints, flat-zero ends and isolated zeros of the profiles;
+    deduplicated, sorted."""
     pts = []
     rats = set()
-    for c in x.comps:
-        if c.r != 0:
-            continue
-        for b in c.g.breakpoints():
+    for g in profiles:
+        for b in g.breakpoints():
             rats.add(Q(b))
-        for iv in c.g.flat_zero().ivs:
+        for iv in g.flat_zero().ivs:
             rats.add(iv.lo)
             rats.add(iv.hi)
-        for z in c.g.isolated_zeros():
+        for z in g.isolated_zeros():
             if isinstance(z, Q):
                 rats.add(z)
             else:
@@ -169,7 +173,7 @@ def side_data(x: PwFunction, w0, direction: int) -> SideData:
 def point_sign(x: PwFunction, w0):
     """(sign, is_deep) of the exact value pattern on the orbit of w0: the
     lexicographically dominant component with nonzero value decides."""
-    for c in sorted(x.comps, key=lambda c: (c.r, c.s)):
+    for c in x.comps:
         sg = c.g.value_sign_at(w0)
         if sg:
             return sg, c.r > 0
@@ -213,6 +217,14 @@ def _classify(signs) -> str:
 def _attained_signs(x: PwFunction, shape: IvSet):
     signs = set()
     cands = _candidate_points(x)
+    deep = [c.g for c in x.comps if c.r > 0]
+    if deep:
+        # inside the flat common zero a deep profile decides the sign, and
+        # it can change sign between the r = 0 points: cut there too
+        flat = flat_common_zero(x)
+        cands += [p for p in _profile_points(deep)
+                  if flat.contains(p) and p not in cands]
+        cands.sort()
     for iv in shape.ivs:
         if iv.is_point():
             sg, _ = point_sign(x, iv.lo)

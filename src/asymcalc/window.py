@@ -2,11 +2,13 @@
 
 These are the "profiles" out of which self-similar elements are built: a
 contiguous list of segments, each carrying a rational function num/den whose
-denominator is certified root-free on the segment.  Everything is exact over
-Fraction.  Public constructors validate and `on` trusts: the root-free
-certificate is checked only in `Seg(...)`, contiguity and continuity only
-in `Piecewise(...)` and `concat`, and each operation that builds through
-`on` says why its valid inputs give a valid result.
+denominator is certified root-free on the segment.  num and den are coprime
+integer polynomials with content 1 over both and lc(den) > 0, so equal
+functions have equal segments.  Public constructors validate and `on` trusts:
+coefficients are cleared and the certificate checked only in `Seg(...)`,
+contiguity and continuity only in `Piecewise(...)` and `concat`, and each
+operation that builds through `on` says why its valid inputs give a valid
+result.
 """
 
 from __future__ import annotations
@@ -17,25 +19,28 @@ from fractions import Fraction as Q
 
 from .errors import ContinuityViolation, ZeroDenominator
 from .ivset import Iv, IvSet
-from .polytools import (ONE, ZERO, count_roots_halfopen, isolate_roots, padd,
-                        pcompose_affine, pderiv, pdeg, pdivmod, peval, pgcd,
-                        pmul, poly, poly_nonneg_on, pscale, psign, psub,
-                        squarefree, sturm_chain)
+from .polytools import (ONE, ZERO, _normal, _zpoly, count_roots_halfopen,
+                        isolate_roots, padd, pcompose_affine, pderiv, pdeg,
+                        peval, pgcd, pmul, poly, poly_nonneg_on, pquo,
+                        pscale, psign, psub, squarefree, sturm_chain)
 
 
 def _reduce(num, den):
-    if not num:
-        return ZERO, ONE
+    """The canonical form of the integer fraction num/den."""
     # a constant denominator has no common factor with num
-    if pdeg(den) >= 1:
+    if num and pdeg(den) >= 1:
         g = pgcd(num, den)
         if pdeg(g) >= 1:
-            num = pdivmod(num, g)[0]
-            den = pdivmod(den, g)[0]
-    lead = den[-1]
-    num = pscale(num, 1 / lead)
-    den = pscale(den, 1 / lead)
-    return num, den
+            num, den = pquo(num, g), pquo(den, g)
+    return _content_one(num, den)
+
+
+def _content_one(num, den):
+    """Coprime num, den over the content of both, with lc(den) > 0."""
+    if not num:
+        return ZERO, ONE
+    z = _normal(num + den)
+    return z[:len(num)], z[len(num):]
 
 
 @functools.lru_cache(maxsize=8192)
@@ -57,7 +62,8 @@ class Seg:
         num, den = poly(*self.num), poly(*self.den)
         if not den:
             raise ZeroDenominator("denominator is the zero polynomial")
-        num, den = _reduce(num, den)
+        z = _zpoly(num + den)
+        num, den = _reduce(z[:len(num)], z[len(num):])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "lo", Q(self.lo))
@@ -70,7 +76,7 @@ class Seg:
 
     @classmethod
     def on(cls, lo: Q, hi: Q, num, den=ONE) -> "Seg":
-        """Trusted: Fractions lo < hi, num/den reduced, den monic, no root."""
+        """Trusted: Fractions lo < hi, num/den canonical, den root-free."""
         s = object.__new__(cls)
         object.__setattr__(s, "lo", lo)
         object.__setattr__(s, "hi", hi)
@@ -83,6 +89,11 @@ class Seg:
 
     def is_zero(self) -> bool:
         return not self.num
+
+    def monic(self) -> tuple:
+        """(num, den) over lc(den), as Fractions: the printed form."""
+        return tuple(tuple(Q(c, self.den[-1]) for c in p)
+                     for p in (self.num, self.den))
 
 
 class Piecewise:
@@ -206,12 +217,13 @@ class Piecewise:
         return self.scale(-1)
 
     def scale(self, c) -> "Piecewise":
-        """Trusted: c*num/den keeps each segment's invariants (c != 0)."""
+        """Trusted: c*num/den keeps each invariant but content (c != 0)."""
         c = Q(c)
         if not c:
             return Piecewise.zero(self.lo, self.hi)
-        return Piecewise.on([Seg.on(s.lo, s.hi, pscale(s.num, c), s.den)
-                             for s in self.segs])
+        return Piecewise.on([Seg.on(s.lo, s.hi, *_content_one(
+            pscale(s.num, c.numerator), pscale(s.den, c.denominator)))
+            for s in self.segs])
 
     def restrict(self, lo, hi) -> "Piecewise":
         """Trusted: a den root-free on a segment is so on any part."""
@@ -226,17 +238,16 @@ class Piecewise:
 
     def affine_image(self, a, b) -> "Piecewise":
         """w -> f(a*w + b) on the preimage domain, a > 0.  Trusted: it keeps
-        num/den reduced and den root-free; den is made monic again."""
+        num/den reduced and den root-free, and a > 0 keeps lc(den) > 0; both
+        are taken times the same power of the denominators' lcm."""
         a, b = Q(a), Q(b)
         assert a > 0
         segs = []
         for s in self.segs:
-            num = pcompose_affine(s.num, a, b)
-            den = pcompose_affine(s.den, a, b)
-            lead = den[-1]
-            if lead != 1:
-                num, den = pscale(num, 1 / lead), pscale(den, 1 / lead)
-            segs.append(Seg.on((s.lo - b) / a, (s.hi - b) / a, num, den))
+            n = max(pdeg(s.num), pdeg(s.den))
+            segs.append(Seg.on((s.lo - b) / a, (s.hi - b) / a, *_content_one(
+                pcompose_affine(s.num, a, b, n),
+                pcompose_affine(s.den, a, b, n))))
         return Piecewise.on(segs)
 
     @staticmethod
@@ -333,7 +344,7 @@ class Piecewise:
             m = max(1, abs(s.lo), abs(s.hi))
             num_hi = sum(abs(c) * m ** i for i, c in enumerate(s.num))
             den_lo = _lower_abs_bound(s.den, ONE, s.lo, s.hi) \
-                if pdeg(s.den) >= 1 else abs(s.den[0])
+                if pdeg(s.den) >= 1 else Q(s.den[0])
             if num_hi:
                 bound = max(bound, num_hi / den_lo)
         return bound
@@ -356,10 +367,11 @@ class Piecewise:
 def _lower_abs_bound(num, den, lo, hi) -> Q:
     """Certified positive lower bound for |num/den| on [lo, hi], both
     root-free there: halve from half the midpoint value until
-    num^2 - c^2 den^2 >= 0."""
+    q^2 num^2 - p^2 den^2 >= 0, c = p/q."""
     c = abs(peval(num, (lo + hi) / 2) / peval(den, (lo + hi) / 2)) / 2
-    while not poly_nonneg_on(psub(pmul(num, num),
-                                  pscale(pmul(den, den), c * c)), lo, hi):
+    nn, dd = pmul(num, num), pmul(den, den)
+    while not poly_nonneg_on(psub(pscale(nn, c.denominator ** 2),
+                                  pscale(dd, c.numerator ** 2)), lo, hi):
         c /= 2
     return c
 

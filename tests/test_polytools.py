@@ -10,9 +10,58 @@ from hypothesis import strategies as st
 
 import asymcalc
 from asymcalc.polytools import (RootPt, isolate_roots, padd, pderiv, pdeg,
-                                pdivmod, peval, pgcd, pmul, pneg, poly,
-                                poly_nonneg_on, ppow, pscale, psign, pt_cmp,
+                                peval, pgcd, pmul, pneg, poly, poly_nonneg_on,
+                                ppow, pscale, psign, pt_cmp, pt_enclosure,
                                 squarefree, sturm_chain, count_roots_halfopen)
+
+
+# -- Fraction references: the division, monic gcd and squarefree part, and
+# the Horner evaluation that the integer kernel replaced --------------------
+
+
+def pdivmod(p, q):
+    """Quotient and remainder over Q."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = [Q(c) for c in p]
+    d = len(q) - 1
+    lead = Q(q[-1])
+    quo = [Q(0)] * max(0, len(p) - d)
+    while len(r) - 1 >= d and any(r):
+        r = list(poly(*r))
+        if not r or len(r) - 1 < d:
+            break
+        c = r[-1] / lead
+        k = len(r) - 1 - d
+        quo[k] = c
+        for i, b in enumerate(q):
+            r[k + i] -= c * b
+        r[-1] = Q(0)
+    return poly(*quo), poly(*r)
+
+
+def _ref_pgcd(p, q):
+    """Monic gcd by Euclid's algorithm over Q."""
+    while q:
+        p, q = q, pdivmod(p, q)[1]
+    if not p:
+        return ()
+    return pscale(p, 1 / Q(p[-1]))
+
+
+def _ref_squarefree(p):
+    """Monic squarefree part p / gcd(p, p')."""
+    if pdeg(p) <= 0:
+        return pscale(p, 1 / Q(p[-1])) if p else ()
+    q = pdivmod(p, _ref_pgcd(p, pderiv(p)))[0]
+    return pscale(q, 1 / q[-1])
+
+
+def _ref_eval(p, x):
+    acc = Q(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def test_poly_arithmetic():
@@ -74,6 +123,24 @@ def test_only_polytools_reads_rootpt_intervals():
                     node.attr in banned_calls:
                 found.append((path.name, node.attr))
     assert found == []
+
+
+@pytest.mark.parametrize("p, lo, hi", [
+    ((-1, 0, 2), Q(1, 2), 1), ((-2, 0, 1), 1, 2), ((-3, 0, 0, 1), 1, 2),
+    ((1, -3, 0, 1), 0, 1)])
+def test_root_enclosure_does_not_depend_on_refining(p, lo, hi):
+    """The enclosure is the dyadic cell of the root at the given width,
+    whether or not the RootPt was refined before."""
+    for width in (Q(1, 64), Q(3, 80), Q(1, 3)):
+        fresh = isolate_roots.__wrapped__(p, lo, hi)[0]
+        refined = isolate_roots.__wrapped__(p, lo, hi)[0]
+        refined.refine_below(Q(1, 2 ** 30))
+        a, b = pt_enclosure(fresh, width)
+        assert (a, b) == pt_enclosure(refined, width)
+        assert a < fresh < b and width / 2 < b - a <= width
+        cell = b - a
+        assert cell.numerator == 1 and cell.denominator & \
+            (cell.denominator - 1) == 0 and (a / cell).denominator == 1
 
 
 def test_sturm_count():
@@ -231,7 +298,7 @@ class _OldRootPt:
             return -1
         if r <= self.lo:
             return 1
-        if peval(self.sf, r) == 0:
+        if _ref_eval(self.sf, r) == 0:
             return 0
         if count_roots_halfopen(self.chain, self.lo, r):
             self.hi = r
@@ -286,7 +353,7 @@ def _old_isolate_roots(p, lo, hi):
     lo, hi = Q(lo), Q(hi)
     if lo > hi:
         return ()
-    q = squarefree(p)
+    q = _ref_squarefree(p)
     if pdeg(q) <= 0:
         return ()
     found = []
@@ -296,13 +363,13 @@ def _old_isolate_roots(p, lo, hi):
         q = pdivmod(q, (-x, Q(1)))[0]
         found.append(x)
 
-    if peval(q, lo) == 0:
+    if _ref_eval(q, lo) == 0:
         peel(lo)
-    if hi > lo and q and peval(q, hi) == 0:
+    if hi > lo and q and _ref_eval(q, hi) == 0:
         peel(hi)
     if pdeg(q) >= 2:
         for cand in _old_rational_candidates(q, lo, hi):
-            if lo < cand < hi and q and peval(q, cand) == 0:
+            if lo < cand < hi and q and _ref_eval(q, cand) == 0:
                 peel(cand)
     if q and pdeg(q) == 1:
         root = -q[0] / q[1]
@@ -328,7 +395,7 @@ def _old_isolate_roots(p, lo, hi):
                 out.append(_OldRootPt(q, a, b))
                 continue
             m = (a + b) / 2
-            if peval(q, m) == 0:
+            if _ref_eval(q, m) == 0:
                 peel(m)
                 deflated = True
                 break
@@ -364,8 +431,8 @@ def test_isolate_roots_matches_reference(case):
             assert g.cmp_q(r.lo) > 0 and g.cmp_q(r.hi) < 0
 
 
-# -- reference: the Fraction Sturm chain, Euclid gcd and peval signs that the
-# integer kernel replaced ----------------------------------------------------
+# -- reference: the Fraction Sturm chain and Horner signs that the integer
+# kernel replaced ---------------------------------------------------------
 
 
 def _ref_sturm_chain(p):
@@ -378,16 +445,8 @@ def _ref_sturm_chain(p):
     return [c for c in chain if c]
 
 
-def _ref_pgcd(p, q):
-    while q:
-        p, q = q, pdivmod(p, q)[1]
-    if not p:
-        return ()
-    return pscale(p, 1 / p[-1])
-
-
 def _ref_sign(p, x):
-    v = peval(p, x)
+    v = _ref_eval(p, x)
     return (v > 0) - (v < 0)
 
 
@@ -411,6 +470,7 @@ _points = st.one_of(st.integers(-5, 5).map(Q), _ends, _roots)
 @example(poly(), Q(1, 3))
 @example(poly(-1, 0, 2), Q(-1))
 def test_psign_matches_peval(p, x):
+    assert peval(p, x) == _ref_eval(p, x)
     assert psign(p, x) == _ref_sign(p, x)
     assert psign(p, x.numerator if x.denominator == 1 else x) == \
         _ref_sign(p, x)
@@ -443,10 +503,16 @@ def _sympy_monic_gcd(p, q):
 @given(_polys, _polys, _polys)
 @example(poly(), poly(), poly(1, 1))
 def test_pgcd_matches_reference_and_sympy(a, b, c):
+    """The integer gcd is a positive multiple of the monic gcd over Q,
+    primitive, with a positive leading coefficient."""
     p, q = pmul(a, c), pmul(b, c)
-    got = pgcd(p, q)
-    assert got == _ref_pgcd(p, q) == _sympy_monic_gcd(p, q)
-    assert all(isinstance(x, Q) for x in got)
+    got, ref = pgcd(p, q), _ref_pgcd(p, q)
+    assert ref == _sympy_monic_gcd(p, q)
+    assert len(got) == len(ref)
+    if got:
+        assert all(type(x) is int for x in got)
+        assert math.gcd(*got) == 1 and got[-1] > 0
+        assert all(g == got[-1] * r for g, r in zip(got, ref))
 
 
 @settings(max_examples=300, deadline=None)

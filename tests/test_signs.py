@@ -34,6 +34,20 @@ def test_deep_component_does_not_flip_sign(rho, negl, full):
     assert eventual_sign_on(rho.sub(negl), full) == "POS"
 
 
+def test_deep_profile_decides_inside_the_flat_zero(full):
+    # no r = 0 component, so the deep profile decides everywhere, and it is
+    # negative at w = 11/16 on every block, between two r = 0 cuts
+    g = Piecewise.linear_interp([(Q(1, 2), 0), (Q(9, 16), 1), (Q(5, 8), 1),
+                                 (Q(11, 16), -1), (Q(23, 32), 1),
+                                 (Q(15, 16), 1), (1, 0)])
+    x = PwFunction(Q(1, 2), [TailComponent(0, 1, g)])
+    assert x.eval(Q(11, 128)) == Q(-1, 8)
+    assert eventual_sign_on(x, full) == "MIXED"
+    # on a set that avoids the dip the sign is read off the positive part
+    S = AsymptoticSet.orbit_interval(Q(23, 32), Q(15, 16))
+    assert eventual_sign_on(x, S) == "POS"
+
+
 def test_sign_needs_characteristic_set(rho):
     empty = AsymptoticSet(Q(1, 2), __import__(
         "asymcalc.ivset", fromlist=["IvSet"]).IvSet.empty())

@@ -7,6 +7,7 @@ rebuilding a result through `Seg(...)`, `Piecewise(...)`, `PwFunction(...)`,
 `AsymptoticSet(...)` and `IvSet(...)` must neither raise nor change it.
 """
 
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from asymcalc.errors import IncommensurableRatio, ParseError
 from asymcalc.ivset import Iv, IvSet
-from asymcalc.polytools import padd, peval, pmul, poly
+from asymcalc.polytools import padd, pdeg, peval, pgcd, pmul, poly
 from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import (AsymptoticSet, _metric_median,
                                circle_closure, fold_to_window, upto1)
@@ -152,6 +153,36 @@ def test_profile_operations_match_validating_path(f, g, c, i, k, ab):
     a, b = ab
     # the image denominator of w -> a*w + b has the leading coefficient a
     assert_valid_profile(f.affine_image(a, b))
+
+
+def assert_canonical(f: Piecewise):
+    """Every segment holds int coefficients in the canonical form: num and
+    den coprime, content 1 over both, den with a positive leading
+    coefficient, and ((), (1,)) for zero."""
+    for s in f.segs:
+        num, den = s.num, s.den
+        assert all(type(c) is int for c in num + den)
+        assert den and den[-1] > 0 and math.gcd(*num, *den) == 1
+        assert pdeg(pgcd(num, den)) == 0 if num else den == (1,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(profiles(Q(1, 2), Q(1), Q(1, 2), Q(1)),
+       profiles(Q(1, 2), Q(1), Q(0), Q(1, 3)),
+       st.sampled_from([Q(-1), Q(1, 2), Q(3, 2), Q(-2, 3), Q(6)]),
+       st.integers(1, 15),
+       st.sampled_from([(Q(1, 2), Q(1, 2)), (Q(2, 3), Q(1, 3)),
+                        (Q(3, 4), Q(-5, 8))]))
+def test_segments_are_canonical_integer_fractions(f, g, c, i, ab):
+    m = Q(16 + i, 32)
+    outs = [f, f.add(g), f.sub(g), f.mul(g), f.scale(c), f.restrict(m, 1),
+            f.affine_image(*ab),
+            Piecewise.concat([f.restrict(Q(1, 2), m), g.restrict(m, 1)
+                              .add(Piecewise.const(m, 1, f.eval(m) -
+                                                   g.eval(m)))])]
+    for h in outs:
+        assert_canonical(h)
+        assert_valid_profile(h)
 
 
 def test_sum_with_a_common_factor_is_reduced():

@@ -162,8 +162,6 @@ def squarefree(p):
 def _zform(p) -> tuple:
     """The primitive integer multiple of p by a positive rational: integer
     coefficients with gcd 1 (the empty tuple for p = 0)."""
-    if not p:
-        return ()
     den = math.lcm(*(c.denominator for c in p))
     return _content_free([c.numerator * (den // c.denominator) for c in p])
 

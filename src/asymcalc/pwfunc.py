@@ -372,5 +372,5 @@ def _pw_from_list(lst):
     for d in lst:
         segs.append(Seg(Q(d["lo"]), Q(d["hi"]),
                         tuple(Q(c) for c in d["num"]),
-                        tuple(Q(c) for c in d["den"]) or (Q(1),)))
+                        tuple(Q(c) for c in d["den"]) or ONE))
     return Piecewise(segs)

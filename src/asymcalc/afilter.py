@@ -3,13 +3,14 @@
 A filter is a symbolic expression: finitely generated (all closed
 asymptotic supersets of the generators' intersection), the invertibility
 filter of an ideal, or an interior/closure operator applied to one of
-those.  Membership is decided by structural recursion; primality-style
-properties are refuted by randomized covers, never proved.
+those.  Membership is decided by structural recursion.  Every proper
+filter is neither prime nor pseudoprime, and `refuting_cover` builds the
+certificate: one closed cover on the cubed ratio, cut around two copies of
+a point of the filter's core.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -19,8 +20,9 @@ from .genconst import GenConstant, _rep
 from .grid import unify
 from .ideal import FgIdeal, f_of_I_member, pure_part_member
 from .ivset import Iv, IvSet
+from .polytools import pt_enclosure
 from .pwfunc import PwFunction, TailComponent
-from .scaleset import AsymptoticSet, circle_closure, grow_circle, upto1
+from .scaleset import AsymptoticSet
 from .signs import eventually_nonneg, obstruction_meets
 from .signs import restr_zero as _restr_zero_pw
 from .window import Piecewise
@@ -164,10 +166,8 @@ def filter_member(F: FilterExpr, S: AsymptoticSet) -> bool:
 
 def i_of_f_member(x, F: FilterExpr) -> bool:
     """Whether x vanishes on some member of the filter."""
-    F = F.normalize()
     # interior and closure do not change the ideal of a filter
-    while isinstance(F, (Interior, Closure)):
-        F = F.of.normalize()
+    F = _core(F.normalize())
     xr = _rep(x)
     if isinstance(F, FG):
         return _restr_zero_pw(xr, F.base())
@@ -176,167 +176,82 @@ def i_of_f_member(x, F: FilterExpr) -> bool:
     raise AssertionError("unknown filter variant")
 
 
-# -- primality refuters ---------------------------------------------------
-
-
-@dataclass
-class Verified:
-    trials: int
-
-    def __bool__(self):
-        return True
+# -- non-primality -------------------------------------------------------
 
 
 @dataclass
 class CounterExample:
+    """Closed sets S and T with S u T the full set and int S u int T
+    covering it, neither of them in the filter."""
+
     S: AsymptoticSet
     T: AsymptoticSet
 
-    def __bool__(self):
-        return False
+
+def refuting_cover(F: FilterExpr) -> CounterExample:
+    """One cover that refutes both primality and pseudoprimality of F.
+
+    Take a point c in (sigma, 1] of the core of F (`_core_point`) and work
+    on the ratio sigma^3, whose window (sigma^3, 1] holds the three copies
+    c, c*sigma and c*sigma^2 of c's orbit.  S is the window circle minus a
+    small open arc around c*sigma, T the circle minus one around
+    c*sigma^2; both arcs lie strictly inside (sigma^3, 1), and neither
+    reaches the other copy.  So S and T are closed, S u T is the full set,
+    which every proper filter holds, and int S u int T covers the window:
+    the union refutes primality and the interiors pseudoprimality.  Each
+    part misses a neighbourhood of one copy of c, so neither holds the base
+    of a generated filter, and for the filter of an ideal sos is not
+    invertible on the complement of either.  The ratio is sigma^3 because
+    coarsening an element by 3 never raises IncommensurableRatio, while by
+    2 it does for a deep component with odd r.  The filter of an improper
+    ideal holds every set and raises ImproperFilter."""
+    c, grid = _core_point(F.normalize())
+    sg, s3 = grid.sigma, grid.sigma ** 3
+    # shrink the enclosure (lo, hi) of c until it lies above sigma and its
+    # copy (lo, hi)*sigma lies below it; c > sigma, so this ends
+    width = 1 - sg
+    while True:
+        lo, hi = pt_enclosure(c, width)
+        if sg < lo and hi * sg < lo:
+            break
+        width /= 2
+    S, T = (AsymptoticSet(s3, IvSet([Iv(s3, lo * k, False, True),
+                                     Iv(hi * k, Q(1), True, True)]),
+                          D=grid.D) for k in (sg, sg * sg))
+    return CounterExample(S, T)
 
 
-def _rand_q(rng, lo: Q, hi: Q, den: int = 64) -> Q:
-    n = rng.randrange(1, den)
-    return lo + (hi - lo) * Q(n, den)
+def _core_point(F: FilterExpr):
+    """(c, grid): a window point c of the filter's core on the filter's
+    grid.  Every member of a generated filter holds c's orbit (c is a point
+    of the base); for the filter of an ideal, sos is not invertible near c's
+    orbit (c is a point of the flat zero or a bad point of sos).  A bad
+    point at w = sigma is bad on its sigma+ side, which is the orbit of
+    w = 1."""
+    F = _core(F)
+    if isinstance(F, FG):
+        G = F.base()
+        return G.shape.ivs[0].hi, G.grid
+    I = F.ideal
+    if not I.is_proper():
+        raise ImproperFilter("the filter of an improper ideal holds every "
+                             "set")
+    sos, _, (flat, pts) = I.obstruction_on(I.full_set())
+    c = flat.ivs[0].hi if flat else pts[0].pos
+    return (Q(1) if c == sos.sigma else c), sos.grid
 
 
-def _arc_pair(rng, sigma: Q):
-    """Two closed overlapping window arcs whose interiors cover the
-    circle."""
-    a = _rand_q(rng, sigma, 1)
-    b = _rand_q(rng, sigma, 1)
-    if a == b:
-        b = sigma + (a - sigma) / 2
-    a, b = min(a, b), max(a, b)
-    eps = min((b - a) / 4, (a - sigma) / 2 + (1 - b) / 2) / 2
-    if eps == 0:
-        eps = (b - a) / 8
-    S = AsymptoticSet(sigma, IvSet([Iv(a - eps if a - eps > sigma else a,
-                                       b + eps if b + eps <= 1 else b,
-                                       True, True)]).intersect(upto1(sigma)))
-    # complementary arc through the seam, fattened to overlap
-    Tsh = IvSet([Iv(sigma, a, False, True), Iv(b, Q(1), True, True)])
-    T = AsymptoticSet(sigma, grow_circle(Tsh, eps, sigma))
-    return S.closure(), T.closure()
-
-
-def _doubled_pair(sigma: Q, cut: Q):
-    """A period-doubled cover: on the squared ratio, one arc around the
-    even copy of the cut and one around the odd copy, each avoiding the
-    other copy."""
-    s2 = sigma * sigma
-    even, odd = cut, cut * sigma
-    gap = min(abs(even - odd), even - s2, odd - s2, 1 - even, 1 - odd) / 4
-    S = AsymptoticSet(s2, _arc_avoiding(s2, even, odd, gap))
-    T = AsymptoticSet(s2, _arc_avoiding(s2, odd, even, gap))
-    return S.closure(), T.closure()
-
-
-def _arc_avoiding(sigma: Q, around: Q, avoid: Q, gap: Q) -> IvSet:
-    """The closed window circle minus an open gap around `avoid`."""
-    lo, hi = avoid - gap, avoid + gap
-    if lo <= sigma or hi >= 1:
-        raise ValueError("gap leaves the window")
-    if lo <= around <= hi:
-        raise ValueError("gap hits the point to keep")
-    return circle_closure(IvSet([Iv(sigma, lo, False, True),
-                                 Iv(hi, Q(1), True, True)]), sigma)
-
-
-def pseudoprime_check(F: FilterExpr, trials: int, seed: int):
-    """Search for a cover int S + int T = FULL with neither part in F."""
-    def covers(F, sigma, S, T):
-        full = AsymptoticSet.full(sigma)
-        return full.subset_of(S.interior().union(T.interior()))
-    return _refute(F, trials, f"pseudoprime-{seed}",
-                   lambda member, rng, sigma: _arc_pair(rng, sigma), covers)
-
-
-def prime_check(F: FilterExpr, trials: int, seed: int):
-    """Search for S, T with the union in F but neither part in F."""
-    def covers(F, sigma, S, T):
-        return filter_member(F, S.union(T).closure())
-    return _refute(F, trials, f"prime-{seed}", _split_member, covers)
-
-
-def _refute(F: FilterExpr, trials: int, stream: str, split, covers):
-    """The trial loop of the prime and pseudoprime checks.  Trial t draws
-    from random.Random(f"{stream}-{t}").  Every third trial tries a
-    period-doubled cover, cut at a break of a member's shape on every
-    other such trial (those cuts are the structurally relevant ones);
-    the rest take split(member, rng, sigma).  A pair (S, T) with
-    covers(F, sigma, S, T) counts as a trial done, and refutes F when
-    neither part is in F."""
-    if trials < 1:
-        raise PreconditionViolated("at least one trial")
-    F = F.normalize()
-    sigma = _filter_sigma(F)
-    member = _some_member(F)
-    cuts = sorted(set(c for iv in member.shape.ivs for c in (iv.lo, iv.hi)
-                      if sigma < c < 1))
-    done = 0
-    for t in range(trials):
-        rng = random.Random(f"{stream}-{t}")
-        if t % 3 == 2:
-            # period-doubled covers catch filters whose base is a single
-            # orbit: neither doubled arc contains both copies of the cut
-            if cuts and t % 6 == 2:
-                cut = cuts[rng.randrange(len(cuts))]
-            else:
-                cut = _rand_q(rng, sigma, 1)
-            try:
-                S, T = _doubled_pair(sigma, cut)
-            except (ValueError, ZeroDivisionError):
-                continue
-        else:
-            S, T = split(member, rng, sigma)
-        if S is None or not covers(F, sigma, S, T):
-            continue
-        done += 1
-        if not filter_member(F, S) and not filter_member(F, T):
-            return CounterExample(S, T)
-    return Verified(done)
-
-
-def _filter_sigma(F: FilterExpr) -> Q:
+def _core(F: FilterExpr) -> FilterExpr:
+    """The generated or ideal filter under the interior and closure
+    operators of a normalized filter."""
     while isinstance(F, (Interior, Closure)):
         F = F.of
-    if isinstance(F, FG):
-        return F.base().sigma
-    if isinstance(F, OfIdeal):
-        return F.ideal.sos.rep.sigma
-    raise AssertionError("unknown filter variant")
+    return F
 
 
 def _some_member(F: FilterExpr) -> AsymptoticSet:
-    while isinstance(F, (Interior, Closure)):
-        F = F.of
-    if isinstance(F, FG):
-        return F.base()
-    return AsymptoticSet.full(_filter_sigma(F))
-
-
-def _split_member(G: AsymptoticSet, rng, sigma: Q):
-    """Split a member's window shape at a random interior point."""
-    fats = G.shape.fat_part().ivs
-    if fats:
-        iv = fats[rng.randrange(len(fats))]
-        cut = _rand_q(rng, iv.lo, iv.hi)
-        left = IvSet([Iv(iv.lo, cut, iv.lc, True)])
-        right = IvSet([Iv(cut, iv.hi, True, iv.hc)])
-    else:
-        pts = list(G.shape.points())
-        if len(pts) < 1:
-            return None, None
-        cut = pts[rng.randrange(len(pts))]
-        left = IvSet([Iv(cut, cut, True, True)])
-        right = IvSet.empty()
-    rest = G.shape.difference(IvSet([iv]) if fats else left,
-                              upto1(sigma).ivs[0])
-    S = AsymptoticSet(sigma, left.union(rest), D=G.D).closure()
-    T = AsymptoticSet(sigma, right.union(rest), D=G.D).closure()
-    return S, T
+    F = _core(F)
+    return F.base() if isinstance(F, FG) else F.ideal.full_set()
 
 
 # -- rapidity -------------------------------------------------------------

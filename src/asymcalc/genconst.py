@@ -471,11 +471,8 @@ def _pl_quotient(num: Piecewise, den: Piecewise) -> Piecewise:
     """num / den, segment by segment; segments where num vanishes stay
     zero, elsewhere den must be root-free (certified at segment
     construction)."""
-    cuts = sorted(set(num.breakpoints()) | set(den.breakpoints()))
     parts = []
-    for a, b in zip(cuts, cuts[1:]):
-        # the cuts hold every breakpoint of both, so each is one segment
-        (sn,), (sd,) = num.restrict(a, b).segs, den.restrict(a, b).segs
+    for a, b, sn, sd in num.cells(den):
         if sn.is_zero():
             parts.append(Piecewise.zero(a, b))
         else:

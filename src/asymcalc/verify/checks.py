@@ -10,12 +10,12 @@ import random
 import time
 from fractions import Fraction as Q
 
-from ..afilter import (FG, Closure, CounterExample, Interior, filter_member,
-                       prime_check, pseudoprime_check, rapid_element,
-                       rapid_witness)
-from ..errors import (AsymcalcError, ModulusViolated, PreconditionViolated,
-                      ProductNotZero, RepresentabilityError,
-                      SearchBoundExceeded, UnknownCheck)
+from ..afilter import (FG, Closure, Interior, filter_member, rapid_element,
+                       rapid_witness, refuting_cover)
+from ..errors import (AsymcalcError, ImproperFilter, ModulusViolated,
+                      PreconditionViolated, ProductNotZero,
+                      RepresentabilityError, SearchBoundExceeded,
+                      UnknownCheck)
 from ..genconst import (GenConstant, cauchy_glue, extend_invertible,
                         extend_zero, invert_on, restr_invertible, restr_zero,
                         zero_product_split)
@@ -191,31 +191,27 @@ def _check_interior_closure(corpus, rng, rep):
 
 
 def _check_prime_ideal_char(corpus, rng, rep):
+    full = AsymptoticSet.full()
     for F in corpus.filters[:6]:
         rep.instances += 1
         try:
-            res = pseudoprime_check(F, trials=40, seed=rng.randrange(10 ** 6))
-        except AsymcalcError:
-            rep.inconclusive += 1
+            ce = refuting_cover(F)
+        except ImproperFilter:
+            # a filter is improper exactly when it holds the empty set
+            if not filter_member(F, AsymptoticSet.empty()):
+                rep.record_failure(filter=repr(F),
+                                   reason="proper filter called improper")
             continue
-        if isinstance(res, CounterExample):
-            full = AsymptoticSet.full()
-            covered = full.subset_of(
-                res.S.interior().union(res.T.interior()))
-            if not covered or filter_member(F, res.S) \
-                    or filter_member(F, res.T):
-                rep.record_failure(filter=repr(F), S=res.S, T=res.T,
-                                   reason="unsound pseudoprime witness")
-        try:
-            pres = prime_check(F, trials=40, seed=rng.randrange(10 ** 6))
-        except AsymcalcError:
-            rep.inconclusive += 1
-            continue
-        if isinstance(pres, CounterExample):
-            if not filter_member(F, pres.S.union(pres.T)) \
-                    or filter_member(F, pres.S) or filter_member(F, pres.T):
-                rep.record_failure(filter=repr(F), S=pres.S, T=pres.T,
-                                   reason="unsound prime witness")
+        S, T = ce.S, ce.T
+        if not filter_member(F, S.union(T)):
+            rep.record_failure(filter=repr(F), S=S, T=T,
+                               reason="union outside the filter")
+        if not full.subset_of(S.interior().union(T.interior())):
+            rep.record_failure(filter=repr(F), S=S, T=T,
+                               reason="interiors do not cover")
+        if filter_member(F, S) or filter_member(F, T):
+            rep.record_failure(filter=repr(F), S=S, T=T,
+                               reason="a part lies in the filter")
 
 
 def _check_rapid(corpus, rng, rep):
@@ -318,7 +314,8 @@ _REGISTRY = {
         "interior/closure operators are idempotent and absorbing"),
     "prime-ideal-char": (
         _check_prime_ideal_char,
-        "prime and pseudoprime refuters only emit sound witnesses"),
+        "every proper filter has a cover refuting primality and "
+        "pseudoprimality"),
     "rapid-chain": (
         _check_rapid,
         "descending chains admit rapid elements and witnesses"),

@@ -182,22 +182,28 @@ class Piecewise:
     def breakpoints(self):
         return [s.lo for s in self.segs] + [self.hi]
 
+    def cells(self, other):
+        """(a, b, s, t) for each cell [a, b] of the common refinement of two
+        profiles on one interval, s and t the segments of self and other
+        over it.  One merge walk: a cell ends at the lesser segment end,
+        and the segments ending there advance."""
+        assert self.lo == other.lo and self.hi == other.hi
+        ss, ts = self.segs, other.segs
+        i = j = 0
+        a = self.lo
+        while i < len(ss):
+            s, t = ss[i], ts[j]
+            b = min(s.hi, t.hi)
+            yield a, b, s, t
+            i += s.hi == b
+            j += t.hi == b
+            a = b
+
     def _zip(self, other, fn):
         """Trusted: products of root-free dens are root-free; the gcd step
         stays, since a sum or a product can share a factor."""
-        assert self.lo == other.lo and self.hi == other.hi
-        cuts = sorted(set(self.breakpoints()) | set(other.breakpoints()))
-        segs = []
-        for a, b in zip(cuts, cuts[1:]):
-            num, den = fn(self._seg_at(a, b), other._seg_at(a, b))
-            segs.append(Seg.on(a, b, *_reduce(num, den)))
-        return Piecewise.on(segs)
-
-    def _seg_at(self, a, b):
-        for s in self.segs:
-            if s.lo <= a and b <= s.hi:
-                return s
-        raise AssertionError
+        return Piecewise.on([Seg.on(a, b, *_reduce(*fn(s, t)))
+                             for a, b, s, t in self.cells(other)])
 
     def add(self, other) -> "Piecewise":
         return self._zip(other, lambda s, t: (

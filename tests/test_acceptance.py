@@ -16,8 +16,8 @@ from fractions import Fraction as Q
 from conftest import ACCEPTANCE_LINES
 
 from asymcalc.afilter import (FG, Closure, CounterExample, Interior, OfIdeal,
-                              filter_member, i_of_f_member, prime_check,
-                              pseudoprime_check, rapid_element, rapid_witness)
+                              filter_member, i_of_f_member, rapid_element,
+                              rapid_witness, refuting_cover)
 from asymcalc.errors import (AsymcalcError, ModulusViolated,
                              PreconditionViolated, RepresentabilityError,
                              SearchBoundExceeded)
@@ -419,24 +419,19 @@ def test_c07_prime_and_pseudoprime():
     with criterion(7, "prime-pseudoprime", 120) as st:
         for F in filters:
             st.instances += 1
-            # every representable finitely generated filter is refutable
-            ce = pseudoprime_check(F, trials=60, seed=rng.randrange(10 ** 6))
+            # every representable finitely generated filter is refutable,
+            # and one constructed cover refutes both properties
+            ce = refuting_cover(F)
             assert isinstance(ce, CounterExample), \
-                "pseudoprime refuter found no counterexample"
+                "refuter built no counterexample"
             S, T = ce.S, ce.T
             assert full.subset_of(S.interior().union(T.interior()))
             assert not filter_member(F, S) and not filter_member(F, T)
-            pce = prime_check(F, trials=60, seed=rng.randrange(10 ** 6))
-            assert isinstance(pce, CounterExample), \
-                "prime refuter found no counterexample"
-            assert filter_member(F, pce.S.union(pce.T))
-            assert not filter_member(F, pce.S) and \
-                not filter_member(F, pce.T)
-            # a pseudoprime counterexample of closed sets covers with a
-            # closed union, so it also refutes primality; consistent with
-            # prime <=> pseudoprime and radical
-            if S.is_closed() and T.is_closed():
-                assert filter_member(F, S.union(T))
+            # the parts are closed, so the pseudoprime counterexample
+            # covers with a closed union and also refutes primality;
+            # consistent with prime <=> pseudoprime and radical
+            assert S.is_closed() and T.is_closed()
+            assert filter_member(F, S.union(T))
             # transfer filter -> ideal: build an exact zero-divisor pair
             # outside the ideal of the filter; fattening each half of the
             # covering split keeps the zero sets overlapping on bands

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction as Q
 
@@ -7,15 +9,17 @@ from hypothesis import strategies as st
 
 import asymcalc.afilter as afilter_mod
 from asymcalc.afilter import (FG, Closure, CounterExample, Interior, OfIdeal,
-                              Verified, _arc_pair, _doubled_pair,
-                              _filter_sigma, _rand_q, _some_member,
-                              _split_member, filter_member, i_of_f_member,
-                              prec_interval_basis, prime_check,
-                              pseudoprime_check, rapid_element, rapid_witness)
+                              _some_member, filter_member, i_of_f_member,
+                              prec_interval_basis, rapid_element,
+                              rapid_witness, refuting_cover)
 from asymcalc.errors import (AsymcalcError, ChainNotDescending, ImproperFilter,
                              NotMember, PreconditionViolated)
 from asymcalc.ideal import FgIdeal
-from asymcalc.scaleset import AsymptoticSet, insert_between
+from asymcalc.ivset import Iv, IvSet
+from asymcalc.pwfunc import PwFunction, TailComponent
+from asymcalc.scaleset import (AsymptoticSet, circle_closure, distance_profile,
+                               grow_circle, insert_between, upto1)
+from asymcalc.verify import corpus_generate
 from asymcalc.window import Piecewise
 
 
@@ -76,10 +80,20 @@ def test_i_of_f_member(hat, A, B):
     assert i_of_f_member(hat, Z)
 
 
+def _assert_certificate(F, ce, sigma=Q(1, 2)):
+    """The three conditions of a refuting cover, through filter_member."""
+    assert isinstance(ce, CounterExample)
+    S, T = ce.S, ce.T
+    assert S.is_closed() and T.is_closed()
+    assert filter_member(F, S.union(T))
+    full = AsymptoticSet.full(sigma)
+    assert full.subset_of(S.interior().union(T.interior()))
+    assert not filter_member(F, S) and not filter_member(F, T)
+
+
 def test_pseudoprime_refuted_for_fg(A, P):
     for S in (A, P):
-        res = pseudoprime_check(FG([S]), trials=100, seed=7)
-        assert isinstance(res, CounterExample)
+        res = refuting_cover(FG([S]))
         full = AsymptoticSet.full()
         assert full.subset_of(res.S.interior().union(res.T.interior()))
         assert not filter_member(FG([S]), res.S)
@@ -88,117 +102,239 @@ def test_pseudoprime_refuted_for_fg(A, P):
 
 def test_prime_refuted_for_fg(A):
     F = FG([A])
-    res = prime_check(F, trials=100, seed=7)
-    assert isinstance(res, CounterExample)
+    res = refuting_cover(F)
     assert filter_member(F, res.S.union(res.T))
     assert not filter_member(F, res.S)
     assert not filter_member(F, res.T)
 
 
-# -- reference: the two trial loops that _refute replaced -------------------
+def test_improper_ideal_filter_raises():
+    F = OfIdeal(FgIdeal([PwFunction.upower(1)]))
+    assert filter_member(F, AsymptoticSet.empty())
+    for G in (F, Closure(F)):
+        with pytest.raises(ImproperFilter):
+            refuting_cover(G)
+
+
+def _root_element(sigma):
+    """(2w^2 - 1)^2 (1 + k(1 - w)) with k chosen for the seam rule: its
+    only window zero is the irrational w = 1/sqrt(2)."""
+    q = (2 * sigma * sigma - 1) ** 2
+    k = (1 / q - 1) / (1 - sigma)
+    g = Piecewise.from_poly(sigma, 1, (1, 0, -4, 0, 4)).mul(
+        Piecewise.from_poly(sigma, 1, (1 + k, -k)))
+    return PwFunction(sigma, [TailComponent(0, 0, g)])
+
+
+def _seam_element(sigma):
+    """A tent vanishing at the seam plus -u: they cancel on the sigma+ side
+    of w = sigma and the left side of w = 1, and nowhere else."""
+    tent = Piecewise.linear_interp([(sigma, 0), (Q(5, 6), 1), (Q(1), 0)])
+    return PwFunction(sigma, [
+        TailComponent(0, 0, tent),
+        TailComponent(1, 0, Piecewise.from_poly(sigma, 1, (0, -1)))])
+
+
+@pytest.mark.parametrize("sigma", [Q(1, 2), Q(2, 3)])
+def test_refuting_cover_at_a_seam_bad_point(sigma):
+    # the first bad point is the sigma+ side of w = sigma, whose orbit is
+    # that of w = 1, so the cover is cut around the copies of 1
+    I = FgIdeal([_seam_element(sigma)])
+    flat, pts = I.obstruction_on(I.full_set())[2]
+    assert not flat and pts[0].pos == sigma and pts[0].right_bad
+    F = OfIdeal(I)
+    _assert_certificate(F, refuting_cover(F), sigma)
+
+
+@st.composite
+def filters(draw):
+    """(filter, ratio): corpus filters, and on the ratios 1/2 and 2/3
+    generated filters of orbit points and intervals, their interiors and
+    closures, and the filters of ideals vanishing on such sets, at an
+    irrational point, cancelling at the seam, or vanishing nowhere."""
+    kind = draw(st.sampled_from(["corpus", "fg", "ideal", "root", "seam",
+                                 "improper"]))
+    if kind == "corpus":
+        fs = corpus_generate(draw(st.integers(0, 30)), 12).filters
+        return draw(st.sampled_from(fs)), Q(1, 2)
+    sg = draw(st.sampled_from([Q(1, 2), Q(2, 3)]))
+    if kind in ("root", "seam"):
+        elt = _root_element if kind == "root" else _seam_element
+        F = OfIdeal(FgIdeal([elt(sg)]))
+    elif kind == "improper":
+        F = OfIdeal(FgIdeal([PwFunction.upower(1, sg)]))
+    else:
+        ks = sorted(draw(st.sets(st.integers(1, 24), min_size=1,
+                                 max_size=2)))
+        a, b = (sg + (1 - sg) * Q(k, 24) for k in (ks[0], ks[-1]))
+        S = AsymptoticSet.orbit_interval(a, b, sg)
+        F = FG([S]) if kind == "fg" else \
+            OfIdeal(FgIdeal([distance_profile(S)]))
+    wrap = draw(st.sampled_from([None, Interior, Closure]))
+    return (F if wrap is None else wrap(F)), sg
+
+
+@settings(max_examples=60, deadline=None)
+@given(filters())
+def test_refuting_cover_certifies(F_sg):
+    F, sg = F_sg
+    if filter_member(F, AsymptoticSet.empty(sg)):
+        # an improper filter holds every set and has no certificate
+        with pytest.raises(ImproperFilter):
+            refuting_cover(F)
+        return
+    _assert_certificate(F, refuting_cover(F), sg)
+
+
+# -- reference: the randomized refuter the constructed cover replaced -------
+
+
+def _rand_q(rng, lo, hi, den=64):
+    n = rng.randrange(1, den)
+    return lo + (hi - lo) * Q(n, den)
+
+
+def _arc_pair(rng, sigma):
+    """Two closed overlapping window arcs whose interiors cover the
+    circle."""
+    a = _rand_q(rng, sigma, 1)
+    b = _rand_q(rng, sigma, 1)
+    if a == b:
+        b = sigma + (a - sigma) / 2
+    a, b = min(a, b), max(a, b)
+    eps = min((b - a) / 4, (a - sigma) / 2 + (1 - b) / 2) / 2
+    if eps == 0:
+        eps = (b - a) / 8
+    S = AsymptoticSet(sigma, IvSet([Iv(a - eps if a - eps > sigma else a,
+                                       b + eps if b + eps <= 1 else b,
+                                       True, True)]).intersect(upto1(sigma)))
+    # complementary arc through the seam, fattened to overlap
+    Tsh = IvSet([Iv(sigma, a, False, True), Iv(b, Q(1), True, True)])
+    T = AsymptoticSet(sigma, grow_circle(Tsh, eps, sigma))
+    return S.closure(), T.closure()
+
+
+def _doubled_pair(sigma, cut):
+    """A period-doubled cover: on the squared ratio, one arc around the
+    even copy of the cut and one around the odd copy, each avoiding the
+    other copy."""
+    s2 = sigma * sigma
+    even, odd = cut, cut * sigma
+    gap = min(abs(even - odd), even - s2, odd - s2, 1 - even, 1 - odd) / 4
+    S = AsymptoticSet(s2, _arc_avoiding(s2, even, odd, gap))
+    T = AsymptoticSet(s2, _arc_avoiding(s2, odd, even, gap))
+    return S.closure(), T.closure()
+
+
+def _arc_avoiding(sigma, around, avoid, gap):
+    """The closed window circle minus an open gap around `avoid`."""
+    lo, hi = avoid - gap, avoid + gap
+    if lo <= sigma or hi >= 1:
+        raise ValueError("gap leaves the window")
+    if lo <= around <= hi:
+        raise ValueError("gap hits the point to keep")
+    return circle_closure(IvSet([Iv(sigma, lo, False, True),
+                                 Iv(hi, Q(1), True, True)]), sigma)
+
+
+def _split_member(G, rng, sigma):
+    """Split a member's window shape at a random interior point."""
+    fats = G.shape.fat_part().ivs
+    if fats:
+        iv = fats[rng.randrange(len(fats))]
+        cut = _rand_q(rng, iv.lo, iv.hi)
+        left = IvSet([Iv(iv.lo, cut, iv.lc, True)])
+        right = IvSet([Iv(cut, iv.hi, True, iv.hc)])
+    else:
+        pts = list(G.shape.points())
+        if len(pts) < 1:
+            return None, None
+        cut = pts[rng.randrange(len(pts))]
+        left = IvSet([Iv(cut, cut, True, True)])
+        right = IvSet.empty()
+    rest = G.shape.difference(IvSet([iv]) if fats else left,
+                              upto1(sigma).ivs[0])
+    S = AsymptoticSet(sigma, left.union(rest), D=G.D).closure()
+    T = AsymptoticSet(sigma, right.union(rest), D=G.D).closure()
+    return S, T
+
+
+def _random_refuter(F, trials, stream, split, covers):
+    """The seeded trial loop: trial t draws from
+    random.Random(f"{stream}-{t}"); every third trial tries a
+    period-doubled cover, cut at a break of a member's shape on every other
+    such trial, and the rest take split(member, rng, sigma).  Returns the
+    first pair that covers with neither part in F, or None."""
+    F = F.normalize()
+    member = _some_member(F)
+    sigma = member.sigma
+    cuts = sorted(set(c for iv in member.shape.ivs for c in (iv.lo, iv.hi)
+                      if sigma < c < 1))
+    for t in range(trials):
+        rng = random.Random(f"{stream}-{t}")
+        if t % 3 == 2:
+            if cuts and t % 6 == 2:
+                cut = cuts[rng.randrange(len(cuts))]
+            else:
+                cut = _rand_q(rng, sigma, 1)
+            try:
+                S, T = _doubled_pair(sigma, cut)
+            except (ValueError, ZeroDivisionError):
+                continue
+        else:
+            S, T = split(member, rng, sigma)
+        if S is None or not covers(F, sigma, S, T):
+            continue
+        if not filter_member(F, S) and not filter_member(F, T):
+            return CounterExample(S, T)
+    return None
 
 
 def _old_pseudoprime_check(F, trials, seed):
-    if trials < 1:
-        raise PreconditionViolated("at least one trial")
-    F = F.normalize()
-    sigma = _filter_sigma(F)
-    full = AsymptoticSet.full(sigma)
-    cuts = []
-    base = _some_member(F)
-    for iv in base.shape.ivs:
-        cuts.extend([iv.lo, iv.hi])
-    cuts = sorted(set(c for c in cuts if sigma < c < 1))
-    done = 0
-    for t in range(trials):
-        rng = random.Random(f"pseudoprime-{seed}-{t}")
-        if t % 3 == 2:
-            if cuts and t % 6 == 2:
-                cut = cuts[rng.randrange(len(cuts))]
-            else:
-                cut = _rand_q(rng, sigma, 1)
-            try:
-                S, T = _doubled_pair(sigma, cut)
-            except (ValueError, ZeroDivisionError):
-                continue
-        else:
-            S, T = _arc_pair(rng, sigma)
-        if not full.subset_of(S.interior().union(T.interior())):
-            continue
-        done += 1
-        if not filter_member(F, S) and not filter_member(F, T):
-            return CounterExample(S, T)
-    return Verified(done)
+    def covers(F, sigma, S, T):
+        full = AsymptoticSet.full(sigma)
+        return full.subset_of(S.interior().union(T.interior()))
+    return _random_refuter(F, trials, f"pseudoprime-{seed}",
+                           lambda member, rng, sigma: _arc_pair(rng, sigma),
+                           covers)
 
 
 def _old_prime_check(F, trials, seed):
-    if trials < 1:
-        raise PreconditionViolated("at least one trial")
-    F = F.normalize()
-    sigma = _filter_sigma(F)
-    member_set = _some_member(F)
-    cuts = []
-    for iv in member_set.shape.ivs:
-        cuts.extend([iv.lo, iv.hi])
-    cuts = sorted(set(c for c in cuts if sigma < c < 1))
-    done = 0
-    for t in range(trials):
-        rng = random.Random(f"prime-{seed}-{t}")
-        if t % 3 == 2:
-            if cuts and t % 6 == 2:
-                cut = cuts[rng.randrange(len(cuts))]
-            else:
-                cut = _rand_q(rng, sigma, 1)
+    def covers(F, sigma, S, T):
+        return filter_member(F, S.union(T).closure())
+    return _random_refuter(F, trials, f"prime-{seed}", _split_member, covers)
+
+
+def test_constructed_cover_refutes_what_the_random_search_refutes():
+    refuted = 0
+    for F in corpus_generate(17, 40).filters:
+        for old in (_old_prime_check, _old_pseudoprime_check):
             try:
-                S, T = _doubled_pair(sigma, cut)
-            except (ValueError, ZeroDivisionError):
+                res = old(F, 24, 7)
+            except AsymcalcError:
                 continue
-        else:
-            S, T = _split_member(member_set, rng, sigma)
-        if S is None:
+            if res is not None:
+                refuted += 1
+                _assert_certificate(F, refuting_cover(F))
+    assert refuted
+
+
+def test_only_verify_imports_random():
+    """The library is deterministic: outside `verify`, no module imports
+    random."""
+    root = pathlib.Path(afilter_mod.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.parent.name == "verify":
             continue
-        U = S.union(T)
-        if not filter_member(F, U.closure()):
-            continue
-        done += 1
-        if not filter_member(F, S) and not filter_member(F, T):
-            return CounterExample(S, T)
-    return Verified(done)
-
-
-def _outcome(check, F, trials, seed):
-    try:
-        res = check(F, trials, seed)
-    except AsymcalcError as e:
-        return type(e).__name__
-    if isinstance(res, CounterExample):
-        return "cex", res.S.to_dict(), res.T.to_dict()
-    return res
-
-
-def test_trial_loops_match_reference():
-    from asymcalc.verify import corpus_generate
-    filters = corpus_generate(17, 40).filters
-    filters += [FG([AsymptoticSet.orbit_point(Q(k, 64))]) for k in (37, 45)]
-    filters += [FG([AsymptoticSet.orbit_interval(Q(9, 16), Q(13, 16))])]
-    kinds = {}
-    for F in filters:
-        for seed in (7, 1234, 99991):
-            for new, old in ((prime_check, _old_prime_check),
-                             (pseudoprime_check, _old_pseudoprime_check)):
-                got = _outcome(new, F, 24, seed)
-                assert got == _outcome(old, F, 24, seed), (F, seed, new)
-                kind = got[0] if isinstance(got, tuple) else type(got)
-                kinds[kind] = kinds.get(kind, 0) + 1
-    # both outcomes occur, so the comparison covers both exits of the loop
-    assert kinds.get("cex") and kinds.get(Verified)
-
-
-def test_result_truthiness():
-    # Verified is truthy ("property held"), CounterExample is falsy
-    assert bool(Verified(trials=10))
-    S = AsymptoticSet.full()
-    assert not bool(CounterExample(S, S))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [path.name for a in node.names
+                          if a.name.split(".")[0] == "random"]
+            elif isinstance(node, ast.ImportFrom) and node.module and \
+                    node.module.split(".")[0] == "random":
+                found.append(path.name)
+    assert found == []
 
 
 def _chain(L=4):

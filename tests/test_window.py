@@ -1,6 +1,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymcalc.errors import ContinuityViolation, ZeroDenominator
 from asymcalc.ivset import IvSet
@@ -65,6 +67,31 @@ def test_arithmetic():
     assert f.sub(f).is_zero()
     assert f.neg().eval(Q(1, 4)) == Q(-1, 4)
     assert f.scale(3).eval(Q(1, 3)) == 1
+
+
+@st.composite
+def profiles(draw):
+    """Piecewise linear on [0, 1] with nodes on the 1/16 grid."""
+    inner = draw(st.sets(st.integers(1, 15), max_size=6))
+    ws = [0] + sorted(inner) + [16]
+    return Piecewise.linear_interp(
+        [(Q(w, 16), draw(st.integers(-3, 3))) for w in ws])
+
+
+@settings(max_examples=80, deadline=None)
+@given(profiles(), profiles())
+def test_cells_cut_at_every_breakpoint_of_both(f, g):
+    """The merge walk gives the cells of the sorted union of breakpoints,
+    each with the segments of f and g that hold it."""
+    cuts = sorted(set(f.breakpoints()) | set(g.breakpoints()))
+    cells = list(f.cells(g))
+    assert [(a, b) for a, b, _, _ in cells] == list(zip(cuts, cuts[1:]))
+    for a, b, s, t in cells:
+        assert s in f.segs and s.lo <= a and b <= s.hi
+        assert t in g.segs and t.lo <= a and b <= t.hi
+    for w in cuts + [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]:
+        assert f.mul(g).eval(w) == f.eval(w) * g.eval(w)
+        assert f.sub(g).eval(w) == f.eval(w) - g.eval(w)
 
 
 def test_flat_zero_and_isolated_zeros():

@@ -8,14 +8,23 @@ afilter:
 - oracle_valuation samples x on the geometric grid
   u_j = 2^-(j // 8) * b_(j % 8), where b_i is the double 0.5 ** (i / 8)
   taken as an exact rational, and estimates the scale order from the
-  slope of log|x(u)| against log u, fitted at high precision.  On a
-  grid of ratio 1/2 all samples of one residue class j % 8 share their
-  window coordinate, so each tail profile is evaluated exactly once per
-  distinct coordinate.  The block weights sigma^e stay in the log
-  domain: components with equal exponent e are summed exactly, and
-  distinct exponents are combined in mpmath at the working precision,
-  so no sample builds the exact value of x(u) below the anchor.  Above
-  the anchor samples use the exact head.
+  slope of log|x(u)| against log u, fitted at high precision to the
+  largest log|x(u)| of each block.  The samples are walked per residue
+  b_i, down the blocks: the element block and window coordinate (K, w)
+  of a sample are located once, at the first sample at or below the
+  anchor, and then stepped exactly (halving u halves w, and a w at or
+  below sigma is w / sigma on the next element block).  Above the
+  anchor samples use the exact head.  The block weights sigma^e stay in
+  the log domain: components with equal exponent e are summed exactly,
+  and distinct exponents are combined in mpmath at the working
+  precision, so no sample builds the exact value of x(u) below the
+  anchor.  Within one call the profile values are memoized per w and
+  the powers sigma^n per n.  A float screen, with a margin 10^6 times
+  its error, skips each sample that cannot beat its block's best; every
+  other sample gets an exact mpmath log.  Within a block the samples
+  are met in residue order, as in a block-by-block sweep, and only a
+  strictly larger log replaces the best, so the per-block maxima are
+  the same numbers as with an exact log at every sample.
 - oracle_vanishes_on samples x on the set S itself: on the two deepest
   blocks of S above the grid depth it takes each point, each closed
   endpoint and evenly spaced interior points of the shape, so point
@@ -27,6 +36,7 @@ inconclusive, never as an engine failure, unless the gap survives the
 stated tolerance.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -103,44 +113,66 @@ def _slope(points):
     return (n * sxy - sx * sy) / den
 
 
-def _grid(cfg: OracleConfig):
-    """The valuation samples (k, u), u = 2^-k * b_i for each residue b_i,
-    on the full blocks k = 1 .. depth // 8 - 1 of the ratio 1/2."""
-    for k in range(1, cfg.depth // 8):
-        for b in _RESIDUES:
-            yield k, Q(b.numerator, b.denominator << k)
+def _walk(grid, b, blocks: int):
+    """The samples u = 2^-k * b of the residue b on the blocks
+    k = 1 .. blocks - 1, as (k, u, None, None) above the anchor of grid and
+    as (k, None, K, w) at or below it, with (K, w) = grid.block_coord(u).
+
+    The samples fall with k, so the head samples come first.  Only they
+    build the Fraction u.  block_coord runs once, at the first sample at or
+    below the anchor; from there each halving of u halves w, and while
+    w <= sigma the sample lies one element block deeper: w <- w / sigma,
+    K <- K + 1.  That keeps w in (sigma, 1], so (K, w) stays the block
+    coordinate of u.  On the ratio 1/2 the step always gives the same w
+    one block down, and w is kept as it is."""
+    sigma, K = grid.sigma, None
+    same_w = sigma == Q(1, 2)
+    for k in range(1, blocks):
+        if K is None:
+            u = Q(b.numerator, b.denominator << k)
+            if u > grid.c0:
+                yield k, u, None, None
+                continue
+            K, w = grid.block_coord(u)
+        elif same_w:
+            K += 1
+        else:
+            w /= 2
+            while w <= sigma:
+                w /= sigma
+                K += 1
+        yield k, None, K, w
 
 
-def _log_sampler(x, cfg: OracleConfig):
-    """The function u -> log|x(u)| on (0, 1], or None where x(u) counts
-    as zero, at the current mpmath precision.
+def _tail_sampler(x, cfg: OracleConfig):
+    """The function (K, w) -> (e0, total) with x(u) = sigma^e0 * total at
+    the point u of element block K and window coordinate w, or None where
+    x(u) counts as zero; at the current mpmath precision.
 
-    Below the anchor the value on block k at window coordinate w is
-    sum_c sigma^(e_c(k)) g_c(w).  The profile values g_c(w) are exact
-    and memoized per w for the life of the returned function.
-    Components of equal exponent are summed exactly.  The nonzero sums
-    t_e give log|x(u)| = e0 log(sigma) + log|sum_e sigma^(e - e0) t_e|,
-    with e0 the smallest exponent and the sum taken in mpmath.  A sum of
-    several terms within 10^(8 - precision) of the largest term counts
-    as zero.
+    The value there is sum_c sigma^(e_c(K)) g_c(w).  The profile values
+    g_c(w) are exact and memoized per w; the memo is looked up only when w
+    is not the previous call's w object.  Components of equal exponent are
+    summed exactly.  The nonzero sums t_e give
+    total = sum_e sigma^(e - e0) t_e, with e0 the smallest exponent and
+    the sum taken in mpmath; the powers sigma^n are memoized by n.  A sum
+    of several terms within 10^(8 - precision) of the largest term counts
+    as zero.  Every memo lives as long as the returned function.
     """
     comps = x.comps
-    log_sigma = _logabs(x.sigma)
     sigma = _mpf(x.sigma)
     cutoff = mpmath.mpf(10) ** (8 - cfg.precision)
-    profiles = {}
+    profiles, powers = {}, {}
+    last = [None, ()]
 
-    def log_abs(u):
-        if u > x.c0:
-            val = x.head.eval(u)
-            return _logabs(val) if val else None
-        k, w = x.block_coord(u)
-        if w not in profiles:
-            profiles[w] = [(c, g, _mpf(g)) for c in comps
-                           for g in (c.g.eval(w),) if g]
+    def tail(K, w):
+        if w is not last[0]:
+            if w not in profiles:
+                profiles[w] = [(c, g, _mpf(g)) for c in comps
+                               for g in (c.g.eval(w),) if g]
+            last[:] = w, profiles[w]
         groups = {}
-        for c, g, m in profiles[w]:
-            e = c.exponent(k)
+        for c, g, m in last[1]:
+            e = c.exponent(K)
             if e in groups:
                 t = groups[e][0] + g
                 groups[e] = (t, _mpf(t))
@@ -150,34 +182,78 @@ def _log_sampler(x, cfg: OracleConfig):
         if not terms:
             return None
         e0 = min(e for e, _ in terms)
-        vals = [sigma ** (e - e0) * m for e, m in terms]
+        vals = []
+        for e, m in terms:
+            n = e - e0
+            if n not in powers:
+                powers[n] = sigma ** n
+            vals.append(powers[n] * m)
         total = mpmath.fsum(vals)
         if len(vals) > 1 and abs(total) <= cutoff * max(map(abs, vals)):
             return None
-        return e0 * log_sigma + mpmath.log(abs(total))
+        return e0, total
 
-    return log_abs
+    return tail
 
 
 def _mpf(q: Q):
     return mpmath.mpf(q.numerator) / q.denominator
 
 
-def _block_maxima(log_abs, cfg: OracleConfig):
-    """The largest log|x(u)| over the grid samples of each block k, from
-    the sampler log_abs; blocks where every sample is zero are left out."""
+def _block_maxima(x, cfg: OracleConfig):
+    """The largest log|x(u)| over the grid samples of each block k of the
+    ratio 1/2; blocks where every sample is zero are left out.
+
+    Each residue b_i is walked down the blocks (see _walk).  A head sample
+    gives the exact log|x.head(u)|.  A tail sample x(u) = sigma^e0 * total
+    (see _tail_sampler) is first screened in floats:
+    f = e0 * float(log sigma) + log|float(total)| lies within 1e-12 of the
+    exact log, so a sample with f below the block's best by more than
+    1e-6 * (1 + |best|) cannot beat it and is skipped.  Every other sample
+    gets the exact e0 * log(sigma) + log|total| in mpmath and replaces the
+    block's best only when strictly larger.  Within a block the samples
+    arrive in residue order, as in a block-by-block sweep, so each block
+    keeps the same winner with the same value.
+    """
+    tail = _tail_sampler(x, cfg)
+    log_sigma = _logabs(x.sigma)
+    f_log_sigma = float(log_sigma)
     best = {}
-    for k, u in _grid(cfg):
-        la = log_abs(u)
-        if la is not None and (k not in best or la > best[k]):
-            best[k] = la
+    for b in _RESIDUES:
+        for k, u, K, w in _walk(x.grid, b, cfg.depth // 8):
+            if u is not None:
+                val = x.head.eval(u)
+                if not val:
+                    continue
+                la = _logabs(val)
+            else:
+                sample = tail(K, w)
+                if sample is None:
+                    continue
+                e0, total = sample
+                ft = abs(float(total))
+                # screen only on a normal double, within 1e-12 of the log
+                if k in best and ft >= 1e-300:
+                    f_best = best[k][1]
+                    f = e0 * f_log_sigma + math.log(ft)
+                    if f < f_best - 1e-6 * (1 + abs(f_best)):
+                        continue
+                la = e0 * log_sigma + mpmath.log(abs(total))
+            if k not in best or la > best[k][0]:
+                best[k] = (la, float(la))
     if not best:
         raise AllSamplesZero("element vanished at every grid point")
-    return best
+    return {k: la for k, (la, _) in best.items()}
 
 
 def _fit(best, cfg: OracleConfig) -> ValuationEstimate:
-    """Slope estimate from the per-block maxima of log|x|."""
+    """Slope estimate from the per-block maxima of log|x|.  When fewer than
+    two blocks have a nonzero sample, or none of the deepest
+    max(2, window // 8) blocks of the grid has one, x vanishes at depth:
+    the estimate diverges, with lo = hi = +infinity."""
+    if len(best) < 2 or \
+            max(best) < cfg.depth // 8 - max(2, cfg.window // 8):
+        return ValuationEstimate(math.inf, mpmath.inf, True)
     log2 = mpmath.log(2)
     logs = [(-log2 * k, best[k]) for k in sorted(best)]
     wn = max(2, min(cfg.window // 8, len(logs) // 2))
@@ -198,16 +274,17 @@ def _fit(best, cfg: OracleConfig) -> ValuationEstimate:
 def oracle_valuation(x, cfg: OracleConfig = OracleConfig()) -> ValuationEstimate:
     """Estimate the scale order of x by log-log regression.
 
-    x is sampled on the grid of cfg (see _grid), and log|x(u)| is
-    computed in the log domain (see _log_sampler).  The fit runs against
-    the per-block maximum of |x|: pointwise samples dip arbitrarily low
-    near interior zeros of a window profile, which would bias a raw
-    regression.  Returns an interval [lo, hi] expected to contain the
-    exact valuation, or a diverging flag when the local slope keeps
-    growing with depth (the numeric signature of a negligible element).
+    x is sampled on the grid of cfg, and log|x(u)| is computed in the log
+    domain (see _block_maxima).  The fit runs against the per-block
+    maximum of |x|: pointwise samples dip arbitrarily low near interior
+    zeros of a window profile, which would bias a raw regression.
+    Returns an interval [lo, hi] expected to contain the exact valuation,
+    or a diverging flag when the local slope keeps growing with depth or
+    x vanishes at depth (the numeric signatures of a negligible
+    element).
     """
     with mpmath.workdps(cfg.precision):
-        return _fit(_block_maxima(_log_sampler(x, cfg), cfg), cfg)
+        return _fit(_block_maxima(x, cfg), cfg)
 
 
 def _shape_points(shape):

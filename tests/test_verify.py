@@ -9,8 +9,10 @@ from asymcalc.verify import (OracleConfig, available_checks, corpus_generate,
                              oracle_valuation, oracle_vanishes_on, run_checks)
 from asymcalc.scaleset import AsymptoticSet
 from asymcalc.ivset import IvSet
-from asymcalc.verify.oracle import (_block_maxima, _deep_blocks, _fit, _grid,
-                                    _log_sampler, _logabs, _shape_points)
+from asymcalc.verify.oracle import (_RESIDUES, _block_maxima, _deep_blocks,
+                                    _fit, _logabs, _mpf, _shape_points,
+                                    _tail_sampler, _walk)
+from asymcalc.grid import Grid
 from asymcalc.window import Piecewise
 
 CFG = OracleConfig(depth=1600)
@@ -100,27 +102,116 @@ def test_interior_closure_check_passes():
     assert r.passed and r.instances > 0
 
 
+def _ref_grid(cfg):
+    """The valuation samples (k, u), u = 2^-k * b_i for each residue b_i,
+    on the full blocks k = 1 .. depth // 8 - 1 of the ratio 1/2."""
+    for k in range(1, cfg.depth // 8):
+        for b in _RESIDUES:
+            yield k, Q(b.numerator, b.denominator << k)
+
+
+def _ref_log_sampler(x, cfg):
+    """The reference sampler: log|x(u)| at one sample u, located with
+    block_coord and summed in the log domain from scratch, with an exact
+    mpmath log at every sample (the per-sample loop _block_maxima
+    replaced)."""
+    comps = x.comps
+    log_sigma = _logabs(x.sigma)
+    sigma = _mpf(x.sigma)
+    cutoff = mpmath.mpf(10) ** (8 - cfg.precision)
+    profiles = {}
+
+    def log_abs(u):
+        if u > x.c0:
+            val = x.head.eval(u)
+            return _logabs(val) if val else None
+        k, w = x.block_coord(u)
+        if w not in profiles:
+            profiles[w] = [(c, g, _mpf(g)) for c in comps
+                           for g in (c.g.eval(w),) if g]
+        groups = {}
+        for c, g, m in profiles[w]:
+            e = c.exponent(k)
+            if e in groups:
+                t = groups[e][0] + g
+                groups[e] = (t, _mpf(t))
+            else:
+                groups[e] = (g, m)
+        terms = [(e, m) for e, (t, m) in groups.items() if t]
+        if not terms:
+            return None
+        e0 = min(e for e, _ in terms)
+        vals = [sigma ** (e - e0) * m for e, m in terms]
+        total = mpmath.fsum(vals)
+        if len(vals) > 1 and abs(total) <= cutoff * max(map(abs, vals)):
+            return None
+        return e0 * log_sigma + mpmath.log(abs(total))
+
+    return log_abs
+
+
+def _ref_block_maxima(log_abs, cfg):
+    """The largest log_abs(u) over the samples of each block, block by
+    block and in residue order within a block."""
+    best = {}
+    for k, u in _ref_grid(cfg):
+        la = log_abs(u)
+        if la is not None and (k not in best or la > best[k]):
+            best[k] = la
+    if not best:
+        raise AllSamplesZero("element vanished at every grid point")
+    return best
+
+
 def _exact_sampler(x):
-    """The reference sampler: log|x(u)| from the exact value x.eval(u)."""
+    """The exact sampler: log|x(u)| from the exact value x.eval(u)."""
     def log_abs(u):
         val = x.eval(u)
         return _logabs(val) if val else None
     return log_abs
 
 
+def _fast_samples(x, cfg):
+    """(k, u, log|x(u)| or None) at every grid sample, residue by residue,
+    from the walk and the tail sampler of the oracle."""
+    tail = _tail_sampler(x, cfg)
+    log_sigma = _logabs(x.sigma)
+    for b in _RESIDUES:
+        for k, u, K, w in _walk(x.grid, b, cfg.depth // 8):
+            if u is not None:
+                val = x.head.eval(u)
+                yield k, u, _logabs(val) if val else None
+                continue
+            sample = tail(K, w)
+            yield k, Q(b.numerator, b.denominator << k), (
+                None if sample is None
+                else sample[0] * log_sigma + mpmath.log(abs(sample[1])))
+
+
+def _assert_same_maxima(x, cfg):
+    """The per-block maxima equal the reference's exactly, by repr."""
+    with mpmath.workdps(cfg.precision):
+        got = _block_maxima(x, cfg)
+        want = _ref_block_maxima(_ref_log_sampler(x, cfg), cfg)
+    assert repr(sorted(got.items())) == repr(sorted(want.items()))
+
+
 def _assert_matches_exact(x, cfg):
     """Every grid sample of the log-domain oracle lies within 1e-6 of the
     exact log|x(u)|, zero exactly where x(u) = 0, and the estimate agrees
     with the one fitted to the exact samples."""
+    exact = _exact_sampler(x)
     with mpmath.workdps(cfg.precision):
-        fast, exact = _log_sampler(x, cfg), _exact_sampler(x)
-        for _, u in _grid(cfg):
-            got, want = fast(u), exact(u)
+        seen = 0
+        for _, u, got in _fast_samples(x, cfg):
+            want = exact(u)
+            seen += 1
             if want is None:
                 assert got is None, u
             else:
                 assert got is not None and abs(got - want) <= 1e-6, u
-        ref = _fit(_block_maxima(exact, cfg), cfg)
+        assert seen == 8 * (cfg.depth // 8 - 1)
+        ref = _fit(_ref_block_maxima(exact, cfg), cfg)
     est = oracle_valuation(x, cfg)
     assert est.diverging == ref.diverging
     assert est.lo == pytest.approx(ref.lo, abs=1e-6)
@@ -140,7 +231,9 @@ def test_oracle_matches_exact_on_corpus():
         _assert_matches_exact(x, SHALLOW)
 
 
-def test_oracle_matches_exact_on_head_and_mixed_components(hat):
+def _mixed(hat):
+    """Components of three depth increments, one of them with a head-free
+    and a lowered-anchor copy."""
     tent = Piecewise.linear_interp(
         [(Q(1, 2), 0), (Q(5, 8), Q(3, 2)), (Q(7, 8), -1), (Q(1), 0)])
     mixed = PwFunction(Q(1, 2), [
@@ -149,26 +242,138 @@ def test_oracle_matches_exact_on_head_and_mixed_components(hat):
         TailComponent(0, 2, tent.neg())])
     moved = mixed.lower_anchor(3)
     assert moved.c0 == Q(1, 8)
-    for x in (mixed, moved):
+    return mixed, moved
+
+
+def test_oracle_matches_exact_on_head_and_mixed_components(hat):
+    for x in _mixed(hat):
         _assert_matches_exact(x, SHALLOW)
 
 
-def test_oracle_cancelling_exponents_give_zero_samples():
-    # exponents 2k and k(k-1) coincide on block 3, where the two
-    # components cancel exactly
+def _cancelling():
+    """Exponents 2k and k(k-1) coincide on block 3, where the two
+    components cancel exactly."""
     tent = Piecewise.linear_interp(
         [(Q(1, 2), 0), (Q(3, 4), 1), (Q(1), 0)])
     a, b = TailComponent(2, 0, tent), TailComponent(0, 2, tent.neg())
     assert a.exponent(3) == b.exponent(3)
-    x = PwFunction(Q(1, 2), [a, b])
+    return PwFunction(Q(1, 2), [a, b])
+
+
+def test_oracle_cancelling_exponents_give_zero_samples():
+    x = _cancelling()
     with mpmath.workdps(SHALLOW.precision):
-        fast = _log_sampler(x, SHALLOW)
-        on_block_3 = [u for k, u in _grid(SHALLOW) if k == 3]
+        on_block_3 = [(u, la) for k, u, la in _fast_samples(x, SHALLOW)
+                      if k == 3]
         assert on_block_3
-        for u in on_block_3:
+        for u, la in on_block_3:
             assert x.eval(u) == 0
-            assert fast(u) is None
+            assert la is None
     _assert_matches_exact(x, SHALLOW)
+
+
+def _on_ratio(sigma, t=2):
+    """An element on ratio sigma with components of depth increments 0, 1
+    and 2 on two profiles that vanish at the seam, anchor lowered by t."""
+    a, b = sigma + (1 - sigma) / 3, sigma + 2 * (1 - sigma) / 3
+    tent = Piecewise.linear_interp([(sigma, 0), (a, 1), (1, 0)])
+    wave = Piecewise.linear_interp([(sigma, 0), (a, Q(3, 2)), (b, -1),
+                                    (1, 0)])
+    x = PwFunction(sigma, [TailComponent(1, 0, tent),
+                           TailComponent(-1, 1, wave),
+                           TailComponent(0, 2, tent.neg())])
+    return x.lower_anchor(t)
+
+
+RATIOS = (Q(1, 2), Q(2, 3), Q(3, 7), Q(1, 10), Q(9, 10))
+
+
+def test_block_maxima_match_reference_bit_for_bit(rho, osc, negl, hat):
+    for x in (rho, osc, negl):
+        _assert_same_maxima(x, CFG)
+    for x in corpus_generate(37, 60).elements[:12]:
+        _assert_same_maxima(x, SHALLOW)
+    for x in (*_mixed(hat), _cancelling()):
+        _assert_same_maxima(x, SHALLOW)
+    # anchors lowered by 8 put head samples on the grid for every ratio
+    for sigma in RATIOS[1:]:
+        for t in (0, 2, 8):
+            x = _on_ratio(sigma, t)
+            assert x.c0 == sigma ** t
+            _assert_same_maxima(x, SHALLOW)
+
+
+@pytest.mark.parametrize("sigma", RATIOS)
+@pytest.mark.parametrize("j", [0, 1, 3])
+def test_walk_steps_to_block_coord(sigma, j):
+    grid = Grid(sigma, j)
+    for depth in (400, 1600):
+        for b in _RESIDUES:
+            seen = 0
+            for k, u, K, w in _walk(grid, b, depth // 8):
+                seen += 1
+                want = Q(b.numerator, b.denominator << k)
+                assert (u is not None) == (want > grid.c0), (b, k)
+                if u is None:
+                    assert (K, w) == grid.block_coord(want), (b, k)
+                else:
+                    assert u == want and K is None and w is None
+            assert seen == depth // 8 - 1
+
+
+def test_oracle_locates_each_residue_once(monkeypatch, rho, hat):
+    calls = []
+    coord = Grid.block_coord
+
+    def counted(self, u):
+        calls.append(u)
+        return coord(self, u)
+
+    monkeypatch.setattr(Grid, "block_coord", counted)
+    for x in (rho, *_mixed(hat), _on_ratio(Q(2, 3))):
+        for cfg in (SHALLOW, CFG):
+            del calls[:]
+            oracle_valuation(x, cfg)
+            assert 0 < len(calls) <= 8
+
+
+def _head_only(c0, top):
+    """A negligible element: zero below c0, a tent on the head."""
+    head = Piecewise.linear_interp([(c0, 0), (top, 1), (Q(1), 0)])
+    return PwFunction(Q(1, 2), [], head=head, c0=c0)
+
+
+@pytest.mark.parametrize("c0", [Q(1, 4), Q(1, 8)])
+def test_oracle_diverges_on_element_vanishing_below_anchor(c0):
+    # c0 = 1/4 leaves one block with a nonzero sample, c0 = 1/8 two, both
+    # far above the fit window
+    x = _head_only(c0, Q(1, 2))
+    assert x.valuation() is None
+    for cfg in (SHALLOW, CFG):
+        est = oracle_valuation(x, cfg)
+        assert est.diverging
+        assert est.contains(None)
+        assert not est.contains(0)
+
+
+def test_oracle_imports_no_exact_decision_module():
+    """The oracle reads elements only through their representation."""
+    import ast
+    import pathlib
+    from asymcalc.verify import oracle
+    banned = {"signs", "genconst", "ideal", "afilter"}
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [part for a in node.names for part in a.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + \
+                [a.name for a in node.names]
+        else:
+            continue
+        found += sorted(banned.intersection(names))
+    assert found == []
 
 
 def _deep_blocks_walk(S, cfg):

@@ -295,6 +295,13 @@ def test_block_maxima_match_reference_bit_for_bit(rho, osc, negl, hat):
         _assert_same_maxima(x, SHALLOW)
     for x in (*_mixed(hat), _cancelling()):
         _assert_same_maxima(x, SHALLOW)
+    # profile values beyond the range of doubles leave the float screen
+    # out (tiny) or never skip (huge)
+    tent = Piecewise.linear_interp([(Q(1, 2), 0), (Q(3, 4), 1), (Q(1), 0)])
+    for c in (Q(1, 2 ** 1100), Q(2 ** 1100)):
+        x = PwFunction(Q(1, 2), [TailComponent(1, 0, tent.scale(c)),
+                                 TailComponent(0, 1, tent.scale(-c))])
+        _assert_same_maxima(x, SHALLOW)
     # anchors lowered by 8 put head samples on the grid for every ratio
     for sigma in RATIOS[1:]:
         for t in (0, 2, 8):

@@ -50,7 +50,7 @@ def _check_valuation_oracle(corpus, rng, rep):
             continue
         if not est.contains(v):
             rep.record_failure(element=x, exact=str(v),
-                               interval=[est.lo, str(est.hi)])
+                               interval=[est.lo, est.hi])
 
 
 def _check_restr_zero_oracle(corpus, rng, rep):

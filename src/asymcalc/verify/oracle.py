@@ -14,22 +14,30 @@ afilter:
   of a sample are located once, at the first sample at or below the
   anchor, and then stepped exactly (halving u halves w, and a w at or
   below sigma is w / sigma on the next element block).  Above the
-  anchor samples use the exact head.  The block weights sigma^e stay in
-  the log domain: components with equal exponent e are summed exactly,
-  and distinct exponents are combined in mpmath at the working
+  anchor samples use the exact head.  Two passes take the per-block
+  maxima.  The first gives each tail sample a float estimate of its
+  log|x(u)|, summed by math.fsum from float profile values and weights
+  sigma^n, or none where floats may not be reliable: two exponents
+  coincide, a profile value lies outside (2^-300, 2^300), or the sum is
+  below 1e-6 of its largest term.  Each float term is within a few ulp
+  of its exact value, so an estimate lies within about
+  (number of components) * 1e-9 of the exact log, far inside the margin
+  1e-6 * (1 + |fmax|) below the block's best estimate fmax.  The second
+  pass takes an exact log only of the samples in that margin, of those
+  without an estimate and of the head samples.  There the block weights
+  stay in the log domain: components with equal exponent are summed
+  exactly, and distinct exponents are combined in mpmath at the working
   precision, so no sample builds the exact value of x(u) below the
-  anchor.  Within one call the profile values are memoized per w and
-  the powers sigma^n per n.  A float screen, with a margin 10^6 times
-  its error, skips each sample that cannot beat its block's best; every
-  other sample gets an exact mpmath log.  Within a block the samples
-  are met in residue order, as in a block-by-block sweep, and only a
-  strictly larger log replaces the best, so the per-block maxima are
-  the same numbers as with an exact log at every sample.
+  anchor.  The exact logs cover every sample that can win its block, so
+  the per-block maxima are the same numbers as with an exact log at
+  every sample.  Within one call the profile values are memoized per w
+  and the powers sigma^n per n.
 - oracle_vanishes_on samples x on the set S itself: on the two deepest
   blocks of S above the grid depth it takes each point, each closed
   endpoint and evenly spaced interior points of the shape, so point
   orbits and thin shapes are hit exactly.  Each block votes by comparing
-  |x(u)| with u^n and u^(n/2), n = quantifier_bound.
+  the exact |x(u)| with u^n and u^(n/2), n = quantifier_bound; the block
+  weights of x are memoized per block within one call.
 
 Disagreement between a shadow and an exact answer is reported as
 inconclusive, never as an engine failure, unless the gap survives the
@@ -144,34 +152,113 @@ def _walk(grid, b, blocks: int):
         yield k, None, K, w
 
 
-def _tail_sampler(x, cfg: OracleConfig):
-    """The function (K, w) -> (e0, total) with x(u) = sigma^e0 * total at
-    the point u of element block K and window coordinate w, or None where
-    x(u) counts as zero; at the current mpmath precision.
+def _in_float_range(g: Q) -> bool:
+    """2^-300 < |g| < 2^300, read off the bit lengths of g."""
+    e = abs(g.numerator).bit_length() - g.denominator.bit_length()
+    return -300 < e < 300
 
-    The value there is sum_c sigma^(e_c(K)) g_c(w).  The profile values
-    g_c(w) are exact and memoized per w; the memo is looked up only when w
-    is not the previous call's w object.  Components of equal exponent are
-    summed exactly.  The nonzero sums t_e give
-    total = sum_e sigma^(e - e0) t_e, with e0 the smallest exponent and
-    the sum taken in mpmath; the powers sigma^n are memoized by n.  A sum
-    of several terms within 10^(8 - precision) of the largest term counts
-    as zero.  Every memo lives as long as the returned function.
+
+class _Profile:
+    """The profile values at one window coordinate w.  `exact` holds
+    (c, g) with g = c.g(w) for each component c where g != 0; `floats`
+    holds (c, float(g)) for the same components, or is None when some |g|
+    lies outside (2^-300, 2^300) or there are more than 400 of them;
+    `mpfs` holds (c, g, mpf(g)), made on first use."""
+
+    __slots__ = ("exact", "floats", "mpfs")
+
+    def __init__(self, comps, w):
+        self.exact = [(c, g) for c in comps for g in (c.g.eval(w),) if g]
+        self.floats = None
+        if len(self.exact) <= 400 and \
+                all(_in_float_range(g) for _, g in self.exact):
+            self.floats = [(c, float(g)) for c, g in self.exact]
+        self.mpfs = None
+
+
+def _profiles(x):
+    """The function w -> _Profile of x at w.  Memoized per w; the memo is
+    looked up only when w is not the previous call's w object, so a walk
+    that keeps w hashes no Fraction."""
+    comps, memo = x.comps, {}
+    last = [None, None]
+
+    def at(w):
+        if w is not last[0]:
+            if w not in memo:
+                memo[w] = _Profile(comps, w)
+            last[:] = w, memo[w]
+        return last[1]
+
+    return at
+
+
+def _float_sampler(x):
+    """The function (K, p) -> f, a double close to log|x(u)| at the point
+    u of element block K whose window profile is p (a _Profile), or None
+    where the float sum may not be reliable: p has no floats, two
+    exponents coincide (the exact grouping decides, see _tail_sampler), or
+    the sum is below 1e-6 of its largest term.
+
+    With e0 the smallest exponent, f = e0 * log(sigma) + log|sum_c
+    sigma^(e_c(K) - e0) g_c(w)|, summed by math.fsum.  The weights
+    sigma^n are memoized by n and corrected for the rounding of sigma:
+    with float(sigma) = sigma / (1 + delta), sigma^n =
+    float(sigma)^n * exp(n * delta) to within a few ulp, where the plain
+    power would be off by about n ulp."""
+    sigma = float(x.sigma)
+    delta = float((x.sigma - Q(sigma)) / Q(sigma))
+    f_log_sigma = float(_logabs(x.sigma))
+    powers = {}
+
+    def estimate(K, p):
+        terms = p.floats
+        if terms is None:
+            return None
+        if len(terms) == 1:
+            c, g = terms[0]
+            return c.exponent(K) * f_log_sigma + math.log(abs(g))
+        es = [c.exponent(K) for c, _ in terms]
+        if len(set(es)) < len(es):
+            return None
+        e0 = min(es)
+        vals = []
+        for e, (_, g) in zip(es, terms):
+            n = e - e0
+            if n not in powers:
+                powers[n] = sigma ** n * math.exp(n * delta)
+            vals.append(powers[n] * g)
+        s = abs(math.fsum(vals))
+        if s < 1e-6 * max(map(abs, vals)):
+            return None
+        return e0 * f_log_sigma + math.log(s)
+
+    return estimate
+
+
+def _tail_sampler(x, cfg: OracleConfig):
+    """The function (K, p) -> (e0, total) with x(u) = sigma^e0 * total at
+    the point u of element block K whose window profile is p (a
+    _Profile), or None where x(u) counts as zero; at the current mpmath
+    precision.
+
+    The value there is sum_c sigma^(e_c(K)) g_c(w), from the exact profile
+    values of p.  Components of equal exponent are summed exactly.  The
+    nonzero sums t_e give total = sum_e sigma^(e - e0) t_e, with e0 the
+    smallest exponent and the sum taken in mpmath; the powers sigma^n are
+    memoized by n for the life of the returned function.  A sum of
+    several terms within 10^(8 - precision) of the largest term counts as
+    zero.
     """
-    comps = x.comps
     sigma = _mpf(x.sigma)
     cutoff = mpmath.mpf(10) ** (8 - cfg.precision)
-    profiles, powers = {}, {}
-    last = [None, ()]
+    powers = {}
 
-    def tail(K, w):
-        if w is not last[0]:
-            if w not in profiles:
-                profiles[w] = [(c, g, _mpf(g)) for c in comps
-                               for g in (c.g.eval(w),) if g]
-            last[:] = w, profiles[w]
+    def tail(K, p):
+        if p.mpfs is None:
+            p.mpfs = [(c, g, _mpf(g)) for c, g in p.exact]
         groups = {}
-        for c, g, m in last[1]:
+        for c, g, m in p.mpfs:
             e = c.exponent(K)
             if e in groups:
                 t = groups[e][0] + g
@@ -204,46 +291,62 @@ def _block_maxima(x, cfg: OracleConfig):
     """The largest log|x(u)| over the grid samples of each block k of the
     ratio 1/2; blocks where every sample is zero are left out.
 
-    Each residue b_i is walked down the blocks (see _walk).  A head sample
-    gives the exact log|x.head(u)|.  A tail sample x(u) = sigma^e0 * total
-    (see _tail_sampler) is first screened in floats:
-    f = e0 * float(log sigma) + log|float(total)| lies within 1e-12 of the
-    exact log, so a sample with f below the block's best by more than
-    1e-6 * (1 + |best|) cannot beat it and is skipped.  Every other sample
-    gets the exact e0 * log(sigma) + log|total| in mpmath and replaces the
-    block's best only when strictly larger.  Within a block the samples
-    arrive in residue order, as in a block-by-block sweep, so each block
-    keeps the same winner with the same value.
+    Two passes.  The first walks each residue b_i down the blocks (see
+    _walk).  A head sample gets the exact log|x.head(u)|; a tail sample
+    gets a float estimate f of its log (see _float_sampler), or none.
+    The second pass takes, in each block, the exact log
+    e0 * log(sigma) + log|total| in mpmath (see _tail_sampler) of the
+    samples without an estimate and of those with f within
+    1e-6 * (1 + |fmax|) of the block's largest estimate fmax; the block's
+    maximum is the largest of these exact logs and the head logs.
+
+    The margin is safe.  Each float term is within a few ulp of its exact
+    value, and a kept sum is at least 1e-6 of its largest term, so it is
+    within about m * 4e-10 of the exact sum, relatively, for m components.
+    The profile range of _Profile keeps every kept sum above
+    1e-6 * 2^-300, clear of the subnormal doubles, and makes what a weight
+    that underflows leaves out negligible beside it.  So f is within
+    about m * 1e-9 + 1e-15 * |f| of the exact log; with m <= 400, twice
+    that is inside the margin, and a sample that wins its block exactly
+    has f >= fmax - margin.  The exact logs are thus taken over a superset
+    of the possible winners, and each block keeps the same maximum, the
+    same mpf, as with an exact log at every sample.
     """
+    at = _profiles(x)
+    estimate = _float_sampler(x)
     tail = _tail_sampler(x, cfg)
     log_sigma = _logabs(x.sigma)
-    f_log_sigma = float(log_sigma)
-    best = {}
+    logs, screened, unscreened = {}, {}, {}
     for b in _RESIDUES:
         for k, u, K, w in _walk(x.grid, b, cfg.depth // 8):
             if u is not None:
                 val = x.head.eval(u)
-                if not val:
-                    continue
-                la = _logabs(val)
+                if val:
+                    logs.setdefault(k, []).append(_logabs(val))
+                continue
+            p = at(w)
+            if not p.exact:
+                continue
+            f = estimate(K, p)
+            if f is None:
+                unscreened.setdefault(k, []).append((K, p))
             else:
-                sample = tail(K, w)
-                if sample is None:
-                    continue
+                screened.setdefault(k, []).append((f, K, p))
+    for k, samples in screened.items():
+        fmax = max(f for f, _, _ in samples)
+        cut = fmax - 1e-6 * (1 + abs(fmax))
+        unscreened.setdefault(k, []).extend(
+            (K, p) for f, K, p in samples if f >= cut)
+    for k, samples in unscreened.items():
+        for K, p in samples:
+            sample = tail(K, p)
+            if sample is not None:
                 e0, total = sample
-                ft = abs(float(total))
-                # screen only on a normal double, within 1e-12 of the log
-                if k in best and ft >= 1e-300:
-                    f_best = best[k][1]
-                    f = e0 * f_log_sigma + math.log(ft)
-                    if f < f_best - 1e-6 * (1 + abs(f_best)):
-                        continue
-                la = e0 * log_sigma + mpmath.log(abs(total))
-            if k not in best or la > best[k][0]:
-                best[k] = (la, float(la))
-    if not best:
+                logs.setdefault(k, []).append(
+                    e0 * log_sigma + mpmath.log(abs(total)))
+    if not logs:
         raise AllSamplesZero("element vanished at every grid point")
-    return {k: la for k, (la, _) in best.items()}
+    return {k: max(v) for k, v in logs.items()}
 
 
 def _fit(best, cfg: OracleConfig) -> ValuationEstimate:
@@ -253,7 +356,7 @@ def _fit(best, cfg: OracleConfig) -> ValuationEstimate:
     the estimate diverges, with lo = hi = +infinity."""
     if len(best) < 2 or \
             max(best) < cfg.depth // 8 - max(2, cfg.window // 8):
-        return ValuationEstimate(math.inf, mpmath.inf, True)
+        return ValuationEstimate(math.inf, math.inf, True)
     log2 = mpmath.log(2)
     logs = [(-log2 * k, best[k]) for k in sorted(best)]
     wn = max(2, min(cfg.window // 8, len(logs) // 2))
@@ -263,7 +366,7 @@ def _fit(best, cfg: OracleConfig) -> ValuationEstimate:
     s_prev = _slope(prev)
     drift = float(s_deep - s_prev)
     if drift > 0.5 and float(s_deep) > float(s_prev) * 1.1 + 0.5:
-        return ValuationEstimate(float(s_deep), mpmath.inf, True)
+        return ValuationEstimate(float(s_deep), math.inf, True)
     tol = float(cfg.tolerance)
     spread = abs(drift)
     half = max(tol, spread)
@@ -320,6 +423,39 @@ def _deep_blocks(S, cfg: OracleConfig):
     return [[S.c0 * S.sigma ** j * w for w in ws] for j in (k - 1, k)]
 
 
+def _evaluator(x):
+    """The function u -> x(u), exact, for u in (0, 1]: x.eval with the
+    block weights sigma^e(K) of the components memoized by K for the life
+    of the returned function."""
+    weights = {}
+
+    def value(u):
+        if u > x.c0:
+            return x.head.eval(u)
+        K, w = x.block_coord(u)
+        if K not in weights:
+            weights[K] = [c.weight(x.sigma, K) for c in x.comps]
+        return sum((a * c.g.eval(w) for a, c in zip(weights[K], x.comps)),
+                   Q(0))
+
+    return value
+
+
+def _vote(value, block, n):
+    """False when some sample u of block has |x(u)| > u^(n/2), else True
+    when every sample has |x(u)| <= u^n, else None; value is x.  The
+    samples are read in order, each |x(u)| and u^n at most once, up to
+    the first False (|x(u)|^2 > u^n implies |x(u)| > u^n, as u <= 1)."""
+    vote = True
+    for u in block:
+        m, un = abs(value(u)), u ** n
+        if m > un:
+            if m * m > un:
+                return False
+            vote = None
+    return vote
+
+
 def oracle_vanishes_on(x, S, cfg: OracleConfig = OracleConfig()):
     """Sampled shadow of "x restricts to zero on S".
 
@@ -330,14 +466,7 @@ def oracle_vanishes_on(x, S, cfg: OracleConfig = OracleConfig()):
     common vote of the two blocks, or None when they differ, a block
     abstains, or S has no samples deep enough.
     """
-    n = cfg.quantifier_bound
-    votes = set()
-    for block in _deep_blocks(S, cfg):
-        mags = [(u, abs(x.eval(u))) for u in block]
-        if all(m <= u ** n for u, m in mags):
-            votes.add(True)
-        elif any(m * m > u ** n for u, m in mags):
-            votes.add(False)
-        else:
-            votes.add(None)
+    value = _evaluator(x)
+    votes = {_vote(value, block, cfg.quantifier_bound)
+             for block in _deep_blocks(S, cfg)}
     return votes.pop() if len(votes) == 1 else None

@@ -9,9 +9,11 @@ from asymcalc.verify import (OracleConfig, available_checks, corpus_generate,
                              oracle_valuation, oracle_vanishes_on, run_checks)
 from asymcalc.scaleset import AsymptoticSet
 from asymcalc.ivset import IvSet
+from asymcalc.verify import oracle
 from asymcalc.verify.oracle import (_RESIDUES, _block_maxima, _deep_blocks,
-                                    _fit, _logabs, _mpf, _shape_points,
-                                    _tail_sampler, _walk)
+                                    _fit, _float_sampler, _logabs, _mpf,
+                                    _profiles, _shape_points, _tail_sampler,
+                                    _walk)
 from asymcalc.grid import Grid
 from asymcalc.window import Piecewise
 
@@ -174,7 +176,7 @@ def _exact_sampler(x):
 def _fast_samples(x, cfg):
     """(k, u, log|x(u)| or None) at every grid sample, residue by residue,
     from the walk and the tail sampler of the oracle."""
-    tail = _tail_sampler(x, cfg)
+    at, tail = _profiles(x), _tail_sampler(x, cfg)
     log_sigma = _logabs(x.sigma)
     for b in _RESIDUES:
         for k, u, K, w in _walk(x.grid, b, cfg.depth // 8):
@@ -182,7 +184,7 @@ def _fast_samples(x, cfg):
                 val = x.head.eval(u)
                 yield k, u, _logabs(val) if val else None
                 continue
-            sample = tail(K, w)
+            sample = tail(K, at(w))
             yield k, Q(b.numerator, b.denominator << k), (
                 None if sample is None
                 else sample[0] * log_sigma + mpmath.log(abs(sample[1])))
@@ -288,12 +290,41 @@ def _on_ratio(sigma, t=2):
 RATIOS = (Q(1, 2), Q(2, 3), Q(3, 7), Q(1, 10), Q(9, 10))
 
 
+def _near_cancelling(rel):
+    """Components of exponents 0 and K on one tent that cancel on block
+    K = 3 up to rel times either term; the tent peaks at the residue b_1,
+    a window coordinate of the grid.  Returns x with the window
+    coordinate and block of a sample there."""
+    w, K = _RESIDUES[1], 3
+    tent = Piecewise.linear_interp([(Q(1, 2), 0), (w, 1), (Q(1), 0)])
+    a = -Q(1, 2 ** K) * (1 - rel)
+    x = PwFunction(Q(1, 2), [TailComponent(0, 0, tent.scale(a)),
+                             TailComponent(1, 0, tent)])
+    assert x.block_coord(w / 2 ** K) == (K, w)
+    assert x.eval(w / 2 ** K) == rel / 2 ** K
+    return x, w, K
+
+
+def test_near_cancelling_samples_take_the_exact_path():
+    # the float sum falls under 1e-6 of its terms where the exact sum is
+    # nonzero; deeper, the exact sum falls under the cutoff and counts as
+    # zero although x(u) is not 0
+    for rel, zero in ((Q(1, 10 ** 7), False), (Q(1, 10 ** 60), True)):
+        x, w, K = _near_cancelling(rel)
+        with mpmath.workdps(SHALLOW.precision):
+            p = _profiles(x)(w)
+            assert _float_sampler(x)(K, p) is None
+            assert (_tail_sampler(x, SHALLOW)(K, p) is None) == zero
+
+
 def test_block_maxima_match_reference_bit_for_bit(rho, osc, negl, hat):
     for x in (rho, osc, negl):
         _assert_same_maxima(x, CFG)
     for x in corpus_generate(37, 60).elements[:12]:
         _assert_same_maxima(x, SHALLOW)
-    for x in (*_mixed(hat), _cancelling()):
+    for x in (*_mixed(hat), _cancelling(),
+              _near_cancelling(Q(1, 10 ** 7))[0],
+              _near_cancelling(Q(1, 10 ** 60))[0]):
         _assert_same_maxima(x, SHALLOW)
     # profile values beyond the range of doubles leave the float screen
     # out (tiny) or never skip (huge)
@@ -344,6 +375,31 @@ def test_oracle_locates_each_residue_once(monkeypatch, rho, hat):
             assert 0 < len(calls) <= 8
 
 
+def test_oracle_takes_about_one_exact_log_per_block(monkeypatch, rho, hat):
+    """The float screen leaves about one exact tail evaluation per block,
+    where the per-sample loop took eight.  The extra ones are samples
+    without an estimate, near the anchor: their exponents coincide, or
+    their float sum cancels."""
+    extra = 8
+    calls = []
+    sampler = oracle._tail_sampler
+
+    def counted(x, cfg):
+        tail = sampler(x, cfg)
+
+        def counted_tail(K, p):
+            calls.append(K)
+            return tail(K, p)
+        return counted_tail
+
+    monkeypatch.setattr(oracle, "_tail_sampler", counted)
+    for x in (rho, *_mixed(hat), _on_ratio(Q(2, 3))):
+        for cfg in (SHALLOW, CFG):
+            del calls[:]
+            oracle_valuation(x, cfg)
+            assert 0 < len(calls) <= cfg.depth // 8 - 1 + extra
+
+
 def _head_only(c0, top):
     """A negligible element: zero below c0, a tent on the head."""
     head = Piecewise.linear_interp([(c0, 0), (top, 1), (Q(1), 0)])
@@ -381,6 +437,52 @@ def test_oracle_imports_no_exact_decision_module():
             continue
         found += sorted(banned.intersection(names))
     assert found == []
+
+
+def _ref_vanishes_on(x, S, cfg):
+    """The vanishing oracle with x.eval at every sample, as a reference:
+    each block votes from all of its samples."""
+    n = cfg.quantifier_bound
+    votes = set()
+    for block in _deep_blocks(S, cfg):
+        mags = [(u, abs(x.eval(u))) for u in block]
+        if all(m <= u ** n for u, m in mags):
+            votes.add(True)
+        elif any(m * m > u ** n for u, m in mags):
+            votes.add(False)
+        else:
+            votes.add(None)
+    return votes.pop() if len(votes) == 1 else None
+
+
+def test_vanishes_on_matches_eval_reference():
+    pairs = []
+    for seed in range(4):
+        c = corpus_generate(seed, 24)
+        pairs += zip(c.elements, c.sets)
+    # |u^6| lies between u^8 and u^4: both blocks abstain
+    pairs += [(PwFunction.upower(6), S) for S in corpus_generate(0, 4).sets]
+    votes = []
+    for x, S in pairs:
+        for cfg in (SHALLOW, CFG):
+            votes.append(oracle_vanishes_on(x, S, cfg))
+            assert votes[-1] == _ref_vanishes_on(x, S, cfg), (x, S, cfg)
+    # the exact weights of depth increment 2 on the ratio 9/10 have some
+    # 10^5 bits at depth 400; depth 160 keeps them near 5 * 10^4
+    cfg = OracleConfig(depth=160)
+    for sigma in RATIOS:
+        mid = (1 + sigma) / 2
+        # the profiles of _on_ratio vanish on the seam, at w = 1
+        sets = [AsymptoticSet.full(sigma), AsymptoticSet.full(),
+                AsymptoticSet.orbit_point(Q(1), sigma),
+                AsymptoticSet.orbit_interval(mid, 1, sigma, lc=False),
+                AsymptoticSet(sigma, IvSet.interval(sigma, mid),
+                              c0=sigma ** 3)]
+        for x in (_on_ratio(sigma, 0), _on_ratio(sigma, 2)):
+            for S in sets:
+                votes.append(oracle_vanishes_on(x, S, cfg))
+                assert votes[-1] == _ref_vanishes_on(x, S, cfg), (x, S)
+    assert {True, False, None} <= set(votes)
 
 
 def _deep_blocks_walk(S, cfg):

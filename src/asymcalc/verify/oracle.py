@@ -215,7 +215,7 @@ def _float_sampler(x):
         terms = p.floats
         if terms is None:
             return None
-        if len(terms) == 1:
+        if len(terms) == 1:  # the general path, without its list work
             c, g = terms[0]
             return c.exponent(K) * f_log_sigma + math.log(abs(g))
         es = [c.exponent(K) for c, _ in terms]

@@ -293,8 +293,10 @@ RATIOS = (Q(1, 2), Q(2, 3), Q(3, 7), Q(1, 10), Q(9, 10))
 def _near_cancelling(rel):
     """Components of exponents 0 and K on one tent that cancel on block
     K = 3 up to rel times either term; the tent peaks at the residue b_1,
-    a window coordinate of the grid.  Returns x with the window
-    coordinate and block of a sample there."""
+    a window coordinate of the grid.  There the float sum falls under
+    1e-6 of its terms, so the sample takes the exact path, where x(u) is
+    nonzero, or counts as zero when rel is under the cutoff
+    10^(8 - precision)."""
     w, K = _RESIDUES[1], 3
     tent = Piecewise.linear_interp([(Q(1, 2), 0), (w, 1), (Q(1), 0)])
     a = -Q(1, 2 ** K) * (1 - rel)
@@ -302,19 +304,12 @@ def _near_cancelling(rel):
                              TailComponent(1, 0, tent)])
     assert x.block_coord(w / 2 ** K) == (K, w)
     assert x.eval(w / 2 ** K) == rel / 2 ** K
-    return x, w, K
-
-
-def test_near_cancelling_samples_take_the_exact_path():
-    # the float sum falls under 1e-6 of its terms where the exact sum is
-    # nonzero; deeper, the exact sum falls under the cutoff and counts as
-    # zero although x(u) is not 0
-    for rel, zero in ((Q(1, 10 ** 7), False), (Q(1, 10 ** 60), True)):
-        x, w, K = _near_cancelling(rel)
-        with mpmath.workdps(SHALLOW.precision):
-            p = _profiles(x)(w)
-            assert _float_sampler(x)(K, p) is None
-            assert (_tail_sampler(x, SHALLOW)(K, p) is None) == zero
+    with mpmath.workdps(SHALLOW.precision):
+        p = _profiles(x)(w)
+        assert _float_sampler(x)(K, p) is None
+        zero = rel < Q(1, 10 ** (SHALLOW.precision - 8))
+        assert (_tail_sampler(x, SHALLOW)(K, p) is None) == zero
+    return x
 
 
 def test_block_maxima_match_reference_bit_for_bit(rho, osc, negl, hat):
@@ -323,8 +318,8 @@ def test_block_maxima_match_reference_bit_for_bit(rho, osc, negl, hat):
     for x in corpus_generate(37, 60).elements[:12]:
         _assert_same_maxima(x, SHALLOW)
     for x in (*_mixed(hat), _cancelling(),
-              _near_cancelling(Q(1, 10 ** 7))[0],
-              _near_cancelling(Q(1, 10 ** 60))[0]):
+              _near_cancelling(Q(1, 10 ** 7)),
+              _near_cancelling(Q(1, 10 ** 60))):
         _assert_same_maxima(x, SHALLOW)
     # profile values beyond the range of doubles leave the float screen
     # out (tiny) or never skip (huge)

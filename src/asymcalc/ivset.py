@@ -6,11 +6,14 @@ neighbours touching so that they would merge.  These represent subsets of a
 bounded interval of the real line and support exact boolean operations,
 closure/interior relative to an ambient interval, and subset tests.
 
-Construction rule.  `Iv(...)` converts its ends to Fraction and checks them;
-`IvSet(...)`, `IvSet.interval` and `IvSet.point` sort and merge.  The trusted
-`Iv.on` and `IvSet.on` check nothing.  Each operation builds its result
-through `on` and says why canonical inputs give a canonical result; `union`
-and `closure` can join neighbours, so they merge through `_normalize`.
+Construction rule.  `Iv(...)` converts its ends to Fraction and checks them.
+`IvSet(...)` is the only constructor that sorts: it merges any intervals
+through `_normalize`.  `IvSet.interval` and `IvSet.point` convert their ends
+and build one interval, or none, directly.  The trusted `Iv.on` and
+`IvSet.on` check nothing.  Each operation is a sweep over canonical operands
+that builds its result through `on` and says why that result is canonical.
+`union` and `closure` can join neighbours, so they end with `_coalesce`, the
+merge pass of `_normalize`, on intervals that are already in order.
 
 Membership and the one-sided limit tests take any point that orders against
 Fractions: a Fraction, an int or a `polytools.RootPt`.
@@ -75,13 +78,17 @@ class IvSet:
 
     @staticmethod
     def interval(lo, hi, lc=True, hc=True):
-        if Q(lo) > Q(hi):
-            return IvSet()
-        return IvSet([Iv(Q(lo), Q(hi), lc, hc)])
+        """The interval between lo and hi with the given end flags; empty
+        when lo > hi, or lo == hi without both ends closed."""
+        lo, hi = Q(lo), Q(hi)
+        if lo < hi or (lo == hi and lc and hc):
+            return IvSet.on((Iv.on(lo, hi, lc, hc),))
+        return IvSet.empty()
 
     @staticmethod
     def point(x):
-        return IvSet([Iv(Q(x), Q(x), True, True)])
+        x = Q(x)
+        return IvSet.on((Iv.on(x, x, True, True),))
 
     @staticmethod
     def empty():
@@ -106,27 +113,62 @@ class IvSet:
         return any(iv.contains(x) for iv in self.ivs)
 
     def union(self, other: "IvSet") -> "IvSet":
-        return IvSet.on(_normalize(self.ivs + other.ivs))
+        """Merge the two sorted tuples by start, closed start first on a
+        tie, then join neighbours in one `_coalesce` pass: every joined run
+        is then a maximal union of touching intervals, so the result is
+        canonical."""
+        A, B = self.ivs, other.ivs
+        if not A:
+            return other
+        if not B:
+            return self
+        merged = []
+        i = j = 0
+        na, nb = len(A), len(B)
+        while i < na and j < nb:
+            a, b = A[i], B[j]
+            if a.lo < b.lo or (a.lc and a.lo == b.lo):
+                merged.append(a)
+                i += 1
+            else:
+                merged.append(b)
+                j += 1
+        merged.extend(A[i:])
+        merged.extend(B[j:])
+        return IvSet.on(_coalesce(merged))
 
     def intersect(self, other: "IvSet") -> "IvSet":
-        """One sweep: the pieces of separated intervals come out sorted and
-        separated, so they are canonical."""
+        """One sweep: each piece takes the later start and the earlier end,
+        each with its flag, flags and-ed on a tie.  A piece lies in one
+        interval of each operand, so the pieces of separated intervals come
+        out sorted and separated, and the result is canonical."""
         A, B = self.ivs, other.ivs
         out = []
         i = j = 0
-        while i < len(A) and j < len(B):
+        na, nb = len(A), len(B)
+        while i < na and j < nb:
             a, b = A[i], B[j]
-            lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-            if lo <= hi:
-                lc = a.contains(lo) and b.contains(lo)
-                hc = a.contains(hi) and b.contains(hi)
-                if lo < hi or lc:  # a point has lc == hc
-                    out.append(Iv.on(lo, hi, lc, hc))
-            # the interval ending first meets nothing further on
-            if a.hi <= b.hi:
-                i += 1
+            if a.lo < b.lo:
+                lo, lc = b.lo, b.lc
+            elif a.lo == b.lo:
+                lo, lc = a.lo, a.lc and b.lc
             else:
+                lo, lc = a.lo, a.lc
+            # the interval ending first meets nothing further on; on a tie
+            # the next interval of either operand starts open at the shared
+            # end or later, so it meets nothing of the other one
+            if a.hi < b.hi:
+                hi, hc = a.hi, a.hc
+                i += 1
+            elif a.hi == b.hi:
+                hi, hc = a.hi, a.hc and b.hc
+                i += 1
                 j += 1
+            else:
+                hi, hc = b.hi, b.hc
+                j += 1
+            if lo < hi or (lc and hc and lo == hi):
+                out.append(Iv.on(lo, hi, lc, hc))
         return IvSet.on(tuple(out))
 
     def complement(self, dom: Iv) -> "IvSet":
@@ -147,12 +189,31 @@ class IvSet:
         return self.intersect(other.complement(dom))
 
     def subset_of(self, other: "IvSet") -> bool:
-        """Canonical form is unique, so a subset is its own intersection."""
-        return self.intersect(other) == self
+        """One sweep: an interval of self can lie only in the first interval
+        of other that does not end before it, since the intervals of other
+        are separated.  Both tuples are sorted, so that interval is found by
+        moving forward, and the sweep stops at the first miss."""
+        B = other.ivs
+        j, nb = 0, len(B)
+        for a in self.ivs:
+            while j < nb:
+                b = B[j]
+                if b.hi < a.hi or (a.hc and not b.hc and b.hi == a.hi):
+                    j += 1
+                else:
+                    break
+            else:
+                return False
+            if not (b.lo < a.lo or (b.lo == a.lo and (b.lc or not a.lc))):
+                return False
+        return True
 
     def closure(self) -> "IvSet":
-        return IvSet.on(_normalize(Iv.on(iv.lo, iv.hi, True, True)
-                                   for iv in self.ivs))
+        """Closing each interval keeps the starts in order, so one
+        `_coalesce` pass joins the neighbours that now touch."""
+        return IvSet.on(_coalesce([iv if iv.lc and iv.hc
+                                   else Iv.on(iv.lo, iv.hi, True, True)
+                                   for iv in self.ivs]))
 
     def interior_rel(self, dom: Iv) -> "IvSet":
         """Interior relative to `dom` as the ambient space (so the endpoints
@@ -182,21 +243,25 @@ class IvSet:
 
 
 def _normalize(ivs) -> tuple:
-    """Sort valid intervals and merge overlapping or touching ones; a merge
-    of valid intervals is valid, so it is built trusted."""
+    """Sort valid intervals by start, closed start first on a tie, and
+    merge them through `_coalesce`."""
+    return _coalesce(sorted(ivs, key=lambda iv: (iv.lo, not iv.lc)))
+
+
+def _coalesce(ivs) -> tuple:
+    """Merge overlapping or touching neighbours of valid intervals in start
+    order, closed start first on a tie.  A run's first interval has the
+    smallest start and, on a tie, the closed one, so it supplies the start
+    flag; a merge of valid intervals is valid, so it is built trusted."""
     out = []
-    for iv in sorted(ivs, key=lambda iv: (iv.lo, not iv.lc, iv.hi)):
+    for iv in ivs:
         if out:
             last = out[-1]
             # merge when overlapping or touching with at least one closed flag
             if iv.lo < last.hi or (iv.lo == last.hi and (iv.lc or last.hc)):
-                if iv.hi > last.hi or (iv.hi == last.hi and iv.hc
-                                       and not last.hc):
-                    hi, hc = iv.hi, iv.hc
-                else:
-                    hi, hc = last.hi, last.hc
-                lc = last.lc or (iv.lo == last.lo and iv.lc)
-                out[-1] = Iv.on(last.lo, hi, lc, hc)
+                if iv.hi > last.hi or (iv.hc and not last.hc
+                                       and iv.hi == last.hi):
+                    out[-1] = Iv.on(last.lo, iv.hi, last.lc, iv.hc)
                 continue
         out.append(iv)
     return tuple(out)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from asymcalc import ivset
 from asymcalc.ivset import Iv, IvSet
+from asymcalc.scaleset import AsymptoticSet
 
 DOM = Iv(0, 1, True, True)
 
@@ -234,3 +236,129 @@ def test_public_constructors_convert_and_merge():
     assert s.ivs == (Iv(0, 1, True, True),)
     assert IvSet.interval(1, Q(1, 2)) == IvSet.empty()
     assert_canonical(IvSet.point(1))
+    s = IvSet.interval("1/4", 1, False, True)
+    assert s.ivs == (Iv(Q(1, 4), 1, False, True),)
+    assert_canonical(s)
+    assert IvSet.interval(Q(1, 2), "1/2") == IvSet.point(Q(1, 2))
+
+
+@pytest.mark.parametrize("lo, hi, lc, hc", [
+    (Q(1, 2), Q(1, 4), True, True),
+    (Q(1, 2), Q(1, 2), False, True),
+    (Q(1, 2), Q(1, 2), True, False),
+    (Q(1, 2), Q(1, 2), False, False),
+])
+def test_empty_interval_is_the_empty_set(lo, hi, lc, hc):
+    """The math allows an empty interval: the set is empty, where `Iv`
+    keeps raising."""
+    assert IvSet.interval(lo, hi, lc, hc) == IvSet.empty()
+    assert AsymptoticSet.orbit_interval(lo, hi, lc=lc, hc=hc).is_empty()
+
+
+# -- the merge sweeps against the former implementations -----------------
+#
+# `union` and `closure` sorted and merged every result through
+# `_normalize` (`_ref_normalize` above), `intersect` took each piece's
+# flags from `Iv.contains`, and `subset_of` compared a set with its
+# intersection.  Canonical form is unique, so the sweeps must give the
+# same sets.
+
+def _contains_intersect(a, b):
+    A, B = a.ivs, b.ivs
+    out = []
+    i = j = 0
+    while i < len(A) and j < len(B):
+        x, y = A[i], B[j]
+        lo, hi = max(x.lo, y.lo), min(x.hi, y.hi)
+        if lo <= hi:
+            lc = x.contains(lo) and y.contains(lo)
+            hc = x.contains(hi) and y.contains(hi)
+            if lo < hi or lc:
+                out.append(Iv.on(lo, hi, lc, hc))
+        if x.hi <= y.hi:
+            i += 1
+        else:
+            j += 1
+    return IvSet.on(tuple(out))
+
+
+def _references(a, b):
+    """(operation, result, reference) for the four sweeps on a and b."""
+    return [
+        ("intersect", lambda: a.intersect(b), _contains_intersect(a, b)),
+        ("union", lambda: a.union(b), _ref_normalize(a.ivs + b.ivs)),
+        ("closure", lambda: a.closure(),
+         _ref_normalize([Iv(iv.lo, iv.hi, True, True) for iv in a.ivs])),
+        ("subset_of", lambda: a.subset_of(b), _contains_intersect(a, b) == a),
+    ]
+
+
+q4 = st.integers(min_value=0, max_value=4).map(lambda n: Q(n, 4))
+
+
+@st.composite
+def tied_sets(draw):
+    """Up to four intervals with ends on five points, so that points,
+    shared ends and all four flag combinations at a shared end are
+    common."""
+    ivs = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = sorted((draw(q4), draw(q4)))
+        if a == b:
+            ivs.append(Iv(a, a, True, True))
+        else:
+            ivs.append(Iv(a, b, draw(st.booleans()), draw(st.booleans())))
+    return IvSet(ivs)
+
+
+# every grid point k/32 and the midpoint of each grid cell; with ends on
+# the quarter grid, these meet every point and every open piece of a set
+PROBES = [Q(k, 64) for k in range(65)]
+
+TIES = [IvSet([Iv(0, Q(1, 2), True, False)]), IvSet([Iv(0, Q(1, 2), False,
+                                                       True)]),
+        IvSet([Iv(Q(1, 2), 1, False, True)]), IvSet.point(Q(1, 2)),
+        IvSet([Iv(0, Q(1, 2), False, False), Iv(Q(1, 2), 1, False, False)])]
+
+
+@settings(max_examples=500, deadline=None)
+@given(tied_sets(), tied_sets())
+@example(TIES[0], TIES[2])
+@example(TIES[1], TIES[2])
+@example(TIES[3], TIES[4])
+@example(TIES[4], TIES[3])
+@example(TIES[4], TIES[0].union(TIES[2]))
+def test_sweeps_match_references(a, b):
+    assert_canonical(a)
+    for name, op, want in _references(a, b):
+        got = op()
+        assert got == want, name
+        if name != "subset_of":
+            assert_canonical(got)
+    union, inter, closure = a.union(b), a.intersect(b), a.closure()
+    for x in PROBES:
+        in_a, in_b = a.contains(x), b.contains(x)
+        assert union.contains(x) == (in_a or in_b)
+        assert inter.contains(x) == (in_a and in_b)
+        assert closure.contains(x) == (in_a or a.limit_from_left(x)
+                                       or a.limit_from_right(x))
+    assert a.subset_of(b) == all(b.contains(x) for x in PROBES
+                                 if a.contains(x))
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the sweeps test no points and sort nothing")
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_sets(), tied_sets())
+@example(TIES[3], TIES[4])
+def test_sweeps_neither_test_points_nor_sort(a, b):
+    """On canonical operands, the four sweeps give the reference answers
+    without `Iv.contains` and without `_normalize`."""
+    refs = _references(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Iv, "contains", _raise)
+        mp.setattr(ivset, "_normalize", _raise)
+        for name, op, want in refs:
+            assert op() == want, name

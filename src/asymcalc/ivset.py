@@ -13,7 +13,10 @@ and build one interval, or none, directly.  The trusted `Iv.on` and
 `IvSet.on` check nothing.  Each operation is a sweep over canonical operands
 that builds its result through `on` and says why that result is canonical.
 `union` and `closure` can join neighbours, so they end with `_coalesce`, the
-merge pass of `_normalize`, on intervals that are already in order.
+merge pass of `_normalize`, on intervals that are already in order.  The
+trusted `IvSet.joined` concatenates canonical parts that follow each other
+(scaled copies of one set in disjoint blocks, say) and joins only the
+intervals that meet at a junction between two parts.
 
 Membership and the one-sided limit tests take any point that orders against
 Fractions: a Fraction, an int or a `polytools.RootPt`.
@@ -75,6 +78,26 @@ class IvSet:
         s = object.__new__(cls)
         s.ivs = ivs
         return s
+
+    @classmethod
+    def joined(cls, parts) -> "IvSet":
+        """Trusted: the union of canonical sets `parts`, in order, each
+        ending no later than the next begins.  Inside a part nothing
+        touches, so only the first interval of a part can join the last
+        one so far, when both hold their common end or one of them does."""
+        out = []
+        for p in parts:
+            ivs = p.ivs
+            if not ivs:
+                continue
+            if out:
+                last, first = out[-1], ivs[0]
+                if first.lo == last.hi and (first.lc or last.hc):
+                    out[-1] = Iv.on(last.lo, first.hi, last.lc, first.hc)
+                    out.extend(ivs[1:])
+                    continue
+            out.extend(ivs)
+        return cls.on(tuple(out))
 
     @staticmethod
     def interval(lo, hi, lc=True, hc=True):

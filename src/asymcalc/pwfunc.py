@@ -342,7 +342,7 @@ class PwFunction:
                      for c in d["comps"]]
             head = _pw_from_list(d["head"]) if d.get("head") else None
             return PwFunction(grid.sigma, comps, head, grid.c0, grid.D)
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
             raise ParseError(f"malformed element record: {e}") from None
 
 

@@ -20,6 +20,23 @@ lives here:
 - `grow_circle`: closed eta-neighbourhood on the circle
 - `circle_gap`: the least distance from a trace to the copies of obstacles
 - `orbit_with_full_head`, `halfway_toward`: the sets built from such shapes
+
+The metric median.  `insert_between` and `prec_union` take the closed set of
+points at least as close to a closed set A as to a closed set B, on the
+window and on the head, through `_closer_region` on finite closed
+candidate sets ca and cb.  The nearest-component rule gives it without
+evaluating a distance.  Merge ca and cb into the components of their union.
+On a component, the points of ca are in the region (distance 0) and the
+others are not (d(w, cb) = 0 < d(w, ca)).  On a gap between two components
+the nearest candidate is one of the gap's two ends, and only the ends'
+labels decide: the whole gap when both ends lie in ca, nothing when neither
+does, else the closed half-gap on the side of the ca end, up to the
+midpoint.  Below the first component and above the last one the end of
+that component decides alone.  This is the comparison of the two
+distances: for w in a gap, let n be a nearest end.  If some nearest end
+lies in ca, d(w, ca) = |w - n| <= d(w, cb).  If none does, n lies in cb,
+so d(w, cb) = |w - n|, while every point of ca is the other end, farther,
+or lies beyond an end, farther still.
 """
 
 from __future__ import annotations
@@ -52,8 +69,10 @@ def circle_closure(shape: IvSet, sigma: Q) -> IvSet:
 
 def with_neighbours(s: IvSet, sigma: Q) -> IvSet:
     """s together with its copies one block down and one block up:
-    s, sigma*s and s/sigma."""
-    return s.union(s.scale(sigma)).union(s.scale(1 / sigma))
+    s, sigma*s and s/sigma.  Trusted: s inside [sigma, 1].  Then sigma*s
+    lies in [sigma^2, sigma] and s/sigma in [1, 1/sigma], so the three
+    meet at most at sigma and 1 and are joined without a union."""
+    return IvSet.joined((s.scale(sigma), s, s.scale(1 / sigma)))
 
 
 def fold_to_window(s: IvSet, sigma: Q) -> IvSet:
@@ -110,7 +129,7 @@ class AsymptoticSet:
     by one block, so the set keeps every point it had and gains none (the
     anchor c0, w = 1 on block 0, stays out)."""
 
-    __slots__ = ("grid", "shape", "head")
+    __slots__ = ("grid", "shape", "head", "_closure")
 
     def __init__(self, sigma, shape: IvSet, head: IvSet | None = None,
                  c0=Q(1), D=1):
@@ -126,12 +145,14 @@ class AsymptoticSet:
             grid, head = low.grid, low.head
             shape = _through_seam(shape, grid.sigma)
         self.grid, self.shape, self.head = grid, shape, head
+        self._closure = None
 
     @classmethod
     def on(cls, grid: Grid, shape: IvSet, head: IvSet) -> "AsymptoticSet":
         """Trusted: shape inside (sigma, 1] and head inside (c0, 1]."""
         s = object.__new__(cls)
         s.grid, s.shape, s.head = grid, shape, head
+        s._closure = None
         return s
 
     sigma = property(lambda self: self.grid.sigma)
@@ -184,28 +205,42 @@ class AsymptoticSet:
     # -- grid rewriting -------------------------------------------------
 
     def lower_anchor(self, t: int) -> "AsymptoticSet":
-        """Trusted: block k < t of the shape lies in (sigma^t c0, 1]."""
+        """The top t blocks of the tail unrolled into the head.  Trusted:
+        the shape lies in (sigma, 1] and the head in (c0, 1], so the copy
+        shape * sigma^k * c0 lies in the block (sigma^(k+1) c0, sigma^k c0]
+        and the copies and the head are joined, lowest first, without a
+        union."""
         if t == 0:
             return self
-        head = self.head
-        for k in range(t):
-            head = head.union(self.shape.scale(self.sigma ** k * self.c0))
-        return AsymptoticSet.on(self.grid.lower(t), self.shape, head)
+        shape, f = self.shape, self.c0
+        parts = [shape.scale(f)]
+        for _ in range(t - 1):
+            f *= self.sigma
+            parts.append(shape.scale(f))
+        parts.reverse()
+        parts.append(self.head)
+        return AsymptoticSet.on(self.grid.lower(t), shape,
+                                IvSet.joined(parts))
 
     def lower_anchor_to(self, new_c0) -> "AsymptoticSet":
         return self.lower_anchor(self.grid.steps_to(new_c0))
 
     def coarsen(self, m: int) -> "AsymptoticSet":
-        """Trusted: m scaled shape copies fill the window (sigma^m, 1]."""
+        """Trusted: the m copies shape * sigma^i lie in the disjoint blocks
+        (sigma^(i+1), sigma^i] of the window (sigma^m, 1], so they are
+        joined, lowest first, without a union."""
         if m == 1:
             return self
         t, grid = self.grid.coarsen(m)
         if t:
             return self.lower_anchor(t).coarsen(m)
-        shape = IvSet.empty()
-        for i in range(m):
-            shape = shape.union(self.shape.scale(self.sigma ** i))
-        return AsymptoticSet.on(grid, shape, self.head)
+        shape, f = self.shape, _ONE
+        parts = [shape]
+        for _ in range(m - 1):
+            f *= self.sigma
+            parts.append(shape.scale(f))
+        parts.reverse()
+        return AsymptoticSet.on(grid, IvSet.joined(parts), self.head)
 
     # -- boolean algebra ------------------------------------------------
 
@@ -247,11 +282,16 @@ class AsymptoticSet:
     # -- topology -------------------------------------------------------
 
     def closure(self) -> "AsymptoticSet":
-        """Trusted: both closures are cut back to the window and dome."""
-        S = self.lower_anchor(1)
-        sh = circle_closure(S.shape, S.sigma)
-        hd = S.head.closure().intersect(upto1(S.c0))
-        return AsymptoticSet.on(S.grid, sh, hd)
+        """Trusted: both closures are cut back to the window and dome.  A
+        set never changes, so its closure is computed on the first call and
+        kept in `_closure`: every later call returns that same object."""
+        c = self._closure
+        if c is None:
+            S = self.lower_anchor(1)
+            sh = circle_closure(S.shape, S.sigma)
+            hd = S.head.closure().intersect(upto1(S.c0))
+            c = self._closure = AsymptoticSet.on(S.grid, sh, hd)
+        return c
 
     def interior(self) -> "AsymptoticSet":
         return self.complement().closure().complement()
@@ -281,7 +321,7 @@ class AsymptoticSet:
             g = Grid.from_dict(d)
             return AsymptoticSet(g.sigma, _ivs_from_list(d["shape"]),
                                  _ivs_from_list(d.get("head", [])), g.c0, g.D)
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
             raise ParseError(f"malformed set record: {e}") from None
 
 
@@ -366,27 +406,66 @@ def pl_distance(cands: IvSet, lo, hi):
 
 def _closer_region(ca: IvSet, cb: IvSet, lo: Q, hi: Q) -> IvSet:
     """The closed set {w in [lo, hi] : d(w, ca) <= d(w, cb)} for nonempty
-    closed interval sets ca, cb.
+    closed interval sets ca, cb (flags are ignored), by the nearest-component
+    rule of the module docstring.
 
-    Both distances are linear between consecutive points of their merged
-    breakpoints, so d_a - d_b changes sign at most once on each such piece,
-    at the exact rational point where the linear interpolant vanishes."""
-    ws = sorted(set(_marks(ca, lo, hi)).union(_marks(cb, lo, hi)))
-    fs = [x - y for x, y in zip(_distances(ca, ws), _distances(cb, ws))]
-    out = []
-    start = ws[0] if fs[0] <= 0 else None
-    for a, fa, b, fb in zip(ws, fs, ws[1:], fs[1:]):
-        if (fa <= 0) == (fb <= 0):
-            continue
-        z = a + fa * (b - a) / (fa - fb)
-        if start is None:
-            start = z
+    One sweep merges the intervals of ca and cb, ca first on a tie of
+    starts, into the components of their union; a component's first point
+    lies in ca exactly when its first interval does.  The region is built
+    in order as closed pieces: the ca intervals and, in each gap, the part
+    on the side of a ca end.  Touching pieces are joined, and the result is
+    cut to [lo, hi]."""
+    A, B = ca.ivs, cb.ivs
+    if not A or not B:
+        raise EmptySet("distance to the empty set is undefined")
+    pieces = []  # closed [a, b], in order, joined; None is -inf or +inf
+    end = None  # the last point of the current component
+    end_a = False  # whether that point lies in ca
+    i = j = 0
+    na, nb = len(A), len(B)
+    while i < na or j < nb:
+        if j == nb or (i < na and A[i].lo <= B[j].lo):
+            iv, in_a = A[i], True
+            i += 1
         else:
-            out.append(Iv(start, z, True, True))
-            start = None
-    if start is not None:
-        out.append(Iv(start, ws[-1], True, True))
-    return IvSet(out)
+            iv, in_a = B[j], False
+            j += 1
+        s, e = iv.lo, iv.hi
+        if end is None or s > end:
+            # a new component: the gap before it goes to its ca ends
+            if end is None:
+                gap = [None, s] if in_a else None
+            elif end_a:
+                gap = [end, s] if in_a else [end, (end + s) / 2]
+            else:
+                gap = [(end + s) / 2, s] if in_a else None
+            if gap is not None:
+                if pieces and gap[0] <= pieces[-1][1]:
+                    pieces[-1][1] = gap[1]
+                else:
+                    pieces.append(gap)
+            end, end_a = e, in_a
+        elif e > end:
+            end, end_a = e, in_a
+        elif in_a and e == end:
+            end_a = True
+        if in_a:
+            if pieces and s <= pieces[-1][1]:
+                if e > pieces[-1][1]:
+                    pieces[-1][1] = e
+            else:
+                pieces.append([s, e])
+    if end_a:  # the last piece ends at the last ca end
+        pieces[-1][1] = None
+    out = []
+    for a, b in pieces:
+        if b is not None and b < lo:
+            continue
+        if a is not None and a > hi:
+            break
+        out.append(Iv.on(lo if a is None or a < lo else a,
+                         hi if b is None or b > hi else b, True, True))
+    return IvSet.on(tuple(out))
 
 
 def _window_cands(shape: IvSet, sigma: Q) -> IvSet:
@@ -410,10 +489,12 @@ def window_distance_pl(shape: IvSet, sigma: Q):
 def _head_cands(s: AsymptoticSet) -> IvSet:
     """Closed candidate set whose u-distance is exact on [sigma*c0, 1]:
     the head plus the top two tail blocks.  Any lower block is farther than
-    the nearest candidate for every u in that range."""
-    sh = s.shape.closure()
-    return s.head.closure().union(sh.scale(s.c0)).union(
-        sh.scale(s.sigma * s.c0))
+    the nearest candidate for every u in that range.  The closed copies lie
+    in [sigma^2 c0, sigma c0] and [sigma c0, c0] and the closed head in
+    [c0, 1], so the three are joined without a union."""
+    sh, c0 = s.shape.closure(), s.c0
+    return IvSet.joined((sh.scale(s.sigma * c0), sh.scale(c0),
+                         s.head.closure()))
 
 
 def distance_profile(S: AsymptoticSet):

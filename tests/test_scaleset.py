@@ -5,13 +5,15 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from asymcalc.errors import PreconditionViolated, RepresentabilityError
-from asymcalc.grid import unify
+from asymcalc.errors import (EmptySet, PreconditionViolated,
+                             RepresentabilityError)
+from asymcalc.grid import Grid, unify
 from asymcalc.ivset import Iv, IvSet
-from asymcalc.scaleset import (AsymptoticSet, _closer_region, circle_closure,
-                               circle_gap, distance_profile, fold_to_window,
-                               grow_circle, insert_between, pl_distance,
-                               prec_union, upto1, with_neighbours)
+from asymcalc.scaleset import (AsymptoticSet, _closer_region, _distances,
+                               _marks, circle_closure, circle_gap,
+                               distance_profile, fold_to_window, grow_circle,
+                               insert_between, pl_distance, prec_union,
+                               upto1, with_neighbours)
 from asymcalc.verify.corpus import random_set
 from asymcalc.window import Piecewise
 
@@ -200,6 +202,29 @@ def _ref_nonpos_region(f):
     return out
 
 
+def _ref_closer_region(ca, cb, lo, hi):
+    """The mark/distance `_closer_region` that the nearest-component sweep
+    replaced: both distances are linear between consecutive merged marks,
+    so d_a - d_b changes sign at most once on each piece, where its linear
+    interpolant vanishes."""
+    ws = sorted(set(_marks(ca, lo, hi)).union(_marks(cb, lo, hi)))
+    fs = [x - y for x, y in zip(_distances(ca, ws), _distances(cb, ws))]
+    out = []
+    start = ws[0] if fs[0] <= 0 else None
+    for a, fa, b, fb in zip(ws, fs, ws[1:], fs[1:]):
+        if (fa <= 0) == (fb <= 0):
+            continue
+        z = a + fa * (b - a) / (fa - fb)
+        if start is None:
+            start = z
+        else:
+            out.append(Iv(start, z, True, True))
+            start = None
+    if start is not None:
+        out.append(Iv(start, ws[-1], True, True))
+    return IvSet(out)
+
+
 def _ref_window_cands(shape, sg):
     closed = circle_closure(shape, sg).closure()
     return closed.union(closed.scale(sg)).union(closed.scale(1 / sg))
@@ -260,10 +285,12 @@ def _windows(draw):
 
 
 @st.composite
-def _closed_sets(draw, lo, hi):
+def _closed_sets(draw, lo, hi, ends=None):
     """Closed interval sets with points, intervals touching lo or hi, and
-    intervals partly or wholly outside [lo, hi]."""
-    ends = st.one_of(st.sampled_from([lo, hi]), _coords)
+    intervals partly or wholly outside [lo, hi]; or with their ends drawn
+    from `ends`."""
+    if ends is None:
+        ends = st.one_of(st.sampled_from([lo, hi]), _coords)
     ivs = []
     for _ in range(draw(st.integers(1, 6))):
         a, b = sorted((draw(ends), draw(ends)))
@@ -293,6 +320,67 @@ def test_closer_region_matches_reference(case):
     ref = _ref_nonpos_region(
         _ref_pl_distance(ca, lo, hi).sub(_ref_pl_distance(cb, lo, hi)))
     assert _closer_region(ca, cb, lo, hi) == ref
+
+
+@st.composite
+def _region_cases(draw):
+    """(lo, hi, ca, cb) for the cases where the nearest-component rule has
+    to get ties and ends right: random sets, ca == cb, ca inside cb, cb
+    inside ca, sets sharing ends and overlapping, a gap between a ca end and
+    a cb end whose midpoint is at lo, at hi or inside, and candidate sets
+    lying wholly below lo or wholly above hi."""
+    lo, hi = draw(_windows())
+    ca = draw(_closed_sets(lo, hi))
+    kind = draw(st.sampled_from(["random", "equal", "inside", "around",
+                                 "overlap", "midpoint", "outside"]))
+    if kind == "random":
+        cb = draw(_closed_sets(lo, hi))
+    elif kind == "equal":
+        cb = ca
+    elif kind == "inside":
+        cb = ca.union(draw(_closed_sets(lo, hi)))
+    elif kind == "around":
+        cb, ca = ca, ca.union(draw(_closed_sets(lo, hi)))
+    elif kind == "overlap":
+        shared = [e for iv in ca.ivs for e in (iv.lo, iv.hi)]
+        cb = draw(_closed_sets(lo, hi, st.one_of(st.sampled_from(shared),
+                                                 _coords)))
+    elif kind == "midpoint":
+        a, b = sorted(draw(st.lists(_coords, min_size=2, max_size=2,
+                                    unique=True)))
+        m = (a + b) / 2
+        lo, hi = draw(st.sampled_from([(m, m + 1), (m - 1, m), (a, b),
+                                       (m - (b - a) / 3, m + (b - a) / 3)]))
+        ca = IvSet([Iv(a - draw(st.sampled_from([0, 1])), a, True, True)])
+        cb = IvSet([Iv(b, b + draw(st.sampled_from([0, 1])), True, True)])
+        if draw(st.booleans()):
+            ca, cb = cb, ca
+    else:
+        below = draw(st.booleans())
+        far = st.integers(1, 24).map(
+            lambda k: lo - Q(k, 8) if below else hi + Q(k, 8))
+        cb = draw(_closed_sets(lo, hi, far))
+        if draw(st.booleans()):
+            ca = draw(_closed_sets(lo, hi, far))
+        if draw(st.booleans()):
+            ca, cb = cb, ca
+    return lo, hi, ca, cb
+
+
+@settings(max_examples=600, deadline=None)
+@given(_region_cases())
+def test_closer_region_matches_mark_reference(case):
+    lo, hi, ca, cb = case
+    got = _closer_region(ca, cb, lo, hi)
+    assert got.ivs == _ref_closer_region(ca, cb, lo, hi).ivs
+    assert all(type(iv.lo) is Q and type(iv.hi) is Q for iv in got.ivs)
+
+
+def test_closer_region_of_an_empty_set_raises():
+    c = IvSet.interval(0, 1)
+    for ca, cb in ((IvSet.empty(), c), (c, IvSet.empty())):
+        with pytest.raises(EmptySet):
+            _closer_region(ca, cb, Q(0), Q(1))
 
 
 @st.composite
@@ -418,3 +506,98 @@ def test_half_gap_growth_keeps_clear_of_the_obstacles(case):
     grown = grow_circle(C, g / 2, sg)
     assert C.subset_of(grown)
     assert grown.intersect(with_neighbours(O, sg)).is_empty()
+
+
+# -- block copies joined without unions ---------------------------------------
+
+
+def _ref_lower_anchor(S, t):
+    head = S.head
+    for k in range(t):
+        head = head.union(S.shape.scale(S.sigma ** k * S.c0))
+    return AsymptoticSet.on(S.grid.lower(t), S.shape, head)
+
+
+def _ref_coarsen(S, m):
+    t, grid = S.grid.coarsen(m)
+    if t:
+        S = _ref_lower_anchor(S, t)
+    shape = IvSet.empty()
+    for i in range(m):
+        shape = shape.union(S.shape.scale(S.sigma ** i))
+    return AsymptoticSet.on(grid, shape, S.head)
+
+
+@st.composite
+def _headed_sets(draw):
+    """Sets on ratios 1/2, 2/3 and 1/4 whose shapes touch sigma and 1 with
+    random flags (a closed sigma is folded through the seam), with a head
+    on a lowered anchor."""
+    sg = draw(st.sampled_from([Q(1, 2), Q(2, 3), Q(1, 4)]))
+    j = draw(st.integers(0, 2))
+    head = None
+    if j:
+        head = draw(_grid_shapes(sg ** j, Q(1))).intersect(upto1(sg ** j))
+    return AsymptoticSet(sg, draw(_grid_shapes(sg, Q(1))), head, sg ** j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_headed_sets(), st.integers(0, 4), st.integers(1, 4))
+def test_block_copies_match_union_references(S, t, m):
+    assert S.lower_anchor(t).to_dict() == _ref_lower_anchor(S, t).to_dict()
+    assert S.coarsen(m).to_dict() == _ref_coarsen(S, m).to_dict()
+
+
+_END_KINDS = ["none", "open", "closed", "point"]
+
+
+@pytest.mark.parametrize("at_one", _END_KINDS)
+@pytest.mark.parametrize("at_sigma", _END_KINDS)
+@settings(max_examples=15, deadline=None)
+@given(sg=_ratios, data=st.data())
+def test_with_neighbours_matches_unions(at_sigma, at_one, sg, data):
+    # every kind of end at sigma and at 1, where the copies touch s, with
+    # random intervals between them or one interval across the window
+    e = (1 - sg) / 8
+    ends = []
+    if at_sigma == "point":
+        ends.append(Iv(sg, sg, True, True))
+    elif at_sigma != "none":
+        ends.append(Iv(sg, sg + e, at_sigma == "closed", True))
+    if at_one == "point":
+        ends.append(Iv(Q(1), Q(1), True, True))
+    elif at_one != "none":
+        ends.append(Iv(1 - e, Q(1), True, at_one == "closed"))
+    if data.draw(st.booleans()):
+        mid = data.draw(_grid_shapes(sg + 2 * e, 1 - 2 * e)).ivs
+    else:
+        mid = (Iv(sg + e, 1 - e, True, True),)
+    s = IvSet(ends + list(mid))
+    want = s.union(s.scale(sg)).union(s.scale(1 / sg))
+    assert with_neighbours(s, sg).ivs == want.ivs
+
+
+# -- each set's closure computed once -----------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(_headed_sets())
+def test_closure_is_computed_once(S):
+    C = S.closure()
+    assert S.closure() is C
+    fresh = AsymptoticSet.on(S.grid, S.shape, S.head).closure()
+    assert fresh is not C and fresh.to_dict() == C.to_dict()
+
+
+def test_sets_start_without_a_closure_memo():
+    sg = Q(1, 2)
+    folded = AsymptoticSet(sg, IvSet.interval(sg, Q(3, 4)))
+    assert folded.c0 == sg  # the closed end at sigma went through the seam
+    built = [AsymptoticSet.orbit_interval(Q(5, 8), Q(3, 4)), folded,
+             AsymptoticSet.on(Grid(sg), upto1(sg), IvSet.empty())]
+    derived = [S.lower_anchor(2) for S in built] + [
+        built[0].union(folded), folded.complement()]
+    for S in built + derived:
+        assert S._closure is None
+        assert not hasattr(S, "__dict__")
+        assert S.closure()._closure is None

@@ -19,7 +19,8 @@ from asymcalc.ivset import Iv, IvSet
 from asymcalc.polytools import padd, pdeg, peval, pgcd, pmul, poly
 from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import (AsymptoticSet, _metric_median,
-                               circle_closure, fold_to_window, upto1)
+                               circle_closure, fold_to_window, insert_between,
+                               upto1, with_neighbours)
 from asymcalc.signs import flat_common_zero
 from asymcalc.window import Piecewise, Seg
 
@@ -272,6 +273,11 @@ def test_trusted_operations_do_not_validate(monkeypatch, osc, hat, negl,
     counting(AsymptoticSet, "__init__")
     counting(Iv, "__post_init__")
     counting(IvSet, "__init__")
+    insert_between(A, B)
+    _metric_median(A.closure(), B.complement().closure())
+    for X in (A, B, P, S, S.closure()):
+        with_neighbours(X.closure().shape, X.sigma)
+    S.lower_anchor(3), S.coarsen(3)
     for a in shapes:
         a.complement(dom), a.fat_part(), a.scale(Q(1, 2)), a.closure()
         for b in shapes:
@@ -301,6 +307,8 @@ def _pw_record(lo, hi, c="1"):
     {"sigma": "1/2", "shape": _ivs_record("1/4", "3/4")},
     {"sigma": "1/2", "anchor": "1/2", "shape": [],
      "head": _ivs_record("1/4", "3/4")},
+    {"sigma": "1/2", "shape": _ivs_record("1/0", "1")},
+    {"sigma": "1/0", "shape": _ivs_record("3/4", "1")},
 ])
 def test_set_from_dict_rejects_malformed_records(rec):
     with pytest.raises(ParseError):
@@ -312,6 +320,10 @@ def test_set_from_dict_rejects_malformed_records(rec):
     {"sigma": "1/2", "anchor": "1/2",
      "comps": [{"s": 0, "r": 0, "g": _pw_record("1/2", "1")}],
      "head": _pw_record("1/4", "1")},
+    {"sigma": "1/2", "comps": [{"s": 0, "r": 0,
+                                "g": _pw_record("1/2", "1", "1/0")}]},
+    {"sigma": "1/0", "comps": [{"s": 0, "r": 0,
+                                "g": _pw_record("1/2", "1")}]},
 ])
 def test_element_from_dict_rejects_malformed_records(rec):
     with pytest.raises(ParseError):

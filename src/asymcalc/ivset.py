@@ -13,10 +13,13 @@ and build one interval, or none, directly.  The trusted `Iv.on` and
 `IvSet.on` check nothing.  Each operation is a sweep over canonical operands
 that builds its result through `on` and says why that result is canonical.
 `union` and `closure` can join neighbours, so they end with `_coalesce`, the
-merge pass of `_normalize`, on intervals that are already in order.  The
-trusted `IvSet.joined` concatenates canonical parts that follow each other
-(scaled copies of one set in disjoint blocks, say) and joins only the
-intervals that meet at a junction between two parts.
+merge pass of `_normalize`, on intervals that are already in order.
+`interior_rel` is one sweep as well, with no complement: it clips each
+interval to the ambient interval, drops the points and opens the ends.
+`scale` is trusted: its factor is a positive Fraction or int, neither
+converted nor checked.  The trusted `IvSet.joined` concatenates canonical
+parts that follow each other (scaled copies of one set in disjoint blocks,
+say) and joins only the intervals that meet at a junction between two parts.
 
 Membership and the one-sided limit tests take any point that orders against
 Fractions: a Fraction, an int or a `polytools.RootPt`.
@@ -239,9 +242,35 @@ class IvSet:
                                    for iv in self.ivs]))
 
     def interior_rel(self, dom: Iv) -> "IvSet":
-        """Interior relative to `dom` as the ambient space (so the endpoints
-        of dom may be interior)."""
-        return self.complement(dom).closure().complement(dom)
+        """Interior relative to `dom` as the ambient space (so the closed
+        ends of dom may be interior), in one sweep.  Trusted: dom.lo <
+        dom.hi.  Each interval is clipped to dom and dropped when that
+        leaves at most a point; every end is opened except one lying on a
+        closed end of dom, which keeps its clipped flag.  This equals
+        complement, closure, complement: the complement in dom, closed,
+        gains every end of a clipped interval that has dom on its far side,
+        and a point is such an end; at a closed end of dom no gap begins.
+        Each piece lies in one interval of separated ones, so the result is
+        canonical."""
+        dlo, dhi = dom.lo, dom.hi
+        out = []
+        for iv in self.ivs:
+            lo, hi = iv.lo, iv.hi
+            if lo > dlo:
+                lc = False
+            elif lo == dlo:
+                lc = iv.lc and dom.lc
+            else:
+                lo, lc = dlo, dom.lc
+            if hi < dhi:
+                hc = False
+            elif hi == dhi:
+                hc = iv.hc and dom.hc
+            else:
+                hi, hc = dhi, dom.hc
+            if lo < hi:
+                out.append(Iv.on(lo, hi, lc, hc))
+        return IvSet.on(tuple(out))
 
     def fat_part(self) -> "IvSet":
         """Trusted: dropping a point leaves its neighbours separated."""
@@ -251,9 +280,8 @@ class IvSet:
         return [iv.lo for iv in self.ivs if iv.is_point()]
 
     def scale(self, c) -> "IvSet":
-        """Trusted: w -> c*w with c > 0 keeps order, flags and gaps."""
-        c = Q(c)
-        assert c > 0
+        """Trusted: c is a positive Fraction or int, neither converted nor
+        checked.  Then w -> c*w keeps order, flags and gaps."""
         return IvSet.on(tuple(Iv.on(iv.lo * c, iv.hi * c, iv.lc, iv.hc)
                               for iv in self.ivs))
 

@@ -5,7 +5,7 @@ window (sigma, 1] is replicated on every block, and an explicit "head" subset
 of (c0, 1] lies above the anchor.  A set accumulates at 0 exactly when its
 shape is nonempty.  Closure and interior are computed exactly; the junction
 between the head and the first block is handled by unrolling one block before
-taking closures.
+taking either.
 
 The window circle.  The window (sigma, 1] is a circle: w -> sigma+ on block k
 is glued to w = 1 on block k+1 (both are u = sigma^(k+1) c0), so a shape that
@@ -14,6 +14,9 @@ lives here:
 
 - `upto1`: the window (sigma, 1] (and the dome (c0, 1] above an anchor)
 - `circle_closure`: closure on the circle
+- `circle_interior`: interior on the circle, the interior relative to the
+  window except that w = 1 is kept only when the shape also holds a right
+  neighbourhood of sigma, the other side of the seam
 - `with_neighbours`: a set with its copies one block down and one block up
 - `fold_to_window`: parts in [sigma^2, sigma] and (1, 1/sigma] folded back
   through the seam
@@ -64,6 +67,22 @@ def circle_closure(shape: IvSet, sigma: Q) -> IvSet:
     res = shape.closure().intersect(upto1(sigma))
     if shape.limit_from_right(sigma):
         res = res.union(_SEAM)
+    return res
+
+
+def circle_interior(shape: IvSet, sigma: Q) -> IvSet:
+    """Interior of a shape inside the window circle (sigma, 1]: its
+    interior relative to the window, where w = 1 stays only when the shape
+    also holds a right neighbourhood of sigma, glued to w = 1 through the
+    seam.  This is the complement of `circle_closure` of the complement,
+    since exactly one of a finite union of intervals and its complement
+    holds a right neighbourhood of sigma."""
+    res = shape.interior_rel(Iv.on(sigma, _ONE, False, True))
+    ivs = res.ivs
+    # only an end at the closed w = 1 of the window stays closed
+    if ivs and ivs[-1].hc and not shape.limit_from_right(sigma):
+        last = ivs[-1]
+        res = IvSet.on(ivs[:-1] + (Iv.on(last.lo, _ONE, last.lc, False),))
     return res
 
 
@@ -294,10 +313,40 @@ class AsymptoticSet:
         return c
 
     def interior(self) -> "AsymptoticSet":
-        return self.complement().closure().complement()
+        """The dual of `closure`, in one pass and not memoized.  Trusted:
+        both interiors lie in the window and dome.  The anchor goes one
+        block down, as in `closure`; the shape takes `circle_interior` and
+        the head its interior relative to the dome (c0, 1], where c0, the
+        w = 1 of the first block, is outside.  This equals the complement
+        of the closure of the complement: lowering the anchor commutes with
+        the complement, the complement of `circle_closure` of the
+        complement is `circle_interior`, and that of a closure relative to
+        the dome is `interior_rel` of the dome."""
+        S = self.lower_anchor(1)
+        return AsymptoticSet.on(
+            S.grid, circle_interior(S.shape, S.sigma),
+            S.head.interior_rel(Iv.on(S.c0, _ONE, False, True)))
 
     def is_closed(self) -> bool:
-        return self.set_eq(self.closure())
+        """On the set's own grid, with no lowering and no unify: the shape
+        is closed on the circle, the head's closure cut to the dome
+        (c0, 1] is the head, and the shape holds w = 1 when the head
+        reaches c0 from above (c0 is the w = 1 of the first block).  The
+        limit points of the set lie inside the blocks and at their seams,
+        which the circle closure covers, inside the dome, or at c0, which
+        the circle closure covers from below and the last rule from above.
+        So the three hold exactly when the set equals its closure:
+        `is_closed()` is `set_eq(closure())`."""
+        sh = self.shape
+        if circle_closure(sh, self.sigma) != sh:
+            return False
+        hd = self.head
+        if not hd:
+            return True
+        c0 = self.c0
+        if hd.closure().intersect(upto1(c0)) != hd:
+            return False
+        return not hd.limit_from_right(c0) or sh.contains(_ONE)
 
     def is_open(self) -> bool:
         return self.set_eq(self.interior())

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction as Q
 
 import pytest
 
 from asymcalc.cli import main
 from asymcalc.dsl import Session
+from asymcalc.verify import available_checks
 
 
 @pytest.mark.parametrize("script", ["elem x = rho;", "set A = full();"])
@@ -44,3 +46,16 @@ def test_session_checks_its_grid():
     for kwargs in ({"sigma": Q(2)}, {"sigma": Q(0)}, {"D": 0}):
         with pytest.raises(ValueError):
             Session(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_check_all_passes(tmp_path, capsys, seed):
+    # every named check, through the command line, on a small corpus
+    report = tmp_path / "report.json"
+    assert main(["check", "--all", "--seed", str(seed), "--size", "24",
+                 "--report", str(report)]) == 0
+    reports = json.loads(report.read_text(encoding="utf-8"))
+    assert len(reports) == len(available_checks())
+    for r in reports:
+        assert r["instances"] > 0 and r["failures"] == [], r["name"]
+    assert capsys.readouterr().out.count("[PASS]") == len(reports)

@@ -298,3 +298,40 @@ def test_pl_between_matches_node_scan(case):
     got = _pl_between(zeros, ones, Q(1, 2), lo, hi, wrap, anchor)
     assert got == _old_pl_between(zeros, ones, Q(1, 2), lo, hi, wrap,
                                   anchor)
+
+
+# -- the ring operations that no construction above calls -------------------
+
+_SAMPLES = [Q(1), Q(9, 10), Q(3, 4), Q(5, 8), Q(7, 16), Q(3, 64),
+            Q(9, 10) / 2 ** 7]
+
+
+@pytest.mark.parametrize("name", ["rho", "hat", "osc", "negl"])
+def test_ring_operations_match_profiles(request, name):
+    x = request.getfixturevalue(name)
+    g = GenConstant(x)
+    for n in (0, 1, 3):
+        assert (g ** n).rep.to_dict() == x.pow(n).to_dict()
+    for u in _SAMPLES:
+        v = x.eval(u)
+        assert (-g).eval(u) == x.neg().eval(u) == -v
+        assert (g ** 3).eval(u) == x.pow(3).eval(u) == v ** 3
+        assert (g ** 0).eval(u) == 1
+        for q in (Q(0), Q(-2, 3), Q(5)):
+            assert g.scale(q).eval(u) == x.scale(q).eval(u) == q * v
+
+
+def test_negligibility_of_the_ring_api(rho, hat, osc, negl):
+    for x in (negl, negl.scale(Q(-7, 2)), negl.neg(), negl.mul(hat),
+              hat.sub(hat), negl.pow(2)):
+        g = GenConstant(x)
+        assert g.is_zero() and g.is_negligible()
+        assert genconst_mod.is_negligible(g) and genconst_mod.is_negligible(x)
+        assert (-g).is_zero() and g.scale(3).is_zero()
+    for x in (rho, hat, osc, rho.pow(4), hat.add(negl)):
+        g = GenConstant(x)
+        assert not g.is_zero() and not genconst_mod.is_negligible(g)
+        assert not genconst_mod.is_negligible(x)
+        assert not (-g).is_zero() and not (g ** 2).is_zero()
+    assert GenConstant.zero().is_zero()
+    assert GenConstant.rho() ** 0 == GenConstant.const(1)

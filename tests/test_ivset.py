@@ -218,6 +218,20 @@ def test_set_operations_match_references(a, b, dom, c):
     assert a.subset_of(a.union(b)) and a.intersect(b).subset_of(b)
 
 
+@settings(max_examples=300, deadline=None)
+@given(raw_sets())
+@example(HALF_OPEN.union(REST))            # a gap of one point
+@example(MID.union(IvSet.point(1)))        # points only, one at a closed end
+@example(IvSet([Iv(0, 1, False, True)]))   # across every domain
+@example(IvSet([Iv(Q(1, 4), Q(7, 8), True, True)]))  # ends on dom ends
+def test_interior_rel_matches_complement_closure_complement(a):
+    # the former three-pass form is the reference
+    for dom in DOMS:
+        got = a.interior_rel(dom)
+        assert got == a.complement(dom).closure().complement(dom)
+        assert_canonical(got)
+
+
 @pytest.mark.parametrize("args", [
     (Q(1, 2), Q(1, 4), True, True),
     (Q(1, 2), Q(1, 2), False, True),

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from asymcalc.errors import (EmptySet, PreconditionViolated,
                              RepresentabilityError)
 from asymcalc.grid import Grid, unify
 from asymcalc.ivset import Iv, IvSet
+import asymcalc.scaleset as scaleset_mod
 from asymcalc.scaleset import (AsymptoticSet, _closer_region, _distances,
                                _marks, circle_closure, circle_gap,
                                distance_profile, fold_to_window, grow_circle,
@@ -601,3 +602,67 @@ def test_sets_start_without_a_closure_memo():
         assert S._closure is None
         assert not hasattr(S, "__dict__")
         assert S.closure()._closure is None
+
+
+# -- interior and closedness in one pass --------------------------------------
+
+
+def _ref_interior(S):
+    """The former three-pass interior."""
+    return S.complement().closure().complement()
+
+
+_H = Q(1, 2)
+
+
+def _set(shape, head=(), c0=Q(1)):
+    return AsymptoticSet(_H, IvSet(list(shape)), IvSet(list(head)), c0)
+
+
+_TOPOLOGY_EXAMPLES = [
+    _set([Iv(_H, Q(3, 4), False, False)]),  # open at sigma, without w = 1
+    _set([Iv(_H, Q(5, 8), False, False), Iv(Q(7, 8), 1, True, True)]),
+    _set([Iv(_H, Q(5, 8), False, True), Iv(Q(7, 8), 1, False, True)]),
+    AsymptoticSet.orbit_point(1),  # the shape {1} alone
+    AsymptoticSet.empty(),
+    AsymptoticSet.full(),
+] + [
+    # a head reaching c0 = 1/4 from above, closed or open at its other end,
+    # c0 in the set or not
+    _set([shape], [Iv(Q(1, 4), Q(3, 8), False, hc)], Q(1, 4))
+    for shape in (Iv(Q(3, 4), 1, True, True), Iv(Q(5, 8), Q(3, 4), True, True))
+    for hc in (True, False)
+]
+
+
+def _with_examples(test):
+    for S in _TOPOLOGY_EXAMPLES:
+        test = example(S)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sets, _headed_sets()))
+@_with_examples
+def test_interior_and_is_closed_match_references(S):
+    assert S.interior().to_dict() == _ref_interior(S).to_dict()
+    assert S.is_closed() == S.set_eq(S.closure())
+    I = S.interior()
+    assert S.closure().is_closed()
+    assert I.is_closed() == I.set_eq(I.closure())
+
+
+def test_is_closed_neither_lowers_nor_unifies(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("is_closed left the set's own grid")
+
+    want = [S.set_eq(S.closure()) for S in _TOPOLOGY_EXAMPLES]
+    monkeypatch.setattr(AsymptoticSet, "lower_anchor", refuse)
+    monkeypatch.setattr(scaleset_mod, "unify", refuse)
+    assert [S.is_closed() for S in _TOPOLOGY_EXAMPLES] == want
+    assert want.count(True) >= 3 and want.count(False) >= 3
+
+
+def test_interior_is_not_memoized(A):
+    assert A.interior() is not A.interior()
+    assert A.interior().to_dict() == A.interior().to_dict()

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import asymcalc.ivset as ivset_mod
 from asymcalc.errors import IncommensurableRatio, ParseError
 from asymcalc.ivset import Iv, IvSet
 from asymcalc.polytools import padd, pdeg, peval, pgcd, pmul, poly
@@ -273,6 +274,12 @@ def test_trusted_operations_do_not_validate(monkeypatch, osc, hat, negl,
     counting(AsymptoticSet, "__init__")
     counting(Iv, "__post_init__")
     counting(IvSet, "__init__")
+    convert = ivset_mod.Q
+
+    def converting(*args):
+        calls.append("ivset.Q")
+        return convert(*args)
+    monkeypatch.setattr(ivset_mod, "Q", converting)
     insert_between(A, B)
     _metric_median(A.closure(), B.complement().closure())
     for X in (A, B, P, S, S.closure()):
@@ -280,6 +287,7 @@ def test_trusted_operations_do_not_validate(monkeypatch, osc, hat, negl,
     S.lower_anchor(3), S.coarsen(3)
     for a in shapes:
         a.complement(dom), a.fat_part(), a.scale(Q(1, 2)), a.closure()
+        a.scale(3), a.interior_rel(dom)
         for b in shapes:
             a.intersect(b), a.subset_of(b), a.union(b)
     f.neg(), f.scale(3), f.scale(0), f.restrict(Q(5, 8), Q(7, 8))
@@ -289,6 +297,7 @@ def test_trusted_operations_do_not_validate(monkeypatch, osc, hat, negl,
     x.lower_anchor(2), x.coarsen(3), hat.coarsen(2), negl.coarsen(3)
     for T in (A, B.lower_anchor(1), P, S):
         A.closure(), T.complement(), A.union(T), A.intersect(T)
+        T.interior(), T.is_closed(), T.closure().is_closed()
     assert calls == []
 
 

@@ -432,8 +432,7 @@ def invert_on(x, S: AsymptoticSet) -> GenConstant:
     ob = obstruction_on(xr, S)
     if not unobstructed(ob):
         raise PreconditionViolated("element is not invertible on the set")
-    live = [c for c in xr.comps if c.r == 0 and not c.g.is_zero()]
-    if len(live) != 1:
+    if len(xr.live_comps()) != 1:
         raise RepresentabilityError(
             "inversion needs a single polynomial-scale component")
     T = _extension(ob, S)
@@ -445,8 +444,7 @@ def _divide_profile(psi: PwFunction, x: PwFunction):
     """psi / x where psi vanishes outside the region where the single live
     component of x is nonvanishing."""
     a, b = unify(psi, x)
-    live = [c for c in b.comps if c.r == 0 and not c.g.is_zero()]
-    comp = live[0]
+    comp = b.live_comps()[0]
     gpsi = _only_profile(a)
     gy = _pl_quotient(gpsi, comp.g)
     head = None
@@ -648,7 +646,6 @@ def idempotent_class(e) -> int | None:
     er = _rep(e)
     if er.is_negligible():
         return 0
-    one = PwFunction.const(1, er.sigma, er.D)
-    if er.equiv(one.lower_anchor_to(er.c0) if er.c0 < 1 else one):
+    if er.equiv(PwFunction.const(1, er.sigma, er.D)):
         return 1
     return None

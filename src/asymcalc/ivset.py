@@ -129,9 +129,6 @@ class IvSet:
     def __eq__(self, other):
         return isinstance(other, IvSet) and self.ivs == other.ivs
 
-    def __hash__(self):
-        return hash(self.ivs)
-
     def __repr__(self):
         return "{" + " ".join(map(repr, self.ivs)) + "}"
 

@@ -199,9 +199,6 @@ class PwFunction:
             new_comps.append(TailComponent(c.s + c.r * t, c.r, c.g.scale(w)))
         return PwFunction.on(self.grid.lower(t), new_comps, new_head)
 
-    def lower_anchor_to(self, new_c0) -> "PwFunction":
-        return self.lower_anchor(self.grid.steps_to(new_c0))
-
     def germ(self) -> "PwFunction":
         """The same function near 0, stored on anchor 1 with no head.
 

@@ -328,25 +328,22 @@ class AsymptoticSet:
             S.head.interior_rel(Iv.on(S.c0, _ONE, False, True)))
 
     def is_closed(self) -> bool:
-        """On the set's own grid, with no lowering and no unify: the shape
-        is closed on the circle, the head's closure cut to the dome
-        (c0, 1] is the head, and the shape holds w = 1 when the head
-        reaches c0 from above (c0 is the w = 1 of the first block).  The
-        limit points of the set lie inside the blocks and at their seams,
-        which the circle closure covers, inside the dome, or at c0, which
-        the circle closure covers from below and the last rule from above.
-        So the three hold exactly when the set equals its closure:
+        """A scan of the end flags on the set's own grid that builds no
+        set.  The set is closed exactly when every interval of the shape
+        and the head holds both ends, except an open start at sigma (shape)
+        or c0 (head), and the shape holds w = 1 when either part starts
+        there.  Limit points lie inside the blocks and the dome, where each
+        interval must hold its ends, or at a seam: sigma+ of a block is
+        glued to w = 1 of the next, and c0 is w = 1 of the first block, so
+        a part starting at sigma or c0 has w = 1 as a limit point.  Thus
         `is_closed()` is `set_eq(closure())`."""
-        sh = self.shape
-        if circle_closure(sh, self.sigma) != sh:
-            return False
-        hd = self.head
-        if not hd:
-            return True
-        c0 = self.c0
-        if hd.closure().intersect(upto1(c0)) != hd:
-            return False
-        return not hd.limit_from_right(c0) or sh.contains(_ONE)
+        at_seam = False
+        for part, lo in ((self.shape, self.sigma), (self.head, self.c0)):
+            for iv in part.ivs:
+                if not iv.hc or not (iv.lc or iv.lo == lo):
+                    return False
+                at_seam = at_seam or iv.lo == lo
+        return not at_seam or self.shape.contains(_ONE)
 
     def is_open(self) -> bool:
         return self.set_eq(self.interior())

@@ -4,6 +4,18 @@ Each check draws its instances deterministically from corpus_generate
 and records exact failures (with serialized witnesses) in a CheckReport.
 Numeric corroboration that cannot decide an instance is counted as
 inconclusive, never as a failure of the exact engine.
+
+A statement that a check and an acceptance criterion both test has one
+per-instance body ``(rep, *instance)``, which counts the instance and
+records its failures and inconclusive outcomes; the check's loop and the
+criterion's loop each call it.  The bodies, with check and criterion:
+`duality_instance` (ext-eltair-duality, c01), `inv_char_instance`
+(inv-char, c02), `extension_instance` (extension, c03),
+`zero_product_instance` (zero-product, c04), `galois_instance`
+(filter-ideal-galois, c05), `interior_closure_instance` (interior-closure,
+c06), `prime_cover_instance` (prime-ideal-char, c07) and `cauchy_instance`
+(cauchy-glue, c10).  The other four checks test other statements or
+tolerances than their nearest criteria and keep their own loops.
 """
 
 import random
@@ -35,7 +47,162 @@ def ideal_of_fg(F: FG) -> FgIdeal:
     return FgIdeal([distance_profile(F.base())])
 
 
+# -- per-instance bodies shared with the acceptance criteria -------------
+
+
+def duality_instance(rep, S, T):
+    """S precedes T exactly when the complement of T (on the grid of S)
+    precedes that of S, and `insert_between` lands strictly between."""
+    rep.instances += 1
+    lhs = S.precedes(T)
+    rhs = T.complement_like(S).precedes(S.complement_like(T))
+    if lhs != rhs:
+        rep.record_failure(S=S, T=T, lhs=lhs, rhs=rhs)
+    if lhs and S.is_characteristic():
+        M = insert_between(S, T)
+        if not (S.precedes(M) and M.precedes(T)):
+            rep.record_failure(S=S, T=T, mid=M, reason="not between")
+
+
+def inv_char_instance(rep, x, S):
+    """`invert_on` builds an exact inverse on S exactly when
+    `restr_invertible` holds; inconclusive when the inverse is not
+    representable.  Returns the predicate and its order (ok, n)."""
+    rep.instances += 1
+    ok, n, _ = restr_invertible(x, S)
+    try:
+        y = invert_on(x, S)
+        built = True
+    except PreconditionViolated:
+        built = False
+    except RepresentabilityError:
+        rep.inconclusive += 1
+        return ok, n
+    if built != ok:
+        rep.record_failure(element=x, set=S, predicate=ok, constructed=built)
+    elif built and not restr_zero((GenConstant(x) * y
+                                   - GenConstant.const(1, x.sigma)).rep, S):
+        rep.record_failure(element=x, set=S, reason="bad inverse")
+    return ok, n
+
+
+def extension_instance(rep, x, S):
+    """An invertible (or vanishing) restriction of x to S extends to a set
+    T that S precedes and on which x stays invertible (or vanishes);
+    inconclusive when T is not representable."""
+    rep.instances += 1
+    if restr_invertible(x, S)[0]:
+        try:
+            T = extend_invertible(x, S)
+        except RepresentabilityError:
+            rep.inconclusive += 1
+            return
+        if not (S.precedes(T) and restr_invertible(x, T)[0]):
+            rep.record_failure(element=x, set=S, ext=T, kind="inv")
+    elif restr_zero(x, S):
+        try:
+            T = extend_zero(x, S)
+        except RepresentabilityError:
+            rep.inconclusive += 1
+            return
+        if not (S.precedes(T) and restr_zero(x, T)):
+            rep.record_failure(element=x, set=S, ext=T, kind="zero")
+
+
+def zero_product_instance(rep, a, b):
+    """`zero_product_split` of a zero product gives parts T, U whose
+    interiors cover and on which a and b vanish."""
+    rep.instances += 1
+    try:
+        T, U = zero_product_split(a, b)
+    except (ProductNotZero, RepresentabilityError):
+        rep.inconclusive += 1
+        return
+    if not AsymptoticSet.full().subset_of(T.interior().union(U.interior())):
+        rep.record_failure(a=a, b=b, reason="interiors do not cover")
+    if not (restr_zero(a, T) and restr_zero(b, U)):
+        rep.record_failure(a=a, b=b, reason="restriction not zero")
+
+
+def galois_instance(rep, F, I, S):
+    """The invertibility filter of I = `ideal_of_fg(F)` holds the closed
+    set S exactly when the interior of F does."""
+    rep.instances += 1
+    via_ideal = f_of_I_member(S, I)
+    direct = filter_member(Interior(F).normalize(), S)
+    if via_ideal != direct:
+        rep.record_failure(filter=repr(F), probe=S,
+                           via_ideal=via_ideal, direct=direct)
+
+
+def interior_closure_instance(rep, F, S):
+    """cl int F = cl F and int cl F = int F, probed at the closed set S."""
+    rep.instances += 1
+    a = filter_member(Closure(Interior(F)).normalize(), S)
+    b = filter_member(Closure(F).normalize(), S)
+    if a != b:
+        rep.record_failure(filter=repr(F), probe=S,
+                           law="cl int = cl", lhs=a, rhs=b)
+    c = filter_member(Interior(Closure(F)).normalize(), S)
+    d = filter_member(Interior(F).normalize(), S)
+    if c != d:
+        rep.record_failure(filter=repr(F), probe=S,
+                           law="int cl = int", lhs=c, rhs=d)
+
+
+def prime_cover_instance(rep, F):
+    """`refuting_cover(F)` gives parts S, T outside F whose union lies in F
+    and whose interiors cover; an improper F must hold the empty set.
+    Returns the cover, or None for an improper filter."""
+    rep.instances += 1
+    try:
+        ce = refuting_cover(F)
+    except ImproperFilter:
+        # a filter is improper exactly when it holds the empty set
+        if not filter_member(F, AsymptoticSet.empty()):
+            rep.record_failure(filter=repr(F),
+                               reason="proper filter called improper")
+        return None
+    S, T = ce.S, ce.T
+    if not filter_member(F, S.union(T)):
+        rep.record_failure(filter=repr(F), S=S, T=T,
+                           reason="union outside the filter")
+    if not AsymptoticSet.full().subset_of(S.interior().union(T.interior())):
+        rep.record_failure(filter=repr(F), S=S, T=T,
+                           reason="interiors do not cover")
+    if filter_member(F, S) or filter_member(F, T):
+        rep.record_failure(filter=repr(F), S=S, T=T,
+                           reason="a part lies in the filter")
+    return ce
+
+
+def cauchy_instance(rep, xs):
+    """The limit glued from xs under the moduli 2^-n differs from the n-th
+    term by valuation at least n - 2; inconclusive when the sequence
+    breaks the moduli."""
+    rep.instances += 1
+    moduli = [Q(1, 2 ** n) for n in range(len(xs))]
+    try:
+        s = cauchy_glue(xs, moduli)
+    except ModulusViolated:
+        rep.inconclusive += 1
+        return
+    for n, xn in enumerate(xs):
+        v = (s - xn).rep.valuation()
+        if v is not None and v < n - 2:
+            rep.record_failure(prefix=n, valuation=str(v))
+
+
 # -- individual checks ---------------------------------------------------
+
+
+def _characteristic_pairs(corpus, rng, n):
+    """The pairs with a characteristic set among n draws of pair_stream."""
+    pairs = pair_stream(rng, corpus)
+    for _ in range(n):
+        x, S = next(pairs)
+        if S.is_characteristic():
+            yield x, S
 
 
 def _check_valuation_oracle(corpus, rng, rep):
@@ -55,11 +222,7 @@ def _check_valuation_oracle(corpus, rng, rep):
 
 def _check_restr_zero_oracle(corpus, rng, rep):
     grid = OracleConfig(depth=400, window=40)
-    pairs = pair_stream(rng, corpus)
-    for _ in range(30):
-        x, S = next(pairs)
-        if not S.is_characteristic():
-            continue
+    for x, S in _characteristic_pairs(corpus, rng, 30):
         rep.instances += 1
         exact = restr_zero(x, S)
         shadow = oracle_vanishes_on(x, S, grid)
@@ -70,68 +233,18 @@ def _check_restr_zero_oracle(corpus, rng, rep):
 
 
 def _check_inv_char(corpus, rng, rep):
-    pairs = pair_stream(rng, corpus)
-    for _ in range(25):
-        x, S = next(pairs)
-        if not S.is_characteristic():
-            continue
-        rep.instances += 1
-        ok, n, delta = restr_invertible(x, S)
-        try:
-            y = invert_on(x, S)
-            built = True
-        except PreconditionViolated:
-            built = False
-        except RepresentabilityError:
-            rep.inconclusive += 1
-            continue
-        if built != ok:
-            rep.record_failure(element=x, set=S, predicate=ok,
-                               constructed=built)
-            continue
-        if built and not restr_zero((GenConstant(x) * y
-                                     - GenConstant.const(1, x.sigma)).rep, S):
-            rep.record_failure(element=x, set=S, reason="bad inverse")
+    for x, S in _characteristic_pairs(corpus, rng, 25):
+        inv_char_instance(rep, x, S)
 
 
 def _check_duality(corpus, rng, rep):
     for _ in range(60):
-        S = random_set(rng)
-        T = random_set(rng)
-        rep.instances += 1
-        lhs = S.precedes(T)
-        rhs = T.complement_like(S).precedes(S.complement_like(T))
-        if lhs != rhs:
-            rep.record_failure(S=S, T=T, lhs=lhs, rhs=rhs)
-        if lhs and S.is_characteristic():
-            M = insert_between(S, T)
-            if not (S.precedes(M) and M.precedes(T)):
-                rep.record_failure(S=S, T=T, mid=M, reason="not between")
+        duality_instance(rep, random_set(rng), random_set(rng))
 
 
 def _check_extension(corpus, rng, rep):
-    pairs = pair_stream(rng, corpus)
-    for _ in range(20):
-        x, S = next(pairs)
-        if not S.is_characteristic():
-            continue
-        rep.instances += 1
-        if restr_invertible(x, S)[0]:
-            try:
-                T = extend_invertible(x, S)
-            except RepresentabilityError:
-                rep.inconclusive += 1
-                continue
-            if not (S.precedes(T) and restr_invertible(x, T)[0]):
-                rep.record_failure(element=x, set=S, ext=T, kind="inv")
-        elif restr_zero(x, S):
-            try:
-                T = extend_zero(x, S)
-            except RepresentabilityError:
-                rep.inconclusive += 1
-                continue
-            if not (S.precedes(T) and restr_zero(x, T)):
-                rep.record_failure(element=x, set=S, ext=T, kind="zero")
+    for x, S in _characteristic_pairs(corpus, rng, 20):
+        extension_instance(rep, x, S)
 
 
 def _disjoint_tents(rng):
@@ -143,18 +256,7 @@ def _disjoint_tents(rng):
 
 def _check_zero_product(corpus, rng, rep):
     for _ in range(15):
-        a, b = _disjoint_tents(rng)
-        rep.instances += 1
-        try:
-            T, U = zero_product_split(a, b)
-        except (ProductNotZero, RepresentabilityError):
-            rep.inconclusive += 1
-            continue
-        full = AsymptoticSet.full()
-        if not full.subset_of(T.interior().union(U.interior())):
-            rep.record_failure(a=a, b=b, reason="interiors do not cover")
-        if not (restr_zero(a, T) and restr_zero(b, U)):
-            rep.record_failure(a=a, b=b, reason="restriction not zero")
+        zero_product_instance(rep, *_disjoint_tents(rng))
 
 
 def _check_filter_ideal_galois(corpus, rng, rep):
@@ -164,54 +266,18 @@ def _check_filter_ideal_galois(corpus, rng, rep):
     for F in fgs:
         I = ideal_of_fg(F)
         for _ in range(8):
-            S = random_set(rng).closure()
-            rep.instances += 1
-            via_ideal = f_of_I_member(S, I)
-            direct = filter_member(Interior(F).normalize(), S)
-            if via_ideal != direct:
-                rep.record_failure(filter=repr(F), probe=S,
-                                   via_ideal=via_ideal, direct=direct)
+            galois_instance(rep, F, I, random_set(rng).closure())
 
 
 def _check_interior_closure(corpus, rng, rep):
     for F in corpus.filters[:8]:
         for _ in range(6):
-            S = random_set(rng).closure()
-            rep.instances += 1
-            a = filter_member(Closure(Interior(F)).normalize(), S)
-            b = filter_member(Closure(F).normalize(), S)
-            if a != b:
-                rep.record_failure(filter=repr(F), probe=S,
-                                   law="cl int = cl", lhs=a, rhs=b)
-            c = filter_member(Interior(Closure(F)).normalize(), S)
-            d = filter_member(Interior(F).normalize(), S)
-            if c != d:
-                rep.record_failure(filter=repr(F), probe=S,
-                                   law="int cl = int", lhs=c, rhs=d)
+            interior_closure_instance(rep, F, random_set(rng).closure())
 
 
 def _check_prime_ideal_char(corpus, rng, rep):
-    full = AsymptoticSet.full()
     for F in corpus.filters[:6]:
-        rep.instances += 1
-        try:
-            ce = refuting_cover(F)
-        except ImproperFilter:
-            # a filter is improper exactly when it holds the empty set
-            if not filter_member(F, AsymptoticSet.empty()):
-                rep.record_failure(filter=repr(F),
-                                   reason="proper filter called improper")
-            continue
-        S, T = ce.S, ce.T
-        if not filter_member(F, S.union(T)):
-            rep.record_failure(filter=repr(F), S=S, T=T,
-                               reason="union outside the filter")
-        if not full.subset_of(S.interior().union(T.interior())):
-            rep.record_failure(filter=repr(F), S=S, T=T,
-                               reason="interiors do not cover")
-        if filter_member(F, S) or filter_member(F, T):
-            rep.record_failure(filter=repr(F), S=S, T=T,
-                               reason="a part lies in the filter")
+        prime_cover_instance(rep, F)
 
 
 def _check_rapid(corpus, rng, rep):
@@ -268,23 +334,10 @@ def _check_purity(corpus, rng, rep):
 
 def _check_cauchy(corpus, rng, rep):
     for _ in range(6):
-        rep.instances += 1
-        x0 = rng.choice(corpus.elements)
-        base = GenConstant(x0)
-        xs = [base]
+        xs = [GenConstant(rng.choice(corpus.elements))]
         for n in range(1, 5):
             xs.append(xs[-1] + GenConstant(PwFunction.upower(n + 1)))
-        moduli = [Q(1, 2 ** n) for n in range(len(xs))]
-        try:
-            s = cauchy_glue(xs, moduli)
-        except ModulusViolated:
-            rep.inconclusive += 1
-            continue
-        for n, xn in enumerate(xs):
-            d = (s - xn).rep
-            v = d.valuation()
-            if v is not None and v < n - 2:
-                rep.record_failure(prefix=n, valuation=str(v))
+        cauchy_instance(rep, xs)
 
 
 _REGISTRY = {

@@ -164,9 +164,6 @@ class Piecewise:
     def __eq__(self, other):
         return isinstance(other, Piecewise) and self.segs == other.segs
 
-    def __hash__(self):
-        return hash(self.segs)
-
     def eval(self, w) -> Q:
         w = Q(w)
         if not (self.lo <= w <= self.hi):

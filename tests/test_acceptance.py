@@ -6,6 +6,9 @@ corpora, and (in the last test) the numeric shadow oracle.  Every test
 prints one PASS/FAIL line in the terminal summary and enforces a wall
 clock budget.  Numeric corroboration that cannot decide an instance is
 flagged inconclusive, never counted against the exact engine.
+
+Criteria report through `CheckReport`, as the named checks do, and one
+that shares a statement with a check calls that check's per-instance body.
 """
 
 import random
@@ -15,14 +18,10 @@ from fractions import Fraction as Q
 
 from conftest import ACCEPTANCE_LINES
 
-from asymcalc.afilter import (FG, Closure, CounterExample, Interior, OfIdeal,
-                              filter_member, i_of_f_member, rapid_element,
-                              rapid_witness, refuting_cover)
-from asymcalc.errors import (AsymcalcError, ModulusViolated,
-                             PreconditionViolated, RepresentabilityError,
-                             SearchBoundExceeded)
-from asymcalc.genconst import (GenConstant, cauchy_glue, extend_invertible,
-                               extend_zero, idempotent_class, invert_on,
+from asymcalc.afilter import (FG, CounterExample, filter_member,
+                              i_of_f_member, rapid_element, rapid_witness)
+from asymcalc.errors import AsymcalcError
+from asymcalc.genconst import (GenConstant, idempotent_class,
                                restr_invertible, restr_zero, urysohn,
                                zero_product_split)
 from asymcalc.ideal import (FgIdeal, annihilator_member, closure_member,
@@ -36,8 +35,14 @@ from asymcalc.scaleset import (AsymptoticSet, circle_closure,
                                distance_profile, insert_between, prec_union)
 from asymcalc.signs import (_candidate_points, common_window,
                             flat_common_zero, isolated_common_zeros)
-from asymcalc.verify import (OracleConfig, corpus_generate, ideal_of_fg,
-                             oracle_valuation, oracle_vanishes_on, random_set)
+from asymcalc.verify import (CheckReport, OracleConfig, corpus_generate,
+                             ideal_of_fg, oracle_valuation,
+                             oracle_vanishes_on, random_set)
+from asymcalc.verify.checks import (cauchy_instance, duality_instance,
+                                    extension_instance, galois_instance,
+                                    interior_closure_instance,
+                                    inv_char_instance, prime_cover_instance,
+                                    zero_product_instance)
 from asymcalc.verify.corpus import pair_stream, q64, tent
 
 # -- shared plumbing ------------------------------------------------------
@@ -52,29 +57,25 @@ def corpus(seed, size=24):
     return _CORPORA[key]
 
 
-class Stats:
-    def __init__(self):
-        self.instances = 0
-        self.inconclusive = 0
-
-
 @contextmanager
 def criterion(num, slug, budget):
-    stats = Stats()
+    rep = CheckReport(name=slug, anchor=f"acceptance criterion {num}",
+                      seed=0)
     t0 = time.perf_counter()
     ok = False
     try:
-        yield stats
-        ok = True
+        yield rep
+        ok = rep.passed
     finally:
-        dt = time.perf_counter() - t0
+        dt = rep.wall_time = time.perf_counter() - t0
         verdict = "PASS" if ok and dt < budget else "FAIL"
-        extra = (f", {stats.inconclusive} inconclusive"
-                 if stats.inconclusive else "")
+        extra = (f", {rep.inconclusive} inconclusive"
+                 if rep.inconclusive else "")
         ACCEPTANCE_LINES.append(
             f"criterion {num:2d} [{slug}]: {verdict} "
-            f"({stats.instances} instances{extra}, "
+            f"({rep.instances} instances{extra}, "
             f"{dt:.1f}s / budget {budget}s)")
+    assert rep.passed, f"criterion {num} failed on: {rep.failures}"
     assert dt < budget, f"criterion {num} over budget: {dt:.1f}s >= {budget}s"
 
 
@@ -191,14 +192,7 @@ def test_c01_extension_order_duality_and_density():
                 S = AsymptoticSet.orbit_interval(cuts[1], cuts[2])
                 T = AsymptoticSet.orbit_interval(cuts[0], cuts[3],
                                                  lc=False, hc=False)
-            st.instances += 1
-            lhs = S.precedes(T)
-            rhs = T.complement_like(S).precedes(S.complement_like(T))
-            assert lhs == rhs, f"duality violated on pair {k}"
-            if lhs and S.is_characteristic():
-                M = insert_between(S, T)
-                assert S.precedes(M) and M.precedes(T), \
-                    f"insert_between not strictly between on pair {k}"
+            duality_instance(st, S, T)
 
 
 def test_c02_invertibility_characterization():
@@ -206,26 +200,15 @@ def test_c02_invertibility_characterization():
     cp = corpus(5, 40)
     pairs = pair_stream(rng, cp)
     with criterion(2, "inv-char", 60) as st:
-        done = opened = 0
-        while done < 200:
+        opened = 0
+        while st.instances < 200:
             x, S = next(pairs)
             if not S.is_characteristic():
                 continue
-            done += 1
-            st.instances += 1
-            ok, n, delta = restr_invertible(x, S)
             # (a) <=> (c): constructive inversion succeeds exactly when the
             # predicate holds, up to the single-component representation
             # limit, and the constructed inverse is exact.
-            try:
-                y = invert_on(x, S)
-                assert ok, "inverse built for a non-invertible restriction"
-                diff = (GenConstant(x) * y - GenConstant.const(1, x.sigma)).rep
-                assert restr_zero(diff, S), "x * invert_on(x) != 1 on S"
-            except PreconditionViolated:
-                assert not ok, "inversion refused an invertible restriction"
-            except RepresentabilityError:
-                st.inconclusive += 1
+            ok, n = inv_char_instance(st, x, S)
             # (a) <=> (d): the refuting-subset search finds a witness
             # exactly on the non-invertible pairs.
             T = find_refuter(x, S)
@@ -249,9 +232,8 @@ def test_c03_zero_and_invertible_extension():
     cp = corpus(7, 40)
     pairs = pair_stream(rng, cp)
     with criterion(3, "extension", 60) as st:
-        done = 0
-        while done < 200:
-            pick = done % 4
+        while st.instances < 200:
+            pick = st.instances % 4
             if pick == 0:
                 # crafted vanishing restriction: a tent, probed away from
                 # its support
@@ -267,30 +249,11 @@ def test_c03_zero_and_invertible_extension():
                 x, S = next(pairs)
                 if not S.is_characteristic():
                     continue
-            done += 1
-            st.instances += 1
-            if restr_invertible(x, S)[0]:
-                try:
-                    T = extend_invertible(x, S)
-                except RepresentabilityError:
-                    st.inconclusive += 1
-                    continue
-                assert S.precedes(T), "invertible extension does not extend"
-                assert restr_invertible(x, T)[0], \
-                    "invertibility lost on the extension"
-            elif restr_zero(x, S):
-                try:
-                    T = extend_zero(x, S)
-                except RepresentabilityError:
-                    st.inconclusive += 1
-                    continue
-                assert S.precedes(T), "zero extension does not extend"
-                assert restr_zero(x, T), "vanishing lost on the extension"
+            extension_instance(st, x, S)
 
 
 def test_c04_zero_product_split():
     rng = random.Random("accept-04")
-    full = AsymptoticSet.full()
     with criterion(4, "zero-product", 30) as st:
         for k in range(100):
             cuts = distinct_cuts(rng, 6)
@@ -302,13 +265,9 @@ def test_c04_zero_product_split():
                      + GenConstant(tent(cuts[0], cuts[1], cuts[2], r=1))).rep
                 b = (GenConstant(b)
                      + GenConstant(tent(cuts[3], cuts[4], cuts[5], r=2))).rep
-            st.instances += 1
             assert a.mul(b).is_zero()
-            T, U = zero_product_split(a, b)
-            assert full.subset_of(T.interior().union(U.interior())), \
-                "interiors of the split do not cover"
-            assert restr_zero(a, T) and restr_zero(b, U), \
-                "factors do not vanish on their split parts"
+            zero_product_instance(st, a, b)
+        assert st.inconclusive == 0
 
 
 def test_c05_filter_ideal_correspondence():
@@ -322,12 +281,8 @@ def test_c05_filter_ideal_correspondence():
             filters.append(FG([random_set(rng).closure()]))
         for F in filters[:50]:
             I = ideal_of_fg(F)
-            intF = Interior(F).normalize()
             for _ in range(100):
-                S = random_set(rng).closure()
-                st.instances += 1
-                assert f_of_I_member(S, I) == filter_member(intF, S), \
-                    "filter of the realized ideal disagrees with interior"
+                galois_instance(st, F, I, random_set(rng).closure())
         # direction two: the ideal of the invertibility filter is the pure
         # part, checked against an independent maximal-vanishing-set probe
         ideals = [I for I in cp.ideals if I.is_proper() and not I.is_zero()]
@@ -368,14 +323,7 @@ def test_c06_closure_laws():
     with criterion(6, "closure-laws", 120) as st:
         for F in cp.filters[:25]:
             for _ in range(8):
-                S = random_set(rng).closure()
-                st.instances += 1
-                assert filter_member(Closure(Interior(F)).normalize(), S) \
-                    == filter_member(Closure(F).normalize(), S), \
-                    "cl(int F) != cl F"
-                assert filter_member(Interior(Closure(F)).normalize(), S) \
-                    == filter_member(Interior(F).normalize(), S), \
-                    "int(cl F) != int F"
+                interior_closure_instance(st, F, random_set(rng).closure())
         # adjoining a closure element to a finitely generated ideal leaves
         # its invertibility filter unchanged
         for k in range(12):
@@ -418,20 +366,16 @@ def test_c07_prime_and_pseudoprime():
         filters.append(FG([random_set(rng).closure()]))
     with criterion(7, "prime-pseudoprime", 120) as st:
         for F in filters:
-            st.instances += 1
             # every representable finitely generated filter is refutable,
             # and one constructed cover refutes both properties
-            ce = refuting_cover(F)
+            ce = prime_cover_instance(st, F)
             assert isinstance(ce, CounterExample), \
                 "refuter built no counterexample"
             S, T = ce.S, ce.T
-            assert full.subset_of(S.interior().union(T.interior()))
-            assert not filter_member(F, S) and not filter_member(F, T)
             # the parts are closed, so the pseudoprime counterexample
             # covers with a closed union and also refutes primality;
             # consistent with prime <=> pseudoprime and radical
             assert S.is_closed() and T.is_closed()
-            assert filter_member(F, S.union(T))
             # transfer filter -> ideal: build an exact zero-divisor pair
             # outside the ideal of the filter; fattening each half of the
             # covering split keeps the zero sets overlapping on bands
@@ -452,6 +396,7 @@ def test_c07_prime_and_pseudoprime():
             assert full.subset_of(T2.interior().union(U2.interior()))
             assert restr_zero(x, T2) and restr_zero(y, U2)
             assert not filter_member(F, T2) and not filter_member(F, U2)
+        assert st.inconclusive == 0
 
 
 def _descending_chain(base, c, length=4):
@@ -559,7 +504,6 @@ def test_c10_completeness():
     cp = corpus(29, 40)
     with criterion(10, "cauchy-completeness", 30) as st:
         for k in range(20):
-            st.instances += 1
             base = GenConstant(rng.choice(cp.elements))
             xs = [base]
             for n in range(1, 6):
@@ -571,12 +515,8 @@ def test_c10_completeness():
                     step = GenConstant(
                         tent(cuts[0], cuts[1], cuts[2], s=n + 1))
                 xs.append(xs[-1] + step)
-            moduli = [Q(1, 2 ** n) for n in range(len(xs))]
-            s = cauchy_glue(xs, moduli)
-            for n, xn in enumerate(xs):
-                v = (s - xn).rep.valuation()
-                assert v is None or v >= n - 2, \
-                    f"glued limit valuation {v} below {n - 2}"
+            cauchy_instance(st, xs)
+        assert st.inconclusive == 0
 
 
 def test_c11_annihilators_and_idempotents():

@@ -48,6 +48,24 @@ def test_session_checks_its_grid():
             Session(**kwargs)
 
 
+# instances of each named check at size 24, and its inconclusive outcomes
+# at seeds 0-3
+_CHECK_COUNTS = {
+    "cauchy-glue": (6, [0, 0, 0, 0]),
+    "ext-eltair-duality": (60, [0, 0, 0, 0]),
+    "extension": (20, [2, 0, 0, 0]),
+    "filter-ideal-galois": (24, [0, 0, 0, 0]),
+    "interior-closure": (48, [0, 0, 0, 0]),
+    "inv-char": (25, [8, 1, 2, 2]),
+    "prime-ideal-char": (6, [0, 0, 0, 0]),
+    "purity": (36, [6, 18, 6, 6]),
+    "rapid-chain": (3, [0, 0, 0, 0]),
+    "restr-zero-oracle": (30, [0, 0, 0, 0]),
+    "valuation-oracle": (20, [0, 0, 0, 0]),
+    "zero-product": (15, [0, 0, 0, 0]),
+}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_check_all_passes(tmp_path, capsys, seed):
     # every named check, through the command line, on a small corpus
@@ -58,4 +76,6 @@ def test_check_all_passes(tmp_path, capsys, seed):
     assert len(reports) == len(available_checks())
     for r in reports:
         assert r["instances"] > 0 and r["failures"] == [], r["name"]
+    assert {r["name"]: (r["instances"], r["inconclusive"]) for r in reports} \
+        == {n: (i, inc[seed]) for n, (i, inc) in _CHECK_COUNTS.items()}
     assert capsys.readouterr().out.count("[PASS]") == len(reports)

@@ -160,10 +160,15 @@ def test_cauchy_glue_rejects_bad_modulus():
         cauchy_glue(xs, [Q(1), Q(1, 2)])
 
 
-def test_idempotent_class(hat):
-    assert idempotent_class(PwFunction.const(1)) == 1
-    assert idempotent_class(PwFunction.zero()) == 0
-    assert idempotent_class(hat) is None
+def test_idempotent_class(hat, negl):
+    # t = 2 puts the anchor at 1/4, below the anchor 1 of the constant 1
+    for t in (0, 2):
+        one = PwFunction.const(1).lower_anchor(t)
+        assert one.add(negl).c0 == Q(1, 2) ** t
+        assert idempotent_class(one) == 1
+        assert idempotent_class(one.add(negl)) == 1
+        assert idempotent_class(PwFunction.zero().lower_anchor(t)) == 0
+        assert idempotent_class(hat.lower_anchor(t)) is None
 
 
 # -- the least witness against the linear scan it replaced ---------------

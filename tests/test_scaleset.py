@@ -663,6 +663,17 @@ def test_is_closed_neither_lowers_nor_unifies(monkeypatch):
     assert want.count(True) >= 3 and want.count(False) >= 3
 
 
+def test_is_closed_builds_no_set(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("is_closed built a set")
+
+    want = [S.set_eq(S.closure()) for S in _TOPOLOGY_EXAMPLES]
+    for name in ("closure", "intersect", "union"):
+        monkeypatch.setattr(IvSet, name, refuse)
+    monkeypatch.setattr(scaleset_mod, "circle_closure", refuse)
+    assert [S.is_closed() for S in _TOPOLOGY_EXAMPLES] == want
+
+
 def test_interior_is_not_memoized(A):
     assert A.interior() is not A.interior()
     assert A.interior().to_dict() == A.interior().to_dict()

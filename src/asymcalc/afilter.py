@@ -23,7 +23,7 @@ from .ivset import Iv, IvSet
 from .polytools import pt_enclosure
 from .pwfunc import PwFunction, TailComponent
 from .scaleset import AsymptoticSet
-from .signs import eventually_nonneg, obstruction_meets
+from .signs import eventually_nonneg, obstruction_meets, obstruction_on
 from .signs import restr_zero as _restr_zero_pw
 from .window import Piecewise
 
@@ -156,7 +156,7 @@ def _closure_of_ideal_member(S: AsymptoticSet, I: FgIdeal) -> bool:
     O = coS.interior()
     if not O.is_characteristic():
         return True
-    _, shape, structure = I.obstruction_on(O)
+    _, shape, structure = obstruction_on(I.sos_germ, O)
     return not obstruction_meets(structure, shape)
 
 
@@ -236,7 +236,7 @@ def _core_point(F: FilterExpr):
     if not I.is_proper():
         raise ImproperFilter("the filter of an improper ideal holds every "
                              "set")
-    sos, _, (flat, pts) = I.obstruction_on(I.full_set())
+    sos, _, (flat, pts) = obstruction_on(I.sos_germ, I.full_set())
     c = flat.ivs[0].hi if flat else pts[0].pos
     return (Q(1) if c == sos.sigma else c), sos.grid
 

@@ -28,7 +28,8 @@ from .scaleset import (AsymptoticSet, circle_closure, fold_to_window,
 from .signs import (common_window, eventually_nonneg, flat_common_zero,
                     isolated_common_zeros, obstruction_on, unobstructed)
 from .signs import restr_zero as _restr_zero_pw
-from .polytools import pmul, pt_enclosure
+from .polytools import (ZERO, _zsign, padd, pmul, poly_nonneg_on, pscale,
+                        pt_enclosure)
 from .window import Piecewise, Seg
 
 
@@ -314,26 +315,72 @@ def _cell_start(sigma, comps, a, b, depth=0):
 
 
 def _scanned_start(z: PwFunction, shape: IvSet, span: int = 48) -> int:
-    """Fallback threshold: the start of the longest verified suffix of an
-    exact block-by-block scan.  The eventual claim is already established
-    by the sign engine; this pins a concrete block, checked exactly on
-    every scanned block."""
+    """Fallback threshold: the block after the last of blocks 0 ... span - 1
+    on which z fails, each checked exactly (`_failing_blocks`).  The eventual
+    claim is already established by the sign engine; this pins a concrete
+    block, but blocks from span on are not checked, so the threshold is not
+    proven there (ROADMAP item 3)."""
     K = 0
-    for k in range(span):
-        if not _block_nonneg(z, k, shape):
-            K = k + 1
+    for k in _failing_blocks(z, shape, range(span)):
+        K = k + 1
     return K
 
 
-def _block_nonneg(z: PwFunction, k: int, shape: IvSet) -> bool:
-    total = z.block(k)
+def _failing_blocks(z: PwFunction, shape: IvSet, blocks):
+    """The blocks k, in the order given, on which the tail of z is negative
+    somewhere on the closed hull of a shape interval, each decided exactly.
+
+    On a cell of `_trace_cells`, where component c has the segment
+    N_c / D_c, block k of the tail is sum_c sigma^e_c(k) P_c / prod D with
+    P_c = N_c prod_(c' != c) D_c', and prod D has one sign on the closed
+    cell.  The P_c and that sign depend on the cell alone, so they are built
+    once; a block multiplies the sum by the positive q^(max e - min e) /
+    sigma^(min e), sigma = p/q, which leaves integer weights
+    p^(e_c - min e) q^(max e - e_c)."""
+    if not z.comps:
+        return
+    cells = _trace_cells(z, shape)
+    p, q = z.sigma.numerator, z.sigma.denominator
+    for k in blocks:
+        es = [c.exponent(k) for c in z.comps]
+        lo, hi = min(es), max(es)
+        ws = [p ** (e - lo) * q ** (hi - e) for e in es]
+        for a, b, sgn, parts in cells:
+            total = ZERO
+            for w, part in zip(ws, parts):
+                total = padd(total, pscale(part, sgn * w))
+            if (_zsign(total, a) < 0 if a == b
+                    else not poly_nonneg_on(total, a, b)):
+                yield k
+                break
+
+
+def _trace_cells(z: PwFunction, shape: IvSet):
+    """(a, b, sign of prod D, (P_c)) for the cells [a, b] of the common
+    refinement of the component profiles inside the closed hull of each
+    shape interval; a point interval is the one cell [a, a]."""
+    cells = []
     for iv in shape.ivs:
         if iv.is_point():
-            if total.eval(iv.lo) < 0:
-                return False
-        elif not total.restrict(iv.lo, iv.hi).nonneg_on_all():
-            return False
-    return True
+            spans = [(iv.lo, iv.lo)]
+        else:
+            cuts = sorted({iv.lo, iv.hi} | {s.hi for c in z.comps
+                                            for s in c.g.segs
+                                            if iv.lo < s.hi < iv.hi})
+            spans = zip(cuts, cuts[1:])
+        for a, b in spans:
+            segs = [next(s for s in c.g.segs if s.lo <= a and b <= s.hi)
+                    for c in z.comps]
+            sgn, parts = 1, []
+            for i, s in enumerate(segs):
+                sgn *= _zsign(s.den, (a + b) / 2)
+                part = s.num
+                for j, t in enumerate(segs):
+                    if j != i:
+                        part = pmul(part, t.den)
+                parts.append(part)
+            cells.append((a, b, sgn, parts))
+    return cells
 
 
 # -- separating profiles -------------------------------------------------
@@ -615,10 +662,10 @@ def _check_modulus(d: PwFunction, n: int, eps_n: Q):
         raise ModulusViolated(f"step {n} breaks its certified bound above "
                               "the anchor")
     k0 = z.block_of(eps_n) if eps_n <= z.c0 else 0
-    for k in range(k0, K):
-        if not _block_nonneg(z, k, win):
-            raise ModulusViolated(f"step {n} breaks its certified bound "
-                                  f"on block {k}")
+    k = next(_failing_blocks(z, win, range(k0, K)), None)
+    if k is not None:
+        raise ModulusViolated(f"step {n} breaks its certified bound "
+                              f"on block {k}")
 
 
 def _head_cutoff(eps_n: Q, sg: Q, D: int) -> PwFunction:

@@ -14,8 +14,11 @@ so each answer depends on x near 0 only, never on the head a
 representative stores on (c0, 1].  The decisions therefore run on
 `PwFunction.germ`, the head-free representative on anchor 1: two germs
 unify by coarsening the ratio alone, and a witness search does tail
-arithmetic only.  An ideal keeps the germ of sos and the structures read
-off it, each computed once, on first use.
+arithmetic only.  An ideal keeps the germ of sos and its zero structures,
+each computed once, on first use.  The obstruction structure of sos is kept
+by the germ itself: `signs.obstruction_on(I.sos_germ, S)` builds it on the
+first question and stores it in the germ's `_bad` slot, so every later
+question on the ratio of sos reuses it.
 """
 
 from __future__ import annotations
@@ -30,15 +33,16 @@ from .grid import unify
 from .ivset import Iv, IvSet
 from .pwfunc import PwFunction
 from .scaleset import AsymptoticSet, circle_closure, halfway_toward, upto1
-from .signs import (bad_structure, eventually_nonneg, flat_common_zero,
+from .signs import (eventually_nonneg, flat_common_zero,
                     isolated_common_zeros, obstruction_on, unobstructed)
 
 
 class FgIdeal:
     """A finitely generated ideal, represented by its generators and the
     combined generator sos = sum(g^2).  The germ of sos, properness and the
-    obstruction and zero structures of sos are computed on first use and
-    kept: building an ideal costs the products alone."""
+    zero structures of sos are computed on first use and kept, and the germ
+    keeps its obstruction structure: building an ideal costs the products
+    alone."""
 
     def __init__(self, gens):
         gens = [g if isinstance(g, GenConstant) else GenConstant(g)
@@ -72,10 +76,6 @@ class FgIdeal:
         return not self.sos_invertible_on(self.full_set())
 
     @cached_property
-    def _obstruction(self):
-        return bad_structure(self.sos_germ)
-
-    @cached_property
     def _zeros(self):
         return _zero_structure(self.sos_germ)
 
@@ -94,17 +94,9 @@ class FgIdeal:
             Z = Z.union(IvSet.point(p))
         return AsymptoticSet(sos.sigma, circle_closure(Z, sos.sigma), D=sos.D)
 
-    def obstruction_on(self, S: AsymptoticSet):
-        """`signs.obstruction_on(sos germ, S)`, with the kept structure
-        whenever the common ratio is the ratio of sos."""
-        m1, m2 = self.sos_germ.grid.common_ratio(S.grid)
-        if m1 != 1:
-            return obstruction_on(self.sos_germ, S)
-        return self.sos_germ, S.coarsen(m2).shape, self._obstruction
-
     def sos_invertible_on(self, S: AsymptoticSet) -> bool:
         """`restr_invertible_bool(sos, S)` for a set S accumulating at 0."""
-        return unobstructed(self.obstruction_on(S))
+        return unobstructed(obstruction_on(self.sos_germ, S))
 
 
 # -- zero structures ------------------------------------------------------

@@ -3,21 +3,35 @@
 Polynomials are tuples of int coefficients, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  Functions that decide
 something also take Fraction coefficients and clear them once (`_zpoly`).  On
-top of the ring operations this module provides Sturm sequences, certified
-root isolation on a closed rational interval, and `RootPt`, an exactly
-represented irrational algebraic number given by a squarefree polynomial plus
-an isolating interval.
+top of the ring operations this module provides root counting by Descartes'
+rule of signs, certified root isolation on a closed rational interval, and
+`RootPt`, an exactly represented irrational algebraic number given by a
+squarefree polynomial plus an isolating interval.
 
 Signs are read off the homogeneous Horner sum of z_i a^i b^(n-i) = b^n z(x)
 at a rational x = a/b, b > 0: `_zsign` takes its sign and `peval` divides it
 by b^n.  A positive multiple of a polynomial has its sign everywhere, and
-every decision below rests on that.  `sturm_chain` is the primitive
-pseudo-remainder sequence over Z (Collins 1967; Brown & Traub 1971): each
-step multiplies by the absolute value of a leading coefficient, so each term
-is a positive multiple of the Euclidean Sturm term over Q.  `pgcd` runs the
-same sequence; it, `squarefree` and `RootPt.sf` are primitive with lc > 0.
-By Gauss's lemma a primitive divisor of an integer polynomial divides it
-over Z, so `pquo` is an exact integer quotient.
+every decision below rests on that.  `pgcd` runs the primitive
+pseudo-remainder sequence over Z (Collins 1967; Brown & Traub 1971); it,
+`squarefree` and `RootPt.sf` are primitive with lc > 0.  By Gauss's lemma a
+primitive divisor of an integer polynomial divides it over Z, so `pquo` is
+an exact integer quotient.
+
+Roots are counted by Descartes' rule of signs (Collins & Akritas 1976).
+For a < b and n = deg q, the map x = (a + b t)/(1 + t) takes t in (0, inf)
+onto x in (a, b), so the roots of q in (a, b) are the positive roots of
+T(t) = (1 + t)^n q((a + b t)/(1 + t)), and the number V of sign variations
+of the coefficients of T bounds them from above, up to an even excess.
+`_descartes` computes V with integers only: `pcompose_affine(q, b - a, a,
+n)`, its coefficients reversed, then a Taylor shift by 1.  V is exact in two
+cases.  By the one-circle theorem V = 0 when the open disc with diameter
+[a, b] holds no complex root of q.  By the two-circle theorem V = 1 when the
+union of the two open discs whose boundary circles pass through a and b
+with centres (a + b)/2 +- i(b - a)/(2 sqrt 3) holds exactly one root, a
+simple one (Obreschkoff 1963; Krandick & Mehlhorn 2006).  A squarefree q has
+distinct roots, so halving shrinks every interval until one of the two
+applies: each bisection below (`count_roots`, `isolate_roots`) ends.  A
+root exactly at a bisection midpoint is found by testing q there.
 
 Rational roots need no search.  If q is squarefree and primitive with
 leading coefficient N, a root u/v in lowest terms has v | N (rational root
@@ -229,29 +243,41 @@ def _zprem(a, b) -> tuple:
     return _content_free(r)
 
 
-def sturm_chain(p):
-    """Sturm sequence of a (preferably squarefree) polynomial, as primitive
-    integer tuples, each a positive multiple of the Euclidean term over Q."""
-    z = _zpoly(p)
-    chain = [_content_free(z), _content_free(pderiv(z))]
-    while chain[-1]:
-        rem = _zprem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(pneg(rem))
-    return [c for c in chain if c]
+def _descartes(q, a, b) -> int:
+    """V for the integer polynomial q on (a, b), a < b (module docstring):
+    the sign variations of L^n (1 + t)^n q((a t + b)/(1 + t)), the
+    transform T with its coefficients reversed.  A root of q at a or b
+    lowers the degree of T or raises its order at 0, and adds no
+    variation."""
+    n = pdeg(q)
+    c = list(reversed(pcompose_affine(q, b - a, a, n)))
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += c[j + 1]
+    signs = [x > 0 for x in c if x]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _variations(chain, x):
-    signs = [s for s in (_zsign(z, x) for z in chain) if s]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def count_roots_halfopen(chain, a, b) -> int:
-    """Number of distinct roots in (a, b] for a squarefree chain."""
-    if a >= b:
+def count_roots(q, a, b) -> int:
+    """Number of distinct roots in (a, b] of the squarefree integer
+    polynomial q (0 for q = 0): a Descartes bisection down to counts 0 and
+    1, with the midpoints tested exactly."""
+    a, b = Q(a), Q(b)
+    if a >= b or not q:
         return 0
-    return _variations(chain, a) - _variations(chain, b)
+    n = _zsign(q, b) == 0
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        v = _descartes(q, a, b)
+        if v <= 1:
+            n += v
+            continue
+        m = (a + b) / 2
+        n += _zsign(q, m) == 0
+        stack.append((a, m))
+        stack.append((m, b))
+    return n
 
 
 class RootPt:
@@ -336,14 +362,13 @@ class RootPt:
             return 0
         p = _zpoly(p)
         g = pgcd(self.sf, p)
-        if pdeg(g) >= 1 and count_roots_halfopen(sturm_chain(g), self.lo, self.hi):
+        if pdeg(g) >= 1 and count_roots(g, self.lo, self.hi):
             return 0
         # p has no root equal to this point; refine until p has no root in
         # the open interval, where it then keeps one nonzero sign (roots of
         # p at the endpoints are harmless)
-        chain = sturm_chain(squarefree(p))
-        while count_roots_halfopen(chain, self.lo, self.hi) > \
-                (_zsign(chain[0], self.hi) == 0):
+        q = squarefree(p)
+        while count_roots(q, self.lo, self.hi) > (_zsign(q, self.hi) == 0):
             self.refine()
         return _zsign(p, (self.lo + self.hi) / 2)
 
@@ -378,12 +403,11 @@ def _rootpt_cmp(a: RootPt, b: RootPt) -> int:
 
 
 def _shared_root(a: RootPt, b: RootPt, g) -> bool:
-    chain = sturm_chain(g)
     while True:
         lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
         if lo >= hi:
             return False
-        if count_roots_halfopen(chain, min(a.lo, b.lo), max(a.hi, b.hi)) == 1:
+        if count_roots(g, min(a.lo, b.lo), max(a.hi, b.hi)) == 1:
             # only one root of g near both points, and both points are
             # roots of g, so they coincide
             return True
@@ -436,13 +460,15 @@ def isolate_roots(p, lo, hi):
     equal calls share their RootPt objects; refining one only narrows an
     interval that still isolates the same root.
 
-    One Sturm bisection pass over the squarefree part q finds the roots.
-    Let N be the leading coefficient of q; by the rational root theorem
-    every rational root of q lies on the lattice (1/N)Z.  Each interval
-    (a, b] holding one root yields b when q(b) = 0; otherwise it is halved
-    by the sign of q alone until (a, b) holds at most one lattice point
-    k/N, and q(k/N) = 0 decides between the Fraction k/N and a RootPt,
-    whose root is then irrational.
+    One Descartes bisection pass over the squarefree part q finds the
+    roots.  An interval (a, b] holds exactly one root when the count
+    `_descartes(q, a, b)` plus [q(b) = 0] is 1, none when it is 0, and is
+    halved otherwise.  Let N be the leading coefficient of q; by the
+    rational root theorem every rational root of q lies on the lattice
+    (1/N)Z.  Each interval (a, b] holding one root yields b when q(b) = 0;
+    otherwise it is halved by the sign of q alone until (a, b) holds at
+    most one lattice point k/N, and q(k/N) = 0 decides between the
+    Fraction k/N and a RootPt, whose root is then irrational.
     """
     lo, hi = Q(lo), Q(hi)
     if not p:
@@ -452,20 +478,19 @@ def isolate_roots(p, lo, hi):
     q = squarefree(p)
     if pdeg(q) <= 0:
         return ()
-    chain = sturm_chain(q)
     out = [lo] if _zsign(q, lo) == 0 else []
-    # entries (a, b, n): n roots of q in (a, b]; the left half is pushed
-    # last so that roots come out in increasing order
-    stack = [(lo, hi, count_roots_halfopen(chain, lo, hi))]
+    # entries (a, b): the roots of q in (a, b]; the left half is pushed last
+    # so that roots come out in increasing order
+    stack = [(lo, hi)] if lo < hi else []
     while stack:
-        a, b, n = stack.pop()
+        a, b = stack.pop()
+        n = _descartes(q, a, b) + (_zsign(q, b) == 0)
         if n == 1:
             out.append(_one_root(q, a, b))
         elif n > 1:
             m = (a + b) / 2
-            k = count_roots_halfopen(chain, a, m)
-            stack.append((m, b, n - k))
-            stack.append((a, m, k))
+            stack.append((m, b))
+            stack.append((a, m))
     return tuple(out)
 
 
@@ -498,8 +523,13 @@ def poly_nonneg_on(p, lo, hi) -> bool:
     if not p:
         return True
     z = _zpoly(p)
+    lo, hi = Q(lo), Q(hi)
     if _zsign(z, lo) < 0 or _zsign(z, hi) < 0:
         return False
+    if lo < hi and not _descartes(z, lo, hi):
+        # no root inside: z keeps one sign there, which the ends need not
+        # show when z vanishes at both
+        return _zsign(z, (lo + hi) / 2) >= 0
     pts = isolate_roots(z, lo, hi)
     samples = [lo, hi]
     prev = lo

@@ -45,14 +45,18 @@ class TailComponent:
 class PwFunction:
     """A self-similar piecewise rational function on (0, 1].  Its `comps`
     are nonzero, with distinct (s, r), and sorted by (r, s): both
-    constructors go through `_canonical_comps`."""
+    constructors go through `_canonical_comps`.  `_bad` keeps the
+    obstruction structure that `signs.obstruction_on` reads off the
+    element on its own ratio: None until the first such question, then
+    that one read-only structure."""
 
-    __slots__ = ("grid", "comps", "head")
+    __slots__ = ("grid", "comps", "head", "_bad")
 
     def __init__(self, sigma, comps, head=None, c0=Q(1), D=1):
         self.grid = Grid.of(sigma, c0, D)
         self.comps = _canonical_comps(comps)
         self.head = head
+        self._bad = None
         self._validate()
 
     @classmethod
@@ -61,6 +65,7 @@ class PwFunction:
         c0 < 1, on [c0, 1] and continuous with the tail."""
         x = object.__new__(cls)
         x.grid, x.comps, x.head = grid, _canonical_comps(comps), head
+        x._bad = None
         return x
 
     sigma = property(lambda self: self.grid.sigma)

@@ -12,8 +12,9 @@ are the lower-hull vertices of the points (m_j, s_j), and a sign change
 between hull-adjacent vertices forces an exactly attained zero nearby.
 
 Invertibility on S is decided in one place: `obstruction_on` reads the
-obstruction structure off x once per question and `unobstructed` tests it
-on the closed trace; every invertibility consumer takes that one triple.
+obstruction structure off x and `unobstructed` tests it on the closed
+trace; every invertibility consumer takes that one triple.  The structure
+is built once per element and kept in the element's `_bad` slot.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ def restr_zero(x: PwFunction, S: AsymptoticSet) -> bool:
     return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class BadPt:
     pos: object          # Q | RootPt
     point_bad: bool
@@ -283,7 +284,9 @@ class BadPt:
 
 def bad_structure(x: PwFunction):
     """Where x fails to be bounded below by a scale power: the flat common
-    zero region plus a finite list of flagged points.
+    zero region plus a tuple of frozen flagged points.  This builds it;
+    `obstruction_on` keeps it in the element's `_bad` slot, where every
+    later question shares it, so it is read-only.
 
     A point is bad on a side when approaching it on that side the attainable
     sign set contains 0 (a common zero, an exact cancellation, or collapse
@@ -309,7 +312,7 @@ def bad_structure(x: PwFunction):
         right_bad = (not at_one) and _side_bad(side_data(x, p, +1))
         if point_bad or left_bad or right_bad:
             pts.append(BadPt(p, point_bad, left_bad, right_bad))
-    return flat, pts
+    return flat, tuple(pts)
 
 
 def _side_bad(sd: SideData) -> bool:
@@ -318,11 +321,15 @@ def _side_bad(sd: SideData) -> bool:
 
 def obstruction_on(x: PwFunction, S: AsymptoticSet):
     """(xw, shape, structure): x and the trace of S rewritten onto their
-    common ratio, and the obstruction structure `bad_structure(xw)`."""
+    common ratio, and the obstruction structure `bad_structure(xw)`, built
+    on the first call for xw and kept in its `_bad` slot.  When the common
+    ratio is that of x, xw is x itself, so every such question reuses it."""
     if not S.is_characteristic():
         raise NotCharacteristic("restriction needs a set accumulating at 0")
     xw, shape = common_window(x, S)
-    return xw, shape, bad_structure(xw)
+    if xw._bad is None:
+        xw._bad = bad_structure(xw)
+    return xw, shape, xw._bad
 
 
 def unobstructed(ob) -> bool:

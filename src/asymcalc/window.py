@@ -19,10 +19,10 @@ from fractions import Fraction as Q
 
 from .errors import ContinuityViolation, ZeroDenominator
 from .ivset import Iv, IvSet
-from .polytools import (ONE, ZERO, _normal, _zpoly, count_roots_halfopen,
+from .polytools import (ONE, ZERO, _normal, _zpoly, count_roots,
                         isolate_roots, padd, pcompose_affine, pderiv, pdeg,
                         peval, pgcd, pmul, poly, poly_nonneg_on, pquo,
-                        pscale, psign, psub, squarefree, sturm_chain)
+                        pscale, psign, psub, squarefree)
 
 
 def _reduce(num, den):
@@ -47,8 +47,7 @@ def _content_one(num, den):
 def _den_vanishes(den, lo, hi) -> bool:
     """Whether den has a root on [lo, hi]."""
     sf = squarefree(den)
-    return psign(sf, lo) == 0 or \
-        count_roots_halfopen(sturm_chain(sf), lo, hi) > 0
+    return psign(sf, lo) == 0 or count_roots(sf, lo, hi) > 0
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,6 +19,7 @@ from asymcalc.ivset import Iv, IvSet
 from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import (AsymptoticSet, circle_closure, distance_profile,
                                grow_circle, insert_between, upto1)
+from asymcalc.signs import obstruction_on
 from asymcalc.verify import corpus_generate
 from asymcalc.window import Piecewise
 
@@ -140,7 +141,7 @@ def test_refuting_cover_at_a_seam_bad_point(sigma):
     # the first bad point is the sigma+ side of w = sigma, whose orbit is
     # that of w = 1, so the cover is cut around the copies of 1
     I = FgIdeal([_seam_element(sigma)])
-    flat, pts = I.obstruction_on(I.full_set())[2]
+    flat, pts = obstruction_on(I.sos_germ, I.full_set())[2]
     assert not flat and pts[0].pos == sigma and pts[0].right_bad
     F = OfIdeal(I)
     _assert_certificate(F, refuting_cover(F), sigma)

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 from fractions import Fraction as Q
 
 import pytest
@@ -9,8 +11,9 @@ import asymcalc.genconst as genconst_mod
 import asymcalc.signs as signs_mod
 from asymcalc.errors import (ModulusViolated, PreconditionViolated,
                              ProductNotZero, RepresentabilityError)
-from asymcalc.genconst import (GenConstant, _certified_start, _pl_between,
-                               _scanned_start, cauchy_glue, extend_invertible,
+from asymcalc.genconst import (GenConstant, _certified_start, _failing_blocks,
+                               _pl_between, _scanned_start, cauchy_glue,
+                               extend_invertible,
                                extend_zero, idempotent_class, invert_on,
                                restr_invertible, restr_zero, sharp_dist,
                                urysohn, zero_product_split)
@@ -18,7 +21,8 @@ from asymcalc.ivset import Iv, IvSet
 from asymcalc.pwfunc import PwFunction
 from asymcalc.scaleset import AsymptoticSet, with_neighbours
 from asymcalc.signs import (NONNEG, POS, ZERO, bad_structure, common_window,
-                            eventual_sign_on, restr_invertible_bool)
+                            eventual_sign_on, obstruction_on,
+                            restr_invertible_bool)
 from asymcalc.verify import corpus_generate
 from asymcalc.verify.corpus import tent
 from asymcalc.window import Piecewise
@@ -111,8 +115,45 @@ def test_obstruction_structure_built_once(hat, osc, P, A, full, op,
                         raising=False)
     for x, S in ((hat, P), (hat, A), (osc, full)):
         calls.clear()
-        op(x, S)
+        # a fresh copy: x keeps its structure once it is built
+        op(PwFunction.on(x.grid, x.comps, x.head), S)
         assert len(calls) == 1, (op.__name__, x, S)
+
+
+def _restrict_item(i):
+    """Item i of the seed-1 `restrict` benchmark workload."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.Restrict(1).item(i)
+
+
+def test_one_pair_builds_its_structure_once(hat, P, monkeypatch):
+    """restr_invertible, extend_invertible and invert_on on one pair build
+    the obstruction structure once, and a shared structure is immutable."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return bad_structure(x)
+
+    monkeypatch.setattr(signs_mod, "bad_structure", counted)
+    for x, S in ((hat, P), _restrict_item(281).args):
+        calls.clear()
+        restr_invertible(x, S)
+        extend_invertible(x, S)
+        try:
+            invert_on(x, S)
+        except RepresentabilityError:
+            pass  # item 281 has two live components, found after the check
+        assert len(calls) == 1
+        flat, pts = obstruction_on(x, S)[2]
+        assert isinstance(pts, tuple)
+        for b in pts:
+            with pytest.raises(AttributeError):
+                b.point_bad = not b.point_bad
 
 
 def test_extend_zero_frozen(hat):
@@ -158,6 +199,86 @@ def test_cauchy_glue_rejects_bad_modulus():
     xs = [GenConstant.zero(), GenConstant.const(1)]
     with pytest.raises(ModulusViolated):
         cauchy_glue(xs, [Q(1), Q(1, 2)])
+
+
+# -- the hoisted block scan against the block-by-block check it replaced --
+
+
+def _ref_block_nonneg(z, k, shape):
+    """Reference: build block k of z as a profile and test it on the
+    closed hull of each shape interval."""
+    total = z.block(k)
+    for iv in shape.ivs:
+        if iv.is_point():
+            if total.eval(iv.lo) < 0:
+                return False
+        elif not total.restrict(iv.lo, iv.hi).nonneg_on_all():
+            return False
+    return True
+
+
+def _ref_failing_blocks(z, shape, blocks):
+    return [k for k in blocks if not _ref_block_nonneg(z, k, shape)]
+
+
+def _item_281_gap():
+    """(z, shape) of `restrict` item 281, whose threshold comes from the
+    scan: z = x^2 - eps^4 on the window of its set."""
+    x, S = _restrict_item(281).args
+    xw, shape = common_window(x, S)
+    return xw.mul(xw).sub(xw.eps_power(4)), shape
+
+
+def test_item_281_threshold_from_the_scan():
+    x, S = _restrict_item(281).args
+    assert restr_invertible(x, S) == (True, 2, Q(1, 256))
+    z, shape = _item_281_gap()
+    assert _certified_start(z, shape) is None
+    assert list(_failing_blocks(z, shape, range(48))) == \
+        _ref_failing_blocks(z, shape, range(48))
+    assert _scanned_start(z, shape) == 8
+
+
+def test_scan_builds_no_block(monkeypatch):
+    def no_block(self, k):
+        raise AssertionError("the scan built a block")
+
+    z, shape = _item_281_gap()
+    monkeypatch.setattr(PwFunction, "block", no_block)
+    assert _scanned_start(z, shape) == 8
+
+
+@st.composite
+def _deep_cases(draw):
+    """(z, shape): a sum of unit tents on 1/64 marks, at least one with
+    r > 0, possibly divided by u (rational profiles) and squared less a
+    power of eps, with a window interval or point on 1/64 marks."""
+    marks = st.integers(33, 63).map(lambda i: Q(i, 64))
+    x = None
+    for r in [draw(st.integers(1, 2))] + \
+            draw(st.lists(st.integers(0, 2), max_size=2)):
+        lo, mid, hi = sorted(draw(st.lists(marks, min_size=3, max_size=3,
+                                           unique=True)))
+        t = tent(lo, mid, hi, draw(st.integers(-2, 2)), r).scale(
+            draw(st.sampled_from([1, -1, Q(3, 2), Q(-1, 4)])))
+        x = t if x is None else x.add(t)
+    if draw(st.booleans()):
+        x = x.mul(PwFunction.upower(-1))
+    n = draw(st.sampled_from([None, 0, 1, 2]))
+    z = x if n is None else x.mul(x).sub(x.eps_power(2 * n))
+    a, b = sorted(draw(st.lists(st.integers(32, 64), min_size=2,
+                                max_size=2)))
+    shape = IvSet.point(Q(a, 64)) if a == b else \
+        IvSet.interval(Q(a, 64), Q(b, 64))
+    return z, shape
+
+
+@settings(max_examples=60, deadline=None)
+@given(_deep_cases())
+def test_hoisted_scan_matches_block_by_block(case):
+    z, shape = case
+    assert list(_failing_blocks(z, shape, range(12))) == \
+        _ref_failing_blocks(z, shape, range(12))
 
 
 def test_idempotent_class(hat, negl):

@@ -500,7 +500,6 @@ def test_structures_computed_once_and_lazily(hat, monkeypatch):
         calls.append(x)
         return bad_structure(x)
 
-    monkeypatch.setattr(ideal_mod, "bad_structure", counted)
     monkeypatch.setattr(signs_mod, "bad_structure", counted)
     I = FgIdeal([hat, hat.mul(PwFunction.upower(1))])
     assert calls == []

@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import asymcalc
-from asymcalc.polytools import (RootPt, isolate_roots, padd, pderiv, pdeg,
-                                peval, pgcd, pmul, pneg, poly, poly_nonneg_on,
-                                ppow, pscale, psign, pt_cmp, pt_enclosure,
-                                squarefree, sturm_chain, count_roots_halfopen)
+from asymcalc.polytools import (RootPt, _content_free, _zpoly, _zprem,
+                                _zsign, count_roots, isolate_roots, padd,
+                                pderiv, pdeg, peval, pgcd, pmul, pneg, poly,
+                                poly_nonneg_on, ppow, pscale, psign, pt_cmp,
+                                pt_enclosure, squarefree)
 
 
 # -- Fraction references: the division, monic gcd and squarefree part, and
@@ -62,6 +63,34 @@ def _ref_eval(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+# -- reference: the integer Sturm chain that Descartes counting replaced ---
+
+
+def sturm_chain(p):
+    """Sturm sequence of a (preferably squarefree) polynomial, as primitive
+    integer tuples, each a positive multiple of the Euclidean term over Q."""
+    z = _zpoly(p)
+    chain = [_content_free(z), _content_free(pderiv(z))]
+    while chain[-1]:
+        rem = _zprem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(pneg(rem))
+    return [c for c in chain if c]
+
+
+def _variations(chain, x):
+    signs = [s for s in (_zsign(z, x) for z in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def count_roots_halfopen(chain, a, b) -> int:
+    """Number of distinct roots in (a, b] for a squarefree chain."""
+    if a >= b:
+        return 0
+    return _variations(chain, a) - _variations(chain, b)
 
 
 def test_poly_arithmetic():
@@ -148,12 +177,41 @@ def test_sturm_count():
     p = pmul(poly(Q(-1, 4), 1), poly(Q(-3, 4), 1))
     assert count_roots_halfopen(sturm_chain(p), 0, 1) == 2
     assert count_roots_halfopen(sturm_chain(p), Q(1, 2), 1) == 1
+    q = squarefree(p)
+    assert count_roots(q, 0, 1) == 2 and count_roots(q, Q(1, 2), 1) == 1
+    # (a, b] is half-open: a root at b counts, one at a does not
+    assert count_roots(q, Q(1, 4), Q(3, 4)) == 1
+    assert count_roots(q, 0, Q(1, 4)) == 1 and count_roots(q, 1, 0) == 0
 
 
 def test_poly_nonneg_on():
     assert poly_nonneg_on((0, 0, 1), Q(-1), 1)           # w^2
     assert not poly_nonneg_on((-1, 0, 2), Q(1, 2), 1)    # 2w^2 - 1
     assert poly_nonneg_on((1, -2, 1), 0, 2)              # (w-1)^2
+
+
+@pytest.mark.parametrize("p, lo, hi, want", [
+    # double roots inside
+    (ppow(poly(Q(-1, 2), 1), 2), 0, 1, True),
+    (pneg(ppow(poly(Q(-1, 2), 1), 2)), 0, 1, False),
+    (pmul(ppow(poly(Q(-1, 3), 1), 2), ppow(poly(Q(-2, 3), 1), 2)), 0, 1, True),
+    (pmul(ppow(poly(Q(-1, 2), 1), 2), poly(-1, 0, 2)), 0, 1, False),
+    # double roots at the ends
+    ((0, 0, 1), 0, 1, True),
+    (pmul(ppow(poly(0, 1), 2), ppow(poly(-1, 1), 2)), 0, 1, True),
+    (pmul(ppow(poly(0, 1), 2), poly(-1, 1)), 0, 1, False),
+    (pmul(ppow(poly(0, 1), 2), ppow(poly(-1, 1), 3)), 0, 1, False),
+    # zero at both ends, one sign inside (no root there)
+    (pmul(poly(0, 1), poly(1, -1)), 0, 1, True),
+    (pmul(poly(0, 1), poly(-1, 1)), 0, 1, False),
+    (pmul(pmul(poly(0, 1), poly(-1, 1)), ppow(poly(Q(-1, 2), 1), 2)),
+     0, 1, False),
+    # a point interval
+    (poly(-1, 1), 1, 1, True),
+    (poly(-1, 1), Q(1, 2), Q(1, 2), False),
+])
+def test_poly_nonneg_on_edge_cases(p, lo, hi, want):
+    assert poly_nonneg_on(p, lo, hi) is want
 
 
 # -- differential test against sympy ---------------------------------------
@@ -240,6 +298,57 @@ def test_isolate_roots_matches_sympy(case):
             assert bool(sympy.Rational(g.lo.numerator, g.lo.denominator) < r)
             assert bool(r < sympy.Rational(g.hi.numerator, g.hi.denominator))
             assert peval(g.sf, g.hi) != 0
+
+
+@st.composite
+def _count_cases(draw):
+    """A squarefree integer polynomial and an interval (a, b] whose ends
+    and first bisection midpoints may be roots."""
+    a, b = sorted(draw(st.lists(_ends, min_size=2, max_size=2, unique=True)))
+    marks = [a, b, (a + b) / 2, (3 * a + b) / 4, (a + 3 * b) / 4]
+    roots = draw(st.lists(st.one_of(st.sampled_from(marks), _roots),
+                          max_size=4, unique=True))
+    p = poly(draw(st.sampled_from([1, -3])))
+    for r in roots:
+        p = pmul(p, poly(-r.numerator, r.denominator))
+    for _ in range(draw(st.integers(0, 1))):
+        p = pmul(p, draw(_quadratics()))
+    return squarefree(p), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count_cases())
+@example(((0, -1, 0, 1), Q(-1), Q(1)))           # roots at a, the midpoint, b
+@example((pmul(poly(-1, 4), poly(-3, 4)), Q(0), Q(1)))  # at both quarters
+def test_count_roots_matches_sturm_and_sympy(case):
+    q, a, b = case
+    want = len([r for r in _sympy_roots(q, a, b) if r != _sympy_q(a)])
+    assert count_roots(q, a, b) == count_roots_halfopen(sturm_chain(q), a, b) \
+        == want
+
+
+def _sympy_q(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cases(), st.sampled_from([1, -1]))
+@example(((0, -1, 1), Q(0), Q(1)), -1)       # zero at both ends, positive
+@example(((0, 1, -1), Q(0), Q(1)), -1)       # inside
+def test_poly_nonneg_on_matches_sympy(case, sgn):
+    """Against the sign of p at its ends and between consecutive real
+    roots, from sympy."""
+    p, lo, hi = case
+    p = pscale(p, sgn)
+    pts = [lo, hi]
+    prev = _sympy_q(lo)
+    for r in _sympy_roots(p, lo, hi) + [_sympy_q(hi)]:
+        pts.append((prev + r) / 2)
+        prev = r
+    P = sympy.Poly([_sympy_q(Q(c)) for c in reversed(p)], _W)
+    want = all(P.eval(_sympy_q(x) if isinstance(x, Q) else x) >= 0
+               for x in pts)
+    assert poly_nonneg_on(p, lo, hi) is want
 
 
 def test_isolate_roots_rational_root_above_cap():
@@ -519,5 +628,6 @@ def test_pgcd_matches_reference_and_sympy(a, b, c):
 @given(_polys, _points, _points)
 def test_count_roots_matches_reference_chain(p, a, b):
     q = squarefree(p)
-    assert count_roots_halfopen(sturm_chain(q), a, b) == \
+    assert count_roots(q, a, b) == \
+        count_roots_halfopen(sturm_chain(q), a, b) == \
         _ref_count(_ref_sturm_chain(q), a, b)

@@ -18,7 +18,7 @@ from asymcalc.genconst import (GenConstant, _certified_start, _failing_blocks,
                                restr_invertible, restr_zero, sharp_dist,
                                urysohn, zero_product_split)
 from asymcalc.ivset import Iv, IvSet
-from asymcalc.pwfunc import PwFunction
+from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import AsymptoticSet, with_neighbours
 from asymcalc.signs import (NONNEG, POS, ZERO, bad_structure, common_window,
                             eventual_sign_on, obstruction_on,
@@ -251,16 +251,22 @@ def test_scan_builds_no_block(monkeypatch):
 @st.composite
 def _deep_cases(draw):
     """(z, shape): a sum of unit tents on 1/64 marks, at least one with
-    r > 0, possibly divided by u (rational profiles) and squared less a
-    power of eps, with a window interval or point on 1/64 marks."""
+    r > 0, some over w - 2 (negative on the window), possibly divided by
+    u and squared less a power of eps, with a window interval or point on
+    1/64 marks."""
     marks = st.integers(33, 63).map(lambda i: Q(i, 64))
+    below = Piecewise.from_poly(Q(1, 2), 1, (1,), (-2, 1))
     x = None
     for r in [draw(st.integers(1, 2))] + \
             draw(st.lists(st.integers(0, 2), max_size=2)):
         lo, mid, hi = sorted(draw(st.lists(marks, min_size=3, max_size=3,
                                            unique=True)))
-        t = tent(lo, mid, hi, draw(st.integers(-2, 2)), r).scale(
+        g = tent(lo, mid, hi).comps[0].g.scale(
             draw(st.sampled_from([1, -1, Q(3, 2), Q(-1, 4)])))
+        if draw(st.booleans()):
+            g = g.mul(below)
+        t = PwFunction(Q(1, 2), [TailComponent(draw(st.integers(-2, 2)), r,
+                                               g)])
         x = t if x is None else x.add(t)
     if draw(st.booleans()):
         x = x.mul(PwFunction.upower(-1))

@@ -10,11 +10,16 @@ properties are verified exactly by the same machinery.
 
 Each invertibility question reads `signs.obstruction_on` once, decides it
 with `signs.unobstructed` and builds its construction from the same triple.
+
+Separating profiles: `urysohn` (0 on S, 1 outside the interior of T) and
+1 - `urysohn` come from one builder, `_cutoff`, with the two values swapped,
+so inversion and the purity witness need no ring subtraction.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction as Q
 
 from .errors import (ModulusViolated, PreconditionViolated, ProductNotZero,
@@ -389,84 +394,63 @@ def _trace_cells(z: PwFunction, shape: IvSet):
 def urysohn(S: AsymptoticSet, T: AsymptoticSet) -> GenConstant:
     """A piecewise linear profile with values in [0, 1], vanishing on S and
     identically 1 outside the interior of T.  Needs S preceding T."""
+    return GenConstant(_cutoff(S, T, 0))
+
+
+def _cutoff(S: AsymptoticSet, T: AsymptoticSet, v) -> PwFunction:
+    """The piecewise linear profile equal to v (0 or 1) on S and to 1 - v
+    outside the interior B of T.  Needs S preceding T.  The window trace is
+    periodic under the ratio, so interpolating against the neighbour copies
+    makes the seam values agree exactly; with neither trace on the window
+    the tail is free and takes v.  The head starts from the tail's value."""
     if not S.precedes(T):
         raise PreconditionViolated("urysohn needs the first set to precede "
                                    "the second")
     s, t = unify(S, T)
     sg, D = s.sigma, s.D
     if s.is_empty():
-        return GenConstant.const(1, sg, D)
+        return PwFunction.const(1 - v, sg, D)
     B = t.interior().complement()
     if B.is_empty():
-        return GenConstant.zero(sg, D)
-    zeros = circle_closure(s.shape, sg).closure()
-    ones = circle_closure(B.shape, sg).closure()
-    # the window trace is periodic under the ratio, so interpolate against
-    # the neighbour copies; the seam values then agree exactly
-    if ones.is_empty():
-        gw = Piecewise.const(sg, Q(1), Q(0))
-    elif zeros.is_empty():
-        gw = Piecewise.const(sg, Q(1), Q(1))
-    else:
-        gw = _pl_between(zeros, ones, sg, Q(sg), Q(1), wrap=True)
-    sc, bc = s.closure(), B.closure()
-    c0 = min(sc.c0, bc.c0)
-    if c0 == 1:
-        return GenConstant(PwFunction(sg, (TailComponent(0, 0, gw),),
-                                      None, Q(1), D))
-    hz = sc.lower_anchor_to(c0).head
-    ho = bc.lower_anchor_to(c0).head
-    gh = _pl_between(hz, ho, sg, c0, Q(1), wrap=False,
-                     anchor_value=gw.eval(Q(1)))
-    return GenConstant(PwFunction(sg, (TailComponent(0, 0, gw),),
-                                  gh, c0, D))
+        return PwFunction.const(v, sg, D)
+    pair = (s, B) if v == 0 else (B, s)  # the sets valued 0 and 1
+    zeros, ones = (with_neighbours(circle_closure(x.shape, sg).closure(), sg)
+                   for x in pair)
+    gw = _pl_between(zeros, ones, sg, Q(1), None if zeros or ones else v)
+    closed = [x.closure() for x in pair]
+    c0 = min(x.c0 for x in closed)
+    gh = None
+    if c0 < 1:
+        gh = _pl_between(*(x.lower_anchor_to(c0).head for x in closed),
+                         c0, Q(1), gw.eval(Q(1)))
+    return PwFunction(sg, (TailComponent(0, 0, gw),), gh, c0, D)
 
 
-def _pl_between(zeros: IvSet, ones: IvSet, sigma: Q, lo: Q, hi: Q,
-                wrap: bool, anchor_value=None) -> Piecewise:
-    """Piecewise linear interpolation on [lo, hi]: 0 on `zeros`, 1 on
-    `ones`, linear across the gaps.  With `wrap` the constraint families
-    are extended by their scaled neighbour copies; without it one-sided
-    gaps extend flat."""
-    if wrap:
-        zeros = with_neighbours(zeros, sigma)
-        ones = with_neighbours(ones, sigma)
-    marks = [(iv.lo, iv.hi, Q(0)) for iv in zeros.ivs] + \
-            [(iv.lo, iv.hi, Q(1)) for iv in ones.ivs]
-    if anchor_value is not None:
-        marks.append((lo, lo, Q(anchor_value)))
-    marks.sort()
-    if not marks:
-        marks = [(lo, lo, Q(0))]
+def _pl_between(zeros: IvSet, ones: IvSet, lo: Q, hi: Q,
+                at_lo=None) -> Piecewise:
+    """Piecewise linear interpolation on [lo, hi] through the mark ends: 0
+    on `zeros`, 1 on `ones`, `at_lo` at lo when given, flat beyond the
+    outermost ends and 0 with no mark.  The marks are disjoint closed sets
+    but for the one at lo, so a shared end takes the value of the first
+    mark in sorted order; the values at lo and hi come off the node list."""
+    marks = sorted([(iv.lo, iv.hi, Q(0)) for iv in zeros.ivs] +
+                   [(iv.lo, iv.hi, Q(1)) for iv in ones.ivs] +
+                   ([] if at_lo is None else [(lo, lo, Q(at_lo))]))
+    # reversed, the first mark at an end writes its value last
+    nodes = sorted({w: v for a, b, v in reversed(marks)
+                    for w in (a, b)}.items()) or [(lo, Q(0))]
+    ws = [w for w, _ in nodes]
 
-    def value_at(w):
-        below = above = None
-        for (a, b, v) in marks:
-            if a <= w <= b:
-                return v
-            if b < w and (below is None or b > below[0]):
-                below = (b, v)
-            if a > w and (above is None or a < above[0]):
-                above = (a, v)
-        # marks is not empty, so a w outside every mark has one beside it
-        if below is None:
-            return above[1]
-        if above is None:
-            return below[1]
-        (wb, vb), (wa, va) = below, above
+    def at(w):
+        i = bisect_right(ws, w)
+        if not 0 < i < len(ws):
+            return nodes[max(i - 1, 0)][1]
+        (wb, vb), (wa, va) = nodes[i - 1], nodes[i]
         return vb + (va - vb) * (w - wb) / (wa - wb)
 
-    # the marks are disjoint (the zeros and the ones are disjoint closed
-    # sets, the anchor sits at lo), so a mark endpoint takes the value of
-    # the first mark, in sorted order, that ends there
-    first = {}
-    for (a, b, v) in marks:
-        first.setdefault(a, v)
-        first.setdefault(b, v)
-    inner = sorted(e for e in first if lo < e < hi)
-    return Piecewise.linear_interp([(lo, value_at(lo))] +
-                                   [(e, first[e]) for e in inner] +
-                                   [(hi, value_at(hi))])
+    return Piecewise.linear_interp([(lo, at(lo))] +
+                                   [(w, v) for w, v in nodes if lo < w < hi] +
+                                   [(hi, at(hi))])
 
 
 # -- inversion ------------------------------------------------------------
@@ -482,34 +466,33 @@ def invert_on(x, S: AsymptoticSet) -> GenConstant:
     if len(xr.live_comps()) != 1:
         raise RepresentabilityError(
             "inversion needs a single polynomial-scale component")
-    T = _extension(ob, S)
-    psi = GenConstant.const(1, xr.sigma, xr.D) - urysohn(S, T)
-    return _divide_profile(psi.rep, xr)
+    return _divide_profile(_cutoff(S, _extension(ob, S), 1), xr)
 
 
-def _divide_profile(psi: PwFunction, x: PwFunction):
-    """psi / x where psi vanishes outside the region where the single live
-    component of x is nonvanishing."""
-    a, b = unify(psi, x)
-    comp = b.live_comps()[0]
-    gpsi = _only_profile(a)
-    gy = _pl_quotient(gpsi, comp.g)
-    head = None
-    if a.c0 < 1:
-        # only the tail carries the inversion contract; any continuous
-        # head matching the seam works
-        head = Piecewise.const(a.c0, Q(1), gy.eval(Q(1)))
-    y = PwFunction(a.sigma, (TailComponent(-comp.s, 0, gy),), head, a.c0,
-                   a.D)
-    return GenConstant(y)
-
-
-def _only_profile(psi: PwFunction) -> Piecewise:
-    live = [c for c in psi.comps if c.r == 0]
-    if len(live) != 1 or live[0].s != 0:
-        raise RepresentabilityError("separating profile has an unexpected "
-                                    "shape")
-    return live[0].g
+def _divide_profile(psi: PwFunction, x: PwFunction) -> GenConstant:
+    """psi / x for psi = `_cutoff`(S, T, 1) on a characteristic S, one tail
+    component (0, 0, g) vanishing outside the region where the single live
+    component of x is nonvanishing.  Only that component is rewritten, not
+    unrolled: on the common ratio, (s, 0, g) on the anchor sigma^j is
+    sigma^(s k) g(w) on block k, which is block k - t below the anchor
+    sigma^(j + t), so there it is (s, 0, sigma^(s t) g), as `lower_anchor(t)`
+    gives it.  psi goes down instead when x's anchor is the lower one.
+    Trusted: a (0, 0) profile over an (s, 0) one matches the seam for
+    (-s, 0), and the constant head matches the tail."""
+    m1, m2 = psi.grid.common_ratio(x.grid)
+    psi, x = psi.coarsen(m1), x.coarsen(m2)
+    t = psi.grid.j - x.grid.j
+    if t < 0:
+        psi, t = psi.lower_anchor(-t), 0
+    comp = x.live_comps()[0]
+    gy = _pl_quotient(psi.comps[0].g,
+                      comp.g.scale(psi.sigma ** (comp.s * t)))
+    # only the tail carries the inversion contract; any continuous head
+    # matching the seam works
+    head = Piecewise.const(psi.c0, Q(1), gy.eval(Q(1))) if psi.c0 < 1 \
+        else None
+    return GenConstant(PwFunction.on(
+        psi.grid, (TailComponent(-comp.s, 0, gy),), head))
 
 
 def _pl_quotient(num: Piecewise, den: Piecewise) -> Piecewise:

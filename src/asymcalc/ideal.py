@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .errors import (ImproperIdeal, RepresentabilityError,
                      SearchBoundExceeded)
-from .genconst import GenConstant, _bisect, _rep, urysohn
+from .genconst import GenConstant, _bisect, _cutoff, _rep
 from .grid import unify
 from .ivset import Iv, IvSet
 from .pwfunc import PwFunction
@@ -258,10 +258,11 @@ def pure_part_member(x, I: FgIdeal):
 
 
 def _purity_witness(xr: PwFunction, I: FgIdeal, Zset: AsymptoticSet):
-    """y = 1 - urysohn(S, T) for the closed support S of x and T halfway
-    from S to the zero set of sos.  None when no representable T exists
-    or when ideal_member denies y in I.  x*y = x is exact arithmetic, so
-    a y that fails it is an engine fault and raises."""
+    """y = 1 - urysohn(S, T), built as `_cutoff`(S, T, 1), for the closed
+    support S of x and T halfway from S to the zero set of sos.  None when
+    no representable T exists or when ideal_member denies y in I.  x*y = x
+    is exact arithmetic, so a y that fails it is an engine fault and
+    raises."""
     sg = xr.sigma
     supp = IvSet.empty()
     for c in xr.comps:
@@ -271,7 +272,7 @@ def _purity_witness(xr: PwFunction, I: FgIdeal, Zset: AsymptoticSet):
     S = AsymptoticSet(sg, circle_closure(supp, sg), D=xr.D)
     try:
         T = halfway_toward(S.shape, circle_closure(Zset.shape, sg), sg, S)
-        y = GenConstant.const(1, sg, xr.D) - urysohn(S, T)
+        y = GenConstant(_cutoff(S, T, 1))
     except RepresentabilityError:
         return None
     xg = xr.germ()

@@ -8,7 +8,8 @@ functions have equal segments.  Public constructors validate and `on` trusts:
 coefficients are cleared and the certificate checked only in `Seg(...)`,
 contiguity and continuity only in `Piecewise(...)` and `concat`, and each
 operation that builds through `on` says why its valid inputs give a valid
-result.
+result; `linear_interp` validates its segments and joins them through `on`,
+since neighbours share a node and its value.
 """
 
 from __future__ import annotations
@@ -143,13 +144,18 @@ class Piecewise:
     @staticmethod
     def linear_interp(points) -> "Piecewise":
         """Piecewise linear through [(w0,v0), (w1,v1), ...], w strictly
-        increasing."""
+        increasing; the segments meet at their shared nodes, so they join
+        through the trusted `on`."""
+        pts = [(Q(w), Q(v)) for w, v in points]
         segs = []
-        for (w0, v0), (w1, v1) in zip(points, points[1:]):
-            w0, v0, w1, v1 = Q(w0), Q(v0), Q(w1), Q(v1)
+        for (w0, v0), (w1, v1) in zip(pts, pts[1:]):
+            if w1 <= w0:
+                raise ValueError("nodes must strictly increase in w")
             slope = (v1 - v0) / (w1 - w0)
             segs.append(Seg(w0, w1, poly(v0 - slope * w0, slope)))
-        return Piecewise(segs)
+        if not segs:
+            raise ValueError("need at least one segment")
+        return Piecewise.on(segs)
 
     def __repr__(self):
         bits = []

@@ -68,6 +68,16 @@ def test_zero_denominator_rejected():
     assert (e.value.line, e.value.col) == (1, 18)
 
 
+@pytest.mark.parametrize("pts, msg", [
+    # a repeated node divided by zero before the segment check
+    ("(1/2,0),(1/2,1),(1,1)", "strictly increase"),
+    ("(1/2,0)", "at least one segment"),
+])
+def test_degenerate_pl_nodes_are_parse_errors(pts, msg):
+    with pytest.raises(ParseError, match=msg):
+        run_text(Session(), f"elem a = pl[{pts}];")
+
+
 @pytest.mark.parametrize("flags", ["oo", "oc", "co"])
 def test_open_point_interval_rejected(flags):
     # (3/4, 3/4) is empty, as is a point with one open end

@@ -11,12 +11,14 @@ import asymcalc.genconst as genconst_mod
 import asymcalc.signs as signs_mod
 from asymcalc.errors import (ModulusViolated, PreconditionViolated,
                              ProductNotZero, RepresentabilityError)
-from asymcalc.genconst import (GenConstant, _certified_start, _failing_blocks,
-                               _pl_between, _scanned_start, cauchy_glue,
-                               extend_invertible,
+from asymcalc.genconst import (GenConstant, _certified_start, _cutoff,
+                               _divide_profile, _failing_blocks,
+                               _pl_between, _pl_quotient, _scanned_start,
+                               cauchy_glue, extend_invertible,
                                extend_zero, idempotent_class, invert_on,
                                restr_invertible, restr_zero, sharp_dist,
                                urysohn, zero_product_split)
+from asymcalc.grid import unify
 from asymcalc.ivset import Iv, IvSet
 from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import AsymptoticSet, with_neighbours
@@ -25,7 +27,7 @@ from asymcalc.signs import (NONNEG, POS, ZERO, bad_structure, common_window,
                             restr_invertible_bool)
 from asymcalc.verify import corpus_generate
 from asymcalc.verify.corpus import tent
-from asymcalc.window import Piecewise
+from asymcalc.window import Piecewise, Seg
 
 ONE_ORBIT = AsymptoticSet.orbit_point(1)
 
@@ -427,9 +429,121 @@ def _separated_marks(draw):
 @given(_separated_marks())
 def test_pl_between_matches_node_scan(case):
     zeros, ones, lo, hi, wrap, anchor = case
-    got = _pl_between(zeros, ones, Q(1, 2), lo, hi, wrap, anchor)
+    marks = [with_neighbours(m, Q(1, 2)) if wrap else m
+             for m in (zeros, ones)]
+    got = _pl_between(*marks, lo, hi, anchor)
     assert got == _old_pl_between(zeros, ones, Q(1, 2), lo, hi, wrap,
                                   anchor)
+
+
+# -- one cut-off builder, and the division that reads one component of x
+
+_H = Q(1, 2)
+
+
+def _closed(a, b):
+    return Iv(Q(a), Q(b), True, True)
+
+
+_HEAD_ONLY = AsymptoticSet(_H, IvSet.empty(), IvSet([_closed(Q(3, 4),
+                                                             Q(7, 8))]), _H)
+_WITH_HEAD = AsymptoticSet(_H, IvSet([_closed(Q(3, 5), Q(9, 10))]),
+                           IvSet([_closed(Q(5, 8), Q(15, 16))]), _H)
+
+
+@pytest.mark.parametrize("S, T", [
+    (AsymptoticSet.orbit_interval(Q(7, 10), Q(4, 5)),
+     AsymptoticSet.orbit_interval(Q(3, 5), Q(9, 10))),
+    # empty S
+    (AsymptoticSet.empty(), AsymptoticSet.full()),
+    # empty B, the complement of the interior of T
+    (AsymptoticSet.orbit_interval(Q(7, 10), Q(4, 5)), AsymptoticSet.full()),
+    # an S that is only a head, with B on the window and without
+    (_HEAD_ONLY, _WITH_HEAD),
+    (_HEAD_ONLY, AsymptoticSet(_H, IvSet([Iv(_H, Q(1), False, True)]),
+                               _WITH_HEAD.head, _H)),
+    # heads at different anchors
+    (AsymptoticSet(_H, IvSet([_closed(Q(7, 10), Q(4, 5))]),
+                   IvSet([_closed(Q(3, 8), Q(2, 5))]), Q(1, 4)), _WITH_HEAD),
+    # S on ratio 1/2, T on 1/4
+    (AsymptoticSet.orbit_interval(Q(7, 10), Q(4, 5)),
+     AsymptoticSet(Q(1, 4), IvSet([_closed(Q(1, 3), Q(9, 20)),
+                                   _closed(Q(13, 20), Q(17, 20))]))),
+])
+def test_cutoff_is_one_minus_urysohn(S, T):
+    want = (GenConstant.const(1) - urysohn(S, T)).rep
+    assert _cutoff(S, T, 1).to_dict() == want.to_dict()
+    assert _cutoff(S, T, 0).to_dict() == urysohn(S, T).rep.to_dict()
+
+
+def test_separating_profile_joins_through_the_trusted_path(A, B,
+                                                          monkeypatch):
+    """linear_interp, and with it the cut-off, validate segments but call
+    no validating Piecewise constructor."""
+    want = Piecewise([Seg(0, Q(1, 2), (0, 2)), Seg(Q(1, 2), 1, (2, -2))])
+    u = urysohn(A, B).rep.to_dict()
+
+    def refuse(self, segs):
+        raise AssertionError("validating constructor called")
+
+    monkeypatch.setattr(Piecewise, "__init__", refuse)
+    assert Piecewise.linear_interp([(0, 0), (Q(1, 2), 1), (1, 0)]) == want
+    assert urysohn(A, B).rep.to_dict() == u
+
+
+def _ref_divide_profile(psi, x):
+    """Reference: `_divide_profile` through `unify`, which unrolls the
+    blocks of x down to the lower anchor, and a shape check on psi."""
+    a, b = unify(psi, x)
+    comp = b.live_comps()[0]
+    live = [c for c in a.comps if c.r == 0]
+    if len(live) != 1 or live[0].s != 0:
+        raise RepresentabilityError("separating profile has an unexpected "
+                                    "shape")
+    gy = _pl_quotient(live[0].g, comp.g)
+    head = None
+    if a.c0 < 1:
+        head = Piecewise.const(a.c0, Q(1), gy.eval(Q(1)))
+    return GenConstant(PwFunction(a.sigma, (TailComponent(-comp.s, 0, gy),),
+                                  head, a.c0, a.D))
+
+
+def _restrict_inverse_case(i):
+    """(psi, x) as invert_on builds them for restrict item i."""
+    x, S = _restrict_item(i).args
+    return _cutoff(S, extend_invertible(x, S), 1), x
+
+
+@pytest.mark.parametrize("i, c0", [(2, Q(1, 8)), (10, Q(1))])
+def test_divide_profile_matches_unrolled_reference(i, c0):
+    """Items 2 and 10: one component (3, 0), resp. (-1, 0), on anchor 1,
+    against a cut-off on anchor c0."""
+    psi, x = _restrict_inverse_case(i)
+    assert (psi.c0, x.c0, len(x.comps)) == (c0, 1, 1)
+    cases = [
+        (psi, x),                   # x's anchor at or above psi's
+        (psi, x.lower_anchor(5)),   # x's anchor below psi's: t < 0
+        (psi.coarsen(2), x),        # x coarsened: m2 = 2
+    ]
+    for p, y in cases:
+        want = _ref_divide_profile(p, y).rep.to_dict()
+        assert _divide_profile(p, y).rep.to_dict() == want
+
+
+def test_invert_on_lowers_no_anchor_of_x(monkeypatch):
+    x, S = _restrict_item(1).args
+    lowered = []
+    lower_anchor = PwFunction.lower_anchor
+
+    def spy(self, t):
+        if t:
+            lowered.append(self)
+        return lower_anchor(self, t)
+
+    monkeypatch.setattr(PwFunction, "lower_anchor", spy)
+    y = invert_on(x, S)
+    assert y.rep.c0 == Q(1, 8)
+    assert not any(z is x for z in lowered)
 
 
 # -- the ring operations that no construction above calls -------------------

@@ -515,8 +515,8 @@ def test_structures_computed_once_and_lazily(hat, monkeypatch):
 
 def test_purity_witness_failing_x_equals_xy_raises(hat, monkeypatch):
     inside = tent(Q(21, 32), Q(11, 16), Q(23, 32))
-    monkeypatch.setattr(ideal_mod, "urysohn",
-                        lambda S, T: GenConstant.const(Q(1, 2)))
+    monkeypatch.setattr(ideal_mod, "_cutoff",
+                        lambda S, T, v: PwFunction.const(Q(1, 2)))
     with pytest.raises(AssertionError, match="x\\*y = x"):
         pure_part_member(inside, FgIdeal([hat]))
 

@@ -445,8 +445,8 @@ def _closed(a, b):
     return Iv(Q(a), Q(b), True, True)
 
 
-_HEAD_ONLY = AsymptoticSet(_H, IvSet.empty(), IvSet([_closed(Q(3, 4),
-                                                             Q(7, 8))]), _H)
+_HEAD_ONLY = AsymptoticSet(_H, IvSet.empty(),
+                           IvSet([_closed(Q(3, 4), Q(7, 8))]), _H)
 _WITH_HEAD = AsymptoticSet(_H, IvSet([_closed(Q(3, 5), Q(9, 10))]),
                            IvSet([_closed(Q(5, 8), Q(15, 16))]), _H)
 

@@ -92,6 +92,29 @@ class Stmt:
     col: int
 
 
+# Each call's positional count (least, most; None for no bound) and the
+# keywords it takes; calls not listed are unknown and fail when built.
+_GRID_KEYS = ("ratio", "anchor", "D", "head")
+_CALLS = {
+    **dict.fromkeys(("point", "complement", "interior", "closure", "const",
+                     "pl", "segs", "ofideal", "characteristic", "valuation",
+                     "negligible", "idempotent"), (1, 1, ())),
+    **dict.fromkeys(("insert_between", "precedes", "subset", "set_eq",
+                     "sharp_dist", "restr_zero", "restr_invertible",
+                     "eventual_sign", "ideal_member", "radical_member",
+                     "closure_member", "zclosure_member", "pure_member",
+                     "annihilator_member", "filter_member",
+                     "ideal_of_filter_member"), (2, 2, ())),
+    **dict.fromkeys(("union", "intersect"), (2, None, ())),
+    **dict.fromkeys(("gen", "fg"), (1, None, ())),
+    "full": (0, 0, ()),
+    "rho": (0, 1, ()),
+    "orbit": (0, 1, _GRID_KEYS + ("shape",)),
+    "tail": (0, 0, _GRID_KEYS + ("comps",)),
+}
+_CHECK_OPTIONS = ("seed", "size")
+
+
 class _Parser:
     def __init__(self, toks):
         self.toks = toks
@@ -182,6 +205,16 @@ class _Parser:
             if self.peek().text == ",":
                 self.next()
         self.expect(")")
+        if head.text in _CALLS:
+            least, most, keys = _CALLS[head.text]
+            for k in kwargs:
+                if k not in keys:
+                    self.fail(f"{head.text}() takes no keyword {k!r}", head)
+            if len(args) < least or (most is not None and len(args) > most):
+                want = f"at least {least}" if most is None else \
+                    str(least) if least == most else f"{least} or {most}"
+                self.fail(f"{head.text}() takes {want} positional "
+                          f"arguments, {len(args)} given", head)
         return ("call", head.text, args, kwargs, head)
 
     def bracket_list(self):
@@ -251,9 +284,10 @@ class _Parser:
                     text += "-" + self.expect_name().text
                 n = Token(n.kind, text, n.line, n.col)
                 if self.peek().text == "=":
+                    if n.text not in _CHECK_OPTIONS:
+                        self.fail(f"check takes no option {n.text!r}", n)
                     self.next()
-                    v = self.value()
-                    opts[n.text] = v
+                    opts[n.text] = self.value()
                 else:
                     names.append(n.text)
             self.expect(";")
@@ -471,8 +505,6 @@ class _Builder:
             return AsymptoticSet.full(self.sn.sigma, D=self.sn.D)
         if head in ("union", "intersect"):
             sets = [self.build_set(a) for a in args]
-            if len(sets) < 2:
-                self.fail(f"{head} needs at least two sets", node)
             out = sets[0]
             for s in sets[1:]:
                 out = out.union(s) if head == "union" else out.intersect(s)
@@ -565,10 +597,7 @@ class _Builder:
         if node[0] == "name":
             return self.sn.lookup(node[1], "ideal")
         if node[0] == "call" and node[1] == "gen":
-            gens = [self.build_elem(a) for a in node[2]]
-            if not gens:
-                self.fail("gen() needs at least one generator", node)
-            return FgIdeal(gens)
+            return FgIdeal([self.build_elem(a) for a in node[2]])
         self.fail("expected an ideal expression", node)
 
     def build_filter(self, node):

@@ -656,14 +656,10 @@ def _head_cutoff(eps_n: Q, sg: Q, D: int) -> PwFunction:
     the block above it.  The threshold must sit on the geometric grid."""
     if eps_n >= 1:
         return PwFunction.const(1, sg, D)
-    c0 = eps_n
+    head = _pl_between(IvSet.interval(min(Q(1), eps_n / sg), 1),
+                       IvSet.empty(), eps_n, Q(1), 1)
     g = Piecewise.const(sg, Q(1), Q(1))
-    ramp_hi = min(Q(1), c0 / sg)
-    pieces = [Piecewise.linear_interp([(c0, Q(1)), (ramp_hi, Q(0))])]
-    if ramp_hi < 1:
-        pieces.append(Piecewise.zero(ramp_hi, Q(1)))
-    head = Piecewise.concat(pieces)
-    return PwFunction(sg, (TailComponent(0, 0, g),), head, c0, D)
+    return PwFunction(sg, (TailComponent(0, 0, g),), head, eps_n, D)
 
 
 # -- idempotents ----------------------------------------------------------

@@ -34,7 +34,7 @@ from .ivset import Iv, IvSet
 from .pwfunc import PwFunction
 from .scaleset import AsymptoticSet, circle_closure, halfway_toward, upto1
 from .signs import (eventually_nonneg, flat_common_zero,
-                    isolated_common_zeros, obstruction_on, unobstructed)
+                    isolated_common_zeros, restr_invertible_bool)
 
 
 class FgIdeal:
@@ -95,8 +95,8 @@ class FgIdeal:
         return AsymptoticSet(sos.sigma, circle_closure(Z, sos.sigma), D=sos.D)
 
     def sos_invertible_on(self, S: AsymptoticSet) -> bool:
-        """`restr_invertible_bool(sos, S)` for a set S accumulating at 0."""
-        return unobstructed(obstruction_on(self.sos_germ, S))
+        """Whether sos is invertible on S, a set accumulating at 0."""
+        return restr_invertible_bool(self.sos_germ, S)
 
 
 # -- zero structures ------------------------------------------------------
@@ -259,16 +259,13 @@ def pure_part_member(x, I: FgIdeal):
 
 def _purity_witness(xr: PwFunction, I: FgIdeal, Zset: AsymptoticSet):
     """y = 1 - urysohn(S, T), built as `_cutoff`(S, T, 1), for the closed
-    support S of x and T halfway from S to the zero set of sos.  None when
-    no representable T exists or when ideal_member denies y in I.  x*y = x
-    is exact arithmetic, so a y that fails it is an engine fault and
+    support S of x, the circle closure of the window off the flat common
+    zero of x, and T halfway from S to the zero set of sos.  None when no
+    representable T exists or when ideal_member denies y in I.  x*y = x is
+    exact arithmetic, so a y that fails it is an engine fault and
     raises."""
     sg = xr.sigma
-    supp = IvSet.empty()
-    for c in xr.comps:
-        if c.r == 0:
-            supp = supp.union(c.g.flat_zero().complement(
-                Iv(sg, 1, True, True)).closure())
+    supp = flat_common_zero(xr).complement(Iv(sg, 1, True, True))
     S = AsymptoticSet(sg, circle_closure(supp, sg), D=xr.D)
     try:
         T = halfway_toward(S.shape, circle_closure(Zset.shape, sg), sg, S)

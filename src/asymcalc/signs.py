@@ -11,6 +11,14 @@ contributes sigma^(k (s_j + beta m_j)); the achievable dominant behaviours
 are the lower-hull vertices of the points (m_j, s_j), and a sign change
 between hull-adjacent vertices forces an exactly attained zero nearby.
 
+Each local idea has one helper.  `_side_signs` holds the hull rule: the
+signs x attains on one side of a point, or the dominant deep component's
+sign where no r = 0 component lives.  It is the one function that the fix
+for perfect-square Newton edges (ROADMAP item 1) replaces.  The points it
+is asked about come from `_profile_points`, the breakpoints and segment
+roots of the profiles, and `_is_common_zero` is the one test that every
+r = 0 component vanishes at a point.
+
 Invertibility on S is decided in one place: `obstruction_on` reads the
 obstruction structure off x and `unobstructed` tests it on the closed
 trace; every invertibility consumer takes that one triple.  The structure
@@ -24,7 +32,7 @@ from fractions import Fraction as Q
 
 from .errors import NotCharacteristic
 from .ivset import Iv, IvSet
-from .polytools import pt_between
+from .polytools import isolate_roots, pt_between
 from .pwfunc import PwFunction
 from .scaleset import AsymptoticSet, circle_closure
 
@@ -55,17 +63,9 @@ def flat_common_zero(x: PwFunction) -> IvSet:
 def isolated_common_zeros(x: PwFunction):
     """Points outside the flat common-zero region where every r = 0 profile
     vanishes.  Empty when there is no r = 0 component."""
-    live = [c for c in x.comps if c.r == 0]
-    if not live:
-        return []
     flat = flat_common_zero(x)
-    out = []
-    for p in _candidate_points(x):
-        if flat.contains(p):
-            continue
-        if all(c.g.value_sign_at(p) == 0 for c in live):
-            out.append(p)
-    return out
+    return [p for p in _candidate_points(x)
+            if not flat.contains(p) and _is_common_zero(x, p)]
 
 
 def _candidate_points(x: PwFunction):
@@ -75,50 +75,24 @@ def _candidate_points(x: PwFunction):
 
 
 def _profile_points(profiles):
-    """Breakpoints, flat-zero ends and isolated zeros of the profiles;
-    deduplicated, sorted."""
-    pts = []
-    rats = set()
+    """Breakpoints of the profiles and the roots of each nonzero segment;
+    deduplicated, sorted.  A flat zero is a maximal zero segment, so its
+    ends are breakpoints."""
+    rats, roots = set(), []
     for g in profiles:
-        for b in g.breakpoints():
-            rats.add(Q(b))
-        for iv in g.flat_zero().ivs:
-            rats.add(iv.lo)
-            rats.add(iv.hi)
-        for z in g.isolated_zeros():
-            if isinstance(z, Q):
-                rats.add(z)
-            else:
-                pts.append(z)
-    out = list(rats)
-    for z in pts:
-        if z not in out:
-            out.append(z)
-    out.sort()
-    return out
+        rats.update(g.breakpoints())
+        for seg in g.segs:
+            if not seg.num:
+                continue
+            for z in isolate_roots(seg.num, seg.lo, seg.hi):
+                if isinstance(z, Q):
+                    rats.add(z)
+                elif z not in roots:
+                    roots.append(z)
+    return sorted([*rats, *roots])
 
 
 # -- local analysis at a point -------------------------------------------
-
-
-@dataclass
-class SideData:
-    """Behaviour of x approaching a point from one side."""
-    entries: list      # (m, s, sign) for r=0 comps not flat-zero on the side
-    deep_sign: int     # sign of dominant deep comp on the side (0 if none)
-    all_flat: bool     # every r=0 comp is identically zero on this side
-
-    def attainable_signs(self):
-        """Signs x attains arbitrarily close to the point on this side, at
-        small scales."""
-        if self.all_flat:
-            return {self.deep_sign}
-        verts = _hull_vertices(self.entries)
-        signs = {sg for (_, _, sg) in verts}
-        for (a, b) in zip(verts, verts[1:]):
-            if a[2] != b[2]:
-                signs.add(0)
-        return signs
 
 
 def _hull_vertices(entries):
@@ -147,28 +121,29 @@ def _hull_vertices(entries):
     return hull[::-1]
 
 
-def side_data(x: PwFunction, w0, direction: int) -> SideData:
-    """Local data on one side of w0 inside the window [sigma, 1]."""
-    entries = []
-    all_flat = True
-    deep = []
+def _side_signs(x: PwFunction, w0, direction: int) -> set:
+    """The signs x attains arbitrarily close to w0 on the side `direction`
+    (+1 right, -1 left) of the window, at small scales.  The r = 0
+    components not identically zero there give the hull vertices of their
+    points (order, s), and 0 joins between two vertices of opposite sign.
+    With no such component the smallest (r, s, order) deep component
+    decides, and the sign is 0 when there is none either."""
+    live, deep = [], []
     for c in x.comps:
         m, sg = c.g.order_at(w0, direction)
+        if m is None:
+            continue
         if c.r == 0:
-            if m is None:
-                continue
-            all_flat = False
-            entries.append((m, c.s, sg))
+            live.append((m, c.s, sg))
         else:
-            if m is not None:
-                deep.append((c.r, c.s, m, sg))
-    deep_sign = 0
-    if deep:
-        deep.sort()
-        # dominant deep comp just off the point: smallest (r, s) with the
-        # smallest order among ties is a fair local representative
-        deep_sign = deep[0][3]
-    return SideData(entries, deep_sign, all_flat)
+            deep.append((c.r, c.s, m, sg))
+    if not live:
+        return {min(deep)[3] if deep else 0}
+    verts = _hull_vertices(live)
+    signs = {sg for (_, _, sg) in verts}
+    if any(a[2] != b[2] for a, b in zip(verts, verts[1:])):
+        signs.add(0)
+    return signs
 
 
 def point_sign(x: PwFunction, w0):
@@ -179,6 +154,13 @@ def point_sign(x: PwFunction, w0):
         if sg:
             return sg, c.r > 0
     return 0, False
+
+
+def _is_common_zero(x: PwFunction, p) -> bool:
+    """Whether every r = 0 component vanishes at p: the components are
+    sorted by (r, s), so the value pattern there is 0 or deep."""
+    sg, is_deep = point_sign(x, p)
+    return sg == 0 or is_deep
 
 
 # -- main classifiers ----------------------------------------------------
@@ -227,36 +209,20 @@ def _attained_signs(x: PwFunction, shape: IvSet):
                   if flat.contains(p) and p not in cands]
         cands.sort()
     for iv in shape.ivs:
-        if iv.is_point():
-            sg, _ = point_sign(x, iv.lo)
-            signs.add(sg)
-            continue
-        signs |= _interval_signs(x, iv, cands)
+        signs |= {point_sign(x, iv.lo)[0]} if iv.is_point() \
+            else _interval_signs(x, iv, cands)
     return signs
 
 
 def _interval_signs(x: PwFunction, iv: Iv, cands):
-    signs = set()
-    inner = [p for p in cands if iv.lo < p < iv.hi]
-    # cell sample signs
-    cuts = [iv.lo] + inner + [iv.hi]
+    """One walk over lo, the candidates inside iv and hi: the value sign at
+    each point iv holds, the one-sided signs facing into iv, and one sample
+    per cell between neighbours."""
+    cuts = [iv.lo] + [p for p in cands if iv.lo < p < iv.hi] + [iv.hi]
+    signs = {point_sign(x, p)[0] for p in cuts if iv.contains(p)}
     for a, b in zip(cuts, cuts[1:]):
-        w = pt_between(a, b)
-        sg, _ = point_sign(x, w)
-        signs.add(sg)
-    # point analyses
-    for p in inner:
-        sg, _ = point_sign(x, p)
-        signs.add(sg)
-        for direction in (+1, -1):
-            signs |= side_data(x, p, direction).attainable_signs()
-    # endpoints: one-sided limits into the interval, plus the value when the
-    # endpoint itself belongs to the set
-    for (p, into) in ((iv.lo, +1), (iv.hi, -1)):
-        if iv.contains(p):
-            sg, _ = point_sign(x, p)
-            signs.add(sg)
-        signs |= side_data(x, p, into).attainable_signs()
+        signs.add(point_sign(x, pt_between(a, b))[0])
+        signs |= _side_signs(x, a, +1) | _side_signs(x, b, -1)
     return signs
 
 
@@ -304,19 +270,12 @@ def bad_structure(x: PwFunction):
         # w = sigma is not in the window; only the sigma+ side (the seam
         # approach from above) carries information, the point value lives
         # at w = 1
-        point_bad = False
-        if not at_sigma:
-            sg, is_deep = point_sign(x, p)
-            point_bad = (sg == 0) or is_deep
-        left_bad = (not at_sigma) and _side_bad(side_data(x, p, -1))
-        right_bad = (not at_one) and _side_bad(side_data(x, p, +1))
+        point_bad = not at_sigma and _is_common_zero(x, p)
+        left_bad = not at_sigma and 0 in _side_signs(x, p, -1)
+        right_bad = not at_one and 0 in _side_signs(x, p, +1)
         if point_bad or left_bad or right_bad:
             pts.append(BadPt(p, point_bad, left_bad, right_bad))
     return flat, tuple(pts)
-
-
-def _side_bad(sd: SideData) -> bool:
-    return 0 in sd.attainable_signs()
 
 
 def obstruction_on(x: PwFunction, S: AsymptoticSet):

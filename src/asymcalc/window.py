@@ -8,8 +8,8 @@ functions have equal segments.  Public constructors validate and `on` trusts:
 coefficients are cleared and the certificate checked only in `Seg(...)`,
 contiguity and continuity only in `Piecewise(...)` and `concat`, and each
 operation that builds through `on` says why its valid inputs give a valid
-result; `linear_interp` validates its segments and joins them through `on`,
-since neighbours share a node and its value.
+result; `linear_interp` checks its nodes and builds canonical lines through
+`Seg.on`, joined through `on`, since neighbours share a node and its value.
 """
 
 from __future__ import annotations
@@ -144,15 +144,19 @@ class Piecewise:
     @staticmethod
     def linear_interp(points) -> "Piecewise":
         """Piecewise linear through [(w0,v0), (w1,v1), ...], w strictly
-        increasing; the segments meet at their shared nodes, so they join
-        through the trusted `on`."""
+        increasing.  It checks the nodes and builds each line through
+        `Seg.on`: a line over the denominator 1 has no root to certify, and
+        `_zpoly` of num + (1,) is primitive with a positive last
+        coefficient, so it is canonical.  Neighbours share a node and its
+        value, so the segments join through the trusted `on`."""
         pts = [(Q(w), Q(v)) for w, v in points]
         segs = []
         for (w0, v0), (w1, v1) in zip(pts, pts[1:]):
             if w1 <= w0:
                 raise ValueError("nodes must strictly increase in w")
             slope = (v1 - v0) / (w1 - w0)
-            segs.append(Seg(w0, w1, poly(v0 - slope * w0, slope)))
+            z = _zpoly(poly(v0 - slope * w0, slope) + ONE)
+            segs.append(Seg.on(w0, w1, z[:-1], z[-1:]))
         if not segs:
             raise ValueError("need at least one segment")
         return Piecewise.on(segs)

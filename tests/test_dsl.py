@@ -201,6 +201,27 @@ def test_missing_and_fractional_arguments_are_parse_errors(script, at):
     assert (e.value.line, e.value.col) == at
 
 
+@pytest.mark.parametrize("script, at", [
+    ("set B = point(3/4, 1/2);", (1, 9)),
+    ("set B = point(3/4, ratio=1/3);", (1, 9)),
+    ("set B = orbit([[3/4,7/8]], anchr=1/2);", (1, 9)),
+    ("set A = full(); query precedes(A, A, A);", (1, 23)),
+    ("elem y = const(1, 2);", (1, 10)),
+    ("set A = full(); set B = full(A);", (1, 25)),
+    ("check cauchy-glue seed=1 sise=3;", (1, 26)),
+    ("elem y = tail(ratio=1/2, comps=[], shape=[[1/2,1]]);", (1, 10)),
+    ("elem y = rho(1, 2);", (1, 10)),
+    ("set A = full(); set B = union(A);", (1, 25)),
+    ("set A = full(); set B = intersect(A);", (1, 25)),
+    ("ideal I = gen();", (1, 11)),
+    ("filter F = fg();", (1, 12)),
+])
+def test_extra_arguments_and_unknown_keywords_are_parse_errors(script, at):
+    with pytest.raises(ParseError) as e:
+        run_text(Session(), script)
+    assert (e.value.line, e.value.col) == at
+
+
 def test_every_call_checks_its_argument_count():
     """Each constructor and query, with too few arguments, raises a
     library error and never an IndexError."""

@@ -13,8 +13,8 @@ from asymcalc.errors import (ModulusViolated, PreconditionViolated,
                              ProductNotZero, RepresentabilityError)
 from asymcalc.genconst import (GenConstant, _certified_start, _cutoff,
                                _divide_profile, _failing_blocks,
-                               _pl_between, _pl_quotient, _scanned_start,
-                               cauchy_glue, extend_invertible,
+                               _head_cutoff, _pl_between, _pl_quotient,
+                               _scanned_start, cauchy_glue, extend_invertible,
                                extend_zero, idempotent_class, invert_on,
                                restr_invertible, restr_zero, sharp_dist,
                                urysohn, zero_product_split)
@@ -478,8 +478,8 @@ def test_cutoff_is_one_minus_urysohn(S, T):
 
 def test_separating_profile_joins_through_the_trusted_path(A, B,
                                                           monkeypatch):
-    """linear_interp, and with it the cut-off, validate segments but call
-    no validating Piecewise constructor."""
+    """linear_interp, and with it the cut-off, call no validating
+    Piecewise constructor."""
     want = Piecewise([Seg(0, Q(1, 2), (0, 2)), Seg(Q(1, 2), 1, (2, -2))])
     u = urysohn(A, B).rep.to_dict()
 
@@ -489,6 +489,31 @@ def test_separating_profile_joins_through_the_trusted_path(A, B,
     monkeypatch.setattr(Piecewise, "__init__", refuse)
     assert Piecewise.linear_interp([(0, 0), (Q(1, 2), 1), (1, 0)]) == want
     assert urysohn(A, B).rep.to_dict() == u
+
+
+def _ref_head_cutoff(eps_n, sg, D):
+    """Reference: the hand-built ramp `linear_interp`, `Piecewise.zero`
+    and `concat`."""
+    if eps_n >= 1:
+        return PwFunction.const(1, sg, D)
+    c0 = eps_n
+    g = Piecewise.const(sg, Q(1), Q(1))
+    ramp_hi = min(Q(1), c0 / sg)
+    pieces = [Piecewise.linear_interp([(c0, Q(1)), (ramp_hi, Q(0))])]
+    if ramp_hi < 1:
+        pieces.append(Piecewise.zero(ramp_hi, Q(1)))
+    head = Piecewise.concat(pieces)
+    return PwFunction(sg, (TailComponent(0, 0, g),), head, c0, D)
+
+
+@pytest.mark.parametrize("eps_n, sg", [
+    *((Q(1, 2 ** k), Q(1, 2)) for k in range(1, 7)),
+    (Q(2, 3), Q(2, 3)),  # the ramp reaches 1
+    (Q(1), Q(1, 2)),
+])
+def test_head_cutoff_matches_hand_built_ramp(eps_n, sg):
+    assert _head_cutoff(eps_n, sg, 1).to_dict() == \
+        _ref_head_cutoff(eps_n, sg, 1).to_dict()
 
 
 def _ref_divide_profile(psi, x):

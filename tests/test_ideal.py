@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import asymcalc.ideal as ideal_mod
 import asymcalc.signs as signs_mod
 from asymcalc.afilter import Closure, OfIdeal, filter_member
-from asymcalc.errors import ImproperIdeal, SearchBoundExceeded
+from asymcalc.errors import (ImproperIdeal, RepresentabilityError,
+                             SearchBoundExceeded)
 from asymcalc.genconst import GenConstant, _bisect, _rep, urysohn
 from asymcalc.grid import unify
 from asymcalc.ideal import (FgIdeal, _slope_bound, annihilator_member,
@@ -519,6 +520,51 @@ def test_purity_witness_failing_x_equals_xy_raises(hat, monkeypatch):
                         lambda S, T, v: PwFunction.const(Q(1, 2)))
     with pytest.raises(AssertionError, match="x\\*y = x"):
         pure_part_member(inside, FgIdeal([hat]))
+
+
+def _ref_purity_support(xr):
+    """Reference: the union of the closed complements of each r = 0
+    component's flat zero."""
+    sg = xr.sigma
+    supp = IvSet.empty()
+    for c in xr.comps:
+        if c.r == 0:
+            supp = supp.union(c.g.flat_zero().complement(
+                Iv(sg, 1, True, True)).closure())
+    return circle_closure(supp, sg)
+
+
+def _purity_support(xr, monkeypatch):
+    """The trace of the support S that `_purity_witness` builds, caught
+    where it hands S to `halfway_toward`."""
+    seen = []
+
+    def catch(shape, zeros, sg, S):
+        seen.append(S.shape)
+        raise RepresentabilityError("caught")
+
+    monkeypatch.setattr(ideal_mod, "halfway_toward", catch)
+    assert ideal_mod._purity_witness(
+        xr, None, AsymptoticSet.full(xr.sigma, xr.D)) is None
+    return seen[0]
+
+
+def test_purity_support_matches_reference(hat, negl, monkeypatch):
+    # two flat zeros that meet at the point 3/4 only
+    left = Piecewise.linear_interp([(Q(1, 2), 0), (Q(3, 4), 0),
+                                    (Q(7, 8), 1), (1, 0)])
+    right = Piecewise.linear_interp([(Q(1, 2), 0), (Q(5, 8), 1),
+                                     (Q(3, 4), 0), (1, 0)])
+    meet = PwFunction(Q(1, 2), [TailComponent(0, 0, left),
+                                TailComponent(1, 0, right)])
+    xs = [hat, negl, meet]  # negl has no r = 0 component
+    for seed in range(4):
+        xs += corpus_generate(seed, 24).elements
+    for xr in xs:
+        assert _purity_support(xr, monkeypatch) == _ref_purity_support(xr)
+    assert _purity_support(negl, monkeypatch).is_empty()
+    # the fat common zero is empty, so x is supported on the whole window
+    assert _purity_support(meet, monkeypatch) == AsymptoticSet.full().shape
 
 
 # -- the point protocol against the pt_cmp references --------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from asymcalc.errors import ContinuityViolation, ZeroDenominator
 from asymcalc.ivset import IvSet
+from asymcalc.polytools import poly
 from asymcalc.pwfunc import PwFunction
 from asymcalc.window import Piecewise, Seg
 
@@ -50,6 +51,61 @@ def test_linear_interp_eval():
     assert f.eval(Q(1, 4)) == Q(1, 2)
     assert f.eval(Q(1, 2)) == 1
     assert f.eval(Q(7, 8)) == Q(1, 4)
+
+
+def _ref_linear_interp(points):
+    """Reference: each node segment through the validating `Seg(...)`."""
+    pts = [(Q(w), Q(v)) for w, v in points]
+    segs = []
+    for (w0, v0), (w1, v1) in zip(pts, pts[1:]):
+        slope = (v1 - v0) / (w1 - w0)
+        segs.append(Seg(w0, w1, poly(v0 - slope * w0, slope)))
+    return Piecewise.on(segs)
+
+
+_nodes = st.lists(st.fractions(-4, 4, max_denominator=12), min_size=2,
+                  max_size=6, unique=True).map(sorted)
+_values = st.fractions(-3, 3, max_denominator=9) | st.just(Q(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nodes, st.data())
+def test_linear_interp_matches_validated_segments(ws, data):
+    vs = data.draw(st.lists(_values, min_size=len(ws), max_size=len(ws)))
+    assert Piecewise.linear_interp(list(zip(ws, vs))).segs == \
+        _ref_linear_interp(list(zip(ws, vs))).segs
+
+
+@pytest.mark.parametrize("pts", [
+    [(0, 1), (Q(1, 2), 1), (1, 3)],                   # a zero slope
+    [(0, 0), (Q(1, 3), 0), (1, 0)],                   # zero lines only
+    [(Q(1, 2), 0), (Q(3, 4), 0), (1, 2)],             # a zero line, then up
+    [(Q(1, 2), Q(-3, 7)), (Q(5, 8), -1), (1, Q(2, 3))],  # negative values
+    [(Q(-1, 3), Q(-5, 2)), (Q(1, 5), Q(-5, 2)), (Q(2, 3), Q(-1, 9))],
+])
+def test_linear_interp_segments_are_the_validated_ones(pts):
+    f = Piecewise.linear_interp(pts)
+    assert f.segs == _ref_linear_interp(pts).segs
+    assert [f.eval(w) for w, _ in pts] == [Q(v) for _, v in pts]
+
+
+def test_linear_interp_runs_no_segment_validation(monkeypatch):
+    calls = []
+    validate = Seg.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Seg, "__post_init__", counted)
+    Seg(Q(1, 2), 1, (1,))
+    assert len(calls) == 1  # the counter sees a validating construction
+    Piecewise.linear_interp([(Q(1, 2), Q(-1, 3)), (Q(3, 4), 0), (1, 0)])
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="strictly increase"):
+        Piecewise.linear_interp([(Q(1, 2), 0), (Q(1, 2), 1)])
+    with pytest.raises(ValueError, match="at least one segment"):
+        Piecewise.linear_interp([(Q(1, 2), 0)])
 
 
 def test_from_poly_eval():

@@ -9,13 +9,17 @@ afilter:
   u_j = 2^-(j // 8) * b_(j % 8), where b_i is the double 0.5 ** (i / 8)
   taken as an exact rational, and estimates the scale order from the
   slope of log|x(u)| against log u, fitted at high precision to the
-  largest log|x(u)| of each block.  The samples are walked per residue
-  b_i, down the blocks: the element block and window coordinate (K, w)
-  of a sample are located once, at the first sample at or below the
-  anchor, and then stepped exactly (halving u halves w, and a w at or
-  below sigma is w / sigma on the next element block).  Above the
-  anchor samples use the exact head.  Two passes take the per-block
-  maxima.  The first gives each tail sample a float estimate of its
+  largest log|x(u)| of each block.  The slope fit reads only the deepest
+  2 * wn blocks with a nonzero sample, wn = max(2, window // 8), so the
+  blocks are sampled deepest first and the sampling stops once it holds
+  that many; when fewer exist it goes on up to block 1, and the result is
+  the same as with every block sampled.  The samples are walked per
+  residue b_i, up the blocks: the element block and window coordinate
+  (K, w) of a residue are located once, at its deepest sample, and then
+  stepped exactly (doubling u doubles w, and a w above 1 is w * sigma on
+  the next element block up).  Above the anchor samples use the exact
+  head.  Each block's maximum comes from two passes over its 8 samples.
+  The first gives each tail sample a float estimate of its
   log|x(u)|, summed by math.fsum from float profile values and weights
   sigma^n, or none where floats may not be reliable: two exponents
   coincide, a profile value lies outside (2^-300, 2^300), or the sum is
@@ -50,7 +54,7 @@ from fractions import Fraction as Q
 
 import mpmath
 
-from ..errors import AllSamplesZero
+from ..errors import AllSamplesZero, PreconditionViolated
 
 __all__ = [
     "OracleConfig",
@@ -68,7 +72,10 @@ class OracleConfig:
                 u_j = 2^-(j // 8) * b_(j % 8) on the full blocks
                 8 <= j < 8 (J // 8), with b_i the double
                 0.5 ** (i / 8).  Set samples stay at or above 2^-(J // 8).
-    window:     number of deepest usable samples entering the slope fit.
+    window:     sets wn = max(2, window // 8): the slope fit runs over the
+                deepest wn blocks with a nonzero sample, and its drift
+                test compares that slope with the one over the wn blocks
+                just above them (see _fit).
     precision:  mpmath working precision in decimal digits.  A sample
                 whose terms cancel to within 10^(8 - precision) of the
                 largest term counts as zero.
@@ -100,9 +107,12 @@ class ValuationEstimate:
     diverging: bool
 
     def contains(self, v) -> bool:
-        if v is None:
-            return self.diverging
-        return self.lo <= float(v) <= self.hi
+        """Whether the exact valuation v (None for a negligible element)
+        agrees: a diverging estimate holds only None, a finite one only
+        the numbers in [lo, hi]."""
+        if self.diverging:
+            return v is None
+        return v is not None and self.lo <= float(v) <= self.hi
 
 
 def _logabs(q: Q):
@@ -123,33 +133,36 @@ def _slope(points):
 
 def _walk(grid, b, blocks: int):
     """The samples u = 2^-k * b of the residue b on the blocks
-    k = 1 .. blocks - 1, as (k, u, None, None) above the anchor of grid and
-    as (k, None, K, w) at or below it, with (K, w) = grid.block_coord(u).
+    k = blocks - 1 down to 1, deepest first, as (k, None, K, w) at or below
+    the anchor of grid, with (K, w) = grid.block_coord(u), and as
+    (k, u, None, None) above it.
 
-    The samples fall with k, so the head samples come first.  Only they
-    build the Fraction u.  block_coord runs once, at the first sample at or
-    below the anchor; from there each halving of u halves w, and while
-    w <= sigma the sample lies one element block deeper: w <- w / sigma,
-    K <- K + 1.  That keeps w in (sigma, 1], so (K, w) stays the block
-    coordinate of u.  On the ratio 1/2 the step always gives the same w
-    one block down, and w is kept as it is."""
-    sigma, K = grid.sigma, None
+    block_coord runs once, at the deepest sample.  From there each step up
+    doubles u, so it doubles w, and while w > 1 the sample lies one element
+    block higher: w <- w * sigma, K <- K - 1.  That keeps w in (sigma, 1],
+    so (K, w) stays the block coordinate of u.  On the ratio 1/2 the step
+    always gives the same w one block up, and w is kept as it is.  Once
+    K < 0 the sample lies above the anchor, and so do all the shallower
+    ones.  Only these head samples and the deepest sample build the
+    Fraction u.  Needs blocks >= 1."""
+    sigma = grid.sigma
     same_w = sigma == Q(1, 2)
-    for k in range(1, blocks):
-        if K is None:
-            u = Q(b.numerator, b.denominator << k)
-            if u > grid.c0:
-                yield k, u, None, None
-                continue
-            K, w = grid.block_coord(u)
-        elif same_w:
-            K += 1
-        else:
-            w /= 2
-            while w <= sigma:
-                w /= sigma
-                K += 1
-        yield k, None, K, w
+    k = blocks - 1
+    u = Q(b.numerator, b.denominator << k)
+    if u <= grid.c0:
+        K, w = grid.block_coord(u)
+        while k and K >= 0:
+            yield k, None, K, w
+            k -= 1
+            if same_w:
+                K -= 1
+            else:
+                w *= 2
+                while w > 1:
+                    w *= sigma
+                    K -= 1
+    for k in range(k, 0, -1):
+        yield k, Q(b.numerator, b.denominator << k), None, None
 
 
 def _in_float_range(g: Q) -> bool:
@@ -177,18 +190,13 @@ class _Profile:
 
 
 def _profiles(x):
-    """The function w -> _Profile of x at w.  Memoized per w; the memo is
-    looked up only when w is not the previous call's w object, so a walk
-    that keeps w hashes no Fraction."""
+    """The function w -> _Profile of x at w, memoized per w."""
     comps, memo = x.comps, {}
-    last = [None, None]
 
     def at(w):
-        if w is not last[0]:
-            if w not in memo:
-                memo[w] = _Profile(comps, w)
-            last[:] = w, memo[w]
-        return last[1]
+        if w not in memo:
+            memo[w] = _Profile(comps, w)
+        return memo[w]
 
     return at
 
@@ -287,14 +295,27 @@ def _mpf(q: Q):
     return mpmath.mpf(q.numerator) / q.denominator
 
 
-def _block_maxima(x, cfg: OracleConfig):
-    """The largest log|x(u)| over the grid samples of each block k of the
-    ratio 1/2; blocks where every sample is zero are left out.
+def _fit_blocks(cfg: OracleConfig) -> int:
+    """wn: the slope fit runs over the deepest wn blocks with a nonzero
+    sample and compares it with the wn blocks above them."""
+    return max(2, cfg.window // 8)
 
-    Two passes.  The first walks each residue b_i down the blocks (see
-    _walk).  A head sample gets the exact log|x.head(u)|; a tail sample
-    gets a float estimate f of its log (see _float_sampler), or none.
-    The second pass takes, in each block, the exact log
+
+def _block_maxima(x, cfg: OracleConfig):
+    """The largest log|x(u)| over the grid samples of each of the deepest
+    2 * wn blocks k of the ratio 1/2 that have a nonzero sample,
+    wn = _fit_blocks(cfg); all of them when fewer have one.  Blocks where
+    every sample is zero are left out.
+
+    The blocks are taken deepest first, each from its 8 samples, one per
+    residue b_i (see _walk), and the walk stops once it holds 2 * wn
+    maxima.  The stop is exact: _fit reads no other block, and each block's
+    maximum depends on its own samples only.  A residue keeps its last w
+    and profile, so a walk that keeps w (the ratio 1/2) hashes no Fraction.
+
+    Two passes per block.  The first gives a head sample the exact
+    log|x.head(u)|, and a tail sample a float estimate f of its log (see
+    _float_sampler), or none.  The second takes the exact log
     e0 * log(sigma) + log|total| in mpmath (see _tail_sampler) of the
     samples without an estimate and of those with f within
     1e-6 * (1 + |fmax|) of the block's largest estimate fmax; the block's
@@ -312,56 +333,73 @@ def _block_maxima(x, cfg: OracleConfig):
     of the possible winners, and each block keeps the same maximum, the
     same mpf, as with an exact log at every sample.
     """
+    need = 2 * _fit_blocks(cfg)
     at = _profiles(x)
     estimate = _float_sampler(x)
     tail = _tail_sampler(x, cfg)
     log_sigma = _logabs(x.sigma)
-    logs, screened, unscreened = {}, {}, {}
-    for b in _RESIDUES:
-        for k, u, K, w in _walk(x.grid, b, cfg.depth // 8):
+    walks = [_walk(x.grid, b, cfg.depth // 8) for b in _RESIDUES]
+    last = [(None, None)] * len(walks)
+    best = {}
+    for block in zip(*walks):
+        logs, unscreened, screened = [], [], []
+        for i, (k, u, K, w) in enumerate(block):
             if u is not None:
                 val = x.head.eval(u)
                 if val:
-                    logs.setdefault(k, []).append(_logabs(val))
+                    logs.append(_logabs(val))
                 continue
-            p = at(w)
+            last_w, p = last[i]
+            if w is not last_w:
+                p = at(w)
+                last[i] = w, p
             if not p.exact:
                 continue
             f = estimate(K, p)
             if f is None:
-                unscreened.setdefault(k, []).append((K, p))
+                unscreened.append((K, p))
             else:
-                screened.setdefault(k, []).append((f, K, p))
-    for k, samples in screened.items():
-        fmax = max(f for f, _, _ in samples)
-        cut = fmax - 1e-6 * (1 + abs(fmax))
-        unscreened.setdefault(k, []).extend(
-            (K, p) for f, K, p in samples if f >= cut)
-    for k, samples in unscreened.items():
-        for K, p in samples:
+                screened.append((f, K, p))
+        if screened:
+            fmax = max(f for f, _, _ in screened)
+            cut = fmax - 1e-6 * (1 + abs(fmax))
+            unscreened.extend((K, p) for f, K, p in screened if f >= cut)
+        for K, p in unscreened:
             sample = tail(K, p)
             if sample is not None:
                 e0, total = sample
-                logs.setdefault(k, []).append(
-                    e0 * log_sigma + mpmath.log(abs(total)))
-    if not logs:
+                logs.append(e0 * log_sigma + mpmath.log(abs(total)))
+        if logs:
+            best[k] = max(logs)
+            if len(best) == need:
+                break
+    if not best:
         raise AllSamplesZero("element vanished at every grid point")
-    return {k: max(v) for k, v in logs.items()}
+    return best
 
 
 def _fit(best, cfg: OracleConfig) -> ValuationEstimate:
-    """Slope estimate from the per-block maxima of log|x|.  When fewer than
-    two blocks have a nonzero sample, or none of the deepest
-    max(2, window // 8) blocks of the grid has one, x vanishes at depth:
-    the estimate diverges, with lo = hi = +infinity."""
-    if len(best) < 2 or \
-            max(best) < cfg.depth // 8 - max(2, cfg.window // 8):
+    """Slope estimate from the per-block maxima of log|x|.
+
+    With wn = _fit_blocks(cfg), the slope over the deepest wn blocks of
+    best is the estimate, and its drift from the slope over the wn blocks
+    above them gives the interval; no other block is read.  When fewer
+    than 2 * wn blocks are given, wn shrinks to max(2, len(best) // 2),
+    and the drift compares with the same blocks when fewer than wn + 2
+    are left.  When fewer than two blocks have a nonzero sample, or none
+    of the deepest wn blocks of the grid has one, x vanishes at depth:
+    the estimate diverges, with lo = hi = +infinity.  A slope that keeps
+    growing with depth diverges too, with lo the deepest slope."""
+    wn = _fit_blocks(cfg)
+    if len(best) < 2 or max(best) < cfg.depth // 8 - wn:
         return ValuationEstimate(math.inf, math.inf, True)
     log2 = mpmath.log(2)
     logs = [(-log2 * k, best[k]) for k in sorted(best)]
-    wn = max(2, min(cfg.window // 8, len(logs) // 2))
+    wn = min(wn, max(2, len(logs) // 2))
     win = logs[-wn:]
-    prev = logs[-2 * wn:-wn] or win
+    prev = logs[-2 * wn:-wn]
+    if len(prev) < 2:
+        prev = win
     s_deep = _slope(win)
     s_prev = _slope(prev)
     drift = float(s_deep - s_prev)
@@ -377,15 +415,21 @@ def _fit(best, cfg: OracleConfig) -> ValuationEstimate:
 def oracle_valuation(x, cfg: OracleConfig = OracleConfig()) -> ValuationEstimate:
     """Estimate the scale order of x by log-log regression.
 
-    x is sampled on the grid of cfg, and log|x(u)| is computed in the log
-    domain (see _block_maxima).  The fit runs against the per-block
-    maximum of |x|: pointwise samples dip arbitrarily low near interior
-    zeros of a window profile, which would bias a raw regression.
-    Returns an interval [lo, hi] expected to contain the exact valuation,
-    or a diverging flag when the local slope keeps growing with depth or
-    x vanishes at depth (the numeric signatures of a negligible
-    element).
+    x is sampled on the grid of cfg, deepest block first, and log|x(u)| is
+    computed in the log domain (see _block_maxima).  The fit runs against
+    the per-block maximum of |x|: pointwise samples dip arbitrarily low
+    near interior zeros of a window profile, which would bias a raw
+    regression.  Returns an interval [lo, hi] expected to contain the
+    exact valuation, or a diverging flag when the local slope keeps
+    growing with depth or x vanishes at depth (the numeric signatures of a
+    negligible element).  A depth below 24 leaves fewer than the two grid
+    blocks a slope needs and raises PreconditionViolated.
     """
+    blocks = cfg.depth // 8 - 1
+    if blocks < 2:
+        raise PreconditionViolated(
+            f"oracle depth {cfg.depth} is below 24: depth // 8 - 1 ="
+            f" {blocks} grid blocks, and a slope needs 2")
     with mpmath.workdps(cfg.precision):
         return _fit(_block_maxima(x, cfg), cfg)
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as Q
 
 import mpmath
@@ -11,9 +12,9 @@ from asymcalc.scaleset import AsymptoticSet
 from asymcalc.ivset import IvSet
 from asymcalc.verify import oracle
 from asymcalc.verify.oracle import (_RESIDUES, _block_maxima, _deep_blocks,
-                                    _fit, _float_sampler, _logabs, _mpf,
-                                    _profiles, _shape_points, _tail_sampler,
-                                    _walk)
+                                    _fit, _fit_blocks, _float_sampler,
+                                    _logabs, _mpf, _profiles, _shape_points,
+                                    _tail_sampler, _walk)
 from asymcalc.grid import Grid
 from asymcalc.window import Piecewise
 
@@ -190,12 +191,18 @@ def _fast_samples(x, cfg):
                 else sample[0] * log_sigma + mpmath.log(abs(sample[1])))
 
 
+def _deepest(best, cfg):
+    """The deepest 2 * wn blocks of best, the ones the slope fit reads."""
+    return sorted(best.items())[-2 * _fit_blocks(cfg):]
+
+
 def _assert_same_maxima(x, cfg):
-    """The per-block maxima equal the reference's exactly, by repr."""
+    """The per-block maxima are the reference's on its deepest 2 * wn
+    blocks with a nonzero sample, exactly, by repr."""
     with mpmath.workdps(cfg.precision):
         got = _block_maxima(x, cfg)
         want = _ref_block_maxima(_ref_log_sampler(x, cfg), cfg)
-    assert repr(sorted(got.items())) == repr(sorted(want.items()))
+    assert repr(sorted(got.items())) == repr(_deepest(want, cfg))
 
 
 def _assert_matches_exact(x, cfg):
@@ -315,6 +322,8 @@ def _near_cancelling(rel):
 def test_block_maxima_match_reference_bit_for_bit(rho, osc, negl, hat):
     for x in (rho, osc, negl):
         _assert_same_maxima(x, CFG)
+    # a window wider than the grid leaves no block out
+    _assert_same_maxima(rho, OracleConfig(depth=160, window=200))
     for x in corpus_generate(37, 60).elements[:12]:
         _assert_same_maxima(x, SHALLOW)
     for x in (*_mixed(hat), _cancelling(),
@@ -336,22 +345,24 @@ def test_block_maxima_match_reference_bit_for_bit(rho, osc, negl, hat):
             _assert_same_maxima(x, SHALLOW)
 
 
-@pytest.mark.parametrize("sigma", RATIOS)
+# on the ratio 1/4 the residue b_0 = 1 lands on w = 1 at every even block
+@pytest.mark.parametrize("sigma", [*RATIOS, Q(1, 4)])
 @pytest.mark.parametrize("j", [0, 1, 3])
 def test_walk_steps_to_block_coord(sigma, j):
     grid = Grid(sigma, j)
     for depth in (400, 1600):
         for b in _RESIDUES:
-            seen = 0
+            ks = []
             for k, u, K, w in _walk(grid, b, depth // 8):
-                seen += 1
+                ks.append(k)
                 want = Q(b.numerator, b.denominator << k)
                 assert (u is not None) == (want > grid.c0), (b, k)
                 if u is None:
                     assert (K, w) == grid.block_coord(want), (b, k)
                 else:
                     assert u == want and K is None and w is None
-            assert seen == depth // 8 - 1
+            # deepest first, every block once
+            assert ks == list(range(depth // 8 - 1, 0, -1))
 
 
 def test_oracle_locates_each_residue_once(monkeypatch, rho, hat):
@@ -370,11 +381,33 @@ def test_oracle_locates_each_residue_once(monkeypatch, rho, hat):
             assert 0 < len(calls) <= 8
 
 
+def test_oracle_looks_up_each_kept_profile_once(monkeypatch, rho, hat):
+    """On the ratio 1/2 a residue keeps its w, so each residue looks its
+    profile up once, although the residues take turns block by block."""
+    calls = []
+    profiles = oracle._profiles
+
+    def counted(x):
+        at = profiles(x)
+
+        def counted_at(w):
+            calls.append(w)
+            return at(w)
+        return counted_at
+
+    monkeypatch.setattr(oracle, "_profiles", counted)
+    for x in (rho, *_mixed(hat)):
+        for cfg in (SHALLOW, CFG):
+            del calls[:]
+            oracle_valuation(x, cfg)
+            assert 0 < len(calls) <= 8
+
+
 def test_oracle_takes_about_one_exact_log_per_block(monkeypatch, rho, hat):
-    """The float screen leaves about one exact tail evaluation per block,
-    where the per-sample loop took eight.  The extra ones are samples
-    without an estimate, near the anchor: their exponents coincide, or
-    their float sum cancels."""
+    """The float screen leaves about one exact tail evaluation per block
+    the fit reads, where the per-sample loop took eight.  The extra ones
+    are samples without an estimate: their exponents coincide, or their
+    float sum cancels."""
     extra = 8
     calls = []
     sampler = oracle._tail_sampler
@@ -392,7 +425,80 @@ def test_oracle_takes_about_one_exact_log_per_block(monkeypatch, rho, hat):
         for cfg in (SHALLOW, CFG):
             del calls[:]
             oracle_valuation(x, cfg)
-            assert 0 < len(calls) <= cfg.depth // 8 - 1 + extra
+            assert 0 < len(calls) <= 2 * _fit_blocks(cfg) + extra
+
+
+def test_oracle_samples_only_the_blocks_the_fit_reads(monkeypatch, rho, hat):
+    """The walk stops once it holds the 2 * wn blocks the fit reads: at
+    most 8 float estimates per such block, plus one block of slack."""
+    calls = []
+    sampler = oracle._float_sampler
+
+    def counted(x):
+        estimate = sampler(x)
+
+        def counted_estimate(K, p):
+            calls.append(K)
+            return estimate(K, p)
+        return counted_estimate
+
+    monkeypatch.setattr(oracle, "_float_sampler", counted)
+    for x in (rho, *_mixed(hat), _on_ratio(Q(2, 3))):
+        for cfg in (SHALLOW, CFG):
+            del calls[:]
+            oracle_valuation(x, cfg)
+            assert 0 < len(calls) <= 8 * 2 * _fit_blocks(cfg) + 8
+
+
+def _ref_fit_elements(rho, osc, negl, hat):
+    """(x, depth) pairs: the fixtures at depth 1600, the rest at 400."""
+    yield from ((x, 1600) for x in (rho, osc, negl))
+    for x in (*corpus_generate(37, 60).elements, *_mixed(hat), _cancelling(),
+              _near_cancelling(Q(1, 10 ** 7)),
+              _near_cancelling(Q(1, 10 ** 60)),
+              _head_only(Q(1, 4), Q(1, 2)), _head_only(Q(1, 8), Q(1, 2)),
+              *(_on_ratio(sigma, t) for sigma in RATIOS for t in (0, 8))):
+        yield x, 400
+
+
+def test_valuation_equals_fit_over_every_block(rho, osc, negl, hat):
+    """The estimate from the deepest blocks only is the one fitted to the
+    maxima of every block, float for float, at every window."""
+    for x, depth in _ref_fit_elements(rho, osc, negl, hat):
+        cfg = OracleConfig(depth=depth)
+        with mpmath.workdps(cfg.precision):
+            every = _ref_block_maxima(_ref_log_sampler(x, cfg), cfg)
+        for window in (8, 16, 40, 200):
+            cfg = OracleConfig(depth=depth, window=window)
+            with mpmath.workdps(cfg.precision):
+                want = _fit(every, cfg)
+            got = oracle_valuation(x, cfg)
+            assert (got.lo, got.hi, got.diverging) == \
+                (want.lo, want.hi, want.diverging), (x, cfg)
+
+
+@pytest.mark.parametrize("depth", [8, 16])
+def test_oracle_valuation_rejects_a_grid_too_shallow_for_a_slope(depth):
+    # depth 16 has one block, where u^2 read as diverging; depth 8 has
+    # none, where it raised AllSamplesZero
+    with pytest.raises(PreconditionViolated, match=f"depth {depth}"):
+        oracle_valuation(PwFunction.upower(2), OracleConfig(depth=depth))
+
+
+def test_oracle_valuation_on_three_blocks():
+    # three nonzero blocks left one block for the drift slope, which
+    # divided by zero
+    est = oracle_valuation(PwFunction.upower(2), OracleConfig(depth=32))
+    assert not est.diverging and est.contains(2)
+
+
+def test_diverging_estimate_contains_only_none():
+    drift = oracle.ValuationEstimate(1.0, math.inf, True)
+    assert drift.contains(None)
+    assert not drift.contains(5) and not drift.contains(1)
+    finite = oracle.ValuationEstimate(0.95, 1.05, False)
+    assert finite.contains(1) and not finite.contains(None)
+    assert not finite.contains(2)
 
 
 def _head_only(c0, top):

@@ -191,18 +191,15 @@ def _fast_samples(x, cfg):
                 else sample[0] * log_sigma + mpmath.log(abs(sample[1])))
 
 
-def _deepest(best, cfg):
-    """The deepest 2 * wn blocks of best, the ones the slope fit reads."""
-    return sorted(best.items())[-2 * _fit_blocks(cfg):]
-
-
 def _assert_same_maxima(x, cfg):
     """The per-block maxima are the reference's on its deepest 2 * wn
-    blocks with a nonzero sample, exactly, by repr."""
+    blocks with a nonzero sample, the ones the slope fit reads, exactly,
+    by repr."""
     with mpmath.workdps(cfg.precision):
         got = _block_maxima(x, cfg)
         want = _ref_block_maxima(_ref_log_sampler(x, cfg), cfg)
-    assert repr(sorted(got.items())) == repr(_deepest(want, cfg))
+    assert repr(sorted(got.items())) == \
+        repr(sorted(want.items())[-2 * _fit_blocks(cfg):])
 
 
 def _assert_matches_exact(x, cfg):
@@ -450,21 +447,16 @@ def test_oracle_samples_only_the_blocks_the_fit_reads(monkeypatch, rho, hat):
             assert 0 < len(calls) <= 8 * 2 * _fit_blocks(cfg) + 8
 
 
-def _ref_fit_elements(rho, osc, negl, hat):
-    """(x, depth) pairs: the fixtures at depth 1600, the rest at 400."""
-    yield from ((x, 1600) for x in (rho, osc, negl))
-    for x in (*corpus_generate(37, 60).elements, *_mixed(hat), _cancelling(),
-              _near_cancelling(Q(1, 10 ** 7)),
-              _near_cancelling(Q(1, 10 ** 60)),
-              _head_only(Q(1, 4), Q(1, 2)), _head_only(Q(1, 8), Q(1, 2)),
-              *(_on_ratio(sigma, t) for sigma in RATIOS for t in (0, 8))):
-        yield x, 400
-
-
 def test_valuation_equals_fit_over_every_block(rho, osc, negl, hat):
     """The estimate from the deepest blocks only is the one fitted to the
     maxima of every block, float for float, at every window."""
-    for x, depth in _ref_fit_elements(rho, osc, negl, hat):
+    shallow = (*corpus_generate(37, 60).elements, *_mixed(hat), _cancelling(),
+               _near_cancelling(Q(1, 10 ** 7)),
+               _near_cancelling(Q(1, 10 ** 60)),
+               _head_only(Q(1, 4), Q(1, 2)), _head_only(Q(1, 8), Q(1, 2)),
+               *(_on_ratio(sigma, t) for sigma in RATIOS for t in (0, 8)))
+    for x, depth in [*((x, 1600) for x in (rho, osc, negl)),
+                     *((x, 400) for x in shallow)]:
         cfg = OracleConfig(depth=depth)
         with mpmath.workdps(cfg.precision):
             every = _ref_block_maxima(_ref_log_sampler(x, cfg), cfg)

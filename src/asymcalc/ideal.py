@@ -14,11 +14,20 @@ so each answer depends on x near 0 only, never on the head a
 representative stores on (c0, 1].  The decisions therefore run on
 `PwFunction.germ`, the head-free representative on anchor 1: two germs
 unify by coarsening the ratio alone, and a witness search does tail
-arithmetic only.  An ideal keeps the germ of sos and its zero structures,
-each computed once, on first use.  The obstruction structure of sos is kept
-by the germ itself: `signs.obstruction_on(I.sos_germ, S)` builds it on the
-first question and stores it in the germ's `_bad` slot, so every later
-question on the ratio of sos reuses it.
+arithmetic only.
+
+Answers are kept where they are computed, on immutable values.  An ideal
+keeps the germ of sos, its properness and its orbit zero set, each
+computed once, on first use, and the least domination exponent of every
+germ it was asked about, keyed by the germ's grid and components.  An
+element keeps its window zero structure in its `_zeros` slot and its
+obstruction structure in its `_bad` slot (`signs.obstruction_on` fills
+that one), so the germ of sos keeps both for every question on its ratio.
+A kept answer equals a fresh one: a germ has no head, so its key holds the
+whole function, and the search that fills the entry is a deterministic
+function of the germ and the ideal.  The segments and components are
+canonical, so equal functions on one grid share a key; equal functions on
+different grids miss and are searched again.
 """
 
 from __future__ import annotations
@@ -26,8 +35,8 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import cached_property
 
-from .errors import (ImproperIdeal, RepresentabilityError,
-                     SearchBoundExceeded)
+from .errors import (ImproperIdeal, PreconditionViolated,
+                     RepresentabilityError, SearchBoundExceeded)
 from .genconst import GenConstant, _bisect, _cutoff, _rep
 from .grid import unify
 from .ivset import Iv, IvSet
@@ -40,9 +49,13 @@ from .signs import (eventually_nonneg, flat_common_zero,
 class FgIdeal:
     """A finitely generated ideal, represented by its generators and the
     combined generator sos = sum(g^2).  The germ of sos, properness and the
-    zero structures of sos are computed on first use and kept, and the germ
-    keeps its obstruction structure: building an ideal costs the products
-    alone."""
+    orbit zero set of sos are computed on first use and kept, and the germ
+    keeps its zero and obstruction structures: building an ideal costs the
+    products alone.  `_exponents` maps the key (grid, comps) of a germ to
+    its least domination exponent, None when no N up to the slope bound
+    holds; `_domination_exponent` fills it, one search per germ.  The key
+    holds the whole germ and the search is deterministic, so a kept
+    exponent is the one a fresh search finds."""
 
     def __init__(self, gens):
         gens = [g if isinstance(g, GenConstant) else GenConstant(g)
@@ -54,6 +67,7 @@ class FgIdeal:
         for g in gens[1:]:
             acc = acc + g * g
         self.sos = acc
+        self._exponents = {}
 
     def __repr__(self):
         return f"FgIdeal({len(self.gens)} gens, sos={self.sos.rep!r})"
@@ -76,15 +90,11 @@ class FgIdeal:
         return not self.sos_invertible_on(self.full_set())
 
     @cached_property
-    def _zeros(self):
-        return _zero_structure(self.sos_germ)
-
-    @cached_property
     def _zero_set(self) -> AsymptoticSet:
         """The orbit set of the window zeros of sos; the complement-closure
         of the sublevel sets L_n stabilizes to it."""
         sos = self.sos_germ
-        flat, pts = self._zeros
+        flat, pts = _zero_structure(sos)
         Z = flat.closure()
         for p in pts:
             if not isinstance(p, Q):
@@ -104,10 +114,13 @@ class FgIdeal:
 
 def _zero_structure(x: PwFunction):
     """(flat, points) window common-zero structure of the polynomial-scale
-    part, or None when the element is negligible (everything vanishes)."""
+    part, or None when the element is negligible (everything vanishes).
+    Built on the first call for x and kept in its `_zeros` slot."""
     if x.is_negligible():
         return None
-    return flat_common_zero(x), isolated_common_zeros(x)
+    if x._zeros is None:
+        x._zeros = flat_common_zero(x), isolated_common_zeros(x)
+    return x._zeros
 
 
 def _zeros_within(za, b: PwFunction) -> bool:
@@ -130,14 +143,14 @@ def z_subset(a, b) -> bool:
 
 
 def _ideal_z_subset(I: FgIdeal, xg: PwFunction) -> bool:
-    """z_subset(I.sos, x) for the germ xg of x, on the kept zero structure
-    of sos when the common ratio is the ratio of sos."""
+    """z_subset(I.sos, x) for the germ xg of x.  `coarsen(1)` returns the
+    germ itself, so where the common ratio is the ratio of sos or of x,
+    the zero structure that germ keeps is read."""
     m1, m2 = I.sos_germ.grid.common_ratio(xg.grid)
     xg = xg.coarsen(m2)
     if xg.is_negligible():
         return True
-    za = I._zeros if m1 == 1 else _zero_structure(I.sos_germ.coarsen(m1))
-    return _zeros_within(za, xg)
+    return _zeros_within(_zero_structure(I.sos_germ.coarsen(m1)), xg)
 
 
 # -- membership -----------------------------------------------------------
@@ -160,9 +173,19 @@ def _valuation_floor(x: PwFunction, sos: PwFunction) -> int:
 
 def _domination_exponent(xg: PwFunction, I: FgIdeal):
     """The least N of ideal_member, or None, for the germ xg of an element
-    that is not negligible and passes the zero-structure test.  sos and
-    x^2 share one grid up front, so building each z_N is tail arithmetic
-    on it."""
+    that is not negligible and passes the zero-structure test: kept by I,
+    searched on the first question about xg."""
+    key = (xg.grid, xg.comps)
+    try:
+        return I._exponents[key]
+    except KeyError:
+        N = I._exponents[key] = _least_exponent(xg, I)
+        return N
+
+
+def _least_exponent(xg: PwFunction, I: FgIdeal):
+    """The search of `_domination_exponent`.  sos and x^2 share one grid
+    up front, so building each z_N is tail arithmetic on it."""
     sos, x2 = unify(I.sos_germ, xg.mul(xg))
     full = I.full_set()
 
@@ -212,8 +235,14 @@ def f_of_I_member(S: AsymptoticSet, I: FgIdeal) -> bool:
 
 
 def radical_member(x, I: FgIdeal, mmax: int = 16):
-    """(true, m, N) when x^m lands in I, else (false, None, None); the
-    zero-structure test makes the negative answer exact."""
+    """(true, m, N) for the least m <= mmax with x^m in I, and
+    (false, None, None) when the zero-structure test, which is exact,
+    denies every power.  SearchBoundExceeded when the test allows them but
+    no power up to mmax lands; PreconditionViolated for mmax < 1, which
+    leaves no power to try."""
+    if mmax < 1:
+        raise PreconditionViolated(
+            f"mmax = {mmax} leaves no power to try; it must be >= 1")
     xg = _rep(x).germ()
     if not _ideal_z_subset(I, xg):
         return (False, None, None)

@@ -47,16 +47,19 @@ class PwFunction:
     are nonzero, with distinct (s, r), and sorted by (r, s): both
     constructors go through `_canonical_comps`.  `_bad` keeps the
     obstruction structure that `signs.obstruction_on` reads off the
-    element on its own ratio: None until the first such question, then
-    that one read-only structure."""
+    element on its own ratio, and `_zeros` the window zero structure
+    (flat common zero, isolated common zeros) that `ideal._zero_structure`
+    reads off it: each None until the first such question, then that one
+    read-only structure.  An element is never mutated after construction,
+    so a kept structure stays the element's own."""
 
-    __slots__ = ("grid", "comps", "head", "_bad")
+    __slots__ = ("grid", "comps", "head", "_bad", "_zeros")
 
     def __init__(self, sigma, comps, head=None, c0=Q(1), D=1):
         self.grid = Grid.of(sigma, c0, D)
         self.comps = _canonical_comps(comps)
         self.head = head
-        self._bad = None
+        self._bad = self._zeros = None
         self._validate()
 
     @classmethod
@@ -65,7 +68,7 @@ class PwFunction:
         c0 < 1, on [c0, 1] and continuous with the tail."""
         x = object.__new__(cls)
         x.grid, x.comps, x.head = grid, _canonical_comps(comps), head
-        x._bad = None
+        x._bad = x._zeros = None
         return x
 
     sigma = property(lambda self: self.grid.sigma)

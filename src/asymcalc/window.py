@@ -173,6 +173,14 @@ class Piecewise:
     def __eq__(self, other):
         return isinstance(other, Piecewise) and self.segs == other.segs
 
+    def __hash__(self):
+        """The hash of the segments, which `__eq__` compares: equal
+        profiles have equal hashes.  A profile is never mutated after
+        construction, and its segments are canonical (coprime integer
+        num, den over their content, equal neighbours merged), so equal
+        functions on one interval hash alike."""
+        return hash(self.segs)
+
     def eval(self, w) -> Q:
         w = Q(w)
         if not (self.lo <= w <= self.hi):

@@ -1,3 +1,7 @@
+import argparse
+import importlib.util
+import json
+import os
 import random
 from fractions import Fraction as Q
 from functools import cmp_to_key
@@ -9,8 +13,8 @@ from hypothesis import strategies as st
 import asymcalc.ideal as ideal_mod
 import asymcalc.signs as signs_mod
 from asymcalc.afilter import Closure, OfIdeal, filter_member
-from asymcalc.errors import (ImproperIdeal, RepresentabilityError,
-                             SearchBoundExceeded)
+from asymcalc.errors import (ImproperIdeal, PreconditionViolated,
+                             RepresentabilityError, SearchBoundExceeded)
 from asymcalc.genconst import GenConstant, _bisect, _rep, urysohn
 from asymcalc.grid import unify
 from asymcalc.ideal import (FgIdeal, _slope_bound, annihilator_member,
@@ -28,6 +32,12 @@ from asymcalc.signs import (NONNEG, POS, ZERO, BadPt, _bad_hits,
 from asymcalc.verify import corpus_generate
 from asymcalc.verify.corpus import tent
 from asymcalc.window import Piecewise
+
+_TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools",
+                     "query_outputs.py")
+_spec = importlib.util.spec_from_file_location("query_outputs", _TOOL)
+query_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(query_outputs)
 
 
 def test_proper_and_improper(hat, rho):
@@ -257,6 +267,132 @@ def test_nonmember_costs_two_sign_decisions(hat, monkeypatch):
     assert ideal_member(hat, I) == (False, None)
     # the valuation floor, then the slope bound; the scan made five
     assert len(calls) == 2
+
+
+# -- kept answers -----------------------------------------------------------
+
+
+def _copy(x: PwFunction) -> PwFunction:
+    """The same function as a distinct object that keeps nothing yet."""
+    return PwFunction.on(x.grid, x.comps, x.head)
+
+
+def _count_sign_calls(monkeypatch):
+    calls = []
+
+    def counted(z, S):
+        calls.append(z)
+        return signs_mod.eventually_nonneg(z, S)
+
+    monkeypatch.setattr(ideal_mod, "eventually_nonneg", counted)
+    return calls
+
+
+def test_repeated_member_makes_no_sign_decision(hat, osc, monkeypatch):
+    calls = _count_sign_calls(monkeypatch)
+    I = FgIdeal([hat.mul(hat), osc.mul(hat)])
+    first = ideal_member(hat, I)
+    assert calls
+    n = len(calls)
+    assert ideal_member(_copy(hat), I) == first
+    assert len(calls) == n
+
+
+def test_radical_member_reuses_the_first_power(hat, monkeypatch):
+    calls = _count_sign_calls(monkeypatch)
+    I = FgIdeal([hat])
+    ok, N = ideal_member(hat, I)
+    assert ok and calls
+    n = len(calls)
+    assert radical_member(hat, I) == (True, 1, N)
+    assert len(calls) == n
+
+
+def test_zero_structure_is_built_once_per_element(hat, monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return signs_mod.isolated_common_zeros(x)
+
+    monkeypatch.setattr(ideal_mod, "isolated_common_zeros", counted)
+    first = ideal_mod._zero_structure(hat)
+    assert ideal_mod._zero_structure(hat) is first
+    I = FgIdeal([hat.mul(hat)])
+    assert zclosure_member(hat, I) and not ideal_member(hat, I)[0]
+    assert calls == [hat, I.sos_germ]
+    other = _copy(hat)
+    assert ideal_mod._zero_structure(other) == first
+    assert calls == [hat, I.sos_germ, other]
+
+
+def test_radical_member_needs_a_power(hat, negl):
+    I = FgIdeal([hat])
+    for x in (hat, negl):
+        for mmax in (0, -1):
+            with pytest.raises(PreconditionViolated):
+                radical_member(x, I, mmax)
+    assert radical_member(negl, I, 1) == (True, 1, 0)
+
+
+_BAND_A = (Q(9, 16), Q(5, 8), Q(11, 16))
+_BAND_B = (Q(3, 4), Q(13, 16), Q(7, 8))
+
+
+def _band_ideal(s):
+    """The ideal of a tent on the window band A and eps^s times a tent on
+    the band B."""
+    return FgIdeal([tent(*_BAND_A), tent(*_BAND_B, s)])
+
+
+def _depth_pair():
+    """Two elements that differ only in the depth of their component on
+    the band B.  Against `_band_ideal(s)`, the live one needs N = 4 + 2s,
+    the deep one N = 6, which the band A needs."""
+    return [tent(*_BAND_A, -3).add(tent(*_BAND_B, -2, r)) for r in (0, 1)]
+
+
+def test_kept_answers_equal_fresh_ones():
+    """Every query of the seed-1 ideal workload, answered through its
+    shared pool, where ideals and elements keep their answers, equals the
+    answer of a fresh ideal of the same generators on a fresh copy of the
+    element, which keep nothing yet.  The depth pair follows, asked of two
+    ideals: its two keys differ only in the depth of one component, and
+    each element has a different answer in each ideal."""
+    warm = [json.loads(line) for line in query_outputs.query_lines("ideal", 1)]
+    assert len(warm) == 1020
+    run = query_outputs._bench()
+    import harness
+
+    wl, items, _ = run.setup(argparse.Namespace(
+        workload="ideal", seed=1, seconds=query_outputs.SECONDS))
+    cold = []
+
+    class Log(harness.Recorder):
+        def call(self, kind, fn, *args):
+            out = super().call(kind, fn, *args)
+            cold.append({"item": self.item, "kind": kind,
+                         "status": out.status,
+                         "value": query_outputs.canonical(out.value)})
+            return out
+
+    rec = Log()
+    for i, item in enumerate(items):
+        a, I = item.args
+        if isinstance(a, PwFunction):
+            a = _copy(a)
+        rec.begin(i)
+        wl.run(type(item)(item.spec, (a, FgIdeal(I.gens))), rec)
+    assert cold == warm
+
+    xs = _depth_pair()
+    want = [[(True, 14), (True, 6)], [(True, 16), (True, 6)]]
+    Is = [_band_ideal(5), _band_ideal(6)]
+    assert [[ideal_member(x, I) for x in xs] for I in Is] == want
+    assert [[radical_member(x, I, 2)[1:] for x in xs] for I in Is] == \
+        [[(1, N) for _, N in row] for row in want]
+    assert [[ideal_member(_copy(x), FgIdeal(I.gens)) for x in xs]
+            for I in Is] == want
 
 
 # -- the germ path against the parent's full-representative path ---------

@@ -1,9 +1,16 @@
 """Asymptotic filters as evaluable expressions.
 
-A filter is a symbolic expression: finitely generated (all closed
-asymptotic supersets of the generators' intersection), the invertibility
-filter of an ideal, or an interior/closure operator applied to one of
-those.  Membership is decided by structural recursion.  Every proper
+A filter is a symbolic expression: a core, finitely generated (`FG`, all
+closed asymptotic supersets of the generators' intersection) or the
+invertibility filter of an ideal (`OfIdeal`), under any nesting of the
+interior and closure operators.  Five laws, int int = int, cl cl = cl,
+int cl = int, cl int = cl and int F(I) = F(I), reduce every nesting to
+one normal form (`FilterExpr.normalize`): the core under its outermost
+operator, with an interior over an ideal filter dropped.  `filter_member`
+decides membership from that (operator, core) pair, and `i_of_f_member`
+and `refuting_cover` read the core alone (`_core`), which normalizing
+never changes.  A new core is a `FilterExpr` subclass with one branch in
+each of `filter_member`, `i_of_f_member` and `_core_point`.  Every proper
 filter is neither prime nor pseudoprime, and `refuting_cover` builds the
 certificate: one closed cover on the cubed ratio, cut around two copies of
 a point of the filter's core.
@@ -34,11 +41,15 @@ from .window import Piecewise
 class FilterExpr:
     """Base class; concrete variants below."""
 
-    def member(self, S: AsymptoticSet) -> bool:
-        raise NotImplementedError
-
     def normalize(self) -> "FilterExpr":
-        return self
+        """The normal form: the core under the outermost operator, or the
+        bare core when that operator is an interior over the filter of an
+        ideal."""
+        core = _core(self)
+        if core is self or (isinstance(self, Interior)
+                            and isinstance(core, OfIdeal)):
+            return core
+        return type(self)(core)
 
 
 @dataclass
@@ -71,11 +82,6 @@ class FG(FilterExpr):
     def base(self) -> AsymptoticSet:
         return self._base
 
-    def member(self, S):
-        _need_closed(S)
-        G, s = unify(self.base(), S)
-        return G.shape.subset_of(s.shape)
-
 
 @dataclass
 class OfIdeal(FilterExpr):
@@ -83,70 +89,15 @@ class OfIdeal(FilterExpr):
 
     ideal: FgIdeal
 
-    def member(self, S):
-        _need_closed(S)
-        return f_of_I_member(S, self.ideal)
-
 
 @dataclass
 class Interior(FilterExpr):
     of: FilterExpr
 
-    def member(self, S):
-        _need_closed(S)
-        base = self.normalize()
-        if not isinstance(base, Interior):
-            return base.member(S)
-        inner = base.of
-        if isinstance(inner, FG):
-            G, s = unify(inner.base(), S.interior())
-            return G.shape.subset_of(s.shape)
-        raise AssertionError("normalize left an unexpected interior")
-
-    def normalize(self):
-        inner = self.of.normalize()
-        if isinstance(inner, OfIdeal):
-            # the ideal filter is already open in the extension topology
-            return inner
-        if isinstance(inner, Interior):
-            return inner
-        if isinstance(inner, Closure):
-            # int(cl F) = int F
-            return Interior(inner.of).normalize()
-        return Interior(inner)
-
 
 @dataclass
 class Closure(FilterExpr):
     of: FilterExpr
-
-    def member(self, S):
-        _need_closed(S)
-        base = self.normalize()
-        if not isinstance(base, Closure):
-            return base.member(S)
-        inner = base.of
-        if isinstance(inner, FG):
-            G, s = unify(inner.base(), S)
-            return G.shape.subset_of(s.shape)
-        if isinstance(inner, OfIdeal):
-            return _closure_of_ideal_member(S, inner.ideal)
-        raise AssertionError("normalize left an unexpected closure")
-
-    def normalize(self):
-        inner = self.of.normalize()
-        if isinstance(inner, Closure):
-            return inner
-        if isinstance(inner, Interior):
-            # cl(int F) = cl F
-            return Closure(inner.of).normalize()
-        return Closure(inner)
-
-
-def _need_closed(S: AsymptoticSet):
-    if not S.is_closed():
-        raise PreconditionViolated("filter membership is asked of closed "
-                                   "sets")
 
 
 def _closure_of_ideal_member(S: AsymptoticSet, I: FgIdeal) -> bool:
@@ -161,13 +112,25 @@ def _closure_of_ideal_member(S: AsymptoticSet, I: FgIdeal) -> bool:
 
 
 def filter_member(F: FilterExpr, S: AsymptoticSet) -> bool:
-    return F.normalize().member(S)
+    """Whether the closed set S is in F, decided on F's normal form."""
+    if not S.is_closed():
+        raise PreconditionViolated("filter membership is asked of closed "
+                                   "sets")
+    F = F.normalize()
+    core = _core(F)
+    if isinstance(core, FG):
+        G, s = unify(core.base(),
+                     S.interior() if isinstance(F, Interior) else S)
+        return G.shape.subset_of(s.shape)
+    if isinstance(F, Closure):
+        return _closure_of_ideal_member(S, core.ideal)
+    return f_of_I_member(S, core.ideal)
 
 
 def i_of_f_member(x, F: FilterExpr) -> bool:
     """Whether x vanishes on some member of the filter."""
     # interior and closure do not change the ideal of a filter
-    F = _core(F.normalize())
+    F = _core(F)
     xr = _rep(x)
     if isinstance(F, FG):
         return _restr_zero_pw(xr, F.base())
@@ -205,7 +168,7 @@ def refuting_cover(F: FilterExpr) -> CounterExample:
     coarsening an element by 3 never raises IncommensurableRatio, while by
     2 it does for a deep component with odd r.  The filter of an improper
     ideal holds every set and raises ImproperFilter."""
-    c, grid = _core_point(F.normalize())
+    c, grid = _core_point(F)
     sg, s3 = grid.sigma, grid.sigma ** 3
     # shrink the enclosure (lo, hi) of c until it lies above sigma and its
     # copy (lo, hi)*sigma lies below it; c > sigma, so this ends
@@ -243,7 +206,7 @@ def _core_point(F: FilterExpr):
 
 def _core(F: FilterExpr) -> FilterExpr:
     """The generated or ideal filter under the interior and closure
-    operators of a normalized filter."""
+    operators of F; normalizing never changes it."""
     while isinstance(F, (Interior, Closure)):
         F = F.of
     return F
@@ -273,7 +236,6 @@ def _check_chain(F: FilterExpr, chain):
 def rapid_witness(F: FilterExpr, chain) -> AsymptoticSet:
     """A member below every chain element up to non-characteristic
     remainders; for generated filters the base itself works."""
-    F = F.normalize()
     _check_chain(F, chain)
     T = _some_member(F)
     for S in chain:
@@ -368,7 +330,7 @@ def prec_interval_basis(S: AsymptoticSet, T: AsymptoticSet):
     """The basic open interval of the extension topology, as a membership
     predicate."""
 
-    def member(U: AsymptoticSet) -> bool:
+    def between(U: AsymptoticSet) -> bool:
         return S.precedes(U) and U.precedes(T)
 
-    return member
+    return between

@@ -644,7 +644,7 @@ def _check_modulus(d: PwFunction, n: int, eps_n: Q):
             not z.head.restrict(z.c0, min(eps_n, Q(1))).nonneg_on_all():
         raise ModulusViolated(f"step {n} breaks its certified bound above "
                               "the anchor")
-    k0 = z.block_of(eps_n) if eps_n <= z.c0 else 0
+    k0 = z.grid.block_coord(eps_n)[0] if eps_n <= z.c0 else 0
     k = next(_failing_blocks(z, win, range(k0, K)), None)
     if k is not None:
         raise ModulusViolated(f"step {n} breaks its certified bound "

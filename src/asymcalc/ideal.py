@@ -87,7 +87,7 @@ class FgIdeal:
 
     @cached_property
     def _proper(self) -> bool:
-        return not self.sos_invertible_on(self.full_set())
+        return not restr_invertible_bool(self.sos_germ, self.full_set())
 
     @cached_property
     def _zero_set(self) -> AsymptoticSet:
@@ -103,10 +103,6 @@ class FgIdeal:
                     "orbit set")
             Z = Z.union(IvSet.point(p))
         return AsymptoticSet(sos.sigma, circle_closure(Z, sos.sigma), D=sos.D)
-
-    def sos_invertible_on(self, S: AsymptoticSet) -> bool:
-        """Whether sos is invertible on S, a set accumulating at 0."""
-        return restr_invertible_bool(self.sos_germ, S)
 
 
 # -- zero structures ------------------------------------------------------
@@ -231,7 +227,7 @@ def f_of_I_member(S: AsymptoticSet, I: FgIdeal) -> bool:
     coS = S.complement().closure()
     if not coS.is_characteristic():
         return True
-    return I.sos_invertible_on(coS)
+    return restr_invertible_bool(I.sos_germ, coS)
 
 
 def radical_member(x, I: FgIdeal, mmax: int = 16):

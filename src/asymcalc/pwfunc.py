@@ -145,13 +145,6 @@ class PwFunction:
     def is_zero(self) -> bool:
         return not self.comps and (self.head is None or self.head.is_zero())
 
-    def block_of(self, u) -> int:
-        """Index k with u in (sigma^(k+1) c0, sigma^k c0]; u <= c0."""
-        return self.block_coord(u)[0]
-
-    def block_coord(self, u):
-        return self.grid.block_coord(u)
-
     def block(self, k: int) -> Piecewise:
         """The tail on block k in the window coordinate: the sum of
         sigma^e(k) * g over the components, on [sigma, 1]."""
@@ -167,7 +160,7 @@ class PwFunction:
             raise ValueError("argument must lie in (0, 1]")
         if u > self.c0:
             return self.head.eval(u)
-        k, w = self.block_coord(u)
+        k, w = self.grid.block_coord(u)
         return sum((c.weight(self.sigma, k) * c.g.eval(w)
                     for c in self.comps), Q(0))
 

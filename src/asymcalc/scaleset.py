@@ -215,11 +215,8 @@ class AsymptoticSet:
             return False
         if u > self.c0:
             return self.head.contains(u)
-        k, w = self.block_coord(u)
+        k, w = self.grid.block_coord(u)
         return self.shape.contains(w)
-
-    def block_coord(self, u):
-        return self.grid.block_coord(u)
 
     # -- grid rewriting -------------------------------------------------
 
@@ -526,12 +523,6 @@ def _window_cands(shape: IvSet, sigma: Q) -> IvSet:
     return with_neighbours(circle_closure(shape, sigma).closure(), sigma)
 
 
-def window_distance_pl(shape: IvSet, sigma: Q):
-    """Piecewise linear distance d(w) on [sigma, 1] to the orbit of the
-    closed set `shape` (see `_window_cands`)."""
-    return pl_distance(_window_cands(shape, sigma), sigma, 1)
-
-
 def _head_cands(s: AsymptoticSet) -> IvSet:
     """Closed candidate set whose u-distance is exact on [sigma*c0, 1]:
     the head plus the top two tail blocks.  Any lower block is farther than
@@ -557,7 +548,7 @@ def distance_profile(S: AsymptoticSet):
         # neighbour blocks are genuine tail blocks
         S1 = S.lower_anchor(1)
         grid = S1.grid.lower(1)
-        dw = window_distance_pl(S1.shape, sg)
+        dw = pl_distance(_window_cands(S1.shape, sg), sg, 1)
         if dw.is_zero():
             comps = ()
         else:

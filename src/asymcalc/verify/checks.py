@@ -129,7 +129,7 @@ def galois_instance(rep, F, I, S):
     set S exactly when the interior of F does."""
     rep.instances += 1
     via_ideal = f_of_I_member(S, I)
-    direct = filter_member(Interior(F).normalize(), S)
+    direct = filter_member(Interior(F), S)
     if via_ideal != direct:
         rep.record_failure(filter=repr(F), probe=S,
                            via_ideal=via_ideal, direct=direct)
@@ -138,13 +138,13 @@ def galois_instance(rep, F, I, S):
 def interior_closure_instance(rep, F, S):
     """cl int F = cl F and int cl F = int F, probed at the closed set S."""
     rep.instances += 1
-    a = filter_member(Closure(Interior(F)).normalize(), S)
-    b = filter_member(Closure(F).normalize(), S)
+    a = filter_member(Closure(Interior(F)), S)
+    b = filter_member(Closure(F), S)
     if a != b:
         rep.record_failure(filter=repr(F), probe=S,
                            law="cl int = cl", lhs=a, rhs=b)
-    c = filter_member(Interior(Closure(F)).normalize(), S)
-    d = filter_member(Interior(F).normalize(), S)
+    c = filter_member(Interior(Closure(F)), S)
+    d = filter_member(Interior(F), S)
     if c != d:
         rep.record_failure(filter=repr(F), probe=S,
                            law="int cl = int", lhs=c, rhs=d)

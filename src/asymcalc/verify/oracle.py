@@ -40,7 +40,7 @@ afilter:
   blocks of S above the grid depth it takes each point, each closed
   endpoint and evenly spaced interior points of the shape, so point
   orbits and thin shapes are hit exactly.  Each block votes by comparing
-  the exact |x(u)| with u^n and u^(n/2), n = quantifier_bound; the block
+  the exact |x(u)| with u^n and u^(n/2), n = QUANTIFIER_BOUND; the block
   weights of x are memoized per block within one call.
 
 Disagreement between a shadow and an exact answer is reported as
@@ -58,15 +58,29 @@ from ..errors import AllSamplesZero, PreconditionViolated
 
 __all__ = [
     "OracleConfig",
+    "PRECISION",
+    "QUANTIFIER_BOUND",
+    "TOLERANCE",
     "ValuationEstimate",
     "oracle_valuation",
     "oracle_vanishes_on",
 ]
 
 
+# mpmath working precision in decimal digits.  A sample whose terms cancel
+# to within 10^(8 - PRECISION) of the largest term counts as zero.
+PRECISION = 60
+# half-width accepted around an exact valuation
+TOLERANCE = Q(1, 20)
+# existential scale quantifiers are probed up to this exponent only (the
+# oracle shadows "exists n" by "exists n <= bound"); vanishing compares
+# |x(u)| with u^bound and u^(bound/2)
+QUANTIFIER_BOUND = 8
+
+
 @dataclass(frozen=True)
 class OracleConfig:
-    """Grid and precision parameters for the numeric oracle.
+    """Grid parameters for the numeric oracle.
 
     depth:      deepest grid index J.  Valuation samples are
                 u_j = 2^-(j // 8) * b_(j % 8) on the full blocks
@@ -76,23 +90,12 @@ class OracleConfig:
                 deepest wn blocks with a nonzero sample, and its drift
                 test compares that slope with the one over the wn blocks
                 just above them (see _fit).
-    precision:  mpmath working precision in decimal digits.  A sample
-                whose terms cancel to within 10^(8 - precision) of the
-                largest term counts as zero.
-    tolerance:  half-width accepted around an exact valuation.
-    quantifier_bound:  existential scale quantifiers are probed up to
-                this exponent only (the oracle shadows "exists n" by
-                "exists n <= bound"); vanishing compares |x(u)| with
-                u^bound and u^(bound/2).
     min_scale:  samples below this magnitude are treated as zero; probes
                 never look past it (delta >= 2^-120 in the default).
     """
 
     depth: int = 1600
     window: int = 200
-    precision: int = 60
-    tolerance: Q = Q(1, 20)
-    quantifier_bound: int = 8
     min_scale: Q = Q(1, 2 ** 120)
 
 
@@ -255,11 +258,11 @@ def _tail_sampler(x, cfg: OracleConfig):
     nonzero sums t_e give total = sum_e sigma^(e - e0) t_e, with e0 the
     smallest exponent and the sum taken in mpmath; the powers sigma^n are
     memoized by n for the life of the returned function.  A sum of
-    several terms within 10^(8 - precision) of the largest term counts as
+    several terms within 10^(8 - PRECISION) of the largest term counts as
     zero.
     """
     sigma = _mpf(x.sigma)
-    cutoff = mpmath.mpf(10) ** (8 - cfg.precision)
+    cutoff = mpmath.mpf(10) ** (8 - PRECISION)
     powers = {}
 
     def tail(K, p):
@@ -405,7 +408,7 @@ def _fit(best, cfg: OracleConfig) -> ValuationEstimate:
     drift = float(s_deep - s_prev)
     if drift > 0.5 and float(s_deep) > float(s_prev) * 1.1 + 0.5:
         return ValuationEstimate(float(s_deep), math.inf, True)
-    tol = float(cfg.tolerance)
+    tol = float(TOLERANCE)
     spread = abs(drift)
     half = max(tol, spread)
     mid = float(s_deep)
@@ -430,7 +433,7 @@ def oracle_valuation(x, cfg: OracleConfig = OracleConfig()) -> ValuationEstimate
         raise PreconditionViolated(
             f"oracle depth {cfg.depth} is below 24: depth // 8 - 1 ="
             f" {blocks} grid blocks, and a slope needs 2")
-    with mpmath.workdps(cfg.precision):
+    with mpmath.workdps(PRECISION):
         return _fit(_block_maxima(x, cfg), cfg)
 
 
@@ -476,7 +479,7 @@ def _evaluator(x):
     def value(u):
         if u > x.c0:
             return x.head.eval(u)
-        K, w = x.block_coord(u)
+        K, w = x.grid.block_coord(u)
         if K not in weights:
             weights[K] = [c.weight(x.sigma, K) for c in x.comps]
         return sum((a * c.g.eval(w) for a, c in zip(weights[K], x.comps)),
@@ -504,13 +507,13 @@ def oracle_vanishes_on(x, S, cfg: OracleConfig = OracleConfig()):
     """Sampled shadow of "x restricts to zero on S".
 
     x is sampled at the points of S on its two deepest blocks above the
-    depth of cfg (see _deep_blocks).  With n = quantifier_bound, a block
+    depth of cfg (see _deep_blocks).  With n = QUANTIFIER_BOUND, a block
     votes True when every sample has |x(u)| <= u^n, and False when some
     sample has |x(u)| > u^(n/2); otherwise it abstains.  Returns the
     common vote of the two blocks, or None when they differ, a block
     abstains, or S has no samples deep enough.
     """
     value = _evaluator(x)
-    votes = {_vote(value, block, cfg.quantifier_bound)
+    votes = {_vote(value, block, QUANTIFIER_BOUND)
              for block in _deep_blocks(S, cfg)}
     return votes.pop() if len(votes) == 1 else None

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import pathlib
 import random
 from fractions import Fraction as Q
@@ -14,7 +15,8 @@ from asymcalc.afilter import (FG, Closure, CounterExample, Interior, OfIdeal,
                               rapid_witness, refuting_cover)
 from asymcalc.errors import (AsymcalcError, ChainNotDescending, ImproperFilter,
                              NotMember, PreconditionViolated)
-from asymcalc.ideal import FgIdeal
+from asymcalc.grid import unify
+from asymcalc.ideal import FgIdeal, f_of_I_member
 from asymcalc.ivset import Iv, IvSet
 from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import (AsymptoticSet, circle_closure, distance_profile,
@@ -60,6 +62,140 @@ def test_normalize_laws(A):
     assert isinstance(Closure(Closure(F)).normalize(), Closure)
     assert isinstance(Interior(Closure(F)).normalize(), Interior)
     assert isinstance(Closure(Interior(F)).normalize(), Closure)
+
+
+# -- the normal form against the recursive rules it replaced ---------------
+
+
+def _ref_normalize(F):
+    """The per-operator recursive normalize the one normal form replaced:
+    int int = int, int cl = int, int F(I) = F(I), cl cl = cl, cl int = cl."""
+    if isinstance(F, Interior):
+        inner = _ref_normalize(F.of)
+        if isinstance(inner, (OfIdeal, Interior)):
+            return inner
+        if isinstance(inner, Closure):
+            return _ref_normalize(Interior(inner.of))
+        return Interior(inner)
+    if isinstance(F, Closure):
+        inner = _ref_normalize(F.of)
+        if isinstance(inner, Closure):
+            return inner
+        if isinstance(inner, Interior):
+            return _ref_normalize(Closure(inner.of))
+        return Closure(inner)
+    return F
+
+
+def _ref_member(F, S):
+    """The per-class recursive membership the one normal form replaced."""
+    if not S.is_closed():
+        raise PreconditionViolated("closed sets only")
+    if isinstance(F, FG):
+        G, s = unify(F.base(), S)
+        return G.shape.subset_of(s.shape)
+    if isinstance(F, OfIdeal):
+        return f_of_I_member(S, F.ideal)
+    base = _ref_normalize(F)
+    if type(base) is not type(F):
+        return _ref_member(base, S)
+    inner = base.of
+    if isinstance(inner, FG):
+        G, s = unify(inner.base(),
+                     S.interior() if isinstance(F, Interior) else S)
+        return G.shape.subset_of(s.shape)
+    assert isinstance(F, Closure) and isinstance(inner, OfIdeal)
+    return afilter_mod._closure_of_ideal_member(S, inner.ideal)
+
+
+def _nestings(core, depth=3):
+    """Every stack of up to `depth` interior and closure operators over
+    core."""
+    out = [core]
+    for k in range(1, depth + 1):
+        for ops in itertools.product((Interior, Closure), repeat=k):
+            F = core
+            for op in ops:
+                F = op(F)
+            out.append(F)
+    return out
+
+
+def _layers(F):
+    """The operator types of F from the outside in, ending at the core."""
+    out = [type(F)]
+    while isinstance(F, (Interior, Closure)):
+        F = F.of
+        out.append(type(F))
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus_cores():
+    """A generated and a proper ideal core from one corpus, with its closed
+    sets, the generated base and the ideal's full set as probes."""
+    c = corpus_generate(3, 12)
+    fg, ideal = c.filters[3], c.filters[0]
+    assert isinstance(fg, FG) and isinstance(ideal, OfIdeal)
+    assert ideal.ideal.is_proper()
+    probes = [S for S in c.sets if S.is_closed()]
+    probes += [fg.base(), ideal.ideal.full_set(), _edge_probe(ideal.ideal)]
+    return (fg, ideal), probes
+
+
+def _edge_probe(I):
+    """The window minus an open arc (a, m) that starts at the top a of the
+    first flat zero of sos and stops halfway to the next obstruction: the
+    closed arc meets the zero at a and the open one misses it, so the set
+    is in cl F(I) and not in F(I)."""
+    sos, _, (flat, pts) = obstruction_on(I.sos_germ, I.full_set())
+    a = flat.ivs[0].hi
+    b = min([p.pos for p in pts if p.pos > a] +
+            [iv.lo for iv in flat.ivs if iv.lo > a])
+    S = AsymptoticSet(sos.sigma, IvSet([
+        Iv(sos.sigma, a, False, True), Iv((a + b) / 2, Q(1), True, True)]))
+    F = OfIdeal(I)
+    assert filter_member(Closure(F), S) and not filter_member(F, S)
+    return S
+
+
+def test_normal_form_matches_the_recursive_rules(corpus_cores):
+    cores, probes = corpus_cores
+    for core in cores:
+        seen = set()
+        for F in _nestings(core):
+            N = F.normalize()
+            assert _layers(N) == _layers(_ref_normalize(F)), F
+            assert afilter_mod._core(N) is core
+            for S in probes:
+                got = filter_member(F, S)
+                assert got == _ref_member(F, S), (F, S)
+                seen.add(got)
+        # the probes separate members from non-members
+        assert seen == {True, False}
+
+
+def test_normal_form_needs_closed_probes(corpus_cores):
+    cores, _ = corpus_cores
+    open_set = AsymptoticSet.orbit_interval(Q(3, 5), Q(9, 10),
+                                            lc=False, hc=False)
+    for core in cores:
+        for F in _nestings(core):
+            with pytest.raises(PreconditionViolated):
+                filter_member(F, open_set)
+
+
+def test_afilter_has_one_normalize_and_no_member():
+    """Membership is decided in `filter_member` alone, from the normal
+    form that the base class's `normalize` alone defines."""
+    tree = ast.parse(pathlib.Path(afilter_mod.__file__).read_text(
+        encoding="utf-8"))
+    names = [node.name for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)]
+    assert names.count("normalize") == 1
+    assert names.count("filter_member") == 1
+    assert "member" not in names and "_need_closed" not in names
+    assert "normalize" in vars(afilter_mod.FilterExpr)
 
 
 def test_ofideal_membership(hat, full):

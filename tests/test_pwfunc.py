@@ -147,12 +147,12 @@ def test_block_of_brackets_u(sg, t, k, f, r):
         u = sg ** k * c0 * (sg + (1 - sg) * f)
     for y in (x, AsymptoticSet.full(sg).lower_anchor(t)):
         assert y.c0 == c0
-        kb, w = y.block_coord(u)
+        kb, w = y.grid.block_coord(u)
         assert sg ** (kb + 1) * c0 < u <= sg ** kb * c0
         assert w == u / (sg ** kb * c0) and sg < w <= 1
         if f is not None:
             assert kb == k
-    assert x.block_of(u) == kb
+    assert x.grid.block_coord(u)[0] == kb
 
 
 @settings(max_examples=60, deadline=None)

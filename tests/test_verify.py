@@ -121,14 +121,14 @@ def _ref_log_sampler(x, cfg):
     comps = x.comps
     log_sigma = _logabs(x.sigma)
     sigma = _mpf(x.sigma)
-    cutoff = mpmath.mpf(10) ** (8 - cfg.precision)
+    cutoff = mpmath.mpf(10) ** (8 - oracle.PRECISION)
     profiles = {}
 
     def log_abs(u):
         if u > x.c0:
             val = x.head.eval(u)
             return _logabs(val) if val else None
-        k, w = x.block_coord(u)
+        k, w = x.grid.block_coord(u)
         if w not in profiles:
             profiles[w] = [(c, g, _mpf(g)) for c in comps
                            for g in (c.g.eval(w),) if g]
@@ -195,7 +195,7 @@ def _assert_same_maxima(x, cfg):
     """The per-block maxima are the reference's on its deepest 2 * wn
     blocks with a nonzero sample, the ones the slope fit reads, exactly,
     by repr."""
-    with mpmath.workdps(cfg.precision):
+    with mpmath.workdps(oracle.PRECISION):
         got = _block_maxima(x, cfg)
         want = _ref_block_maxima(_ref_log_sampler(x, cfg), cfg)
     assert repr(sorted(got.items())) == \
@@ -207,7 +207,7 @@ def _assert_matches_exact(x, cfg):
     exact log|x(u)|, zero exactly where x(u) = 0, and the estimate agrees
     with the one fitted to the exact samples."""
     exact = _exact_sampler(x)
-    with mpmath.workdps(cfg.precision):
+    with mpmath.workdps(oracle.PRECISION):
         seen = 0
         for _, u, got in _fast_samples(x, cfg):
             want = exact(u)
@@ -268,7 +268,7 @@ def _cancelling():
 
 def test_oracle_cancelling_exponents_give_zero_samples():
     x = _cancelling()
-    with mpmath.workdps(SHALLOW.precision):
+    with mpmath.workdps(oracle.PRECISION):
         on_block_3 = [(u, la) for k, u, la in _fast_samples(x, SHALLOW)
                       if k == 3]
         assert on_block_3
@@ -306,12 +306,12 @@ def _near_cancelling(rel):
     a = -Q(1, 2 ** K) * (1 - rel)
     x = PwFunction(Q(1, 2), [TailComponent(0, 0, tent.scale(a)),
                              TailComponent(1, 0, tent)])
-    assert x.block_coord(w / 2 ** K) == (K, w)
+    assert x.grid.block_coord(w / 2 ** K) == (K, w)
     assert x.eval(w / 2 ** K) == rel / 2 ** K
-    with mpmath.workdps(SHALLOW.precision):
+    with mpmath.workdps(oracle.PRECISION):
         p = _profiles(x)(w)
         assert _float_sampler(x)(K, p) is None
-        zero = rel < Q(1, 10 ** (SHALLOW.precision - 8))
+        zero = rel < Q(1, 10 ** (oracle.PRECISION - 8))
         assert (_tail_sampler(x, SHALLOW)(K, p) is None) == zero
     return x
 
@@ -458,11 +458,11 @@ def test_valuation_equals_fit_over_every_block(rho, osc, negl, hat):
     for x, depth in [*((x, 1600) for x in (rho, osc, negl)),
                      *((x, 400) for x in shallow)]:
         cfg = OracleConfig(depth=depth)
-        with mpmath.workdps(cfg.precision):
+        with mpmath.workdps(oracle.PRECISION):
             every = _ref_block_maxima(_ref_log_sampler(x, cfg), cfg)
         for window in (8, 16, 40, 200):
             cfg = OracleConfig(depth=depth, window=window)
-            with mpmath.workdps(cfg.precision):
+            with mpmath.workdps(oracle.PRECISION):
                 want = _fit(every, cfg)
             got = oracle_valuation(x, cfg)
             assert (got.lo, got.hi, got.diverging) == \
@@ -535,7 +535,7 @@ def test_oracle_imports_no_exact_decision_module():
 def _ref_vanishes_on(x, S, cfg):
     """The vanishing oracle with x.eval at every sample, as a reference:
     each block votes from all of its samples."""
-    n = cfg.quantifier_bound
+    n = oracle.QUANTIFIER_BOUND
     votes = set()
     for block in _deep_blocks(S, cfg):
         mags = [(u, abs(x.eval(u))) for u in block]

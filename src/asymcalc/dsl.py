@@ -14,6 +14,14 @@ Rationals are written p/q; decimal literals are rejected so no value is
 ever rounded on the way in.  Window profiles are entered either as
 restricted expressions in w (quoted), as the piecewise-linear shorthand
 pl[(w,v),...], or segment by segment as segs[[lo,hi,"expr"],...].
+
+Every call is one row of the call table `_CALLS`: for its head and the
+kind it builds (set, elem, ideal, filter, profile or query), the kinds of
+its positional arguments, its keywords and its function.  The parser
+checks each call's argument count and keywords against the row, and the
+builder builds the arguments by their kinds and applies the function.  A
+new call is one row; a new constructor also needs its `print_object`
+branch, so that sessions holding it print back to a script.
 """
 
 from __future__ import annotations
@@ -21,14 +29,24 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import reduce
 
+from . import genconst
+from .afilter import (FG, Closure, Interior, OfIdeal, filter_member,
+                      i_of_f_member)
 from .errors import (ParseError, PreconditionViolated, TypeMismatch,
                      UndefinedName)
 from .grid import Grid
+from .ideal import (FgIdeal, annihilator_member, closure_member,
+                    ideal_member, pure_part_member, radical_member,
+                    zclosure_member)
+from .ivset import Iv, IvSet
+from .polytools import ONE, padd, pmul, pneg, poly, ppow
 from .pwfunc import PwFunction, TailComponent
 from .scaleset import AsymptoticSet, insert_between
+from .signs import eventual_sign_on
+from .verify import run_checks
 from .window import Piecewise, Seg
-from .polytools import ONE, padd, pmul, pneg, poly, ppow
 
 __all__ = ["Session", "parse", "execute", "run_text", "print_object",
            "print_session"]
@@ -92,33 +110,15 @@ class Stmt:
     col: int
 
 
-# Each call's positional count (least, most; None for no bound) and the
-# keywords it takes; calls not listed are unknown and fail when built.
-_GRID_KEYS = ("ratio", "anchor", "D", "head")
-_CALLS = {
-    **dict.fromkeys(("point", "complement", "interior", "closure", "const",
-                     "pl", "segs", "ofideal", "characteristic", "valuation",
-                     "negligible", "idempotent"), (1, 1, ())),
-    **dict.fromkeys(("insert_between", "precedes", "subset", "set_eq",
-                     "sharp_dist", "restr_zero", "restr_invertible",
-                     "eventual_sign", "ideal_member", "radical_member",
-                     "closure_member", "zclosure_member", "pure_member",
-                     "annihilator_member", "filter_member",
-                     "ideal_of_filter_member"), (2, 2, ())),
-    **dict.fromkeys(("union", "intersect"), (2, None, ())),
-    **dict.fromkeys(("gen", "fg"), (1, None, ())),
-    "full": (0, 0, ()),
-    "rho": (0, 1, ()),
-    "orbit": (0, 1, _GRID_KEYS + ("shape",)),
-    "tail": (0, 0, _GRID_KEYS + ("comps",)),
-}
-_CHECK_OPTIONS = ("seed", "size")
-
-
 class _Parser:
-    def __init__(self, toks):
+    """Recursive descent over one token list: a script, or the window
+    expression of the string node `within`, whose errors are reported at
+    that string."""
+
+    def __init__(self, toks, within=None):
         self.toks = toks
         self.i = 0
+        self.within = within
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -129,6 +129,9 @@ class _Parser:
         return t
 
     def fail(self, msg, tok=None):
+        if self.within is not None:
+            _, text, tok = self.within
+            msg = f"in window expression {text!r}: {msg}"
         tok = tok or self.peek()
         raise ParseError(msg, tok.line, tok.col)
 
@@ -206,10 +209,12 @@ class _Parser:
                 self.next()
         self.expect(")")
         if head.text in _CALLS:
-            least, most, keys = _CALLS[head.text]
+            # the rows of one head agree on count and keywords
+            row = next(iter(_CALLS[head.text].values()))
             for k in kwargs:
-                if k not in keys:
+                if k not in row.keys:
                     self.fail(f"{head.text}() takes no keyword {k!r}", head)
+            least, most = row.counts()
             if len(args) < least or (most is not None and len(args) > most):
                 want = f"at least {least}" if most is None else \
                     str(least) if least == most else f"{least} or {most}"
@@ -249,6 +254,58 @@ class _Parser:
         self.expect("}")
         return ("record", rec, t)
 
+    # window expressions in w: (num, den) coefficient pairs ----------------
+
+    def wsum(self):
+        n, d = self.wterm()
+        while self.peek().text in ("+", "-"):
+            op = self.next().text
+            n2, d2 = self.wterm()
+            if op == "-":
+                n2 = pneg(n2)
+            n = padd(pmul(n, d2), pmul(n2, d))
+            d = pmul(d, d2)
+        return (n, d)
+
+    def wterm(self):
+        n, d = self.wfactor()
+        while self.peek().text in ("*", "/"):
+            op = self.next().text
+            n2, d2 = self.wfactor()
+            if op == "/" and not n2:
+                self.fail("division by the zero function")
+            n, d = (pmul(n, n2), pmul(d, d2)) if op == "*" else \
+                (pmul(n, d2), pmul(d, n2))
+        return (n, d)
+
+    def wfactor(self):
+        if self.peek().text == "-":
+            self.next()
+            n, d = self.wfactor()
+            return (pneg(n), d)
+        n, d = self.watom()
+        if self.peek().text == "^":
+            self.next()
+            e = self.next()
+            if e.kind != "num":
+                self.fail("exponent must be a nonnegative integer")
+            k = int(e.text)
+            return (ppow(n, k), ppow(d, k))
+        return (n, d)
+
+    def watom(self):
+        t = self.next()
+        if t.text == "(":
+            v = self.wsum()
+            if self.next().text != ")":
+                self.fail("unbalanced parenthesis")
+            return v
+        if t.text == "w":
+            return ((0, 1), ONE)
+        if t.kind == "num":
+            return (poly(int(t.text)), ONE)
+        self.fail(f"unexpected {t.text!r}")
+
     # statements ---------------------------------------------------------
 
     def statement(self) -> Stmt:
@@ -284,7 +341,7 @@ class _Parser:
                     text += "-" + self.expect_name().text
                 n = Token(n.kind, text, n.line, n.col)
                 if self.peek().text == "=":
-                    if n.text not in _CHECK_OPTIONS:
+                    if n.text not in ("seed", "size"):
                         self.fail(f"check takes no option {n.text!r}", n)
                     self.next()
                     opts[n.text] = self.value()
@@ -304,82 +361,13 @@ def parse(source: str):
     return out
 
 
-# -- window expressions --------------------------------------------------
-
-
-def _wexpr(text: str, tok: Token):
-    """Parse a restricted expression in w into a rational function
-    (num, den) coefficient pair."""
-    toks = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]]
-
-    def nxt():
-        t = toks[pos[0]]
-        pos[0] += 1
-        return t
-
-    def fail(msg):
-        raise ParseError(f"in window expression {text!r}: {msg}",
-                         tok.line, tok.col)
-
-    def atom():
-        t = nxt()
-        if t.text == "(":
-            v = expr()
-            if nxt().text != ")":
-                fail("unbalanced parenthesis")
-            return v
-        if t.text == "w":
-            return ((0, 1), ONE)
-        if t.kind == "num":
-            return (poly(int(t.text)), ONE)
-        fail(f"unexpected {t.text!r}")
-
-    def factor():
-        if peek().text == "-":
-            nxt()
-            n, d = factor()
-            return (pneg(n), d)
-        n, d = atom()
-        if peek().text == "^":
-            nxt()
-            e = nxt()
-            if e.kind != "num":
-                fail("exponent must be a nonnegative integer")
-            k = int(e.text)
-            return (ppow(n, k), ppow(d, k))
-        return (n, d)
-
-    def term():
-        n, d = factor()
-        while peek().text in ("*", "/"):
-            op = nxt().text
-            n2, d2 = factor()
-            if op == "*":
-                n, d = pmul(n, n2), pmul(d, d2)
-            else:
-                if not n2:
-                    fail("division by the zero function")
-                n, d = pmul(n, d2), pmul(d, n2)
-        return (n, d)
-
-    def expr():
-        n, d = term()
-        while peek().text in ("+", "-"):
-            op = nxt().text
-            n2, d2 = term()
-            if op == "-":
-                n2 = pneg(n2)
-            n = padd(pmul(n, d2), pmul(n2, d))
-            d = pmul(d, d2)
-        return (n, d)
-
-    v = expr()
-    if peek().kind != "eof":
-        fail(f"trailing input {peek().text!r}")
+def _wexpr(node):
+    """The rational function (num, den) of the quoted window expression
+    in w at the string node `node`."""
+    p = _Parser(_tokenize(node[1]), within=node)
+    v = p.wsum()
+    if p.peek().kind != "eof":
+        p.fail(f"trailing input {p.peek().text!r}")
     return v
 
 
@@ -410,16 +398,22 @@ class Session:
         return obj
 
 
+# What `build` reports of a value that is no call, and of a call with no
+# row of the kind asked for.
+_UNKNOWN = {"set": ("a set", "unknown set constructor {!r}"),
+            "elem": ("an element", "unknown element constructor {!r}"),
+            "ideal": ("an ideal", "expected an ideal expression"),
+            "filter": ("a filter", "unknown filter constructor {!r}"),
+            "query": (None, "unknown query {!r}")}
+
+
 class _Builder:
     def __init__(self, session: Session):
         self.sn = session
         self.at = (None, None)
 
     def fail(self, msg, node):
-        tok = node[-1] if isinstance(node[-1], Token) else None
-        if tok is not None:
-            raise ParseError(msg, tok.line, tok.col)
-        raise ParseError(msg)
+        raise ParseError(msg, node[-1].line, node[-1].col)
 
     def make(self, ctor, *args, **kwargs):
         """Call a validating constructor; its ValueError is a ParseError."""
@@ -427,12 +421,6 @@ class _Builder:
             return ctor(*args, **kwargs)
         except ValueError as e:
             raise ParseError(str(e), *self.at) from None
-
-    def arg(self, node, i: int):
-        """The i-th positional argument of the call `node`."""
-        if i >= len(node[2]):
-            self.fail(f"{node[1]}() is missing argument {i + 1}", node)
-        return node[2][i]
 
     def rat(self, node) -> Q:
         if node[0] != "rat":
@@ -445,6 +433,33 @@ class _Builder:
             self.fail("expected an integer", node)
         return int(q)
 
+    def build(self, kind, node):
+        """The value of `kind` at `node`: a rational, an integer, a name of
+        that kind, or a call of a row of that kind, its arguments built by
+        their kinds."""
+        if kind == "rat":
+            return self.rat(node)
+        if kind == "int":
+            return self.intval(node)
+        if node[0] == "name":
+            if kind == "elem" and node[1] == "rho":
+                return PwFunction.upower(1, self.sn.sigma, self.sn.D)
+            return self.sn.lookup(node[1], kind)
+        if node[0] != "call":
+            self.fail(f"expected {_UNKNOWN[kind][0]} expression", node)
+        row = _CALLS.get(node[1], {}).get(kind)
+        if row is None:
+            self.fail(_UNKNOWN[kind][1].format(node[1]), node)
+        if row.node:
+            return row.fn(self, node)
+        kinds = row.args.split()
+        if kinds and kinds[-1].endswith("+"):
+            kinds += kinds[-1:] * len(node[2])
+        args = [self.build(k.rstrip("?+"), a) for k, a in zip(kinds, node[2])]
+        if row.grid:
+            return self.make(row.fn, *args, sigma=self.sn.sigma, D=self.sn.D)
+        return row.fn(*args)
+
     def grid_args(self, kwargs):
         """(ratio, anchor, D) of an orbit or a tail; the session grid and
         anchor 1 by default."""
@@ -454,21 +469,17 @@ class _Builder:
         D = self.intval(kwargs["D"]) if "D" in kwargs else self.sn.D
         return ratio, anchor, D
 
-    # intervals and shapes ----------------------------------------------
+    # orbits -------------------------------------------------------------
 
     def interval_list(self, node):
-        from .ivset import Iv, IvSet
         if node[0] != "list":
             self.fail("expected a list of intervals", node)
         ivs = IvSet.empty()
         for item in node[1]:
-            if item[0] != "list":
+            if item[0] != "list" or len(item[1]) not in (1, 2, 3):
                 self.fail("each interval is [a,b], [a,b,\"flags\"] "
                           "or [p]", item)
             parts = item[1] * 2 if len(item[1]) == 1 else item[1]
-            if len(parts) not in (2, 3):
-                self.fail("each interval is [a,b], [a,b,\"flags\"] "
-                          "or [p]", item)
             a, b = self.rat(parts[0]), self.rat(parts[1])
             lc = hc = True
             if len(parts) == 3:
@@ -476,222 +487,178 @@ class _Builder:
                         ("cc", "co", "oc", "oo"):
                     self.fail('flags must be "cc", "co", "oc" or "oo"',
                               item)
-                lc = parts[2][1][0] == "c"
-                hc = parts[2][1][1] == "c"
+                lc, hc = (f == "c" for f in parts[2][1])
             ivs = ivs.union(IvSet([self.make(Iv, a, b, lc, hc)]))
         return ivs
 
-    # sets ---------------------------------------------------------------
+    def orbit(self, node) -> AsymptoticSet:
+        _, head, args, kwargs, _ = node
+        ratio, anchor, D = self.grid_args(kwargs)
+        shape = kwargs.get("shape", args[0] if args else None)
+        if shape is None:
+            self.fail(f"{head}() is missing argument 1", node)
+        shape = self.interval_list(shape)
+        head_ivs = self.interval_list(kwargs["head"]) \
+            if "head" in kwargs else None
+        return self.make(AsymptoticSet, ratio, shape, head_ivs,
+                         c0=anchor, D=D)
 
-    def build_set(self, node) -> AsymptoticSet:
-        if node[0] == "name":
-            return self.sn.lookup(node[1], "set")
-        if node[0] != "call":
-            self.fail("expected a set expression", node)
-        _, head, args, kwargs, tok = node
-        if head == "orbit":
-            ratio, anchor, D = self.grid_args(kwargs)
-            shape = self.interval_list(kwargs["shape"]) if "shape" in kwargs \
-                else self.interval_list(self.arg(node, 0))
-            head_ivs = self.interval_list(kwargs["head"]) \
-                if "head" in kwargs else None
-            return self.make(AsymptoticSet, ratio, shape, head_ivs,
-                             c0=anchor, D=D)
-        if head == "point":
-            return self.make(AsymptoticSet.orbit_point,
-                             self.rat(self.arg(node, 0)),
-                             self.sn.sigma, D=self.sn.D)
-        if head == "full":
-            return AsymptoticSet.full(self.sn.sigma, D=self.sn.D)
-        if head in ("union", "intersect"):
-            sets = [self.build_set(a) for a in args]
-            out = sets[0]
-            for s in sets[1:]:
-                out = out.union(s) if head == "union" else out.intersect(s)
-            return out
-        if head in ("complement", "interior", "closure"):
-            return getattr(self.build_set(self.arg(node, 0)), head)()
-        if head == "insert_between":
-            return insert_between(self.build_set(self.arg(node, 0)),
-                                  self.build_set(self.arg(node, 1)))
-        self.fail(f"unknown set constructor {head!r}", node)
+    # window profiles and tails ------------------------------------------
 
-    # window profiles ----------------------------------------------------
-
-    def build_profile(self, node, lo, hi) -> Piecewise:
+    def profile(self, node, lo, hi) -> Piecewise:
+        """A window profile on [lo, hi]: a quoted expression in w, or a
+        call of a profile row."""
         if node[0] == "str":
-            num, den = _wexpr(node[1], node[2])
-            return self.make(Piecewise.from_poly, lo, hi, num, den)
-        if node[0] == "call" and node[1] in ("pl", "segs"):
-            lst = self.arg(node, 0)
-            if lst[0] != "list":
-                self.fail(f"{node[1]} takes a list", node)
-            if node[1] == "pl":
-                pts = []
-                for item in lst[1]:
-                    if item[0] != "tuple" or len(item[1]) != 2:
-                        self.fail("pl entries are (w, v) pairs", item)
-                    pts.append((self.rat(item[1][0]), self.rat(item[1][1])))
-                return self.make(Piecewise.linear_interp, pts)
-            segs = []
-            for item in lst[1]:
-                if item[0] != "list" or len(item[1]) != 3:
-                    self.fail('segs entries are [lo, hi, "expr"]', item)
-                a, b = self.rat(item[1][0]), self.rat(item[1][1])
-                if item[1][2][0] != "str":
-                    self.fail("segment expression must be quoted", item)
-                num, den = _wexpr(item[1][2][1], item[1][2][2])
-                segs.append(self.make(Seg, a, b, num, den))
-            return self.make(Piecewise, segs)
-        self.fail("expected a window profile "
-                  "(\"expr\", pl[...] or segs[...])", node)
+            return self.make(Piecewise.from_poly, lo, hi, *_wexpr(node))
+        row = node[0] == "call" and _CALLS.get(node[1], {}).get("profile")
+        if not row:
+            self.fail("expected a window profile "
+                      "(\"expr\", pl[...] or segs[...])", node)
+        return row.fn(self, node)
 
-    # elements -----------------------------------------------------------
+    def entries(self, node):
+        """The entries of the one list argument of a pl or segs call."""
+        lst = node[2][0]
+        if lst[0] != "list":
+            self.fail(f"{node[1]} takes a list", node)
+        return lst[1]
 
-    def build_elem(self, node) -> PwFunction:
-        if node[0] == "name":
-            if node[1] == "rho":
-                return PwFunction.upower(1, self.sn.sigma, self.sn.D)
-            return self.sn.lookup(node[1], "elem")
-        if node[0] != "call":
-            self.fail("expected an element expression", node)
-        _, head, args, kwargs, tok = node
-        if head == "const":
-            return PwFunction.const(self.rat(self.arg(node, 0)),
-                                    self.sn.sigma, self.sn.D)
-        if head == "rho":
-            n = self.intval(args[0]) if args else 1
-            return PwFunction.upower(n, self.sn.sigma, self.sn.D)
-        if head == "pl":
-            ratio = self.sn.sigma
-            prof = self.build_profile(node, ratio, 1)
-            return self.make(PwFunction, ratio, [TailComponent(0, 0, prof)])
-        if head == "tail":
-            ratio, anchor, D = self.grid_args(kwargs)
-            if "comps" not in kwargs or kwargs["comps"][0] != "list":
-                self.fail("tail needs comps=[{s:..., r:..., g:...}, ...]",
-                          node)
-            comps = []
-            for item in kwargs["comps"][1]:
-                if item[0] != "record":
-                    self.fail("each component is {s:..., r:..., g:...}",
-                              item)
-                rec = item[1]
-                for key in ("s", "r", "g"):
-                    if key not in rec:
-                        self.fail(f"component is missing {key!r}", item)
-                comps.append(TailComponent(
-                    self.intval(rec["s"]), self.intval(rec["r"]),
-                    self.build_profile(rec["g"], ratio, 1)))
-            head_prof = None
-            if "head" in kwargs:
-                head_prof = self.build_profile(kwargs["head"], anchor, 1)
-            return self.make(PwFunction, ratio, comps, head_prof,
-                             c0=anchor, D=D)
-        self.fail(f"unknown element constructor {head!r}", node)
+    def pl(self, node) -> Piecewise:
+        pts = []
+        for item in self.entries(node):
+            if item[0] != "tuple" or len(item[1]) != 2:
+                self.fail("pl entries are (w, v) pairs", item)
+            pts.append((self.rat(item[1][0]), self.rat(item[1][1])))
+        return self.make(Piecewise.linear_interp, pts)
 
-    # ideals and filters -------------------------------------------------
+    def segs(self, node) -> Piecewise:
+        segs = []
+        for item in self.entries(node):
+            if item[0] != "list" or len(item[1]) != 3:
+                self.fail('segs entries are [lo, hi, "expr"]', item)
+            a, b = self.rat(item[1][0]), self.rat(item[1][1])
+            if item[1][2][0] != "str":
+                self.fail("segment expression must be quoted", item)
+            segs.append(self.make(Seg, a, b, *_wexpr(item[1][2])))
+        return self.make(Piecewise, segs)
 
-    def build_ideal(self, node):
-        from .ideal import FgIdeal
-        if node[0] == "name":
-            return self.sn.lookup(node[1], "ideal")
-        if node[0] == "call" and node[1] == "gen":
-            return FgIdeal([self.build_elem(a) for a in node[2]])
-        self.fail("expected an ideal expression", node)
+    def pl_elem(self, node) -> PwFunction:
+        g = self.profile(node, self.sn.sigma, 1)
+        return self.make(PwFunction, self.sn.sigma, [TailComponent(0, 0, g)])
 
-    def build_filter(self, node):
-        from .afilter import FG, Closure, Interior, OfIdeal
-        if node[0] == "name":
-            return self.sn.lookup(node[1], "filter")
-        if node[0] != "call":
-            self.fail("expected a filter expression", node)
-        _, head, args, kwargs, tok = node
-        if head == "fg":
-            return FG([self.build_set(a) for a in args])
-        if head == "ofideal":
-            return OfIdeal(self.build_ideal(self.arg(node, 0)))
-        if head == "interior":
-            return Interior(self.build_filter(self.arg(node, 0)))
-        if head == "closure":
-            return Closure(self.build_filter(self.arg(node, 0)))
-        self.fail(f"unknown filter constructor {head!r}", node)
+    def tail(self, node) -> PwFunction:
+        kwargs = node[3]
+        ratio, anchor, D = self.grid_args(kwargs)
+        if "comps" not in kwargs or kwargs["comps"][0] != "list":
+            self.fail("tail needs comps=[{s:..., r:..., g:...}, ...]", node)
+        comps = []
+        for item in kwargs["comps"][1]:
+            if item[0] != "record":
+                self.fail("each component is {s:..., r:..., g:...}", item)
+            rec = item[1]
+            for key in ("s", "r", "g"):
+                if key not in rec:
+                    self.fail(f"component is missing {key!r}", item)
+            comps.append(TailComponent(
+                self.intval(rec["s"]), self.intval(rec["r"]),
+                self.profile(rec["g"], ratio, 1)))
+        head_prof = self.profile(kwargs["head"], anchor, 1) \
+            if "head" in kwargs else None
+        return self.make(PwFunction, ratio, comps, head_prof,
+                         c0=anchor, D=D)
 
 
-# -- queries -------------------------------------------------------------
+# -- the call table ------------------------------------------------------
 
 
-def _run_query(b: _Builder, node):
-    from . import genconst
-    from .afilter import filter_member, i_of_f_member
-    from .ideal import (annihilator_member, closure_member, ideal_member,
-                        pure_part_member, radical_member, zclosure_member)
-    _, head, _, _, tok = node
+@dataclass(frozen=True)
+class _Call:
+    """One row: the kinds of the positional arguments, separated by spaces
+    ("rat", "int", or a kind that `build` makes; a last "kind+" takes one
+    or more, "kind?" none or one), the function of the built arguments,
+    and the keywords.  A `grid` row's function is a validating constructor
+    that also takes the session's sigma and D.  A `node` row's function
+    takes the builder and the call node and reads the arguments itself;
+    its kinds only count them."""
+    args: str
+    fn: object
+    keys: tuple = ()
+    grid: bool = False
+    node: bool = False
 
-    def S(i):
-        return b.build_set(b.arg(node, i))
-
-    def E(i):
-        return b.build_elem(b.arg(node, i))
-
-    def I(i):
-        return b.build_ideal(b.arg(node, i))
-
-    if head == "precedes":
-        return S(0).precedes(S(1))
-    if head == "subset":
-        return S(0).subset_of(S(1))
-    if head == "set_eq":
-        return S(0).set_eq(S(1))
-    if head == "characteristic":
-        return S(0).is_characteristic()
-    if head == "valuation":
-        v = E(0).valuation()
-        return "infinity" if v is None else str(v)
-    if head == "negligible":
-        return E(0).is_negligible()
-    if head == "sharp_dist":
-        return genconst.sharp_dist(E(0), E(1))
-    if head == "restr_zero":
-        return genconst.restr_zero(E(0), S(1))
-    if head == "restr_invertible":
-        ok, n, delta = genconst.restr_invertible(E(0), S(1))
-        return {"invertible": ok, "order": n,
-                "threshold": None if delta is None else str(Q(delta))}
-    if head == "eventual_sign":
-        from .signs import eventual_sign_on
-        return eventual_sign_on(E(0), S(1))
-    if head == "idempotent":
-        return genconst.idempotent_class(E(0))
-    if head == "ideal_member":
-        ok, n = ideal_member(E(0), I(1))
-        return {"member": ok, "order": n}
-    if head == "radical_member":
-        ok, m, n = radical_member(E(0), I(1))
-        return {"member": ok, "power": m, "order": n}
-    if head == "closure_member":
-        return closure_member(E(0), I(1))
-    if head == "zclosure_member":
-        return zclosure_member(E(0), I(1))
-    if head == "pure_member":
-        ok, _ = pure_part_member(E(0), I(1))
-        return ok
-    if head == "annihilator_member":
-        return annihilator_member(E(0), I(1))
-    if head == "filter_member":
-        return filter_member(b.build_filter(b.arg(node, 0)), S(1))
-    if head == "ideal_of_filter_member":
-        return i_of_f_member(E(0), b.build_filter(b.arg(node, 1)))
-    raise ParseError(f"unknown query {head!r}", tok.line, tok.col)
+    def counts(self):
+        """(least, most) positional arguments; most is None for no bound."""
+        kinds = self.args.split()
+        least = sum(not k.endswith("?") for k in kinds)
+        if kinds and kinds[-1].endswith("+"):
+            return least, None
+        return least, len(kinds)
 
 
-def _run_check(b: _Builder, names, opts):
-    from .verify import run_checks
-    seed = b.intval(opts["seed"]) if "seed" in opts else 0
-    size = b.intval(opts["size"]) if "size" in opts else 24
-    which = "all" if (not names or names == ["all"]) else names
-    reps = run_checks(which, seed=seed, size=size)
-    return [r.to_dict() for r in reps]
+def _restr_invertible(x, S):
+    ok, n, delta = genconst.restr_invertible(x, S)
+    return {"invertible": ok, "order": n,
+            "threshold": None if delta is None else str(Q(delta))}
+
+
+_GRID_KEYS = ("ratio", "anchor", "D", "head")
+_CALLS = {
+    # sets
+    "orbit": {"set": _Call("list?", _Builder.orbit,
+                           _GRID_KEYS + ("shape",), node=True)},
+    "point": {"set": _Call("rat", AsymptoticSet.orbit_point, grid=True)},
+    "full": {"set": _Call("", AsymptoticSet.full, grid=True)},
+    "union": {"set": _Call("set set+", lambda *S: reduce(
+        lambda s, t: s.union(t), S))},
+    "intersect": {"set": _Call("set set+", lambda *S: reduce(
+        lambda s, t: s.intersect(t), S))},
+    "complement": {"set": _Call("set", lambda S: S.complement())},
+    "interior": {"set": _Call("set", lambda S: S.interior()),
+                 "filter": _Call("filter", Interior)},
+    "closure": {"set": _Call("set", lambda S: S.closure()),
+                "filter": _Call("filter", Closure)},
+    "insert_between": {"set": _Call("set set", insert_between)},
+    # elements and their window profiles
+    "const": {"elem": _Call("rat", PwFunction.const, grid=True)},
+    "rho": {"elem": _Call("int?", lambda n=1, **grid: PwFunction.upower(
+        n, **grid), grid=True)},
+    "pl": {"elem": _Call("list", _Builder.pl_elem, node=True),
+           "profile": _Call("list", _Builder.pl, node=True)},
+    "segs": {"profile": _Call("list", _Builder.segs, node=True)},
+    "tail": {"elem": _Call("", _Builder.tail, _GRID_KEYS + ("comps",),
+                           node=True)},
+    # ideals and filters
+    "gen": {"ideal": _Call("elem+", lambda *xs: FgIdeal(list(xs)))},
+    "fg": {"filter": _Call("set+", lambda *S: FG(list(S)))},
+    "ofideal": {"filter": _Call("ideal", OfIdeal)},
+    # queries; the methods and genconst functions are looked up as they run
+    "precedes": {"query": _Call("set set", lambda S, T: S.precedes(T))},
+    "subset": {"query": _Call("set set", lambda S, T: S.subset_of(T))},
+    "set_eq": {"query": _Call("set set", lambda S, T: S.set_eq(T))},
+    "characteristic": {"query": _Call("set", lambda S: S.is_characteristic())},
+    "valuation": {"query": _Call("elem", lambda x: "infinity" if x.valuation()
+                                 is None else str(x.valuation()))},
+    "negligible": {"query": _Call("elem", lambda x: x.is_negligible())},
+    "sharp_dist": {"query": _Call("elem elem", lambda x, y:
+                                  genconst.sharp_dist(x, y))},
+    "restr_zero": {"query": _Call("elem set", lambda x, S:
+                                  genconst.restr_zero(x, S))},
+    "restr_invertible": {"query": _Call("elem set", _restr_invertible)},
+    "eventual_sign": {"query": _Call("elem set", eventual_sign_on)},
+    "idempotent": {"query": _Call("elem", lambda x:
+                                  genconst.idempotent_class(x))},
+    "ideal_member": {"query": _Call("elem ideal", lambda x, I: dict(
+        zip(("member", "order"), ideal_member(x, I))))},
+    "radical_member": {"query": _Call("elem ideal", lambda x, I: dict(
+        zip(("member", "power", "order"), radical_member(x, I))))},
+    "closure_member": {"query": _Call("elem ideal", closure_member)},
+    "zclosure_member": {"query": _Call("elem ideal", zclosure_member)},
+    "pure_member": {"query": _Call("elem ideal", lambda x, I:
+                                   pure_part_member(x, I)[0])},
+    "annihilator_member": {"query": _Call("elem ideal", annihilator_member)},
+    "filter_member": {"query": _Call("filter set", filter_member)},
+    "ideal_of_filter_member": {"query": _Call("elem filter", i_of_f_member)},
+}
 
 
 def execute(session: Session, statements):
@@ -701,8 +668,7 @@ def execute(session: Session, statements):
     for st in statements:
         b.at = (st.line, st.col)
         if st.kind in ("set", "elem", "ideal", "filter"):
-            build = getattr(b, f"build_{st.kind}")
-            session.define(st.kind, st.name, build(st.expr))
+            session.define(st.kind, st.name, b.build(st.kind, st.expr))
             out.append({"stmt": st.kind, "name": st.name})
         elif st.kind == "eval":
             x = session.lookup(st.name, "elem")
@@ -710,12 +676,16 @@ def execute(session: Session, statements):
             out.append({"stmt": "eval", "name": st.name,
                         "at": str(st.expr), "value": str(val)})
         elif st.kind == "query":
-            res = _run_query(b, st.expr)
-            out.append({"stmt": "query", "head": st.expr[1], "result": res})
+            out.append({"stmt": "query", "head": st.expr[1],
+                        "result": b.build("query", st.expr)})
         elif st.kind == "check":
             names, opts = st.expr
-            out.append({"stmt": "check", "reports": _run_check(b, names,
-                                                               opts)})
+            seed = b.intval(opts["seed"]) if "seed" in opts else 0
+            size = b.intval(opts["size"]) if "size" in opts else 24
+            which = "all" if (not names or names == ["all"]) else names
+            reps = run_checks(which, seed=seed, size=size)
+            out.append({"stmt": "check",
+                        "reports": [r.to_dict() for r in reps]})
         else:
             raise ParseError(f"unknown statement kind {st.kind!r}",
                              st.line, st.col)
@@ -751,16 +721,12 @@ def _poly_str(num, den) -> str:
 
 
 def _profile_str(g: Piecewise) -> str:
-    parts = []
-    for s in g.segs:
-        parts.append(f'[{s.lo},{s.hi},"{_poly_str(*s.monic())}"]')
-    return "segs[" + ",".join(parts) + "]"
+    return "segs[" + ",".join(f'[{s.lo},{s.hi},"{_poly_str(*s.monic())}"]'
+                              for s in g.segs) + "]"
 
 
 def _ivset_str(ivs) -> str:
-    parts = []
-    for p in ivs.points():
-        parts.append(f"[{p}]")
+    parts = [f"[{p}]" for p in ivs.points()]
     for iv in ivs.fat_part().ivs:
         flags = ("c" if iv.lc else "o") + ("c" if iv.hc else "o")
         parts.append(f'[{iv.lo},{iv.hi},"{flags}"]')
@@ -789,7 +755,6 @@ def print_object(kind, obj) -> str:
         gens = ",".join(print_object("elem", g.rep) for g in obj.gens)
         return f"gen({gens})"
     if kind == "filter":
-        from .afilter import FG, Closure, Interior, OfIdeal
         if isinstance(obj, FG):
             return "fg(" + ",".join(print_object("set", g)
                                     for g in obj.gens) + ")"

@@ -268,3 +268,10 @@ def test_library_value_errors_are_not_parse_errors(monkeypatch, script):
     monkeypatch.setattr(genconst, "sharp_dist", fault)
     with pytest.raises(ValueError, match="library fault"):
         run_text(Session(), script)
+
+
+def test_rows_of_a_head_agree_on_count_and_keywords():
+    # the parser checks a call against the first row of its head
+    from asymcalc.dsl import _CALLS
+    for head, rows in _CALLS.items():
+        assert len({(r.counts(), r.keys) for r in rows.values()}) == 1, head

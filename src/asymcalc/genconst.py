@@ -163,7 +163,7 @@ def restr_invertible(x, S: AsymptoticSet):
     Sw = AsymptoticSet(xw.sigma, shape, D=xw.D)
     live = xw.live_comps()
     nmax = max([0] + [max(0, -(-c.s // xw.D)) for c in live]) + 1
-    nlo = max(0, -(-min(c.s for c in live) // xw.D))
+    nlo = max(0, math.ceil(xw.valuation()))
     x2 = xw.mul(xw)
 
     def gap(n):
@@ -319,14 +319,19 @@ def _cell_start(sigma, comps, a, b, depth=0):
     return K
 
 
-def _scanned_start(z: PwFunction, shape: IvSet, span: int = 48) -> int:
-    """Fallback threshold: the block after the last of blocks 0 ... span - 1
-    on which z fails, each checked exactly (`_failing_blocks`).  The eventual
-    claim is already established by the sign engine; this pins a concrete
-    block, but blocks from span on are not checked, so the threshold is not
-    proven there (ROADMAP item 3)."""
+# blocks the fallback threshold scan checks
+_SCAN_SPAN = 48
+
+
+def _scanned_start(z: PwFunction, shape: IvSet) -> int:
+    """Fallback threshold: the block after the last of blocks 0 ...
+    _SCAN_SPAN - 1 on which z fails, each checked exactly
+    (`_failing_blocks`).  The eventual claim is already established by the
+    sign engine; this pins a concrete block, but blocks from _SCAN_SPAN on
+    are not checked, so the threshold is not proven there (ROADMAP item
+    3)."""
     K = 0
-    for k in _failing_blocks(z, shape, range(span)):
+    for k in _failing_blocks(z, shape, range(_SCAN_SPAN)):
         K = k + 1
     return K
 

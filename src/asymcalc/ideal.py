@@ -32,6 +32,7 @@ different grids miss and are searched again.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 from functools import cached_property
 
@@ -138,17 +139,6 @@ def z_subset(a, b) -> bool:
     return br.is_negligible() or _zeros_within(_zero_structure(ar), br)
 
 
-def _ideal_z_subset(I: FgIdeal, xg: PwFunction) -> bool:
-    """z_subset(I.sos, x) for the germ xg of x.  `coarsen(1)` returns the
-    germ itself, so where the common ratio is the ratio of sos or of x,
-    the zero structure that germ keeps is read."""
-    m1, m2 = I.sos_germ.grid.common_ratio(xg.grid)
-    xg = xg.coarsen(m2)
-    if xg.is_negligible():
-        return True
-    return _zeros_within(_zero_structure(I.sos_germ.coarsen(m1)), xg)
-
-
 # -- membership -----------------------------------------------------------
 
 
@@ -162,9 +152,7 @@ def _slope_bound(x: PwFunction, sos: PwFunction) -> int:
 def _valuation_floor(x: PwFunction, sos: PwFunction) -> int:
     """Least N that x^2 <= eps^(-N) * sos allows: the valuations force
     N >= val(sos) - 2 val(x)."""
-    lo = min(c.s for c in x.live_comps())
-    need = min(c.s for c in sos.live_comps()) - 2 * lo
-    return max(0, -(-need // x.D))
+    return max(0, math.ceil(sos.valuation() - 2 * x.valuation()))
 
 
 def _domination_exponent(xg: PwFunction, I: FgIdeal):
@@ -215,7 +203,7 @@ def ideal_member(x, I: FgIdeal):
     if xr.is_negligible():
         return (True, 0)
     xg = xr.germ()
-    if not _ideal_z_subset(I, xg):
+    if not z_subset(I.sos_germ, xg):
         return (False, None)
     N = _domination_exponent(xg, I)
     return (False, None) if N is None else (True, N)
@@ -240,7 +228,7 @@ def radical_member(x, I: FgIdeal, mmax: int = 16):
         raise PreconditionViolated(
             f"mmax = {mmax} leaves no power to try; it must be >= 1")
     xg = _rep(x).germ()
-    if not _ideal_z_subset(I, xg):
+    if not z_subset(I.sos_germ, xg):
         return (False, None, None)
     if xg.is_negligible():
         return (True, 1, 0)
@@ -310,7 +298,7 @@ def _purity_witness(xr: PwFunction, I: FgIdeal, Zset: AsymptoticSet):
 def zclosure_member(x, I: FgIdeal) -> bool:
     """Smallest z-ideal over I: membership is zero-structure domination by
     the combined generator."""
-    return _ideal_z_subset(I, _rep(x).germ())
+    return z_subset(I.sos_germ, x)
 
 
 def closure_member(x, I: FgIdeal) -> bool:

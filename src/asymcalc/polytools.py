@@ -280,6 +280,10 @@ def count_roots(q, a, b) -> int:
     return n
 
 
+# the width below which `RootPt.approx` refines before taking a midpoint
+_APPROX_WIDTH = Q(1, 2 ** 40)
+
+
 class RootPt:
     """An irrational real algebraic number: the unique root of `sf` in
     (lo, hi).
@@ -372,8 +376,10 @@ class RootPt:
             self.refine()
         return _zsign(p, (self.lo + self.hi) / 2)
 
-    def approx(self, width=Q(1, 2**40)) -> Q:
-        self.refine_below(width)
+    def approx(self) -> Q:
+        """The midpoint of the isolating interval, refined below
+        _APPROX_WIDTH."""
+        self.refine_below(_APPROX_WIDTH)
         return (self.lo + self.hi) / 2
 
 

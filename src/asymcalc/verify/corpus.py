@@ -23,6 +23,10 @@ __all__ = ["Corpus", "corpus_generate", "pair_stream", "q64",
 
 SIGMA = Q(1, 2)
 MAX_SIZE = 500
+# random rationals are multiples of 1/_DEN strictly inside (1/2, 1)
+_DEN = 64
+# an element has at most this many tail components
+_MAX_COMPS = 3
 
 
 @dataclass
@@ -53,11 +57,9 @@ def pair_stream(rng, corpus):
         yield rng.choice(corpus.elements), rng.choice(corpus.sets)
 
 
-def _rational(rng, lo=Q(33, 64), hi=Q(63, 64), den=64):
+def _rational(rng):
     """Random grid rational strictly inside (1/2, 1)."""
-    a = int(lo * den)
-    b = int(hi * den)
-    return Q(rng.randint(a, b), den)
+    return Q(rng.randint(_DEN // 2 + 1, _DEN - 1), _DEN)
 
 
 def _two_points(rng):
@@ -66,10 +68,10 @@ def _two_points(rng):
     if a > b:
         a, b = b, a
     if a == b:
-        if b < Q(63, 64):
-            b = b + Q(1, 64)
+        if b < Q(_DEN - 1, _DEN):
+            b = b + Q(1, _DEN)
         else:
-            a = a - Q(1, 64)
+            a = a - Q(1, _DEN)
     return a, b
 
 
@@ -111,9 +113,9 @@ def _profile(rng, s: int, r: int) -> Piecewise:
     return Piecewise.linear_interp(list(zip(nodes, vals)))
 
 
-def random_element(rng, max_comps: int = 3) -> PwFunction:
+def random_element(rng) -> PwFunction:
     pairs = set()
-    n = rng.randint(1, max_comps)
+    n = rng.randint(1, _MAX_COMPS)
     while len(pairs) < n:
         pairs.add((rng.randint(-2, 3), rng.choice([0, 0, 1, 2])))
     comps = [TailComponent(s, r, _profile(rng, s, r)) for s, r in sorted(pairs)]

@@ -61,6 +61,7 @@ __all__ = [
     "PRECISION",
     "QUANTIFIER_BOUND",
     "TOLERANCE",
+    "MIN_SCALE",
     "ValuationEstimate",
     "oracle_valuation",
     "oracle_vanishes_on",
@@ -76,6 +77,9 @@ TOLERANCE = Q(1, 20)
 # oracle shadows "exists n" by "exists n <= bound"); vanishing compares
 # |x(u)| with u^bound and u^(bound/2)
 QUANTIFIER_BOUND = 8
+# set samples stay at or above this magnitude: probes never look past it,
+# so a threshold delta >= 2^-120 is all they can see
+MIN_SCALE = Q(1, 2 ** 120)
 
 
 @dataclass(frozen=True)
@@ -90,13 +94,10 @@ class OracleConfig:
                 deepest wn blocks with a nonzero sample, and its drift
                 test compares that slope with the one over the wn blocks
                 just above them (see _fit).
-    min_scale:  samples below this magnitude are treated as zero; probes
-                never look past it (delta >= 2^-120 in the default).
     """
 
     depth: int = 1600
     window: int = 200
-    min_scale: Q = Q(1, 2 ** 120)
 
 
 # b_i of the valuation grid: the double 0.5 ** (i / 8) as an exact rational
@@ -456,10 +457,10 @@ def _shape_points(shape):
 def _deep_blocks(S, cfg: OracleConfig):
     """Samples u = c0 sigma^k w of S, for w from _shape_points, on the two
     deepest blocks k that lie wholly at or above 2^-(depth // 8) and
-    min_scale.  Returns a list of two sample lists, or [] when no block
+    MIN_SCALE.  Returns a list of two sample lists, or [] when no block
     is deep enough or the shape is empty."""
     ws = _shape_points(S.shape)
-    floor = max(Q(1, 2 ** (cfg.depth // 8)), cfg.min_scale)
+    floor = max(Q(1, 2 ** (cfg.depth // 8)), MIN_SCALE)
     if not ws or floor > S.c0:
         return []
     # block k spans (c0 sigma^(k+1), c0 sigma^k]; the deepest block wholly

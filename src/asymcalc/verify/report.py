@@ -6,13 +6,17 @@ recorded for operators but excluded from the canonical bytes.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["CheckReport", "serialize_witness"]
 
 
 def serialize_witness(obj):
-    """Best-effort exact serialization of a failure witness."""
+    """Best-effort exact serialization of a failure witness.  A float that
+    is not finite becomes its string, since JSON has no such number."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
     if obj is None or isinstance(obj, (bool, int, str, float)):
         return obj
     if hasattr(obj, "to_dict"):

@@ -23,6 +23,7 @@ from asymcalc.scaleset import (AsymptoticSet, circle_closure, distance_profile,
                                grow_circle, insert_between, upto1)
 from asymcalc.signs import obstruction_on
 from asymcalc.verify import corpus_generate
+from asymcalc.verify.corpus import tent
 from asymcalc.window import Piecewise
 
 
@@ -585,3 +586,17 @@ def test_prec_interval_basis(A, B, full):
     assert not pred(full)
     pf = prec_interval_basis(full, full)
     assert pf(full)
+
+
+def test_i_of_f_member_on_an_ideal_filter():
+    """I(F(I)) for the ideal of a tent holds the elements that vanish on
+    a neighborhood of the tent's zeros, whatever operator wraps F(I)."""
+    I = FgIdeal([tent(Q(5, 8), Q(3, 4), Q(7, 8))])
+    cases = [(tent(Q(11, 16), Q(3, 4), Q(13, 16)), True),
+             (PwFunction.zero(), True),
+             (tent(Q(5, 8), Q(3, 4), Q(7, 8)), False),
+             (tent(Q(9, 16), Q(3, 4), Q(15, 16)), False),
+             (PwFunction.const(1), False)]
+    for F in (OfIdeal(I), Interior(OfIdeal(I)), Closure(OfIdeal(I))):
+        assert [i_of_f_member(x, F) for x, _ in cases] == \
+            [want for _, want in cases], F

@@ -1,11 +1,13 @@
 import json
+import math
+import re
 from fractions import Fraction as Q
 
 import pytest
 
 from asymcalc.cli import main
 from asymcalc.dsl import Session
-from asymcalc.verify import available_checks
+from asymcalc.verify import ValuationEstimate, available_checks
 
 
 @pytest.mark.parametrize("script", ["elem x = rho;", "set A = full();"])
@@ -79,3 +81,73 @@ def test_check_all_passes(tmp_path, capsys, seed):
     assert {r["name"]: (r["instances"], r["inconclusive"]) for r in reports} \
         == {n: (i, inc[seed]) for n, (i, inc) in _CHECK_COUNTS.items()}
     assert capsys.readouterr().out.count("[PASS]") == len(reports)
+
+
+SCRIPT = """elem osc = tail(comps=[{s:1, r:0, g:"w*(4*w^2-6*w+3)"}]);
+eval osc at 3/16;
+query valuation(osc);
+query ideal_member(osc, gen(osc));
+check interior-closure seed=2 size=8;
+"""
+
+
+def _script(tmp_path, text):
+    path = tmp_path / "s.asym"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_run_prints_one_line_per_result(tmp_path, capsys):
+    assert main(["run", _script(tmp_path, SCRIPT)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == ["defined elem osc", "osc(3/16) = 9/64",
+                       'valuation: "1"',
+                       'ideal_member: {"member": true, "order": 0}']
+    assert re.fullmatch(r"\[PASS\] interior-closure: 12 instances, "
+                        r"0 failures, 0 inconclusive \(\d+\.\d\ds\)", out[4])
+    assert len(out) == 5
+
+
+def test_run_json_prints_the_outputs(tmp_path, capsys):
+    assert main(["--json", "run", _script(tmp_path, SCRIPT)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out[:4] == [
+        {"stmt": "elem", "name": "osc"},
+        {"stmt": "eval", "name": "osc", "at": "3/16", "value": "9/64"},
+        {"stmt": "query", "head": "valuation", "result": "1"},
+        {"stmt": "query", "head": "ideal_member",
+         "result": {"member": True, "order": 0}}]
+    assert out[4]["stmt"] == "check"
+    assert [(r["name"], r["instances"], r["failures"])
+            for r in out[4]["reports"]] == [("interior-closure", 12, [])]
+
+
+def test_run_reports_a_missing_script(tmp_path, capsys):
+    assert main(["run", str(tmp_path / "missing.asym")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error[IO]: ")
+
+
+def test_check_reports_an_unknown_name(capsys):
+    assert main(["check", "no-such-check"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error[UnknownCheck]: no check named "
+                             "'no-such-check'")
+
+
+def test_check_writes_a_failure_as_strict_json(tmp_path, capsys, monkeypatch):
+    from asymcalc.verify import checks
+    monkeypatch.setattr(checks, "oracle_valuation", lambda x, cfg:
+                        ValuationEstimate(1.5, math.inf, False))
+    report = tmp_path / "report.json"
+    assert main(["check", "valuation-oracle", "--size", "8",
+                 "--report", str(report)]) == 1
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    reports = json.loads(report.read_text(encoding="utf-8"),
+                         parse_constant=refuse)
+    assert reports[0]["failures"]
+    assert all(f["interval"] == [1.5, "inf"] for f in reports[0]["failures"])
+    assert capsys.readouterr().out.startswith("[FAIL] valuation-oracle: ")

@@ -677,3 +677,31 @@ def test_is_closed_builds_no_set(monkeypatch):
 def test_interior_is_not_memoized(A):
     assert A.interior() is not A.interior()
     assert A.interior().to_dict() == A.interior().to_dict()
+
+
+def _exact_distance(u, closed):
+    """The distance from u to a closed interval set."""
+    return min(Q(0) if iv.lo <= u <= iv.hi else min(abs(u - iv.lo),
+                                                    abs(u - iv.hi))
+               for iv in closed.ivs)
+
+
+@pytest.mark.parametrize("sigma", [Q(1, 2), Q(2, 3), Q(1, 3)])
+@pytest.mark.parametrize("j", [1, 2])
+def test_distance_profile_without_a_tail(sigma, j):
+    """A set with no tail: the distance is exact on both sides of the
+    anchor, to the nearest head point below it."""
+    c0 = sigma ** j
+    at = [c0 + (1 - c0) * Q(k, 8) for k in (1, 3, 4, 7)]
+    heads = [IvSet.interval(at[0], at[1]),
+             IvSet([Iv(at[0], at[1], False, True),
+                    Iv(at[2], at[2], True, True), Iv(at[3], 1, True, False)])]
+    for head in heads:
+        S = AsymptoticSet(sigma, IvSet.empty(), head, c0=c0)
+        assert not S.is_characteristic()
+        d = distance_profile(S)
+        closed = S.head.closure()
+        us = [Q(k, 400) for k in range(1, 401)] + [c0, c0 * sigma]
+        assert any(u < c0 for u in us) and any(u > c0 for u in us)
+        for u in us:
+            assert d.eval(u) == _exact_distance(u, closed), (head, u)

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as Q
 
@@ -6,7 +7,8 @@ import pytest
 
 from asymcalc.errors import AllSamplesZero, PreconditionViolated, UnknownCheck
 from asymcalc.pwfunc import PwFunction, TailComponent
-from asymcalc.verify import (OracleConfig, available_checks, corpus_generate,
+from asymcalc.verify import (CheckReport, OracleConfig, ValuationEstimate,
+                             available_checks, corpus_generate,
                              oracle_valuation, oracle_vanishes_on, run_checks)
 from asymcalc.scaleset import AsymptoticSet
 from asymcalc.ivset import IvSet
@@ -581,7 +583,7 @@ def test_vanishes_on_matches_eval_reference():
 def _deep_blocks_walk(S, cfg):
     """The block-by-block walk that _deep_blocks replaced, as a reference."""
     ws = _shape_points(S.shape)
-    floor = max(Q(1, 2 ** (cfg.depth // 8)), cfg.min_scale)
+    floor = max(Q(1, 2 ** (cfg.depth // 8)), oracle.MIN_SCALE)
     k, low = 0, S.c0 * S.sigma
     while low * S.sigma >= floor:
         k, low = k + 1, low * S.sigma
@@ -593,17 +595,58 @@ def _deep_blocks_walk(S, cfg):
 @pytest.mark.parametrize("sigma", [Q(1, 2), Q(2, 3), Q(1, 3), Q(9, 10),
                                    Q(1, 1024)])
 @pytest.mark.parametrize("j", [0, 1, 5, 40])
-def test_deep_blocks_matches_walk(sigma, j):
+def test_deep_blocks_matches_walk(monkeypatch, sigma, j):
     S = AsymptoticSet(sigma, IvSet.interval((1 + sigma) / 2, 1), c0=sigma ** j)
     floors = [Q(1, 2 ** e) for e in range(0, 200, 7)]
     # floors on block edges, just off them, at and above the anchor
     floors += [S.c0 * sigma ** m * f for m in (0, 1, 2, 3, 17)
                for f in (1, Q(1001, 1000), Q(999, 1000))]
     floors += [S.c0 * 2, Q(1)]
-    # a depth this large leaves the floor to min_scale
-    cfgs = [OracleConfig(depth=8 * 4000, min_scale=f) for f in floors]
-    cfgs += [OracleConfig(depth=d) for d in (8, 64, 800, 1600)]
-    for cfg in cfgs:
+    # a depth this large leaves the floor to MIN_SCALE, moved to each floor
+    deep = OracleConfig(depth=8 * 4000)
+    for f in floors:
+        monkeypatch.setattr(oracle, "MIN_SCALE", f)
+        assert _deep_blocks(S, deep) == _deep_blocks_walk(S, deep), f
+    monkeypatch.undo()
+    for cfg in [OracleConfig(depth=d) for d in (8, 64, 800, 1600)]:
         assert _deep_blocks(S, cfg) == _deep_blocks_walk(S, cfg), cfg
     empty = AsymptoticSet(sigma, IvSet.empty(), c0=sigma ** j)
     assert _deep_blocks(empty, OracleConfig()) == []
+
+
+def strict_json(data):
+    """json.loads that refuses the non-JSON constants Infinity and NaN."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(data, parse_constant=refuse)
+
+
+def test_failure_witnesses_serialize_to_strict_json():
+    """Every witness kind the checks record: elements, sets, strings,
+    booleans, integers, None, and float intervals that need not be
+    finite."""
+    x = PwFunction.upower(1)
+    S = AsymptoticSet.orbit_point(Q(3, 4))
+    rep = CheckReport(name="demo", anchor="anchor", seed=0)
+    rep.record_failure(element=x, set=S, exact="1/2", predicate=True,
+                       prefix=3, order=None, filter=repr(S),
+                       interval=[1.5, math.inf], spread=[-math.inf, math.nan])
+    assert not rep.passed
+    got = strict_json(rep.canonical_bytes())["failures"][0]
+    assert got["interval"] == [1.5, "inf"]
+    assert got["spread"] == ["-inf", "nan"]
+    assert got["element"] == x.to_dict() and got["set"] == S.to_dict()
+    assert (got["exact"], got["predicate"], got["prefix"], got["order"]) \
+        == ("1/2", True, 3, None)
+    json.dumps(rep.to_dict(), allow_nan=False)
+
+
+def test_a_failing_oracle_check_records_strict_json(monkeypatch):
+    # an estimate that misses every valuation below 3/2 and diverges above
+    from asymcalc.verify import checks
+    monkeypatch.setattr(checks, "oracle_valuation", lambda x, cfg:
+                        ValuationEstimate(1.5, math.inf, False))
+    rep = run_checks("valuation-oracle", seed=0, size=8)[0]
+    assert rep.failures and not rep.passed
+    failures = strict_json(rep.canonical_bytes())["failures"]
+    assert all(f["interval"] == [1.5, "inf"] for f in failures)

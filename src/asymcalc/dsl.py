@@ -15,13 +15,10 @@ ever rounded on the way in.  Window profiles are entered either as
 restricted expressions in w (quoted), as the piecewise-linear shorthand
 pl[(w,v),...], or segment by segment as segs[[lo,hi,"expr"],...].
 
-Every call is one row of the call table `_CALLS`: for its head and the
-kind it builds (set, elem, ideal, filter, profile or query), the kinds of
-its positional arguments, its keywords and its function.  The parser
-checks each call's argument count and keywords against the row, and the
-builder builds the arguments by their kinds and applies the function.  A
-new call is one row; a new constructor also needs its `print_object`
-branch, so that sessions holding it print back to a script.
+Every call is one row of the call table `_CALLS`, which the parser's
+count and keyword checks and the builder both read (see `_Call`).  A new
+call is one row; a new constructor also needs its `print_object` branch,
+so that a session holding it prints back to a script.
 """
 
 from __future__ import annotations
@@ -150,10 +147,9 @@ class _Parser:
     # rationals ----------------------------------------------------------
 
     def rational(self) -> Q:
-        neg = False
-        if self.peek().text == "-":
+        neg = self.peek().text == "-"
+        if neg:
             self.next()
-            neg = True
         t = self.next()
         if t.kind != "num":
             self.fail("expected a rational p/q", t)
@@ -339,14 +335,13 @@ class _Parser:
                 while self.peek().text == "-":
                     self.next()
                     text += "-" + self.expect_name().text
-                n = Token(n.kind, text, n.line, n.col)
                 if self.peek().text == "=":
-                    if n.text not in ("seed", "size"):
-                        self.fail(f"check takes no option {n.text!r}", n)
+                    if text not in ("seed", "size"):
+                        self.fail(f"check takes no option {text!r}", n)
                     self.next()
-                    opts[n.text] = self.value()
+                    opts[text] = self.value()
                 else:
-                    names.append(n.text)
+                    names.append(text)
             self.expect(";")
             return Stmt("check", None, (names, opts), t.line, t.col)
         self.fail(f"unknown statement {t.text!r}", t)
@@ -453,7 +448,7 @@ class _Builder:
         if row.node:
             return row.fn(self, node)
         kinds = row.args.split()
-        if kinds and kinds[-1].endswith("+"):
+        if row.args.endswith("+"):
             kinds += kinds[-1:] * len(node[2])
         args = [self.build(k.rstrip("?+"), a) for k, a in zip(kinds, node[2])]
         if row.grid:
@@ -481,13 +476,10 @@ class _Builder:
                           "or [p]", item)
             parts = item[1] * 2 if len(item[1]) == 1 else item[1]
             a, b = self.rat(parts[0]), self.rat(parts[1])
-            lc = hc = True
-            if len(parts) == 3:
-                if parts[2][0] != "str" or parts[2][1] not in \
-                        ("cc", "co", "oc", "oo"):
-                    self.fail('flags must be "cc", "co", "oc" or "oo"',
-                              item)
-                lc, hc = (f == "c" for f in parts[2][1])
+            flags = parts[2] if len(parts) == 3 else ("str", "cc")
+            if flags[0] != "str" or flags[1] not in ("cc", "co", "oc", "oo"):
+                self.fail('flags must be "cc", "co", "oc" or "oo"', item)
+            lc, hc = (f == "c" for f in flags[1])
             ivs = ivs.union(IvSet([self.make(Iv, a, b, lc, hc)]))
         return ivs
 
@@ -573,13 +565,14 @@ class _Builder:
 
 @dataclass(frozen=True)
 class _Call:
-    """One row: the kinds of the positional arguments, separated by spaces
-    ("rat", "int", or a kind that `build` makes; a last "kind+" takes one
-    or more, "kind?" none or one), the function of the built arguments,
-    and the keywords.  A `grid` row's function is a validating constructor
-    that also takes the session's sigma and D.  A `node` row's function
-    takes the builder and the call node and reads the arguments itself;
-    its kinds only count them."""
+    """One row of the call table, for a head and the kind it builds (set,
+    elem, ideal, filter, profile or query): the kinds of the positional
+    arguments, separated by spaces ("rat", "int", or a kind that `build`
+    makes; a last "kind+" takes one or more, "kind?" none or one), the
+    function of the built arguments, and the keywords.  A `grid` row's
+    function is a validating constructor that also takes the session's
+    sigma and D.  A `node` row's function takes the builder and the call
+    node and reads the arguments itself; its kinds only count them."""
     args: str
     fn: object
     keys: tuple = ()
@@ -589,10 +582,8 @@ class _Call:
     def counts(self):
         """(least, most) positional arguments; most is None for no bound."""
         kinds = self.args.split()
-        least = sum(not k.endswith("?") for k in kinds)
-        if kinds and kinds[-1].endswith("+"):
-            return least, None
-        return least, len(kinds)
+        return (sum(not k.endswith("?") for k in kinds),
+                None if self.args.endswith("+") else len(kinds))
 
 
 def _restr_invertible(x, S):
@@ -760,10 +751,9 @@ def print_object(kind, obj) -> str:
                                     for g in obj.gens) + ")"
         if isinstance(obj, OfIdeal):
             return f"ofideal({print_object('ideal', obj.ideal)})"
-        if isinstance(obj, Interior):
-            return f"interior({print_object('filter', obj.of)})"
-        if isinstance(obj, Closure):
-            return f"closure({print_object('filter', obj.of)})"
+        if isinstance(obj, (Interior, Closure)):
+            op = "interior" if isinstance(obj, Interior) else "closure"
+            return f"{op}({print_object('filter', obj.of)})"
     raise TypeMismatch(f"cannot print a {kind}")
 
 

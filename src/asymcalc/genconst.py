@@ -324,12 +324,11 @@ _SCAN_SPAN = 48
 
 
 def _scanned_start(z: PwFunction, shape: IvSet) -> int:
-    """Fallback threshold: the block after the last of blocks 0 ...
-    _SCAN_SPAN - 1 on which z fails, each checked exactly
-    (`_failing_blocks`).  The eventual claim is already established by the
-    sign engine; this pins a concrete block, but blocks from _SCAN_SPAN on
-    are not checked, so the threshold is not proven there (ROADMAP item
-    3)."""
+    """Fallback threshold: the block after the last block below _SCAN_SPAN
+    on which z fails, each checked exactly (`_failing_blocks`).  The
+    eventual claim is already established by the sign engine; this pins a
+    concrete block, but blocks from _SCAN_SPAN on are not checked, so the
+    threshold is not proven there (ROADMAP item 3)."""
     K = 0
     for k in _failing_blocks(z, shape, range(_SCAN_SPAN)):
         K = k + 1

@@ -377,8 +377,6 @@ class RootPt:
         return _zsign(p, (self.lo + self.hi) / 2)
 
     def approx(self) -> Q:
-        """The midpoint of the isolating interval, refined below
-        _APPROX_WIDTH."""
         self.refine_below(_APPROX_WIDTH)
         return (self.lo + self.hi) / 2
 

@@ -13,8 +13,7 @@ __all__ = ["CheckReport", "serialize_witness"]
 
 
 def serialize_witness(obj):
-    """Best-effort exact serialization of a failure witness.  A float that
-    is not finite becomes its string, since JSON has no such number."""
+    """Best-effort serialization of a witness; non-finite floats as strings."""
     if isinstance(obj, float) and not math.isfinite(obj):
         return str(obj)
     if obj is None or isinstance(obj, (bool, int, str, float)):

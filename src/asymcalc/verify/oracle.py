@@ -57,11 +57,11 @@ import mpmath
 from ..errors import AllSamplesZero, PreconditionViolated
 
 __all__ = [
+    "MIN_SCALE",
     "OracleConfig",
     "PRECISION",
     "QUANTIFIER_BOUND",
     "TOLERANCE",
-    "MIN_SCALE",
     "ValuationEstimate",
     "oracle_valuation",
     "oracle_vanishes_on",

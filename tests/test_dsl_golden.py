@@ -6,7 +6,8 @@ type, message and position) and the `print_session` text of what it
 defined.  The corpus builds every constructor, runs every query, and
 reaches every error message a script can reach.  A change that alters
 an answer on purpose rewrites the file with
-`python3 tests/test_dsl_golden.py` and lists the changed lines.
+`python3 tests/test_dsl_golden.py`, which prints the 1-based numbers of
+the lines it rewrote.
 """
 
 import json
@@ -208,6 +209,15 @@ ERRORS = [
     'elem x = "w";',
     "set A = [1];",
     "set A = (1);",
+    # a missing comma in each kind of sequence, a name given twice, and a
+    # library error in the second statement
+    "set A = full(); set B = union(A A);",
+    "set A = orbit(shape=[[1/2,3/4] [7/8,1]]);",
+    "elem x = pl[(1/2,0),(3/4 1),(1,0)];",
+    'elem x = tail(comps=[{s:0,r:0 g:"1"}]);',
+    'elem x = tail(comps=[{s:0,r:0,g:"1",r:1}]);',
+    "set A = orbit(shape=[[1/2,3/4]], shape=[[5/8,7/8]]);",
+    'elem x = rho;\n  elem y = tail(ratio=1/2, comps=[{s:0,r:0,g:"w^2"}]);',
 ] + [_DEFS + f"{lhs} = {head}({args});"
      for lhs, heads in (
          ("set B", ["orbit", "point", "union", "intersect", "complement",
@@ -313,5 +323,10 @@ def test_corpus_reaches_every_call():
 
 
 if __name__ == "__main__":
+    with open(GOLDEN, encoding="utf-8") as f:
+        old = f.read().splitlines()
+    new = golden_lines()
     with open(GOLDEN, "w", encoding="utf-8") as f:
-        f.write("".join(line + "\n" for line in golden_lines()))
+        f.write("".join(line + "\n" for line in new))
+    print(" ".join(str(i + 1) for i, line in enumerate(new)
+                   if old[i:i + 1] != [line]))

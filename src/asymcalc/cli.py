@@ -6,7 +6,8 @@
 `run` executes a script against a fresh session; `check` runs the named
 (or all) invariant suites.  Exit status is 0 exactly when nothing
 failed; every error is reported with a stable code (the error class
-name) rather than a traceback.
+name) rather than a traceback, and a script's error with its position:
+`error[ContinuityViolation]: line 1, col 1: ...`.
 """
 
 import argparse

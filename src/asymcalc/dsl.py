@@ -15,6 +15,10 @@ ever rounded on the way in.  Window profiles are entered either as
 restricted expressions in w (quoted), as the piecewise-linear shorthand
 pl[(w,v),...], or segment by segment as segs[[lo,hi,"expr"],...].
 
+Call arguments, lists, (w, v) tuples and records take one comma between
+entries, a trailing one allowed, and each keyword or key once; `check`
+options are space-separated.  A statement's errors all carry a position.
+
 Every call is one row of the call table `_CALLS`, which the parser's
 count and keyword checks and the builder both read (see `_Call`).  A new
 call is one row; a new constructor also needs its `print_object` branch,
@@ -31,8 +35,8 @@ from functools import reduce
 from . import genconst
 from .afilter import (FG, Closure, Interior, OfIdeal, filter_member,
                       i_of_f_member)
-from .errors import (ParseError, PreconditionViolated, TypeMismatch,
-                     UndefinedName)
+from .errors import (AsymcalcError, ParseError, PreconditionViolated,
+                     TypeMismatch, UndefinedName)
 from .grid import Grid
 from .ideal import (FgIdeal, annihilator_member, closure_member,
                     ideal_member, pure_part_member, radical_member,
@@ -77,8 +81,7 @@ def _tokenize(src: str):
         m = _TOKEN_RE.match(src, pos)
         if m is None:
             raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
+        kind, text = m.lastgroup, m.group()
         if kind == "decimal":
             raise ParseError("decimal literals are not accepted; write p/q",
                              line, col)
@@ -183,27 +186,40 @@ class _Parser:
                 return self.call(t)
             if self.peek().text == "[":
                 # pl[...] / segs[...] shorthand
-                lst = self.bracket_list()
-                return ("call", t.text, [lst], {}, t)
+                return ("call", t.text, [self.bracket_list()], {}, t)
             return ("name", t.text, t)
         self.fail(f"unexpected token {t.text!r}", t)
 
+    def seq(self, close, value, key=lambda: None):
+        """The comma-separated entries up to the token `close`, which it
+        consumes: each a name that `key` reads (None if positional) and a
+        `value`.  Returns the positional values and a dict of the named."""
+        args, named = [], {}
+        while self.peek().text != close:
+            t = self.peek()
+            k = key()
+            if k is None:
+                if named:
+                    self.fail("positional argument after keyword", t)
+                args.append(value())
+            elif k in named:
+                self.fail(f"{k!r} is given twice", t)
+            else:
+                named[k] = value()
+            if self.peek().text != close:
+                self.expect(",")
+        self.next()
+        return args, named
+
+    def keyword(self):
+        t = self.peek()
+        if t.kind == "name" and self.toks[self.i + 1].text == "=":
+            self.i += 2
+            return t.text
+
     def call(self, head: Token):
         self.expect("(")
-        args, kwargs = [], {}
-        while self.peek().text != ")":
-            t = self.peek()
-            if t.kind == "name" and self.toks[self.i + 1].text == "=":
-                self.next()
-                self.next()
-                kwargs[t.text] = self.value()
-            else:
-                if kwargs:
-                    self.fail("positional argument after keyword", t)
-                args.append(self.value())
-            if self.peek().text == ",":
-                self.next()
-        self.expect(")")
+        args, kwargs = self.seq(")", self.value, self.keyword)
         if head.text in _CALLS:
             # the rows of one head agree on count and keywords
             row = next(iter(_CALLS[head.text].values()))
@@ -220,35 +236,22 @@ class _Parser:
 
     def bracket_list(self):
         t = self.expect("[")
-        items = []
-        while self.peek().text != "]":
-            if self.peek().text == "(":
-                self.next()
-                tup = []
-                while self.peek().text != ")":
-                    tup.append(self.value())
-                    if self.peek().text == ",":
-                        self.next()
-                self.expect(")")
-                items.append(("tuple", tup, t))
-            else:
-                items.append(self.value())
-            if self.peek().text == ",":
-                self.next()
-        self.expect("]")
-        return ("list", items, t)
+
+        def item():
+            if self.peek().text != "(":
+                return self.value()
+            self.next()
+            return ("tuple", self.seq(")", self.value)[0], t)
+        return ("list", self.seq("]", item)[0], t)
 
     def record(self):
         t = self.expect("{")
-        rec = {}
-        while self.peek().text != "}":
-            key = self.expect_name()
+
+        def key():
+            k = self.expect_name().text
             self.expect(":")
-            rec[key.text] = self.value()
-            if self.peek().text == ",":
-                self.next()
-        self.expect("}")
-        return ("record", rec, t)
+            return k
+        return ("record", self.seq("}", self.value, key)[1], t)
 
     # window expressions in w: (num, den) coefficient pairs ----------------
 
@@ -326,8 +329,7 @@ class _Parser:
             self.expect(";")
             return Stmt("query", None, expr, t.line, t.col)
         if t.text == "check":
-            names = []
-            opts = {}
+            names, opts = [], {}
             while self.peek().text != ";":
                 n = self.expect_name()
                 # check names may be hyphenated, e.g. interior-closure
@@ -389,12 +391,13 @@ class Session:
             raise UndefinedName(f"{name!r} is not defined")
         k, obj = self.symbols[name]
         if k != kind:
-            raise TypeMismatch(f"{name!r} is a {k}, expected a {kind}")
+            raise TypeMismatch(f"{name!r} is {_UNKNOWN[k][0]}, "
+                               f"expected {_UNKNOWN[kind][0]}")
         return obj
 
 
 # What `build` reports of a value that is no call, and of a call with no
-# row of the kind asked for.
+# row of the kind asked for; `lookup` names kinds by the first.
 _UNKNOWN = {"set": ("a set", "unknown set constructor {!r}"),
             "elem": ("an element", "unknown element constructor {!r}"),
             "ideal": ("an ideal", "expected an ideal expression"),
@@ -405,7 +408,6 @@ _UNKNOWN = {"set": ("a set", "unknown set constructor {!r}"),
 class _Builder:
     def __init__(self, session: Session):
         self.sn = session
-        self.at = (None, None)
 
     def fail(self, msg, node):
         raise ParseError(msg, node[-1].line, node[-1].col)
@@ -415,7 +417,7 @@ class _Builder:
         try:
             return ctor(*args, **kwargs)
         except ValueError as e:
-            raise ParseError(str(e), *self.at) from None
+            raise ParseError(str(e)) from None
 
     def rat(self, node) -> Q:
         if node[0] != "rat":
@@ -469,7 +471,7 @@ class _Builder:
     def interval_list(self, node):
         if node[0] != "list":
             self.fail("expected a list of intervals", node)
-        ivs = IvSet.empty()
+        ivs = []
         for item in node[1]:
             if item[0] != "list" or len(item[1]) not in (1, 2, 3):
                 self.fail("each interval is [a,b], [a,b,\"flags\"] "
@@ -480,8 +482,8 @@ class _Builder:
             if flags[0] != "str" or flags[1] not in ("cc", "co", "oc", "oo"):
                 self.fail('flags must be "cc", "co", "oc" or "oo"', item)
             lc, hc = (f == "c" for f in flags[1])
-            ivs = ivs.union(IvSet([self.make(Iv, a, b, lc, hc)]))
-        return ivs
+            ivs.append(self.make(Iv, a, b, lc, hc))
+        return IvSet(ivs)
 
     def orbit(self, node) -> AsymptoticSet:
         _, head, args, kwargs, _ = node
@@ -657,29 +659,32 @@ def execute(session: Session, statements):
     b = _Builder(session)
     out = []
     for st in statements:
-        b.at = (st.line, st.col)
-        if st.kind in ("set", "elem", "ideal", "filter"):
-            session.define(st.kind, st.name, b.build(st.kind, st.expr))
-            out.append({"stmt": st.kind, "name": st.name})
-        elif st.kind == "eval":
-            x = session.lookup(st.name, "elem")
-            val = b.make(x.eval, st.expr)
-            out.append({"stmt": "eval", "name": st.name,
-                        "at": str(st.expr), "value": str(val)})
-        elif st.kind == "query":
-            out.append({"stmt": "query", "head": st.expr[1],
-                        "result": b.build("query", st.expr)})
-        elif st.kind == "check":
-            names, opts = st.expr
-            seed = b.intval(opts["seed"]) if "seed" in opts else 0
-            size = b.intval(opts["size"]) if "size" in opts else 24
-            which = "all" if (not names or names == ["all"]) else names
-            reps = run_checks(which, seed=seed, size=size)
-            out.append({"stmt": "check",
-                        "reports": [r.to_dict() for r in reps]})
-        else:
-            raise ParseError(f"unknown statement kind {st.kind!r}",
-                             st.line, st.col)
+        try:
+            if st.kind in ("set", "elem", "ideal", "filter"):
+                session.define(st.kind, st.name, b.build(st.kind, st.expr))
+                out.append({"stmt": st.kind, "name": st.name})
+            elif st.kind == "eval":
+                x = session.lookup(st.name, "elem")
+                val = b.make(x.eval, st.expr)
+                out.append({"stmt": "eval", "name": st.name,
+                            "at": str(st.expr), "value": str(val)})
+            elif st.kind == "query":
+                out.append({"stmt": "query", "head": st.expr[1],
+                            "result": b.build("query", st.expr)})
+            elif st.kind == "check":
+                names, opts = st.expr
+                seed = b.intval(opts["seed"]) if "seed" in opts else 0
+                size = b.intval(opts["size"]) if "size" in opts else 24
+                which = "all" if (not names or names == ["all"]) else names
+                reps = run_checks(which, seed=seed, size=size)
+                out.append({"stmt": "check",
+                            "reports": [r.to_dict() for r in reps]})
+            else:
+                raise ParseError(f"unknown statement kind {st.kind!r}")
+        except AsymcalcError as e:
+            if e.line is None:
+                e.line, e.col = st.line, st.col
+            raise
     return out
 
 

@@ -1,12 +1,21 @@
 """Exception hierarchy for the asymcalc package.
 
 Every error raised by the library proper derives from AsymcalcError so that
-callers (and the CLI) can distinguish library failures from programming bugs.
+callers (and the CLI) can distinguish library failures from programming bugs;
+one raised by a script statement starts with its "line L, col C" position.
 """
 
 
 class AsymcalcError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; a script position leads it."""
+
+    def __init__(self, message="", line=None, col=None):
+        super().__init__(message)
+        self.line, self.col = line, col
+
+    def __str__(self):
+        at = "" if self.line is None else f"line {self.line}, col {self.col}: "
+        return at + super().__str__()
 
 
 class GridMismatch(AsymcalcError):
@@ -96,10 +105,3 @@ class TypeMismatch(AsymcalcError):
 
 class ParseError(AsymcalcError):
     """Malformed textual input (expression DSL or serialized JSON)."""
-
-    def __init__(self, message, line=None, col=None):
-        self.line = line
-        self.col = col
-        if line is not None:
-            message = f"line {line}, col {col}: {message}"
-        super().__init__(message)

@@ -41,10 +41,11 @@ from .errors import (ImproperIdeal, PreconditionViolated,
 from .genconst import GenConstant, _bisect, _cutoff, _rep
 from .grid import unify
 from .ivset import Iv, IvSet
-from .pwfunc import PwFunction
+from .pwfunc import PwFunction, TailComponent
 from .scaleset import AsymptoticSet, circle_closure, halfway_toward, upto1
 from .signs import (eventually_nonneg, flat_common_zero,
                     isolated_common_zeros, restr_invertible_bool)
+from .window import Piecewise
 
 
 class FgIdeal:
@@ -326,8 +327,6 @@ def hb_construct():
     a geometric interval orbit and a cross bump supported in the
     complementary gap.  Returns (J, x, y) with x in J, y in the
     annihilator, x*y = 0 exactly."""
-    from .window import Piecewise
-    from .pwfunc import TailComponent
     H = Q(1, 2)
     gx = Piecewise.linear_interp([(Q(1, 2), 0), (Q(5, 8), 0), (Q(3, 4), 1),
                                   (Q(7, 8), 0), (Q(1), 0)])

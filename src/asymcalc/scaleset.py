@@ -50,6 +50,8 @@ from .errors import (EmptySet, NotCharacteristic, ParseError,
                      PreconditionViolated, RepresentabilityError)
 from .grid import Grid, unify
 from .ivset import Iv, IvSet
+from .pwfunc import PwFunction, TailComponent
+from .window import Piecewise
 
 
 _ONE = Q(1)
@@ -442,7 +444,6 @@ def _distances(cands: IvSet, ws) -> list:
 def pl_distance(cands: IvSet, lo, hi):
     """Piecewise linear distance on [lo, hi] to a nonempty closed interval
     set (flags are ignored; endpoints count as members)."""
-    from .window import Piecewise
     ws = _marks(cands, Q(lo), Q(hi))
     return Piecewise.linear_interp(list(zip(ws, _distances(cands, ws))))
 
@@ -537,8 +538,6 @@ def _head_cands(s: AsymptoticSet) -> IvSet:
 def distance_profile(S: AsymptoticSet):
     """The u-coordinate distance to a nonempty set, as an exact
     piecewise-linear self-similar element (degree 1 on the tail)."""
-    from .pwfunc import PwFunction, TailComponent
-    from .window import Piecewise
     if S.is_empty():
         raise EmptySet("distance to the empty set is undefined")
     S = S.closure()

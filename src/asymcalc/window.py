@@ -14,7 +14,6 @@ result; `linear_interp` checks its nodes and builds canonical lines through
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -44,13 +43,6 @@ def _content_one(num, den):
     return z[:len(num)], z[len(num):]
 
 
-@functools.lru_cache(maxsize=8192)
-def _den_vanishes(den, lo, hi) -> bool:
-    """Whether den has a root on [lo, hi]."""
-    sf = squarefree(den)
-    return psign(sf, lo) == 0 or count_roots(sf, lo, hi) > 0
-
-
 @dataclass(frozen=True, slots=True)
 class Seg:
     lo: Q
@@ -70,9 +62,11 @@ class Seg:
         object.__setattr__(self, "hi", Q(self.hi))
         if self.lo >= self.hi:
             raise ValueError("segment must have positive length")
-        if pdeg(self.den) >= 1 and _den_vanishes(self.den, self.lo, self.hi):
-            raise ZeroDenominator(
-                f"denominator vanishes on [{self.lo}, {self.hi}]")
+        if pdeg(self.den) >= 1:
+            sf = squarefree(self.den)
+            if psign(sf, self.lo) == 0 or count_roots(sf, self.lo, self.hi):
+                raise ZeroDenominator(
+                    f"denominator vanishes on [{self.lo}, {self.hi}]")
 
     @classmethod
     def on(cls, lo: Q, hi: Q, num, den=ONE) -> "Seg":

@@ -151,3 +151,11 @@ def test_check_writes_a_failure_as_strict_json(tmp_path, capsys, monkeypatch):
     assert reports[0]["failures"]
     assert all(f["interval"] == [1.5, "inf"] for f in reports[0]["failures"])
     assert capsys.readouterr().out.startswith("[FAIL] valuation-oracle: ")
+
+
+def test_run_reports_a_library_error_at_its_statement(tmp_path, capsys):
+    script = 'elem x = tail(ratio=1/2, comps=[{s:0,r:0,g:"w^2"}]);'
+    assert main(["run", _script(tmp_path, script)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error[ContinuityViolation]: line 1, col 1: ")

@@ -275,3 +275,55 @@ def test_rows_of_a_head_agree_on_count_and_keywords():
     from asymcalc.dsl import _CALLS
     for head, rows in _CALLS.items():
         assert len({(r.counts(), r.keys) for r in rows.values()}) == 1, head
+
+
+@pytest.mark.parametrize("script, at, msg", [
+    ("set A = full(); set B = union(A A);", (1, 33), "expected ','"),
+    ("set A = orbit(shape=[[1/2,3/4] [7/8,1]]);", (1, 32), "expected ','"),
+    ("elem x = pl[(1/2,0),(3/4 1),(1,0)];", (1, 26), "expected ','"),
+    ('elem x = tail(comps=[{s:0,r:0 g:"1"}]);', (1, 31), "expected ','"),
+    ("set A = orbit(shape=[,[1/2,3/4]]);", (1, 22), "unexpected token"),
+    ("set A = full(); set B = union(A,,A);", (1, 33), "unexpected token"),
+    ('elem x = tail(comps=[{s:0,r:0,g:"1",r:1}]);', (1, 37),
+     "'r' is given twice"),
+    ("set A = orbit(shape=[[1/2,3/4]], shape=[[5/8,7/8]]);", (1, 34),
+     "'shape' is given twice"),
+])
+def test_malformed_sequences_are_located_parse_errors(script, at, msg):
+    # one comma between entries and each name once, in every sequence
+    with pytest.raises(ParseError, match=msg) as e:
+        run_text(Session(), script)
+    assert (e.value.line, e.value.col) == at
+
+
+def test_trailing_commas_are_accepted():
+    out = run_text(Session(), """
+        set A = orbit(shape=[[1/2,3/4,],[7/8,1],],);
+        elem x = tail(comps=[{s:0,r:0,g:pl[(1/2,1),(1,1),],},],);
+        query precedes(A, A,);
+    """)
+    assert out[-1]["result"] is False
+
+
+def test_library_errors_carry_their_statements_position():
+    with pytest.raises(ContinuityViolation) as e:
+        run_text(Session(), 'elem x = rho;\n  elem y = tail(ratio=1/2, '
+                 'comps=[{s:0,r:0,g:"w^2"}]);')
+    assert (e.value.line, e.value.col) == (2, 3)
+    assert str(e.value).startswith("line 2, col 3: profile fails matching")
+
+
+@pytest.mark.parametrize("script, col, msg", [
+    ("set A = full(); eval A at 1/2;", 17,
+     "'A' is a set, expected an element"),
+    ("elem x = rho; ideal I = gen(x); query ideal_member(I, I);", 33,
+     "'I' is an ideal, expected an element"),
+    ("elem x = rho; query ideal_member(x, x);", 15,
+     "'x' is an element, expected an ideal"),
+    ("set A = full(); query filter_member(A, A);", 17,
+     "'A' is a set, expected a filter"),
+])
+def test_type_mismatch_names_both_kinds(script, col, msg):
+    with pytest.raises(TypeMismatch) as e:
+        run_text(Session(), script)
+    assert str(e.value) == f"line 1, col {col}: {msg}"

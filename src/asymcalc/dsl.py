@@ -193,7 +193,7 @@ class _Parser:
     def seq(self, close, value, key=lambda: None):
         """The comma-separated entries up to the token `close`, which it
         consumes: each a name that `key` reads (None if positional) and a
-        `value`.  Returns the positional values and a dict of the named."""
+        `value`.  Returns the positional values and the named ones' dict."""
         args, named = [], {}
         while self.peek().text != close:
             t = self.peek()

@@ -218,6 +218,10 @@ ERRORS = [
     'elem x = tail(comps=[{s:0,r:0,g:"1",r:1}]);',
     "set A = orbit(shape=[[1/2,3/4]], shape=[[5/8,7/8]]);",
     'elem x = rho;\n  elem y = tail(ratio=1/2, comps=[{s:0,r:0,g:"w^2"}]);',
+    # a shape given by position and by keyword, and a doubled comma after
+    # a keyword argument
+    "set A = orbit([[1/2,3/4]], shape=[[5/8,7/8]]);",
+    "set A = orbit(ratio=1/2, shape=[[1/2,3/4]],, D=1);",
 ] + [_DEFS + f"{lhs} = {head}({args});"
      for lhs, heads in (
          ("set B", ["orbit", "point", "union", "intersect", "complement",

@@ -190,19 +190,21 @@ class _Parser:
             return ("name", t.text, t)
         self.fail(f"unexpected token {t.text!r}", t)
 
-    def seq(self, close, value, key=lambda: None):
+    def seq(self, close, value, key=lambda: None, names=()):
         """The comma-separated entries up to the token `close`, which it
         consumes: each a name that `key` reads (None if positional) and a
-        `value`.  Returns the positional values and the named ones' dict."""
+        `value`.  The i-th positional entry also goes by the name
+        `names[i]`, if there is one.  Returns the positional values and
+        the named ones' dict."""
         args, named = [], {}
         while self.peek().text != close:
             t = self.peek()
             k = key()
             if k is None:
+                args.append(value())
                 if named:
                     self.fail("positional argument after keyword", t)
-                args.append(value())
-            elif k in named:
+            elif k in named or k in names[:len(args)]:
                 self.fail(f"{k!r} is given twice", t)
             else:
                 named[k] = value()
@@ -219,10 +221,12 @@ class _Parser:
 
     def call(self, head: Token):
         self.expect("(")
-        args, kwargs = self.seq(")", self.value, self.keyword)
-        if head.text in _CALLS:
-            # the rows of one head agree on count and keywords
-            row = next(iter(_CALLS[head.text].values()))
+        # the rows of one head agree on count and keywords
+        row = next(iter(_CALLS[head.text].values())) \
+            if head.text in _CALLS else None
+        args, kwargs = self.seq(")", self.value, self.keyword,
+                                row.names if row else ())
+        if row:
             for k in kwargs:
                 if k not in row.keys:
                     self.fail(f"{head.text}() takes no keyword {k!r}", head)
@@ -571,13 +575,15 @@ class _Call:
     elem, ideal, filter, profile or query): the kinds of the positional
     arguments, separated by spaces ("rat", "int", or a kind that `build`
     makes; a last "kind+" takes one or more, "kind?" none or one), the
-    function of the built arguments, and the keywords.  A `grid` row's
+    function of the built arguments, the keywords, and the keywords that
+    may name the positional arguments instead, in order.  A `grid` row's
     function is a validating constructor that also takes the session's
     sigma and D.  A `node` row's function takes the builder and the call
     node and reads the arguments itself; its kinds only count them."""
     args: str
     fn: object
     keys: tuple = ()
+    names: tuple = ()
     grid: bool = False
     node: bool = False
 
@@ -598,7 +604,7 @@ _GRID_KEYS = ("ratio", "anchor", "D", "head")
 _CALLS = {
     # sets
     "orbit": {"set": _Call("list?", _Builder.orbit,
-                           _GRID_KEYS + ("shape",), node=True)},
+                           _GRID_KEYS + ("shape",), ("shape",), node=True)},
     "point": {"set": _Call("rat", AsymptoticSet.orbit_point, grid=True)},
     "full": {"set": _Call("", AsymptoticSet.full, grid=True)},
     "union": {"set": _Call("set set+", lambda *S: reduce(

@@ -288,6 +288,14 @@ def test_rows_of_a_head_agree_on_count_and_keywords():
      "'r' is given twice"),
     ("set A = orbit(shape=[[1/2,3/4]], shape=[[5/8,7/8]]);", (1, 34),
      "'shape' is given twice"),
+    # the positional shape is named shape too
+    ("set A = orbit([[1/2,3/4]], shape=[[5/8,7/8]]);", (1, 28),
+     "'shape' is given twice"),
+    # a doubled comma is an empty entry, after a keyword as anywhere else
+    ("set A = orbit(ratio=1/2, shape=[[1/2,3/4]],, D=1);", (1, 44),
+     "unexpected token ','"),
+    ("set A = orbit(ratio=1/2, [[1/2,3/4]]);", (1, 26),
+     "positional argument after keyword"),
 ])
 def test_malformed_sequences_are_located_parse_errors(script, at, msg):
     # one comma between entries and each name once, in every sequence

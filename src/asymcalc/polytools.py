@@ -41,6 +41,17 @@ decided by the single test q(k/N) = 0: the root is k/N, or it is
 irrational.  `isolate_roots` returns rational roots as Fractions and only
 irrational ones as RootPt.
 
+Up to degree 2 no search is needed at all.  A linear q has the one root
+-q_0/q_1.  A quadratic c + b w + a w^2 over Z with discriminant D = b^2 -
+4ac has the roots (-b -+ sqrt D)/2a: none is real when D < 0, and both are
+rational exactly when D is a square, since +-sqrt D = 2a x + b is
+rational at a rational root x.  Its gcd with its derivative b + 2a w is that
+derivative when D = 0, a (w + b/2a)^2, and 1 otherwise, so its squarefree
+part drops a degree exactly when D = 0.  `squarefree` reads both cases
+off the coefficients, and `isolate_roots` returns these roots in closed
+form; only an irrational pair, or a degree of 3 or more, goes through the
+bisection below.
+
 Points compare like numbers.  A window point is a Fraction or a RootPt, and
 `<`, `<=`, `>`, `>=` and `==` order any two of them, through `pt_cmp`, which
 refines RootPt intervals as far as a comparison needs.  A RootPt never
@@ -168,9 +179,14 @@ def pcompose_affine(p, a, b, n):
 
 
 def squarefree(p):
-    """Squarefree part p / gcd(p, p'), primitive with lc > 0."""
+    """Squarefree part p / gcd(p, p'), primitive with lc > 0.  Up to degree
+    2 it is read off the coefficients (module docstring): c + b w + a w^2
+    with b^2 = 4ac has the part b + 2a w, any other one of degree <= 2 is
+    its own part, and only a higher degree runs the PRS gcd."""
     z = _zpoly(p)
-    return _normal(pquo(z, pgcd(z, pderiv(z))) if pdeg(z) > 0 else z)
+    if len(z) == 3 and z[1] * z[1] == 4 * z[0] * z[2]:
+        return _normal((z[1], 2 * z[2]))
+    return _normal(z if len(z) <= 3 else pquo(z, pgcd(z, pderiv(z))))
 
 
 def _zform(p) -> tuple:
@@ -464,10 +480,12 @@ def isolate_roots(p, lo, hi):
     equal calls share their RootPt objects; refining one only narrows an
     interval that still isolates the same root.
 
-    One Descartes bisection pass over the squarefree part q finds the
-    roots.  An interval (a, b] holds exactly one root when the count
-    `_descartes(q, a, b)` plus [q(b) = 0] is 1, none when it is 0, and is
-    halved otherwise.  Let N be the leading coefficient of q; by the
+    When the squarefree part q is linear, or quadratic with a negative or
+    square discriminant, its roots are exact (`_rational_roots`) and those
+    in [lo, hi] are returned.  Otherwise one Descartes bisection pass over
+    q finds the roots.  An interval (a, b] holds exactly one root when the
+    count `_descartes(q, a, b)` plus [q(b) = 0] is 1, none when it is 0,
+    and is halved otherwise.  Let N be the leading coefficient of q; by the
     rational root theorem every rational root of q lies on the lattice
     (1/N)Z.  Each interval (a, b] holding one root yields b when q(b) = 0;
     otherwise it is halved by the sign of q alone until (a, b) holds at
@@ -482,6 +500,9 @@ def isolate_roots(p, lo, hi):
     q = squarefree(p)
     if pdeg(q) <= 0:
         return ()
+    roots = _rational_roots(q)
+    if roots is not None:
+        return tuple(x for x in roots if lo <= x <= hi)
     out = [lo] if _zsign(q, lo) == 0 else []
     # entries (a, b): the roots of q in (a, b]; the left half is pushed last
     # so that roots come out in increasing order
@@ -496,6 +517,22 @@ def isolate_roots(p, lo, hi):
             stack.append((m, b))
             stack.append((a, m))
     return tuple(out)
+
+
+def _rational_roots(q):
+    """Every real root of q (squarefree, primitive, lc > 0), increasing,
+    when deg q <= 2 and none is irrational; None otherwise."""
+    if len(q) == 2:
+        return (Q(-q[0], q[1]),)
+    if len(q) == 3:
+        c, b, a = q
+        d = b * b - 4 * a * c
+        if d < 0:
+            return ()
+        s = math.isqrt(d)
+        if s * s == d:
+            return (Q(-b - s, 2 * a), Q(-b + s, 2 * a))
+    return None
 
 
 def _one_root(q, a, b):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import asymcalc
+from asymcalc import polytools
 from asymcalc.polytools import (RootPt, _content_free, _zpoly, _zprem,
                                 _zsign, count_roots, isolate_roots, padd,
                                 pderiv, pdeg, peval, pgcd, pmul, pneg, poly,
@@ -228,26 +229,55 @@ _large_roots = st.builds(Q, st.integers(-10 ** 5, 10 ** 5),
 _roots = st.one_of(_small_roots, _small_roots, _large_roots)
 
 
+_huge_roots = st.builds(Q, st.integers(-2 ** 75, 2 ** 75),
+                        st.integers(1, 2 ** 72))
+_coefs = st.one_of(st.integers(-40, 40), st.integers(-2 ** 70, 2 ** 70))
+
+
+def _linear(r):
+    return poly(-r.numerator, r.denominator)
+
+
 @st.composite
 def _quadratics(draw):
-    """w^2 + b w + c, irreducible over Q (its discriminant is no square)."""
-    b = draw(st.integers(-12, 12))
-    c = draw(st.integers(-40, 40).filter(
-        lambda c: b * b - 4 * c < 0 or
-        math.isqrt(b * b - 4 * c) ** 2 != b * b - 4 * c))
-    return poly(c, b, 1)
+    """An integer quadratic c + b w + a w^2 of each kind: irreducible
+    monic, a negative discriminant, a zero one, a nonzero square and any
+    other, with a of either sign and coefficients small or huge."""
+    kind = draw(st.sampled_from(["monic", "negative", "zero", "square",
+                                 "any"]))
+    if kind == "monic":
+        b = draw(st.integers(-12, 12))
+        c = draw(st.integers(-40, 40).filter(
+            lambda c: b * b - 4 * c < 0 or
+            math.isqrt(b * b - 4 * c) ** 2 != b * b - 4 * c))
+        return poly(c, b, 1)
+    k = draw(st.sampled_from([1, -1])) * draw(
+        st.one_of(st.integers(1, 6), st.integers(1, 2 ** 70)))
+    if kind in ("zero", "square"):
+        r = draw(st.one_of(_roots, _huge_roots))
+        s = r if kind == "zero" else draw(
+            st.one_of(_roots, _huge_roots).filter(lambda s: s != r))
+        return pscale(pmul(_linear(r), _linear(s)), k)
+    a, b = draw(_coefs.filter(bool)), draw(_coefs)
+    if kind == "negative":
+        # 4ac > b^2
+        c = (b * b // (4 * abs(a)) + draw(st.integers(1, 10 ** 6))) * \
+            (1 if a > 0 else -1)
+    else:
+        c = draw(_coefs)
+    return poly(c, b, a)
 
 
 @st.composite
 def _products(draw):
     """An integer polynomial of degree 1..4: a product of rational linear
-    factors, repeats allowed, and irreducible quadratics."""
+    factors, repeats allowed, and quadratics of every kind."""
     n_quad = draw(st.integers(0, 2))
     n_lin = draw(st.integers(1 if n_quad == 0 else 0, 4 - 2 * n_quad))
     lins = draw(st.lists(_roots, min_size=n_lin, max_size=n_lin))
     p = poly(draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1])))
     for r in lins:
-        p = pmul(p, poly(-r.numerator, r.denominator))
+        p = pmul(p, _linear(r))
     for _ in range(n_quad):
         p = pmul(p, draw(_quadratics()))
     return p, lins
@@ -285,6 +315,10 @@ def _q(r):
 @settings(max_examples=300, deadline=None)
 @given(_cases())
 @example(((Q(0), Q(-2), Q(1)), Q(-1), Q(1)))    # the root 0 is rational
+@example((pmul(poly(-3, 2 ** 70), poly(-5, 1)), Q(0), Q(8)))  # huge lc
+@example((poly(-1, 0, 8192), Q(0), Q(1)))           # irrational: a RootPt
+@example((ppow(poly(-8192, 4099), 2), Q(0), Q(2)))  # discriminant 0
+@example((pmul(poly(-1, 3), poly(-5, 2)), Q(1, 3), Q(5, 2)))  # roots at ends
 def test_isolate_roots_matches_sympy(case):
     p, lo, hi = case
     want = _sympy_roots(p, lo, hi)
@@ -379,6 +413,30 @@ def test_isolate_roots_root_at_a_midpoint():
     # midpoint by sign is the root itself
     p = pmul(poly(Q(-1, 2), 1), poly(-3, 0, 1024))
     assert isolate_roots(p, Q(1, 4), Q(3, 4)) == (Q(1, 2),)
+
+
+def test_closed_forms_need_no_bisection(monkeypatch):
+    """A squarefree part of degree 1, or of degree 2 whose roots are
+    rational or not real, is solved without the PRS gcd or Descartes'
+    rule; an irrational pair still gets its RootPts."""
+    def fail(*args):
+        raise AssertionError("closed form expected")
+    monkeypatch.setattr(polytools, "pgcd", fail)
+    monkeypatch.setattr(polytools, "_descartes", fail)
+    iso = isolate_roots.__wrapped__
+    p = pmul(poly(-1, 3), poly(-5, 2))
+    assert iso(p, Q(1, 3), Q(5, 2)) == (Q(1, 3), Q(5, 2))
+    assert iso(p, Q(1, 2), Q(5, 2)) == (Q(5, 2),)
+    assert iso(p, Q(1, 2), Q(2)) == ()
+    assert iso(pmul(poly(-3, 2 ** 70), poly(-5, 1)), 0, 8) == \
+        (Q(3, 2 ** 70), Q(5))
+    assert iso(ppow(poly(-8192, 4099), 2), 0, 2) == (Q(8192, 4099),)
+    assert iso(pscale(ppow(poly(1, 2), 2), -7), -1, 1) == (Q(-1, 2),)
+    assert iso(poly(5, 2, 1), -9, 9) == ()
+    assert squarefree(ppow(poly(Q(-1, 2), 1), 2)) == (-1, 2)
+    monkeypatch.undo()
+    (r,) = isolate_roots.__wrapped__(poly(-1, 0, 8192), 0, 1)
+    assert isinstance(r, RootPt) and Q(1, 91) < r < Q(1, 90)
 
 
 def test_isolate_roots_linear_part_is_exact():
@@ -522,6 +580,10 @@ def _old_isolate_roots(p, lo, hi):
 @example((pmul(poly(-4099, 8192), poly(-2, 0, 1)), Q(0), Q(1)))
 # the reference's deflate path: its first Sturm midpoint is the root 4097/8192
 @example((pmul(poly(-4097, 8192), poly(-1, 0, 2)), Q(0), Q(4097, 4096)))
+@example((pmul(poly(-3, 2 ** 70), poly(-5, 1)), Q(0), Q(8)))  # huge lc
+@example((poly(-1, 0, 8192), Q(0), Q(1)))           # irrational: a RootPt
+@example((ppow(poly(-8192, 4099), 2), Q(0), Q(2)))  # discriminant 0
+@example((pmul(poly(-1, 3), poly(-5, 2)), Q(1, 3), Q(5, 2)))  # roots at ends
 def test_isolate_roots_matches_reference(case):
     """Equal Fractions, and RootPts that isolate the same root, except
     where the reference missed a rational root above its trial cap."""
@@ -617,6 +679,23 @@ def test_pgcd_matches_reference_and_sympy(a, b, c):
     p, q = pmul(a, c), pmul(b, c)
     got, ref = pgcd(p, q), _ref_pgcd(p, q)
     assert ref == _sympy_monic_gcd(p, q)
+    assert len(got) == len(ref)
+    if got:
+        assert all(type(x) is int for x in got)
+        assert math.gcd(*got) == 1 and got[-1] > 0
+        assert all(g == got[-1] * r for g, r in zip(got, ref))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys)
+@example(ppow(poly(-8192, 4099), 2))
+@example(pmul(poly(-3, 2 ** 70), poly(-5, 1)))
+@example(poly(0, 0, -3))
+def test_squarefree_is_a_multiple_of_the_reference(p):
+    """Primitive with lc > 0, and a positive multiple of the monic
+    squarefree part over Q, in the closed forms up to degree 2 and on the
+    PRS path above."""
+    got, ref = squarefree(p), _ref_squarefree(p)
     assert len(got) == len(ref)
     if got:
         assert all(type(x) is int for x in got)

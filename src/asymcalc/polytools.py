@@ -45,12 +45,12 @@ Up to degree 2 no search is needed at all.  A linear q has the one root
 -q_0/q_1.  A quadratic c + b w + a w^2 over Z with discriminant D = b^2 -
 4ac has the roots (-b -+ sqrt D)/2a: none is real when D < 0, and both are
 rational exactly when D is a square, since +-sqrt D = 2a x + b is
-rational at a rational root x.  Its gcd with its derivative b + 2a w is that
-derivative when D = 0, a (w + b/2a)^2, and 1 otherwise, so its squarefree
-part drops a degree exactly when D = 0.  `squarefree` reads both cases
-off the coefficients, and `isolate_roots` returns these roots in closed
-form; only an irrational pair, or a degree of 3 or more, goes through the
-bisection below.
+rational at a rational root x.  When D = 0 the quadratic is a (w +
+b/2a)^2, and its gcd with its derivative b + 2a w is that derivative;
+otherwise the gcd is 1.  So its squarefree part drops a degree exactly
+when D = 0.  `squarefree` reads both cases off the coefficients, and
+`isolate_roots` returns these roots in closed form; only an irrational
+pair, or a degree of 3 or more, goes through the bisection below.
 
 Points compare like numbers.  A window point is a Fraction or a RootPt, and
 `<`, `<=`, `>`, `>=` and `==` order any two of them, through `pt_cmp`, which

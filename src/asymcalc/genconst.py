@@ -31,7 +31,7 @@ from .scaleset import (AsymptoticSet, circle_closure, fold_to_window,
                        halfway_toward, orbit_with_full_head, upto1,
                        with_neighbours)
 from .signs import (common_window, eventually_nonneg, flat_common_zero,
-                    isolated_common_zeros, obstruction_on, unobstructed)
+                    obstruction_on, unobstructed, zero_set)
 from .signs import restr_zero as _restr_zero_pw
 from .polytools import (ZERO, _zsign, padd, pmul, poly_nonneg_on, pscale,
                         pt_enclosure)
@@ -598,11 +598,8 @@ def zero_product_split(a, b, S: AsymptoticSet | None = None):
 
 
 def _zero_orbit(xw: PwFunction, sg: Q, S: AsymptoticSet) -> AsymptoticSet:
-    Z = circle_closure(flat_common_zero(xw), sg).closure()
-    for p in isolated_common_zeros(xw):
-        if isinstance(p, Q):
-            Z = Z.union(IvSet.point(p))
-    return orbit_with_full_head(fold_to_window(Z, sg), sg, S)
+    """The orbit of the window zero set of xw, irrational zeros left out."""
+    return orbit_with_full_head(fold_to_window(zero_set(xw)[0], sg), sg, S)
 
 
 # -- Cauchy gluing --------------------------------------------------------

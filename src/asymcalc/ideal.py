@@ -20,9 +20,10 @@ Answers are kept where they are computed, on immutable values.  An ideal
 keeps the germ of sos, its properness and its orbit zero set, each
 computed once, on first use, and the least domination exponent of every
 germ it was asked about, keyed by the germ's grid and components.  An
-element keeps its window zero structure in its `_zeros` slot and its
-obstruction structure in its `_bad` slot (`signs.obstruction_on` fills
-that one), so the germ of sos keeps both for every question on its ratio.
+element keeps its window zero set in its `_zeros` slot (`signs.zero_set`
+fills it) and its obstruction structure in its `_bad` slot
+(`signs.obstruction_on` fills that one), so the germ of sos keeps both for
+every question on its ratio.
 A kept answer equals a fresh one: a germ has no head, so its key holds the
 whole function, and the search that fills the entry is a deterministic
 function of the germ and the ideal.  The segments and components are
@@ -40,11 +41,11 @@ from .errors import (ImproperIdeal, PreconditionViolated,
                      RepresentabilityError, SearchBoundExceeded)
 from .genconst import GenConstant, _bisect, _cutoff, _rep
 from .grid import unify
-from .ivset import Iv, IvSet
+from .ivset import Iv
 from .pwfunc import PwFunction, TailComponent
 from .scaleset import AsymptoticSet, circle_closure, halfway_toward, upto1
 from .signs import (eventually_nonneg, flat_common_zero,
-                    isolated_common_zeros, restr_invertible_bool)
+                    restr_invertible_bool, zero_set)
 from .window import Piecewise
 
 
@@ -96,48 +97,26 @@ class FgIdeal:
         """The orbit set of the window zeros of sos; the complement-closure
         of the sublevel sets L_n stabilizes to it."""
         sos = self.sos_germ
-        flat, pts = _zero_structure(sos)
-        Z = flat.closure()
-        for p in pts:
-            if not isinstance(p, Q):
-                raise RepresentabilityError(
-                    "generator zeros at algebraic points have no rational "
-                    "orbit set")
-            Z = Z.union(IvSet.point(p))
+        Z, irrational = zero_set(sos)
+        if irrational:
+            raise RepresentabilityError(
+                "generator zeros at algebraic points have no rational "
+                "orbit set")
         return AsymptoticSet(sos.sigma, circle_closure(Z, sos.sigma), D=sos.D)
 
 
-# -- zero structures ------------------------------------------------------
-
-
-def _zero_structure(x: PwFunction):
-    """(flat, points) window common-zero structure of the polynomial-scale
-    part, or None when the element is negligible (everything vanishes).
-    Built on the first call for x and kept in its `_zeros` slot."""
-    if x.is_negligible():
-        return None
-    if x._zeros is None:
-        x._zeros = flat_common_zero(x), isolated_common_zeros(x)
-    return x._zeros
-
-
-def _zeros_within(za, b: PwFunction) -> bool:
-    """Whether the zero structure za (None for a negligible element) lies
-    inside the zero structure of the non-negligible b, on one window."""
-    if za is None:
-        return False
-    fa, pa = za
-    fb, pb = _zero_structure(b)
-    if not fa.subset_of(fb):
-        return False
-    return all(fb.contains(p) or p in pb for p in pa)
+# -- zero sets ------------------------------------------------------------
 
 
 def z_subset(a, b) -> bool:
     """Whether every representable set on which a vanishes also kills b:
-    containment of window zero structures of the germs."""
+    containment of the window zero sets of the germs.  A negligible a
+    vanishes on the whole window, which no non-negligible b does."""
     ar, br = unify(_rep(a).germ(), _rep(b).germ())
-    return br.is_negligible() or _zeros_within(_zero_structure(ar), br)
+    if br.is_negligible():
+        return True
+    (Za, ia), (Zb, ib) = zero_set(ar), zero_set(br)
+    return Za.subset_of(Zb) and all(Zb.contains(p) or p in ib for p in ia)
 
 
 # -- membership -----------------------------------------------------------
@@ -233,7 +212,7 @@ def radical_member(x, I: FgIdeal, mmax: int = 16):
         return (False, None, None)
     if xg.is_negligible():
         return (True, 1, 0)
-    # every power of x has the zero structure of x, so the test above
+    # every power of x has the zero set of x, so the test above
     # covers them all
     p = xg
     for m in range(1, mmax + 1):

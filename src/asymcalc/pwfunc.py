@@ -47,11 +47,11 @@ class PwFunction:
     are nonzero, with distinct (s, r), and sorted by (r, s): both
     constructors go through `_canonical_comps`.  `_bad` keeps the
     obstruction structure that `signs.obstruction_on` reads off the
-    element on its own ratio, and `_zeros` the window zero structure
-    (flat common zero, isolated common zeros) that `ideal._zero_structure`
-    reads off it: each None until the first such question, then that one
-    read-only structure.  An element is never mutated after construction,
-    so a kept structure stays the element's own."""
+    element on its own ratio, and `_zeros` the window zero set (Z,
+    irrational zeros) that `signs.zero_set` reads off it: each None until
+    the first such question, then that one read-only structure.  An
+    element is never mutated after construction, so a kept structure
+    stays the element's own."""
 
     __slots__ = ("grid", "comps", "head", "_bad", "_zeros")
 

@@ -17,7 +17,9 @@ sign where no r = 0 component lives.  It is the one function that the fix
 for perfect-square Newton edges (ROADMAP item 1) replaces.  The points it
 is asked about come from `_profile_points`, the breakpoints and segment
 roots of the profiles, and `_is_common_zero` is the one test that every
-r = 0 component vanishes at a point.
+r = 0 component vanishes at a point.  `zero_set` is the one builder of
+where an element vanishes: its flat common zero and isolated common
+zeros, built once per element and kept in the element's `_zeros` slot.
 
 Invertibility on S is decided in one place: `obstruction_on` reads the
 obstruction structure off x and `unobstructed` tests it on the closed
@@ -60,12 +62,28 @@ def flat_common_zero(x: PwFunction) -> IvSet:
     return acc.fat_part()
 
 
-def isolated_common_zeros(x: PwFunction):
-    """Points outside the flat common-zero region where every r = 0 profile
-    vanishes.  Empty when there is no r = 0 component."""
-    flat = flat_common_zero(x)
-    return [p for p in _candidate_points(x)
-            if not flat.contains(p) and _is_common_zero(x, p)]
+def zero_set(x: PwFunction):
+    """(Z, irrational): where every r = 0 profile of x vanishes.  Z holds
+    the flat common zero and the rational isolated common zeros as points,
+    `irrational` the isolated common zeros at algebraic points; Z is the
+    whole window for a negligible x.  Built on the first call for x and
+    kept, read-only, in its `_zeros` slot."""
+    if x._zeros is None:
+        flat = flat_common_zero(x)
+        pts, irrational = [], []
+        for p in _candidate_points(x):
+            if flat.contains(p) or not _is_common_zero(x, p):
+                continue
+            if isinstance(p, Q):
+                pts.append(Iv.on(p, p, True, True))
+            else:
+                irrational.append(p)
+        # the candidates are sorted and distinct and lie outside the closed
+        # flat part, so no point meets or touches an interval of it, and
+        # the intervals sorted by start are canonical
+        ivs = tuple(sorted((*flat.ivs, *pts), key=lambda iv: iv.lo))
+        x._zeros = IvSet.on(ivs), tuple(irrational)
+    return x._zeros
 
 
 def _candidate_points(x: PwFunction):

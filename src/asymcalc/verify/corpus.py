@@ -138,7 +138,7 @@ def _random_ideal(rng, pool) -> FgIdeal:
     return FgIdeal(gens)
 
 
-def _random_filter(rng, sets, ideals) -> FilterExpr:
+def _random_filter(rng, ideals) -> FilterExpr:
     kind = rng.randrange(4)
     if kind == 0 and ideals:
         return OfIdeal(rng.choice(ideals))
@@ -175,6 +175,6 @@ def corpus_generate(seed: int, size: int) -> Corpus:
     pool = [e for e in c.elements if not e.is_negligible()] or \
         [PwFunction.upower(1)]
     c.ideals = [_random_ideal(rng, pool) for _ in range(max(2, size // 3))]
-    c.filters = [_random_filter(rng, c.sets, c.ideals)
+    c.filters = [_random_filter(rng, c.ideals)
                  for _ in range(max(2, size // 3))]
     return c

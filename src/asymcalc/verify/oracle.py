@@ -248,7 +248,7 @@ def _float_sampler(x):
     return estimate
 
 
-def _tail_sampler(x, cfg: OracleConfig):
+def _tail_sampler(x):
     """The function (K, p) -> (e0, total) with x(u) = sigma^e0 * total at
     the point u of element block K whose window profile is p (a
     _Profile), or None where x(u) counts as zero; at the current mpmath
@@ -340,7 +340,7 @@ def _block_maxima(x, cfg: OracleConfig):
     need = 2 * _fit_blocks(cfg)
     at = _profiles(x)
     estimate = _float_sampler(x)
-    tail = _tail_sampler(x, cfg)
+    tail = _tail_sampler(x)
     log_sigma = _logabs(x.sigma)
     walks = [_walk(x.grid, b, cfg.depth // 8) for b in _RESIDUES]
     last = [(None, None)] * len(walks)

@@ -34,7 +34,7 @@ from asymcalc.pwfunc import PwFunction
 from asymcalc.scaleset import (AsymptoticSet, circle_closure,
                                distance_profile, insert_between, prec_union)
 from asymcalc.signs import (_candidate_points, common_window,
-                            flat_common_zero, isolated_common_zeros)
+                            flat_common_zero, zero_set)
 from asymcalc.verify import (CheckReport, OracleConfig, corpus_generate,
                              ideal_of_fg, oracle_valuation,
                              oracle_vanishes_on, random_set)
@@ -153,13 +153,11 @@ def flat_zero_set(x):
     xw, _ = common_window(x, full)
     if xw.is_negligible():
         return full
-    iso = isolated_common_zeros(xw)
-    if any(isinstance(p, RootPt) for p in iso):
+    Z, irrational = zero_set(xw)
+    if irrational:
         return None
     win = IvSet([Iv(xw.sigma, Q(1), False, True)])
-    ivs = list(flat_common_zero(xw).intersect(win).ivs)
-    ivs.extend(Iv(p, p, True, True) for p in iso if p > xw.sigma)
-    return AsymptoticSet(xw.sigma, IvSet(ivs), D=xw.D)
+    return AsymptoticSet(xw.sigma, Z.intersect(win), D=xw.D)
 
 
 def independent_vanishing_member(x, I):

@@ -7,7 +7,8 @@ defined.  The corpus builds every constructor, runs every query, and
 reaches every error message a script can reach.  A change that alters
 an answer on purpose rewrites the file with
 `python3 tests/test_dsl_golden.py`, which prints the 1-based numbers of
-the lines it rewrote.
+the new lines whose text is not among the old lines, and how many old
+lines it no longer produces.
 """
 
 import json
@@ -332,5 +333,10 @@ if __name__ == "__main__":
     new = golden_lines()
     with open(GOLDEN, "w", encoding="utf-8") as f:
         f.write("".join(line + "\n" for line in new))
+    # by text, not by index: a script inserted into ERRORS moves every
+    # later line without changing it
+    before, after = set(old), set(new)
     print(" ".join(str(i + 1) for i, line in enumerate(new)
-                   if old[i:i + 1] != [line]))
+                   if line not in before))
+    print(f"{sum(line not in after for line in old)} old lines no longer "
+          "produced")

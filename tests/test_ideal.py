@@ -28,7 +28,8 @@ from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import AsymptoticSet, circle_closure, distance_profile
 from asymcalc.signs import (NONNEG, POS, ZERO, BadPt, _bad_hits,
                             bad_structure, common_window, eventual_sign_on,
-                            flat_common_zero, restr_invertible_bool)
+                            flat_common_zero, point_sign,
+                            restr_invertible_bool, zero_set)
 from asymcalc.verify import corpus_generate
 from asymcalc.verify.corpus import tent
 from asymcalc.window import Piecewise
@@ -308,21 +309,23 @@ def test_radical_member_reuses_the_first_power(hat, monkeypatch):
     assert len(calls) == n
 
 
-def test_zero_structure_is_built_once_per_element(hat, monkeypatch):
+def test_zero_set_is_built_once_per_element(hat, monkeypatch):
     calls = []
+    walk = signs_mod._candidate_points
 
     def counted(x):
         calls.append(x)
-        return signs_mod.isolated_common_zeros(x)
+        return walk(x)
 
-    monkeypatch.setattr(ideal_mod, "isolated_common_zeros", counted)
-    first = ideal_mod._zero_structure(hat)
-    assert ideal_mod._zero_structure(hat) is first
+    monkeypatch.setattr(signs_mod, "_candidate_points", counted)
+    first = zero_set(hat)
+    assert zero_set(hat) is first
+    assert calls == [hat]
     I = FgIdeal([hat.mul(hat)])
-    assert zclosure_member(hat, I) and not ideal_member(hat, I)[0]
+    assert zclosure_member(hat, I) and zclosure_member(hat, I)
     assert calls == [hat, I.sos_germ]
     other = _copy(hat)
-    assert ideal_mod._zero_structure(other) == first
+    assert zero_set(other) == first
     assert calls == [hat, I.sos_germ, other]
 
 
@@ -411,6 +414,19 @@ def _pt_in_ivset(p, s: IvSet) -> bool:
     return False
 
 
+def _ref_zero_structure(x):
+    """Reference: the flat common zero of x and the points outside it
+    where the value pattern is 0 or deep, by a walk over the candidate
+    points."""
+    flat = flat_common_zero(x)
+    pts = []
+    for p in signs_mod._candidate_points(x):
+        sg, deep = point_sign(x, p)
+        if not flat.contains(p) and (sg == 0 or deep):
+            pts.append(p)
+    return flat, pts
+
+
 def _ref_z_subset(a, b):
     """Reference: zero structures of the full representatives, unified
     with their heads."""
@@ -419,8 +435,8 @@ def _ref_z_subset(a, b):
         return True
     if ar.is_negligible():
         return False
-    fa, pa = ideal_mod._zero_structure(ar)
-    fb, pb = ideal_mod._zero_structure(br)
+    fa, pa = _ref_zero_structure(ar)
+    fb, pb = _ref_zero_structure(br)
     if not fa.subset_of(fb):
         return False
     return all(_pt_in_ivset(p, fb) or any(pt_cmp(p, q) == 0 for q in pb)
@@ -484,7 +500,7 @@ def _ref_pure(x, I):
     if I.is_zero():
         return False
     xu, sos = unify(xr, I.sos.rep)
-    flat, pts = ideal_mod._zero_structure(I.sos.rep)
+    flat, pts = _ref_zero_structure(I.sos.rep)
     Z = flat.closure()
     for p in pts:
         Z = Z.union(IvSet.point(p))

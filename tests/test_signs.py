@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -5,13 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymcalc.errors import NotCharacteristic
+from asymcalc.grid import unify
+from asymcalc.ivset import IvSet
 from asymcalc.polytools import RootPt, poly
 from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import AsymptoticSet
-from asymcalc.signs import (MIXED, POS, _hull_vertices, _profile_points,
-                            _side_signs, bad_structure, eventual_sign_on,
-                            flat_common_zero, isolated_common_zeros,
-                            restr_invertible_bool, restr_zero)
+from asymcalc.signs import (MIXED, POS, _candidate_points, _hull_vertices,
+                            _profile_points, _side_signs, bad_structure,
+                            eventual_sign_on, flat_common_zero, point_sign,
+                            restr_invertible_bool, restr_zero, zero_set)
 from asymcalc.verify import corpus_generate
 from asymcalc.window import Piecewise, Seg
 
@@ -78,9 +81,9 @@ def test_flat_common_zero(hat):
     assert not fz.contains(Q(3, 4))
 
 
-def test_isolated_common_zeros(osc):
+def test_zero_set_of_osc(osc):
     # the cubic profile w(4w^2-6w+3) has no window zeros
-    assert isolated_common_zeros(osc) == []
+    assert zero_set(osc) == (IvSet.empty(), ())
 
 
 def test_bad_structure_on_vanishing_endpoint(hat):
@@ -266,3 +269,56 @@ def test_profile_points_match_reference(osc, hat, negl):
                          [c.g for c in x.comps if c.r > 0]):
             assert _profile_points(profiles) == \
                 _ref_profile_points(profiles), x
+
+
+# -- the zero set against the profiles -------------------------------------
+
+
+def _zero_set_elements():
+    """The corpus elements, the z_N of `_cancelling_z`, and one element
+    whose only common zero is the algebraic point 1/sqrt(2)."""
+    xs = []
+    for seed in range(4):
+        xs += corpus_generate(seed, 24).elements
+    sq = Piecewise.from_poly(Q(1, 2), 1, poly(1, 0, -4, 0, 4))
+    return xs + _cancelling_z() + [
+        PwFunction(Q(1, 2), [TailComponent(2, 0, sq)])]
+
+
+def _vanishes(g, p) -> bool:
+    """Whether the profile g is 0 at p: its exact value at a rational
+    point, its value sign at an algebraic one."""
+    return g.eval(p) == 0 if isinstance(p, Q) else g.value_sign_at(p) == 0
+
+
+def test_zero_set_is_where_every_r0_profile_vanishes():
+    xs = _zero_set_elements()
+    assert any(zero_set(x)[1] for x in xs)
+    assert any(zero_set(x)[0].points() for x in xs)
+    for x in xs:
+        live = [c.g for c in x.comps if c.r == 0]
+        Z, irrational = zero_set(x)
+        for iv in Z.ivs:
+            for p in {iv.lo, iv.hi, (iv.lo + iv.hi) / 2}:
+                assert all(g.eval(p) == 0 for g in live), (x, p)
+        for p in irrational:
+            sg, deep = point_sign(x, p)
+            assert sg == 0 or deep, (x, p)
+            assert all(_vanishes(g, p) for g in live), (x, p)
+        for p in _candidate_points(x):
+            if not Z.contains(p) and p not in irrational:
+                assert not all(_vanishes(g, p) for g in live), (x, p)
+
+
+def test_zero_set_grows_under_products():
+    xs = _zero_set_elements()
+    for a in xs:
+        aa = a.mul(a)
+        assert aa.grid == a.grid
+        assert zero_set(aa) == zero_set(a), a
+    rng = random.Random("zero-set-products")
+    for _ in range(60):
+        a, b = unify(rng.choice(xs), rng.choice(xs))
+        ab = a.mul(b)
+        assert ab.grid == a.grid
+        assert zero_set(a)[0].subset_of(zero_set(ab)[0]), (a, b)

@@ -22,7 +22,7 @@ from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import (AsymptoticSet, _metric_median,
                                circle_closure, fold_to_window, insert_between,
                                upto1, with_neighbours)
-from asymcalc.signs import flat_common_zero
+from asymcalc.signs import flat_common_zero, zero_set
 from asymcalc.window import Piecewise, Seg
 
 # denominators without a root on [1/4, 1]; (2, 3) is not monic
@@ -243,6 +243,7 @@ def test_zero_sets_match_validating_path(x):
     for c in x.comps:
         assert_valid_ivset(c.g.flat_zero())
     assert_valid_ivset(flat_common_zero(x))
+    assert_valid_ivset(zero_set(x)[0])
 
 
 # -- the trusted operations make no validation ----------------------------

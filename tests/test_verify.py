@@ -179,7 +179,7 @@ def _exact_sampler(x):
 def _fast_samples(x, cfg):
     """(k, u, log|x(u)| or None) at every grid sample, residue by residue,
     from the walk and the tail sampler of the oracle."""
-    at, tail = _profiles(x), _tail_sampler(x, cfg)
+    at, tail = _profiles(x), _tail_sampler(x)
     log_sigma = _logabs(x.sigma)
     for b in _RESIDUES:
         for k, u, K, w in _walk(x.grid, b, cfg.depth // 8):
@@ -314,7 +314,7 @@ def _near_cancelling(rel):
         p = _profiles(x)(w)
         assert _float_sampler(x)(K, p) is None
         zero = rel < Q(1, 10 ** (oracle.PRECISION - 8))
-        assert (_tail_sampler(x, SHALLOW)(K, p) is None) == zero
+        assert (_tail_sampler(x)(K, p) is None) == zero
     return x
 
 
@@ -411,8 +411,8 @@ def test_oracle_takes_about_one_exact_log_per_block(monkeypatch, rho, hat):
     calls = []
     sampler = oracle._tail_sampler
 
-    def counted(x, cfg):
-        tail = sampler(x, cfg)
+    def counted(x):
+        tail = sampler(x)
 
         def counted_tail(K, p):
             calls.append(K)

@@ -322,6 +322,7 @@ def test_zero_set_is_built_once_per_element(hat, monkeypatch):
     assert zero_set(hat) is first
     assert calls == [hat]
     I = FgIdeal([hat.mul(hat)])
+    # two questions, one walk for each element they read
     assert zclosure_member(hat, I) and zclosure_member(hat, I)
     assert calls == [hat, I.sos_germ]
     other = _copy(hat)

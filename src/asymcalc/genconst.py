@@ -13,7 +13,9 @@ with `signs.unobstructed` and builds its construction from the same triple.
 
 Separating profiles: `urysohn` (0 on S, 1 outside the interior of T) and
 1 - `urysohn` come from one builder, `_cutoff`, with the two values swapped,
-so inversion and the purity witness need no ring subtraction.
+so inversion and the purity witness need no ring subtraction.  `_cutoff`
+is the tail of `_cutoff_tail` plus a head; the inverse reads only that
+tail, since its own head is a constant.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction as Q
 
 from .errors import (ModulusViolated, PreconditionViolated, ProductNotZero,
                      RepresentabilityError)
-from .grid import unify
+from .grid import Grid, unify
 from .ivset import Iv, IvSet
 from .pwfunc import PwFunction, TailComponent
 from .scaleset import (AsymptoticSet, circle_closure, fold_to_window,
@@ -273,14 +275,15 @@ def _point_start(sigma, comps, p):
 def _cell_start(sigma, comps, a, b, depth=0):
     if depth > 8:
         return None
-    live = [c for c in comps if not c.g.restrict(a, b).is_zero()]
+    # each component with its profile on the cell, restricted once
+    live = [(c, g) for c in comps for g in [c.g.restrict(a, b)]
+            if not g.is_zero()]
     if not live:
         return 0
     # sign-agreement rescue: a sum of nonnegative terms needs no threshold
-    if all(c.g.restrict(a, b).nonneg_on_all() for c in live):
+    if all(g.nonneg_on_all() for _, g in live):
         return 0
-    j0 = live[0]
-    g0 = j0.g.restrict(a, b)
+    j0, g0 = live[0]
     flat = g0.flat_zero()
     cuts = {a, b}
     for iv in flat.ivs:
@@ -296,22 +299,22 @@ def _cell_start(sigma, comps, a, b, depth=0):
         if flat.contains((lo + hi) / 2):
             # the dominant profile is identically zero here; recurse on the
             # remaining components
-            k = _cell_start(sigma, [c for c in live if c is not j0],
+            k = _cell_start(sigma, [c for c, _ in live[1:]],
                             lo, hi, depth + 1)
         else:
             sub = g0.restrict(lo, hi)
             m = sub.abs_lower_bound_if_nonvanishing()
             if m is None:
                 # sliver around a zero of the dominant profile
-                if all(c.g.restrict(lo, hi).nonneg_on_all() for c in live):
+                if all(g.restrict(lo, hi).nonneg_on_all() for _, g in live):
                     k = 0
                 else:
                     k = None
             elif sub.eval((lo + hi) / 2) < 0:
                 k = None
             else:
-                others = [(c, c.g.restrict(lo, hi).abs_upper_bound())
-                          for c in live[1:]]
+                others = [(c, g.restrict(lo, hi).abs_upper_bound())
+                          for c, g in live[1:]]
                 k = _dominance_start(sigma, j0, m, others)
         if k is None:
             return None
@@ -403,31 +406,42 @@ def urysohn(S: AsymptoticSet, T: AsymptoticSet) -> GenConstant:
 
 def _cutoff(S: AsymptoticSet, T: AsymptoticSet, v) -> PwFunction:
     """The piecewise linear profile equal to v (0 or 1) on S and to 1 - v
-    outside the interior B of T.  Needs S preceding T.  The window trace is
-    periodic under the ratio, so interpolating against the neighbour copies
-    makes the seam values agree exactly; with neither trace on the window
-    the tail is free and takes v.  The head starts from the tail's value."""
+    outside the interior B of T.  Needs S preceding T.  The tail is
+    `_cutoff_tail`'s; the head interpolates between the heads of the two
+    closed sets on the tail's anchor and starts from the tail's value."""
+    grid, gw, pair = _cutoff_tail(S, T, v)
+    gh = None
+    if grid.c0 < 1:
+        gh = _pl_between(*(x.closure().lower_anchor_to(grid.c0).head
+                           for x in pair), grid.c0, Q(1), gw.eval(Q(1)))
+    return PwFunction(grid.sigma, (TailComponent(0, 0, gw),), gh, grid.c0,
+                      grid.D)
+
+
+def _cutoff_tail(S: AsymptoticSet, T: AsymptoticSet, v):
+    """(grid, g, pair): the window profile g of `_cutoff`(S, T, v), the
+    grid it sits on and the pair of sets valued 0 and 1 on the common grid
+    of S and T, empty when g is a constant on anchor 1.  The window trace
+    is periodic under the ratio, so interpolating against the neighbour
+    copies makes the seam values agree exactly; with neither trace on the
+    window the tail is free and takes v.  The anchor is the lower of the
+    two closures' anchors, each one block below its set, as
+    `AsymptoticSet.closure` builds them."""
     if not S.precedes(T):
         raise PreconditionViolated("urysohn needs the first set to precede "
                                    "the second")
     s, t = unify(S, T)
     sg, D = s.sigma, s.D
     if s.is_empty():
-        return PwFunction.const(1 - v, sg, D)
+        return Grid(sg, 0, D), Piecewise.const(sg, 1, 1 - v), ()
     B = t.interior().complement()
     if B.is_empty():
-        return PwFunction.const(v, sg, D)
+        return Grid(sg, 0, D), Piecewise.const(sg, 1, v), ()
     pair = (s, B) if v == 0 else (B, s)  # the sets valued 0 and 1
     zeros, ones = (with_neighbours(circle_closure(x.shape, sg).closure(), sg)
                    for x in pair)
     gw = _pl_between(zeros, ones, sg, Q(1), None if zeros or ones else v)
-    closed = [x.closure() for x in pair]
-    c0 = min(x.c0 for x in closed)
-    gh = None
-    if c0 < 1:
-        gh = _pl_between(*(x.lower_anchor_to(c0).head for x in closed),
-                         c0, Q(1), gw.eval(Q(1)))
-    return PwFunction(sg, (TailComponent(0, 0, gw),), gh, c0, D)
+    return Grid(sg, max(x.grid.j for x in pair) + 1, D), gw, pair
 
 
 def _pl_between(zeros: IvSet, ones: IvSet, lo: Q, hi: Q,
@@ -462,7 +476,9 @@ def _pl_between(zeros: IvSet, ones: IvSet, lo: Q, hi: Q,
 
 def invert_on(x, S: AsymptoticSet) -> GenConstant:
     """An element y with x*y = 1 on S exactly.  The representative must
-    carry its polynomial scale in a single component."""
+    carry its polynomial scale in a single component.  y is the cut-off of
+    S against its extension, divided by x; only the cut-off's tail is
+    built, since y takes no part of the cut-off's head."""
     xr = _rep(x)
     ob = obstruction_on(xr, S)
     if not unobstructed(ob):
@@ -470,33 +486,37 @@ def invert_on(x, S: AsymptoticSet) -> GenConstant:
     if len(xr.live_comps()) != 1:
         raise RepresentabilityError(
             "inversion needs a single polynomial-scale component")
-    return _divide_profile(_cutoff(S, _extension(ob, S), 1), xr)
+    grid, g, _ = _cutoff_tail(S, _extension(ob, S), 1)
+    return _divide_profile(grid, g, xr)
 
 
-def _divide_profile(psi: PwFunction, x: PwFunction) -> GenConstant:
-    """psi / x for psi = `_cutoff`(S, T, 1) on a characteristic S, one tail
-    component (0, 0, g) vanishing outside the region where the single live
-    component of x is nonvanishing.  Only that component is rewritten, not
-    unrolled: on the common ratio, (s, 0, g) on the anchor sigma^j is
-    sigma^(s k) g(w) on block k, which is block k - t below the anchor
-    sigma^(j + t), so there it is (s, 0, sigma^(s t) g), as `lower_anchor(t)`
-    gives it.  psi goes down instead when x's anchor is the lower one.
-    Trusted: a (0, 0) profile over an (s, 0) one matches the seam for
-    (-s, 0), and the constant head matches the tail."""
-    m1, m2 = psi.grid.common_ratio(x.grid)
-    psi, x = psi.coarsen(m1), x.coarsen(m2)
-    t = psi.grid.j - x.grid.j
+def _divide_profile(grid: Grid, g: Piecewise, x: PwFunction) -> GenConstant:
+    """psi / x for the tail (0, 0, g) on `grid` of psi = `_cutoff`(S, T, 1)
+    on a characteristic S, g vanishing outside the region where the single
+    live component of x is nonvanishing.  psi's head is never read.  T is
+    built on the common ratio of x and S, so psi's ratio is a power of x's,
+    and x alone moves to it.  A (0, 0) profile repeats unscaled on every
+    block, so psi moves to a lower anchor unchanged.  The component of x
+    is rewritten, not unrolled: on the common ratio, (s, 0, h) on the
+    anchor sigma^j is sigma^(s k) h(w) on block k, which is block k - t
+    below the anchor sigma^(j + t), so there it is (s, 0, sigma^(s t) h),
+    as `lower_anchor(t)` gives it.  Trusted: a (0, 0) profile over an
+    (s, 0) one matches the seam for (-s, 0), and the constant head matches
+    the tail."""
+    m1, m2 = grid.common_ratio(x.grid)
+    assert m1 == 1, "the cut-off is not on a power of the ratio of x"
+    x = x.coarsen(m2)
+    t = grid.j - x.grid.j
     if t < 0:
-        psi, t = psi.lower_anchor(-t), 0
+        grid, t = grid.lower(-t), 0
     comp = x.live_comps()[0]
-    gy = _pl_quotient(psi.comps[0].g,
-                      comp.g.scale(psi.sigma ** (comp.s * t)))
+    gy = _pl_quotient(g, comp.g.scale(grid.sigma ** (comp.s * t)))
     # only the tail carries the inversion contract; any continuous head
     # matching the seam works
-    head = Piecewise.const(psi.c0, Q(1), gy.eval(Q(1))) if psi.c0 < 1 \
+    head = Piecewise.const(grid.c0, Q(1), gy.eval(Q(1))) if grid.c0 < 1 \
         else None
     return GenConstant(PwFunction.on(
-        psi.grid, (TailComponent(-comp.s, 0, gy),), head))
+        grid, (TailComponent(-comp.s, 0, gy),), head))
 
 
 def _pl_quotient(num: Piecewise, den: Piecewise) -> Piecewise:

@@ -15,11 +15,19 @@ Each local idea has one helper.  `_side_signs` holds the hull rule: the
 signs x attains on one side of a point, or the dominant deep component's
 sign where no r = 0 component lives.  It is the one function that the fix
 for perfect-square Newton edges (ROADMAP item 1) replaces.  The points it
-is asked about come from `_profile_points`, the breakpoints and segment
-roots of the profiles, and `_is_common_zero` is the one test that every
-r = 0 component vanishes at a point.  `zero_set` is the one builder of
-where an element vanishes: its flat common zero and isolated common
-zeros, built once per element and kept in the element's `_zeros` slot.
+is asked about come from `_candidate_points`, a walk over the r = 0
+profiles in order of s that reads each one only inside the flat zero of
+all before it, for its roots and the ends of its zero segments.  No answer
+changes at a point the walk leaves out: there the first profile not
+identically zero nearby is nonzero, so the hull has that one vertex, the
+point is neither bad nor a common zero, and between two walk points the
+same profile has no zero, so one sample gives the sign.  A hull of two or
+more vertices needs the dominant profile to vanish at the point, so item
+1's lapses sit at zeros of that profile, and the walk keeps every one.
+`_is_common_zero` is the one test that every r = 0 component vanishes at
+a point.  `zero_set` is the one builder of where an element vanishes: its
+flat common zero and isolated common zeros, built once per element and
+kept in the element's `_zeros` slot.
 
 Invertibility on S is decided in one place: `obstruction_on` reads the
 obstruction structure off x and `unobstructed` tests it on the closed
@@ -87,9 +95,23 @@ def zero_set(x: PwFunction):
 
 
 def _candidate_points(x: PwFunction):
-    """Window points where some r = 0 profile vanishes or changes its
-    polynomial piece; deduplicated, sorted."""
-    return _profile_points([c.g for c in x.comps if c.r == 0])
+    """The window points where the dominant r = 0 profile vanishes;
+    deduplicated, sorted.  The r = 0 profiles come in order of s, and each
+    is read only inside the region where all before it vanish identically
+    (the whole window for the first): the roots of its nonzero segments
+    and the ends of its zero segments there.  The region is then cut to
+    its flat zero, and the walk stops once it is empty."""
+    region = IvSet.on((Iv.on(x.sigma, Q(1), True, True),))
+    rats, roots = set(), []
+    for c in x.comps:
+        if c.r or not region:
+            break
+        for seg in c.g.segs:
+            zs = isolate_roots(seg.num, seg.lo, seg.hi) if seg.num \
+                else (seg.lo, seg.hi)
+            _add_points([z for z in zs if region.contains(z)], rats, roots)
+        region = region.intersect(c.g.flat_zero())
+    return sorted([*rats, *roots])
 
 
 def _profile_points(profiles):
@@ -100,14 +122,20 @@ def _profile_points(profiles):
     for g in profiles:
         rats.update(g.breakpoints())
         for seg in g.segs:
-            if not seg.num:
-                continue
-            for z in isolate_roots(seg.num, seg.lo, seg.hi):
-                if isinstance(z, Q):
-                    rats.add(z)
-                elif z not in roots:
-                    roots.append(z)
+            if seg.num:
+                _add_points(isolate_roots(seg.num, seg.lo, seg.hi), rats,
+                            roots)
     return sorted([*rats, *roots])
+
+
+def _add_points(points, rats, roots):
+    """Add rational points to the set `rats` and algebraic ones, which are
+    unhashable, to the list `roots` unless an equal one is there."""
+    for z in points:
+        if isinstance(z, Q):
+            rats.add(z)
+        elif z not in roots:
+            roots.append(z)
 
 
 # -- local analysis at a point -------------------------------------------

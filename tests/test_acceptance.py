@@ -33,7 +33,7 @@ from asymcalc.polytools import RootPt
 from asymcalc.pwfunc import PwFunction
 from asymcalc.scaleset import (AsymptoticSet, circle_closure,
                                distance_profile, insert_between, prec_union)
-from asymcalc.signs import (_candidate_points, common_window,
+from asymcalc.signs import (_profile_points, common_window,
                             flat_common_zero, zero_set)
 from asymcalc.verify import (CheckReport, OracleConfig, corpus_generate,
                              ideal_of_fg, oracle_valuation,
@@ -122,7 +122,9 @@ def find_refuter(x, S):
     cands = []
     for iv in flat.ivs:
         cands.append(iv.lo if iv.lo == iv.hi else (iv.lo + iv.hi) / 2)
-    cands.extend(_candidate_points(xw))
+    # every breakpoint and root of the r = 0 profiles, not the engine's
+    # pruned walk, whose pruning this search should corroborate
+    cands.extend(_profile_points([c.g for c in xw.comps if c.r == 0]))
     seen = set()
     for p in cands:
         key = repr(p)

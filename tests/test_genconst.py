@@ -552,7 +552,53 @@ def test_divide_profile_matches_unrolled_reference(i, c0):
     ]
     for p, y in cases:
         want = _ref_divide_profile(p, y).rep.to_dict()
-        assert _divide_profile(p, y).rep.to_dict() == want
+        assert _divide_profile(p.grid, p.comps[0].g, y).rep.to_dict() == want
+
+
+def _single_component_inverses():
+    """(x, S, T) for the invertible restrict items among the first 64 at
+    seed 1 whose representative has one live component, T the extension
+    set, where one is representable."""
+    out = []
+    for i in range(64):
+        x, S = _restrict_item(i).args
+        if len(x.live_comps()) == 1 and restr_invertible(x, S)[0]:
+            try:
+                out.append((x, S, extend_invertible(x, S)))
+            except RepresentabilityError:
+                pass
+    return out
+
+
+def test_invert_on_builds_only_the_cutoff_tail(monkeypatch):
+    """The inverse equals the old route, which builds the whole cut-off
+    with its head and divides its tail, on the closures' lower anchor.
+    The new route interpolates once, for the tail, where the old one also
+    interpolated the head; a constant cut-off, for an empty complement B
+    of the extension's interior, needs no interpolation."""
+    pairs = _single_component_inverses()
+    assert len(pairs) >= 8
+    calls = []
+    pl_between = genconst_mod._pl_between
+
+    def spy(*args):
+        calls.append(args)
+        return pl_between(*args)
+
+    monkeypatch.setattr(genconst_mod, "_pl_between", spy)
+    lowered = 0
+    for x, S, T in pairs:
+        psi = _cutoff(S, T, 1)
+        s, t = unify(S, T)
+        B = t.interior().complement()
+        if not B.is_empty():
+            assert psi.c0 == min(X.closure().c0 for X in (s, B))
+            lowered += psi.c0 < 1
+        want = _divide_profile(psi.grid, psi.comps[0].g, x).rep.to_dict()
+        calls.clear()
+        assert invert_on(x, S).rep.to_dict() == want
+        assert len(calls) == (not B.is_empty())
+    assert lowered
 
 
 def test_invert_on_lowers_no_anchor_of_x(monkeypatch):

@@ -417,11 +417,11 @@ def _pt_in_ivset(p, s: IvSet) -> bool:
 
 def _ref_zero_structure(x):
     """Reference: the flat common zero of x and the points outside it
-    where the value pattern is 0 or deep, by a walk over the candidate
-    points."""
+    where the value pattern is 0 or deep, by a walk over every breakpoint
+    and root of the r = 0 profiles."""
     flat = flat_common_zero(x)
     pts = []
-    for p in signs_mod._candidate_points(x):
+    for p in signs_mod._profile_points([c.g for c in x.comps if c.r == 0]):
         sg, deep = point_sign(x, p)
         if not flat.contains(p) and (sg == 0 or deep):
             pts.append(p)

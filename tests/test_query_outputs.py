@@ -27,9 +27,7 @@ WORKLOADS = ("restrict", "ideal", "sets", "oracle")
 def golden_lines():
     """The first 12 query outputs of every workload at seed 1, one JSON
     line each, tagged with the workload."""
-    return [json.dumps(dict(json.loads(line), workload=w), sort_keys=True)
-            for w in WORKLOADS
-            for line in query_outputs.query_lines(w, 1, first=12)]
+    return query_outputs.tagged_lines(WORKLOADS, 1, first=12)
 
 
 def test_query_outputs_match_the_recorded_answers():
@@ -38,6 +36,25 @@ def test_query_outputs_match_the_recorded_answers():
     with open(GOLDEN, encoding="utf-8") as f:
         want = f.read().splitlines()
     assert golden_lines() == want
+
+
+def test_all_workloads_run_in_turn_with_a_workload_key(capsys, monkeypatch):
+    """`--workload all` prints each workload's lines in the benchmark's
+    order, tagged; a single workload prints its lines as they are."""
+    def lines(workload, seed, first=None):
+        return [json.dumps({"item": i, "kind": f"{workload}-{seed}"},
+                           sort_keys=True) for i in range(2)]
+
+    monkeypatch.setattr(query_outputs, "query_lines", lines)
+    assert query_outputs.main(["--workload", "all", "--seed", "7"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.split("\n")
+            if line]
+    assert [(r["workload"], r["item"]) for r in rows] == \
+        [(w, i) for w in WORKLOADS for i in range(2)]
+    assert all(r["kind"] == f"{r['workload']}-7" for r in rows)
+    assert query_outputs.main(["--workload", "ideal"]) == 0
+    assert capsys.readouterr().out == "".join(
+        line + "\n" for line in lines("ideal", 1))
 
 
 if __name__ == "__main__":

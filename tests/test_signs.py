@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import asymcalc.signs as signs_mod
 from asymcalc.errors import NotCharacteristic
 from asymcalc.grid import unify
 from asymcalc.ivset import IvSet
@@ -322,3 +323,64 @@ def test_zero_set_grows_under_products():
         ab = a.mul(b)
         assert ab.grid == a.grid
         assert zero_set(a)[0].subset_of(zero_set(ab)[0]), (a, b)
+
+
+# -- the dominance walk against the full walk ------------------------------
+
+
+def _full_walk(x):
+    """Reference: every breakpoint and segment root of every r = 0
+    profile, the walk that `_candidate_points` prunes."""
+    return _profile_points([c.g for c in x.comps if c.r == 0])
+
+
+def _sign_sets(x):
+    """A fixed family of sets on the ratio of x: the full set, three orbit
+    intervals and two orbit points, placed by fractions of the window."""
+    sg, D = x.sigma, x.D
+
+    def w(a):
+        return sg + (1 - sg) * Q(a)
+
+    return [AsymptoticSet.full(sg, D),
+            AsymptoticSet.orbit_interval(w(Q(1, 8)), w(Q(3, 8)), sg, D=D),
+            AsymptoticSet.orbit_interval(w(Q(1, 4)), w(Q(3, 4)), sg, False,
+                                         D=D),
+            AsymptoticSet.orbit_interval(w(Q(5, 8)), 1, sg, D=D),
+            AsymptoticSet.orbit_point(w(Q(1, 2)), sg, D),
+            AsymptoticSet.orbit_point(1, sg, D)]
+
+
+def _answers(x):
+    """bad_structure, zero_set and eventual_sign_on over `_sign_sets` on a
+    fresh copy of x, since `_zeros` and `_bad` are kept per element."""
+    def fresh():
+        return PwFunction.on(x.grid, x.comps, x.head)
+    return (bad_structure(fresh()), zero_set(fresh()),
+            [eventual_sign_on(fresh(), S) for S in _sign_sets(x)])
+
+
+def test_dominance_walk_answers_like_the_full_walk(osc, hat, negl,
+                                                  monkeypatch):
+    xs = _reference_elements(osc, hat, negl) + _zero_set_elements()
+    got = [_answers(x) for x in xs]
+    with monkeypatch.context() as m:
+        m.setattr(signs_mod, "_candidate_points", _full_walk)
+        want = [_answers(x) for x in xs]
+    dropped = 0
+    for x, a, b in zip(xs, got, want):
+        assert a == b, x
+        walk, full = _candidate_points(x), _full_walk(x)
+        assert all(p in full for p in walk), x
+        for p in full:
+            if p in walk:
+                continue
+            # the first profile not identically zero near p is nonzero at
+            # p: one sign at p and on each side, carried by an r = 0 profile
+            dropped += 1
+            sg, deep = point_sign(x, p)
+            assert sg and not deep, (x, p)
+            for d in (-1, +1):
+                if p != (x.sigma if d < 0 else 1):
+                    assert _side_signs(x, p, d) == {sg}, (x, p, d)
+    assert dropped > 100

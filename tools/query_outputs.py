@@ -2,6 +2,7 @@
 two checkouts can be compared for equal answers.
 
     python3 tools/query_outputs.py --workload ideal --seed 1 > ideal-1.jsonl
+    python3 tools/query_outputs.py --workload all --seed 1 > all-1.jsonl
 
 The items are the ones ``python3 perfbench/run.py --seconds 15`` builds,
 through that script's own ``setup``, in the same order.  Each query runs
@@ -9,7 +10,8 @@ once, untimed.  A line holds the item index, the query kind, the status
 (decided, undecided or failed, as the benchmark counts them) and the value
 in canonical form: ``to_dict()``, ``rep.to_dict()`` for ring elements,
 lists for tuples, type and message for exceptions, strings for Fractions
-and ``repr`` for anything else.
+and ``repr`` for anything else.  ``--workload all`` runs the four workloads
+in turn and adds a ``workload`` key to each line.
 
 Standard library only; the engine is the one under this checkout's
 ``src``, and ``perfbench/`` is only read.
@@ -78,13 +80,22 @@ def query_lines(workload, seed, first=None):
     return lines
 
 
+def tagged_lines(workloads, seed, first=None):
+    """The output lines of each workload in turn, each with a ``workload``
+    key."""
+    return [json.dumps(dict(json.loads(line), workload=w), sort_keys=True)
+            for w in workloads for line in query_lines(w, seed, first)]
+
+
 def main(argv=None):
+    names = _bench().WORKLOAD_NAMES
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True,
-                    choices=_bench().WORKLOAD_NAMES)
+    ap.add_argument("--workload", required=True, choices=(*names, "all"))
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    for line in query_lines(args.workload, args.seed):
+    lines = tagged_lines(names, args.seed) if args.workload == "all" \
+        else query_lines(args.workload, args.seed)
+    for line in lines:
         print(line)
     return 0
 

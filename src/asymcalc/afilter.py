@@ -321,16 +321,3 @@ def _verify_rapid(phi: PwFunction, ivs, sigma: Q, D: int):
             if not eventually_nonneg(z, band):
                 raise RepresentabilityError(
                     f"rapid sandwich fails on band {n}")
-
-
-# -- the extension-order interval base ------------------------------------
-
-
-def prec_interval_basis(S: AsymptoticSet, T: AsymptoticSet):
-    """The basic open interval of the extension topology, as a membership
-    predicate."""
-
-    def between(U: AsymptoticSet) -> bool:
-        return S.precedes(U) and U.precedes(T)
-
-    return between

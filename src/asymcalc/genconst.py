@@ -29,9 +29,9 @@ from .errors import (ModulusViolated, PreconditionViolated, ProductNotZero,
 from .grid import Grid, unify
 from .ivset import Iv, IvSet
 from .pwfunc import PwFunction, TailComponent
-from .scaleset import (AsymptoticSet, circle_closure, fold_to_window,
-                       halfway_toward, orbit_with_full_head, upto1,
-                       with_neighbours)
+from .scaleset import (AsymptoticSet, circle_closure, closed_with_neighbours,
+                       fold_to_window, halfway_toward, orbit_with_full_head,
+                       upto1)
 from .signs import (common_window, eventually_nonneg, flat_common_zero,
                     obstruction_on, unobstructed, zero_set)
 from .signs import restr_zero as _restr_zero_pw
@@ -438,8 +438,7 @@ def _cutoff_tail(S: AsymptoticSet, T: AsymptoticSet, v):
     if B.is_empty():
         return Grid(sg, 0, D), Piecewise.const(sg, 1, v), ()
     pair = (s, B) if v == 0 else (B, s)  # the sets valued 0 and 1
-    zeros, ones = (with_neighbours(circle_closure(x.shape, sg).closure(), sg)
-                   for x in pair)
+    zeros, ones = (closed_with_neighbours(x.shape, sg) for x in pair)
     gw = _pl_between(zeros, ones, sg, Q(1), None if zeros or ones else v)
     return Grid(sg, max(x.grid.j for x in pair) + 1, D), gw, pair
 
@@ -568,8 +567,7 @@ def extend_zero(x, S: AsymptoticSet) -> AsymptoticSet:
     xw, shape = common_window(xr, S)
     sg = xw.sigma
     C = circle_closure(shape, sg)
-    zext = with_neighbours(
-        circle_closure(flat_common_zero(xw), sg).closure(), sg)
+    zext = closed_with_neighbours(flat_common_zero(xw), sg)
     pieces = []
     for iv in C.ivs:
         host = None

@@ -17,7 +17,8 @@ lives here:
 - `circle_interior`: interior on the circle, the interior relative to the
   window except that w = 1 is kept only when the shape also holds a right
   neighbourhood of sigma, the other side of the seam
-- `with_neighbours`: a set with its copies one block down and one block up
+- `with_neighbours`: a set with its copies one block down and one block up,
+  and `closed_with_neighbours` the same for the closed circle closure
 - `fold_to_window`: parts in [sigma^2, sigma] and (1, 1/sigma] folded back
   through the seam
 - `grow_circle`: closed eta-neighbourhood on the circle
@@ -46,8 +47,8 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from .errors import (EmptySet, NotCharacteristic, ParseError,
-                     PreconditionViolated, RepresentabilityError)
+from .errors import (EmptySet, ParseError, PreconditionViolated,
+                     RepresentabilityError)
 from .grid import Grid, unify
 from .ivset import Iv, IvSet
 from .pwfunc import PwFunction, TailComponent
@@ -94,6 +95,15 @@ def with_neighbours(s: IvSet, sigma: Q) -> IvSet:
     lies in [sigma^2, sigma] and s/sigma in [1, 1/sigma], so the three
     meet at most at sigma and 1 and are joined without a union."""
     return IvSet.joined((s.scale(sigma), s, s.scale(1 / sigma)))
+
+
+def closed_with_neighbours(shape: IvSet, sigma: Q) -> IvSet:
+    """The closed circle closure of a shape with its copies one block down
+    and one block up: every orbit point within a block of the window.
+    Because a nonempty shape puts points on every block, the nearest orbit
+    point is never more than one block away, so on deep blocks the
+    distance to these copies is the distance to the orbit."""
+    return with_neighbours(circle_closure(shape, sigma).closure(), sigma)
 
 
 def fold_to_window(s: IvSet, sigma: Q) -> IvSet:
@@ -512,18 +522,6 @@ def _closer_region(ca: IvSet, cb: IvSet, lo: Q, hi: Q) -> IvSet:
     return IvSet.on(tuple(out))
 
 
-def _window_cands(shape: IvSet, sigma: Q) -> IvSet:
-    """The closed shape together with its immediate scaled neighbours.
-
-    Because a nonempty shape puts points on every block, the nearest point
-    of the orbit is never more than one block away, so the neighbour copies
-    shape/sigma and shape*sigma capture the true metric on deep blocks.
-    """
-    if shape.is_empty():
-        raise NotCharacteristic("distance to an empty shape is undefined")
-    return with_neighbours(circle_closure(shape, sigma).closure(), sigma)
-
-
 def _head_cands(s: AsymptoticSet) -> IvSet:
     """Closed candidate set whose u-distance is exact on [sigma*c0, 1]:
     the head plus the top two tail blocks.  Any lower block is farther than
@@ -547,7 +545,7 @@ def distance_profile(S: AsymptoticSet):
         # neighbour blocks are genuine tail blocks
         S1 = S.lower_anchor(1)
         grid = S1.grid.lower(1)
-        dw = pl_distance(_window_cands(S1.shape, sg), sg, 1)
+        dw = pl_distance(closed_with_neighbours(S1.shape, sg), sg, 1)
         if dw.is_zero():
             comps = ()
         else:
@@ -585,8 +583,8 @@ def _metric_median(A: AsymptoticSet, B: AsymptoticSet) -> AsymptoticSet:
     c0 = A.c0
     win = upto1(sg)
     if A.is_characteristic() and B.is_characteristic():
-        shape = _closer_region(_window_cands(A.shape, sg),
-                               _window_cands(B.shape, sg),
+        shape = _closer_region(closed_with_neighbours(A.shape, sg),
+                               closed_with_neighbours(B.shape, sg),
                                sg, Q(1)).intersect(win)
     elif A.is_characteristic():
         shape = win

@@ -15,19 +15,25 @@ Each local idea has one helper.  `_side_signs` holds the hull rule: the
 signs x attains on one side of a point, or the dominant deep component's
 sign where no r = 0 component lives.  It is the one function that the fix
 for perfect-square Newton edges (ROADMAP item 1) replaces.  The points it
-is asked about come from `_candidate_points`, a walk over the r = 0
-profiles in order of s that reads each one only inside the flat zero of
-all before it, for its roots and the ends of its zero segments.  No answer
-changes at a point the walk leaves out: there the first profile not
-identically zero nearby is nonzero, so the hull has that one vertex, the
-point is neither bad nor a common zero, and between two walk points the
-same profile has no zero, so one sample gives the sign.  A hull of two or
-more vertices needs the dominant profile to vanish at the point, so item
-1's lapses sit at zeros of that profile, and the walk keeps every one.
+is asked about come from `_candidate_points`, a walk over every component
+in (r, s) order that reads each profile only inside the flat zero of all
+before it, for its roots and the ends of its zero segments; the deep
+profiles are reached only inside the flat common zero of the r = 0 ones,
+where `point_sign` and `_side_signs` read the first deep component that
+does not vanish.  No answer changes at a point the walk leaves out: there
+the first profile not identically zero nearby is nonzero, so the hull has
+that one vertex (or that deep profile decides), the point is neither bad
+nor a common zero, and between two walk points the same profile has no
+zero, so one sample gives the sign.  A hull of two or more vertices needs
+the dominant profile to vanish at the point, so item 1's lapses sit at
+zeros of that profile, and the walk keeps every one.
+
 `_is_common_zero` is the one test that every r = 0 component vanishes at
-a point.  `zero_set` is the one builder of where an element vanishes: its
-flat common zero and isolated common zeros, built once per element and
-kept in the element's `_zeros` slot.
+a point, and with `flat_common_zero` it is the one vanishing rule:
+`zero_set` builds where an element vanishes from it (its flat common zero
+and isolated common zeros, built once per element and kept in the
+element's `_zeros` slot), and `restr_zero` reads it on a trace without
+building that set.
 
 Invertibility on S is decided in one place: `obstruction_on` reads the
 obstruction structure off x and `unobstructed` tests it on the closed
@@ -95,36 +101,22 @@ def zero_set(x: PwFunction):
 
 
 def _candidate_points(x: PwFunction):
-    """The window points where the dominant r = 0 profile vanishes;
-    deduplicated, sorted.  The r = 0 profiles come in order of s, and each
-    is read only inside the region where all before it vanish identically
-    (the whole window for the first): the roots of its nonzero segments
-    and the ends of its zero segments there.  The region is then cut to
-    its flat zero, and the walk stops once it is empty."""
+    """The window points where the dominant profile vanishes; deduplicated,
+    sorted.  The profiles come in (r, s) order, the deep ones after every
+    r = 0 one, and each is read only inside the region where all before it
+    vanish identically (the whole window for the first): the roots of its
+    nonzero segments and the ends of its zero segments there.  The region
+    is then cut to its flat zero, and the walk stops once it is empty."""
     region = IvSet.on((Iv.on(x.sigma, Q(1), True, True),))
     rats, roots = set(), []
     for c in x.comps:
-        if c.r or not region:
+        if not region:
             break
         for seg in c.g.segs:
             zs = isolate_roots(seg.num, seg.lo, seg.hi) if seg.num \
                 else (seg.lo, seg.hi)
             _add_points([z for z in zs if region.contains(z)], rats, roots)
         region = region.intersect(c.g.flat_zero())
-    return sorted([*rats, *roots])
-
-
-def _profile_points(profiles):
-    """Breakpoints of the profiles and the roots of each nonzero segment;
-    deduplicated, sorted.  A flat zero is a maximal zero segment, so its
-    ends are breakpoints."""
-    rats, roots = set(), []
-    for g in profiles:
-        rats.update(g.breakpoints())
-        for seg in g.segs:
-            if seg.num:
-                _add_points(isolate_roots(seg.num, seg.lo, seg.hi), rats,
-                            roots)
     return sorted([*rats, *roots])
 
 
@@ -172,19 +164,21 @@ def _side_signs(x: PwFunction, w0, direction: int) -> set:
     (+1 right, -1 left) of the window, at small scales.  The r = 0
     components not identically zero there give the hull vertices of their
     points (order, s), and 0 joins between two vertices of opposite sign.
-    With no such component the smallest (r, s, order) deep component
-    decides, and the sign is 0 when there is none either."""
-    live, deep = [], []
+    The deep components are read only when no such component lives, and
+    then by the same dominance as the walk: the first one not identically
+    zero there decides, and the sign is 0 when there is none."""
+    live = []
     for c in x.comps:
+        if c.r and live:
+            break
         m, sg = c.g.order_at(w0, direction)
         if m is None:
             continue
-        if c.r == 0:
-            live.append((m, c.s, sg))
-        else:
-            deep.append((c.r, c.s, m, sg))
+        if c.r:
+            return {sg}
+        live.append((m, c.s, sg))
     if not live:
-        return {min(deep)[3] if deep else 0}
+        return {0}
     verts = _hull_vertices(live)
     signs = {sg for (_, _, sg) in verts}
     if any(a[2] != b[2] for a, b in zip(verts, verts[1:])):
@@ -246,14 +240,6 @@ def _classify(signs) -> str:
 def _attained_signs(x: PwFunction, shape: IvSet):
     signs = set()
     cands = _candidate_points(x)
-    deep = [c.g for c in x.comps if c.r > 0]
-    if deep:
-        # inside the flat common zero a deep profile decides the sign, and
-        # it can change sign between the r = 0 points: cut there too
-        flat = flat_common_zero(x)
-        cands += [p for p in _profile_points(deep)
-                  if flat.contains(p) and p not in cands]
-        cands.sort()
     for iv in shape.ivs:
         signs |= {point_sign(x, iv.lo)[0]} if iv.is_point() \
             else _interval_signs(x, iv, cands)
@@ -276,14 +262,14 @@ def _interval_signs(x: PwFunction, iv: Iv, cands):
 
 
 def restr_zero(x: PwFunction, S: AsymptoticSet) -> bool:
-    """x vanishes faster than every scale power on S."""
+    """x vanishes faster than every scale power on S: by the rule `zero_set`
+    is built on, the fat part of the trace lies in the flat common zero and
+    every r = 0 component vanishes at each of its points."""
     if not S.is_characteristic():
         raise NotCharacteristic("restriction needs a set accumulating at 0")
     x, shape = common_window(x, S)
-    for c in x.comps:
-        if c.r == 0 and not c.g.vanishes_on(shape):
-            return False
-    return True
+    return shape.fat_part().subset_of(flat_common_zero(x)) and \
+        all(_is_common_zero(x, p) for p in shape.points())
 
 
 @dataclass(frozen=True)

@@ -298,21 +298,6 @@ class Piecewise:
         # open interiors are disjoint, so no two RootPts coincide
         return out
 
-    def vanishes_on(self, ivset: IvSet) -> bool:
-        """Exact test that the function is 0 at every point of ivset."""
-        for iv in ivset.ivs:
-            if iv.is_point():
-                if self.eval(iv.lo) != 0:
-                    return False
-            else:
-                for s in self.segs:
-                    a, b = max(s.lo, iv.lo), min(s.hi, iv.hi)
-                    if a < b and not s.is_zero():
-                        return False
-                # endpoint flags: continuity makes the closed hull vanish
-                # anyway when the open interior does, so no extra checks
-        return True
-
     def nonneg_on_all(self) -> bool:
         for s in self.segs:
             sgn = psign(s.den, (s.lo + s.hi) / 2)

@@ -14,9 +14,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+from asymcalc.polytools import isolate_roots
 from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import AsymptoticSet
+from asymcalc.signs import _add_points
 from asymcalc.window import Piecewise
+
+
+def profile_points(profiles):
+    """The full walk, the one reference for the engine's pruned one: the
+    breakpoints of the profiles and the roots of each nonzero segment;
+    deduplicated, sorted.  A flat zero is a maximal zero segment, so its
+    ends are breakpoints."""
+    rats, roots = set(), []
+    for g in profiles:
+        rats.update(g.breakpoints())
+        for seg in g.segs:
+            if seg.num:
+                _add_points(isolate_roots(seg.num, seg.lo, seg.hi), rats,
+                            roots)
+    return sorted([*rats, *roots])
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as Q
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, profile_points
 
 from asymcalc.afilter import (FG, CounterExample, filter_member,
                               i_of_f_member, rapid_element, rapid_witness)
@@ -33,8 +33,7 @@ from asymcalc.polytools import RootPt
 from asymcalc.pwfunc import PwFunction
 from asymcalc.scaleset import (AsymptoticSet, circle_closure,
                                distance_profile, insert_between, prec_union)
-from asymcalc.signs import (_profile_points, common_window,
-                            flat_common_zero, zero_set)
+from asymcalc.signs import common_window, flat_common_zero, zero_set
 from asymcalc.verify import (CheckReport, OracleConfig, corpus_generate,
                              ideal_of_fg, oracle_valuation,
                              oracle_vanishes_on, random_set)
@@ -124,7 +123,7 @@ def find_refuter(x, S):
         cands.append(iv.lo if iv.lo == iv.hi else (iv.lo + iv.hi) / 2)
     # every breakpoint and root of the r = 0 profiles, not the engine's
     # pruned walk, whose pruning this search should corroborate
-    cands.extend(_profile_points([c.g for c in xw.comps if c.r == 0]))
+    cands.extend(profile_points([c.g for c in xw.comps if c.r == 0]))
     seen = set()
     for p in cands:
         key = repr(p)

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import asymcalc.afilter as afilter_mod
 from asymcalc.afilter import (FG, Closure, CounterExample, Interior, OfIdeal,
                               _some_member, filter_member, i_of_f_member,
-                              prec_interval_basis, rapid_element,
-                              rapid_witness, refuting_cover)
+                              rapid_element, rapid_witness, refuting_cover)
 from asymcalc.errors import (AsymcalcError, ChainNotDescending, ImproperFilter,
                              NotMember, PreconditionViolated)
 from asymcalc.grid import unify
@@ -20,7 +19,7 @@ from asymcalc.ideal import FgIdeal, f_of_I_member
 from asymcalc.ivset import Iv, IvSet
 from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import (AsymptoticSet, circle_closure, distance_profile,
-                               grow_circle, insert_between, upto1)
+                               grow_circle, upto1)
 from asymcalc.signs import obstruction_on
 from asymcalc.verify import corpus_generate
 from asymcalc.verify.corpus import tent
@@ -577,15 +576,6 @@ def test_bump_profile_matches_run_splitting(chain, D):
         mp.setattr(afilter_mod, "_verify_rapid", lambda *args: None)
         rapid_element(chain, D)
     assert seen == list(range(1, len(chain) + 1))
-
-
-def test_prec_interval_basis(A, B, full):
-    pred = prec_interval_basis(A, B)
-    assert pred(insert_between(A, B))
-    assert not pred(A)
-    assert not pred(full)
-    pf = prec_interval_basis(full, full)
-    assert pf(full)
 
 
 def test_i_of_f_member_on_an_ideal_filter():

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import profile_points
+
 import asymcalc.ideal as ideal_mod
 import asymcalc.signs as signs_mod
 from asymcalc.afilter import Closure, OfIdeal, filter_member
@@ -421,7 +423,7 @@ def _ref_zero_structure(x):
     and root of the r = 0 profiles."""
     flat = flat_common_zero(x)
     pts = []
-    for p in signs_mod._profile_points([c.g for c in x.comps if c.r == 0]):
+    for p in profile_points([c.g for c in x.comps if c.r == 0]):
         sg, deep = point_sign(x, p)
         if not flat.contains(p) and (sg == 0 or deep):
             pts.append(p)

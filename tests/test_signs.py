@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import profile_points
+
 import asymcalc.signs as signs_mod
 from asymcalc.errors import NotCharacteristic
 from asymcalc.grid import unify
@@ -13,7 +15,7 @@ from asymcalc.polytools import RootPt, poly
 from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import AsymptoticSet
 from asymcalc.signs import (MIXED, POS, _candidate_points, _hull_vertices,
-                            _profile_points, _side_signs, bad_structure,
+                            _side_signs, bad_structure, common_window,
                             eventual_sign_on, flat_common_zero, point_sign,
                             restr_invertible_bool, restr_zero, zero_set)
 from asymcalc.verify import corpus_generate
@@ -154,7 +156,7 @@ def test_hull_vertices_match_beta_sampling(entries):
 
 
 # -- reference: the side analysis and candidate walk that `_side_signs` and
-# `_profile_points` replaced
+# the full walk `profile_points` replaced
 
 
 def _ref_side_signs(x, w0, direction):
@@ -227,7 +229,7 @@ def _reference_elements(osc, hat, negl):
 def _sides(x):
     """(point, direction) at every point of every profile of x, on each
     side the window has."""
-    for p in _profile_points([c.g for c in x.comps]):
+    for p in profile_points([c.g for c in x.comps]):
         for direction in (-1, +1):
             if p != (x.sigma if direction < 0 else 1):
                 yield p, direction
@@ -260,15 +262,15 @@ def test_profile_points_match_reference(osc, hat, negl):
     g = _root_at_flat_end()
     # 2w^2 - 1 shares its root 1/sqrt(2) with g: one RootPt for both
     h = Piecewise.from_poly(Q(1, 2), 1, poly(-1, 0, 2))
-    pts = _profile_points([g, h])
+    pts = profile_points([g, h])
     roots = [p for p in pts if isinstance(p, RootPt)]
     assert len(roots) == 1
     assert pts == _ref_profile_points([g, h])
-    assert Q(3, 4) in _profile_points([g])
+    assert Q(3, 4) in profile_points([g])
     for x in _reference_elements(osc, hat, negl):
         for profiles in ([c.g for c in x.comps if c.r == 0],
                          [c.g for c in x.comps if c.r > 0]):
-            assert _profile_points(profiles) == \
+            assert profile_points(profiles) == \
                 _ref_profile_points(profiles), x
 
 
@@ -329,9 +331,9 @@ def test_zero_set_grows_under_products():
 
 
 def _full_walk(x):
-    """Reference: every breakpoint and segment root of every r = 0
-    profile, the walk that `_candidate_points` prunes."""
-    return _profile_points([c.g for c in x.comps if c.r == 0])
+    """Reference: every breakpoint and segment root of every profile, the
+    walk that `_candidate_points` prunes."""
+    return profile_points([c.g for c in x.comps])
 
 
 def _sign_sets(x):
@@ -376,11 +378,72 @@ def test_dominance_walk_answers_like_the_full_walk(osc, hat, negl,
             if p in walk:
                 continue
             # the first profile not identically zero near p is nonzero at
-            # p: one sign at p and on each side, carried by an r = 0 profile
+            # p: one sign at p and on each side, carried by that profile
             dropped += 1
-            sg, deep = point_sign(x, p)
-            assert sg and not deep, (x, p)
+            sg, _ = point_sign(x, p)
+            assert sg, (x, p)
             for d in (-1, +1):
                 if p != (x.sigma if d < 0 else 1):
                     assert _side_signs(x, p, d) == {sg}, (x, p, d)
     assert dropped > 100
+
+
+# -- restr_zero against the per-profile scan it replaced --------------------
+
+
+def _ref_vanishes_on(g, shape):
+    """Reference: g is 0 at every point of shape, and on every segment that
+    meets the interior of one of its intervals (continuity then makes the
+    closed hull vanish, whatever the end flags)."""
+    for iv in shape.ivs:
+        if iv.is_point():
+            if g.eval(iv.lo) != 0:
+                return False
+            continue
+        for s in g.segs:
+            if max(s.lo, iv.lo) < min(s.hi, iv.hi) and not s.is_zero():
+                return False
+    return True
+
+
+def _ref_restr_zero(x, S):
+    xw, shape = common_window(x, S)
+    return all(_ref_vanishes_on(c.g, shape) for c in xw.comps if c.r == 0)
+
+
+def _flat_end_sets(x):
+    """Sets on the ratio of x at the flat zeros of its r = 0 profiles: the
+    orbit of w = 1, the orbits of the ends of each flat zero, and open
+    intervals ending on such an end from inside and from outside."""
+    sg, D = x.sigma, x.D
+    out = [AsymptoticSet.orbit_point(1, sg, D)]
+    for c in x.comps:
+        if c.r:
+            break
+        for iv in c.g.flat_zero().ivs:
+            a, b = iv.lo, iv.hi
+            mid = (a + b) / 2
+            out += [AsymptoticSet.orbit_point(w, sg, D) for w in (a, b)
+                    if w > sg]
+            out += [AsymptoticSet.orbit_interval(a, b, sg, False, False, D),
+                    AsymptoticSet.orbit_interval(a, mid, sg, False, True, D),
+                    AsymptoticSet.orbit_interval(mid, b, sg, True, False, D)]
+            if a > sg:
+                out.append(AsymptoticSet.orbit_interval((sg + a) / 2, a, sg,
+                                                        True, False, D))
+            if b < 1:
+                out.append(AsymptoticSet.orbit_interval(b, (b + 1) / 2, sg,
+                                                        False, True, D))
+    return out
+
+
+def test_restr_zero_matches_the_per_profile_scan(osc, hat, negl):
+    xs = _reference_elements(osc, hat, negl) + _zero_set_elements()
+    cases = [(x, S) for x in xs for S in _sign_sets(x) + _flat_end_sets(x)]
+    got = [restr_zero(x, S) for x, S in cases]
+    for (x, S), ok in zip(cases, got):
+        assert ok == _ref_restr_zero(x, S), (x, S)
+    # both answers are common, on points alone too
+    assert got.count(True) > 100 and got.count(False) > 100
+    on_points = {ok for (x, S), ok in zip(cases, got) if S.shape.points()}
+    assert on_points == {True, False}

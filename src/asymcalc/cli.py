@@ -4,9 +4,10 @@
     asymcalc check --all --seed 42 --size 50 --report report.json
 
 `run` executes a script against a fresh session; `check` runs the named
-(or all) invariant suites.  Exit status is 0 exactly when nothing
-failed; every error is reported with a stable code (the error class
-name) rather than a traceback, and a script's error with its position:
+(or all) invariant suites; `--json` may also precede the subcommand.
+Exit status is 0 exactly when nothing failed; every error is reported
+with a stable code (the error class name) rather than a traceback, and a
+script's error with its position:
 `error[ContinuityViolation]: line 1, col 1: ...`.
 """
 
@@ -107,6 +108,12 @@ def main(argv=None) -> int:
     checkp.add_argument("--seed", type=int, default=0)
     checkp.add_argument("--size", type=int, default=24)
     checkp.add_argument("--report", help="write a JSON report here")
+    # --json after the subcommand too; a default there would override one
+    # given before it
+    for p in (runp, checkp):
+        p.add_argument("--json", action="store_true",
+                       default=argparse.SUPPRESS,
+                       help="machine readable output")
 
     args = ap.parse_args(argv)
     if args.command == "run":

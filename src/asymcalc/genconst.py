@@ -156,7 +156,10 @@ def restr_invertible(x, S: AsymptoticSet):
     invertibility decision guarantees a witness at n_max, one above the
     largest component slope.  |x| >= eps^n on a set accumulating at 0
     forces n >= val(x), so n is searched by testing that floor and then
-    bisecting up to n_max; delta is certified for z at the least n.
+    bisecting up to n_max.  delta is certified for z at the least n when
+    `_certified_start` gives a block.  When it returns None,
+    `_scanned_start` checks only blocks 0 to 47, and from block 48 on no
+    threshold is proven (ROADMAP item 3).
     """
     ob = obstruction_on(_rep(x), S)
     if not unobstructed(ob):
@@ -625,8 +628,10 @@ def _zero_orbit(xw: PwFunction, sg: Q, S: AsymptoticSet) -> AsymptoticSet:
 
 def cauchy_glue(xs, moduli) -> GenConstant:
     """Glue a finite certified Cauchy prefix: |x_n - x_(n-1)| <= eps^n must
-    hold from the n-th threshold scale down, checked exactly; the result s
-    satisfies valuation(s - x_n) >= n - 2 for every provided n."""
+    hold from the n-th threshold scale down; the result s satisfies
+    valuation(s - x_n) >= n - 2 for every provided n.  Each bound is
+    proven when `_certified_start` gives a block.  When it returns None,
+    blocks from 48 on are not checked (ROADMAP item 3)."""
     xs = [_rep(x) for x in xs]
     if not xs:
         raise PreconditionViolated("nothing to glue")

@@ -30,8 +30,11 @@ union of the two open discs whose boundary circles pass through a and b
 with centres (a + b)/2 +- i(b - a)/(2 sqrt 3) holds exactly one root, a
 simple one (Obreschkoff 1963; Krandick & Mehlhorn 2006).  A squarefree q has
 distinct roots, so halving shrinks every interval until one of the two
-applies: each bisection below (`count_roots`, `isolate_roots`) ends.  A
-root exactly at a bisection midpoint is found by testing q there.
+applies, and the one bisection of this module, `_root_cells`, ends: it
+yields the cells (c, d] that hold one root each, a root at d being found
+by testing q there.  `count_roots` counts these cells and `isolate_roots`
+reads one root off each.  At an algebraic point the same two theorems
+decide signs without counting roots (`RootPt`).
 
 Rational roots need no search.  If q is squarefree and primitive with
 leading coefficient N, a root u/v in lowest terms has v | N (rational root
@@ -58,6 +61,8 @@ refines RootPt intervals as far as a comparison needs.  A RootPt never
 equals a rational, so `==` against one is False without refining.  With
 `psign` (which takes either kind), `pt_between` and `pt_enclosure`, no
 caller outside this module reads or refines a RootPt interval.
+`poly_nonneg_on` samples between two roots at `pt_between`, which refines
+only until their intervals part.
 """
 
 from __future__ import annotations
@@ -274,30 +279,29 @@ def _descartes(q, a, b) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+def _root_cells(q, a, b):
+    """The cells (c, d], in increasing order, of a Descartes bisection of
+    (a, b] that hold exactly one root of the squarefree integer polynomial
+    q.  A cell counts `_descartes(q, c, d)` plus [q(d) = 0] roots and is
+    halved while that count is above 1; the left half is pushed last."""
+    stack = [(a, b)] if a < b else []
+    while stack:
+        c, d = stack.pop()
+        n = _descartes(q, c, d) + (_zsign(q, d) == 0)
+        if n == 1:
+            yield c, d
+        elif n > 1:
+            m = (c + d) / 2
+            stack.append((m, d))
+            stack.append((c, m))
+
+
 def count_roots(q, a, b) -> int:
     """Number of distinct roots in (a, b] of the squarefree integer
-    polynomial q (0 for q = 0): a Descartes bisection down to counts 0 and
-    1, with the midpoints tested exactly."""
-    a, b = Q(a), Q(b)
-    if a >= b or not q:
+    polynomial q (0 for q = 0): the number of `_root_cells`."""
+    if not q:
         return 0
-    n = _zsign(q, b) == 0
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        v = _descartes(q, a, b)
-        if v <= 1:
-            n += v
-            continue
-        m = (a + b) / 2
-        n += _zsign(q, m) == 0
-        stack.append((a, m))
-        stack.append((m, b))
-    return n
-
-
-# the width below which `RootPt.approx` refines before taking a midpoint
-_APPROX_WIDTH = Q(1, 2 ** 40)
+    return sum(1 for _ in _root_cells(q, Q(a), Q(b)))
 
 
 class RootPt:
@@ -315,6 +319,7 @@ class RootPt:
     `isolate_roots`).  A RootPt orders against Fractions, ints and other
     RootPts with the comparison operators, through `pt_cmp`; it equals no
     rational, and it is unhashable, since refining changes its fields.
+    Signs at it are decided by the circle tests, with no root count.
     """
 
     __slots__ = ("sf", "lo", "hi", "hi_pos")
@@ -377,24 +382,23 @@ class RootPt:
         return self._cut(r)
 
     def sign_of(self, p) -> int:
-        """Exact sign of the polynomial p at this algebraic point."""
+        """Exact sign of the polynomial p at this algebraic point.  The
+        root is simple for sf, so p vanishes there exactly when g = gcd(sf,
+        p) does.  Halving brings V(g) to 1 if so (two-circle theorem) and to
+        0 if not (one-circle theorem), and then V(p) to 0: p has one sign
+        on (lo, hi)."""
         if not p:
             return 0
         p = _zpoly(p)
         g = pgcd(self.sf, p)
-        if pdeg(g) >= 1 and count_roots(g, self.lo, self.hi):
-            return 0
-        # p has no root equal to this point; refine until p has no root in
-        # the open interval, where it then keeps one nonzero sign (roots of
-        # p at the endpoints are harmless)
-        q = squarefree(p)
-        while count_roots(q, self.lo, self.hi) > (_zsign(q, self.hi) == 0):
+        if pdeg(g) >= 1:
+            while (v := _descartes(g, self.lo, self.hi)) > 1:
+                self.refine()
+            if v:
+                return 0
+        while _descartes(p, self.lo, self.hi):
             self.refine()
         return _zsign(p, (self.lo + self.hi) / 2)
-
-    def approx(self) -> Q:
-        self.refine_below(_APPROX_WIDTH)
-        return (self.lo + self.hi) / 2
 
 
 def pt_cmp(a, b) -> int:
@@ -427,7 +431,7 @@ def _shared_root(a: RootPt, b: RootPt, g) -> bool:
         lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
         if lo >= hi:
             return False
-        if count_roots(g, min(a.lo, b.lo), max(a.hi, b.hi)) == 1:
+        if _descartes(g, min(a.lo, b.lo), max(a.hi, b.hi)) == 1:
             # only one root of g near both points, and both points are
             # roots of g, so they coincide
             return True
@@ -482,15 +486,13 @@ def isolate_roots(p, lo, hi):
 
     When the squarefree part q is linear, or quadratic with a negative or
     square discriminant, its roots are exact (`_rational_roots`) and those
-    in [lo, hi] are returned.  Otherwise one Descartes bisection pass over
-    q finds the roots.  An interval (a, b] holds exactly one root when the
-    count `_descartes(q, a, b)` plus [q(b) = 0] is 1, none when it is 0,
-    and is halved otherwise.  Let N be the leading coefficient of q; by the
-    rational root theorem every rational root of q lies on the lattice
-    (1/N)Z.  Each interval (a, b] holding one root yields b when q(b) = 0;
-    otherwise it is halved by the sign of q alone until (a, b) holds at
-    most one lattice point k/N, and q(k/N) = 0 decides between the
-    Fraction k/N and a RootPt, whose root is then irrational.
+    in [lo, hi] are returned.  Otherwise lo is tested directly, and each
+    cell (a, b] of `_root_cells(q, lo, hi)` gives one root (`_one_root`).
+    Let N be the leading coefficient of q; by the rational root theorem
+    every rational root of q lies on the lattice (1/N)Z.  A cell yields b
+    when q(b) = 0; otherwise it is halved by the sign of q alone until
+    (a, b) holds at most one lattice point k/N, and q(k/N) = 0 decides
+    between the Fraction k/N and a RootPt, whose root is then irrational.
     """
     lo, hi = Q(lo), Q(hi)
     if not p:
@@ -504,18 +506,7 @@ def isolate_roots(p, lo, hi):
     if roots is not None:
         return tuple(x for x in roots if lo <= x <= hi)
     out = [lo] if _zsign(q, lo) == 0 else []
-    # entries (a, b): the roots of q in (a, b]; the left half is pushed last
-    # so that roots come out in increasing order
-    stack = [(lo, hi)] if lo < hi else []
-    while stack:
-        a, b = stack.pop()
-        n = _descartes(q, a, b) + (_zsign(q, b) == 0)
-        if n == 1:
-            out.append(_one_root(q, a, b))
-        elif n > 1:
-            m = (a + b) / 2
-            stack.append((m, b))
-            stack.append((a, m))
+    out += (_one_root(q, a, b) for a, b in _root_cells(q, lo, hi))
     return tuple(out)
 
 
@@ -560,7 +551,9 @@ def _one_root(q, a, b):
 
 
 def poly_nonneg_on(p, lo, hi) -> bool:
-    """Exact check that p >= 0 everywhere on [lo, hi]."""
+    """Exact check that p >= 0 everywhere on [lo, hi]: at both ends, and
+    at a `pt_between` sample between each two consecutive roots.  Next to
+    an end, up to the nearest root, p has the sign of that end."""
     if not p:
         return True
     z = _zpoly(p)
@@ -572,11 +565,5 @@ def poly_nonneg_on(p, lo, hi) -> bool:
         # show when z vanishes at both
         return _zsign(z, (lo + hi) / 2) >= 0
     pts = isolate_roots(z, lo, hi)
-    samples = [lo, hi]
-    prev = lo
-    for pt in pts:
-        x = pt.approx() if isinstance(pt, RootPt) else pt
-        samples.append((prev + x) / 2 if prev < x else prev)
-        prev = x
-    samples.append((prev + hi) / 2 if prev < hi else hi)
-    return all(_zsign(z, s) >= 0 for s in samples)
+    return all(_zsign(z, pt_between(a, b)) >= 0
+               for a, b in zip(pts, pts[1:]))

@@ -355,8 +355,7 @@ class Piecewise:
         for s in self.segs:
             if s.is_zero():
                 return None
-            if psign(s.num, s.lo) == 0 or psign(s.num, s.hi) == 0 or \
-                    isolate_roots(s.num, s.lo, s.hi):
+            if isolate_roots(s.num, s.lo, s.hi):
                 return None
             c = _lower_abs_bound(s.num, s.den, s.lo, s.hi)
             worst = c if worst is None else min(worst, c)

@@ -122,6 +122,27 @@ def test_run_json_prints_the_outputs(tmp_path, capsys):
             for r in out[4]["reports"]] == [("interior-closure", 12, [])]
 
 
+def test_run_json_after_the_subcommand(tmp_path, capsys):
+    path = _script(tmp_path, "elem x = rho;\neval x at 3/4;\n"
+                   "query valuation(x);")
+    assert main(["--json", "run", path]) == 0
+    before = capsys.readouterr().out
+    assert main(["run", path, "--json"]) == 0
+    assert capsys.readouterr().out == before
+    assert json.loads(before)[1] == {"stmt": "eval", "name": "x",
+                                     "at": "3/4", "value": "3/4"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--json", "check", "inv-char", "--size", "8"],
+    ["check", "inv-char", "--size", "8", "--json"],
+    ["check", "--json", "inv-char", "--size", "8"]])
+def test_check_json_before_or_after_the_subcommand(capsys, argv):
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [(r["name"], r["failures"]) for r in out] == [("inv-char", [])]
+
+
 def test_run_reports_a_missing_script(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.asym")]) == 2
     err = capsys.readouterr().err.strip().splitlines()

@@ -385,6 +385,76 @@ def test_poly_nonneg_on_matches_sympy(case, sgn):
     assert poly_nonneg_on(p, lo, hi) is want
 
 
+_SQRT2 = poly(-2, 0, 1)
+_CUBIC = poly(-1, -1, 0, 1)          # w^3 - w - 1: one real root, 1.3247...
+_SF = pmul(_SQRT2, _CUBIC)
+# a complex pair 1.4142 +- 10^-4 i, within 2 * 10^-5 of sqrt 2 in real part
+_NEAR = padd(ppow(poly(Q(-7071, 5000), 1), 2), poly(Q(1, 10 ** 8)))
+
+
+def _sympy_sign_at(p, root):
+    """The exact sign of p at the real algebraic number root: 0 when the
+    minimal polynomial of root divides p, else the sign of a value sympy
+    evaluates to 50 digits."""
+    P = sympy.Poly([_sympy_q(Q(c)) for c in reversed(p)], _W)
+    m = sympy.Poly(sympy.minimal_polynomial(root, _W), _W)
+    if P.rem(m).is_zero:
+        return 0
+    return int(sympy.sign(P.as_expr().subs(_W, root).evalf(50)))
+
+
+@pytest.mark.parametrize("sf, lo, hi, p", [
+    # p shares a factor with sf: zero at the roots of that factor only
+    (_SF, Q(7, 5), Q(3, 2), pmul(_SQRT2, poly(5, 1))),
+    (_SF, Q(13, 10), Q(7, 5), pmul(_SQRT2, poly(5, 1))),
+    (_SF, -2, 0, pmul(_SQRT2, poly(5, 1))),
+    (_SF, Q(13, 10), Q(7, 5), pmul(ppow(_CUBIC, 2), poly(-3, 0, 1))),
+    (_SF, Q(7, 5), Q(3, 2), pmul(ppow(_CUBIC, 2), poly(-3, 0, 1))),
+    # a multiple root elsewhere, between the two positive roots of sf
+    (_SF, Q(13, 10), Q(7, 5), pmul(ppow(poly(-4, 3), 2), poly(-137, 100))),
+    (_SF, Q(7, 5), Q(3, 2), pmul(ppow(poly(-4, 3), 3), poly(-137, 100))),
+    (_SF, Q(7, 5), Q(3, 2), pneg(ppow(poly(-99, 70), 4))),
+    # a complex pair close to the real root
+    (_SF, Q(7, 5), Q(3, 2), _NEAR),
+    (_SF, Q(7, 5), Q(3, 2), pmul(_NEAR, poly(-1, 0, 0, 0, 1))),
+    (_SQRT2, 1, 2, pmul(_NEAR, poly(-7, 5))),
+    # p vanishing at an interval end; sf may vanish at lo
+    (_SQRT2, 1, 2, pmul(poly(-1, 1), poly(-2, 1))),
+    (_SQRT2, 1, Q(3, 2), pmul(poly(-3, 2), _SQRT2)),
+    (pmul(poly(-1, 1), _SQRT2), 1, 2, pmul(poly(-1, 1), poly(7, 1))),
+    (pmul(poly(-1, 1), _SQRT2), 1, 2, pmul(ppow(poly(-1, 1), 2),
+                                           poly(-2, 1))),
+])
+def test_rootpt_sign_matches_sympy(sf, lo, hi, p):
+    (root,) = [r for r in sympy.real_roots(
+        sympy.Poly(list(reversed(sf)), _W)) if bool(_sympy_q(Q(lo)) < r)
+        and bool(r < _sympy_q(Q(hi)))]
+    assert RootPt(sf, lo, hi).sign_of(p) == _sympy_sign_at(p, root)
+    assert psign(p, RootPt(sf, lo, hi)) == _sympy_sign_at(p, root)
+
+
+def test_algebraic_signs_count_no_roots(monkeypatch):
+    """Signs and comparisons at RootPts use the circle tests alone, and
+    `poly_nonneg_on` samples between roots without refining to a width."""
+    def fail(*args):
+        raise AssertionError("no root count expected")
+    for name in ("count_roots", "squarefree"):
+        monkeypatch.setattr(polytools, name, fail)
+    monkeypatch.setattr(RootPt, "refine_below", fail)
+    assert RootPt(_SF, Q(7, 5), Q(3, 2)).sign_of(_NEAR) == 1
+    assert RootPt(_SF, Q(7, 5), Q(3, 2)).sign_of(pmul(_SQRT2, _NEAR)) == 0
+    r, s = RootPt(_SF, Q(7, 5), Q(3, 2)), RootPt(_SQRT2, 1, 2)
+    assert r == s and not r < s and s <= r
+    assert RootPt(_CUBIC, 1, 2) < RootPt(_SF, Q(7, 5), Q(3, 2))
+    monkeypatch.setattr(polytools, "squarefree", squarefree)
+    # negative only between the roots sqrt 2 and 2, then only between
+    # the last two roots, sqrt 2 and 3
+    assert poly_nonneg_on(pmul(pmul(_NEAR, _SQRT2), poly(-2, 1)), 0, 3) \
+        is False
+    assert poly_nonneg_on(pmul(pneg(_SQRT2), poly(3, -1)), 0, 3) is False
+    assert poly_nonneg_on(pmul(_SF, _SF), -2, 2) is True
+
+
 def test_isolate_roots_rational_root_above_cap():
     p = pmul(poly(Q(-4099, 8192), 1), poly(-2, 0, 1))
     assert isolate_roots(p, 0, 1) == (Q(4099, 8192),)

@@ -1,0 +1,95 @@
+"""Sign laws whose truth follows from algebra alone, so they need no oracle
+and no reference engine (ROADMAP item 19).
+
+The hand-built family: a is a piecewise-linear profile that crosses zero
+twice in each block, rho = u, and for j in {1, 2} and b in {1, 3}
+
+    x = (a - rho^j b)^2 + rho^(2j) c^2,  c = 1.
+
+x >= rho^(2j) > 0, so x is POS and generates the whole ring.  The square
+(a - rho^j b)^2 is >= 0 and vanishes near each crossing of a at every small
+scale, so it is NONNEG and its ideal is proper.  The sign engine reads a
+perfect-square Newton edge as MIXED (ROADMAP item 1); each instance that
+fails today is a strict xfail of its own, so the fix shows as passes.
+"""
+
+from fractions import Fraction as Q
+
+import pytest
+
+from asymcalc.ideal import FgIdeal, ideal_member
+from asymcalc.pwfunc import PwFunction, TailComponent
+from asymcalc.scaleset import AsymptoticSet
+from asymcalc.signs import (MIXED, NEG, NONNEG, NONPOS, POS, ZERO,
+                            eventual_sign_on)
+from asymcalc.verify import corpus_generate
+from asymcalc.window import Piecewise
+
+SIGMA = Q(1, 2)
+FULL = AsymptoticSet.full(SIGMA, 1)
+FAMILY = [(j, b) for j in (1, 2) for b in (1, 3)]
+
+_ITEM1 = pytest.mark.xfail(strict=True, reason="the sign engine reports "
+                           "MIXED at a perfect-square Newton edge "
+                           "(ROADMAP item 1)")
+
+
+def _params(failing):
+    """The family as parameters, a strict xfail on each (j, b) in
+    `failing`: the instances that break the law today."""
+    return [pytest.param(j, b, marks=_ITEM1) if (j, b) in failing
+            else pytest.param(j, b) for j, b in FAMILY]
+
+
+def _square_and_sum(j, b):
+    """((a - rho^j b)^2, (a - rho^j b)^2 + rho^(2j))."""
+    a = PwFunction(SIGMA, [TailComponent(0, 0, Piecewise.linear_interp(
+        [(Q(1, 2), 1), (Q(5, 8), 1), (Q(3, 4), -1), (Q(7, 8), -1),
+         (Q(1), 1)]))])
+    rj = PwFunction.upower(j)
+    d = a.sub(rj.scale(b))
+    sq = d.mul(d)
+    return sq, sq.add(rj.mul(rj))
+
+
+@pytest.mark.parametrize("j, b", _params(set(FAMILY)))
+def test_square_plus_positive_power_is_pos(j, b):
+    assert eventual_sign_on(_square_and_sum(j, b)[1], FULL) == POS
+
+
+@pytest.mark.parametrize("j, b", _params(set(FAMILY)))
+def test_square_plus_positive_power_generates_the_ring(j, b):
+    assert not FgIdeal([_square_and_sum(j, b)[1]]).is_proper()
+
+
+@pytest.mark.parametrize("j, b", _params(set(FAMILY)))
+def test_one_is_in_the_ideal_of_square_plus_positive_power(j, b):
+    I = FgIdeal([_square_and_sum(j, b)[1]])
+    assert ideal_member(PwFunction.const(1), I)[0]
+
+
+@pytest.mark.parametrize("j, b", _params(set(FAMILY)))
+def test_square_with_crossing_zeros_is_nonneg(j, b):
+    assert eventual_sign_on(_square_and_sum(j, b)[0], FULL) == NONNEG
+
+
+@pytest.mark.parametrize("j, b", _params(set()))
+def test_square_with_crossing_zeros_has_a_proper_ideal(j, b):
+    assert FgIdeal([_square_and_sum(j, b)[0]]).is_proper()
+
+
+_MIRROR = {POS: NEG, NEG: POS, NONNEG: NONPOS, NONPOS: NONNEG, ZERO: ZERO,
+           MIXED: MIXED}
+
+
+def test_sign_of_negation_mirrors_the_sign():
+    c = corpus_generate(0, 40)
+    broken = []
+    for i, x in enumerate(c.elements):
+        sets = [AsymptoticSet.full(x.sigma, x.D)] + \
+            [S for S in c.sets if S.is_characteristic()]
+        for k, S in enumerate(sets):
+            if eventual_sign_on(x.neg(), S) != \
+                    _MIRROR[eventual_sign_on(x, S)]:
+                broken.append((i, k))
+    assert broken == []

@@ -40,8 +40,18 @@ afilter:
   blocks of S above the grid depth it takes each point, each closed
   endpoint and evenly spaced interior points of the shape, so point
   orbits and thin shapes are hit exactly.  Each block votes by comparing
-  the exact |x(u)| with u^n and u^(n/2), n = QUANTIFIER_BOUND; the block
-  weights of x are memoized per block within one call.
+  |x(u)| with u^n and u^(n/2), n = QUANTIFIER_BOUND, through the
+  valuation side's sampler: each sample is located on x's grid as
+  (K, w), with no search when x and S share the ratio, its profile comes
+  from the same per-w memo, and the float estimate f of log|x(u)| is
+  compared with n log u and (n/2) log u at the margin 1e-6 * (1 + |f|).
+  f is within about m * 1e-9 + 1e-15 * |f| of the exact log (as above),
+  and the double log u, formed from the logs of sigma and w, within about
+  1e-12 of the exact one, as MIN_SCALE keeps |n log u| <= 8 * 120 * log 2.
+  So a sample that the floats place clear of the margin lies on the same
+  side of the threshold as its exact value, and only the samples inside
+  the margin, without an estimate or above x's anchor build the exact
+  x(u).  The votes are those of the exact values.
 
 Disagreement between a shadow and an exact answer is reported as
 inconclusive, never as an engine failure, unless the gap survives the
@@ -55,6 +65,7 @@ from fractions import Fraction as Q
 import mpmath
 
 from ..errors import AllSamplesZero, PreconditionViolated
+from ..grid import _log
 
 __all__ = [
     "MIN_SCALE",
@@ -141,26 +152,28 @@ def _walk(grid, b, blocks: int):
     the anchor of grid, with (K, w) = grid.block_coord(u), and as
     (k, u, None, None) above it.
 
-    block_coord runs once, at the deepest sample.  From there each step up
-    doubles u, so it doubles w, and while w > 1 the sample lies one element
-    block higher: w <- w * sigma, K <- K - 1.  That keeps w in (sigma, 1],
-    so (K, w) stays the block coordinate of u.  On the ratio 1/2 the step
-    always gives the same w one block up, and w is kept as it is.  Once
+    On the ratio 1/2 the residue b lies in (1/2, 1], so u = 2^-(j + K) * b
+    with K = k - j is at w = b on element block K, and nothing is located.
+    On other ratios block_coord runs once, at the deepest sample.  From
+    there each step up doubles u, so it doubles w, and while w > 1 the
+    sample lies one element block higher: w <- w * sigma, K <- K - 1.  That
+    keeps w in (sigma, 1], so (K, w) stays the block coordinate of u.  Once
     K < 0 the sample lies above the anchor, and so do all the shallower
     ones.  Only these head samples and the deepest sample build the
     Fraction u.  Needs blocks >= 1."""
     sigma = grid.sigma
-    same_w = sigma == Q(1, 2)
     k = blocks - 1
-    u = Q(b.numerator, b.denominator << k)
-    if u <= grid.c0:
-        K, w = grid.block_coord(u)
-        while k and K >= 0:
-            yield k, None, K, w
+    if sigma == Q(1, 2):
+        while k and k >= grid.j:
+            yield k, None, k - grid.j, b
             k -= 1
-            if same_w:
-                K -= 1
-            else:
+    else:
+        u = Q(b.numerator, b.denominator << k)
+        if u <= grid.c0:
+            K, w = grid.block_coord(u)
+            while k and K >= 0:
+                yield k, None, K, w
+                k -= 1
                 w *= 2
                 while w > 1:
                     w *= sigma
@@ -269,6 +282,9 @@ def _tail_sampler(x):
     def tail(K, p):
         if p.mpfs is None:
             p.mpfs = [(c, g, _mpf(g)) for c, g in p.exact]
+        if len(p.mpfs) == 1:  # the general path gives the same mpf
+            c, _, m = p.mpfs[0]
+            return c.exponent(K), m
         groups = {}
         for c, g, m in p.mpfs:
             e = c.exponent(K)
@@ -454,11 +470,12 @@ def _shape_points(shape):
     return out
 
 
-def _deep_blocks(S, cfg: OracleConfig):
-    """Samples u = c0 sigma^k w of S, for w from _shape_points, on the two
-    deepest blocks k that lie wholly at or above 2^-(depth // 8) and
-    MIN_SCALE.  Returns a list of two sample lists, or [] when no block
-    is deep enough or the shape is empty."""
+def _deep_samples(S, cfg: OracleConfig):
+    """The samples of S on its two deepest blocks j that lie wholly at or
+    above 2^-(depth // 8) and MIN_SCALE, as one (j, samples) pair per
+    block, shallower block first; samples holds (w, u) with w from
+    _shape_points and u = c0 sigma^j w.  Returns [] when no block is deep
+    enough or the shape is empty."""
     ws = _shape_points(S.shape)
     floor = max(Q(1, 2 ** (cfg.depth // 8)), MIN_SCALE)
     if not ws or floor > S.c0:
@@ -468,35 +485,78 @@ def _deep_blocks(S, cfg: OracleConfig):
     k = S.grid.block_coord(floor)[0] - 1
     if k < 1:
         return []
-    return [[S.c0 * S.sigma ** j * w for w in ws] for j in (k - 1, k)]
+    out = []
+    for j in (k - 1, k):
+        top = S.c0 * S.sigma ** j
+        out.append((j, [(w, top * w) for w in ws]))
+    return out
 
 
-def _evaluator(x):
-    """The function u -> x(u), exact, for u in (0, 1]: x.eval with the
-    block weights sigma^e(K) of the components memoized by K for the life
-    of the returned function."""
-    weights = {}
+def _vanishing_screen(x, S):
+    """The function (j, w, u) -> +1, -1 or None for the sample u =
+    c0 sigma^j w of S: +1 when |x(u)| > u^(n/2) for sure, -1 when
+    |x(u)| <= u^n for sure, None when the floats cannot tell; n =
+    QUANTIFIER_BOUND.
 
-    def value(u):
-        if u > x.c0:
-            return x.head.eval(u)
-        K, w = x.grid.block_coord(u)
-        if K not in weights:
-            weights[K] = [c.weight(x.sigma, K) for c in x.comps]
-        return sum((a * c.g.eval(w) for a, c in zip(weights[K], x.comps)),
-                   Q(0))
+    The sample is located on x's grid as (K, w): when x and S share the
+    ratio, K = j + j_S - j_x and w is the shape point itself; otherwise
+    Grid.block_coord.  A sample above x's anchor gets None.  A zero
+    profile at w (x(u) = 0) gets -1.  Otherwise f from _float_sampler,
+    when there is one, is compared with the double
+    lu = (j_x + K) * _log(sigma) + _log(w) of log u at the margin
+    1e-6 * (1 + |f|): f above n/2 * lu by more gives +1, f below n * lu
+    by more gives -1."""
+    n = QUANTIFIER_BOUND
+    at = _profiles(x)
+    with mpmath.workdps(PRECISION):
+        estimate = _float_sampler(x)
+    j_x, log_sigma = x.grid.j, _log(x.sigma)
+    shift = S.grid.j - j_x if S.sigma == x.sigma else None
 
-    return value
+    def level(j, w, u):
+        if shift is not None:
+            K = j + shift
+            if K < 0:
+                return None
+        elif u > x.c0:
+            return None
+        else:
+            K, w = x.grid.block_coord(u)
+        p = at(w)
+        if not p.exact:
+            return -1
+        f = estimate(K, p)
+        if f is None:
+            return None
+        lu = (j_x + K) * log_sigma + _log(w)
+        margin = 1e-6 * (1 + abs(f))
+        if f > n / 2 * lu + margin:
+            return 1
+        if f < n * lu - margin:
+            return -1
+        return None
+
+    return level
 
 
-def _vote(value, block, n):
-    """False when some sample u of block has |x(u)| > u^(n/2), else True
-    when every sample has |x(u)| <= u^n, else None; value is x.  The
-    samples are read in order, each |x(u)| and u^n at most once, up to
-    the first False (|x(u)|^2 > u^n implies |x(u)| > u^n, as u <= 1)."""
+def _vote(x, level, j, samples):
+    """False when some sample u of block j has |x(u)| > u^(n/2), else
+    True when every sample has |x(u)| <= u^n, else None; n =
+    QUANTIFIER_BOUND.  Each sample is first placed by level (see
+    _vanishing_screen); the ones it leaves open are decided by the exact
+    x(u) against u^n, in order, up to the first False (|x(u)|^2 > u^n
+    implies |x(u)| > u^n, as u <= 1)."""
+    n = QUANTIFIER_BOUND
+    rest = []
+    for w, u in samples:
+        place = level(j, w, u)
+        if place is None:
+            rest.append(u)
+        elif place > 0:
+            return False
     vote = True
-    for u in block:
-        m, un = abs(value(u)), u ** n
+    for u in rest:
+        m, un = abs(x.eval(u)), u ** n
         if m > un:
             if m * m > un:
                 return False
@@ -508,13 +568,27 @@ def oracle_vanishes_on(x, S, cfg: OracleConfig = OracleConfig()):
     """Sampled shadow of "x restricts to zero on S".
 
     x is sampled at the points of S on its two deepest blocks above the
-    depth of cfg (see _deep_blocks).  With n = QUANTIFIER_BOUND, a block
+    depth of cfg (see _deep_samples).  With n = QUANTIFIER_BOUND, a block
     votes True when every sample has |x(u)| <= u^n, and False when some
     sample has |x(u)| > u^(n/2); otherwise it abstains.  Returns the
     common vote of the two blocks, or None when they differ, a block
     abstains, or S has no samples deep enough.
+
+    The samples are screened in floats first (see _vanishing_screen), and
+    only those the floats leave open are evaluated exactly (see _vote).
+    The screen never places a sample on the wrong side of a threshold:
+    - the estimate f is within about m * 1e-9 + 1e-15 * |f| of the exact
+      log|x(u)| for m <= 400 components (the argument of _block_maxima);
+    - lu errs by a few ulp of the integer logs it reads, about
+      2^-52 * log(num * den) of sigma^(j_x + K) * w.  MIN_SCALE keeps
+      |n log u| <= 8 * 120 * log 2, so on a ratio of small height such as
+      9/10 (u = sigma^800 * w at most) lu is within about 1e-12 of log u;
+    - so both errors together, with lu scaled by n, stay far below the
+      margin 1e-6 * (1 + |f|), and f clear of a threshold by the margin
+      puts log|x(u)| on the same side of it.
+    Every vote is therefore the one the exact values give.
     """
-    value = _evaluator(x)
-    votes = {_vote(value, block, QUANTIFIER_BOUND)
-             for block in _deep_blocks(S, cfg)}
+    level = _vanishing_screen(x, S)
+    votes = {_vote(x, level, j, samples)
+             for j, samples in _deep_samples(S, cfg)}
     return votes.pop() if len(votes) == 1 else None

@@ -14,8 +14,10 @@ result; `linear_interp` checks its nodes and builds canonical lines through
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from operator import attrgetter
 
 from .errors import ContinuityViolation, ZeroDenominator
 from .ivset import Iv, IvSet
@@ -88,6 +90,9 @@ class Seg:
         """(num, den) over lc(den), as Fractions: the printed form."""
         return tuple(tuple(Q(c, self.den[-1]) for c in p)
                      for p in (self.num, self.den))
+
+
+_seg_hi = attrgetter("hi")
 
 
 class Piecewise:
@@ -176,13 +181,13 @@ class Piecewise:
         return hash(self.segs)
 
     def eval(self, w) -> Q:
-        w = Q(w)
+        """The value at w in [lo, hi], from the first segment whose upper
+        end is at least w (found by bisection)."""
+        if not isinstance(w, Q):
+            w = Q(w)
         if not (self.lo <= w <= self.hi):
             raise ValueError(f"{w} outside [{self.lo}, {self.hi}]")
-        for s in self.segs:
-            if s.lo <= w <= s.hi:
-                return s.val(w)
-        raise AssertionError
+        return self.segs[bisect_left(self.segs, w, key=_seg_hi)].val(w)
 
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in self.segs)

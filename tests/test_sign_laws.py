@@ -21,7 +21,8 @@ from asymcalc.ideal import FgIdeal, ideal_member
 from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import AsymptoticSet
 from asymcalc.signs import (MIXED, NEG, NONNEG, NONPOS, POS, ZERO,
-                            eventual_sign_on)
+                            bad_structure, eventual_sign_on,
+                            restr_invertible_bool)
 from asymcalc.verify import corpus_generate
 from asymcalc.window import Piecewise
 
@@ -92,4 +93,39 @@ def test_sign_of_negation_mirrors_the_sign():
             if eventual_sign_on(x.neg(), S) != \
                     _MIRROR[eventual_sign_on(x, S)]:
                 broken.append((i, k))
+    assert broken == []
+
+
+def _corpus_squares():
+    """(seed, index, x, x*x, characteristic sets) for each non-negligible
+    element x of corpus_generate(s, 40), s = 0..3."""
+    for seed in range(4):
+        c = corpus_generate(seed, 40)
+        sets = [S for S in c.sets if S.is_characteristic()]
+        for i, x in enumerate(c.elements):
+            if not x.is_negligible():
+                yield seed, i, x, x.mul(x), sets
+
+
+def test_square_has_the_obstruction_structure_of_the_element():
+    """x and x*x vanish at the same points, on the same sides, to the
+    same kind of smallness, so their obstruction structures agree."""
+    broken, seen = [], 0
+    for seed, i, x, xx, _ in _corpus_squares():
+        seen += 1
+        if bad_structure(xx) != bad_structure(x):
+            broken.append((seed, i))
+    assert seen == 108
+    assert broken == []
+
+
+def test_square_is_invertible_where_the_element_is():
+    """|x*x| >= eps^(2n) exactly where |x| >= eps^n."""
+    broken, seen = [], 0
+    for seed, i, x, xx, sets in _corpus_squares():
+        for k, S in enumerate(sets):
+            seen += 1
+            if restr_invertible_bool(xx, S) != restr_invertible_bool(x, S):
+                broken.append((seed, i, k))
+    assert seen > 1000
     assert broken == []

@@ -13,7 +13,7 @@ from asymcalc.verify import (CheckReport, OracleConfig, ValuationEstimate,
 from asymcalc.scaleset import AsymptoticSet
 from asymcalc.ivset import IvSet
 from asymcalc.verify import oracle
-from asymcalc.verify.oracle import (_RESIDUES, _block_maxima, _deep_blocks,
+from asymcalc.verify.oracle import (_RESIDUES, _block_maxima, _deep_samples,
                                     _fit, _fit_blocks, _float_sampler,
                                     _logabs, _mpf, _profiles, _shape_points,
                                     _tail_sampler, _walk)
@@ -365,6 +365,8 @@ def test_walk_steps_to_block_coord(sigma, j):
 
 
 def test_oracle_locates_each_residue_once(monkeypatch, rho, hat):
+    """Each residue is located once on other ratios, and never on the
+    ratio 1/2, where it is its own window coordinate."""
     calls = []
     coord = Grid.block_coord
 
@@ -377,7 +379,10 @@ def test_oracle_locates_each_residue_once(monkeypatch, rho, hat):
         for cfg in (SHALLOW, CFG):
             del calls[:]
             oracle_valuation(x, cfg)
-            assert 0 < len(calls) <= 8
+            if x.sigma == Q(1, 2):
+                assert calls == []
+            else:
+                assert 0 < len(calls) <= 8
 
 
 def test_oracle_looks_up_each_kept_profile_once(monkeypatch, rho, hat):
@@ -534,6 +539,11 @@ def test_oracle_imports_no_exact_decision_module():
     assert found == []
 
 
+def _deep_blocks(S, cfg):
+    """The sample points u of _deep_samples, one list per block."""
+    return [[u for _, u in samples] for _, samples in _deep_samples(S, cfg)]
+
+
 def _ref_vanishes_on(x, S, cfg):
     """The vanishing oracle with x.eval at every sample, as a reference:
     each block votes from all of its samples."""
@@ -562,8 +572,10 @@ def test_vanishes_on_matches_eval_reference():
         for cfg in (SHALLOW, CFG):
             votes.append(oracle_vanishes_on(x, S, cfg))
             assert votes[-1] == _ref_vanishes_on(x, S, cfg), (x, S, cfg)
-    # the exact weights of depth increment 2 on the ratio 9/10 have some
-    # 10^5 bits at depth 400; depth 160 keeps them near 5 * 10^4
+    # the reference builds the exact weights of depth increment 2, which
+    # on the ratio 9/10 have some 10^5 bits at depth 400; depth 160 keeps
+    # them near 5 * 10^4 (the oracle builds none, see the depth-400 tests
+    # below)
     cfg = OracleConfig(depth=160)
     for sigma in RATIOS:
         mid = (1 + sigma) / 2
@@ -578,6 +590,85 @@ def test_vanishes_on_matches_eval_reference():
                 votes.append(oracle_vanishes_on(x, S, cfg))
                 assert votes[-1] == _ref_vanishes_on(x, S, cfg), (x, S)
     assert {True, False, None} <= set(votes)
+
+
+def _ratio_9_10_pairs():
+    """_on_ratio(9/10) at anchors 1 and sigma^2 against the full set and the
+    orbit of w = 1, where its profiles vanish: the depth-400 case whose
+    exact weights have some 10^5 bits."""
+    sigma = Q(9, 10)
+    sets = (AsymptoticSet.full(sigma), AsymptoticSet.orbit_point(Q(1), sigma))
+    return [(_on_ratio(sigma, t), S) for t in (0, 2) for S in sets]
+
+
+def test_vanishing_vote_at_depth_400_on_ratio_9_10_is_restr_zero():
+    from asymcalc.signs import restr_zero
+    cfg = OracleConfig(depth=400)
+    votes = []
+    for x, S in _ratio_9_10_pairs():
+        votes.append(oracle_vanishes_on(x, S, cfg))
+        assert votes[-1] == restr_zero(x, S), (x, S)
+    assert votes == [False, True, False, True]
+
+
+@pytest.fixture
+def exact_evaluations(monkeypatch):
+    """The points u of every PwFunction.eval call, in order."""
+    calls = []
+    evaluate = PwFunction.eval
+
+    def counted(self, u):
+        calls.append(u)
+        return evaluate(self, u)
+
+    monkeypatch.setattr(PwFunction, "eval", counted)
+    return calls
+
+
+def test_vanishing_vote_evaluates_no_sample_below_the_anchor_exactly(
+        exact_evaluations):
+    cfg = OracleConfig(depth=400)
+    for x, S in _ratio_9_10_pairs():
+        del exact_evaluations[:]
+        oracle_vanishes_on(x, S, cfg)
+        assert all(u > x.c0 for u in exact_evaluations), (x, S)
+
+
+def test_vanishing_vote_on_a_threshold_is_decided_exactly(exact_evaluations):
+    """|u^k| against u^8 and u^4: u^6 lies strictly between them, u^4 and
+    u^8 on them.  The float estimate of each sample lies within the margin
+    of a threshold, so every sample takes the exact path, on the element's
+    own ratio and on the ratio 1/4, and the votes are the exact ones."""
+    sets = [*corpus_generate(0, 4).sets, AsymptoticSet.full(Q(1, 4)),
+            AsymptoticSet.orbit_interval(Q(5, 16), Q(3, 4), Q(1, 4))]
+    for k, want in ((4, None), (6, None), (8, True)):
+        x = PwFunction.upower(k)
+        for S in sets:
+            for cfg in (SHALLOW, CFG):
+                del exact_evaluations[:]
+                assert oracle_vanishes_on(x, S, cfg) is want, (k, S, cfg)
+                assert exact_evaluations == \
+                    [u for block in _deep_blocks(S, cfg) for u in block]
+
+
+def test_vanishing_vote_takes_head_samples_exactly(exact_evaluations):
+    """An anchor below the deepest samples of S leaves every sample in the
+    head, on the shared ratio and on another one: each is evaluated
+    exactly, in order, up to the first False of its block."""
+    x = _on_ratio(Q(1, 2), 56)
+    cfg = OracleConfig(depth=400)
+    for S, want in ((AsymptoticSet.full(), False),
+                    (AsymptoticSet.orbit_point(Q(1)), True),
+                    (AsymptoticSet.full(Q(1, 4)), False)):
+        del exact_evaluations[:]
+        assert oracle_vanishes_on(x, S, cfg) is want
+        blocks = _deep_blocks(S, cfg)
+        assert all(u > x.c0 for block in blocks for u in block)
+        if want:
+            assert exact_evaluations == [u for b in blocks for u in b]
+        else:
+            assert exact_evaluations == [blocks[0][0], blocks[1][0]]
+        assert _ref_vanishes_on(x, S, cfg) is want
 
 
 def _deep_blocks_walk(S, cfg):

@@ -178,3 +178,30 @@ def test_nonneg_on_all():
     f = Piecewise.linear_interp([(0, 0), (1, 1)])
     assert f.nonneg_on_all()
     assert not f.sub(Piecewise.const(0, 1, 1)).nonneg_on_all()
+
+
+def _ref_eval(f, w):
+    """Reference: the linear scan over the segments that `Piecewise.eval`
+    replaced, first segment holding w."""
+    w = Q(w)
+    for s in f.segs:
+        if s.lo <= w <= s.hi:
+            return s.val(w)
+    raise ValueError(f"{w} outside [{f.lo}, {f.hi}]")
+
+
+@settings(max_examples=80, deadline=None)
+@given(profiles(), profiles(), st.lists(st.fractions(0, 1), max_size=6))
+def test_eval_by_bisection_matches_a_linear_scan(f, g, ws):
+    """At every breakpoint, both ends, the midpoints of the segments and
+    random points, on linear and quadratic profiles."""
+    for h in (f, f.mul(g)):
+        cuts = h.breakpoints()
+        assert cuts[0] == h.lo == 0 and cuts[-1] == h.hi == 1
+        mids = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+        for w in cuts + mids + ws:
+            assert h.eval(w) == _ref_eval(h, w), w
+        assert h.eval(0) == h.eval(Q(0)) and h.eval(1) == h.eval(Q(1))
+        for w in (Q(-1, 16), Q(17, 16)):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                h.eval(w)

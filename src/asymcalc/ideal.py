@@ -58,7 +58,11 @@ class FgIdeal:
     its least domination exponent, None when no N up to the slope bound
     holds; `_domination_exponent` fills it, one search per germ.  The key
     holds the whole germ and the search is deterministic, so a kept
-    exponent is the one a fresh search finds."""
+    exponent is the one a fresh search finds.  `_filter` maps the key
+    (grid, shape intervals, head intervals) of a set S to the answer of
+    `f_of_I_member(S, self)`.  That key holds the whole set, as
+    `AsymptoticSet.on` rebuilds S from it, and the answer depends on S
+    and sos alone, so a kept answer is the one a fresh decision gives."""
 
     def __init__(self, gens):
         gens = [g if isinstance(g, GenConstant) else GenConstant(g)
@@ -71,6 +75,7 @@ class FgIdeal:
             acc = acc + g * g
         self.sos = acc
         self._exponents = {}
+        self._filter = {}
 
     def __repr__(self):
         return f"FgIdeal({len(self.gens)} gens, sos={self.sos.rep!r})"
@@ -190,11 +195,15 @@ def ideal_member(x, I: FgIdeal):
 
 def f_of_I_member(S: AsymptoticSet, I: FgIdeal) -> bool:
     """Membership of S in the invertibility filter of I: some element of
-    the ideal is invertible off S."""
-    coS = S.complement().closure()
-    if not coS.is_characteristic():
-        return True
-    return restr_invertible_bool(I.sos_germ, coS)
+    the ideal is invertible off S.  Kept by I per set (see FgIdeal)."""
+    key = (S.grid, S.shape.ivs, S.head.ivs)
+    try:
+        return I._filter[key]
+    except KeyError:
+        coS = S.complement().closure()
+        member = I._filter[key] = not coS.is_characteristic() or \
+            restr_invertible_bool(I.sos_germ, coS)
+        return member
 
 
 def radical_member(x, I: FgIdeal, mmax: int = 16):

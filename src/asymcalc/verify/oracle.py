@@ -19,12 +19,12 @@ afilter:
   stepped exactly (doubling u doubles w, and a w above 1 is w * sigma on
   the next element block up).  Above the anchor samples use the exact
   head.  Each block's maximum comes from two passes over its 8 samples.
-  The first gives each tail sample a float estimate of its
-  log|x(u)|, summed by math.fsum from float profile values and weights
-  sigma^n, or none where floats may not be reliable: two exponents
-  coincide, a profile value lies outside (2^-300, 2^300), or the sum is
-  below 1e-6 of its largest term.  Each float term is within a few ulp
-  of its exact value, so an estimate lies within about
+  The first gives each tail sample a float estimate of its log|x(u)|,
+  summed by math.fsum from float profile values and weights sigma^n, or
+  none where floats may not be reliable: two exponents coincide, a
+  profile value is not inside (2^-300, 2^300) by a bit of slack, or the
+  sum is below 1e-6 of its largest term.  Each float term is within a
+  few ulp of its exact value, so an estimate lies within about
   (number of components) * 1e-9 of the exact log, far inside the margin
   1e-6 * (1 + |fmax|) below the block's best estimate fmax.  The second
   pass takes an exact log only of the samples in that margin, of those
@@ -35,7 +35,12 @@ afilter:
   anchor.  The exact logs cover every sample that can win its block, so
   the per-block maxima are the same numbers as with an exact log at
   every sample.  Within one call the profile values are memoized per w
-  and the powers sigma^n per n.
+  and the powers sigma^n per n.  A profile value is read from integers:
+  the unreduced pair N / D of its segment's num and den at w (see
+  _Profile), whose correctly rounded int / int division is the double
+  float(g) of the exact value g.  The exact Fractions, their mpfs and
+  the logs of a single-term profile are built only where the second pass
+  reads them, and kept on the profile.
 - oracle_vanishes_on samples x on the set S itself: on the two deepest
   blocks of S above the grid depth it takes each point, each closed
   endpoint and evenly spaced interior points of the shape, so point
@@ -50,8 +55,10 @@ afilter:
   1e-12 of the exact one, as MIN_SCALE keeps |n log u| <= 8 * 120 * log 2.
   So a sample that the floats place clear of the margin lies on the same
   side of the threshold as its exact value, and only the samples inside
-  the margin, without an estimate or above x's anchor build the exact
-  x(u).  The votes are those of the exact values.
+  the margin, without an estimate or above x's anchor build the Fraction
+  u and the exact x(u); a sample is otherwise the pair (block, w), and u
+  is built besides only to locate it on another ratio.  The votes are
+  those of the exact values.
 
 Disagreement between a shadow and an exact answer is reported as
 inconclusive, never as an engine failure, unless the gap survives the
@@ -66,6 +73,7 @@ import mpmath
 
 from ..errors import AllSamplesZero, PreconditionViolated
 from ..grid import _log
+from ..polytools import _hsum
 
 __all__ = [
     "MIN_SCALE",
@@ -182,28 +190,62 @@ def _walk(grid, b, blocks: int):
         yield k, Q(b.numerator, b.denominator << k), None, None
 
 
-def _in_float_range(g: Q) -> bool:
-    """2^-300 < |g| < 2^300, read off the bit lengths of g."""
-    e = abs(g.numerator).bit_length() - g.denominator.bit_length()
-    return -300 < e < 300
-
-
 class _Profile:
-    """The profile values at one window coordinate w.  `exact` holds
-    (c, g) with g = c.g(w) for each component c where g != 0; `floats`
-    holds (c, float(g)) for the same components, or is None when some |g|
-    lies outside (2^-300, 2^300) or there are more than 400 of them;
-    `mpfs` holds (c, g, mpf(g)), made on first use."""
+    """The profile values at one window coordinate w = a/b, read from
+    integers.  `terms` holds (c, N, D) with c.g(w) = N / D != 0 for each
+    such component c: on the segment `c.g.segment_at(w)` with integer num
+    and den, N = hsum(num) * b^(deg den - deg num) and D = hsum(den) *
+    b^(deg num - deg den), each power taken only when its exponent is
+    positive (polytools._hsum).  The pair is not reduced.
 
-    __slots__ = ("exact", "floats", "mpfs")
+    `floats` holds (s, r, N / D) for the same components, or is None when
+    there are more than 400 of them or some pair has e = bitlen(N) -
+    bitlen(D) outside (-299, 299).  The double N / D is float(c.g(w)):
+    int / int true division is correctly rounded, as is the Fraction's
+    float, so both give the double nearest the same rational.  The e of
+    an unreduced pair is within 1 of that of the reduced fraction, so the
+    one-bit slack keeps every |g| with floats inside (2^-300, 2^300); a
+    value near the ends may lose its floats, which sends its samples to
+    the exact path.  `flog` is log|g| of a single float term.
+
+    The exact values are built on first use only, by the exact pass
+    (_tail_sampler): `exact` holds (c, g) with g the Fraction c.g(w),
+    `mpfs` holds (c, g, mpf(g)) and `mlog` the mpmath log|g| of a single
+    term, at the working precision of that pass."""
+
+    __slots__ = ("terms", "floats", "flog", "_exact", "mpfs", "mlog")
 
     def __init__(self, comps, w):
-        self.exact = [(c, g) for c in comps for g in (c.g.eval(w),) if g]
-        self.floats = None
-        if len(self.exact) <= 400 and \
-                all(_in_float_range(g) for _, g in self.exact):
-            self.floats = [(c, float(g)) for c, g in self.exact]
-        self.mpfs = None
+        b = w.denominator
+        self.terms = terms = []
+        for c in comps:
+            seg = c.g.segment_at(w)
+            num, den = seg.num, seg.den
+            if not num:
+                continue
+            N = _hsum(num, w)
+            if not N:
+                continue
+            D = _hsum(den, w)
+            d = len(den) - len(num)
+            if d > 0:
+                N *= b ** d
+            elif d < 0:
+                D *= b ** -d
+            terms.append((c, N, D))
+        self.floats = self.flog = self._exact = self.mpfs = self.mlog = None
+        if len(terms) <= 400 and all(
+                -299 < N.bit_length() - D.bit_length() < 299
+                for _, N, D in terms):
+            self.floats = [(c.s, c.r, N / D) for c, N, D in terms]
+            if len(terms) == 1:
+                self.flog = math.log(abs(self.floats[0][2]))
+
+    @property
+    def exact(self):
+        if self._exact is None:
+            self._exact = [(c, Q(N, D)) for c, N, D in self.terms]
+        return self._exact
 
 
 def _profiles(x):
@@ -226,7 +268,9 @@ def _float_sampler(x):
     the sum is below 1e-6 of its largest term.
 
     With e0 the smallest exponent, f = e0 * log(sigma) + log|sum_c
-    sigma^(e_c(K) - e0) g_c(w)|, summed by math.fsum.  The weights
+    sigma^(e_c(K) - e0) g_c(w)|, summed by math.fsum; the exponents
+    e_c(K) = s * K + r * K(K - 1)/2 are read off the (s, r, g) floats of
+    p, and a single term adds the profile's kept log|g|.  The weights
     sigma^n are memoized by n and corrected for the rounding of sigma:
     with float(sigma) = sigma / (1 + delta), sigma^n =
     float(sigma)^n * exp(n * delta) to within a few ulp, where the plain
@@ -240,15 +284,16 @@ def _float_sampler(x):
         terms = p.floats
         if terms is None:
             return None
+        kk = K * (K - 1) // 2
         if len(terms) == 1:  # the general path, without its list work
-            c, g = terms[0]
-            return c.exponent(K) * f_log_sigma + math.log(abs(g))
-        es = [c.exponent(K) for c, _ in terms]
+            s, r, _ = terms[0]
+            return (s * K + r * kk) * f_log_sigma + p.flog
+        es = [s * K + r * kk for s, r, _ in terms]
         if len(set(es)) < len(es):
             return None
         e0 = min(es)
         vals = []
-        for e, (_, g) in zip(es, terms):
+        for e, (_, _, g) in zip(es, terms):
             n = e - e0
             if n not in powers:
                 powers[n] = sigma ** n * math.exp(n * delta)
@@ -262,20 +307,22 @@ def _float_sampler(x):
 
 
 def _tail_sampler(x):
-    """The function (K, p) -> (e0, total) with x(u) = sigma^e0 * total at
-    the point u of element block K whose window profile is p (a
-    _Profile), or None where x(u) counts as zero; at the current mpmath
-    precision.
+    """The function (K, p) -> e0 * log(sigma) + log|total|, the log of
+    |x(u)| = sigma^e0 * |total| at the point u of element block K whose
+    window profile is p (a _Profile), or None where x(u) counts as zero;
+    at the current mpmath precision.
 
     The value there is sum_c sigma^(e_c(K)) g_c(w), from the exact profile
-    values of p.  Components of equal exponent are summed exactly.  The
-    nonzero sums t_e give total = sum_e sigma^(e - e0) t_e, with e0 the
-    smallest exponent and the sum taken in mpmath; the powers sigma^n are
-    memoized by n for the life of the returned function.  A sum of
-    several terms within 10^(8 - PRECISION) of the largest term counts as
-    zero.
+    values of p, built here on the profile's first exact read.
+    Components of equal exponent are summed exactly.  The nonzero sums t_e
+    give total = sum_e sigma^(e - e0) t_e, with e0 the smallest exponent
+    and the sum taken in mpmath; the powers sigma^n are memoized by n for
+    the life of the returned function.  A sum of several terms within
+    10^(8 - PRECISION) of the largest term counts as zero.  A single term
+    is its own total, and its log is kept on the profile.
     """
     sigma = _mpf(x.sigma)
+    log_sigma = _logabs(x.sigma)
     cutoff = mpmath.mpf(10) ** (8 - PRECISION)
     powers = {}
 
@@ -284,7 +331,9 @@ def _tail_sampler(x):
             p.mpfs = [(c, g, _mpf(g)) for c, g in p.exact]
         if len(p.mpfs) == 1:  # the general path gives the same mpf
             c, _, m = p.mpfs[0]
-            return c.exponent(K), m
+            if p.mlog is None:
+                p.mlog = mpmath.log(abs(m))
+            return c.exponent(K) * log_sigma + p.mlog
         groups = {}
         for c, g, m in p.mpfs:
             e = c.exponent(K)
@@ -306,7 +355,7 @@ def _tail_sampler(x):
         total = mpmath.fsum(vals)
         if len(vals) > 1 and abs(total) <= cutoff * max(map(abs, vals)):
             return None
-        return e0, total
+        return e0 * log_sigma + mpmath.log(abs(total))
 
     return tail
 
@@ -357,7 +406,6 @@ def _block_maxima(x, cfg: OracleConfig):
     at = _profiles(x)
     estimate = _float_sampler(x)
     tail = _tail_sampler(x)
-    log_sigma = _logabs(x.sigma)
     walks = [_walk(x.grid, b, cfg.depth // 8) for b in _RESIDUES]
     last = [(None, None)] * len(walks)
     best = {}
@@ -373,7 +421,7 @@ def _block_maxima(x, cfg: OracleConfig):
             if w is not last_w:
                 p = at(w)
                 last[i] = w, p
-            if not p.exact:
+            if not p.terms:
                 continue
             f = estimate(K, p)
             if f is None:
@@ -385,10 +433,9 @@ def _block_maxima(x, cfg: OracleConfig):
             cut = fmax - 1e-6 * (1 + abs(fmax))
             unscreened.extend((K, p) for f, K, p in screened if f >= cut)
         for K, p in unscreened:
-            sample = tail(K, p)
-            if sample is not None:
-                e0, total = sample
-                logs.append(e0 * log_sigma + mpmath.log(abs(total)))
+            la = tail(K, p)
+            if la is not None:
+                logs.append(la)
         if logs:
             best[k] = max(logs)
             if len(best) == need:
@@ -456,7 +503,8 @@ def oracle_valuation(x, cfg: OracleConfig = OracleConfig()) -> ValuationEstimate
 
 def _shape_points(shape):
     """Window coordinates probing a shape: each point, each closed
-    endpoint and seven evenly spaced interior points of each interval."""
+    endpoint and seven evenly spaced interior points of each interval,
+    lo + i (hi - lo) / 8 for i = 1..7, stepped by one exact step."""
     out = []
     for iv in shape.ivs:
         if iv.lo == iv.hi:
@@ -464,7 +512,10 @@ def _shape_points(shape):
             continue
         if iv.lc:
             out.append(iv.lo)
-        out.extend(iv.lo + (iv.hi - iv.lo) * Q(i, 8) for i in range(1, 8))
+        w, step = iv.lo, (iv.hi - iv.lo) / 8
+        for _ in range(7):
+            w += step
+            out.append(w)
         if iv.hc:
             out.append(iv.hi)
     return out
@@ -472,9 +523,11 @@ def _shape_points(shape):
 
 def _deep_samples(S, cfg: OracleConfig):
     """The samples of S on its two deepest blocks j that lie wholly at or
-    above 2^-(depth // 8) and MIN_SCALE, as one (j, samples) pair per
-    block, shallower block first; samples holds (w, u) with w from
-    _shape_points and u = c0 sigma^j w.  Returns [] when no block is deep
+    above 2^-(depth // 8) and MIN_SCALE, as one (j, top, ws) triple per
+    block, shallower block first: top = c0 sigma^j and ws the window
+    coordinates of _shape_points, one list shared by both blocks, so the
+    sample at w is u = top * w.  No u is built here: the vote builds one
+    only where it reads it (see _vote).  Returns [] when no block is deep
     enough or the shape is empty."""
     ws = _shape_points(S.shape)
     floor = max(Q(1, 2 ** (cfg.depth // 8)), MIN_SCALE)
@@ -485,24 +538,21 @@ def _deep_samples(S, cfg: OracleConfig):
     k = S.grid.block_coord(floor)[0] - 1
     if k < 1:
         return []
-    out = []
-    for j in (k - 1, k):
-        top = S.c0 * S.sigma ** j
-        out.append((j, [(w, top * w) for w in ws]))
-    return out
+    return [(j, S.c0 * S.sigma ** j, ws) for j in (k - 1, k)]
 
 
 def _vanishing_screen(x, S):
-    """The function (j, w, u) -> +1, -1 or None for the sample u =
-    c0 sigma^j w of S: +1 when |x(u)| > u^(n/2) for sure, -1 when
-    |x(u)| <= u^n for sure, None when the floats cannot tell; n =
+    """The function (j, top, w) -> +1, -1 or None for the sample u =
+    top * w of S, top = c0 sigma^j: +1 when |x(u)| > u^(n/2) for sure, -1
+    when |x(u)| <= u^n for sure, None when the floats cannot tell; n =
     QUANTIFIER_BOUND.
 
     The sample is located on x's grid as (K, w): when x and S share the
-    ratio, K = j + j_S - j_x and w is the shape point itself; otherwise
-    Grid.block_coord.  A sample above x's anchor gets None.  A zero
-    profile at w (x(u) = 0) gets -1.  Otherwise f from _float_sampler,
-    when there is one, is compared with the double
+    ratio, K = j + j_S - j_x and w is the shape point itself, and u is
+    never built; otherwise Grid.block_coord of u.  A sample above x's
+    anchor gets None.  A zero profile at w (x(u) = 0) gets -1.
+    Otherwise f from _float_sampler, when there is one, is compared with
+    the double
     lu = (j_x + K) * _log(sigma) + _log(w) of log u at the margin
     1e-6 * (1 + |f|): f above n/2 * lu by more gives +1, f below n * lu
     by more gives -1."""
@@ -513,14 +563,15 @@ def _vanishing_screen(x, S):
     j_x, log_sigma = x.grid.j, _log(x.sigma)
     shift = S.grid.j - j_x if S.sigma == x.sigma else None
 
-    def level(j, w, u):
+    def level(j, top, w):
         if shift is not None:
             K = j + shift
             if K < 0:
                 return None
-        elif u > x.c0:
-            return None
         else:
+            u = top * w
+            if u > x.c0:
+                return None
             K, w = x.grid.block_coord(u)
         p = at(w)
         if not p.exact:
@@ -539,23 +590,26 @@ def _vanishing_screen(x, S):
     return level
 
 
-def _vote(x, level, j, samples):
-    """False when some sample u of block j has |x(u)| > u^(n/2), else
-    True when every sample has |x(u)| <= u^n, else None; n =
-    QUANTIFIER_BOUND.  Each sample is first placed by level (see
+def _vote(x, level, j, top, ws):
+    """False when some sample u = top * w of block j, w in ws, has
+    |x(u)| > u^(n/2), else True when every sample has |x(u)| <= u^n, else
+    None; n = QUANTIFIER_BOUND.  Each sample is first placed by level (see
     _vanishing_screen); the ones it leaves open are decided by the exact
     x(u) against u^n, in order, up to the first False (|x(u)|^2 > u^n
-    implies |x(u)| > u^n, as u <= 1)."""
+    implies |x(u)| > u^n, as u <= 1).  Only these open samples build the
+    Fraction u and the exact x(u); the screen builds u besides only to
+    locate a sample on another ratio."""
     n = QUANTIFIER_BOUND
     rest = []
-    for w, u in samples:
-        place = level(j, w, u)
+    for w in ws:
+        place = level(j, top, w)
         if place is None:
-            rest.append(u)
+            rest.append(w)
         elif place > 0:
             return False
     vote = True
-    for u in rest:
+    for w in rest:
+        u = top * w
         m, un = abs(x.eval(u)), u ** n
         if m > un:
             if m * m > un:
@@ -589,6 +643,6 @@ def oracle_vanishes_on(x, S, cfg: OracleConfig = OracleConfig()):
     Every vote is therefore the one the exact values give.
     """
     level = _vanishing_screen(x, S)
-    votes = {_vote(x, level, j, samples)
-             for j, samples in _deep_samples(S, cfg)}
+    votes = {_vote(x, level, j, top, ws)
+             for j, top, ws in _deep_samples(S, cfg)}
     return votes.pop() if len(votes) == 1 else None

@@ -180,14 +180,18 @@ class Piecewise:
         functions on one interval hash alike."""
         return hash(self.segs)
 
+    def segment_at(self, w: Q) -> Seg:
+        """The first segment whose upper end is at least w (found by
+        bisection); trusted: w is a Fraction in [lo, hi]."""
+        return self.segs[bisect_left(self.segs, w, key=_seg_hi)]
+
     def eval(self, w) -> Q:
-        """The value at w in [lo, hi], from the first segment whose upper
-        end is at least w (found by bisection)."""
+        """The value at w in [lo, hi], on `segment_at(w)`."""
         if not isinstance(w, Q):
             w = Q(w)
         if not (self.lo <= w <= self.hi):
             raise ValueError(f"{w} outside [{self.lo}, {self.hi}]")
-        return self.segs[bisect_left(self.segs, w, key=_seg_hi)].val(w)
+        return self.segment_at(w).val(w)
 
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in self.segs)

@@ -77,6 +77,36 @@ def test_f_of_I_member(hat, P, full):
     assert f_of_I_member(full, I)
 
 
+def test_repeated_filter_question_makes_no_sign_decision(hat, P, full,
+                                                          monkeypatch):
+    """The ideal keeps each set's answer: an equal set asked again runs
+    no restr_invertible_bool, and a fresh ideal of the same generators
+    gives the same answers."""
+    calls = []
+    decide = ideal_mod.restr_invertible_bool
+
+    def counted(x, S):
+        calls.append(S)
+        return decide(x, S)
+
+    monkeypatch.setattr(ideal_mod, "restr_invertible_bool", counted)
+    I = FgIdeal([hat])
+    nbhd = AsymptoticSet(Q(1, 2), IvSet([
+        Iv(Q(1, 2), Q(21, 32), False, True), Iv(Q(27, 32), 1, True, True)]))
+    sets = [nbhd, P, full,
+            AsymptoticSet.orbit_interval(Q(5, 8), Q(3, 4), lc=False)]
+    first = [f_of_I_member(S, I) for S in sets]
+    assert first[:3] == [True, False, True]
+    n = len(calls)
+    assert n
+    copies = [AsymptoticSet.on(S.grid, IvSet(S.shape.ivs), IvSet(S.head.ivs))
+              for S in sets]
+    assert [f_of_I_member(S, I) for S in copies] == first
+    assert len(calls) == n
+    assert [f_of_I_member(S, FgIdeal(I.gens)) for S in sets] == first
+    assert len(calls) == 2 * n
+
+
 def test_radical_member(hat, osc):
     I2 = FgIdeal([hat.mul(hat)])
     ok, m, n = radical_member(hat, I2)

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -55,6 +57,34 @@ def test_all_workloads_run_in_turn_with_a_workload_key(capsys, monkeypatch):
     assert query_outputs.main(["--workload", "ideal"]) == 0
     assert capsys.readouterr().out == "".join(
         line + "\n" for line in lines("ideal", 1))
+
+
+# the --maxima digest of the first 12 seed-1 oracle items, recorded at the
+# commit before the valuation oracle read profile values from integers
+MAXIMA_12 = "59006bb73884d9da8c285f6f35cc2370b0da009899b562abc212e546edb3da91"
+
+
+def test_maxima_digest_is_the_recorded_one(capsys, monkeypatch):
+    """One line per valuation item of the first 12, then the sha256 of
+    their maxima reprs in order, equal to the recorded digest: the block
+    maxima stay bit-identical.  `main` prints the same lines."""
+    lines = query_outputs.maxima_lines(1, first=12)
+    run = query_outputs._bench()
+    wl, items, _ = run.setup(argparse.Namespace(
+        workload="oracle", seed=1, seconds=query_outputs.SECONDS))
+    want = [i for i, item in enumerate(items[:12])
+            if item.spec[0] == "oracle_valuation"]
+    assert [int(line.split(" ", 1)[0]) for line in lines[:-1]] == want
+    assert all(line.split(" ", 1)[1].startswith("[(")
+               for line in lines[:-1])
+    digest = hashlib.sha256()
+    for line in lines[:-1]:
+        digest.update(line.split(" ", 1)[1].encode())
+    assert lines[-1] == f"sha256 {digest.hexdigest()}" == f"sha256 {MAXIMA_12}"
+    monkeypatch.setattr(query_outputs, "maxima_lines",
+                        lambda seed: [f"seed {seed}"])
+    assert query_outputs.main(["--maxima", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == "seed 3\n"
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from asymcalc.verify.oracle import (_RESIDUES, _block_maxima, _deep_samples,
                                     _logabs, _mpf, _profiles, _shape_points,
                                     _tail_sampler, _walk)
 from asymcalc.grid import Grid
-from asymcalc.window import Piecewise
+from asymcalc.window import Piecewise, Seg
 
 CFG = OracleConfig(depth=1600)
 
@@ -180,17 +180,13 @@ def _fast_samples(x, cfg):
     """(k, u, log|x(u)| or None) at every grid sample, residue by residue,
     from the walk and the tail sampler of the oracle."""
     at, tail = _profiles(x), _tail_sampler(x)
-    log_sigma = _logabs(x.sigma)
     for b in _RESIDUES:
         for k, u, K, w in _walk(x.grid, b, cfg.depth // 8):
             if u is not None:
                 val = x.head.eval(u)
                 yield k, u, _logabs(val) if val else None
                 continue
-            sample = tail(K, at(w))
-            yield k, Q(b.numerator, b.denominator << k), (
-                None if sample is None
-                else sample[0] * log_sigma + mpmath.log(abs(sample[1])))
+            yield k, Q(b.numerator, b.denominator << k), tail(K, at(w))
 
 
 def _assert_same_maxima(x, cfg):
@@ -454,6 +450,103 @@ def test_oracle_samples_only_the_blocks_the_fit_reads(monkeypatch, rho, hat):
             assert 0 < len(calls) <= 8 * 2 * _fit_blocks(cfg) + 8
 
 
+def _rational_profiles(sigma):
+    """Profiles on [sigma, 1] with segments of deg den >= 1: a quotient
+    of quadratics whose reduced value shares no factor with w, and a
+    piecewise one that joins a line to 1/w at w = 3/4 of the window."""
+    m = sigma + (1 - sigma) * Q(3, 4)
+    whole = Piecewise.from_poly(sigma, 1, (Q(-3, 4), 0, 1), (2, 1, 1))
+    line = Seg(sigma, m, (1 / m,))
+    inverse = Seg(m, Q(1), (1,), (0, 1))
+    return [whole, Piecewise([line, inverse])]
+
+
+def _kernel_cases():
+    """(grid, comps): corpus elements, then components on rational
+    segments and on a tent, scaled by 2^k for k at and next to the ends
+    of the float range, on three ratios.  A _Profile reads only the
+    components' profiles, s and r, so these need not form an element."""
+    cases = [(x.grid, x.comps) for seed in (0, 3)
+             for x in corpus_generate(seed, 24).elements]
+    for sigma in (Q(1, 2), Q(2, 3), Q(9, 10)):
+        tent = Piecewise.linear_interp(
+            [(sigma, 0), ((1 + sigma) / 2, 1), (1, 0)])
+        for g in (*_rational_profiles(sigma), tent):
+            cases.append((Grid(sigma), [TailComponent(0, 0, g)]))
+            for k in (298, 299, 300):
+                cases.append((Grid(sigma), [
+                    TailComponent(0, 0, g.scale(Q(2) ** k)),
+                    TailComponent(1, 0, g.scale(Q(1, 2 ** k))),
+                    TailComponent(0, 1, g.scale(Q(3, 2 ** k)))]))
+                cases += [(Grid(sigma), [TailComponent(1, 0, g.scale(c))])
+                          for c in (Q(2) ** k, Q(1, 2 ** k))]
+    return cases
+
+
+def _kernel_points(grid, sets):
+    """The window coordinates of the residues' samples on the deepest 12
+    blocks, the shape points of the sets on the grid's ratio, and
+    sigma."""
+    ws = {w for b in _RESIDUES for _, u, _, w in _walk(grid, b, 12)
+          if u is None}
+    for S in sets:
+        if S.sigma == grid.sigma:
+            ws.update(_shape_points(S.shape))
+    return sorted(ws | {grid.sigma})
+
+
+def _reduced_e(g):
+    return abs(g.numerator).bit_length() - g.denominator.bit_length()
+
+
+def test_profile_from_integers_matches_eval():
+    """Each _Profile float is float(c.g.eval(w)), each lazily built exact
+    value is c.g.eval(w), and the floats are there exactly as the range
+    rule says: with floats every |g| lies in (2^-300, 2^300), and every
+    profile with all |g| in [2^-296, 2^296] has them."""
+    sets = [*corpus_generate(0, 24).sets, *corpus_generate(3, 24).sets,
+            AsymptoticSet.full(Q(2, 3)), AsymptoticSet.full(Q(9, 10))]
+    seen = dropped = 0
+    cases = _kernel_cases()
+    assert any(len(seg.den) > 1 for _, comps in cases for c in comps
+               for seg in c.g.segs)
+    for grid, comps in cases:
+        for w in _kernel_points(grid, sets):
+            want = [(c, g) for c in comps for g in (c.g.eval(w),) if g]
+            p = oracle._Profile(comps, w)
+            assert p._exact is None
+            assert [c for c, _, _ in p.terms] == [c for c, _ in want]
+            assert p.exact == want
+            assert [(type(g.numerator), type(g.denominator))
+                    for _, g in p.exact] == [(int, int)] * len(want)
+            seen += 1
+            if p.floats is None:
+                dropped += 1
+                assert not all(-297 <= _reduced_e(g) <= 297 for _, g in want)
+                continue
+            assert all(-300 < _reduced_e(g) < 300 for _, g in want)
+            assert p.floats == [(c.s, c.r, float(g)) for c, g in want]
+            if len(want) == 1:
+                assert p.flog == math.log(abs(float(want[0][1])))
+    assert seen > 5000 and 0 < dropped < seen
+
+
+def test_profile_floats_at_the_ends_of_the_range():
+    """A single value 2^k: the one-bit slack keeps floats up to |k| = 297
+    and drops them from |k| = 299, inside the old rule's (2^-300, 2^300)
+    at 299 and outside it at 300."""
+    w = Q(3, 4)
+    for k in range(290, 302):
+        for c in (Q(2) ** k, Q(1, 2 ** k)):
+            x = PwFunction.const(c)
+            p = oracle._Profile(x.comps, w)
+            assert p.exact == [(x.comps[0], c)]
+            if k <= 297:
+                assert p.floats == [(0, 0, float(c))]
+            if k >= 299:
+                assert p.floats is None
+
+
 def test_valuation_equals_fit_over_every_block(rho, osc, negl, hat):
     """The estimate from the deepest blocks only is the one fitted to the
     maxima of every block, float for float, at every window."""
@@ -540,8 +633,9 @@ def test_oracle_imports_no_exact_decision_module():
 
 
 def _deep_blocks(S, cfg):
-    """The sample points u of _deep_samples, one list per block."""
-    return [[u for _, u in samples] for _, samples in _deep_samples(S, cfg)]
+    """The sample points u = top * w of _deep_samples, one list per
+    block."""
+    return [[top * w for w in ws] for _, top, ws in _deep_samples(S, cfg)]
 
 
 def _ref_vanishes_on(x, S, cfg):
@@ -671,6 +765,47 @@ def test_vanishing_vote_takes_head_samples_exactly(exact_evaluations):
         assert _ref_vanishes_on(x, S, cfg) is want
 
 
+def test_vanishing_vote_evaluates_only_what_the_screen_leaves_open(
+        monkeypatch, exact_evaluations):
+    """x.eval runs only at samples u = top * w that the float screen
+    leaves open, each at most once, in the order of its block; the votes
+    are unchanged.  Pairs of a shared ratio and of two ratios, at two
+    depths."""
+    screen = oracle._vanishing_screen
+    open_samples = []
+
+    def counted(x, S):
+        level = screen(x, S)
+
+        def counted_level(j, top, w):
+            place = level(j, top, w)
+            if place is None:
+                open_samples.append(top * w)
+            return place
+        return counted_level
+
+    monkeypatch.setattr(oracle, "_vanishing_screen", counted)
+    pairs = []
+    for seed in range(2):
+        c = corpus_generate(seed, 24)
+        pairs += zip(c.elements, c.sets)
+    pairs += [(_on_ratio(sigma), S) for sigma in (Q(1, 2), Q(2, 3))
+              for S in (AsymptoticSet.full(Q(1, 2)),
+                        AsymptoticSet.full(Q(2, 3)))]
+    evaluated = opened = samples = 0
+    for x, S in pairs:
+        for cfg in (SHALLOW, OracleConfig(depth=160)):
+            del exact_evaluations[:], open_samples[:]
+            vote = oracle_vanishes_on(x, S, cfg)
+            it = iter(open_samples)
+            assert all(u in it for u in exact_evaluations), (x, S, cfg)
+            evaluated += len(exact_evaluations)
+            opened += len(open_samples)
+            assert vote == _ref_vanishes_on(x, S, cfg), (x, S, cfg)
+            samples += sum(map(len, _deep_blocks(S, cfg)))
+    assert 0 < evaluated <= opened < samples
+
+
 def _deep_blocks_walk(S, cfg):
     """The block-by-block walk that _deep_blocks replaced, as a reference."""
     ws = _shape_points(S.shape)
@@ -701,6 +836,9 @@ def test_deep_blocks_matches_walk(monkeypatch, sigma, j):
     monkeypatch.undo()
     for cfg in [OracleConfig(depth=d) for d in (8, 64, 800, 1600)]:
         assert _deep_blocks(S, cfg) == _deep_blocks_walk(S, cfg), cfg
+        for j, top, ws in _deep_samples(S, cfg):
+            assert top == S.c0 * S.sigma ** j
+            assert ws == _shape_points(S.shape)
     empty = AsymptoticSet(sigma, IvSet.empty(), c0=sigma ** j)
     assert _deep_blocks(empty, OracleConfig()) == []
 

@@ -3,6 +3,7 @@ two checkouts can be compared for equal answers.
 
     python3 tools/query_outputs.py --workload ideal --seed 1 > ideal-1.jsonl
     python3 tools/query_outputs.py --workload all --seed 1 > all-1.jsonl
+    python3 tools/query_outputs.py --maxima --seed 1 > maxima-1.txt
 
 The items are the ones ``python3 perfbench/run.py --seconds 15`` builds,
 through that script's own ``setup``, in the same order.  Each query runs
@@ -13,11 +14,19 @@ lists for tuples, type and message for exceptions, strings for Fractions
 and ``repr`` for anything else.  ``--workload all`` runs the four workloads
 in turn and adds a ``workload`` key to each line.
 
+``--maxima`` prints instead, for each ``oracle_valuation`` item of the
+``oracle`` workload, its index and the ``repr`` of the per-block maxima the
+valuation oracle fits, ``[(k, max log|x|), ...]`` over the deepest 2 * wn
+blocks at the workload's grid and at the oracle's working precision (the
+exception type's name where the oracle raises), then one ``sha256`` line
+over those reprs in order.  Equal digests mean bit-identical maxima.
+
 Standard library only; the engine is the one under this checkout's
 ``src``, and ``perfbench/`` is only read.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -87,14 +96,46 @@ def tagged_lines(workloads, seed, first=None):
             for w in workloads for line in query_lines(w, seed, first)]
 
 
+def maxima_lines(seed, first=None):
+    """The ``--maxima`` lines of the first ``first`` oracle items, then
+    the sha256 line."""
+    run = _bench()
+    import mpmath
+    from asymcalc.errors import AsymcalcError
+    from asymcalc.verify.oracle import PRECISION, _block_maxima
+
+    wl, items, _ = run.setup(argparse.Namespace(
+        workload="oracle", seed=seed, seconds=SECONDS))
+    digest, lines = hashlib.sha256(), []
+    for i, item in enumerate(items[:first]):
+        if item.spec[0] != "oracle_valuation":
+            continue
+        with mpmath.workdps(PRECISION):
+            try:
+                text = repr(sorted(_block_maxima(item.args[0],
+                                                 wl.cfg).items()))
+            except AsymcalcError as e:
+                text = type(e).__name__
+        digest.update(text.encode())
+        lines.append(f"{i} {text}")
+    return lines + [f"sha256 {digest.hexdigest()}"]
+
+
 def main(argv=None):
     names = _bench().WORKLOAD_NAMES
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True, choices=(*names, "all"))
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", choices=(*names, "all"))
+    mode.add_argument("--maxima", action="store_true",
+                      help="valuation-oracle block maxima and their sha256")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    lines = tagged_lines(names, args.seed) if args.workload == "all" \
-        else query_lines(args.workload, args.seed)
+    if args.maxima:
+        lines = maxima_lines(args.seed)
+    elif args.workload == "all":
+        lines = tagged_lines(names, args.seed)
+    else:
+        lines = query_lines(args.workload, args.seed)
     for line in lines:
         print(line)
     return 0

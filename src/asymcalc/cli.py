@@ -49,7 +49,8 @@ def _print_report(r: dict):
 
 def _cmd_run(args) -> int:
     try:
-        source = open(args.script, encoding="utf-8").read()
+        with open(args.script, encoding="utf-8") as f:
+            source = f.read()
     except OSError as e:
         print(f"error[IO]: {e}", file=sys.stderr)
         return 2

@@ -379,16 +379,15 @@ def _trace_cells(z: PwFunction, shape: IvSet):
         if iv.is_point():
             spans = [(iv.lo, iv.lo)]
         else:
-            cuts = sorted({iv.lo, iv.hi} | {s.hi for c in z.comps
-                                            for s in c.g.segs
-                                            if iv.lo < s.hi < iv.hi})
+            cuts = sorted({iv.lo, iv.hi} | {w for c in z.comps
+                                            for w in c.g.breakpoints()
+                                            if iv.lo < w < iv.hi})
             spans = zip(cuts, cuts[1:])
         for a, b in spans:
-            segs = [next(s for s in c.g.segs if s.lo <= a and b <= s.hi)
-                    for c in z.comps]
+            segs = [c.g.segment_at(a, 1 if a < b else -1) for c in z.comps]
             sgn, parts = 1, []
             for i, s in enumerate(segs):
-                sgn *= _zsign(s.den, (a + b) / 2)
+                sgn *= s.den_sign()
                 part = s.num
                 for j, t in enumerate(segs):
                     if j != i:

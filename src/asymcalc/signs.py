@@ -22,11 +22,15 @@ profiles are reached only inside the flat common zero of the r = 0 ones,
 where `point_sign` and `_side_signs` read the first deep component that
 does not vanish.  No answer changes at a point the walk leaves out: there
 the first profile not identically zero nearby is nonzero, so the hull has
-that one vertex (or that deep profile decides), the point is neither bad
-nor a common zero, and between two walk points the same profile has no
-zero, so one sample gives the sign.  A hull of two or more vertices needs
-the dominant profile to vanish at the point, so item 1's lapses sit at
-zeros of that profile, and the walk keeps every one.
+that one vertex (or that deep profile decides), and the point is neither
+bad nor a common zero.  No cell between two walk points is sampled: there
+the dominant profile has no zero, as the walk keeps every one.  Where it is
+an r = 0 profile, it is the live one of least s at either end of the cell,
+which is always a vertex of that side's hull, so its sign is among the
+side signs at both ends; where it is deep, it is the first deep one those
+side signs read, and where no profile lives they give 0.  A hull of two or
+more vertices needs the dominant profile to vanish at the point, so item
+1's lapses sit at zeros of that profile, and the walk keeps every one.
 
 `_is_common_zero` is the one test that every r = 0 component vanishes at
 a point, and with `flat_common_zero` it is the one vanishing rule:
@@ -48,7 +52,7 @@ from fractions import Fraction as Q
 
 from .errors import NotCharacteristic
 from .ivset import Iv, IvSet
-from .polytools import isolate_roots, pt_between
+from .polytools import isolate_roots
 from .pwfunc import PwFunction
 from .scaleset import AsymptoticSet, circle_closure
 
@@ -166,7 +170,9 @@ def _side_signs(x: PwFunction, w0, direction: int) -> set:
     points (order, s), and 0 joins between two vertices of opposite sign.
     The deep components are read only when no such component lives, and
     then by the same dominance as the walk: the first one not identically
-    zero there decides, and the sign is 0 when there is none."""
+    zero there decides, and the sign is 0 when there is none.  The set
+    always holds the sign of the profile that dominates the open cell on
+    that side: no cell is sampled, so the cell signs come from here."""
     live = []
     for c in x.comps:
         if c.r and live:
@@ -248,12 +254,11 @@ def _attained_signs(x: PwFunction, shape: IvSet):
 
 def _interval_signs(x: PwFunction, iv: Iv, cands):
     """One walk over lo, the candidates inside iv and hi: the value sign at
-    each point iv holds, the one-sided signs facing into iv, and one sample
-    per cell between neighbours."""
+    each point iv holds and the one-sided signs facing into iv, which hold
+    the sign on each cell between neighbours (see the module docstring)."""
     cuts = [iv.lo] + [p for p in cands if iv.lo < p < iv.hi] + [iv.hi]
     signs = {point_sign(x, p)[0] for p in cuts if iv.contains(p)}
     for a, b in zip(cuts, cuts[1:]):
-        signs.add(point_sign(x, pt_between(a, b))[0])
         signs |= _side_signs(x, a, +1) | _side_signs(x, b, -1)
     return signs
 

@@ -574,7 +574,7 @@ def _vanishing_screen(x, S):
                 return None
             K, w = x.grid.block_coord(u)
         p = at(w)
-        if not p.exact:
+        if not p.terms:
             return -1
         f = estimate(K, p)
         if f is None:

@@ -14,14 +14,14 @@ result; `linear_interp` checks its nodes and builds canonical lines through
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import attrgetter
 
 from .errors import ContinuityViolation, ZeroDenominator
 from .ivset import Iv, IvSet
-from .polytools import (ONE, ZERO, _normal, _zpoly, count_roots,
+from .polytools import (ONE, ZERO, _normal, _zpoly, _zsign, count_roots,
                         isolate_roots, padd, pcompose_affine, pderiv, pdeg,
                         peval, pgcd, pmul, poly, poly_nonneg_on, pquo,
                         pscale, psign, psub, squarefree)
@@ -85,6 +85,10 @@ class Seg:
 
     def is_zero(self) -> bool:
         return not self.num
+
+    def den_sign(self) -> int:
+        """The sign of den on the closed segment, where it has no root."""
+        return _zsign(self.den, self.lo)
 
     def monic(self) -> tuple:
         """(num, den) over lc(den), as Fractions: the printed form."""
@@ -180,10 +184,13 @@ class Piecewise:
         functions on one interval hash alike."""
         return hash(self.segs)
 
-    def segment_at(self, w: Q) -> Seg:
-        """The first segment whose upper end is at least w (found by
-        bisection); trusted: w is a Fraction in [lo, hi]."""
-        return self.segs[bisect_left(self.segs, w, key=_seg_hi)]
+    def segment_at(self, w, side=-1) -> Seg:
+        """The first segment whose upper end is at least w (side -1) or
+        above w (side +1: the segment just right of w), by bisection;
+        trusted: w, a Fraction or a RootPt, lies in [lo, hi), or [lo, hi]
+        for side -1."""
+        find = bisect_right if side > 0 else bisect_left
+        return self.segs[find(self.segs, w, key=_seg_hi)]
 
     def eval(self, w) -> Q:
         """The value at w in [lo, hi], on `segment_at(w)`."""
@@ -308,42 +315,30 @@ class Piecewise:
         return out
 
     def nonneg_on_all(self) -> bool:
-        for s in self.segs:
-            sgn = psign(s.den, (s.lo + s.hi) / 2)
-            if not poly_nonneg_on(pscale(s.num, sgn), s.lo, s.hi):
-                return False
-        return True
+        return all(poly_nonneg_on(pscale(s.num, s.den_sign()), s.lo, s.hi)
+                   for s in self.segs)
 
     def order_at(self, w0, side) -> tuple:
         """(order, sign) of the function approaching w0 from `side`
         (+1 right, -1 left).  order None means identically zero on that
         side; sign is the sign of the function just off w0."""
-        seg = None
-        for s in self.segs:
-            if (s.lo <= w0 < s.hi) if side > 0 else (s.lo < w0 <= s.hi):
-                seg = s
-                break
-        if seg is None:
+        if not (self.lo <= w0 < self.hi if side > 0
+                else self.lo < w0 <= self.hi):
             raise ValueError(f"no segment on side {side} of {w0}")
+        seg = self.segment_at(w0, side)
         if seg.is_zero():
             return None, 0
-        m, sgn_deriv = _mult_and_sign(seg.num, w0)
-        den_sign = psign(seg.den, w0)
-        assert den_sign != 0  # denominators are root-free on closed segments
-        if side > 0:
-            sgn = sgn_deriv * den_sign
-        else:
-            sgn = sgn_deriv * den_sign * (-1 if m % 2 else 1)
-        return m, sgn
+        m, sgn = _mult_and_sign(seg.num, w0)
+        sgn *= seg.den_sign()
+        # just left of w0, (w - w0)^m has the sign (-1)^m
+        return m, sgn if side > 0 or m % 2 == 0 else -sgn
 
     def value_sign_at(self, w0) -> int:
         """Exact sign of the function value at the point w0 (Q or RootPt)."""
-        for s in self.segs:
-            if s.lo <= w0 <= s.hi:
-                if not s.num:
-                    return 0
-                return psign(s.num, w0) * psign(s.den, w0)
-        raise ValueError("point outside domain")
+        if not self.lo <= w0 <= self.hi:
+            raise ValueError("point outside domain")
+        s = self.segment_at(w0)
+        return psign(s.num, w0) * s.den_sign() if s.num else 0
 
     def abs_upper_bound(self) -> Q:
         """A certified upper bound for |f| on the domain."""

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import re
+import warnings
 from fractions import Fraction as Q
 
 import pytest
@@ -106,6 +108,16 @@ def test_run_prints_one_line_per_result(tmp_path, capsys):
     assert re.fullmatch(r"\[PASS\] interior-closure: 12 instances, "
                         r"0 failures, 0 inconclusive \(\d+\.\d\ds\)", out[4])
     assert len(out) == 5
+
+
+def test_run_closes_the_script(tmp_path, capsys):
+    path = tmp_path / "s.asym"
+    path.write_text("elem x = rho;", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["run", str(path)]) == 0
+        gc.collect()
+    assert [w for w in caught if w.category is ResourceWarning] == []
 
 
 def test_run_json_prints_the_outputs(tmp_path, capsys):

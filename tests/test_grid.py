@@ -183,6 +183,30 @@ def test_grid_of_validates():
         Grid.of(Q(1, 2), D=0)
 
 
+def _ref_block_coord(g, u):
+    """Block k and coordinate w of u, by stepping down from the anchor."""
+    k, top = 0, g.c0
+    while u <= top * g.sigma:
+        k, top = k + 1, top * g.sigma
+    return k, u / top
+
+
+@pytest.mark.parametrize("sigma", [Q(1, 2), Q(2, 3), Q(3, 7), Q(1, 10),
+                                   Q(9, 10)])
+def test_block_coord_matches_reference(sigma):
+    """Points at, just above and just below the block edges, where the
+    float estimate of the block can be one off either way: on sigma = 1/2,
+    u = (1/2)(1 + 2^-60) lies in block 0, while the estimate says 1."""
+    eps = Q(1, 2 ** 60)
+    for j in (0, 2):
+        g = Grid(sigma, j)
+        for k in (0, 1, 5, 40):
+            top = sigma ** k * g.c0
+            for u in (top, top * (1 - eps), top * sigma * (1 + eps),
+                      top * (1 + sigma) / 2):
+                assert g.block_coord(u) == _ref_block_coord(g, u), (g, u)
+
+
 def test_dict_roundtrip():
     g = Grid(Q(2, 3), 4, 3)
     d = g.to_dict()

@@ -399,8 +399,18 @@ def _nested_pairs(draw):
     return S, T
 
 
+# head-only sets on sigma = 9/10, on which `_metric_median` lowers the
+# anchor in five turns of its loop, below half the lowest head point
+_HEADS = (AsymptoticSet(Q(9, 10), IvSet.empty(),
+                        IvSet.interval(Q(17, 20), Q(43, 50)), Q(81, 100)),
+          AsymptoticSet(Q(9, 10), IvSet.empty(),
+                        IvSet.interval(Q(83, 100), Q(9, 10), False, False),
+                        Q(81, 100)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.tuples(sets, sets), _nested_pairs()))
+@example(_HEADS)
 def test_insert_between_matches_reference(pair):
     S, T = pair
     if not S.precedes(T):

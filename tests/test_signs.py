@@ -11,7 +11,7 @@ import asymcalc.signs as signs_mod
 from asymcalc.errors import NotCharacteristic
 from asymcalc.grid import unify
 from asymcalc.ivset import IvSet
-from asymcalc.polytools import RootPt, poly
+from asymcalc.polytools import RootPt, poly, pt_between
 from asymcalc.pwfunc import PwFunction, TailComponent
 from asymcalc.scaleset import AsymptoticSet
 from asymcalc.signs import (MIXED, POS, _candidate_points, _hull_vertices,
@@ -447,3 +447,39 @@ def test_restr_zero_matches_the_per_profile_scan(osc, hat, negl):
     assert got.count(True) > 100 and got.count(False) > 100
     on_points = {ok for (x, S), ok in zip(cases, got) if S.shape.points()}
     assert on_points == {True, False}
+
+
+def test_side_signs_hold_the_sign_of_each_cell():
+    """Inside a cell between consecutive cuts of `_interval_signs` the
+    dominant profile has no zero, and its sign is among the side signs at
+    both ends of the cell.  `_interval_signs` samples no cell, so this is
+    what gives it the cell's sign.  Over the non-negligible elements x of
+    corpus_generate(s, 40) and x*x: s = 0 on the full set and the corpus's
+    characteristic sets, s = 1..3 on the full set."""
+    pairs = cells = 0
+    broken = []
+    for seed in range(4):
+        c = corpus_generate(seed, 40)
+        extra = [S for S in c.sets if S.is_characteristic()] if seed == 0 \
+            else []
+        for x in c.elements:
+            if x.is_negligible():
+                continue
+            for y in (x, x.mul(x)):
+                for S in [AsymptoticSet.full(y.sigma, y.D)] + extra:
+                    pairs += 1
+                    yw, shape = common_window(y, S)
+                    cands = _candidate_points(yw)
+                    for iv in shape.ivs:
+                        if iv.is_point():
+                            continue
+                        cuts = [iv.lo] + [p for p in cands
+                                          if iv.lo < p < iv.hi] + [iv.hi]
+                        for a, b in zip(cuts, cuts[1:]):
+                            cells += 1
+                            sg = point_sign(yw, pt_between(a, b))[0]
+                            if sg not in _side_signs(yw, a, +1) or \
+                                    sg not in _side_signs(yw, b, -1):
+                                broken.append((seed, y, S, a, b))
+    assert broken == []
+    assert (pairs, cells) == (2376, 3044)

@@ -806,6 +806,23 @@ def test_vanishing_vote_evaluates_only_what_the_screen_leaves_open(
     assert 0 < evaluated <= opened < samples
 
 
+def test_vanishing_screen_builds_no_exact_profile(monkeypatch):
+    """The vanishing screen places each sample from a profile's integer
+    terms and floats; no vote reads the exact profile values."""
+    reads = []
+    exact = oracle._Profile.exact
+    monkeypatch.setattr(oracle._Profile, "exact", property(
+        lambda p: reads.append(p) or exact.fget(p)))
+    votes = []
+    for seed in range(2):
+        c = corpus_generate(seed, 24)
+        for x, S in zip(c.elements, c.sets):
+            for cfg in (SHALLOW, CFG):
+                votes.append(oracle_vanishes_on(x, S, cfg))
+    assert reads == []
+    assert {True, False} <= set(votes)
+
+
 def _deep_blocks_walk(S, cfg):
     """The block-by-block walk that _deep_blocks replaced, as a reference."""
     ws = _shape_points(S.shape)

@@ -51,6 +51,9 @@ def _cmd_run(args) -> int:
     try:
         with open(args.script, encoding="utf-8") as f:
             source = f.read()
+    except UnicodeDecodeError as e:
+        print(f"error[IO]: {args.script}: {e}", file=sys.stderr)
+        return 2
     except OSError as e:
         print(f"error[IO]: {e}", file=sys.stderr)
         return 2
@@ -70,16 +73,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    names = "all" if args.all or not args.checks else args.checks
+    opts = {k: v for k in ("seed", "size")
+            if (v := getattr(args, k)) is not None}
     try:
-        reports = run_checks(names, seed=args.seed, size=args.size)
+        reports = run_checks(None if args.all else args.checks, **opts)
     except AsymcalcError as e:
         print(f"error[{type(e).__name__}]: {e}", file=sys.stderr)
         return 2
     payload = [r.to_dict() for r in reports]
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, default=str)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, default=str)
+        except OSError as e:
+            print(f"error[IO]: {e}", file=sys.stderr)
+            return 2
     if args.json:
         print(json.dumps(payload, indent=2, default=str))
     else:
@@ -106,8 +114,8 @@ def main(argv=None) -> int:
     checkp.add_argument("checks", nargs="*",
                         help=f"names: {', '.join(available_checks())}")
     checkp.add_argument("--all", action="store_true")
-    checkp.add_argument("--seed", type=int, default=0)
-    checkp.add_argument("--size", type=int, default=24)
+    checkp.add_argument("--seed", type=int)
+    checkp.add_argument("--size", type=int)
     checkp.add_argument("--report", help="write a JSON report here")
     # --json after the subcommand too; a default there would override one
     # given before it

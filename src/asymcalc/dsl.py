@@ -679,10 +679,8 @@ def execute(session: Session, statements):
                             "result": b.build("query", st.expr)})
             elif st.kind == "check":
                 names, opts = st.expr
-                seed = b.intval(opts["seed"]) if "seed" in opts else 0
-                size = b.intval(opts["size"]) if "size" in opts else 24
-                which = "all" if (not names or names == ["all"]) else names
-                reps = run_checks(which, seed=seed, size=size)
+                reps = run_checks(names, **{k: b.intval(v)
+                                            for k, v in opts.items()})
                 out.append({"stmt": "check",
                             "reports": [r.to_dict() for r in reps]})
             else:

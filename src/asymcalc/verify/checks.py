@@ -385,12 +385,14 @@ def available_checks():
     return sorted(_REGISTRY)
 
 
-def run_checks(names, seed: int = 0, size: int = 24):
-    """Run named checks (or all of them) and return CheckReport objects."""
-    if names in ("all", None):
-        names = available_checks()
+def run_checks(names=None, seed: int = 0, size: int = 24):
+    """Run the named checks and return CheckReport objects.  No names,
+    "all" or ["all"] runs every check; "all" among other names is no
+    check's name."""
     if isinstance(names, str):
         names = [names]
+    if not names or names == ["all"]:
+        names = available_checks()
     for n in names:
         if n not in _REGISTRY:
             raise UnknownCheck(f"no check named {n!r}; choose from "

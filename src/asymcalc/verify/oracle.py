@@ -13,11 +13,11 @@ afilter:
   2 * wn blocks with a nonzero sample, wn = max(2, window // 8), so the
   blocks are sampled deepest first and the sampling stops once it holds
   that many; when fewer exist it goes on up to block 1, and the result is
-  the same as with every block sampled.  The samples are walked per
-  residue b_i, up the blocks: the element block and window coordinate
-  (K, w) of a residue are located once, at its deepest sample, and then
-  stepped exactly (doubling u doubles w, and a w above 1 is w * sigma on
-  the next element block up).  Above the anchor samples use the exact
+  the same as with every block sampled.  Each sample is placed on x's
+  grid as (element block K, window coordinate w) by _locator, the rule
+  both oracles share: when x is on the ratio 1/2 the residue b_i is its
+  own w and nothing is searched or built; on another ratio
+  Grid.block_coord places u.  Above the anchor samples use the exact
   head.  Each block's maximum comes from two passes over its 8 samples.
   The first gives each tail sample a float estimate of its log|x(u)|,
   summed by math.fsum from float profile values and weights sigma^n, or
@@ -47,9 +47,10 @@ afilter:
   orbits and thin shapes are hit exactly.  Each block votes by comparing
   |x(u)| with u^n and u^(n/2), n = QUANTIFIER_BOUND, through the
   valuation side's sampler: each sample is located on x's grid as
-  (K, w), with no search when x and S share the ratio, its profile comes
-  from the same per-w memo, and the float estimate f of log|x(u)| is
-  compared with n log u and (n/2) log u at the margin 1e-6 * (1 + |f|).
+  (K, w) by the same _locator, with no search when x and S share the
+  ratio, its profile comes from the same per-w memo, and the float
+  estimate f of log|x(u)| is compared with n log u and (n/2) log u at
+  the margin 1e-6 * (1 + |f|).
   f is within about m * 1e-9 + 1e-15 * |f| of the exact log (as above),
   and the double log u, formed from the logs of sigma and w, within about
   1e-12 of the exact one, as MIN_SCALE keeps |n log u| <= 8 * 120 * log 2.
@@ -72,7 +73,7 @@ from fractions import Fraction as Q
 import mpmath
 
 from ..errors import AllSamplesZero, PreconditionViolated
-from ..grid import _log
+from ..grid import Grid, _log
 from ..polytools import _hsum
 
 __all__ = [
@@ -121,6 +122,9 @@ class OracleConfig:
 
 # b_i of the valuation grid: the double 0.5 ** (i / 8) as an exact rational
 _RESIDUES = tuple(Q(0.5 ** (i / 8)) for i in range(8))
+# the valuation grid: block k spans (2^-(k+1), 2^-k], and b_i lies in
+# (1/2, 1], so the sample 2^-k * b_i is at window coordinate b_i of block k
+_HALF = Grid(Q(1, 2))
 
 
 @dataclass(frozen=True)
@@ -154,40 +158,29 @@ def _slope(points):
     return (n * sxy - sx * sy) / den
 
 
-def _walk(grid, b, blocks: int):
-    """The samples u = 2^-k * b of the residue b on the blocks
-    k = blocks - 1 down to 1, deepest first, as (k, None, K, w) at or below
-    the anchor of grid, with (K, w) = grid.block_coord(u), and as
-    (k, u, None, None) above it.
+def _locator(x, grid):
+    """The function locate(j, top, w) -> (K, w') placing the sample
+    u = top * w of block j of grid, top = c0 sigma^j and w in (sigma, 1],
+    on x's grid: u lies on element block K at window coordinate w'.  It
+    gives None when u lies above x's anchor.
 
-    On the ratio 1/2 the residue b lies in (1/2, 1], so u = 2^-(j + K) * b
-    with K = k - j is at w = b on element block K, and nothing is located.
-    On other ratios block_coord runs once, at the deepest sample.  From
-    there each step up doubles u, so it doubles w, and while w > 1 the
-    sample lies one element block higher: w <- w * sigma, K <- K - 1.  That
-    keeps w in (sigma, 1], so (K, w) stays the block coordinate of u.  Once
-    K < 0 the sample lies above the anchor, and so do all the shallower
-    ones.  Only these head samples and the deepest sample build the
-    Fraction u.  Needs blocks >= 1."""
-    sigma = grid.sigma
-    k = blocks - 1
-    if sigma == Q(1, 2):
-        while k and k >= grid.j:
-            yield k, None, k - grid.j, b
-            k -= 1
+    When the ratios agree, u = sigma^(j + j_grid) * w is x.c0 sigma^K * w
+    with K = j + j_grid - j_x, so w' is w itself, the same object, and
+    neither top nor u is read; K < 0 puts u above the anchor, as
+    sigma^K * w > sigma^-1 * sigma = 1 there.  On another ratio it is
+    x.grid.block_coord(top * w) when top * w <= x.c0."""
+    xg = x.grid
+    if grid.sigma == xg.sigma:
+        shift = grid.j - xg.j
+
+        def locate(j, top, w):
+            K = j + shift
+            return (K, w) if K >= 0 else None
     else:
-        u = Q(b.numerator, b.denominator << k)
-        if u <= grid.c0:
-            K, w = grid.block_coord(u)
-            while k and K >= 0:
-                yield k, None, K, w
-                k -= 1
-                w *= 2
-                while w > 1:
-                    w *= sigma
-                    K -= 1
-    for k in range(k, 0, -1):
-        yield k, Q(b.numerator, b.denominator << k), None, None
+        def locate(j, top, w):
+            u = top * w
+            return xg.block_coord(u) if u <= xg.c0 else None
+    return locate
 
 
 class _Profile:
@@ -209,11 +202,11 @@ class _Profile:
     the exact path.  `flog` is log|g| of a single float term.
 
     The exact values are built on first use only, by the exact pass
-    (_tail_sampler): `exact` holds (c, g) with g the Fraction c.g(w),
-    `mpfs` holds (c, g, mpf(g)) and `mlog` the mpmath log|g| of a single
-    term, at the working precision of that pass."""
+    (_tail_sampler): `mpfs` holds (c, g, mpf(g)) with g the Fraction
+    N / D = c.g(w), and `mlog` the mpmath log|g| of a single term, at the
+    working precision of that pass."""
 
-    __slots__ = ("terms", "floats", "flog", "_exact", "mpfs", "mlog")
+    __slots__ = ("terms", "floats", "flog", "mpfs", "mlog")
 
     def __init__(self, comps, w):
         b = w.denominator
@@ -233,19 +226,13 @@ class _Profile:
             elif d < 0:
                 D *= b ** -d
             terms.append((c, N, D))
-        self.floats = self.flog = self._exact = self.mpfs = self.mlog = None
+        self.floats = self.flog = self.mpfs = self.mlog = None
         if len(terms) <= 400 and all(
                 -299 < N.bit_length() - D.bit_length() < 299
                 for _, N, D in terms):
             self.floats = [(c.s, c.r, N / D) for c, N, D in terms]
             if len(terms) == 1:
                 self.flog = math.log(abs(self.floats[0][2]))
-
-    @property
-    def exact(self):
-        if self._exact is None:
-            self._exact = [(c, Q(N, D)) for c, N, D in self.terms]
-        return self._exact
 
 
 def _profiles(x):
@@ -328,7 +315,8 @@ def _tail_sampler(x):
 
     def tail(K, p):
         if p.mpfs is None:
-            p.mpfs = [(c, g, _mpf(g)) for c, g in p.exact]
+            p.mpfs = [(c, g, _mpf(g)) for c, N, D in p.terms
+                      for g in (Q(N, D),)]
         if len(p.mpfs) == 1:  # the general path gives the same mpf
             c, _, m = p.mpfs[0]
             if p.mlog is None:
@@ -376,11 +364,15 @@ def _block_maxima(x, cfg: OracleConfig):
     wn = _fit_blocks(cfg); all of them when fewer have one.  Blocks where
     every sample is zero are left out.
 
-    The blocks are taken deepest first, each from its 8 samples, one per
-    residue b_i (see _walk), and the walk stops once it holds 2 * wn
-    maxima.  The stop is exact: _fit reads no other block, and each block's
-    maximum depends on its own samples only.  A residue keeps its last w
-    and profile, so a walk that keeps w (the ratio 1/2) hashes no Fraction.
+    The blocks k = depth // 8 - 1 down to 1 are taken deepest first, each
+    from its 8 samples u = 2^-k * b_i, one per residue, and the sampling
+    stops once it holds 2 * wn maxima.  The stop is exact: _fit reads no
+    other block, and each block's maximum depends on its own samples only.
+    _locator places (k, 2^-k, b_i) of _HALF on x's grid as (K, w); a
+    sample above x's anchor is evaluated on the head.  A residue keeps its
+    last w and profile, so on the ratio 1/2, where the located w is the
+    residue itself, each residue looks its profile up once and no
+    Fraction is hashed.
 
     Two passes per block.  The first gives a head sample the exact
     log|x.head(u)|, and a tail sample a float estimate f of its log (see
@@ -406,17 +398,20 @@ def _block_maxima(x, cfg: OracleConfig):
     at = _profiles(x)
     estimate = _float_sampler(x)
     tail = _tail_sampler(x)
-    walks = [_walk(x.grid, b, cfg.depth // 8) for b in _RESIDUES]
-    last = [(None, None)] * len(walks)
+    locate = _locator(x, _HALF)
+    last = [(None, None)] * len(_RESIDUES)
     best = {}
-    for block in zip(*walks):
+    for k in range(cfg.depth // 8 - 1, 0, -1):
+        top = Q(1, 1 << k)
         logs, unscreened, screened = [], [], []
-        for i, (k, u, K, w) in enumerate(block):
-            if u is not None:
-                val = x.head.eval(u)
+        for i, b in enumerate(_RESIDUES):
+            place = locate(k, top, b)
+            if place is None:
+                val = x.head.eval(top * b)
                 if val:
                     logs.append(_logabs(val))
                 continue
+            K, w = place
             last_w, p = last[i]
             if w is not last_w:
                 p = at(w)
@@ -547,32 +542,25 @@ def _vanishing_screen(x, S):
     when |x(u)| <= u^n for sure, None when the floats cannot tell; n =
     QUANTIFIER_BOUND.
 
-    The sample is located on x's grid as (K, w): when x and S share the
-    ratio, K = j + j_S - j_x and w is the shape point itself, and u is
-    never built; otherwise Grid.block_coord of u.  A sample above x's
-    anchor gets None.  A zero profile at w (x(u) = 0) gets -1.
-    Otherwise f from _float_sampler, when there is one, is compared with
-    the double
-    lu = (j_x + K) * _log(sigma) + _log(w) of log u at the margin
-    1e-6 * (1 + |f|): f above n/2 * lu by more gives +1, f below n * lu
-    by more gives -1."""
+    The sample is located on x's grid as (K, w) by _locator: when x and
+    S share the ratio, w is the shape point itself and u is never built.
+    A sample above x's anchor gets None.  A zero profile at w (x(u) = 0)
+    gets -1.  Otherwise f from _float_sampler, when there is one, is
+    compared with the double lu = (j_x + K) * _log(sigma) + _log(w) of
+    log u at the margin 1e-6 * (1 + |f|): f above n/2 * lu by more gives
+    +1, f below n * lu by more gives -1."""
     n = QUANTIFIER_BOUND
     at = _profiles(x)
     with mpmath.workdps(PRECISION):
         estimate = _float_sampler(x)
     j_x, log_sigma = x.grid.j, _log(x.sigma)
-    shift = S.grid.j - j_x if S.sigma == x.sigma else None
+    locate = _locator(x, S.grid)
 
     def level(j, top, w):
-        if shift is not None:
-            K = j + shift
-            if K < 0:
-                return None
-        else:
-            u = top * w
-            if u > x.c0:
-                return None
-            K, w = x.grid.block_coord(u)
+        place = locate(j, top, w)
+        if place is None:
+            return None
+        K, w = place
         p = at(w)
         if not p.terms:
             return -1

@@ -161,6 +161,29 @@ def test_run_reports_a_missing_script(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error[IO]: ")
 
 
+def test_run_reports_a_script_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "s.asym"
+    path.write_bytes(b"elem x = rho;\xff\n")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error[IO]: {path}: ")
+
+
+def test_check_reports_a_report_it_cannot_write(tmp_path, capsys):
+    report = tmp_path / "missing" / "r.json"
+    assert main(["check", "rapid-chain", "--size", "4",
+                 "--report", str(report)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error[IO]: ")
+
+
+def test_check_all_by_name_runs_every_check(capsys):
+    assert main(["check", "all", "--size", "4"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == \
+        [f"[PASS] {name}" for name in available_checks()]
+
+
 def test_check_reports_an_unknown_name(capsys):
     assert main(["check", "no-such-check"]) == 2
     err = capsys.readouterr().err.strip().splitlines()

@@ -13,10 +13,10 @@ from asymcalc.verify import (CheckReport, OracleConfig, ValuationEstimate,
 from asymcalc.scaleset import AsymptoticSet
 from asymcalc.ivset import IvSet
 from asymcalc.verify import oracle
-from asymcalc.verify.oracle import (_RESIDUES, _block_maxima, _deep_samples,
-                                    _fit, _fit_blocks, _float_sampler,
-                                    _logabs, _mpf, _profiles, _shape_points,
-                                    _tail_sampler, _walk)
+from asymcalc.verify.oracle import (_HALF, _RESIDUES, _block_maxima,
+                                    _deep_samples, _fit, _fit_blocks,
+                                    _float_sampler, _locator, _logabs, _mpf,
+                                    _profiles, _shape_points, _tail_sampler)
 from asymcalc.grid import Grid
 from asymcalc.window import Piecewise, Seg
 
@@ -178,15 +178,18 @@ def _exact_sampler(x):
 
 def _fast_samples(x, cfg):
     """(k, u, log|x(u)| or None) at every grid sample, residue by residue,
-    from the walk and the tail sampler of the oracle."""
-    at, tail = _profiles(x), _tail_sampler(x)
+    from the locator and the tail sampler of the oracle."""
+    at, tail, locate = _profiles(x), _tail_sampler(x), _locator(x, _HALF)
     for b in _RESIDUES:
-        for k, u, K, w in _walk(x.grid, b, cfg.depth // 8):
-            if u is not None:
+        for k in range(cfg.depth // 8 - 1, 0, -1):
+            u = Q(b.numerator, b.denominator << k)
+            place = locate(k, Q(1, 1 << k), b)
+            if place is None:
                 val = x.head.eval(u)
                 yield k, u, _logabs(val) if val else None
-                continue
-            yield k, Q(b.numerator, b.denominator << k), tail(K, at(w))
+            else:
+                K, w = place
+                yield k, u, tail(K, at(w))
 
 
 def _assert_same_maxima(x, cfg):
@@ -340,29 +343,23 @@ def test_block_maxima_match_reference_bit_for_bit(rho, osc, negl, hat):
             _assert_same_maxima(x, SHALLOW)
 
 
+def _sample_grids():
+    """(grid, ws) for the locator tests: the valuation grid with the
+    residues, and the grid of a set on the ratio 2/3 anchored three blocks
+    down with the set's shape points."""
+    S = AsymptoticSet(Q(2, 3), IvSet.interval(Q(3, 4), Q(1)), c0=Q(2, 3) ** 3)
+    return [(_HALF, _RESIDUES), (S.grid, _shape_points(S.shape))]
+
+
 # on the ratio 1/4 the residue b_0 = 1 lands on w = 1 at every even block
 @pytest.mark.parametrize("sigma", [*RATIOS, Q(1, 4)])
 @pytest.mark.parametrize("j", [0, 1, 3])
-def test_walk_steps_to_block_coord(sigma, j):
-    grid = Grid(sigma, j)
-    for depth in (400, 1600):
-        for b in _RESIDUES:
-            ks = []
-            for k, u, K, w in _walk(grid, b, depth // 8):
-                ks.append(k)
-                want = Q(b.numerator, b.denominator << k)
-                assert (u is not None) == (want > grid.c0), (b, k)
-                if u is None:
-                    assert (K, w) == grid.block_coord(want), (b, k)
-                else:
-                    assert u == want and K is None and w is None
-            # deepest first, every block once
-            assert ks == list(range(depth // 8 - 1, 0, -1))
-
-
-def test_oracle_locates_each_residue_once(monkeypatch, rho, hat):
-    """Each residue is located once on other ratios, and never on the
-    ratio 1/2, where it is its own window coordinate."""
+def test_walk_steps_to_block_coord(monkeypatch, sigma, j):
+    """Walking the blocks of each sample grid, _locator places each sample
+    u = top * w below x's anchor at block_coord(u), and gives None above
+    it; on a shared ratio it hands back the same w object and runs no
+    block_coord."""
+    x = PwFunction.on(Grid(sigma, j), [])
     calls = []
     coord = Grid.block_coord
 
@@ -371,14 +368,44 @@ def test_oracle_locates_each_residue_once(monkeypatch, rho, hat):
         return coord(self, u)
 
     monkeypatch.setattr(Grid, "block_coord", counted)
-    for x in (rho, *_mixed(hat), _on_ratio(Q(2, 3))):
+    for grid, ws in _sample_grids():
+        locate = _locator(x, grid)
+        shared = grid.sigma == sigma
+        for k in range(1, 200):
+            top = grid.c0 * grid.sigma ** k
+            for w in ws:
+                u = top * w
+                place = locate(k, top, w)
+                if u > x.c0:
+                    assert place is None, (k, w)
+                    continue
+                assert place == coord(x.grid, u), (k, w)
+                if shared:
+                    assert place[1] is w
+        assert shared == (calls == [])
+        del calls[:]
+
+
+def test_oracle_locates_each_residue_once(monkeypatch, rho, hat):
+    """The oracle never runs block_coord on the ratio 1/2, where each
+    residue is its own window coordinate, at any anchor."""
+    calls = []
+    coord = Grid.block_coord
+
+    def counted(self, u):
+        calls.append(u)
+        return coord(self, u)
+
+    monkeypatch.setattr(Grid, "block_coord", counted)
+    for x in (rho, *_mixed(hat), _on_ratio(Q(1, 2), 2),
+              _on_ratio(Q(1, 2), 6), _on_ratio(Q(2, 3))):
         for cfg in (SHALLOW, CFG):
             del calls[:]
             oracle_valuation(x, cfg)
             if x.sigma == Q(1, 2):
                 assert calls == []
             else:
-                assert 0 < len(calls) <= 8
+                assert calls
 
 
 def test_oracle_looks_up_each_kept_profile_once(monkeypatch, rho, hat):
@@ -487,8 +514,9 @@ def _kernel_points(grid, sets):
     """The window coordinates of the residues' samples on the deepest 12
     blocks, the shape points of the sets on the grid's ratio, and
     sigma."""
-    ws = {w for b in _RESIDUES for _, u, _, w in _walk(grid, b, 12)
-          if u is None}
+    locate = _locator(PwFunction.on(grid, []), _HALF)
+    ws = {place[1] for b in _RESIDUES for k in range(11, 0, -1)
+          for place in (locate(k, Q(1, 1 << k), b),) if place}
     for S in sets:
         if S.sigma == grid.sigma:
             ws.update(_shape_points(S.shape))
@@ -514,11 +542,11 @@ def test_profile_from_integers_matches_eval():
         for w in _kernel_points(grid, sets):
             want = [(c, g) for c in comps for g in (c.g.eval(w),) if g]
             p = oracle._Profile(comps, w)
-            assert p._exact is None
-            assert [c for c, _, _ in p.terms] == [c for c, _ in want]
-            assert p.exact == want
-            assert [(type(g.numerator), type(g.denominator))
-                    for _, g in p.exact] == [(int, int)] * len(want)
+            assert p.mpfs is None
+            exact = [(c, Q(N, D)) for c, N, D in p.terms]
+            assert exact == want
+            assert [(type(N), type(D)) for _, N, D in p.terms] == \
+                [(int, int)] * len(want)
             seen += 1
             if p.floats is None:
                 dropped += 1
@@ -540,7 +568,8 @@ def test_profile_floats_at_the_ends_of_the_range():
         for c in (Q(2) ** k, Q(1, 2 ** k)):
             x = PwFunction.const(c)
             p = oracle._Profile(x.comps, w)
-            assert p.exact == [(x.comps[0], c)]
+            assert [(c_, Q(N, D)) for c_, N, D in p.terms] == \
+                [(x.comps[0], c)]
             if k <= 297:
                 assert p.floats == [(0, 0, float(c))]
             if k >= 299:
@@ -808,18 +837,27 @@ def test_vanishing_vote_evaluates_only_what_the_screen_leaves_open(
 
 def test_vanishing_screen_builds_no_exact_profile(monkeypatch):
     """The vanishing screen places each sample from a profile's integer
-    terms and floats; no vote reads the exact profile values."""
-    reads = []
-    exact = oracle._Profile.exact
-    monkeypatch.setattr(oracle._Profile, "exact", property(
-        lambda p: reads.append(p) or exact.fget(p)))
+    terms and floats; no vote builds the exact profile values."""
+    profiles = []
+    looked_up = oracle._profiles
+
+    def kept(x):
+        at = looked_up(x)
+
+        def kept_at(w):
+            profiles.append(at(w))
+            return profiles[-1]
+        return kept_at
+
+    monkeypatch.setattr(oracle, "_profiles", kept)
     votes = []
     for seed in range(2):
         c = corpus_generate(seed, 24)
         for x, S in zip(c.elements, c.sets):
             for cfg in (SHALLOW, CFG):
                 votes.append(oracle_vanishes_on(x, S, cfg))
-    assert reads == []
+    assert profiles
+    assert all(p.mpfs is None for p in profiles)
     assert {True, False} <= set(votes)
 
 
